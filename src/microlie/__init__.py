@@ -61,7 +61,6 @@ from .groupoids import (
 )
 from .liealg import (
     CommutatorSquare,
-    add_sections,
     bracket,
     bracket_via_strong_difference,
     circledast,
@@ -69,7 +68,6 @@ from .liealg import (
     lambda_witness,
     lie_derivative,
     pushforward,
-    scale_section,
     six_microcubes,
 )
 from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket

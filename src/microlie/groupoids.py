@@ -14,17 +14,37 @@ this is exact polynomial/table composition.  A bisection additionally has
 an invertible target map; invertibility is witnessed by the scalar part
 (an invertible affine map, or a base permutation) and inverses are
 computed exactly through nilpotent Newton iteration.
+
+Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
+``SectionChart``, ``star``, ``section_at`` and the harness only call its
+methods, and never ask which groupoid they hold.  A new groupoid provides:
+
+* ``spec(degree)``, ``bounds_error(degree)`` and ``sample_spaces()`` for
+  the harness configuration;
+* ``identity_arrow``, ``fiber_product``, ``fiber_inverse``, ``beta`` and
+  ``arrow_at`` for arrows;
+* ``section_data`` (validate and normalise), ``check_bisection``,
+  ``identity_data``, ``star_data``, ``inverse_data``, ``flow_data``,
+  ``map_data``, ``coefficients``, ``read_coefficient`` and
+  ``section_repr`` for section data;
+* ``ag_data``, ``ag_zero``, ``ag_add``, ``ag_scale``, ``ag_repr`` and
+  ``oracle_bracket`` for Lie algebroid data;
+* ``chart_slots``, ``chart_coords`` and ``chart_data`` for charts;
+* ``random_ag``, ``random_section``, ``random_bisection`` and
+  ``base_points`` for seeded trial data.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import matrices
 from .matrices import Matrix, SingularMatrixError
-from .poly import Poly, compose_map, identity_map
+from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
+from .poly import RATIONALS, Poly, compose_map, identity_map
 from .spaces import AffineSpace, FiniteBase, MatrixGroup, WPoint
 from .weil import (
     DomainMismatchError,
@@ -47,9 +67,77 @@ class NotDPointError(ValueError):
     """A flow was requested at an element that is not square-zero."""
 
 
+# -- trial sampling -----------------------------------------------------------------
+#
+# Each helper draws from ``rng`` in a fixed order; the harness's reports
+# depend on that order, so changing it changes every report.
+
+
+def _rand_int(rng: random.Random, bound: int) -> int:
+    return rng.randint(-bound, bound)
+
+
+def _exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(nvars):
+        out = [e + (k,) for e in out for k in range(degree + 1)]
+    return sorted(e for e in out if sum(e) <= degree)
+
+
+def _rand_element(
+    rng: random.Random, domain: InfinitesimalDomain, bound: int, nilpotent_only: bool = False
+) -> WeilElement:
+    coeffs = {}
+    for m in domain.monomials():
+        if nilpotent_only and not m:
+            continue
+        if rng.random() < 0.6:
+            coeffs[m] = _rand_int(rng, bound)
+    return WeilElement(domain, coeffs)
+
+
+def _rand_poly(
+    rng: random.Random, nvars: int, degree: int, domain: InfinitesimalDomain, density: float, draw
+) -> Poly:
+    """Each monomial of degree <= ``degree`` gets a coefficient ``draw()`` with probability ``density``."""
+    return Poly(nvars, domain, {e: draw() for e in _exponents(nvars, degree) if rng.random() < density})
+
+
+def _rand_matrix(rng: random.Random, k: int, bound: int) -> Matrix:
+    return tuple(tuple(Fraction(_rand_int(rng, bound)) for _ in range(k)) for _ in range(k))
+
+
+def _rand_invertible(rng: random.Random, k: int, bound: int) -> Matrix:
+    while True:
+        m = _rand_matrix(rng, k, bound)
+        if matrices.q_is_invertible(m):
+            return m
+
+
+def _rand_fiber(
+    rng: random.Random, k: int, domain: InfinitesimalDomain, bound: int, scalar_exact: bool
+) -> Matrix:
+    """An invertible scalar matrix plus, unless ``scalar_exact``, a nilpotent one."""
+    t = matrices.lift(_rand_invertible(rng, k, bound), domain)
+    if scalar_exact:
+        return t
+    nil = tuple(
+        tuple(_rand_element(rng, domain, bound, nilpotent_only=True) for _ in range(k)) for _ in range(k)
+    )
+    return matrices.add(t, nil)
+
+
+# -- the two groupoids ------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class PairGroupoid:
-    """Arrows are pairs (target point, source point) of an affine base."""
+    """Arrows are pairs (target point, source point) of an affine base.
+
+    Section data is the tuple of polynomial components of the target map;
+    Lie algebroid data is a polynomial vector field with rational
+    coefficients; a base point is a tuple of coordinates.
+    """
 
     dim: int
 
@@ -57,10 +145,172 @@ class PairGroupoid:
     def base(self) -> AffineSpace:
         return AffineSpace(self.dim)
 
+    def spec(self, degree: int) -> str:
+        return f"pair:dim={self.dim}:deg={degree}"
+
+    def bounds_error(self, degree: int) -> str | None:
+        if not 1 <= self.dim <= 3:
+            return "pair groupoid dimension must be between 1 and 3"
+        if not 0 <= degree <= 3:
+            return "field degree must be between 0 and 3"
+        return None
+
+    def sample_spaces(self) -> tuple[AffineSpace, MatrixGroup]:
+        return (AffineSpace(self.dim), MatrixGroup(2))
+
+    # -- arrows --------------------------------------------------------------------
+
+    def identity_arrow(self, x, domain: InfinitesimalDomain) -> "Arrow":
+        return Arrow(self, tuple(x), tuple(x))
+
+    def fiber_product(self, h2, h1) -> None:
+        return None
+
+    def fiber_inverse(self, h, domain: InfinitesimalDomain | None) -> None:
+        return None
+
+    def beta(self, arrow: "Arrow") -> tuple:
+        return arrow.target
+
+    def arrow_at(self, data, domain: InfinitesimalDomain, x) -> "Arrow":
+        point = tuple(v if isinstance(v, WeilElement) else WeilElement.scalar(domain, v) for v in x)
+        return Arrow(self, tuple(c.evaluate(point) for c in data), point)
+
+    # -- section data -----------------------------------------------------------------
+
+    def section_data(self, domain: InfinitesimalDomain, data) -> tuple[Poly, ...]:
+        comps = tuple(data)
+        if len(comps) != self.dim:
+            raise ValueError(f"expected {self.dim} map components")
+        for c in comps:
+            if not isinstance(c, Poly) or c.nvars != self.dim or c.domain != domain:
+                raise ValueError("components must be polynomials over the section's domain")
+        return comps
+
+    def check_bisection(self, data) -> None:
+        _affine_witness(data)
+
+    def identity_data(self, domain: InfinitesimalDomain) -> tuple[Poly, ...]:
+        return identity_map(self.dim, domain)
+
+    def star_data(self, sigma, rho) -> tuple[Poly, ...]:
+        return compose_map(sigma, rho)
+
+    def inverse_data(self, data, domain: InfinitesimalDomain) -> tuple[Poly, ...]:
+        return formal_inverse(data)
+
+    def flow_data(self, fields, e: WeilElement) -> tuple[Poly, ...]:
+        return tuple(
+            Poly.variable(self.dim, e.domain, i) + field.with_domain(e.domain) * e
+            for i, field in enumerate(fields)
+        )
+
+    def map_data(self, data, fn, domain: InfinitesimalDomain) -> tuple[Poly, ...]:
+        return tuple(c.map_coefficients(fn, domain) for c in data)
+
+    def coefficients(self, data):
+        return (w for comp in data for w in comp.terms.values())
+
+    def read_coefficient(self, data, monomial) -> tuple[Poly, ...]:
+        return self.map_data(data, lambda w: w.coefficient(monomial), RATIONALS)
+
+    def section_repr(self, data) -> str:
+        return f"x -> ({'; '.join(str(c) for c in data)})"
+
+    # -- Lie algebroid data -------------------------------------------------------------
+
+    def ag_data(self, data) -> tuple[Poly, ...]:
+        comps = tuple(data)
+        if len(comps) != self.dim:
+            raise ValueError(f"expected {self.dim} field components")
+        for c in comps:
+            if not isinstance(c, Poly) or c.nvars != self.dim:
+                raise ValueError("field components must be polynomials in the base variables")
+            if c.domain.generator_count != 0:
+                raise ValueError("field coefficients must be plain rationals")
+        return comps
+
+    def ag_zero(self) -> tuple[Poly, ...]:
+        return tuple(Poly.zero(self.dim, RATIONALS) for _ in range(self.dim))
+
+    def ag_add(self, a, b) -> tuple[Poly, ...]:
+        return tuple(x + y for x, y in zip(a, b))
+
+    def ag_scale(self, a, c: Fraction) -> tuple[Poly, ...]:
+        return tuple(comp * c for comp in a)
+
+    def ag_repr(self, data) -> str:
+        return "; ".join(str(c) for c in data)
+
+    def oracle_bracket(self, x, y) -> tuple[Poly, ...]:
+        return classical_vf_bracket(PolyVectorField(x), PolyVectorField(y)).components
+
+    # -- charts: one slot per (component, exponent tuple) ----------------------------------
+
+    def chart_slots(self, datas) -> tuple[tuple, None]:
+        slots = {(i, e) for data in datas for i, comp in enumerate(data) for e in comp.terms}
+        # always include the identity-map slots so the identity section is chartable
+        slots.update((i, tuple(1 if t == i else 0 for t in range(self.dim))) for i in range(self.dim))
+        return tuple(sorted(slots)), None
+
+    def chart_coords(self, chart: "SectionChart", data) -> tuple[WeilElement, ...]:
+        slot_set = set(chart.slots)
+        for i, comp in enumerate(data):
+            missing = [(i, e) for e in comp.terms if (i, e) not in slot_set]
+            if missing:
+                raise ValueError(f"section uses slots outside the chart: {missing}")
+        return tuple(data[i].coefficient(e) for i, e in chart.slots)
+
+    def chart_data(self, chart: "SectionChart", coords, domain: InfinitesimalDomain) -> tuple[Poly, ...]:
+        return tuple(
+            Poly(self.dim, domain, {e: c for (j, e), c in zip(chart.slots, coords) if j == i})
+            for i in range(self.dim)
+        )
+
+    # -- random trial data -------------------------------------------------------------------
+
+    def random_ag(self, rng: random.Random, degree: int, bound: int) -> "AGSection":
+        draw = lambda: _rand_int(rng, bound)
+        fields = [_rand_poly(rng, self.dim, degree, RATIONALS, 0.6, draw) for _ in range(self.dim)]
+        return AGSection(self, fields)
+
+    def random_section(self, rng: random.Random, domain, degree: int, bound: int) -> "WSection":
+        """An arbitrary section (not necessarily a bisection)."""
+        draw = lambda: _rand_element(rng, domain, bound)
+        comps = [_rand_poly(rng, self.dim, degree, domain, 0.5, draw) for _ in range(self.dim)]
+        return WSection(self, domain, comps)
+
+    def random_bisection(
+        self, rng: random.Random, domain, degree: int, bound: int, scalar_exact: bool = False
+    ) -> "WBisection":
+        n = self.dim
+        nilpotent = lambda: _rand_element(rng, domain, bound, nilpotent_only=True)
+        a = _rand_invertible(rng, n, bound)
+        b = [_rand_int(rng, bound) for _ in range(n)]
+        comps = []
+        for i in range(n):
+            terms = {(0,) * n: b[i]}
+            terms.update((tuple(1 if t == j else 0 for t in range(n)), a[i][j]) for j in range(n))
+            poly = Poly(n, domain, terms)
+            if not scalar_exact:
+                poly = poly + _rand_poly(rng, n, degree, domain, 0.4, nilpotent)
+            comps.append(poly)
+        return WBisection(self, domain, comps)
+
+    def base_points(self, rng: random.Random, domain, bound: int) -> list[tuple]:
+        """The points a pointwise law checks: three random ones."""
+        draw = lambda: WeilElement.scalar(domain, _rand_int(rng, bound))
+        return [tuple(draw() for _ in range(self.dim)) for _ in range(3)]
+
 
 @dataclass(frozen=True)
 class TrivialGaugeGroupoid:
-    """Arrows are triples (target index, fiber matrix, source index)."""
+    """Arrows are triples (target index, fiber matrix, source index).
+
+    Section data is ``(base_map, tables)``: a tuple of target indices and
+    one fiber matrix per source point.  Lie algebroid data is a table of
+    rational matrices, one per base point; a base point is an index.
+    """
 
     base_size: int
     matrix_size: int
@@ -72,6 +322,162 @@ class TrivialGaugeGroupoid:
     @property
     def fiber(self) -> MatrixGroup:
         return MatrixGroup(self.matrix_size)
+
+    def spec(self, degree: int) -> str:
+        return f"gauge:base={self.base_size}:k={self.matrix_size}"
+
+    def bounds_error(self, degree: int) -> str | None:
+        if not 1 <= self.base_size <= 4:
+            return "gauge base size must be between 1 and 4"
+        if not 1 <= self.matrix_size <= 3:
+            return "gauge matrix size must be between 1 and 3"
+        return None
+
+    def sample_spaces(self) -> tuple[AffineSpace, MatrixGroup]:
+        return (AffineSpace(3), MatrixGroup(self.matrix_size))
+
+    # -- arrows --------------------------------------------------------------------
+
+    def identity_arrow(self, x: int, domain: InfinitesimalDomain) -> "Arrow":
+        return Arrow(self, (x,), (x,), matrices.identity(self.matrix_size, domain))
+
+    def fiber_product(self, h2: Matrix, h1: Matrix) -> Matrix:
+        return matrices.mul(h2, h1)
+
+    def fiber_inverse(self, h: Matrix, domain: InfinitesimalDomain | None) -> Matrix:
+        return matrices.w_inverse(h, domain if domain is not None else h[0][0].domain)
+
+    def beta(self, arrow: "Arrow") -> int:
+        return arrow.target[0]
+
+    def arrow_at(self, data, domain: InfinitesimalDomain, x: int) -> "Arrow":
+        base_map, tables = data
+        return Arrow(self, (base_map[x],), (x,), tables[x])
+
+    # -- section data -----------------------------------------------------------------
+
+    def section_data(self, domain: InfinitesimalDomain, data) -> tuple:
+        base_map, tables = data
+        base_map = tuple(base_map)
+        tables = tuple(matrices.from_rows(t) for t in tables)
+        m, k = self.base_size, self.matrix_size
+        if len(base_map) != m or len(tables) != m:
+            raise ValueError(f"expected tables over {m} base points")
+        if any(not 0 <= i < m for i in base_map):
+            raise ValueError("base map leaves the base")
+        for t in tables:
+            if len(t) != k or any(w.domain != domain for row in t for w in row):
+                raise ValueError("fiber tables must be k x k over the section's domain")
+            if not matrices.q_is_invertible(matrices.scalar_part(t)):
+                raise InvertibilityError("fiber matrix has singular scalar part")
+        return base_map, tables
+
+    def check_bisection(self, data) -> None:
+        if sorted(data[0]) != list(range(self.base_size)):
+            raise InvertibilityError(f"base map {data[0]} is not a permutation")
+
+    def identity_data(self, domain: InfinitesimalDomain) -> tuple:
+        ident = matrices.identity(self.matrix_size, domain)
+        return tuple(range(self.base_size)), (ident,) * self.base_size
+
+    def star_data(self, sigma, rho) -> tuple:
+        (f_s, h_s), (f_r, h_r) = sigma, rho
+        return tuple(f_s[y] for y in f_r), tuple(matrices.mul(h_s[y], h) for y, h in zip(f_r, h_r))
+
+    def inverse_data(self, data, domain: InfinitesimalDomain) -> tuple:
+        base_map, tables = data
+        inverse_map = tuple(base_map.index(x) for x in range(len(base_map)))
+        return inverse_map, tuple(matrices.w_inverse(tables[y], domain) for y in inverse_map)
+
+    def flow_data(self, fields, e: WeilElement) -> tuple:
+        ident = matrices.identity(self.matrix_size, e.domain)
+        tables = tuple(matrices.add(ident, matrices.scale(e, matrices.lift(t, e.domain))) for t in fields)
+        return tuple(range(self.base_size)), tables
+
+    def map_data(self, data, fn, domain: InfinitesimalDomain) -> tuple:
+        base_map, tables = data
+        return base_map, tuple(tuple(tuple(fn(w) for w in row) for row in t) for t in tables)
+
+    def coefficients(self, data):
+        return (w for t in data[1] for row in t for w in row)
+
+    def read_coefficient(self, data, monomial) -> tuple[Matrix, ...]:
+        return self.map_data(data, lambda w: w.coefficient(monomial), RATIONALS)[1]
+
+    def section_repr(self, data) -> str:
+        return f"base {data[0]}"
+
+    # -- Lie algebroid data -------------------------------------------------------------
+
+    def ag_data(self, data) -> tuple[Matrix, ...]:
+        tables = tuple(matrices.rational_rows(t) for t in data)
+        if len(tables) != self.base_size:
+            raise ValueError(f"expected {self.base_size} tables")
+        if any(len(t) != self.matrix_size for t in tables):
+            raise ValueError("tables must be k x k")
+        return tables
+
+    def ag_zero(self) -> tuple[Matrix, ...]:
+        k = self.matrix_size
+        zero = tuple(tuple(Fraction(0) for _ in range(k)) for _ in range(k))
+        return (zero,) * self.base_size
+
+    def ag_add(self, a, b) -> tuple[Matrix, ...]:
+        return tuple(matrices.add(x, y) for x, y in zip(a, b))
+
+    def ag_scale(self, a, c: Fraction) -> tuple[Matrix, ...]:
+        return tuple(matrices.scale(c, t) for t in a)
+
+    def ag_repr(self, data) -> str:
+        return str(data)
+
+    def oracle_bracket(self, x, y) -> tuple[Matrix, ...]:
+        return matrix_table_bracket(x, y)
+
+    # -- charts: one slot per (base point, row, column) over a shared base map ---------------
+
+    def chart_slots(self, datas) -> tuple[tuple, tuple[int, ...]]:
+        base_map = datas[0][0]
+        if any(data[0] != base_map for data in datas):
+            raise ValueError("charted gauge sections must share a base map")
+        m, k = self.base_size, self.matrix_size
+        return tuple((x, i, j) for x in range(m) for i in range(k) for j in range(k)), base_map
+
+    def chart_coords(self, chart: "SectionChart", data) -> tuple[WeilElement, ...]:
+        if data[0] != chart.base_map:
+            raise ValueError("gauge section has a different base map than the chart")
+        return tuple(data[1][x][i][j] for x, i, j in chart.slots)
+
+    def chart_data(self, chart: "SectionChart", coords, domain: InfinitesimalDomain) -> tuple:
+        m, k = self.base_size, self.matrix_size
+        grid = [[[None] * k for _ in range(k)] for _ in range(m)]
+        for (x, i, j), c in zip(chart.slots, coords):
+            grid[x][i][j] = c
+        return chart.base_map, tuple(tuple(tuple(row) for row in t) for t in grid)
+
+    # -- random trial data -------------------------------------------------------------------
+
+    def random_ag(self, rng: random.Random, degree: int, bound: int) -> "AGSection":
+        return AGSection(self, [_rand_matrix(rng, self.matrix_size, bound) for _ in range(self.base_size)])
+
+    def random_section(self, rng: random.Random, domain, degree: int, bound: int) -> "WSection":
+        """An arbitrary section (not necessarily a bisection)."""
+        m, k = self.base_size, self.matrix_size
+        base_map = tuple(rng.randrange(m) for _ in range(m))
+        tables = [_rand_fiber(rng, k, domain, bound, False) for _ in range(m)]
+        return WSection(self, domain, (base_map, tables))
+
+    def random_bisection(
+        self, rng: random.Random, domain, degree: int, bound: int, scalar_exact: bool = False
+    ) -> "WBisection":
+        perm = list(range(self.base_size))
+        rng.shuffle(perm)
+        tables = [_rand_fiber(rng, self.matrix_size, domain, bound, scalar_exact) for _ in perm]
+        return WBisection(self, domain, (perm, tables))
+
+    def base_points(self, rng: random.Random, domain, bound: int) -> range:
+        """The points a pointwise law checks: all of them, drawing nothing from ``rng``."""
+        return range(self.base_size)
 
 
 GroupoidInstance = PairGroupoid | TrivialGaugeGroupoid
@@ -89,10 +495,7 @@ class Arrow:
 
 
 def identity_arrow(groupoid: GroupoidInstance, x, domain: InfinitesimalDomain) -> Arrow:
-    if isinstance(groupoid, PairGroupoid):
-        pt = tuple(x)
-        return Arrow(groupoid, pt, pt)
-    return Arrow(groupoid, (x,), (x,), matrices.identity(groupoid.matrix_size, domain))
+    return groupoid.identity_arrow(x, domain)
 
 
 def compose_arrows(g2: Arrow, g1: Arrow) -> Arrow:
@@ -100,16 +503,11 @@ def compose_arrows(g2: Arrow, g1: Arrow) -> Arrow:
         raise GroupoidMismatchError("arrows from different groupoids")
     if g2.source != g1.target:
         raise ValueError(f"arrows do not match: {g2.source} vs {g1.target}")
-    if isinstance(g2.groupoid, PairGroupoid):
-        return Arrow(g2.groupoid, g2.target, g1.source)
-    return Arrow(g2.groupoid, g2.target, g1.source, matrices.mul(g2.fiber, g1.fiber))
+    return Arrow(g2.groupoid, g2.target, g1.source, g2.groupoid.fiber_product(g2.fiber, g1.fiber))
 
 
 def invert_arrow(g: Arrow, domain: InfinitesimalDomain | None = None) -> Arrow:
-    if isinstance(g.groupoid, PairGroupoid):
-        return Arrow(g.groupoid, g.source, g.target)
-    dom = domain if domain is not None else g.fiber[0][0].domain
-    return Arrow(g.groupoid, g.source, g.target, matrices.w_inverse(g.fiber, dom))
+    return Arrow(g.groupoid, g.source, g.target, g.groupoid.fiber_inverse(g.fiber, domain))
 
 
 # -- sections ---------------------------------------------------------------------
@@ -118,10 +516,7 @@ def invert_arrow(g: Arrow, domain: InfinitesimalDomain | None = None) -> Arrow:
 class WSection:
     """A Weil-parametrized section of the source projection.
 
-    Pair groupoid: ``data`` is the tuple of polynomial components of the
-    target map.  Gauge groupoid: ``data`` is ``(base_map, tables)`` with
-    ``base_map`` a tuple of target indices and ``tables`` the fiber
-    matrices per source point.
+    ``data`` is laid out by the groupoid class (see its docstring).
     """
 
     __slots__ = ("groupoid", "domain", "data")
@@ -129,31 +524,7 @@ class WSection:
     def __init__(self, groupoid: GroupoidInstance, domain: InfinitesimalDomain, data) -> None:
         object.__setattr__(self, "groupoid", groupoid)
         object.__setattr__(self, "domain", domain)
-        if isinstance(groupoid, PairGroupoid):
-            comps = tuple(data)
-            if len(comps) != groupoid.dim:
-                raise ValueError(f"expected {groupoid.dim} map components")
-            for c in comps:
-                if not isinstance(c, Poly) or c.nvars != groupoid.dim or c.domain != domain:
-                    raise ValueError("components must be polynomials over the section's domain")
-            object.__setattr__(self, "data", comps)
-        elif isinstance(groupoid, TrivialGaugeGroupoid):
-            base_map, tables = data
-            base_map = tuple(base_map)
-            tables = tuple(matrices.from_rows(t) for t in tables)
-            m, k = groupoid.base_size, groupoid.matrix_size
-            if len(base_map) != m or len(tables) != m:
-                raise ValueError(f"expected tables over {m} base points")
-            if any(not 0 <= i < m for i in base_map):
-                raise ValueError("base map leaves the base")
-            for t in tables:
-                if len(t) != k or any(w.domain != domain for row in t for w in row):
-                    raise ValueError("fiber tables must be k x k over the section's domain")
-                if not matrices.q_is_invertible(matrices.scalar_part(t)):
-                    raise InvertibilityError("fiber matrix has singular scalar part")
-            object.__setattr__(self, "data", (base_map, tables))
-        else:
-            raise TypeError(f"unknown groupoid {groupoid!r}")
+        object.__setattr__(self, "data", groupoid.section_data(domain, data))
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("WSection is immutable")
@@ -162,46 +533,18 @@ class WSection:
 
     @classmethod
     def identity(cls, groupoid: GroupoidInstance, domain: InfinitesimalDomain) -> "WBisection":
-        if isinstance(groupoid, PairGroupoid):
-            return WBisection(groupoid, domain, identity_map(groupoid.dim, domain))
-        m, k = groupoid.base_size, groupoid.matrix_size
-        return WBisection(
-            groupoid, domain, (tuple(range(m)), tuple(matrices.identity(k, domain) for _ in range(m)))
-        )
+        return WBisection(groupoid, domain, groupoid.identity_data(domain))
 
     # -- accessors ----------------------------------------------------------------
 
-    @property
-    def target_map(self):
-        """beta . sigma: the polynomial map (pair) or index table (gauge)."""
-        if isinstance(self.groupoid, PairGroupoid):
-            return self.data
-        return self.data[0]
-
-    @property
-    def tables(self) -> tuple[Matrix, ...]:
-        return self.data[1]
-
     def arrow_at(self, x) -> Arrow:
         """Evaluate the section at a base point."""
-        if isinstance(self.groupoid, PairGroupoid):
-            point = tuple(
-                v if isinstance(v, WeilElement) else WeilElement.scalar(self.domain, v) for v in x
-            )
-            target = tuple(c.evaluate(point) for c in self.data)
-            return Arrow(self.groupoid, target, point)
-        base_map, tables = self.data
-        return Arrow(self.groupoid, (base_map[x],), (x,), tables[x])
+        return self.groupoid.arrow_at(self.data, self.domain, x)
 
     # -- coefficientwise transforms --------------------------------------------------
 
     def map_coefficients(self, fn, domain: InfinitesimalDomain) -> "WSection":
-        cls = type(self)
-        if isinstance(self.groupoid, PairGroupoid):
-            return cls(self.groupoid, domain, tuple(c.map_coefficients(fn, domain) for c in self.data))
-        base_map, tables = self.data
-        new_tables = tuple(tuple(tuple(fn(w) for w in row) for row in t) for t in tables)
-        return cls(self.groupoid, domain, (base_map, new_tables))
+        return type(self)(self.groupoid, domain, self.groupoid.map_data(self.data, fn, domain))
 
     def restrict(self, sub: InfinitesimalDomain) -> "WSection":
         return self.map_coefficients(lambda w: w.restrict(sub), sub)
@@ -211,8 +554,7 @@ class WSection:
 
     def substitute(self, target: InfinitesimalDomain, images: Sequence[WeilElement]) -> "WSection":
         """Substitute Weil generators in every coefficient (reparametrize the family)."""
-        out = self.map_coefficients(lambda w: w.substitute(target, images), target)
-        return out
+        return self.map_coefficients(lambda w: w.substitute(target, images), target)
 
     def permute_generators(self, perm: Sequence[int]) -> "WSection":
         p = check_permutation(perm, self.domain.generator_count)
@@ -221,9 +563,7 @@ class WSection:
 
     @property
     def is_scalar_exact(self) -> bool:
-        if isinstance(self.groupoid, PairGroupoid):
-            return all(c.is_scalar for comp in self.data for c in comp.terms.values())
-        return all(w.is_scalar for t in self.tables for row in t for w in row)
+        return all(w.is_scalar for w in self.groupoid.coefficients(self.data))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -234,11 +574,7 @@ class WSection:
         )
 
     def __repr__(self) -> str:
-        if isinstance(self.groupoid, PairGroupoid):
-            body = "; ".join(str(c) for c in self.data)
-            return f"WSection({self.groupoid}, {self.domain!r}; x -> ({body}))"
-        base_map, tables = self.data
-        return f"WSection({self.groupoid}, {self.domain!r}; base {base_map})"
+        return f"WSection({self.groupoid}, {self.domain!r}; {self.groupoid.section_repr(self.data)})"
 
 
 class WBisection(WSection):
@@ -248,12 +584,7 @@ class WBisection(WSection):
 
     def __init__(self, groupoid, domain, data) -> None:
         super().__init__(groupoid, domain, data)
-        if isinstance(groupoid, PairGroupoid):
-            _affine_witness(self.data)
-        else:
-            base_map = self.data[0]
-            if sorted(base_map) != list(range(groupoid.base_size)):
-                raise InvertibilityError(f"base map {base_map} is not a permutation")
+        groupoid.check_bisection(self.data)
 
 
 def _affine_witness(components: Sequence[Poly]) -> tuple[Matrix, tuple[Fraction, ...]]:
@@ -291,13 +622,7 @@ def star(sigma: WSection, rho: WSection) -> WSection:
     if sigma.domain != rho.domain:
         raise DomainMismatchError("sections over different Weil domains")
     cls = WBisection if isinstance(sigma, WBisection) and isinstance(rho, WBisection) else WSection
-    if isinstance(sigma.groupoid, PairGroupoid):
-        return cls(sigma.groupoid, sigma.domain, compose_map(sigma.data, rho.data))
-    f_s, h_s = sigma.data
-    f_r, h_r = rho.data
-    base_map = tuple(f_s[f_r[x]] for x in range(len(f_r)))
-    tables = tuple(matrices.mul(h_s[f_r[x]], h_r[x]) for x in range(len(f_r)))
-    return cls(sigma.groupoid, sigma.domain, (base_map, tables))
+    return cls(sigma.groupoid, sigma.domain, sigma.groupoid.star_data(sigma.data, rho.data))
 
 
 def star_word(*sections: WSection) -> WSection:
@@ -352,14 +677,7 @@ def invert_bisection(sigma: WSection) -> WBisection:
     """The group inverse: x -> sigma(inverse-target(x)) inverted arrowwise."""
     if not isinstance(sigma, WBisection):
         sigma = WBisection(sigma.groupoid, sigma.domain, sigma.data)  # witness check
-    if isinstance(sigma.groupoid, PairGroupoid):
-        return WBisection(sigma.groupoid, sigma.domain, formal_inverse(sigma.data))
-    base_map, tables = sigma.data
-    inverse_map = tuple(base_map.index(x) for x in range(len(base_map)))
-    new_tables = tuple(
-        matrices.w_inverse(tables[inverse_map[x]], sigma.domain) for x in range(len(base_map))
-    )
-    return WBisection(sigma.groupoid, sigma.domain, (inverse_map, new_tables))
+    return WBisection(sigma.groupoid, sigma.domain, sigma.groupoid.inverse_data(sigma.data, sigma.domain))
 
 
 # -- sections of the Lie algebroid ------------------------------------------------------
@@ -368,8 +686,7 @@ def invert_bisection(sigma: WSection) -> WBisection:
 class AGSection:
     """Exact data for a tangent vector to the bisection group at the identity.
 
-    Pair groupoid: a polynomial vector field (rational coefficients).
-    Gauge groupoid: a table of rational matrices, one per base point.
+    ``data`` is laid out by the groupoid class (see its docstring).
     Evaluating the flow at 0 always yields the identity section.
     """
 
@@ -377,47 +694,21 @@ class AGSection:
 
     def __init__(self, groupoid: GroupoidInstance, data) -> None:
         object.__setattr__(self, "groupoid", groupoid)
-        if isinstance(groupoid, PairGroupoid):
-            comps = tuple(data)
-            if len(comps) != groupoid.dim:
-                raise ValueError(f"expected {groupoid.dim} field components")
-            for c in comps:
-                if not isinstance(c, Poly) or c.nvars != groupoid.dim:
-                    raise ValueError("field components must be polynomials in the base variables")
-                if c.domain.generator_count != 0:
-                    raise ValueError("field coefficients must be plain rationals")
-            object.__setattr__(self, "data", comps)
-        elif isinstance(groupoid, TrivialGaugeGroupoid):
-            tables = tuple(matrices.rational_rows(t) for t in data)
-            if len(tables) != groupoid.base_size:
-                raise ValueError(f"expected {groupoid.base_size} tables")
-            if any(len(t) != groupoid.matrix_size for t in tables):
-                raise ValueError("tables must be k x k")
-            object.__setattr__(self, "data", tables)
-        else:
-            raise TypeError(f"unknown groupoid {groupoid!r}")
+        object.__setattr__(self, "data", groupoid.ag_data(data))
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("AGSection is immutable")
 
     @classmethod
     def zero(cls, groupoid: GroupoidInstance) -> "AGSection":
-        if isinstance(groupoid, PairGroupoid):
-            from .poly import RATIONALS
-
-            return cls(groupoid, tuple(Poly.zero(groupoid.dim, RATIONALS) for _ in range(groupoid.dim)))
-        k = groupoid.matrix_size
-        zero = tuple(tuple(Fraction(0) for _ in range(k)) for _ in range(k))
-        return cls(groupoid, tuple(zero for _ in range(groupoid.base_size)))
+        return cls(groupoid, groupoid.ag_zero())
 
     def __add__(self, other: "AGSection") -> "AGSection":
         if not isinstance(other, AGSection):
             return NotImplemented
         if self.groupoid != other.groupoid:
             raise GroupoidMismatchError("sections of different groupoids")
-        if isinstance(self.groupoid, PairGroupoid):
-            return AGSection(self.groupoid, tuple(a + b for a, b in zip(self.data, other.data)))
-        return AGSection(self.groupoid, tuple(matrices.add(a, b) for a, b in zip(self.data, other.data)))
+        return AGSection(self.groupoid, self.groupoid.ag_add(self.data, other.data))
 
     def __neg__(self) -> "AGSection":
         return self.scaled(-1)
@@ -426,10 +717,7 @@ class AGSection:
         return self + (-other)
 
     def scaled(self, a: Rational) -> "AGSection":
-        c = Fraction(a)
-        if isinstance(self.groupoid, PairGroupoid):
-            return AGSection(self.groupoid, tuple(comp * c for comp in self.data))
-        return AGSection(self.groupoid, tuple(matrices.scale(c, t) for t in self.data))
+        return AGSection(self.groupoid, self.groupoid.ag_scale(self.data, Fraction(a)))
 
     def __rmul__(self, a: Rational) -> "AGSection":
         return self.scaled(a)
@@ -442,9 +730,7 @@ class AGSection:
         )
 
     def __repr__(self) -> str:
-        if isinstance(self.groupoid, PairGroupoid):
-            return f"AGSection({self.groupoid}; {'; '.join(str(c) for c in self.data)})"
-        return f"AGSection({self.groupoid}; {self.data})"
+        return f"AGSection({self.groupoid}; {self.groupoid.ag_repr(self.data)})"
 
 
 def section_at(x_section: AGSection, e: WeilElement) -> WBisection:
@@ -458,20 +744,8 @@ def section_at(x_section: AGSection, e: WeilElement) -> WBisection:
         raise NotDPointError(f"not a D-point: scalar part {e.scalar_part} is nonzero")
     if (e * e).coeffs:
         raise NotDPointError(f"not a D-point: square is {e * e}, not 0")
-    domain = e.domain
     groupoid = x_section.groupoid
-    if isinstance(groupoid, PairGroupoid):
-        comps = tuple(
-            Poly.variable(groupoid.dim, domain, i) + field.with_domain(domain) * e
-            for i, field in enumerate(x_section.data)
-        )
-        return WBisection(groupoid, domain, comps)
-    k, m = groupoid.matrix_size, groupoid.base_size
-    tables = tuple(
-        matrices.add(matrices.identity(k, domain), matrices.scale(e, matrices.lift(t, domain)))
-        for t in x_section.data
-    )
-    return WBisection(groupoid, domain, (tuple(range(m)), tables))
+    return WBisection(groupoid, e.domain, groupoid.flow_data(x_section.data, e))
 
 
 def ag_from_flow(section: WSection) -> AGSection:
@@ -484,27 +758,10 @@ def ag_from_flow(section: WSection) -> AGSection:
     if domain.generator_count != 1:
         raise ValueError("expected a section over the one-generator domain")
     groupoid = section.groupoid
-    if isinstance(groupoid, PairGroupoid):
-        from .poly import RATIONALS
-
-        ident = identity_map(groupoid.dim, domain)
-        fields = []
-        for comp, ident_comp in zip(section.data, ident):
-            if comp.map_coefficients(lambda w: WeilElement.scalar(domain, w.scalar_part), domain) != ident_comp:
-                raise ValueError("flow's scalar part is not the identity section")
-            fields.append(
-                Poly(groupoid.dim, RATIONALS, {e: c.coefficient({1}) for e, c in comp.terms.items()})
-            )
-        return AGSection(groupoid, tuple(fields))
-    base_map, tables = section.data
-    if base_map != tuple(range(groupoid.base_size)):
-        raise ValueError("flow's base map is not the identity")
-    out = []
-    for t in tables:
-        if matrices.scalar_part(t) != matrices.scalar_part(matrices.identity(groupoid.matrix_size, domain)):
-            raise ValueError("flow's scalar part is not the identity section")
-        out.append(tuple(tuple(w.coefficient({1}) for w in row) for row in t))
-    return AGSection(groupoid, tuple(out))
+    scalar = groupoid.map_data(section.data, lambda w: WeilElement.scalar(domain, w.scalar_part), domain)
+    if scalar != groupoid.identity_data(domain):
+        raise ValueError("flow's scalar part is not the identity section")
+    return AGSection(groupoid, groupoid.read_coefficient(section.data, {1}))
 
 
 # -- flattening sections into ambient points ----------------------------------------------
@@ -531,20 +788,7 @@ class SectionChart:
         groupoid = sections[0].groupoid
         if any(s.groupoid != groupoid for s in sections):
             raise GroupoidMismatchError("sections of different groupoids")
-        if isinstance(groupoid, PairGroupoid):
-            slots = set()
-            for s in sections:
-                for i, comp in enumerate(s.data):
-                    slots.update((i, e) for e in comp.terms)
-            # always include the identity-map slots so the identity section is chartable
-            for i in range(groupoid.dim):
-                slots.add((i, tuple(1 if t == i else 0 for t in range(groupoid.dim))))
-            return cls(groupoid, tuple(sorted(slots)))
-        base_map = sections[0].data[0]
-        if any(s.data[0] != base_map for s in sections):
-            raise ValueError("charted gauge sections must share a base map")
-        m, k = groupoid.base_size, groupoid.matrix_size
-        slots = tuple((x, i, j) for x in range(m) for i in range(k) for j in range(k))
+        slots, base_map = groupoid.chart_slots([s.data for s in sections])
         return cls(groupoid, slots, base_map)
 
     @property
@@ -554,35 +798,13 @@ class SectionChart:
     def to_point(self, section: WSection) -> WPoint:
         if section.groupoid != self.groupoid:
             raise GroupoidMismatchError("section not over the chart's groupoid")
-        if isinstance(self.groupoid, PairGroupoid):
-            slot_set = set(self.slots)
-            for i, comp in enumerate(section.data):
-                missing = [(i, e) for e in comp.terms if (i, e) not in slot_set]
-                if missing:
-                    raise ValueError(f"section uses slots outside the chart: {missing}")
-            coords = tuple(section.data[i].coefficient(e) for i, e in self.slots)
-            return WPoint(self.space, section.domain, coords)
-        if section.data[0] != self.base_map:
-            raise ValueError("gauge section has a different base map than the chart")
-        tables = section.data[1]
-        coords = tuple(tables[x][i][j] for x, i, j in self.slots)
-        return WPoint(self.space, section.domain, coords)
+        return WPoint(self.space, section.domain, self.groupoid.chart_coords(self, section.data))
 
     def to_section(self, point: WPoint) -> WSection:
         if point.space != self.space:
             raise ValueError("point does not live in the chart's space")
-        if isinstance(self.groupoid, PairGroupoid):
-            comps = []
-            for i in range(self.groupoid.dim):
-                terms = {e: c for (j, e), c in zip(self.slots, point.coords) if j == i}
-                comps.append(Poly(self.groupoid.dim, point.domain, terms))
-            return WSection(self.groupoid, point.domain, tuple(comps))
-        m, k = self.groupoid.base_size, self.groupoid.matrix_size
-        grid = [[[None] * k for _ in range(k)] for _ in range(m)]
-        for (x, i, j), c in zip(self.slots, point.coords):
-            grid[x][i][j] = c
-        tables = tuple(tuple(tuple(row) for row in t) for t in grid)
-        return WSection(self.groupoid, point.domain, (self.base_map, tables))
+        data = self.groupoid.chart_data(self, point.coords, point.domain)
+        return WSection(self.groupoid, point.domain, data)
 
 
 def as_ambient_point(section: WSection, chart: SectionChart | None = None) -> WPoint:

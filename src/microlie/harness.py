@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from . import liealg, matrices, oracles
+from . import liealg
 from .groupoids import (
     AGSection,
     GroupoidInstance,
@@ -24,18 +24,21 @@ from .groupoids import (
     TrivialGaugeGroupoid,
     WBisection,
     WSection,
+    _rand_element,
+    _rand_int,
     compose_arrows,
     invert_bisection,
     section_at,
     star,
 )
-from .poly import Poly, RATIONALS
+from .poly import RATIONALS
 from .spaces import (
     AffineSpace,
-    MatrixGroup,
+    MembershipError,
     Tangent,
     WPoint,
     extend_point,
+    point_from_flat,
     relative_strong_difference,
     relative_strong_difference_curried,
     restrict_point,
@@ -71,26 +74,17 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; expected one of {('all',) + SUITE_IDS}")
         if self.trials < 0:
             raise ConfigError("trials must be nonnegative")
-        g = self.groupoid
-        if isinstance(g, PairGroupoid):
-            if not 1 <= g.dim <= 3:
-                raise ConfigError("pair groupoid dimension must be between 1 and 3")
-            if not 0 <= self.degree <= 3:
-                raise ConfigError("field degree must be between 0 and 3")
-        elif isinstance(g, TrivialGaugeGroupoid):
-            if not 1 <= g.base_size <= 4:
-                raise ConfigError("gauge base size must be between 1 and 4")
-            if not 1 <= g.matrix_size <= 3:
-                raise ConfigError("gauge matrix size must be between 1 and 3")
-        else:
-            raise ConfigError(f"unknown groupoid {g!r}")
+        if self.coeff_bound < 1:
+            raise ConfigError("coefficient bound must be at least 1")
+        if not isinstance(self.groupoid, GroupoidInstance):
+            raise ConfigError(f"unknown groupoid {self.groupoid!r}")
+        problem = self.groupoid.bounds_error(self.degree)
+        if problem:
+            raise ConfigError(problem)
 
     @property
     def groupoid_spec(self) -> str:
-        g = self.groupoid
-        if isinstance(g, PairGroupoid):
-            return f"pair:dim={g.dim}:deg={self.degree}"
-        return f"gauge:base={g.base_size}:k={g.matrix_size}"
+        return self.groupoid.spec(self.degree)
 
 
 def parse_groupoid_spec(text: str) -> tuple[GroupoidInstance, int]:
@@ -185,149 +179,6 @@ def _rng(seed: int, suite: str, law: str, trial: int) -> random.Random:
     return random.Random(f"{seed}|{suite}|{law}|{trial}")
 
 
-def _rand_int(rng: random.Random, bound: int) -> int:
-    return rng.randint(-bound, bound)
-
-
-def _exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for _ in range(nvars):
-        out = [e + (k,) for e in out for k in range(degree + 1)]
-    return sorted(e for e in out if sum(e) <= degree)
-
-
-def _rand_poly(rng: random.Random, nvars: int, degree: int, bound: int) -> Poly:
-    terms = {}
-    for e in _exponents(nvars, degree):
-        if rng.random() < 0.6:
-            terms[e] = _rand_int(rng, bound)
-    return Poly(nvars, RATIONALS, terms)
-
-
-def _rand_matrix(rng: random.Random, k: int, bound: int) -> tuple:
-    return tuple(tuple(Fraction(_rand_int(rng, bound)) for _ in range(k)) for _ in range(k))
-
-
-def _rand_invertible(rng: random.Random, k: int, bound: int) -> tuple:
-    while True:
-        m = _rand_matrix(rng, k, bound)
-        if matrices.q_is_invertible(m):
-            return m
-
-
-def _rand_ag(rng: random.Random, config: SuiteConfig) -> AGSection:
-    g = config.groupoid
-    if isinstance(g, PairGroupoid):
-        return AGSection(
-            g, tuple(_rand_poly(rng, g.dim, config.degree, config.coeff_bound) for _ in range(g.dim))
-        )
-    return AGSection(
-        g, tuple(_rand_matrix(rng, g.matrix_size, config.coeff_bound) for _ in range(g.base_size))
-    )
-
-
-def generate(config: SuiteConfig, trial: int, law: str = "generate") -> tuple[AGSection, AGSection, AGSection]:
-    """Deterministic trial data: three Lie algebroid sections.
-
-    Trials 0 and 1 are pinned degenerate strata (all zero; all equal); the
-    rest are independent samples.
-    """
-    rng = _rng(config.seed, config.suite, law, trial)
-    if trial == 0:
-        z = AGSection.zero(config.groupoid)
-        return z, z, z
-    if trial == 1:
-        s = _rand_ag(rng, config)
-        return s, s, s
-    return _rand_ag(rng, config), _rand_ag(rng, config), _rand_ag(rng, config)
-
-
-def _rand_element(
-    rng: random.Random, domain: InfinitesimalDomain, bound: int, nilpotent_only: bool = False
-) -> WeilElement:
-    coeffs = {}
-    for m in domain.monomials():
-        if nilpotent_only and not m:
-            continue
-        if rng.random() < 0.6:
-            coeffs[m] = _rand_int(rng, bound)
-    return WeilElement(domain, coeffs)
-
-
-def _rand_section(rng: random.Random, config: SuiteConfig, domain: InfinitesimalDomain) -> WSection:
-    """An arbitrary section (not necessarily a bisection)."""
-    g = config.groupoid
-    if isinstance(g, PairGroupoid):
-        comps = []
-        for _ in range(g.dim):
-            terms = {}
-            for e in _exponents(g.dim, config.degree):
-                if rng.random() < 0.5:
-                    terms[e] = _rand_element(rng, domain, config.coeff_bound)
-            comps.append(Poly(g.dim, domain, terms))
-        return WSection(g, domain, tuple(comps))
-    m, k = g.base_size, g.matrix_size
-    base_map = tuple(rng.randrange(m) for _ in range(m))
-    tables = []
-    for _ in range(m):
-        scalar = matrices.lift(_rand_invertible(rng, k, config.coeff_bound), domain)
-        nil = tuple(
-            tuple(_rand_element(rng, domain, config.coeff_bound, nilpotent_only=True) for _ in range(k))
-            for _ in range(k)
-        )
-        tables.append(matrices.add(scalar, nil))
-    return WSection(g, domain, (base_map, tuple(tables)))
-
-
-def _rand_bisection(
-    rng: random.Random,
-    config: SuiteConfig,
-    domain: InfinitesimalDomain,
-    scalar_exact: bool = False,
-) -> WBisection:
-    g = config.groupoid
-    if isinstance(g, PairGroupoid):
-        n = g.dim
-        a = _rand_invertible(rng, n, config.coeff_bound)
-        b = [_rand_int(rng, config.coeff_bound) for _ in range(n)]
-        comps = []
-        for i in range(n):
-            terms: dict = {tuple(0 for _ in range(n)): WeilElement.scalar(domain, b[i])}
-            for j in range(n):
-                e = tuple(1 if t == j else 0 for t in range(n))
-                terms[e] = terms.get(e, WeilElement.zero(domain)) + WeilElement.scalar(domain, a[i][j])
-            poly = Poly(n, domain, terms)
-            if not scalar_exact:
-                for e in _exponents(n, config.degree):
-                    if rng.random() < 0.4:
-                        poly = poly + Poly(
-                            n, domain, {e: _rand_element(rng, domain, config.coeff_bound, nilpotent_only=True)}
-                        )
-            comps.append(poly)
-        return WBisection(g, domain, tuple(comps))
-    m, k = g.base_size, g.matrix_size
-    perm = list(range(m))
-    rng.shuffle(perm)
-    tables = []
-    for _ in range(m):
-        t = matrices.lift(_rand_invertible(rng, k, config.coeff_bound), domain)
-        if not scalar_exact:
-            nil = tuple(
-                tuple(_rand_element(rng, domain, config.coeff_bound, nilpotent_only=True) for _ in range(k))
-                for _ in range(k)
-            )
-            t = matrices.add(t, nil)
-        tables.append(t)
-    return WBisection(g, domain, (tuple(perm), tuple(tables)))
-
-
-def _rand_base_point(rng: random.Random, config: SuiteConfig, domain: InfinitesimalDomain):
-    g = config.groupoid
-    if isinstance(g, PairGroupoid):
-        return tuple(WeilElement.scalar(domain, _rand_int(rng, config.coeff_bound)) for _ in range(g.dim))
-    return rng.randrange(g.base_size)
-
-
 # -- law environment ------------------------------------------------------------------------
 
 
@@ -344,18 +195,31 @@ class LawEnv:
         return _rng(self.config.seed, self.suite, law, trial)
 
     def triple(self, law: str, trial: int) -> tuple[AGSection, AGSection, AGSection]:
+        """Deterministic trial data: three Lie algebroid sections.
+
+        Trials 0 and 1 are pinned degenerate strata (all zero; all equal);
+        the rest are independent samples.
+        """
+        cfg = self.config
         rng = self.rng(law, trial)
         if trial == 0:
-            z = AGSection.zero(self.config.groupoid)
+            z = AGSection.zero(cfg.groupoid)
             return z, z, z
         if trial == 1:
-            s = _rand_ag(rng, self.config)
+            s = cfg.groupoid.random_ag(rng, cfg.degree, cfg.coeff_bound)
             return s, s, s
-        return (
-            _rand_ag(rng, self.config),
-            _rand_ag(rng, self.config),
-            _rand_ag(rng, self.config),
-        )
+        x, y, z = (cfg.groupoid.random_ag(rng, cfg.degree, cfg.coeff_bound) for _ in range(3))
+        return x, y, z
+
+    def section(self, rng: random.Random, domain: InfinitesimalDomain) -> WSection:
+        cfg = self.config
+        return cfg.groupoid.random_section(rng, domain, cfg.degree, cfg.coeff_bound)
+
+    def bisection(
+        self, rng: random.Random, domain: InfinitesimalDomain, scalar_exact: bool = False
+    ) -> WBisection:
+        cfg = self.config
+        return cfg.groupoid.random_bisection(rng, domain, cfg.degree, cfg.coeff_bound, scalar_exact)
 
 
 def _fail(trial: int, **data) -> LawViolation:
@@ -407,7 +271,7 @@ def _law_bisection_inverse(env: LawEnv, trial: int) -> None:
 def _law_addition_flow(env: LawEnv, trial: int) -> None:
     x, y, _ = env.triple("addition-flow", trial)
     d = WeilElement.generator(LINE, 1)
-    combined = section_at(liealg.add_sections(x, y), d)
+    combined = section_at(x + y, d)
     xy = star(section_at(x, d), section_at(y, d))
     yx = star(section_at(y, d), section_at(x, d))
     if combined != xy or combined != yx:
@@ -426,13 +290,13 @@ def _law_scaling_flow(env: LawEnv, trial: int) -> None:
     x, _, _ = env.triple("scaling-flow", trial)
     a = _rand_int(env.rng("scaling-flow-coeff", trial), env.config.coeff_bound)
     d = WeilElement.generator(LINE, 1)
-    if section_at(liealg.scale_section(a, x), d) != section_at(x, a * d):
+    if section_at(x.scaled(a), d) != section_at(x, a * d):
         raise _fail(trial, X=x, a=a)
 
 
 def _law_two_sided_inverse(env: LawEnv, trial: int) -> None:
     rng = env.rng("two-sided-inverse", trial)
-    sigma = _rand_bisection(rng, env.config, D2)
+    sigma = env.bisection(rng, D2)
     tau = invert_bisection(sigma)
     ident = WSection.identity(sigma.groupoid, D2)
     if star(sigma, tau) != ident or star(tau, sigma) != ident:
@@ -441,26 +305,21 @@ def _law_two_sided_inverse(env: LawEnv, trial: int) -> None:
 
 def _law_star_defining_formula(env: LawEnv, trial: int) -> None:
     rng = env.rng("star-defining-formula", trial)
-    sigma = _rand_section(rng, env.config, D2)
-    rho = _rand_section(rng, env.config, D2)
+    sigma = env.section(rng, D2)
+    rho = env.section(rng, D2)
     product = star(sigma, rho)
-    for _ in range(3):
-        x = _rand_base_point(rng, env.config, D2)
+    g = env.config.groupoid
+    for x in g.base_points(rng, D2, env.config.coeff_bound):
         rho_arrow = rho.arrow_at(x)
-        lhs = product.arrow_at(x)
-        if isinstance(env.config.groupoid, PairGroupoid):
-            rhs = compose_arrows(sigma.arrow_at(rho_arrow.target), rho_arrow)
-        else:
-            rhs = compose_arrows(sigma.arrow_at(rho_arrow.target[0]), rho_arrow)
-        if lhs != rhs:
+        if product.arrow_at(x) != compose_arrows(sigma.arrow_at(g.beta(rho_arrow)), rho_arrow):
             raise _fail(trial, sigma=sigma, rho=rho, at=x)
 
 
 def _law_star_associativity(env: LawEnv, trial: int) -> None:
     rng = env.rng("star-associativity", trial)
-    a = _rand_section(rng, env.config, D2)
-    b = _rand_section(rng, env.config, D2)
-    c = _rand_section(rng, env.config, D2)
+    a = env.section(rng, D2)
+    b = env.section(rng, D2)
+    c = env.section(rng, D2)
     if star(star(a, b), c) != star(a, star(b, c)):
         raise _fail(trial, a=a, b=b, c=c)
     ident = WSection.identity(env.config.groupoid, D2)
@@ -470,20 +329,13 @@ def _law_star_associativity(env: LawEnv, trial: int) -> None:
 
 def _law_beta_functoriality(env: LawEnv, trial: int) -> None:
     rng = env.rng("beta-functoriality", trial)
-    sigma = _rand_section(rng, env.config, D2)
-    rho = _rand_section(rng, env.config, D2)
+    sigma = env.section(rng, D2)
+    rho = env.section(rng, D2)
     product = star(sigma, rho)
-    if isinstance(env.config.groupoid, PairGroupoid):
-        for _ in range(3):
-            x = _rand_base_point(rng, env.config, D2)
-            via_product = product.arrow_at(x).target
-            via_compose = sigma.arrow_at(rho.arrow_at(x).target).target
-            if via_product != via_compose:
-                raise _fail(trial, sigma=sigma, rho=rho, at=x)
-    else:
-        f_s, f_r = sigma.data[0], rho.data[0]
-        if product.data[0] != tuple(f_s[f_r[x]] for x in range(len(f_r))):
-            raise _fail(trial, sigma=sigma, rho=rho)
+    g = env.config.groupoid
+    for x in g.base_points(rng, D2, env.config.coeff_bound):
+        if g.beta(product.arrow_at(x)) != g.beta(sigma.arrow_at(g.beta(rho.arrow_at(x)))):
+            raise _fail(trial, sigma=sigma, rho=rho, at=x)
 
 
 _RING_DOMAINS = (
@@ -582,30 +434,28 @@ def _law_bracket_definition(env: LawEnv, trial: int) -> None:
 def _law_bracket_scaling(env: LawEnv, trial: int) -> None:
     x, y, _ = env.triple("bracket-scaling", trial)
     a = _rand_int(env.rng("bracket-scaling-coeff", trial), env.config.coeff_bound)
-    if env.bracket_fn(liealg.scale_section(a, x), y) != liealg.scale_section(a, env.bracket_fn(x, y)):
+    if env.bracket_fn(x.scaled(a), y) != env.bracket_fn(x, y).scaled(a):
         raise _fail(trial, X=x, Y=y, a=a)
 
 
 def _law_bracket_additivity(env: LawEnv, trial: int) -> None:
     x, y, z = env.triple("bracket-additivity", trial)
-    lhs = env.bracket_fn(liealg.add_sections(x, y), z)
-    rhs = liealg.add_sections(env.bracket_fn(x, z), env.bracket_fn(y, z))
+    lhs = env.bracket_fn(x + y, z)
+    rhs = env.bracket_fn(x, z) + env.bracket_fn(y, z)
     if lhs != rhs:
         raise _fail(trial, X=x, Y=y, Z=z, lhs=lhs, rhs=rhs)
 
 
 def _law_bracket_antisymmetry(env: LawEnv, trial: int) -> None:
     x, y, _ = env.triple("bracket-antisymmetry", trial)
-    if env.bracket_fn(x, y) != liealg.scale_section(-1, env.bracket_fn(y, x)):
+    if env.bracket_fn(x, y) != -env.bracket_fn(y, x):
         raise _fail(trial, X=x, Y=y)
 
 
 def _law_jacobi_identity(env: LawEnv, trial: int) -> None:
     x, y, z = env.triple("jacobi-identity", trial)
     b = env.bracket_fn
-    total = liealg.add_sections(
-        liealg.add_sections(b(x, b(y, z)), b(y, b(z, x))), b(z, b(x, y))
-    )
+    total = b(x, b(y, z)) + b(y, b(z, x)) + b(z, b(x, y))
     if total != AGSection.zero(env.config.groupoid):
         raise _fail(trial, X=x, Y=y, Z=z, total=total)
 
@@ -624,10 +474,7 @@ def _law_lie_derivative_equals_bracket(env: LawEnv, trial: int) -> None:
 def _law_leibniz_rule(env: LawEnv, trial: int) -> None:
     x, y, z = env.triple("leibniz-rule", trial)
     lhs = liealg.lie_derivative(x, liealg.bracket(y, z))
-    rhs = liealg.add_sections(
-        liealg.bracket(liealg.lie_derivative(x, y), z),
-        liealg.bracket(y, liealg.lie_derivative(x, z)),
-    )
+    rhs = liealg.bracket(liealg.lie_derivative(x, y), z) + liealg.bracket(y, liealg.lie_derivative(x, z))
     if lhs != rhs:
         raise _fail(trial, X=x, Y=y, Z=z, lhs=lhs, rhs=rhs)
 
@@ -642,7 +489,7 @@ def _law_pushforward_identity(env: LawEnv, trial: int) -> None:
 def _law_pushforward_bracket(env: LawEnv, trial: int) -> None:
     _, y, z = env.triple("pushforward-bracket", trial)
     rng = env.rng("pushforward-bracket-bisection", trial)
-    sigma = _rand_bisection(rng, env.config, LINE, scalar_exact=True)
+    sigma = env.bisection(rng, LINE, scalar_exact=True)
     lhs = liealg.pushforward(sigma, env.bracket_fn(y, z))
     rhs = env.bracket_fn(liealg.pushforward(sigma, y), liealg.pushforward(sigma, z))
     if lhs != rhs:
@@ -653,7 +500,7 @@ def _law_derived_jacobi(env: LawEnv, trial: int) -> None:
     x, y, z = env.triple("derived-jacobi", trial)
     b = env.bracket_fn
     lhs = b(x, b(y, z))
-    rhs = liealg.add_sections(b(b(x, y), z), b(y, b(x, z)))
+    rhs = b(b(x, y), z) + b(y, b(x, z))
     if lhs != rhs:
         raise _fail(trial, X=x, Y=y, Z=z, lhs=lhs, rhs=rhs)
 
@@ -661,51 +508,39 @@ def _law_derived_jacobi(env: LawEnv, trial: int) -> None:
 # -- strong difference laws --------------------------------------------------------------------------
 
 
-def _spaces_for(config: SuiteConfig) -> tuple:
-    if isinstance(config.groupoid, PairGroupoid):
-        return (AffineSpace(config.groupoid.dim), MatrixGroup(2))
-    return (AffineSpace(3), MatrixGroup(config.groupoid.matrix_size))
+def _rand_vec(rng: random.Random, n: int, bound: int) -> list[Fraction]:
+    return [Fraction(_rand_int(rng, bound)) for _ in range(n)]
+
+
+def _is_scalar_point(space, vec: list[Fraction]) -> bool:
+    """Whether the rational flat coordinates ``vec`` are a point of the space."""
+    try:
+        point_from_flat(space, RATIONALS, [WeilElement.scalar(RATIONALS, c) for c in vec])
+    except MembershipError:
+        return False
+    return True
 
 
 def _rand_square_family(rng: random.Random, space, bound: int, count: int) -> list[WPoint]:
     """Microsquares over D^2 sharing everything except the top coefficient."""
-
-    def rand_vec():
-        return [Fraction(_rand_int(rng, bound)) for _ in range(_flat_dim(space))]
-
-    base, a1, a2 = rand_vec(), rand_vec(), rand_vec()
-    if isinstance(space, MatrixGroup):
-        k = space.size
-        while not matrices.q_is_invertible(tuple(tuple(base[i * k + j] for j in range(k)) for i in range(k))):
-            base = rand_vec()
+    n = space.flat_dim
+    base, a1, a2 = (_rand_vec(rng, n, bound) for _ in range(3))
+    while not _is_scalar_point(space, base):
+        base = _rand_vec(rng, n, bound)
     out = []
     for _ in range(count):
-        top = rand_vec()
+        top = _rand_vec(rng, n, bound)
         flats = tuple(
             WeilElement(D2, {frozenset(): b, frozenset({1}): u, frozenset({2}): v, frozenset({1, 2}): t})
             for b, u, v, t in zip(base, a1, a2, top)
         )
-        out.append(_point_from_flat(space, D2, flats))
+        out.append(point_from_flat(space, D2, flats))
     return out
-
-
-def _flat_dim(space) -> int:
-    if isinstance(space, AffineSpace):
-        return space.dim
-    return space.size * space.size
-
-
-def _point_from_flat(space, domain, flats) -> WPoint:
-    if isinstance(space, MatrixGroup):
-        k = space.size
-        rows = tuple(tuple(flats[i * k + j] for j in range(k)) for i in range(k))
-        return WPoint(space, domain, rows)
-    return WPoint(space, domain, tuple(flats))
 
 
 def _law_cocycle_identity(env: LawEnv, trial: int) -> None:
     rng = env.rng("cocycle-identity", trial)
-    for space in _spaces_for(env.config):
+    for space in env.config.groupoid.sample_spaces():
         g1, g2, g3 = _rand_square_family(rng, space, env.config.coeff_bound, 3)
         total = tangent_combine(
             tangent_combine(strong_difference(g1, g2), strong_difference(g2, g3)),
@@ -717,7 +552,7 @@ def _law_cocycle_identity(env: LawEnv, trial: int) -> None:
 
 def _law_axis_recovery(env: LawEnv, trial: int) -> None:
     rng = env.rng("axis-recovery", trial)
-    for space in _spaces_for(env.config):
+    for space in env.config.groupoid.sample_spaces():
         gamma = _rand_square_family(rng, space, env.config.coeff_bound, 1)[0]
         flattened = extend_point(restrict_point(gamma, AXES2), D2)
         t = strong_difference(gamma, flattened)
@@ -729,19 +564,11 @@ def _rand_cube_pair(rng: random.Random, space, bound: int, axis: int) -> tuple[W
     """Microcubes over D^3 agreeing away from the two non-axis generators."""
     j, k = sorted({1, 2, 3} - {axis})
     side, top = frozenset({j, k}), frozenset({1, 2, 3})
-    dim = _flat_dim(space)
-
-    def rand_vec():
-        return [Fraction(_rand_int(rng, bound)) for _ in range(dim)]
-
-    shared = {m: rand_vec() for m in D3.monomials()}
-    if isinstance(space, MatrixGroup):
-        kk = space.size
-        while not matrices.q_is_invertible(
-            tuple(tuple(shared[frozenset()][i * kk + j2] for j2 in range(kk)) for i in range(kk))
-        ):
-            shared[frozenset()] = rand_vec()
-    deltas = {side: rand_vec(), top: rand_vec()}
+    dim = space.flat_dim
+    shared = {m: _rand_vec(rng, dim, bound) for m in D3.monomials()}
+    while not _is_scalar_point(space, shared[frozenset()]):
+        shared[frozenset()] = _rand_vec(rng, dim, bound)
+    deltas = {side: _rand_vec(rng, dim, bound), top: _rand_vec(rng, dim, bound)}
     plus_flat, minus_flat = [], []
     for i in range(dim):
         coeffs_plus = {m: shared[m][i] for m in shared}
@@ -750,12 +577,12 @@ def _rand_cube_pair(rng: random.Random, space, bound: int, axis: int) -> tuple[W
             coeffs_minus[m] = coeffs_minus[m] - delta[i]
         plus_flat.append(WeilElement(D3, coeffs_plus))
         minus_flat.append(WeilElement(D3, coeffs_minus))
-    return _point_from_flat(space, D3, plus_flat), _point_from_flat(space, D3, minus_flat)
+    return point_from_flat(space, D3, plus_flat), point_from_flat(space, D3, minus_flat)
 
 
 def _law_relative_difference_equivalence(env: LawEnv, trial: int) -> None:
     rng = env.rng("relative-difference-equivalence", trial)
-    for space in _spaces_for(env.config):
+    for space in env.config.groupoid.sample_spaces():
         for axis in (1, 2, 3):
             plus, minus = _rand_cube_pair(rng, space, env.config.coeff_bound, axis)
             fast = relative_strong_difference(axis, plus, minus)
@@ -780,7 +607,7 @@ def _rand_compatible_six(rng: random.Random, bound: int) -> dict[str, WPoint]:
     space = AffineSpace(3)
 
     def rand_vec():
-        return [Fraction(_rand_int(rng, bound)) for _ in range(3)]
+        return _rand_vec(rng, 3, bound)
 
     shared = {m: rand_vec() for m in (frozenset(), frozenset({1}), frozenset({2}), frozenset({3}))}
     c12 = (rand_vec(), rand_vec())
@@ -856,7 +683,7 @@ def _law_bracket_strong_difference(env: LawEnv, trial: int) -> None:
         raise _fail(trial, X=x, Y=y, difference_route=via_difference, commutator_route=via_commutator)
 
 
-def _six_cube_tangents(env: LawEnv, x, y, z):
+def _six_cube_tangents(x, y, z):
     cubes = liealg.six_microcubes(x, y, z)
     nested = (
         liealg.bracket(x, liealg.bracket(y, z)),
@@ -873,7 +700,7 @@ def _six_cube_tangents(env: LawEnv, x, y, z):
 
 def _law_six_cube_identities(env: LawEnv, trial: int) -> None:
     x, y, z = env.triple("six-cube-identities", trial)
-    expressions, targets = _six_cube_tangents(env, x, y, z)
+    expressions, targets = _six_cube_tangents(x, y, z)
     labels = ("[X,[Y,Z]]", "[Y,[Z,X]]", "[Z,[X,Y]]")
     for label, expr, target in zip(labels, expressions, targets):
         if expr != target:
@@ -882,7 +709,7 @@ def _law_six_cube_identities(env: LawEnv, trial: int) -> None:
 
 def _law_six_cube_jacobi(env: LawEnv, trial: int) -> None:
     x, y, z = env.triple("six-cube-jacobi", trial)
-    expressions, _ = _six_cube_tangents(env, x, y, z)
+    expressions, _ = _six_cube_tangents(x, y, z)
     total = tangent_combine(tangent_combine(expressions[0], expressions[1]), expressions[2])
     if not total.is_zero:
         raise _fail(trial, X=x, Y=y, Z=z, total=total)
@@ -894,32 +721,12 @@ def _law_six_cube_jacobi(env: LawEnv, trial: int) -> None:
 def _law_oracle_self_consistency(env: LawEnv, trial: int) -> None:
     x, y, z = env.triple("oracle-self-consistency", trial)
     g = env.config.groupoid
-    if isinstance(g, PairGroupoid):
-        fx = oracles.PolyVectorField(x.data)
-        fy = oracles.PolyVectorField(y.data)
-        fz = oracles.PolyVectorField(z.data)
-        br = oracles.classical_vf_bracket
-        anti = br(fx, fy).components == tuple(-c for c in br(fy, fx).components)
-        jac = all(
-            not (a + b + c)
-            for a, b, c in zip(
-                br(fx, br(fy, fz)).components,
-                br(fy, br(fz, fx)).components,
-                br(fz, br(fx, fy)).components,
-            )
-        )
-    else:
-        br = oracles.matrix_table_bracket
-        anti = br(x.data, y.data) == tuple(matrices.neg(t) for t in br(y.data, x.data))
-        jacobi_sum = tuple(
-            matrices.add(matrices.add(a, b), c)
-            for a, b, c in zip(
-                br(x.data, br(y.data, z.data)),
-                br(y.data, br(z.data, x.data)),
-                br(z.data, br(x.data, y.data)),
-            )
-        )
-        jac = all(matrices.is_zero(t) for t in jacobi_sum)
+
+    def br(a: AGSection, b: AGSection) -> AGSection:
+        return AGSection(g, g.oracle_bracket(a.data, b.data))
+
+    anti = br(x, y) == -br(y, x)
+    jac = br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y)) == AGSection.zero(g)
     if not (anti and jac):
         raise _fail(trial, X=x, Y=y, Z=z, antisymmetry=anti, jacobi=jac)
 
@@ -927,13 +734,7 @@ def _law_oracle_self_consistency(env: LawEnv, trial: int) -> None:
 def _law_bracket_degeneration(env: LawEnv, trial: int) -> None:
     x, y, _ = env.triple("bracket-degeneration", trial)
     ours = env.bracket_fn(x, y)
-    g = env.config.groupoid
-    if isinstance(g, PairGroupoid):
-        expected = oracles.classical_vf_bracket(
-            oracles.PolyVectorField(x.data), oracles.PolyVectorField(y.data)
-        ).components
-    else:
-        expected = oracles.matrix_table_bracket(x.data, y.data)
+    expected = env.config.groupoid.oracle_bracket(x.data, y.data)
     if ours.data != expected:
         raise _fail(trial, X=x, Y=y, groupoid_bracket=ours, classical=expected)
 
@@ -1070,19 +871,15 @@ SUITES: dict[str, tuple[Law, ...]] = {
 }
 
 
-def _default_bracket(x: AGSection, y: AGSection) -> AGSection:
-    return liealg.bracket(x, y)
-
-
 def _mutated_bracket(x: AGSection, y: AGSection) -> AGSection:
-    return liealg.scale_section(-1, liealg.bracket(x, y))
+    return liealg.bracket(x, y).scaled(-1)
 
 
 def run_suite(config: SuiteConfig, mutation: str = "none") -> Report:
     """Execute every law of the configured suite; exact equality throughout."""
     if mutation not in MUTATIONS:
         raise ConfigError(f"unknown mutation {mutation!r}; expected one of {MUTATIONS}")
-    bracket_fn = _mutated_bracket if mutation == "flip-bracket-sign" else _default_bracket
+    bracket_fn = _mutated_bracket if mutation == "flip-bracket-sign" else liealg.bracket
     suite_ids = SUITE_IDS if config.suite == "all" else (config.suite,)
     report = Report(config.suite, config.groupoid_spec, config.seed, config.trials)
     for suite_id in suite_ids:

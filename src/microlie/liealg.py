@@ -26,7 +26,6 @@ from typing import NamedTuple, Sequence
 from .groupoids import (
     AGSection,
     GroupoidMismatchError,
-    PairGroupoid,
     SectionChart,
     WBisection,
     WSection,
@@ -36,13 +35,12 @@ from .groupoids import (
     star,
     star_word,
 )
-from .poly import Poly, RATIONALS
 from .spaces import (
     InternalInvariantError,
     Tangent,
     strong_difference,
 )
-from .weil import InfinitesimalDomain, Rational, WeilElement
+from .weil import InfinitesimalDomain, WeilElement
 
 LINE = InfinitesimalDomain.line()
 D2 = InfinitesimalDomain.power(2)
@@ -52,19 +50,6 @@ WITNESS_DOMAIN = InfinitesimalDomain(3, [(1, 3), (2, 3)])
 
 class AxisCheckError(InternalInvariantError):
     """A microsquare that must restrict to the identity on the axes does not."""
-
-
-# -- module structure ---------------------------------------------------------------
-
-
-def add_sections(x: AGSection, y: AGSection) -> AGSection:
-    """Data-level sum; flows multiply: (X+Y)_d = X_d * Y_d."""
-    return x + y
-
-
-def scale_section(a: Rational, x: AGSection) -> AGSection:
-    """Data-level scaling; flows reparametrize: (aX)_d = X_{a d}."""
-    return x.scaled(a)
 
 
 # -- the commutator microsquare and the bracket ----------------------------------------
@@ -107,18 +92,7 @@ def commutator_square(x: AGSection, y: AGSection) -> CommutatorSquare:
 
 def _extract_top_coefficient(section: WSection) -> AGSection:
     """Read the d1*d2 coefficient of a D^2 section as Lie algebroid data."""
-    groupoid = section.groupoid
-    top = frozenset({1, 2})
-    if isinstance(groupoid, PairGroupoid):
-        fields = tuple(
-            Poly(groupoid.dim, RATIONALS, {e: c.coefficient(top) for e, c in comp.terms.items()})
-            for comp in section.data
-        )
-        return AGSection(groupoid, fields)
-    tables = tuple(
-        tuple(tuple(w.coefficient(top) for w in row) for row in t) for t in section.data[1]
-    )
-    return AGSection(groupoid, tables)
+    return AGSection(section.groupoid, section.groupoid.read_coefficient(section.data, {1, 2}))
 
 
 def bracket(x: AGSection, y: AGSection) -> AGSection:

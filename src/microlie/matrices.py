@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .weil import InfinitesimalDomain, Rational, WeilElement
+from .weil import InfinitesimalDomain, WeilElement
 
 Matrix = tuple[tuple, ...]
 
@@ -31,10 +31,6 @@ def from_rows(rows: Sequence[Sequence]) -> Matrix:
 def identity(k: int, domain: InfinitesimalDomain) -> Matrix:
     one, zero = WeilElement.one(domain), WeilElement.zero(domain)
     return tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k))
-
-
-def q_identity(k: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k))
 
 
 def lift(m: Matrix, domain: InfinitesimalDomain) -> Matrix:
@@ -125,7 +121,3 @@ def w_inverse(a: Matrix, domain: InfinitesimalDomain) -> Matrix:
 
 def rational_rows(m: Matrix) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in m)
-
-
-def q_from_ints(rows: Sequence[Sequence[Rational]]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)

@@ -50,10 +50,18 @@ class InternalInvariantError(RuntimeError):
 class AffineSpace:
     dim: int
 
+    @property
+    def flat_dim(self) -> int:
+        return self.dim
+
 
 @dataclass(frozen=True)
 class MatrixGroup:
     size: int
+
+    @property
+    def flat_dim(self) -> int:
+        return self.size * self.size
 
 
 @dataclass(frozen=True)
@@ -121,13 +129,9 @@ class WPoint:
         return self.coords
 
     def with_flat(self, flat: Sequence[WeilElement], domain: InfinitesimalDomain) -> "WPoint":
-        if isinstance(self.space, MatrixGroup):
-            k = self.space.size
-            rows = tuple(tuple(flat[i * k + j] for j in range(k)) for i in range(k))
-            return WPoint(self.space, domain, rows)
         if isinstance(self.space, FiniteBase):
             return WPoint(self.space, domain, self.index)
-        return WPoint(self.space, domain, tuple(flat))
+        return point_from_flat(self.space, domain, flat)
 
     def map_coords(self, fn, domain: InfinitesimalDomain) -> "WPoint":
         return self.with_flat(tuple(fn(w) for w in self.flat()), domain)
@@ -150,6 +154,16 @@ class WPoint:
             return f"WPoint({self.space}, {self.index})"
         body = ", ".join(str(c) for c in self.flat())
         return f"WPoint({self.space}, {self.domain!r}; {body})"
+
+
+def point_from_flat(
+    space: AffineSpace | MatrixGroup, domain: InfinitesimalDomain, flat: Sequence[WeilElement]
+) -> WPoint:
+    """The point with the given flat coordinates (row-major for a matrix group)."""
+    if isinstance(space, MatrixGroup):
+        k = space.size
+        return WPoint(space, domain, tuple(tuple(flat[i * k + j] for j in range(k)) for i in range(k)))
+    return WPoint(space, domain, tuple(flat))
 
 
 class Tangent:
@@ -202,13 +216,8 @@ def tangent_from_parts(
         WeilElement(LINE, {frozenset(): Fraction(b), frozenset({1}): Fraction(v)})
         for b, v in zip(base, direction)
     )
-    if isinstance(space, MatrixGroup):
-        k = space.size
-        data: object = tuple(tuple(flat[i * k + j] for j in range(k)) for i in range(k))
-    else:
-        data = flat
     try:
-        return Tangent(WPoint(space, LINE, data))
+        return Tangent(point_from_flat(space, LINE, flat))
     except MembershipError as exc:
         raise InternalInvariantError(f"tangent escapes the space: {exc}") from exc
 

@@ -124,10 +124,6 @@ class InfinitesimalDomain:
     def in_range(self, m: Monomial) -> bool:
         return all(1 <= i <= self.generator_count for i in m)
 
-    def allows(self, m: Iterable[int]) -> bool:
-        mm = _monomial(m)
-        return self.in_range(mm) and not self.is_zero_monomial(mm)
-
     def monomials(self) -> tuple[Monomial, ...]:
         """All surviving monomials, the empty one first, then by size."""
         cached = self._allowed

@@ -243,3 +243,12 @@ def test_monoid_associativity_with_nonbisections():
     b = pair_section(P1, D, {(0,): 1, (1,): WeilElement.generator(D, 1)})
     c = pair_section(P1, D, {(1,): -2})
     assert star(star(a, b), c) == star(a, star(b, c))
+
+
+def test_groupoid_classes_share_one_interface():
+    # callers never branch on the groupoid kind, so both classes must offer the same methods
+    def methods(cls):
+        return {name for name, value in vars(cls).items() if callable(value) and not name.startswith("_")}
+
+    assert methods(PairGroupoid) == methods(TrivialGaugeGroupoid)
+    assert "random_bisection" in methods(PairGroupoid)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,12 +6,13 @@ import pytest
 from microlie.cli import main
 from microlie.harness import (
     ConfigError,
+    LawEnv,
     SuiteConfig,
-    generate,
     parse_groupoid_spec,
     run_suite,
 )
 from microlie.groupoids import PairGroupoid, TrivialGaugeGroupoid
+from microlie.liealg import bracket
 
 
 def config(spec="pair:dim=2:deg=2", suite="flows", trials=5, seed=0):
@@ -39,23 +41,33 @@ class TestConfig:
             config("gauge:base=9:k=2")
         with pytest.raises(ConfigError):
             SuiteConfig(suite="nope", groupoid=PairGroupoid(2))
+        # a coefficient bound below 1 used to hang the invertible-matrix sampler
+        for bound in (0, -1):
+            with pytest.raises(ConfigError):
+                SuiteConfig(suite="module", groupoid=PairGroupoid(2), coeff_bound=bound)
+            with pytest.raises(ConfigError):
+                SuiteConfig(suite="module", groupoid=TrivialGaugeGroupoid(2, 2), coeff_bound=bound)
+
+
+def triple(cfg, trial, law="generate"):
+    return LawEnv(cfg, cfg.suite, bracket).triple(law, trial)
 
 
 class TestGenerate:
     def test_deterministic(self):
         cfg = config(suite="bracket", trials=10)
         for trial in range(6):
-            assert generate(cfg, trial) == generate(cfg, trial)
+            assert triple(cfg, trial) == triple(cfg, trial)
 
     def test_seed_changes_data(self):
-        a = generate(config(seed=0, suite="bracket"), 4)
-        b = generate(config(seed=1, suite="bracket"), 4)
+        a = triple(config(seed=0, suite="bracket"), 4)
+        b = triple(config(seed=1, suite="bracket"), 4)
         assert a != b
 
     def test_degenerate_strata(self):
-        x, y, z = generate(config(suite="bracket"), 0)
+        x, y, z = triple(config(suite="bracket"), 0)
         assert x == y == z  # all-zero stratum
-        x1, y1, z1 = generate(config(suite="bracket"), 1)
+        x1, y1, z1 = triple(config(suite="bracket"), 1)
         assert x1 == y1 == z1  # repeated-section stratum
 
 
@@ -97,6 +109,24 @@ class TestRunSuite:
         report = run_suite(config(suite="all", trials=1))
         assert report.cases
         assert all(case.anchor for case in report.cases)
+
+
+# SHA-256 of the indented JSON report of `verify --suite all --trials 3 --seed 0`.
+# Refactors must keep reports byte-identical; a deliberate change of report
+# content updates these digests in the same commit.
+GOLDEN_REPORTS = {
+    ("pair:dim=2:deg=2", "none"): "cf6e979ac804368f129540aa9cd67788f0adf4aef84eaee74ffa0b1efcb71d11",
+    ("pair:dim=2:deg=2", "flip-bracket-sign"): "1a03e9d7c04ec5822bf6c6b33c6d62f1112ca432c6c0b161a259930f4a4d3ff2",
+    ("gauge:base=2:k=2", "none"): "3899f83aaf17892f4f17f83f91fcec285f79d200c3e33361dfb0f5e23882be8e",
+    ("gauge:base=2:k=2", "flip-bracket-sign"): "9015d1fb62ac8fb75bba21a16a7349c23bb93412d32fd2eec4a8c5e26ce9b208",
+}
+
+
+@pytest.mark.parametrize(("spec", "mutation"), sorted(GOLDEN_REPORTS))
+def test_golden_report(spec, mutation):
+    report = run_suite(config(spec=spec, suite="all", trials=3, seed=0), mutation=mutation)
+    text = json.dumps(report.to_dict(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[spec, mutation]
 
 
 class TestCli:
