@@ -21,7 +21,6 @@ from .poly import Poly, RATIONALS, identity_map, rational_poly
 from .spaces import (
     AffineSpace,
     CompatibilityError,
-    FiniteBase,
     InternalInvariantError,
     MatrixGroup,
     MembershipError,

@@ -1,7 +1,7 @@
 """Command-line interface: law verification suites and bracket computation.
 
 Exit codes: 0 all laws pass, 1 at least one law fails, 2 usage or
-configuration error.
+configuration error (including a ``bracket`` field above degree 3).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .groupoids import AGSection, PairGroupoid
+from .groupoids import MAX_FIELD_DEGREE, AGSection, PairGroupoid
 from .harness import (
     MUTATIONS,
     SUITE_IDS,
@@ -71,8 +71,8 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
     groupoid, _ = parse_groupoid_spec(args.groupoid)
     if not isinstance(groupoid, PairGroupoid):
         raise ConfigError("the bracket command works on the pair groupoid (pair:dim=N)")
-    x = AGSection(groupoid, parse_vector_field(args.x, groupoid.dim))
-    y = AGSection(groupoid, parse_vector_field(args.y, groupoid.dim))
+    x = AGSection(groupoid, parse_vector_field(args.x, groupoid.dim, MAX_FIELD_DEGREE))
+    y = AGSection(groupoid, parse_vector_field(args.y, groupoid.dim, MAX_FIELD_DEGREE))
     print(format_vector_field(bracket(x, y).data))
     return 0
 

@@ -45,7 +45,7 @@ from . import matrices
 from .matrices import Matrix, SingularMatrixError
 from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
 from .poly import RATIONALS, Poly, compose_map, identity_map
-from .spaces import AffineSpace, FiniteBase, MatrixGroup, WPoint
+from .spaces import AffineSpace, MatrixGroup, WPoint
 from .weil import (
     DomainMismatchError,
     InfinitesimalDomain,
@@ -127,6 +127,9 @@ def _rand_fiber(
     return matrices.add(t, nil)
 
 
+MAX_FIELD_DEGREE = 3  # largest degree of a pair-groupoid vector field, in verify and bracket
+
+
 # -- the two groupoids ------------------------------------------------------------
 
 
@@ -141,18 +144,14 @@ class PairGroupoid:
 
     dim: int
 
-    @property
-    def base(self) -> AffineSpace:
-        return AffineSpace(self.dim)
-
     def spec(self, degree: int) -> str:
         return f"pair:dim={self.dim}:deg={degree}"
 
     def bounds_error(self, degree: int) -> str | None:
         if not 1 <= self.dim <= 3:
             return "pair groupoid dimension must be between 1 and 3"
-        if not 0 <= degree <= 3:
-            return "field degree must be between 0 and 3"
+        if not 0 <= degree <= MAX_FIELD_DEGREE:
+            return f"field degree must be between 0 and {MAX_FIELD_DEGREE}"
         return None
 
     def sample_spaces(self) -> tuple[AffineSpace, MatrixGroup]:
@@ -314,14 +313,6 @@ class TrivialGaugeGroupoid:
 
     base_size: int
     matrix_size: int
-
-    @property
-    def base(self) -> FiniteBase:
-        return FiniteBase(self.base_size)
-
-    @property
-    def fiber(self) -> MatrixGroup:
-        return MatrixGroup(self.matrix_size)
 
     def spec(self, degree: int) -> str:
         return f"gauge:base={self.base_size}:k={self.matrix_size}"

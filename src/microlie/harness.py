@@ -38,19 +38,13 @@ from .spaces import (
     Tangent,
     WPoint,
     extend_point,
-    point_from_flat,
     relative_strong_difference,
     relative_strong_difference_curried,
     restrict_point,
     strong_difference,
     tangent_combine,
 )
-from .weil import InfinitesimalDomain, WeilElement
-
-LINE = InfinitesimalDomain.line()
-D2 = InfinitesimalDomain.power(2)
-D3 = InfinitesimalDomain.power(3)
-AXES2 = InfinitesimalDomain.first_order(2)
+from .weil import AXES2, D2, D3, LINE, SCALAR, InfinitesimalDomain, WeilElement
 
 SUITE_IDS = ("flows", "module", "bracket", "liederiv", "strongdiff", "jacobi2", "oracle")
 MUTATIONS = ("none", "flip-bracket-sign")
@@ -515,7 +509,7 @@ def _rand_vec(rng: random.Random, n: int, bound: int) -> list[Fraction]:
 def _is_scalar_point(space, vec: list[Fraction]) -> bool:
     """Whether the rational flat coordinates ``vec`` are a point of the space."""
     try:
-        point_from_flat(space, RATIONALS, [WeilElement.scalar(RATIONALS, c) for c in vec])
+        space.check([WeilElement.scalar(RATIONALS, c) for c in vec])
     except MembershipError:
         return False
     return True
@@ -527,15 +521,11 @@ def _rand_square_family(rng: random.Random, space, bound: int, count: int) -> li
     base, a1, a2 = (_rand_vec(rng, n, bound) for _ in range(3))
     while not _is_scalar_point(space, base):
         base = _rand_vec(rng, n, bound)
-    out = []
-    for _ in range(count):
-        top = _rand_vec(rng, n, bound)
-        flats = tuple(
-            WeilElement(D2, {frozenset(): b, frozenset({1}): u, frozenset({2}): v, frozenset({1, 2}): t})
-            for b, u, v, t in zip(base, a1, a2, top)
-        )
-        out.append(point_from_flat(space, D2, flats))
-    return out
+    low = {SCALAR: base, frozenset({1}): a1, frozenset({2}): a2}
+    return [
+        WPoint.from_coefficients(space, D2, {**low, frozenset({1, 2}): _rand_vec(rng, n, bound)})
+        for _ in range(count)
+    ]
 
 
 def _law_cocycle_identity(env: LawEnv, trial: int) -> None:
@@ -566,18 +556,13 @@ def _rand_cube_pair(rng: random.Random, space, bound: int, axis: int) -> tuple[W
     side, top = frozenset({j, k}), frozenset({1, 2, 3})
     dim = space.flat_dim
     shared = {m: _rand_vec(rng, dim, bound) for m in D3.monomials()}
-    while not _is_scalar_point(space, shared[frozenset()]):
-        shared[frozenset()] = _rand_vec(rng, dim, bound)
+    while not _is_scalar_point(space, shared[SCALAR]):
+        shared[SCALAR] = _rand_vec(rng, dim, bound)
     deltas = {side: _rand_vec(rng, dim, bound), top: _rand_vec(rng, dim, bound)}
-    plus_flat, minus_flat = [], []
-    for i in range(dim):
-        coeffs_plus = {m: shared[m][i] for m in shared}
-        coeffs_minus = dict(coeffs_plus)
-        for m, delta in deltas.items():
-            coeffs_minus[m] = coeffs_minus[m] - delta[i]
-        plus_flat.append(WeilElement(D3, coeffs_plus))
-        minus_flat.append(WeilElement(D3, coeffs_minus))
-    return point_from_flat(space, D3, plus_flat), point_from_flat(space, D3, minus_flat)
+    minus = dict(shared)
+    for m, delta in deltas.items():
+        minus[m] = [c - d for c, d in zip(shared[m], delta)]
+    return WPoint.from_coefficients(space, D3, shared), WPoint.from_coefficients(space, D3, minus)
 
 
 def _law_relative_difference_equivalence(env: LawEnv, trial: int) -> None:
@@ -604,8 +589,6 @@ def _rand_compatible_six(rng: random.Random, bound: int) -> dict[str, WPoint]:
     pair of values for each two-generator monomial (split along the pinned
     classes), and six independent top coefficients.
     """
-    space = AffineSpace(3)
-
     def rand_vec():
         return _rand_vec(rng, 3, bound)
 
@@ -614,18 +597,20 @@ def _rand_compatible_six(rng: random.Random, bound: int) -> dict[str, WPoint]:
     c23 = (rand_vec(), rand_vec())
     c13 = (rand_vec(), rand_vec())
     tops = {key: rand_vec() for key in _SIX_KEYS}
-    cubes = {}
-    for key in _SIX_KEYS:
-        flats = []
-        for i in range(3):
-            coeffs = {m: shared[m][i] for m in shared}
-            coeffs[frozenset({1, 2})] = c12[_C12_CLASS[key]][i]
-            coeffs[frozenset({2, 3})] = c23[_C23_CLASS[key]][i]
-            coeffs[frozenset({1, 3})] = c13[_C13_CLASS[key]][i]
-            coeffs[frozenset({1, 2, 3})] = tops[key][i]
-            flats.append(WeilElement(D3, coeffs))
-        cubes[key] = WPoint(space, D3, tuple(flats))
-    return cubes
+    return {
+        key: WPoint.from_coefficients(
+            AffineSpace(3),
+            D3,
+            {
+                **shared,
+                frozenset({1, 2}): c12[_C12_CLASS[key]],
+                frozenset({2, 3}): c23[_C23_CLASS[key]],
+                frozenset({1, 3}): c13[_C13_CLASS[key]],
+                frozenset({1, 2, 3}): tops[key],
+            },
+        )
+        for key in _SIX_KEYS
+    }
 
 
 def _general_jacobi_expressions(cubes: dict[str, WPoint]) -> tuple[Tangent, Tangent, Tangent]:

@@ -40,11 +40,8 @@ from .spaces import (
     Tangent,
     strong_difference,
 )
-from .weil import InfinitesimalDomain, WeilElement
+from .weil import D2, D3, LINE, InfinitesimalDomain, WeilElement
 
-LINE = InfinitesimalDomain.line()
-D2 = InfinitesimalDomain.power(2)
-D3 = InfinitesimalDomain.power(3)
 WITNESS_DOMAIN = InfinitesimalDomain(3, [(1, 3), (2, 3)])
 
 

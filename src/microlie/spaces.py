@@ -1,8 +1,15 @@
 """Representable spaces, their Weil points, and the strong-difference calculus.
 
-A point of a space over an InfinitesimalDomain packages one Weil element
-per ambient coordinate.  Over the one-generator domain such a point is a
-tangent vector; over ``D^2`` a microsquare; over ``D^3`` a microcube.
+Two spaces are supported: affine space (:class:`AffineSpace`) and the
+invertible matrices (:class:`MatrixGroup`).  A point of a space over an
+InfinitesimalDomain is a flat tuple of Weil elements, one per coordinate;
+a matrix point lists its entries row-major.  Each space class gives its
+number of coordinates (``flat_dim``) and its membership test (``check``),
+so no code here asks which kind of space it holds.  Over the
+one-generator domain a point is a tangent vector; over ``D^2`` a
+microsquare; over ``D^3`` a microcube.  :meth:`WPoint.coefficient` reads
+one monomial's coefficient across all coordinates and
+:meth:`WPoint.from_coefficients` builds a point from such vectors.
 
 Conventions, pinned once and enforced by the law suites:
 
@@ -22,10 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import matrices
 from .weil import (
+    AXES2,
+    D2,
+    D3,
+    LINE,
+    SCALAR,
     InfinitesimalDomain,
     Monomial,
     Rational,
@@ -48,97 +60,85 @@ class InternalInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class AffineSpace:
+    """Affine space of dimension ``dim``: every coordinate tuple is a point."""
+
     dim: int
 
     @property
     def flat_dim(self) -> int:
         return self.dim
 
+    def check(self, coords: Sequence[WeilElement]) -> None:
+        """Accept every tuple of ``dim`` coordinates."""
+
 
 @dataclass(frozen=True)
 class MatrixGroup:
+    """Invertible ``size x size`` matrices, with the entries as row-major coordinates."""
+
     size: int
 
     @property
     def flat_dim(self) -> int:
         return self.size * self.size
 
+    def check(self, coords: Sequence[WeilElement]) -> None:
+        """Reject a matrix whose scalar part is singular."""
+        k = self.size
+        scalar = tuple(tuple(coords[i * k + j].scalar_part for j in range(k)) for i in range(k))
+        if not matrices.q_is_invertible(scalar):
+            raise MembershipError("matrix point has singular scalar part")
 
-@dataclass(frozen=True)
-class FiniteBase:
-    size: int
 
-
-Space = AffineSpace | MatrixGroup | FiniteBase
-
-LINE = InfinitesimalDomain.line()
+Space = AffineSpace | MatrixGroup
 
 
 class WPoint:
-    """A point of a space with coordinates in a Weil algebra."""
+    """A point of a space: one Weil element per flat coordinate of the space."""
 
-    __slots__ = ("space", "domain", "coords", "index")
+    __slots__ = ("space", "domain", "coords")
 
-    def __init__(self, space: Space, domain: InfinitesimalDomain, data) -> None:
+    def __init__(self, space: Space, domain: InfinitesimalDomain, coords: Sequence[WeilElement]) -> None:
+        coords = tuple(coords)
+        if len(coords) != space.flat_dim:
+            raise ValueError(f"expected {space.flat_dim} coordinates, got {len(coords)}")
+        for w in coords:
+            if not isinstance(w, WeilElement) or w.domain != domain:
+                raise ValueError("all coordinates must be WeilElements over the point's domain")
+        space.check(coords)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "domain", domain)
-        if isinstance(space, AffineSpace):
-            coords = tuple(data)
-            if len(coords) != space.dim:
-                raise ValueError(f"expected {space.dim} coordinates, got {len(coords)}")
-            self._check_domains(coords)
-            object.__setattr__(self, "coords", coords)
-            object.__setattr__(self, "index", None)
-        elif isinstance(space, MatrixGroup):
-            entries = matrices.from_rows(data)
-            if len(entries) != space.size:
-                raise ValueError(f"expected a {space.size}x{space.size} matrix")
-            self._check_domains([x for row in entries for x in row])
-            if not matrices.q_is_invertible(matrices.scalar_part(entries)):
-                raise MembershipError("matrix point has singular scalar part")
-            object.__setattr__(self, "coords", entries)
-            object.__setattr__(self, "index", None)
-        elif isinstance(space, FiniteBase):
-            idx = data
-            if isinstance(idx, WeilElement):
-                if not idx.is_scalar or idx.scalar_part.denominator != 1:
-                    raise MembershipError(
-                        f"points of a discrete base are constant; got {idx}"
-                    )
-                idx = int(idx.scalar_part)
-            if not isinstance(idx, int) or not 0 <= idx < space.size:
-                raise MembershipError(f"index {idx} outside base of size {space.size}")
-            object.__setattr__(self, "coords", ())
-            object.__setattr__(self, "index", idx)
-        else:
-            raise TypeError(f"unknown space {space!r}")
+        object.__setattr__(self, "coords", coords)
 
-    def _check_domains(self, elements) -> None:
-        for w in elements:
-            if not isinstance(w, WeilElement) or w.domain != self.domain:
-                raise ValueError("all coordinates must be WeilElements over the point's domain")
+    @classmethod
+    def from_coefficients(
+        cls,
+        space: Space,
+        domain: InfinitesimalDomain,
+        columns: Mapping[Monomial, Sequence[Rational]],
+    ) -> "WPoint":
+        """The point whose coordinate ``i`` has coefficient ``columns[m][i]`` at each monomial ``m``.
+
+        The write-side twin of :meth:`coefficient`; absent monomials are zero.
+        """
+        n = space.flat_dim
+        if any(len(vector) != n for vector in columns.values()):
+            raise ValueError(f"every coefficient vector must have {n} entries")
+        return cls(
+            space,
+            domain,
+            tuple(WeilElement(domain, {m: vector[i] for m, vector in columns.items()}) for i in range(n)),
+        )
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("WPoint is immutable")
 
-    # -- flat coordinate access (uniform across space kinds) --------------------
-
-    def flat(self) -> tuple[WeilElement, ...]:
-        if isinstance(self.space, MatrixGroup):
-            return tuple(x for row in self.coords for x in row)
-        return self.coords
-
-    def with_flat(self, flat: Sequence[WeilElement], domain: InfinitesimalDomain) -> "WPoint":
-        if isinstance(self.space, FiniteBase):
-            return WPoint(self.space, domain, self.index)
-        return point_from_flat(self.space, domain, flat)
-
     def map_coords(self, fn, domain: InfinitesimalDomain) -> "WPoint":
-        return self.with_flat(tuple(fn(w) for w in self.flat()), domain)
+        return WPoint(self.space, domain, tuple(fn(w) for w in self.coords))
 
     def coefficient(self, monomial) -> tuple[Fraction, ...]:
-        """The given monomial's coefficient in every ambient coordinate."""
-        return tuple(w.coefficient(monomial) for w in self.flat())
+        """The given monomial's coefficient in every coordinate."""
+        return tuple(w.coefficient(monomial) for w in self.coords)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -146,24 +146,11 @@ class WPoint:
             and self.space == other.space
             and self.domain == other.domain
             and self.coords == other.coords
-            and self.index == other.index
         )
 
     def __repr__(self) -> str:
-        if isinstance(self.space, FiniteBase):
-            return f"WPoint({self.space}, {self.index})"
-        body = ", ".join(str(c) for c in self.flat())
+        body = ", ".join(str(c) for c in self.coords)
         return f"WPoint({self.space}, {self.domain!r}; {body})"
-
-
-def point_from_flat(
-    space: AffineSpace | MatrixGroup, domain: InfinitesimalDomain, flat: Sequence[WeilElement]
-) -> WPoint:
-    """The point with the given flat coordinates (row-major for a matrix group)."""
-    if isinstance(space, MatrixGroup):
-        k = space.size
-        return WPoint(space, domain, tuple(tuple(flat[i * k + j] for j in range(k)) for i in range(k)))
-    return WPoint(space, domain, tuple(flat))
 
 
 class Tangent:
@@ -185,11 +172,11 @@ class Tangent:
 
     @property
     def base(self) -> tuple[Fraction, ...]:
-        return tuple(w.scalar_part for w in self.point.flat())
+        return self.point.coefficient(SCALAR)
 
     @property
     def direction(self) -> tuple[Fraction, ...]:
-        return tuple(w.coefficient({1}) for w in self.point.flat())
+        return self.point.coefficient({1})
 
     @property
     def is_zero(self) -> bool:
@@ -202,22 +189,9 @@ class Tangent:
         return f"Tangent(base={self.base}, direction={self.direction})"
 
 
-def tangent_from_parts(
-    space: Space,
-    base: Sequence[Rational],
-    direction: Sequence[Rational],
-    index: int | None = None,
-) -> Tangent:
-    if isinstance(space, FiniteBase):
-        if any(direction):
-            raise MembershipError("a discrete base admits only zero tangents")
-        return Tangent(WPoint(space, LINE, index))
-    flat = tuple(
-        WeilElement(LINE, {frozenset(): Fraction(b), frozenset({1}): Fraction(v)})
-        for b, v in zip(base, direction)
-    )
+def tangent_from_parts(space: Space, base: Sequence[Rational], direction: Sequence[Rational]) -> Tangent:
     try:
-        return Tangent(point_from_flat(space, LINE, flat))
+        return Tangent(WPoint.from_coefficients(space, LINE, {SCALAR: base, frozenset({1}): direction}))
     except MembershipError as exc:
         raise InternalInvariantError(f"tangent escapes the space: {exc}") from exc
 
@@ -236,10 +210,11 @@ def extend_point(p: WPoint, sup: InfinitesimalDomain) -> WPoint:
 # -- strong difference of microsquares ---------------------------------------------
 
 
-D2 = InfinitesimalDomain.power(2)
-D3 = InfinitesimalDomain.power(3)
-_D2_AXES = InfinitesimalDomain.first_order(2)
 TOP_SQUARE: Monomial = frozenset({1, 2})
+
+
+def _difference(plus: WPoint, minus: WPoint, monomial: Monomial) -> tuple[Fraction, ...]:
+    return tuple(p - m for p, m in zip(plus.coefficient(monomial), minus.coefficient(monomial)))
 
 
 def strong_difference(plus: WPoint, minus: WPoint) -> Tangent:
@@ -251,14 +226,11 @@ def strong_difference(plus: WPoint, minus: WPoint) -> Tangent:
         raise CompatibilityError("points live in different spaces")
     if plus.domain != D2 or minus.domain != D2:
         raise ValueError("strong difference expects microsquares over D^2")
-    if restrict_point(plus, _D2_AXES) != restrict_point(minus, _D2_AXES):
+    if restrict_point(plus, AXES2) != restrict_point(minus, AXES2):
         raise CompatibilityError("not D(2)-compatible")
-    base = tuple(w.scalar_part for w in plus.flat())
-    direction = tuple(
-        p.coefficient(TOP_SQUARE) - m.coefficient(TOP_SQUARE)
-        for p, m in zip(plus.flat(), minus.flat())
+    return tangent_from_parts(
+        plus.space, plus.coefficient(SCALAR), _difference(plus, minus, TOP_SQUARE)
     )
-    return tangent_from_parts(plus.space, base, direction, plus.index)
 
 
 # -- permutation action and axis relabelings ---------------------------------------
@@ -329,24 +301,14 @@ def relative_strong_difference(i: int, plus: WPoint, minus: WPoint) -> WPoint:
     agreement = InfinitesimalDomain(3, [(j, k)])
     if restrict_point(plus, agreement) != restrict_point(minus, agreement):
         raise CompatibilityError(f"not D(2)xD-compatible along axis {i}")
-    side = frozenset({j, k})
-    top = frozenset({i, j, k})
-    axis = frozenset({i})
-    flats = []
-    for p, m in zip(plus.flat(), minus.flat()):
-        flats.append(
-            WeilElement(
-                D2,
-                {
-                    frozenset(): p.scalar_part,
-                    frozenset({1}): p.coefficient(side) - m.coefficient(side),
-                    frozenset({2}): p.coefficient(axis),
-                    frozenset({1, 2}): p.coefficient(top) - m.coefficient(top),
-                },
-            )
-        )
+    columns = {
+        SCALAR: plus.coefficient(SCALAR),
+        frozenset({1}): _difference(plus, minus, frozenset({j, k})),
+        frozenset({2}): plus.coefficient({i}),
+        TOP_SQUARE: _difference(plus, minus, frozenset({i, j, k})),
+    }
     try:
-        return plus.with_flat(tuple(flats), D2)
+        return WPoint.from_coefficients(plus.space, D2, columns)
     except MembershipError as exc:
         raise InternalInvariantError(f"relativized difference escapes the space: {exc}") from exc
 
@@ -365,14 +327,14 @@ def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> W
         raise ValueError("relative strong difference expects microcubes over D^3")
     relabeled_plus = psi(i, plus)
     relabeled_minus = psi(i, minus)
-    m = len(plus.flat())
+    m = plus.space.flat_dim
     doubled = AffineSpace(2 * m)
 
     def curry(cube: WPoint) -> WPoint:
         # coordinates of the tangent-space point: (value part, inner-direction part)
         value = []
         inner = []
-        for w in cube.flat():
+        for w in cube.coords:
             val = {mm: c for mm, c in w.coeffs.items() if 3 not in mm}
             der = {mm - {3}: c for mm, c in w.coeffs.items() if 3 in mm}
             value.append(WeilElement(D2, val))
@@ -381,29 +343,22 @@ def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> W
 
     t = strong_difference(curry(relabeled_plus), curry(relabeled_minus))
     base, direction = t.base, t.direction
-    flats = []
-    for idx in range(m):
-        flats.append(
-            WeilElement(
-                D2,
-                {
-                    frozenset(): base[idx],
-                    frozenset({1}): direction[idx],
-                    frozenset({2}): base[m + idx],
-                    frozenset({1, 2}): direction[m + idx],
-                },
-            )
-        )
-    return plus.with_flat(tuple(flats), D2)
+    columns = {
+        SCALAR: base[:m],
+        frozenset({1}): direction[:m],
+        frozenset({2}): base[m:],
+        TOP_SQUARE: direction[m:],
+    }
+    return WPoint.from_coefficients(plus.space, D2, columns)
 
 
 def tangent_combine(a: Tangent, b: Tangent, ca: Rational = 1, cb: Rational = 1) -> Tangent:
     """Linear combination in a common tangent space (same space, same base)."""
-    if a.space != b.space or a.point.index != b.point.index:
+    if a.space != b.space:
         raise ValueError("tangents live in different spaces")
     if a.base != b.base:
         raise ValueError("tangents have different base points")
     direction = tuple(
         Fraction(ca) * x + Fraction(cb) * y for x, y in zip(a.direction, b.direction)
     )
-    return tangent_from_parts(a.space, a.base, direction, a.point.index)
+    return tangent_from_parts(a.space, a.base, direction)

@@ -4,8 +4,12 @@ Components are separated by ``;``.  Within a component: variables
 ``x0 .. x(n-1)``, integer and rational literals (``3``, ``1/2``), the
 operators ``+ - * ^`` with ``^`` a nonnegative integer power, and
 parentheses.  The unicode minus sign is accepted.  Whitespace is
-insignificant.  Errors report the offending position and what was
-expected there.
+insignificant.  Parentheses nest at most 100 deep.  Errors report the
+offending position and what was expected there.
+
+An optional degree limit bounds every product and power before it is
+expanded, and every exponent, so a short input cannot ask for an
+arbitrarily large polynomial.
 """
 
 from __future__ import annotations
@@ -67,11 +71,31 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# each level costs four stack frames (expr, term, factor, atom); this stays
+# well inside the interpreter's default recursion limit of 1000
+_MAX_NESTING = 100
+
+
+def _int(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter converts
+        raise VectorFieldSyntaxError(pos, f"number of {len(text)} digits is too long") from None
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], nvars: int) -> None:
+    def __init__(self, tokens: list[_Token], nvars: int, max_degree: int | None) -> None:
         self.tokens = tokens
         self.k = 0
         self.nvars = nvars
+        self.max_degree = max_degree
+        self.depth = 0
+
+    def check_degree(self, degree: int, tok: _Token, what: str = "degree") -> None:
+        if self.max_degree is not None and degree > self.max_degree:
+            raise VectorFieldSyntaxError(
+                tok.pos, f"{what} {degree} is above the degree limit {self.max_degree}"
+            )
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -104,8 +128,10 @@ class _Parser:
     def term(self) -> Poly:
         acc = self.factor()
         while self.peek().kind == "*":
-            self.take()
-            acc = acc * self.factor()
+            tok = self.take()
+            rhs = self.factor()
+            self.check_degree(acc.degree + rhs.degree, tok)
+            acc = acc * rhs
         return acc
 
     # factor := atom ['^' NUM]
@@ -114,7 +140,10 @@ class _Parser:
         if self.peek().kind == "^":
             self.take()
             exp = self.expect("NUM", "a nonnegative integer exponent")
-            return base ** int(exp.text)
+            k = _int(exp.text, exp.pos)
+            self.check_degree(k, exp, "exponent")
+            self.check_degree(base.degree * k, exp)
+            return base ** k
         return base
 
     # atom := NUM ['/' NUM] | VAR | '(' expr ')'
@@ -122,17 +151,18 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUM":
             self.take()
-            value = Fraction(int(tok.text))
+            value = Fraction(_int(tok.text, tok.pos))
             if self.peek().kind == "/":
                 self.take()
                 denom = self.expect("NUM", "a denominator")
-                if int(denom.text) == 0:
+                d = _int(denom.text, denom.pos)
+                if d == 0:
                     raise VectorFieldSyntaxError(denom.pos, "zero denominator")
-                value = Fraction(int(tok.text), int(denom.text))
+                value /= d
             return Poly.scalar(self.nvars, RATIONALS, value)
         if tok.kind == "VAR":
             self.take()
-            index = int(tok.text[1:])
+            index = _int(tok.text[1:], tok.pos)
             if index >= self.nvars:
                 raise VectorFieldSyntaxError(
                     tok.pos, f"variable {tok.text} out of range; dimension is {self.nvars}"
@@ -140,8 +170,12 @@ class _Parser:
             return Poly.variable(self.nvars, RATIONALS, index)
         if tok.kind == "(":
             self.take()
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise VectorFieldSyntaxError(tok.pos, f"parentheses nested deeper than {_MAX_NESTING}")
             inner = self.expr()
             self.expect(")", "a closing parenthesis")
+            self.depth -= 1
             return inner
         found = tok.text or "end of input"
         raise VectorFieldSyntaxError(
@@ -149,8 +183,8 @@ class _Parser:
         )
 
 
-def parse_component(text: str, nvars: int) -> Poly:
-    parser = _Parser(_tokenize(text), nvars)
+def parse_component(text: str, nvars: int, max_degree: int | None = None) -> Poly:
+    parser = _Parser(_tokenize(text), nvars, max_degree)
     poly = parser.expr()
     tok = parser.peek()
     if tok.kind != "END":
@@ -158,8 +192,11 @@ def parse_component(text: str, nvars: int) -> Poly:
     return poly
 
 
-def parse_vector_field(text: str, dimension: int) -> tuple[Poly, ...]:
-    """Parse ';'-separated components into polynomials over the rationals."""
+def parse_vector_field(text: str, dimension: int, max_degree: int | None = None) -> tuple[Poly, ...]:
+    """Parse ';'-separated components into polynomials over the rationals.
+
+    With ``max_degree``, a product, power or exponent above it is a syntax error.
+    """
     pieces = text.split(";")
     if len(pieces) != dimension:
         raise VectorFieldSyntaxError(
@@ -169,7 +206,7 @@ def parse_vector_field(text: str, dimension: int) -> tuple[Poly, ...]:
     offset = 0
     for piece in pieces:
         try:
-            out.append(parse_component(piece, dimension))
+            out.append(parse_component(piece, dimension, max_degree))
         except VectorFieldSyntaxError as exc:
             raise VectorFieldSyntaxError(offset + exc.position, str(exc).split(": ", 1)[1]) from None
         offset += len(piece) + 1

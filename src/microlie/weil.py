@@ -186,6 +186,13 @@ def check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
     return p
 
 
+# the domains of tangents, microsquares, microcubes and the first-order square
+LINE = InfinitesimalDomain.line()
+D2 = InfinitesimalDomain.power(2)
+D3 = InfinitesimalDomain.power(3)
+AXES2 = InfinitesimalDomain.first_order(2)
+
+
 class WeilElement:
     """An exact element of an InfinitesimalDomain's algebra.
 

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import microlie
 from microlie.cli import main
 from microlie.harness import (
     ConfigError,
@@ -13,6 +18,8 @@ from microlie.harness import (
 )
 from microlie.groupoids import PairGroupoid, TrivialGaugeGroupoid
 from microlie.liealg import bracket
+from microlie.oracles import PolyVectorField, classical_vf_bracket
+from microlie.vfexpr import format_vector_field, parse_vector_field
 
 
 def config(spec="pair:dim=2:deg=2", suite="flows", trials=5, seed=0):
@@ -174,3 +181,27 @@ class TestCli:
         code = main(["bracket", "--groupoid", "pair:dim=1", "--x", "x0 +", "--y", "x0"])
         assert code == 2
         assert "position" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["(x0+x1+x2+1)^100000; 0; 0", "x0^5000; 0; 0"])
+    def test_bracket_rejects_fields_above_degree_limit(self, field):
+        # a subprocess with a timeout, so that an expansion that hangs fails the test
+        env = dict(os.environ, PYTHONPATH=str(Path(microlie.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "microlie", "bracket", "--groupoid", "pair:dim=3"]
+            + ["--x", field, "--y", "x0; x1; x2"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert "above the degree limit 3" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bracket_accepts_degree_three(self, capsys):
+        x_text = "(x0+x1+x2+1)^3; x0*x1*x2 - 2*x1^2; 1/2*x2^3"
+        y_text = "x1; x0^2*x2; (x0 - x1)^3"
+        code = main(["bracket", "--groupoid", "pair:dim=3", "--x", x_text, "--y", y_text])
+        assert code == 0
+        x, y = (PolyVectorField(parse_vector_field(text, 3)) for text in (x_text, y_text))
+        assert capsys.readouterr().out.strip() == format_vector_field(classical_vf_bracket(x, y).components)

@@ -6,7 +6,6 @@ import pytest
 from microlie.spaces import (
     AffineSpace,
     CompatibilityError,
-    FiniteBase,
     MatrixGroup,
     MembershipError,
     WPoint,
@@ -56,26 +55,58 @@ class TestPoints:
         assert restrict_point(p, D2) == p
 
     def test_matrix_point_membership(self):
-        singular = ((WeilElement.zero(D), WeilElement.zero(D)),) * 2
-        with pytest.raises(MembershipError):
+        singular = (WeilElement.zero(D),) * 4
+        with pytest.raises(MembershipError, match="singular scalar part"):
             WPoint(MatrixGroup(2), D, singular)
 
+    def test_coordinate_count_checked(self):
+        with pytest.raises(ValueError, match="expected 4 coordinates, got 3"):
+            WPoint(MatrixGroup(2), D, (WeilElement.one(D),) * 3)
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            WPoint(A3, D, (WeilElement.one(D),) * 4)
+
     def test_matrix_restriction(self):
-        entries = [
-            [WeilElement(D2, {(): 1, (1,): 2, (1, 2): 3}), WeilElement.zero(D2)],
-            [WeilElement.zero(D2), WeilElement.one(D2)],
-        ]
+        # row-major entries of [[1 + 2 d1 + 3 d1 d2, 0], [0, 1]]
+        entries = (
+            WeilElement(D2, {(): 1, (1,): 2, (1, 2): 3}),
+            WeilElement.zero(D2),
+            WeilElement.zero(D2),
+            WeilElement.one(D2),
+        )
         p = WPoint(MatrixGroup(2), D2, entries)
         r = restrict_point(p, A2)
-        assert r.coords[0][0] == WeilElement(A2, {(): 1, (1,): 2})
+        assert r.coords[0] == WeilElement(A2, {(): 1, (1,): 2})
 
-    def test_finite_base_points_are_constant(self):
-        p = WPoint(FiniteBase(3), D2, 2)
-        assert p.index == 2
+    @pytest.mark.parametrize("space", [A3, MatrixGroup(2)])
+    def test_from_coefficients_round_trip(self, space):
+        rng = random.Random(3)
+        n = space.flat_dim
+        columns = {m: [Fraction(rng.randint(-3, 3)) for _ in range(n)] for m in D2.monomials()}
+        if isinstance(space, MatrixGroup):
+            columns[frozenset()] = [Fraction(1), Fraction(2), Fraction(0), Fraction(1)]  # invertible
+        p = WPoint.from_coefficients(space, D2, columns)
+        for m, vector in columns.items():
+            assert p.coefficient(m) == tuple(vector)
+        assert WPoint.from_coefficients(space, D2, {m: p.coefficient(m) for m in D2.monomials()}) == p
+
+    def test_from_coefficients_checks_lengths_and_membership(self):
+        with pytest.raises(ValueError, match="4 entries"):
+            WPoint.from_coefficients(MatrixGroup(2), D, {frozenset(): (1, 0, 0)})
         with pytest.raises(MembershipError):
-            WPoint(FiniteBase(3), D, WeilElement(D, {(): 1, (1,): 1}))
-        with pytest.raises(MembershipError):
-            WPoint(FiniteBase(3), D, 5)
+            WPoint.from_coefficients(MatrixGroup(2), D, {frozenset({1}): (1, 0, 0, 1)})
+
+
+def test_space_classes_share_one_interface():
+    # callers never branch on the space kind, so both classes must offer the same members
+    def members(cls):
+        return {
+            name
+            for name, value in vars(cls).items()
+            if not name.startswith("_") and (callable(value) or isinstance(value, property))
+        }
+
+    assert members(AffineSpace) == members(MatrixGroup)
+    assert {"flat_dim", "check"} <= members(AffineSpace)
 
 
 class TestStrongDifference:
@@ -97,11 +128,7 @@ class TestStrongDifference:
         d1d2 = WeilElement(D2, {(1, 2): 1})
 
         def pt(c):
-            return WPoint(
-                MatrixGroup(2),
-                D2,
-                ((one, c * d1d2), (zero, one)),
-            )
+            return WPoint(MatrixGroup(2), D2, (one, c * d1d2, zero, one))
 
         t = strong_difference(pt(4), pt(1))
         assert t.direction == (0, 3, 0, 0)
@@ -184,7 +211,7 @@ class TestRelativeStrongDifference:
 
     def _random_pair(self, rng, space, axis):
         j, k = sorted({1, 2, 3} - {axis})
-        dim = space.dim if isinstance(space, AffineSpace) else space.size ** 2
+        dim = space.flat_dim
         shared = {m: [Fraction(rng.randint(-3, 3)) for _ in range(dim)] for m in D3.monomials()}
         if isinstance(space, MatrixGroup):
             shared[frozenset()] = [Fraction(int(i == j2)) for i in range(space.size) for j2 in range(space.size)]
@@ -200,15 +227,11 @@ class TestRelativeStrongDifference:
                 cm[m] = cm[m] - delta[i]
             plus_flat.append(WeilElement(D3, cp))
             minus_flat.append(WeilElement(D3, cm))
-        if isinstance(space, MatrixGroup):
-            k2 = space.size
-            to_rows = lambda flat: tuple(tuple(flat[r * k2 + c] for c in range(k2)) for r in range(k2))
-            return WPoint(space, D3, to_rows(plus_flat)), WPoint(space, D3, to_rows(minus_flat))
         return WPoint(space, D3, tuple(plus_flat)), WPoint(space, D3, tuple(minus_flat))
 
     def test_rule_matches_curried_definition(self):
         rng = random.Random(7)
-        for space in (A3, AffineSpace(1), MatrixGroup(2)):
+        for space in (A3, AffineSpace(1), MatrixGroup(2), MatrixGroup(3)):
             for axis in (1, 2, 3):
                 for _ in range(5):
                     plus, minus = self._random_pair(rng, space, axis)
@@ -230,10 +253,6 @@ class TestTangents:
         b = tangent_from_parts(AffineSpace(1), (1,), (1,))
         with pytest.raises(ValueError):
             tangent_combine(a, b)
-
-    def test_finite_base_tangent_is_zero(self):
-        t = tangent_from_parts(FiniteBase(2), (), (), index=1)
-        assert t.is_zero
 
 
 def random_square_family(rng, count):

@@ -54,6 +54,12 @@ def test_error_reports_position_and_expectation():
         parse_vector_field("x0^x0", 1)
 
 
+def test_nesting_depth_checked():
+    assert parse_vector_field("(" * 100 + "x0" + ")" * 100, 1) == parse_vector_field("x0", 1)
+    with pytest.raises(VectorFieldSyntaxError, match="position 100: parentheses nested deeper than 100"):
+        parse_vector_field("(" * 2000 + "x0" + ")" * 2000, 1)
+
+
 def test_unknown_character():
     with pytest.raises(VectorFieldSyntaxError, match="unexpected character"):
         parse_vector_field("x0 $ 1", 1)
@@ -64,3 +70,23 @@ def test_format_round_trip():
     for text in texts:
         fields = parse_vector_field(text, 2)
         assert parse_vector_field(format_vector_field(fields), 2) == fields
+
+
+def test_degree_limit_checked_before_expansion():
+    with pytest.raises(VectorFieldSyntaxError, match="position 13: exponent 100000 is above the degree limit"):
+        parse_vector_field("(x0+x1+x2+1)^100000; 0; 0", 3, max_degree=3)
+    with pytest.raises(VectorFieldSyntaxError, match="position 4: degree 4 is above the degree limit 3"):
+        parse_vector_field("x0^2*x1^2; 0", 2, max_degree=3)
+    with pytest.raises(VectorFieldSyntaxError, match="degree 6 is above"):
+        parse_vector_field("0; (x0*x1)^3", 2, max_degree=3)
+    with pytest.raises(VectorFieldSyntaxError, match="exponent 4 is above"):
+        parse_vector_field("2^4*x0", 1, max_degree=3)
+    with pytest.raises(VectorFieldSyntaxError, match="position 3: number of 5000 digits is too long"):
+        parse_vector_field("x0^" + "1" * 5000, 1, max_degree=3)
+
+
+def test_degree_limit_allows_degree_three_and_no_limit_by_default():
+    expanded = parse_vector_field("3*x0^2 + 3*x0 + 1", 1)
+    assert parse_vector_field("(x0+1)^3 - x0^3", 1, max_degree=3) == expanded
+    (p,) = parse_vector_field("x0^5 + x0^2*x0^3", 1)
+    assert p == rational_poly(1, {(5,): 2})
