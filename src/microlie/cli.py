@@ -1,7 +1,8 @@
 """Command-line interface: law verification suites and bracket computation.
 
 Exit codes: 0 all laws pass, 1 at least one law fails, 2 usage or
-configuration error (including a ``bracket`` field above degree 3).
+configuration error (including a ``bracket`` field above degree 3, or a
+``bracket`` groupoid outside the ``verify`` bounds: dimension 1-3, ``deg`` 0-3).
 """
 
 from __future__ import annotations
@@ -68,9 +69,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bracket(args: argparse.Namespace) -> int:
-    groupoid, _ = parse_groupoid_spec(args.groupoid)
+    groupoid, degree = parse_groupoid_spec(args.groupoid)
     if not isinstance(groupoid, PairGroupoid):
         raise ConfigError("the bracket command works on the pair groupoid (pair:dim=N)")
+    problem = groupoid.bounds_error(degree)
+    if problem:
+        raise ConfigError(problem)
     x = AGSection(groupoid, parse_vector_field(args.x, groupoid.dim, MAX_FIELD_DEGREE))
     y = AGSection(groupoid, parse_vector_field(args.y, groupoid.dim, MAX_FIELD_DEGREE))
     print(format_vector_field(bracket(x, y).data))

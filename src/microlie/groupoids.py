@@ -537,12 +537,6 @@ class WSection:
     def map_coefficients(self, fn, domain: InfinitesimalDomain) -> "WSection":
         return type(self)(self.groupoid, domain, self.groupoid.map_data(self.data, fn, domain))
 
-    def restrict(self, sub: InfinitesimalDomain) -> "WSection":
-        return self.map_coefficients(lambda w: w.restrict(sub), sub)
-
-    def extend(self, sup: InfinitesimalDomain) -> "WSection":
-        return self.map_coefficients(lambda w: w.extend(sup), sup)
-
     def substitute(self, target: InfinitesimalDomain, images: Sequence[WeilElement]) -> "WSection":
         """Substitute Weil generators in every coefficient (reparametrize the family)."""
         return self.map_coefficients(lambda w: w.substitute(target, images), target)

@@ -6,6 +6,17 @@ string ``"{seed}|{suite}|{law}|{trial}"``), so a given build reproduces
 its own runs bit for bit.  Every comparison is exact rational equality;
 a precondition failure inside a law counts as a suite failure and is
 reported with a serialized counterexample.
+
+To add a law, define a function ``(env, trial) -> None`` and decorate it
+with ``@law(suite, name, anchor)``.  A report lists a suite's laws in the
+order they are defined in this module.  Draw trial data from
+``env.triple(trial)`` or ``env.rng(trial)``; the runner sets ``env.law`` to
+the law's name.  That name is the ``{law}`` part of the seed string.
+Renaming a law therefore changes the data its trials see, and so its
+report.  A law that needs a second independent stream asks for
+``env.rng(trial, "<name>-<purpose>")``.  Take every bracket from
+``env.bracket_fn``, so that ``--mutate`` reaches it.  A law fails by
+raising ``LawViolation(**counterexample)``; the runner adds the trial index.
 """
 
 from __future__ import annotations
@@ -90,6 +101,8 @@ def parse_groupoid_spec(text: str) -> tuple[GroupoidInstance, int]:
         if "=" not in piece:
             raise ConfigError(f"malformed groupoid option {piece!r} in {text!r}")
         key, _, value = piece.partition("=")
+        if key in options:
+            raise ConfigError(f"repeated groupoid option {key!r} in {text!r}")
         try:
             options[key] = int(value)
         except ValueError:
@@ -161,19 +174,14 @@ class Report:
 
 
 class LawViolation(Exception):
-    def __init__(self, details: dict) -> None:
-        super().__init__(str(details))
-        self.details = details
+    """A law failed; ``details`` is the counterexample, every value as a string."""
+
+    def __init__(self, **data) -> None:
+        self.details = {key: str(value) for key, value in data.items()}
+        super().__init__(str(self.details))
 
 
-# -- deterministic generation ------------------------------------------------------------
-
-
-def _rng(seed: int, suite: str, law: str, trial: int) -> random.Random:
-    return random.Random(f"{seed}|{suite}|{law}|{trial}")
-
-
-# -- law environment ------------------------------------------------------------------------
+# -- law environment and registry ---------------------------------------------------------------
 
 
 BracketFn = Callable[[AGSection, AGSection], AGSection]
@@ -184,18 +192,20 @@ class LawEnv:
     config: SuiteConfig
     suite: str
     bracket_fn: BracketFn
+    law: str = ""  # set by run_suite before each law's trials
 
-    def rng(self, law: str, trial: int) -> random.Random:
-        return _rng(self.config.seed, self.suite, law, trial)
+    def rng(self, trial: int, stream: str | None = None) -> random.Random:
+        """The trial's generator; ``stream`` names a second one in place of the law."""
+        return random.Random(f"{self.config.seed}|{self.suite}|{stream or self.law}|{trial}")
 
-    def triple(self, law: str, trial: int) -> tuple[AGSection, AGSection, AGSection]:
+    def triple(self, trial: int) -> tuple[AGSection, AGSection, AGSection]:
         """Deterministic trial data: three Lie algebroid sections.
 
         Trials 0 and 1 are pinned degenerate strata (all zero; all equal);
         the rest are independent samples.
         """
         cfg = self.config
-        rng = self.rng(law, trial)
+        rng = self.rng(trial)
         if trial == 0:
             z = AGSection.zero(cfg.groupoid)
             return z, z, z
@@ -216,89 +226,115 @@ class LawEnv:
         return cfg.groupoid.random_bisection(rng, domain, cfg.degree, cfg.coeff_bound, scalar_exact)
 
 
-def _fail(trial: int, **data) -> LawViolation:
-    details = {"trial": trial}
-    details.update({k: str(v) for k, v in data.items()})
-    return LawViolation(details)
+LawFn = Callable[[LawEnv, int], None]
+
+
+@dataclass(frozen=True)
+class Law:
+    name: str
+    anchor: str
+    run: LawFn
+
+
+SUITES: dict[str, list[Law]] = {suite: [] for suite in SUITE_IDS}
+
+
+def law(suite: str, name: str, anchor: str) -> Callable[[LawFn], LawFn]:
+    """Register the decorated function as a law of ``suite``; reports list laws in definition order."""
+
+    def register(run: LawFn) -> LawFn:
+        SUITES[suite].append(Law(name, anchor, run))
+        return run
+
+    return register
 
 
 # -- flow laws -------------------------------------------------------------------------------
 
 
+@law("flows", "flow-zero", "flow law: the flow at 0 is the identity section")
 def _law_flow_zero(env: LawEnv, trial: int) -> None:
-    x, _, _ = env.triple("flow-zero", trial)
+    x, _, _ = env.triple(trial)
     flow = section_at(x, WeilElement.zero(LINE))
     if flow != WSection.identity(x.groupoid, LINE):
-        raise _fail(trial, X=x, flow=flow)
+        raise LawViolation(X=x, flow=flow)
 
 
+@law("flows", "flow-additivity", "flow law: additivity over the commuting square")
 def _law_flow_additivity(env: LawEnv, trial: int) -> None:
-    x, _, _ = env.triple("flow-additivity", trial)
+    x, _, _ = env.triple(trial)
     d1 = WeilElement.generator(AXES2, 1)
     d2 = WeilElement.generator(AXES2, 2)
     combined = section_at(x, d1 + d2)
     split = star(section_at(x, d1), section_at(x, d2))
     if combined != split:
-        raise _fail(trial, X=x, combined=combined, split=split)
+        raise LawViolation(X=x, combined=combined, split=split)
 
 
+@law("flows", "flow-inverse", "inverse law: X_d * X_{-d} = id")
 def _law_flow_inverse(env: LawEnv, trial: int) -> None:
-    x, _, _ = env.triple("flow-inverse", trial)
+    x, _, _ = env.triple(trial)
     d = WeilElement.generator(LINE, 1)
     ident = WSection.identity(x.groupoid, LINE)
     if star(section_at(x, d), section_at(x, -d)) != ident:
-        raise _fail(trial, X=x, side="right")
+        raise LawViolation(X=x, side="right")
     if star(section_at(x, -d), section_at(x, d)) != ident:
-        raise _fail(trial, X=x, side="left")
+        raise LawViolation(X=x, side="left")
 
 
+@law("flows", "bisection-inverse", "inverse law: invert(X_d) = X_{-d}")
 def _law_bisection_inverse(env: LawEnv, trial: int) -> None:
-    x, _, _ = env.triple("bisection-inverse", trial)
+    x, _, _ = env.triple(trial)
     d = WeilElement.generator(LINE, 1)
     if invert_bisection(section_at(x, d)) != section_at(x, -d):
-        raise _fail(trial, X=x)
+        raise LawViolation(X=x)
 
 
 # -- module laws -----------------------------------------------------------------------------
 
 
+@law("module", "addition-flow", "module law: (X+Y)_d = X_d * Y_d = Y_d * X_d")
 def _law_addition_flow(env: LawEnv, trial: int) -> None:
-    x, y, _ = env.triple("addition-flow", trial)
+    x, y, _ = env.triple(trial)
     d = WeilElement.generator(LINE, 1)
     combined = section_at(x + y, d)
     xy = star(section_at(x, d), section_at(y, d))
     yx = star(section_at(y, d), section_at(x, d))
     if combined != xy or combined != yx:
-        raise _fail(trial, X=x, Y=y, combined=combined, xy=xy, yx=yx)
+        raise LawViolation(X=x, Y=y, combined=combined, xy=xy, yx=yx)
 
 
+@law("module", "infinitesimal-commutation", "module law: X_{d1} and Y_{d2} commute on the commuting square")
 def _law_infinitesimal_commutation(env: LawEnv, trial: int) -> None:
-    x, y, _ = env.triple("infinitesimal-commutation", trial)
+    x, y, _ = env.triple(trial)
     d1 = WeilElement.generator(AXES2, 1)
     d2 = WeilElement.generator(AXES2, 2)
     if star(section_at(x, d1), section_at(y, d2)) != star(section_at(y, d2), section_at(x, d1)):
-        raise _fail(trial, X=x, Y=y)
+        raise LawViolation(X=x, Y=y)
 
 
+@law("module", "scaling-flow", "module law: (aX)_d = X_{ad}")
 def _law_scaling_flow(env: LawEnv, trial: int) -> None:
-    x, _, _ = env.triple("scaling-flow", trial)
-    a = _rand_int(env.rng("scaling-flow-coeff", trial), env.config.coeff_bound)
+    x, _, _ = env.triple(trial)
+    a = _rand_int(env.rng(trial, "scaling-flow-coeff"), env.config.coeff_bound)
     d = WeilElement.generator(LINE, 1)
     if section_at(x.scaled(a), d) != section_at(x, a * d):
-        raise _fail(trial, X=x, a=a)
+        raise LawViolation(X=x, a=a)
 
 
+@law("module", "two-sided-inverse", "bisection group law: sigma and its inverse compose to id both ways")
 def _law_two_sided_inverse(env: LawEnv, trial: int) -> None:
-    rng = env.rng("two-sided-inverse", trial)
+    rng = env.rng(trial)
     sigma = env.bisection(rng, D2)
     tau = invert_bisection(sigma)
     ident = WSection.identity(sigma.groupoid, D2)
     if star(sigma, tau) != ident or star(tau, sigma) != ident:
-        raise _fail(trial, sigma=sigma)
+        raise LawViolation(sigma=sigma)
 
 
+@law("module", "star-defining-formula", "section product: (sigma*rho)(x) = sigma(beta(rho(x))) . rho(x)")
 def _law_star_defining_formula(env: LawEnv, trial: int) -> None:
-    rng = env.rng("star-defining-formula", trial)
+    rng = env.rng(trial)
     sigma = env.section(rng, D2)
     rho = env.section(rng, D2)
     product = star(sigma, rho)
@@ -306,30 +342,32 @@ def _law_star_defining_formula(env: LawEnv, trial: int) -> None:
     for x in g.base_points(rng, D2, env.config.coeff_bound):
         rho_arrow = rho.arrow_at(x)
         if product.arrow_at(x) != compose_arrows(sigma.arrow_at(g.beta(rho_arrow)), rho_arrow):
-            raise _fail(trial, sigma=sigma, rho=rho, at=x)
+            raise LawViolation(sigma=sigma, rho=rho, at=x)
 
 
+@law("module", "star-associativity", "section monoid: associativity and identity")
 def _law_star_associativity(env: LawEnv, trial: int) -> None:
-    rng = env.rng("star-associativity", trial)
+    rng = env.rng(trial)
     a = env.section(rng, D2)
     b = env.section(rng, D2)
     c = env.section(rng, D2)
     if star(star(a, b), c) != star(a, star(b, c)):
-        raise _fail(trial, a=a, b=b, c=c)
+        raise LawViolation(a=a, b=b, c=c)
     ident = WSection.identity(env.config.groupoid, D2)
     if star(ident, a) != a or star(a, ident) != a:
-        raise _fail(trial, a=a, detail="identity law")
+        raise LawViolation(a=a, detail="identity law")
 
 
+@law("module", "beta-functoriality", "target maps compose: beta(sigma*rho) = beta(sigma) o beta(rho)")
 def _law_beta_functoriality(env: LawEnv, trial: int) -> None:
-    rng = env.rng("beta-functoriality", trial)
+    rng = env.rng(trial)
     sigma = env.section(rng, D2)
     rho = env.section(rng, D2)
     product = star(sigma, rho)
     g = env.config.groupoid
     for x in g.base_points(rng, D2, env.config.coeff_bound):
         if g.beta(product.arrow_at(x)) != g.beta(sigma.arrow_at(g.beta(rho.arrow_at(x)))):
-            raise _fail(trial, sigma=sigma, rho=rho, at=x)
+            raise LawViolation(sigma=sigma, rho=rho, at=x)
 
 
 _RING_DOMAINS = (
@@ -341,8 +379,9 @@ _RING_DOMAINS = (
 )
 
 
+@law("module", "ring-laws", "engine: exact ring laws of the nilpotent algebra")
 def _law_ring_laws(env: LawEnv, trial: int) -> None:
-    rng = env.rng("ring-laws", trial)
+    rng = env.rng(trial)
     domain = _RING_DOMAINS[trial % len(_RING_DOMAINS)]
     bound = env.config.coeff_bound
     a = _rand_element(rng, domain, bound)
@@ -367,7 +406,7 @@ def _law_ring_laws(env: LawEnv, trial: int) -> None:
         checks[f"zero monomial {sorted(z)}"] = not prod.coeffs
     bad = [name for name, holds in checks.items() if not holds]
     if bad:
-        raise _fail(trial, domain=domain, a=a, b=b, c=c, failed=bad)
+        raise LawViolation(domain=domain, a=a, b=b, c=c, failed=bad)
 
 
 def _substitution_maps(rng: random.Random, bound: int):
@@ -382,8 +421,9 @@ def _substitution_maps(rng: random.Random, bound: int):
     yield D2, D2, [d1 * r(), d2 * r() + d1 * d2 * r()]
 
 
+@law("module", "substitution-homomorphism", "engine: generator substitution is an algebra homomorphism")
 def _law_substitution_homomorphism(env: LawEnv, trial: int) -> None:
-    rng = env.rng("substitution-homomorphism", trial)
+    rng = env.rng(trial)
     bound = env.config.coeff_bound
     for source, target, images in _substitution_maps(rng, bound):
         a = _rand_element(rng, source, bound)
@@ -395,108 +435,121 @@ def _law_substitution_homomorphism(env: LawEnv, trial: int) -> None:
             target, images
         )
         if not (mul_ok and add_ok):
-            raise _fail(trial, source=source, target=target, a=a, b=b)
+            raise LawViolation(source=source, target=target, a=a, b=b)
 
 
+@law("module", "restriction-composition", "engine: coarsening twice equals coarsening once")
 def _law_restriction_composition(env: LawEnv, trial: int) -> None:
-    rng = env.rng("restriction-composition", trial)
+    rng = env.rng(trial)
     mid = InfinitesimalDomain(3, [(1, 2)])
     coarse = InfinitesimalDomain.first_order(3)
     a = _rand_element(rng, D3, env.config.coeff_bound)
     if a.restrict(mid).restrict(coarse) != a.restrict(coarse):
-        raise _fail(trial, a=a)
+        raise LawViolation(a=a)
     if a.restrict(D3) != a:
-        raise _fail(trial, a=a, detail="restrict to same domain is not the identity")
+        raise LawViolation(a=a, detail="restrict to same domain is not the identity")
 
 
 # -- bracket laws ------------------------------------------------------------------------------
 
 
+@law("bracket", "commutator-axes", "commutator square restricts to id on both axes")
 def _law_commutator_axes(env: LawEnv, trial: int) -> None:
-    x, y, _ = env.triple("commutator-axes", trial)
+    x, y, _ = env.triple(trial)
     liealg.commutator_square(x, y)  # raises AxisCheckError on failure
 
 
+@law("bracket", "bracket-definition", "bracket flow at d1*d2 equals the commutator square")
 def _law_bracket_definition(env: LawEnv, trial: int) -> None:
-    x, y, _ = env.triple("bracket-definition", trial)
+    x, y, _ = env.triple(trial)
     b = env.bracket_fn(x, y)
     d1d2 = WeilElement.generator(D2, 1) * WeilElement.generator(D2, 2)
     if section_at(b, d1d2) != liealg.commutator_square(x, y).square:
-        raise _fail(trial, X=x, Y=y, bracket=b)
+        raise LawViolation(X=x, Y=y, bracket=b)
 
 
+@law("bracket", "bracket-scaling", "Lie algebra law: [aX,Y] = a[X,Y]")
 def _law_bracket_scaling(env: LawEnv, trial: int) -> None:
-    x, y, _ = env.triple("bracket-scaling", trial)
-    a = _rand_int(env.rng("bracket-scaling-coeff", trial), env.config.coeff_bound)
+    x, y, _ = env.triple(trial)
+    a = _rand_int(env.rng(trial, "bracket-scaling-coeff"), env.config.coeff_bound)
     if env.bracket_fn(x.scaled(a), y) != env.bracket_fn(x, y).scaled(a):
-        raise _fail(trial, X=x, Y=y, a=a)
+        raise LawViolation(X=x, Y=y, a=a)
 
 
+@law("bracket", "bracket-additivity", "Lie algebra law: [X+Y,Z] = [X,Z] + [Y,Z]")
 def _law_bracket_additivity(env: LawEnv, trial: int) -> None:
-    x, y, z = env.triple("bracket-additivity", trial)
+    x, y, z = env.triple(trial)
     lhs = env.bracket_fn(x + y, z)
     rhs = env.bracket_fn(x, z) + env.bracket_fn(y, z)
     if lhs != rhs:
-        raise _fail(trial, X=x, Y=y, Z=z, lhs=lhs, rhs=rhs)
+        raise LawViolation(X=x, Y=y, Z=z, lhs=lhs, rhs=rhs)
 
 
+@law("bracket", "bracket-antisymmetry", "Lie algebra law: [X,Y] = -[Y,X]")
 def _law_bracket_antisymmetry(env: LawEnv, trial: int) -> None:
-    x, y, _ = env.triple("bracket-antisymmetry", trial)
+    x, y, _ = env.triple(trial)
     if env.bracket_fn(x, y) != -env.bracket_fn(y, x):
-        raise _fail(trial, X=x, Y=y)
+        raise LawViolation(X=x, Y=y)
 
 
+@law("bracket", "jacobi-identity", "Lie algebra law: the Jacobi identity")
 def _law_jacobi_identity(env: LawEnv, trial: int) -> None:
-    x, y, z = env.triple("jacobi-identity", trial)
+    x, y, z = env.triple(trial)
     b = env.bracket_fn
     total = b(x, b(y, z)) + b(y, b(z, x)) + b(z, b(x, y))
     if total != AGSection.zero(env.config.groupoid):
-        raise _fail(trial, X=x, Y=y, Z=z, total=total)
+        raise LawViolation(X=x, Y=y, Z=z, total=total)
 
 
 # -- Lie derivative laws --------------------------------------------------------------------------
 
 
+@law("liederiv", "lie-derivative-equals-bracket", "Lie derivative theorem: L_X Y = [X,Y]")
 def _law_lie_derivative_equals_bracket(env: LawEnv, trial: int) -> None:
-    x, y, _ = env.triple("lie-derivative-equals-bracket", trial)
+    x, y, _ = env.triple(trial)
     lhs = liealg.lie_derivative(x, y)
     rhs = env.bracket_fn(x, y)
     if lhs != rhs:
-        raise _fail(trial, X=x, Y=y, lie_derivative=lhs, bracket=rhs)
+        raise LawViolation(X=x, Y=y, lie_derivative=lhs, bracket=rhs)
 
 
+@law("liederiv", "leibniz-rule", "Leibniz rule: L_X[Y,Z] = [L_X Y, Z] + [Y, L_X Z]")
 def _law_leibniz_rule(env: LawEnv, trial: int) -> None:
-    x, y, z = env.triple("leibniz-rule", trial)
-    lhs = liealg.lie_derivative(x, liealg.bracket(y, z))
-    rhs = liealg.bracket(liealg.lie_derivative(x, y), z) + liealg.bracket(y, liealg.lie_derivative(x, z))
+    x, y, z = env.triple(trial)
+    b = env.bracket_fn
+    lhs = liealg.lie_derivative(x, b(y, z))
+    rhs = b(liealg.lie_derivative(x, y), z) + b(y, liealg.lie_derivative(x, z))
     if lhs != rhs:
-        raise _fail(trial, X=x, Y=y, Z=z, lhs=lhs, rhs=rhs)
+        raise LawViolation(X=x, Y=y, Z=z, lhs=lhs, rhs=rhs)
 
 
+@law("liederiv", "pushforward-identity", "pushforward along the identity bisection")
 def _law_pushforward_identity(env: LawEnv, trial: int) -> None:
-    x, _, _ = env.triple("pushforward-identity", trial)
+    x, _, _ = env.triple(trial)
     ident = WSection.identity(env.config.groupoid, LINE)
     if liealg.pushforward(ident, x) != x:
-        raise _fail(trial, X=x)
+        raise LawViolation(X=x)
 
 
+@law("liederiv", "pushforward-bracket", "pushforward distributes over the bracket")
 def _law_pushforward_bracket(env: LawEnv, trial: int) -> None:
-    _, y, z = env.triple("pushforward-bracket", trial)
-    rng = env.rng("pushforward-bracket-bisection", trial)
+    _, y, z = env.triple(trial)
+    rng = env.rng(trial, "pushforward-bracket-bisection")
     sigma = env.bisection(rng, LINE, scalar_exact=True)
     lhs = liealg.pushforward(sigma, env.bracket_fn(y, z))
     rhs = env.bracket_fn(liealg.pushforward(sigma, y), liealg.pushforward(sigma, z))
     if lhs != rhs:
-        raise _fail(trial, sigma=sigma, Y=y, Z=z, lhs=lhs, rhs=rhs)
+        raise LawViolation(sigma=sigma, Y=y, Z=z, lhs=lhs, rhs=rhs)
 
 
+@law("liederiv", "derived-jacobi", "Jacobi identity, Leibniz form")
 def _law_derived_jacobi(env: LawEnv, trial: int) -> None:
-    x, y, z = env.triple("derived-jacobi", trial)
+    x, y, z = env.triple(trial)
     b = env.bracket_fn
     lhs = b(x, b(y, z))
     rhs = b(b(x, y), z) + b(y, b(x, z))
     if lhs != rhs:
-        raise _fail(trial, X=x, Y=y, Z=z, lhs=lhs, rhs=rhs)
+        raise LawViolation(X=x, Y=y, Z=z, lhs=lhs, rhs=rhs)
 
 
 # -- strong difference laws --------------------------------------------------------------------------
@@ -528,8 +581,9 @@ def _rand_square_family(rng: random.Random, space, bound: int, count: int) -> li
     ]
 
 
+@law("strongdiff", "cocycle-identity", "cocycle law for microsquare differences")
 def _law_cocycle_identity(env: LawEnv, trial: int) -> None:
-    rng = env.rng("cocycle-identity", trial)
+    rng = env.rng(trial)
     for space in env.config.groupoid.sample_spaces():
         g1, g2, g3 = _rand_square_family(rng, space, env.config.coeff_bound, 3)
         total = tangent_combine(
@@ -537,17 +591,18 @@ def _law_cocycle_identity(env: LawEnv, trial: int) -> None:
             strong_difference(g3, g1),
         )
         if not total.is_zero:
-            raise _fail(trial, space=space, total=total)
+            raise LawViolation(space=space, total=total)
 
 
+@law("strongdiff", "axis-recovery", "strong difference recovers the top coefficient")
 def _law_axis_recovery(env: LawEnv, trial: int) -> None:
-    rng = env.rng("axis-recovery", trial)
+    rng = env.rng(trial)
     for space in env.config.groupoid.sample_spaces():
         gamma = _rand_square_family(rng, space, env.config.coeff_bound, 1)[0]
         flattened = extend_point(restrict_point(gamma, AXES2), D2)
         t = strong_difference(gamma, flattened)
         if t.direction != gamma.coefficient({1, 2}):
-            raise _fail(trial, space=space, gamma=gamma, tangent=t)
+            raise LawViolation(space=space, gamma=gamma, tangent=t)
 
 
 def _rand_cube_pair(rng: random.Random, space, bound: int, axis: int) -> tuple[WPoint, WPoint]:
@@ -565,15 +620,20 @@ def _rand_cube_pair(rng: random.Random, space, bound: int, axis: int) -> tuple[W
     return WPoint.from_coefficients(space, D3, shared), WPoint.from_coefficients(space, D3, minus)
 
 
+@law(
+    "strongdiff",
+    "relative-difference-equivalence",
+    "relativized difference: coefficient rule vs curried definition",
+)
 def _law_relative_difference_equivalence(env: LawEnv, trial: int) -> None:
-    rng = env.rng("relative-difference-equivalence", trial)
+    rng = env.rng(trial)
     for space in env.config.groupoid.sample_spaces():
         for axis in (1, 2, 3):
             plus, minus = _rand_cube_pair(rng, space, env.config.coeff_bound, axis)
             fast = relative_strong_difference(axis, plus, minus)
             slow = relative_strong_difference_curried(axis, plus, minus)
             if fast != slow:
-                raise _fail(trial, space=space, axis=axis, plus=plus, minus=minus)
+                raise LawViolation(space=space, axis=axis, plus=plus, minus=minus)
 
 
 _SIX_KEYS = ("123", "132", "213", "231", "312", "321")
@@ -629,20 +689,22 @@ def _general_jacobi_expressions(cubes: dict[str, WPoint]) -> tuple[Tangent, Tang
     return e1, e2, e3
 
 
+@law("strongdiff", "general-jacobi-random", "general Jacobi law on compatible six-tuples of microcubes")
 def _law_general_jacobi_random(env: LawEnv, trial: int) -> None:
-    rng = env.rng("general-jacobi-random", trial)
+    rng = env.rng(trial)
     cubes = _rand_compatible_six(rng, env.config.coeff_bound)
     e1, e2, e3 = _general_jacobi_expressions(cubes)
     total = tangent_combine(tangent_combine(e1, e2), e3)
     if not total.is_zero:
-        raise _fail(trial, total=total, **{k: cubes[k] for k in _SIX_KEYS})
+        raise LawViolation(total=total, **{k: cubes[k] for k in _SIX_KEYS})
 
 
 # -- second Jacobi route ------------------------------------------------------------------------------
 
 
+@law("jacobi2", "sigma-convention", "permutation action: the pinned argument convention on flow cubes")
 def _law_sigma_convention(env: LawEnv, trial: int) -> None:
-    x, y, z = env.triple("sigma-convention", trial)
+    x, y, z = env.triple(trial)
     cubes = liealg.six_microcubes(x, y, z)
     d1 = WeilElement.generator(D3, 1)
     d2 = WeilElement.generator(D3, 2)
@@ -652,29 +714,31 @@ def _law_sigma_convention(env: LawEnv, trial: int) -> None:
         a, b, c = (int(ch) for ch in key)
         word = star(flows[c], star(flows[b], flows[a]))
         if cube != word:
-            raise _fail(trial, X=x, Y=y, Z=z, cube=key)
+            raise LawViolation(X=x, Y=y, Z=z, cube=key)
 
 
+@law("jacobi2", "lambda-witness", "second Jacobi route: witness on the restricted cube domain")
 def _law_lambda_witness(env: LawEnv, trial: int) -> None:
-    x, y, _ = env.triple("lambda-witness", trial)
+    x, y, _ = env.triple(trial)
     liealg.lambda_witness(x, y)  # substitution checks run inside
 
 
+@law(
+    "jacobi2",
+    "bracket-strong-difference",
+    "second Jacobi route: [X,Y] as a strong difference of flow squares",
+)
 def _law_bracket_strong_difference(env: LawEnv, trial: int) -> None:
-    x, y, _ = env.triple("bracket-strong-difference", trial)
+    x, y, _ = env.triple(trial)
     via_difference = liealg.bracket_via_strong_difference(x, y)
     via_commutator = env.bracket_fn(x, y)
     if via_difference != via_commutator:
-        raise _fail(trial, X=x, Y=y, difference_route=via_difference, commutator_route=via_commutator)
+        raise LawViolation(X=x, Y=y, difference_route=via_difference, commutator_route=via_commutator)
 
 
-def _six_cube_tangents(x, y, z):
+def _six_cube_tangents(b: BracketFn, x, y, z):
     cubes = liealg.six_microcubes(x, y, z)
-    nested = (
-        liealg.bracket(x, liealg.bracket(y, z)),
-        liealg.bracket(y, liealg.bracket(z, x)),
-        liealg.bracket(z, liealg.bracket(x, y)),
-    )
+    nested = (b(x, b(y, z)), b(y, b(z, x)), b(z, b(x, y)))
     d = WeilElement.generator(LINE, 1)
     chart = SectionChart.for_sections(*cubes, *(section_at(b, d) for b in nested))
     points = {key: chart.to_point(cube) for key, cube in zip(_SIX_KEYS, cubes)}
@@ -683,28 +747,31 @@ def _six_cube_tangents(x, y, z):
     return expressions, targets
 
 
+@law("jacobi2", "six-cube-identities", "second Jacobi route: the three nested-bracket identities")
 def _law_six_cube_identities(env: LawEnv, trial: int) -> None:
-    x, y, z = env.triple("six-cube-identities", trial)
-    expressions, targets = _six_cube_tangents(x, y, z)
+    x, y, z = env.triple(trial)
+    expressions, targets = _six_cube_tangents(env.bracket_fn, x, y, z)
     labels = ("[X,[Y,Z]]", "[Y,[Z,X]]", "[Z,[X,Y]]")
     for label, expr, target in zip(labels, expressions, targets):
         if expr != target:
-            raise _fail(trial, X=x, Y=y, Z=z, identity=label, expression=expr, bracket=target)
+            raise LawViolation(X=x, Y=y, Z=z, identity=label, expression=expr, bracket=target)
 
 
+@law("jacobi2", "six-cube-jacobi", "general Jacobi law on the six flow cubes")
 def _law_six_cube_jacobi(env: LawEnv, trial: int) -> None:
-    x, y, z = env.triple("six-cube-jacobi", trial)
-    expressions, _ = _six_cube_tangents(x, y, z)
+    x, y, z = env.triple(trial)
+    expressions, _ = _six_cube_tangents(env.bracket_fn, x, y, z)
     total = tangent_combine(tangent_combine(expressions[0], expressions[1]), expressions[2])
     if not total.is_zero:
-        raise _fail(trial, X=x, Y=y, Z=z, total=total)
+        raise LawViolation(X=x, Y=y, Z=z, total=total)
 
 
 # -- degeneration oracles ------------------------------------------------------------------------------
 
 
+@law("oracle", "oracle-self-consistency", "classical oracle: antisymmetry and Jacobi hold")
 def _law_oracle_self_consistency(env: LawEnv, trial: int) -> None:
-    x, y, z = env.triple("oracle-self-consistency", trial)
+    x, y, z = env.triple(trial)
     g = env.config.groupoid
 
     def br(a: AGSection, b: AGSection) -> AGSection:
@@ -713,147 +780,19 @@ def _law_oracle_self_consistency(env: LawEnv, trial: int) -> None:
     anti = br(x, y) == -br(y, x)
     jac = br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y)) == AGSection.zero(g)
     if not (anti and jac):
-        raise _fail(trial, X=x, Y=y, Z=z, antisymmetry=anti, jacobi=jac)
+        raise LawViolation(X=x, Y=y, Z=z, antisymmetry=anti, jacobi=jac)
 
 
+@law("oracle", "bracket-degeneration", "degeneration: groupoid bracket equals the classical bracket")
 def _law_bracket_degeneration(env: LawEnv, trial: int) -> None:
-    x, y, _ = env.triple("bracket-degeneration", trial)
+    x, y, _ = env.triple(trial)
     ours = env.bracket_fn(x, y)
     expected = env.config.groupoid.oracle_bracket(x.data, y.data)
     if ours.data != expected:
-        raise _fail(trial, X=x, Y=y, groupoid_bracket=ours, classical=expected)
+        raise LawViolation(X=x, Y=y, groupoid_bracket=ours, classical=expected)
 
 
-# -- registry and runner ------------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Law:
-    name: str
-    anchor: str
-    run: Callable[[LawEnv, int], None]
-
-
-SUITES: dict[str, tuple[Law, ...]] = {
-    "flows": (
-        Law("flow-zero", "flow law: the flow at 0 is the identity section", _law_flow_zero),
-        Law("flow-additivity", "flow law: additivity over the commuting square", _law_flow_additivity),
-        Law("flow-inverse", "inverse law: X_d * X_{-d} = id", _law_flow_inverse),
-        Law("bisection-inverse", "inverse law: invert(X_d) = X_{-d}", _law_bisection_inverse),
-    ),
-    "module": (
-        Law("addition-flow", "module law: (X+Y)_d = X_d * Y_d = Y_d * X_d", _law_addition_flow),
-        Law(
-            "infinitesimal-commutation",
-            "module law: X_{d1} and Y_{d2} commute on the commuting square",
-            _law_infinitesimal_commutation,
-        ),
-        Law("scaling-flow", "module law: (aX)_d = X_{ad}", _law_scaling_flow),
-        Law(
-            "two-sided-inverse",
-            "bisection group law: sigma and its inverse compose to id both ways",
-            _law_two_sided_inverse,
-        ),
-        Law(
-            "star-defining-formula",
-            "section product: (sigma*rho)(x) = sigma(beta(rho(x))) . rho(x)",
-            _law_star_defining_formula,
-        ),
-        Law("star-associativity", "section monoid: associativity and identity", _law_star_associativity),
-        Law(
-            "beta-functoriality",
-            "target maps compose: beta(sigma*rho) = beta(sigma) o beta(rho)",
-            _law_beta_functoriality,
-        ),
-        Law("ring-laws", "engine: exact ring laws of the nilpotent algebra", _law_ring_laws),
-        Law(
-            "substitution-homomorphism",
-            "engine: generator substitution is an algebra homomorphism",
-            _law_substitution_homomorphism,
-        ),
-        Law(
-            "restriction-composition",
-            "engine: coarsening twice equals coarsening once",
-            _law_restriction_composition,
-        ),
-    ),
-    "bracket": (
-        Law("commutator-axes", "commutator square restricts to id on both axes", _law_commutator_axes),
-        Law(
-            "bracket-definition",
-            "bracket flow at d1*d2 equals the commutator square",
-            _law_bracket_definition,
-        ),
-        Law("bracket-scaling", "Lie algebra law: [aX,Y] = a[X,Y]", _law_bracket_scaling),
-        Law("bracket-additivity", "Lie algebra law: [X+Y,Z] = [X,Z] + [Y,Z]", _law_bracket_additivity),
-        Law("bracket-antisymmetry", "Lie algebra law: [X,Y] = -[Y,X]", _law_bracket_antisymmetry),
-        Law("jacobi-identity", "Lie algebra law: the Jacobi identity", _law_jacobi_identity),
-    ),
-    "liederiv": (
-        Law(
-            "lie-derivative-equals-bracket",
-            "Lie derivative theorem: L_X Y = [X,Y]",
-            _law_lie_derivative_equals_bracket,
-        ),
-        Law("leibniz-rule", "Leibniz rule: L_X[Y,Z] = [L_X Y, Z] + [Y, L_X Z]", _law_leibniz_rule),
-        Law("pushforward-identity", "pushforward along the identity bisection", _law_pushforward_identity),
-        Law(
-            "pushforward-bracket",
-            "pushforward distributes over the bracket",
-            _law_pushforward_bracket,
-        ),
-        Law("derived-jacobi", "Jacobi identity, Leibniz form", _law_derived_jacobi),
-    ),
-    "strongdiff": (
-        Law("cocycle-identity", "cocycle law for microsquare differences", _law_cocycle_identity),
-        Law("axis-recovery", "strong difference recovers the top coefficient", _law_axis_recovery),
-        Law(
-            "relative-difference-equivalence",
-            "relativized difference: coefficient rule vs curried definition",
-            _law_relative_difference_equivalence,
-        ),
-        Law(
-            "general-jacobi-random",
-            "general Jacobi law on compatible six-tuples of microcubes",
-            _law_general_jacobi_random,
-        ),
-    ),
-    "jacobi2": (
-        Law(
-            "sigma-convention",
-            "permutation action: the pinned argument convention on flow cubes",
-            _law_sigma_convention,
-        ),
-        Law(
-            "lambda-witness",
-            "second Jacobi route: witness on the restricted cube domain",
-            _law_lambda_witness,
-        ),
-        Law(
-            "bracket-strong-difference",
-            "second Jacobi route: [X,Y] as a strong difference of flow squares",
-            _law_bracket_strong_difference,
-        ),
-        Law(
-            "six-cube-identities",
-            "second Jacobi route: the three nested-bracket identities",
-            _law_six_cube_identities,
-        ),
-        Law("six-cube-jacobi", "general Jacobi law on the six flow cubes", _law_six_cube_jacobi),
-    ),
-    "oracle": (
-        Law(
-            "oracle-self-consistency",
-            "classical oracle: antisymmetry and Jacobi hold",
-            _law_oracle_self_consistency,
-        ),
-        Law(
-            "bracket-degeneration",
-            "degeneration: groupoid bracket equals the classical bracket",
-            _law_bracket_degeneration,
-        ),
-    ),
-}
+# -- runner --------------------------------------------------------------------------------------------
 
 
 def _mutated_bracket(x: AGSection, y: AGSection) -> AGSection:
@@ -869,20 +808,20 @@ def run_suite(config: SuiteConfig, mutation: str = "none") -> Report:
     report = Report(config.suite, config.groupoid_spec, config.seed, config.trials)
     for suite_id in suite_ids:
         env = LawEnv(config, suite_id, bracket_fn)
-        for law in SUITES[suite_id]:
-            if config.trials == 0:
-                continue
-            record = CaseRecord(law.name, law.anchor, "pass")
-            for trial in range(config.trials):
-                try:
-                    law.run(env, trial)
-                except LawViolation as violation:
-                    record.status = "fail"
-                    record.counterexample = violation.details
-                    break
-                except Exception as exc:  # precondition failures are suite failures
-                    record.status = "fail"
-                    record.counterexample = {"trial": trial, "error": f"{type(exc).__name__}: {exc}"}
-                    break
-            report.cases.append(record)
+        for entry in SUITES[suite_id] if config.trials else ():
+            env.law = entry.name
+            counterexample = _first_counterexample(entry.run, env, config.trials)
+            status = "pass" if counterexample is None else "fail"
+            report.cases.append(CaseRecord(entry.name, entry.anchor, status, counterexample))
     return report
+
+
+def _first_counterexample(run: LawFn, env: LawEnv, trials: int) -> dict | None:
+    for trial in range(trials):
+        try:
+            run(env, trial)
+        except LawViolation as violation:
+            return {"trial": trial, **violation.details}
+        except Exception as exc:  # precondition failures are suite failures
+            return {"trial": trial, "error": f"{type(exc).__name__}: {exc}"}
+    return None

@@ -294,14 +294,6 @@ class WeilElement:
     def __rmul__(self, other: Rational) -> "WeilElement":
         return self * other
 
-    def __pow__(self, k: int) -> "WeilElement":
-        if k < 0:
-            raise ValueError("negative powers need .inverse()")
-        out = WeilElement.one(self.domain)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- structure maps -------------------------------------------------------
 
     @property
@@ -389,10 +381,6 @@ class WeilElement:
             acc = acc + power
             power = power * (-nil)
         return acc * (Fraction(1) / s)
-
-    @property
-    def is_nilpotent(self) -> bool:
-        return not self.scalar_part
 
     # -- comparisons / formatting ----------------------------------------------
 

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import microlie
+from microlie import harness
 from microlie.cli import main
 from microlie.harness import (
+    SUITE_IDS,
+    SUITES,
     ConfigError,
     LawEnv,
     SuiteConfig,
@@ -35,7 +38,13 @@ class TestConfig:
         assert g == TrivialGaugeGroupoid(4, 3)
 
     def test_bad_specs(self):
-        for text in ("ring:dim=2", "pair:dim=x", "pair:foo=2", "gauge:base=2:k=2:z=1"):
+        for text in (
+            "ring:dim=2",
+            "pair:dim=x",
+            "pair:foo=2",
+            "gauge:base=2:k=2:z=1",
+            "pair:dim=2:deg=2:deg=3",
+        ):
             with pytest.raises(ConfigError):
                 parse_groupoid_spec(text)
 
@@ -57,7 +66,7 @@ class TestConfig:
 
 
 def triple(cfg, trial, law="generate"):
-    return LawEnv(cfg, cfg.suite, bracket).triple(law, trial)
+    return LawEnv(cfg, cfg.suite, bracket, law).triple(trial)
 
 
 class TestGenerate:
@@ -112,6 +121,16 @@ class TestRunSuite:
             assert case["status"] in ("pass", "fail")
         json.dumps(data)  # serializable
 
+    def test_registry_holds_every_law_once(self):
+        # a law function written but never decorated would silently never run
+        runs = [law.run for laws in SUITES.values() for law in laws]
+        defined = {fn for name, fn in vars(harness).items() if name.startswith("_law_") and callable(fn)}
+        assert set(runs) == defined
+        names = [law.name for laws in SUITES.values() for law in laws]
+        assert len(names) == 36 and len(set(names)) == 36
+        assert list(SUITES) == list(SUITE_IDS)
+        assert all(SUITES.values())
+
     def test_every_law_carries_an_anchor(self):
         report = run_suite(config(suite="all", trials=1))
         assert report.cases
@@ -126,6 +145,9 @@ GOLDEN_REPORTS = {
     ("pair:dim=2:deg=2", "flip-bracket-sign"): "1a03e9d7c04ec5822bf6c6b33c6d62f1112ca432c6c0b161a259930f4a4d3ff2",
     ("gauge:base=2:k=2", "none"): "3899f83aaf17892f4f17f83f91fcec285f79d200c3e33361dfb0f5e23882be8e",
     ("gauge:base=2:k=2", "flip-bracket-sign"): "9015d1fb62ac8fb75bba21a16a7349c23bb93412d32fd2eec4a8c5e26ce9b208",
+    ("gauge:base=4:k=3", "none"): "546a1428f743d8337f610aac93542fec85cbce05f6efd6f2b6675754994a128a",
+    ("pair:dim=3:deg=1", "none"): "d820ea796653b9155e066cb61689b410db0f50ffa5bf6d91ed1e296517794f58",
+    ("pair:dim=1:deg=3", "none"): "7977a9f29ba1d7b8d1c40c697294b37774c21060e612d761e7627997113bd1a5",
 }
 
 
@@ -134,6 +156,21 @@ def test_golden_report(spec, mutation):
     report = run_suite(config(spec=spec, suite="all", trials=3, seed=0), mutation=mutation)
     text = json.dumps(report.to_dict(), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[spec, mutation]
+
+
+DENSE_CUBIC_6 = "; ".join(["(x0+x1+x2+x3+x4+x5+1)^3"] * 6)
+
+
+def run_bracket_subprocess(spec, x_text, y_text):
+    # a subprocess with a timeout, so that a computation that hangs fails the test
+    env = dict(os.environ, PYTHONPATH=str(Path(microlie.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "microlie", "bracket", "--groupoid", spec, "--x", x_text, "--y", y_text],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=env,
+    )
 
 
 class TestCli:
@@ -184,18 +221,24 @@ class TestCli:
 
     @pytest.mark.parametrize("field", ["(x0+x1+x2+1)^100000; 0; 0", "x0^5000; 0; 0"])
     def test_bracket_rejects_fields_above_degree_limit(self, field):
-        # a subprocess with a timeout, so that an expansion that hangs fails the test
-        env = dict(os.environ, PYTHONPATH=str(Path(microlie.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "microlie", "bracket", "--groupoid", "pair:dim=3"]
-            + ["--x", field, "--y", "x0; x1; x2"],
-            capture_output=True,
-            text=True,
-            timeout=20,
-            env=env,
-        )
+        proc = run_bracket_subprocess("pair:dim=3", field, "x0; x1; x2")
         assert proc.returncode == 2
         assert "above the degree limit 3" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        ("spec", "field", "message"),
+        [
+            # a dense degree-3 field in dimension 6 takes over a minute when it is computed
+            ("pair:dim=6", DENSE_CUBIC_6, "dimension must be between 1 and 3"),
+            ("pair:dim=2:deg=9", "x0^3; x1^3", "field degree must be between 0 and 3"),
+        ],
+        ids=["dense-dim-6", "deg-9"],
+    )
+    def test_bracket_rejects_groupoids_outside_bounds(self, spec, field, message):
+        proc = run_bracket_subprocess(spec, field, field)
+        assert proc.returncode == 2
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_bracket_accepts_degree_three(self, capsys):
