@@ -48,18 +48,14 @@ from .groupoids import (
     TrivialGaugeGroupoid,
     WBisection,
     WSection,
-    as_ambient_point,
     compose_arrows,
     formal_inverse,
-    identity_arrow,
-    invert_arrow,
     invert_bisection,
     section_at,
     star,
     star_word,
 )
 from .liealg import (
-    CommutatorSquare,
     bracket,
     bracket_via_strong_difference,
     circledast,

@@ -21,17 +21,20 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
 
 * ``spec(degree)``, ``bounds_error(degree)`` and ``sample_spaces()`` for
   the harness configuration;
-* ``identity_arrow``, ``fiber_product``, ``fiber_inverse``, ``beta`` and
-  ``arrow_at`` for arrows;
+* ``fiber_product``, ``beta`` and ``arrow_at`` for arrows;
 * ``section_data`` (validate and normalise), ``check_bisection``,
   ``identity_data``, ``star_data``, ``inverse_data``, ``flow_data``,
-  ``map_data``, ``coefficients``, ``read_coefficient`` and
-  ``section_repr`` for section data;
+  ``read_coefficient`` and ``section_repr`` for section data;
+* ``slots`` and ``from_slots``, the one coefficient view of section data:
+  ``slots(data)`` returns ``(shape, {slot: WeilElement})`` and
+  ``from_slots`` rebuilds the data.  Mapping coefficients
+  (:func:`map_data`), testing them and charting sections go through these
+  two alone;
 * ``ag_data``, ``ag_zero``, ``ag_add``, ``ag_scale``, ``ag_repr`` and
   ``oracle_bracket`` for Lie algebroid data;
-* ``chart_slots``, ``chart_coords`` and ``chart_data`` for charts;
 * ``random_ag``, ``random_section``, ``random_bisection`` and
-  ``base_points`` for seeded trial data.
+  ``base_points`` for seeded trial data, with coefficients in
+  ``[-COEFF_BOUND, COEFF_BOUND]``.
 """
 
 from __future__ import annotations
@@ -72,9 +75,11 @@ class NotDPointError(ValueError):
 # Each helper draws from ``rng`` in a fixed order; the harness's reports
 # depend on that order, so changing it changes every report.
 
+COEFF_BOUND = 3  # random integer coefficients lie in [-COEFF_BOUND, COEFF_BOUND]
 
-def _rand_int(rng: random.Random, bound: int) -> int:
-    return rng.randint(-bound, bound)
+
+def _rand_int(rng: random.Random) -> int:
+    return rng.randint(-COEFF_BOUND, COEFF_BOUND)
 
 
 def _exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -85,14 +90,14 @@ def _exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def _rand_element(
-    rng: random.Random, domain: InfinitesimalDomain, bound: int, nilpotent_only: bool = False
+    rng: random.Random, domain: InfinitesimalDomain, nilpotent_only: bool = False
 ) -> WeilElement:
     coeffs = {}
     for m in domain.monomials():
         if nilpotent_only and not m:
             continue
         if rng.random() < 0.6:
-            coeffs[m] = _rand_int(rng, bound)
+            coeffs[m] = _rand_int(rng)
     return WeilElement(domain, coeffs)
 
 
@@ -103,27 +108,23 @@ def _rand_poly(
     return Poly(nvars, domain, {e: draw() for e in _exponents(nvars, degree) if rng.random() < density})
 
 
-def _rand_matrix(rng: random.Random, k: int, bound: int) -> Matrix:
-    return tuple(tuple(Fraction(_rand_int(rng, bound)) for _ in range(k)) for _ in range(k))
+def _rand_matrix(rng: random.Random, k: int) -> Matrix:
+    return tuple(tuple(Fraction(_rand_int(rng)) for _ in range(k)) for _ in range(k))
 
 
-def _rand_invertible(rng: random.Random, k: int, bound: int) -> Matrix:
+def _rand_invertible(rng: random.Random, k: int) -> Matrix:
     while True:
-        m = _rand_matrix(rng, k, bound)
+        m = _rand_matrix(rng, k)
         if matrices.q_is_invertible(m):
             return m
 
 
-def _rand_fiber(
-    rng: random.Random, k: int, domain: InfinitesimalDomain, bound: int, scalar_exact: bool
-) -> Matrix:
+def _rand_fiber(rng: random.Random, k: int, domain: InfinitesimalDomain, scalar_exact: bool) -> Matrix:
     """An invertible scalar matrix plus, unless ``scalar_exact``, a nilpotent one."""
-    t = matrices.lift(_rand_invertible(rng, k, bound), domain)
+    t = matrices.lift(_rand_invertible(rng, k), domain)
     if scalar_exact:
         return t
-    nil = tuple(
-        tuple(_rand_element(rng, domain, bound, nilpotent_only=True) for _ in range(k)) for _ in range(k)
-    )
+    nil = tuple(tuple(_rand_element(rng, domain, nilpotent_only=True) for _ in range(k)) for _ in range(k))
     return matrices.add(t, nil)
 
 
@@ -159,13 +160,7 @@ class PairGroupoid:
 
     # -- arrows --------------------------------------------------------------------
 
-    def identity_arrow(self, x, domain: InfinitesimalDomain) -> "Arrow":
-        return Arrow(self, tuple(x), tuple(x))
-
     def fiber_product(self, h2, h1) -> None:
-        return None
-
-    def fiber_inverse(self, h, domain: InfinitesimalDomain | None) -> None:
         return None
 
     def beta(self, arrow: "Arrow") -> tuple:
@@ -173,7 +168,8 @@ class PairGroupoid:
 
     def arrow_at(self, data, domain: InfinitesimalDomain, x) -> "Arrow":
         point = tuple(v if isinstance(v, WeilElement) else WeilElement.scalar(domain, v) for v in x)
-        return Arrow(self, tuple(c.evaluate(point) for c in data), point)
+        at_point = tuple(Poly.constant(0, v) for v in point)
+        return Arrow(self, tuple(c.compose(at_point).coefficient(()) for c in data), point)
 
     # -- section data -----------------------------------------------------------------
 
@@ -204,17 +200,22 @@ class PairGroupoid:
             for i, field in enumerate(fields)
         )
 
-    def map_data(self, data, fn, domain: InfinitesimalDomain) -> tuple[Poly, ...]:
-        return tuple(c.map_coefficients(fn, domain) for c in data)
-
-    def coefficients(self, data):
-        return (w for comp in data for w in comp.terms.values())
-
     def read_coefficient(self, data, monomial) -> tuple[Poly, ...]:
-        return self.map_data(data, lambda w: w.coefficient(monomial), RATIONALS)
+        return map_data(self, data, lambda w: w.coefficient(monomial), RATIONALS)
 
     def section_repr(self, data) -> str:
         return f"x -> ({'; '.join(str(c) for c in data)})"
+
+    # -- coefficient view: one slot per (component, exponent tuple) term; no shape --------
+
+    def slots(self, data) -> tuple[None, dict]:
+        return None, {(i, e): w for i, comp in enumerate(data) for e, w in comp.terms.items()}
+
+    def from_slots(self, shape: None, coeffs, domain: InfinitesimalDomain) -> tuple[Poly, ...]:
+        terms = [{} for _ in range(self.dim)]
+        for (i, e), w in coeffs.items():
+            terms[i][e] = w
+        return tuple(Poly(self.dim, domain, t) for t in terms)
 
     # -- Lie algebroid data -------------------------------------------------------------
 
@@ -244,48 +245,26 @@ class PairGroupoid:
     def oracle_bracket(self, x, y) -> tuple[Poly, ...]:
         return classical_vf_bracket(PolyVectorField(x), PolyVectorField(y)).components
 
-    # -- charts: one slot per (component, exponent tuple) ----------------------------------
-
-    def chart_slots(self, datas) -> tuple[tuple, None]:
-        slots = {(i, e) for data in datas for i, comp in enumerate(data) for e in comp.terms}
-        # always include the identity-map slots so the identity section is chartable
-        slots.update((i, tuple(1 if t == i else 0 for t in range(self.dim))) for i in range(self.dim))
-        return tuple(sorted(slots)), None
-
-    def chart_coords(self, chart: "SectionChart", data) -> tuple[WeilElement, ...]:
-        slot_set = set(chart.slots)
-        for i, comp in enumerate(data):
-            missing = [(i, e) for e in comp.terms if (i, e) not in slot_set]
-            if missing:
-                raise ValueError(f"section uses slots outside the chart: {missing}")
-        return tuple(data[i].coefficient(e) for i, e in chart.slots)
-
-    def chart_data(self, chart: "SectionChart", coords, domain: InfinitesimalDomain) -> tuple[Poly, ...]:
-        return tuple(
-            Poly(self.dim, domain, {e: c for (j, e), c in zip(chart.slots, coords) if j == i})
-            for i in range(self.dim)
-        )
-
     # -- random trial data -------------------------------------------------------------------
 
-    def random_ag(self, rng: random.Random, degree: int, bound: int) -> "AGSection":
-        draw = lambda: _rand_int(rng, bound)
+    def random_ag(self, rng: random.Random, degree: int) -> "AGSection":
+        draw = lambda: _rand_int(rng)
         fields = [_rand_poly(rng, self.dim, degree, RATIONALS, 0.6, draw) for _ in range(self.dim)]
         return AGSection(self, fields)
 
-    def random_section(self, rng: random.Random, domain, degree: int, bound: int) -> "WSection":
+    def random_section(self, rng: random.Random, domain, degree: int) -> "WSection":
         """An arbitrary section (not necessarily a bisection)."""
-        draw = lambda: _rand_element(rng, domain, bound)
+        draw = lambda: _rand_element(rng, domain)
         comps = [_rand_poly(rng, self.dim, degree, domain, 0.5, draw) for _ in range(self.dim)]
         return WSection(self, domain, comps)
 
     def random_bisection(
-        self, rng: random.Random, domain, degree: int, bound: int, scalar_exact: bool = False
+        self, rng: random.Random, domain, degree: int, scalar_exact: bool = False
     ) -> "WBisection":
         n = self.dim
-        nilpotent = lambda: _rand_element(rng, domain, bound, nilpotent_only=True)
-        a = _rand_invertible(rng, n, bound)
-        b = [_rand_int(rng, bound) for _ in range(n)]
+        nilpotent = lambda: _rand_element(rng, domain, nilpotent_only=True)
+        a = _rand_invertible(rng, n)
+        b = [_rand_int(rng) for _ in range(n)]
         comps = []
         for i in range(n):
             terms = {(0,) * n: b[i]}
@@ -296,9 +275,9 @@ class PairGroupoid:
             comps.append(poly)
         return WBisection(self, domain, comps)
 
-    def base_points(self, rng: random.Random, domain, bound: int) -> list[tuple]:
+    def base_points(self, rng: random.Random, domain) -> list[tuple]:
         """The points a pointwise law checks: three random ones."""
-        draw = lambda: WeilElement.scalar(domain, _rand_int(rng, bound))
+        draw = lambda: WeilElement.scalar(domain, _rand_int(rng))
         return [tuple(draw() for _ in range(self.dim)) for _ in range(3)]
 
 
@@ -329,14 +308,8 @@ class TrivialGaugeGroupoid:
 
     # -- arrows --------------------------------------------------------------------
 
-    def identity_arrow(self, x: int, domain: InfinitesimalDomain) -> "Arrow":
-        return Arrow(self, (x,), (x,), matrices.identity(self.matrix_size, domain))
-
     def fiber_product(self, h2: Matrix, h1: Matrix) -> Matrix:
         return matrices.mul(h2, h1)
-
-    def fiber_inverse(self, h: Matrix, domain: InfinitesimalDomain | None) -> Matrix:
-        return matrices.w_inverse(h, domain if domain is not None else h[0][0].domain)
 
     def beta(self, arrow: "Arrow") -> int:
         return arrow.target[0]
@@ -385,18 +358,25 @@ class TrivialGaugeGroupoid:
         tables = tuple(matrices.add(ident, matrices.scale(e, matrices.lift(t, e.domain))) for t in fields)
         return tuple(range(self.base_size)), tables
 
-    def map_data(self, data, fn, domain: InfinitesimalDomain) -> tuple:
-        base_map, tables = data
-        return base_map, tuple(tuple(tuple(fn(w) for w in row) for row in t) for t in tables)
-
-    def coefficients(self, data):
-        return (w for t in data[1] for row in t for w in row)
-
     def read_coefficient(self, data, monomial) -> tuple[Matrix, ...]:
-        return self.map_data(data, lambda w: w.coefficient(monomial), RATIONALS)[1]
+        return map_data(self, data, lambda w: w.coefficient(monomial), RATIONALS)[1]
 
     def section_repr(self, data) -> str:
         return f"base {data[0]}"
+
+    # -- coefficient view: one slot per (base point, row, column); the shape is the base map
+
+    def slots(self, data) -> tuple[tuple[int, ...], dict]:
+        base_map, tables = data
+        return base_map, {
+            (x, i, j): w for x, t in enumerate(tables) for i, row in enumerate(t) for j, w in enumerate(row)
+        }
+
+    def from_slots(self, shape: tuple[int, ...], coeffs, domain: InfinitesimalDomain) -> tuple:
+        m, k = self.base_size, self.matrix_size
+        return shape, tuple(
+            tuple(tuple(coeffs[x, i, j] for j in range(k)) for i in range(k)) for x in range(m)
+        )
 
     # -- Lie algebroid data -------------------------------------------------------------
 
@@ -425,48 +405,27 @@ class TrivialGaugeGroupoid:
     def oracle_bracket(self, x, y) -> tuple[Matrix, ...]:
         return matrix_table_bracket(x, y)
 
-    # -- charts: one slot per (base point, row, column) over a shared base map ---------------
-
-    def chart_slots(self, datas) -> tuple[tuple, tuple[int, ...]]:
-        base_map = datas[0][0]
-        if any(data[0] != base_map for data in datas):
-            raise ValueError("charted gauge sections must share a base map")
-        m, k = self.base_size, self.matrix_size
-        return tuple((x, i, j) for x in range(m) for i in range(k) for j in range(k)), base_map
-
-    def chart_coords(self, chart: "SectionChart", data) -> tuple[WeilElement, ...]:
-        if data[0] != chart.base_map:
-            raise ValueError("gauge section has a different base map than the chart")
-        return tuple(data[1][x][i][j] for x, i, j in chart.slots)
-
-    def chart_data(self, chart: "SectionChart", coords, domain: InfinitesimalDomain) -> tuple:
-        m, k = self.base_size, self.matrix_size
-        grid = [[[None] * k for _ in range(k)] for _ in range(m)]
-        for (x, i, j), c in zip(chart.slots, coords):
-            grid[x][i][j] = c
-        return chart.base_map, tuple(tuple(tuple(row) for row in t) for t in grid)
-
     # -- random trial data -------------------------------------------------------------------
 
-    def random_ag(self, rng: random.Random, degree: int, bound: int) -> "AGSection":
-        return AGSection(self, [_rand_matrix(rng, self.matrix_size, bound) for _ in range(self.base_size)])
+    def random_ag(self, rng: random.Random, degree: int) -> "AGSection":
+        return AGSection(self, [_rand_matrix(rng, self.matrix_size) for _ in range(self.base_size)])
 
-    def random_section(self, rng: random.Random, domain, degree: int, bound: int) -> "WSection":
+    def random_section(self, rng: random.Random, domain, degree: int) -> "WSection":
         """An arbitrary section (not necessarily a bisection)."""
         m, k = self.base_size, self.matrix_size
         base_map = tuple(rng.randrange(m) for _ in range(m))
-        tables = [_rand_fiber(rng, k, domain, bound, False) for _ in range(m)]
+        tables = [_rand_fiber(rng, k, domain, False) for _ in range(m)]
         return WSection(self, domain, (base_map, tables))
 
     def random_bisection(
-        self, rng: random.Random, domain, degree: int, bound: int, scalar_exact: bool = False
+        self, rng: random.Random, domain, degree: int, scalar_exact: bool = False
     ) -> "WBisection":
         perm = list(range(self.base_size))
         rng.shuffle(perm)
-        tables = [_rand_fiber(rng, self.matrix_size, domain, bound, scalar_exact) for _ in perm]
+        tables = [_rand_fiber(rng, self.matrix_size, domain, scalar_exact) for _ in perm]
         return WBisection(self, domain, (perm, tables))
 
-    def base_points(self, rng: random.Random, domain, bound: int) -> range:
+    def base_points(self, rng: random.Random, domain) -> range:
         """The points a pointwise law checks: all of them, drawing nothing from ``rng``."""
         return range(self.base_size)
 
@@ -485,10 +444,6 @@ class Arrow:
     fiber: Matrix | None = None
 
 
-def identity_arrow(groupoid: GroupoidInstance, x, domain: InfinitesimalDomain) -> Arrow:
-    return groupoid.identity_arrow(x, domain)
-
-
 def compose_arrows(g2: Arrow, g1: Arrow) -> Arrow:
     if g2.groupoid != g1.groupoid:
         raise GroupoidMismatchError("arrows from different groupoids")
@@ -497,11 +452,13 @@ def compose_arrows(g2: Arrow, g1: Arrow) -> Arrow:
     return Arrow(g2.groupoid, g2.target, g1.source, g2.groupoid.fiber_product(g2.fiber, g1.fiber))
 
 
-def invert_arrow(g: Arrow, domain: InfinitesimalDomain | None = None) -> Arrow:
-    return Arrow(g.groupoid, g.source, g.target, g.groupoid.fiber_inverse(g.fiber, domain))
-
-
 # -- sections ---------------------------------------------------------------------
+
+
+def map_data(groupoid: GroupoidInstance, data, fn, domain: InfinitesimalDomain):
+    """Section data with ``fn`` applied to every coefficient, over ``domain``."""
+    shape, coeffs = groupoid.slots(data)
+    return groupoid.from_slots(shape, {slot: fn(w) for slot, w in coeffs.items()}, domain)
 
 
 class WSection:
@@ -535,7 +492,7 @@ class WSection:
     # -- coefficientwise transforms --------------------------------------------------
 
     def map_coefficients(self, fn, domain: InfinitesimalDomain) -> "WSection":
-        return type(self)(self.groupoid, domain, self.groupoid.map_data(self.data, fn, domain))
+        return type(self)(self.groupoid, domain, map_data(self.groupoid, self.data, fn, domain))
 
     def substitute(self, target: InfinitesimalDomain, images: Sequence[WeilElement]) -> "WSection":
         """Substitute Weil generators in every coefficient (reparametrize the family)."""
@@ -548,7 +505,7 @@ class WSection:
 
     @property
     def is_scalar_exact(self) -> bool:
-        return all(w.is_scalar for w in self.groupoid.coefficients(self.data))
+        return all(w.is_scalar for w in self.groupoid.slots(self.data)[1].values())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -743,7 +700,7 @@ def ag_from_flow(section: WSection) -> AGSection:
     if domain.generator_count != 1:
         raise ValueError("expected a section over the one-generator domain")
     groupoid = section.groupoid
-    scalar = groupoid.map_data(section.data, lambda w: WeilElement.scalar(domain, w.scalar_part), domain)
+    scalar = map_data(groupoid, section.data, lambda w: WeilElement.scalar(domain, w.scalar_part), domain)
     if scalar != groupoid.identity_data(domain):
         raise ValueError("flow's scalar part is not the identity section")
     return AGSection(groupoid, groupoid.read_coefficient(section.data, {1}))
@@ -756,15 +713,15 @@ def ag_from_flow(section: WSection) -> AGSection:
 class SectionChart:
     """A common coordinate system for a family of sections.
 
-    Pair groupoid: one slot per (component, exponent tuple) occurring in
-    any of the charted sections.  Gauge groupoid: one slot per (base
-    point, row, column); the base map must be shared, and is stored so
-    points can be turned back into sections.
+    One coordinate per slot (see ``slots``) of any charted section or of
+    the identity section, in sorted order.  The charted sections must share
+    a shape (the gauge base map), which is stored so points can be turned
+    back into sections.
     """
 
     groupoid: GroupoidInstance
     slots: tuple
-    base_map: tuple[int, ...] | None = None
+    shape: tuple | None = None
 
     @classmethod
     def for_sections(cls, *sections: WSection) -> "SectionChart":
@@ -773,8 +730,14 @@ class SectionChart:
         groupoid = sections[0].groupoid
         if any(s.groupoid != groupoid for s in sections):
             raise GroupoidMismatchError("sections of different groupoids")
-        slots, base_map = groupoid.chart_slots([s.data for s in sections])
-        return cls(groupoid, slots, base_map)
+        views = [groupoid.slots(s.data) for s in sections]
+        shape = views[0][0]
+        if any(v[0] != shape for v in views):
+            raise ValueError("charted sections must share a shape")
+        slots = {slot for _, coeffs in views for slot in coeffs}
+        # always include the identity section's slots so it is chartable
+        slots.update(groupoid.slots(groupoid.identity_data(sections[0].domain))[1])
+        return cls(groupoid, tuple(sorted(slots)), shape)
 
     @property
     def space(self) -> AffineSpace:
@@ -783,17 +746,17 @@ class SectionChart:
     def to_point(self, section: WSection) -> WPoint:
         if section.groupoid != self.groupoid:
             raise GroupoidMismatchError("section not over the chart's groupoid")
-        return WPoint(self.space, section.domain, self.groupoid.chart_coords(self, section.data))
+        shape, coeffs = self.groupoid.slots(section.data)
+        if shape != self.shape:
+            raise ValueError("section has a different shape than the chart")
+        missing = coeffs.keys() - set(self.slots)
+        if missing:
+            raise ValueError(f"section uses slots outside the chart: {sorted(missing)}")
+        zero = WeilElement.zero(section.domain)
+        return WPoint(self.space, section.domain, tuple(coeffs.get(slot, zero) for slot in self.slots))
 
     def to_section(self, point: WPoint) -> WSection:
         if point.space != self.space:
             raise ValueError("point does not live in the chart's space")
-        data = self.groupoid.chart_data(self, point.coords, point.domain)
+        data = self.groupoid.from_slots(self.shape, dict(zip(self.slots, point.coords)), point.domain)
         return WSection(self.groupoid, point.domain, data)
-
-
-def as_ambient_point(section: WSection, chart: SectionChart | None = None) -> WPoint:
-    """Flatten a section into a point of an affine chart space."""
-    if chart is None:
-        chart = SectionChart.for_sections(section)
-    return chart.to_point(section)

@@ -72,15 +72,12 @@ class SuiteConfig:
     degree: int = 2
     trials: int = 25
     seed: int = 0
-    coeff_bound: int = 3
 
     def __post_init__(self) -> None:
         if self.suite not in SUITE_IDS and self.suite != "all":
             raise ConfigError(f"unknown suite {self.suite!r}; expected one of {('all',) + SUITE_IDS}")
         if self.trials < 0:
             raise ConfigError("trials must be nonnegative")
-        if self.coeff_bound < 1:
-            raise ConfigError("coefficient bound must be at least 1")
         if not isinstance(self.groupoid, GroupoidInstance):
             raise ConfigError(f"unknown groupoid {self.groupoid!r}")
         problem = self.groupoid.bounds_error(self.degree)
@@ -210,20 +207,20 @@ class LawEnv:
             z = AGSection.zero(cfg.groupoid)
             return z, z, z
         if trial == 1:
-            s = cfg.groupoid.random_ag(rng, cfg.degree, cfg.coeff_bound)
+            s = cfg.groupoid.random_ag(rng, cfg.degree)
             return s, s, s
-        x, y, z = (cfg.groupoid.random_ag(rng, cfg.degree, cfg.coeff_bound) for _ in range(3))
+        x, y, z = (cfg.groupoid.random_ag(rng, cfg.degree) for _ in range(3))
         return x, y, z
 
     def section(self, rng: random.Random, domain: InfinitesimalDomain) -> WSection:
         cfg = self.config
-        return cfg.groupoid.random_section(rng, domain, cfg.degree, cfg.coeff_bound)
+        return cfg.groupoid.random_section(rng, domain, cfg.degree)
 
     def bisection(
         self, rng: random.Random, domain: InfinitesimalDomain, scalar_exact: bool = False
     ) -> WBisection:
         cfg = self.config
-        return cfg.groupoid.random_bisection(rng, domain, cfg.degree, cfg.coeff_bound, scalar_exact)
+        return cfg.groupoid.random_bisection(rng, domain, cfg.degree, scalar_exact)
 
 
 LawFn = Callable[[LawEnv, int], None]
@@ -316,7 +313,7 @@ def _law_infinitesimal_commutation(env: LawEnv, trial: int) -> None:
 @law("module", "scaling-flow", "module law: (aX)_d = X_{ad}")
 def _law_scaling_flow(env: LawEnv, trial: int) -> None:
     x, _, _ = env.triple(trial)
-    a = _rand_int(env.rng(trial, "scaling-flow-coeff"), env.config.coeff_bound)
+    a = _rand_int(env.rng(trial, "scaling-flow-coeff"))
     d = WeilElement.generator(LINE, 1)
     if section_at(x.scaled(a), d) != section_at(x, a * d):
         raise LawViolation(X=x, a=a)
@@ -339,7 +336,7 @@ def _law_star_defining_formula(env: LawEnv, trial: int) -> None:
     rho = env.section(rng, D2)
     product = star(sigma, rho)
     g = env.config.groupoid
-    for x in g.base_points(rng, D2, env.config.coeff_bound):
+    for x in g.base_points(rng, D2):
         rho_arrow = rho.arrow_at(x)
         if product.arrow_at(x) != compose_arrows(sigma.arrow_at(g.beta(rho_arrow)), rho_arrow):
             raise LawViolation(sigma=sigma, rho=rho, at=x)
@@ -365,7 +362,7 @@ def _law_beta_functoriality(env: LawEnv, trial: int) -> None:
     rho = env.section(rng, D2)
     product = star(sigma, rho)
     g = env.config.groupoid
-    for x in g.base_points(rng, D2, env.config.coeff_bound):
+    for x in g.base_points(rng, D2):
         if g.beta(product.arrow_at(x)) != g.beta(sigma.arrow_at(g.beta(rho.arrow_at(x)))):
             raise LawViolation(sigma=sigma, rho=rho, at=x)
 
@@ -383,10 +380,9 @@ _RING_DOMAINS = (
 def _law_ring_laws(env: LawEnv, trial: int) -> None:
     rng = env.rng(trial)
     domain = _RING_DOMAINS[trial % len(_RING_DOMAINS)]
-    bound = env.config.coeff_bound
-    a = _rand_element(rng, domain, bound)
-    b = _rand_element(rng, domain, bound)
-    c = _rand_element(rng, domain, bound)
+    a = _rand_element(rng, domain)
+    b = _rand_element(rng, domain)
+    c = _rand_element(rng, domain)
     checks = {
         "add-assoc": (a + b) + c == a + (b + c),
         "add-comm": a + b == b + a,
@@ -409,9 +405,9 @@ def _law_ring_laws(env: LawEnv, trial: int) -> None:
         raise LawViolation(domain=domain, a=a, b=b, c=c, failed=bad)
 
 
-def _substitution_maps(rng: random.Random, bound: int):
+def _substitution_maps(rng: random.Random):
     """A few relation-respecting generator substitutions with random weights."""
-    r = lambda: Fraction(_rand_int(rng, bound))
+    r = lambda: Fraction(_rand_int(rng))
     d = WeilElement.generator(LINE, 1)
     d1, d2 = WeilElement.generator(D2, 1), WeilElement.generator(D2, 2)
     e1, e2 = WeilElement.generator(AXES2, 1), WeilElement.generator(AXES2, 2)
@@ -424,10 +420,9 @@ def _substitution_maps(rng: random.Random, bound: int):
 @law("module", "substitution-homomorphism", "engine: generator substitution is an algebra homomorphism")
 def _law_substitution_homomorphism(env: LawEnv, trial: int) -> None:
     rng = env.rng(trial)
-    bound = env.config.coeff_bound
-    for source, target, images in _substitution_maps(rng, bound):
-        a = _rand_element(rng, source, bound)
-        b = _rand_element(rng, source, bound)
+    for source, target, images in _substitution_maps(rng):
+        a = _rand_element(rng, source)
+        b = _rand_element(rng, source)
         mul_ok = (a * b).substitute(target, images) == a.substitute(target, images) * b.substitute(
             target, images
         )
@@ -443,7 +438,7 @@ def _law_restriction_composition(env: LawEnv, trial: int) -> None:
     rng = env.rng(trial)
     mid = InfinitesimalDomain(3, [(1, 2)])
     coarse = InfinitesimalDomain.first_order(3)
-    a = _rand_element(rng, D3, env.config.coeff_bound)
+    a = _rand_element(rng, D3)
     if a.restrict(mid).restrict(coarse) != a.restrict(coarse):
         raise LawViolation(a=a)
     if a.restrict(D3) != a:
@@ -464,14 +459,14 @@ def _law_bracket_definition(env: LawEnv, trial: int) -> None:
     x, y, _ = env.triple(trial)
     b = env.bracket_fn(x, y)
     d1d2 = WeilElement.generator(D2, 1) * WeilElement.generator(D2, 2)
-    if section_at(b, d1d2) != liealg.commutator_square(x, y).square:
+    if section_at(b, d1d2) != liealg.commutator_square(x, y):
         raise LawViolation(X=x, Y=y, bracket=b)
 
 
 @law("bracket", "bracket-scaling", "Lie algebra law: [aX,Y] = a[X,Y]")
 def _law_bracket_scaling(env: LawEnv, trial: int) -> None:
     x, y, _ = env.triple(trial)
-    a = _rand_int(env.rng(trial, "bracket-scaling-coeff"), env.config.coeff_bound)
+    a = _rand_int(env.rng(trial, "bracket-scaling-coeff"))
     if env.bracket_fn(x.scaled(a), y) != env.bracket_fn(x, y).scaled(a):
         raise LawViolation(X=x, Y=y, a=a)
 
@@ -555,8 +550,8 @@ def _law_derived_jacobi(env: LawEnv, trial: int) -> None:
 # -- strong difference laws --------------------------------------------------------------------------
 
 
-def _rand_vec(rng: random.Random, n: int, bound: int) -> list[Fraction]:
-    return [Fraction(_rand_int(rng, bound)) for _ in range(n)]
+def _rand_vec(rng: random.Random, n: int) -> list[Fraction]:
+    return [Fraction(_rand_int(rng)) for _ in range(n)]
 
 
 def _is_scalar_point(space, vec: list[Fraction]) -> bool:
@@ -568,15 +563,15 @@ def _is_scalar_point(space, vec: list[Fraction]) -> bool:
     return True
 
 
-def _rand_square_family(rng: random.Random, space, bound: int, count: int) -> list[WPoint]:
+def _rand_square_family(rng: random.Random, space, count: int) -> list[WPoint]:
     """Microsquares over D^2 sharing everything except the top coefficient."""
     n = space.flat_dim
-    base, a1, a2 = (_rand_vec(rng, n, bound) for _ in range(3))
+    base, a1, a2 = (_rand_vec(rng, n) for _ in range(3))
     while not _is_scalar_point(space, base):
-        base = _rand_vec(rng, n, bound)
+        base = _rand_vec(rng, n)
     low = {SCALAR: base, frozenset({1}): a1, frozenset({2}): a2}
     return [
-        WPoint.from_coefficients(space, D2, {**low, frozenset({1, 2}): _rand_vec(rng, n, bound)})
+        WPoint.from_coefficients(space, D2, {**low, frozenset({1, 2}): _rand_vec(rng, n)})
         for _ in range(count)
     ]
 
@@ -585,7 +580,7 @@ def _rand_square_family(rng: random.Random, space, bound: int, count: int) -> li
 def _law_cocycle_identity(env: LawEnv, trial: int) -> None:
     rng = env.rng(trial)
     for space in env.config.groupoid.sample_spaces():
-        g1, g2, g3 = _rand_square_family(rng, space, env.config.coeff_bound, 3)
+        g1, g2, g3 = _rand_square_family(rng, space, 3)
         total = tangent_combine(
             tangent_combine(strong_difference(g1, g2), strong_difference(g2, g3)),
             strong_difference(g3, g1),
@@ -598,22 +593,22 @@ def _law_cocycle_identity(env: LawEnv, trial: int) -> None:
 def _law_axis_recovery(env: LawEnv, trial: int) -> None:
     rng = env.rng(trial)
     for space in env.config.groupoid.sample_spaces():
-        gamma = _rand_square_family(rng, space, env.config.coeff_bound, 1)[0]
+        gamma = _rand_square_family(rng, space, 1)[0]
         flattened = extend_point(restrict_point(gamma, AXES2), D2)
         t = strong_difference(gamma, flattened)
         if t.direction != gamma.coefficient({1, 2}):
             raise LawViolation(space=space, gamma=gamma, tangent=t)
 
 
-def _rand_cube_pair(rng: random.Random, space, bound: int, axis: int) -> tuple[WPoint, WPoint]:
+def _rand_cube_pair(rng: random.Random, space, axis: int) -> tuple[WPoint, WPoint]:
     """Microcubes over D^3 agreeing away from the two non-axis generators."""
     j, k = sorted({1, 2, 3} - {axis})
     side, top = frozenset({j, k}), frozenset({1, 2, 3})
     dim = space.flat_dim
-    shared = {m: _rand_vec(rng, dim, bound) for m in D3.monomials()}
+    shared = {m: _rand_vec(rng, dim) for m in D3.monomials()}
     while not _is_scalar_point(space, shared[SCALAR]):
-        shared[SCALAR] = _rand_vec(rng, dim, bound)
-    deltas = {side: _rand_vec(rng, dim, bound), top: _rand_vec(rng, dim, bound)}
+        shared[SCALAR] = _rand_vec(rng, dim)
+    deltas = {side: _rand_vec(rng, dim), top: _rand_vec(rng, dim)}
     minus = dict(shared)
     for m, delta in deltas.items():
         minus[m] = [c - d for c, d in zip(shared[m], delta)]
@@ -629,20 +624,19 @@ def _law_relative_difference_equivalence(env: LawEnv, trial: int) -> None:
     rng = env.rng(trial)
     for space in env.config.groupoid.sample_spaces():
         for axis in (1, 2, 3):
-            plus, minus = _rand_cube_pair(rng, space, env.config.coeff_bound, axis)
+            plus, minus = _rand_cube_pair(rng, space, axis)
             fast = relative_strong_difference(axis, plus, minus)
             slow = relative_strong_difference_curried(axis, plus, minus)
             if fast != slow:
                 raise LawViolation(space=space, axis=axis, plus=plus, minus=minus)
 
 
-_SIX_KEYS = ("123", "132", "213", "231", "312", "321")
 _C12_CLASS = {"123": 0, "132": 0, "312": 0, "321": 1, "231": 1, "213": 1}
 _C23_CLASS = {"123": 0, "213": 0, "231": 0, "132": 1, "312": 1, "321": 1}
 _C13_CLASS = {"123": 0, "132": 0, "213": 0, "312": 1, "321": 1, "231": 1}
 
 
-def _rand_compatible_six(rng: random.Random, bound: int) -> dict[str, WPoint]:
+def _rand_compatible_six(rng: random.Random) -> dict[str, WPoint]:
     """Six microcubes in 3-space satisfying all well-definedness preconditions.
 
     The agreement constraints leave free: the shared low coefficients, one
@@ -650,13 +644,13 @@ def _rand_compatible_six(rng: random.Random, bound: int) -> dict[str, WPoint]:
     classes), and six independent top coefficients.
     """
     def rand_vec():
-        return _rand_vec(rng, 3, bound)
+        return _rand_vec(rng, 3)
 
     shared = {m: rand_vec() for m in (frozenset(), frozenset({1}), frozenset({2}), frozenset({3}))}
     c12 = (rand_vec(), rand_vec())
     c23 = (rand_vec(), rand_vec())
     c13 = (rand_vec(), rand_vec())
-    tops = {key: rand_vec() for key in _SIX_KEYS}
+    tops = {key: rand_vec() for key in liealg.SIX_KEYS}
     return {
         key: WPoint.from_coefficients(
             AffineSpace(3),
@@ -669,7 +663,7 @@ def _rand_compatible_six(rng: random.Random, bound: int) -> dict[str, WPoint]:
                 frozenset({1, 2, 3}): tops[key],
             },
         )
-        for key in _SIX_KEYS
+        for key in liealg.SIX_KEYS
     }
 
 
@@ -692,11 +686,11 @@ def _general_jacobi_expressions(cubes: dict[str, WPoint]) -> tuple[Tangent, Tang
 @law("strongdiff", "general-jacobi-random", "general Jacobi law on compatible six-tuples of microcubes")
 def _law_general_jacobi_random(env: LawEnv, trial: int) -> None:
     rng = env.rng(trial)
-    cubes = _rand_compatible_six(rng, env.config.coeff_bound)
+    cubes = _rand_compatible_six(rng)
     e1, e2, e3 = _general_jacobi_expressions(cubes)
     total = tangent_combine(tangent_combine(e1, e2), e3)
     if not total.is_zero:
-        raise LawViolation(total=total, **{k: cubes[k] for k in _SIX_KEYS})
+        raise LawViolation(total=total, **cubes)
 
 
 # -- second Jacobi route ------------------------------------------------------------------------------
@@ -710,7 +704,7 @@ def _law_sigma_convention(env: LawEnv, trial: int) -> None:
     d2 = WeilElement.generator(D3, 2)
     d3 = WeilElement.generator(D3, 3)
     flows = {1: section_at(x, d1), 2: section_at(y, d2), 3: section_at(z, d3)}
-    for key, cube in zip(_SIX_KEYS, cubes):
+    for key, cube in cubes.items():
         a, b, c = (int(ch) for ch in key)
         word = star(flows[c], star(flows[b], flows[a]))
         if cube != word:
@@ -740,8 +734,8 @@ def _six_cube_tangents(b: BracketFn, x, y, z):
     cubes = liealg.six_microcubes(x, y, z)
     nested = (b(x, b(y, z)), b(y, b(z, x)), b(z, b(x, y)))
     d = WeilElement.generator(LINE, 1)
-    chart = SectionChart.for_sections(*cubes, *(section_at(b, d) for b in nested))
-    points = {key: chart.to_point(cube) for key, cube in zip(_SIX_KEYS, cubes)}
+    chart = SectionChart.for_sections(*cubes.values(), *(section_at(b, d) for b in nested))
+    points = {key: chart.to_point(cube) for key, cube in cubes.items()}
     expressions = _general_jacobi_expressions(points)
     targets = tuple(liealg.section_as_tangent(b, chart) for b in nested)
     return expressions, targets

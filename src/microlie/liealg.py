@@ -20,8 +20,7 @@ degeneration oracles, not chosen here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .groupoids import (
     AGSection,
@@ -52,15 +51,6 @@ class AxisCheckError(InternalInvariantError):
 # -- the commutator microsquare and the bracket ----------------------------------------
 
 
-@dataclass(frozen=True)
-class CommutatorSquare:
-    """The microsquare Y_{-d2} * X_{-d1} * Y_{d2} * X_{d1} with its generators."""
-
-    square: WBisection
-    x: AGSection
-    y: AGSection
-
-
 def _check_axes(section: WSection, label: str) -> None:
     """Verify a D^2-parametrized section restricts to the identity on both axes."""
     d = WeilElement.generator(LINE, 1)
@@ -72,7 +62,8 @@ def _check_axes(section: WSection, label: str) -> None:
         raise AxisCheckError(f"{label}(0, d) is not the identity section")
 
 
-def commutator_square(x: AGSection, y: AGSection) -> CommutatorSquare:
+def commutator_square(x: AGSection, y: AGSection) -> WBisection:
+    """The microsquare Y_{-d2} * X_{-d1} * Y_{d2} * X_{d1}, checked on both axes."""
     if x.groupoid != y.groupoid:
         raise GroupoidMismatchError("sections of different groupoids")
     d1 = WeilElement.generator(D2, 1)
@@ -84,7 +75,7 @@ def commutator_square(x: AGSection, y: AGSection) -> CommutatorSquare:
         section_at(x, d1),
     )
     _check_axes(word, "commutator square")
-    return CommutatorSquare(word, x, y)
+    return word
 
 
 def _extract_top_coefficient(section: WSection) -> AGSection:
@@ -94,7 +85,7 @@ def _extract_top_coefficient(section: WSection) -> AGSection:
 
 def bracket(x: AGSection, y: AGSection) -> AGSection:
     """The Lie bracket, read off the commutator microsquare."""
-    return _extract_top_coefficient(commutator_square(x, y).square)
+    return _extract_top_coefficient(commutator_square(x, y))
 
 
 # -- pushforward and Lie derivative ------------------------------------------------------
@@ -154,31 +145,21 @@ def circledast(sections: Sequence[AGSection]) -> WBisection:
     return star_word(*reversed(factors))
 
 
-class SixMicrocubes(NamedTuple):
-    """The six permuted flow cubes of three sections, indexed as g_abc."""
-
-    g123: WBisection
-    g132: WBisection
-    g213: WBisection
-    g231: WBisection
-    g312: WBisection
-    g321: WBisection
+SIX_KEYS = ("123", "132", "213", "231", "312", "321")
 
 
-def six_microcubes(x: AGSection, y: AGSection, z: AGSection) -> SixMicrocubes:
-    """Build the six cubes by permuting flow cubes of X, Y, Z.
+def six_microcubes(x: AGSection, y: AGSection, z: AGSection) -> dict[str, WBisection]:
+    """The six cubes g_abc, keyed ``"abc"`` in ``SIX_KEYS`` order, by permuting flow cubes of X, Y, Z.
 
     Equivalently g_abc(d1,d2,d3) = V_c * V_b * V_a with V1 = X_{d1},
     V2 = Y_{d2}, V3 = Z_{d3}.
     """
-    return SixMicrocubes(
-        g123=circledast([x, y, z]),
-        g132=circledast([x, z, y]).permute_generators((1, 3, 2)),
-        g213=circledast([y, x, z]).permute_generators((2, 1, 3)),
-        g231=circledast([y, z, x]).permute_generators((2, 3, 1)),
-        g312=circledast([z, x, y]).permute_generators((3, 1, 2)),
-        g321=circledast([z, y, x]).permute_generators((3, 2, 1)),
-    )
+    v = {"1": x, "2": y, "3": z}
+    cubes = {}
+    for key in SIX_KEYS:
+        cube = circledast([v[a] for a in key])
+        cubes[key] = cube if key == "123" else cube.permute_generators(tuple(int(a) for a in key))
+    return cubes
 
 
 def section_as_tangent(x: AGSection, chart: SectionChart) -> Tangent:

@@ -155,25 +155,6 @@ class Poly:
             table[e2] = table.get(e2, WeilElement.zero(self.domain)) + c * e[i]
         return self._raw(table)
 
-    def evaluate(self, point: Sequence[WeilElement]) -> WeilElement:
-        if len(point) != self.nvars:
-            raise ValueError(f"expected {self.nvars} values, got {len(point)}")
-        acc = WeilElement.zero(self.domain)
-        powers: dict[tuple[int, int], WeilElement] = {}
-
-        def power(i: int, k: int) -> WeilElement:
-            if (i, k) not in powers:
-                powers[(i, k)] = WeilElement.one(self.domain) if k == 0 else power(i, k - 1) * point[i]
-            return powers[(i, k)]
-
-        for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            acc = acc + term
-        return acc
-
     def compose(self, args: Sequence["Poly"]) -> "Poly":
         """Substitute args[i] for xi; exact, no truncation beyond nilpotency."""
         if len(args) != self.nvars:
@@ -215,10 +196,7 @@ class Poly:
 
     def scalar_poly(self) -> "Poly":
         """The scalar part, as a polynomial over the trivial domain."""
-        from .weil import InfinitesimalDomain as _Dom
-
-        rat = _Dom.scalars()
-        return Poly(self.nvars, rat, {e: c.scalar_part for e, c in self.terms.items()})
+        return Poly(self.nvars, RATIONALS, {e: c.scalar_part for e, c in self.terms.items()})
 
     # -- queries ----------------------------------------------------------------
 

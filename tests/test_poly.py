@@ -33,7 +33,8 @@ def test_derivative():
 def test_evaluate_at_weil_point():
     sq = Poly(1, D, {(2,): WeilElement.one(D)})
     one_plus_d = WeilElement(D, {(): 1, (1,): 1})
-    assert sq.evaluate([one_plus_d]) == WeilElement(D, {(): 1, (1,): 2})
+    at_point = sq.compose([Poly.constant(0, one_plus_d)])
+    assert at_point.coefficient(()) == WeilElement(D, {(): 1, (1,): 2})
 
 
 def test_nilpotent_coefficients_truncate_products():
