@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import matrices
-from .matrices import Matrix, SingularMatrixError
+from .matrices import Matrix
 from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
 from .poly import RATIONALS, Poly, compose_map, identity_map
 from .spaces import AffineSpace, MatrixGroup, WPoint
@@ -355,7 +355,7 @@ class TrivialGaugeGroupoid:
 
     def flow_data(self, fields, e: WeilElement) -> tuple:
         ident = matrices.identity(self.matrix_size, e.domain)
-        tables = tuple(matrices.add(ident, matrices.scale(e, matrices.lift(t, e.domain))) for t in fields)
+        tables = tuple(matrices.add(ident, tuple(tuple(e * c for c in row) for row in t)) for t in fields)
         return tuple(range(self.base_size)), tables
 
     def read_coefficient(self, data, monomial) -> tuple[Matrix, ...]:
@@ -547,10 +547,8 @@ def _affine_witness(components: Sequence[Poly]) -> tuple[Matrix, tuple[Fraction,
         rows.append(tuple(row))
         shift.append(scalar.coefficient((0,) * n).scalar_part)
     matrix = tuple(rows)
-    try:
-        matrices.q_inverse(matrix)
-    except SingularMatrixError as exc:
-        raise InvertibilityError("scalar part has a singular linear term") from exc
+    if not matrices.q_is_invertible(matrix):
+        raise InvertibilityError("scalar part has a singular linear term")
     return matrix, tuple(shift)
 
 
@@ -684,7 +682,7 @@ def section_at(x_section: AGSection, e: WeilElement) -> WBisection:
     """
     if e.scalar_part:
         raise NotDPointError(f"not a D-point: scalar part {e.scalar_part} is nonzero")
-    if (e * e).coeffs:
+    if e * e:
         raise NotDPointError(f"not a D-point: square is {e * e}, not 0")
     groupoid = x_section.groupoid
     return WBisection(groupoid, e.domain, groupoid.flow_data(x_section.data, e))

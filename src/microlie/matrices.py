@@ -3,12 +3,15 @@
 Matrices are immutable tuples of row tuples.  The generic arithmetic works
 for any entries supporting ``+``/``*`` (Fractions or WeilElements); the
 inverse over a Weil algebra uses the finite geometric series of the
-nilpotent part around the rational scalar matrix.
+nilpotent part around the rational scalar matrix.  Invertibility of a
+rational matrix is decided by an exact integer determinant, so a check
+computes no inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .weil import InfinitesimalDomain, WeilElement
@@ -93,12 +96,56 @@ def q_inverse(m: Matrix) -> Matrix:
     return tuple(tuple(row[k:]) for row in work)
 
 
+def _determinant(rows: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix: closed form up to 3 x 3, else Bareiss.
+
+    Bareiss elimination divides each step exactly by the previous pivot, so
+    every entry stays an integer (Bareiss, Math. Comp. 22, 1968).
+    """
+    k = len(rows)
+    if k == 0:
+        return 1
+    if k == 1:
+        return rows[0][0]
+    if k == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    work = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for col in range(k - 1):
+        if not work[col][col]:
+            swap = next((r for r in range(col + 1, k) if work[r][col]), None)
+            if swap is None:
+                return 0
+            work[col], work[swap] = work[swap], work[col]
+            sign = -sign
+        pivot, top = work[col][col], work[col]
+        for r in range(col + 1, k):
+            row = work[r]
+            lead = row[col]
+            for j in range(col + 1, k):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * work[-1][-1]
+
+
 def q_is_invertible(m: Matrix) -> bool:
-    try:
-        q_inverse(m)
-        return True
-    except SingularMatrixError:
-        return False
+    """Whether a rational matrix is invertible, decided by its determinant.
+
+    Each row is scaled by a common multiple of its denominators first, which
+    leaves integers and multiplies the determinant by a nonzero factor.
+    """
+    rows = []
+    for row in m:
+        den = 1
+        for x in row:
+            d = x.denominator
+            den = den * d // gcd(den, d)
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    return _determinant(rows) != 0
 
 
 def w_inverse(a: Matrix, domain: InfinitesimalDomain) -> Matrix:

@@ -8,6 +8,7 @@ special case over :meth:`InfinitesimalDomain.scalars`.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .weil import DomainMismatchError, InfinitesimalDomain, Rational, WeilElement
@@ -23,7 +24,10 @@ def _as_exponents(alpha: Iterable[int], nvars: int) -> Exponents:
 
 
 class Poly:
-    """Exact polynomial over a fixed InfinitesimalDomain."""
+    """Exact polynomial over a fixed InfinitesimalDomain.
+
+    ``terms`` is a read-only map from exponent tuples to nonzero coefficients.
+    """
 
     __slots__ = ("nvars", "domain", "terms")
 
@@ -49,7 +53,7 @@ class Poly:
                 del table[e]
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "terms", table)
+        object.__setattr__(self, "terms", MappingProxyType(table))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
@@ -79,7 +83,7 @@ class Poly:
         out = Poly.__new__(Poly)
         object.__setattr__(out, "nvars", self.nvars)
         object.__setattr__(out, "domain", self.domain)
-        object.__setattr__(out, "terms", {e: c for e, c in table.items() if c})
+        object.__setattr__(out, "terms", MappingProxyType({e: c for e, c in table.items() if c}))
         return out
 
     # -- arithmetic -------------------------------------------------------------
@@ -214,6 +218,9 @@ class Poly:
             and self.domain == other.domain
             and self.terms == other.terms
         )
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.domain, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         if not self.terms:

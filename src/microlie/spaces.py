@@ -332,14 +332,8 @@ def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> W
 
     def curry(cube: WPoint) -> WPoint:
         # coordinates of the tangent-space point: (value part, inner-direction part)
-        value = []
-        inner = []
-        for w in cube.coords:
-            val = {mm: c for mm, c in w.coeffs.items() if 3 not in mm}
-            der = {mm - {3}: c for mm, c in w.coeffs.items() if 3 in mm}
-            value.append(WeilElement(D2, val))
-            inner.append(WeilElement(D2, der))
-        return WPoint(doubled, D2, tuple(value) + tuple(inner))
+        parts = [w.split_last(D2) for w in cube.coords]
+        return WPoint(doubled, D2, tuple(v for v, _ in parts) + tuple(d for _, d in parts))
 
     t = strong_difference(curry(relabeled_plus), curry(relabeled_minus))
     base, direction = t.base, t.direction

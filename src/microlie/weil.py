@@ -10,12 +10,23 @@ is exact, so equality is structural and zero-tolerance.
 Generator indices are 1-based throughout (``frozenset({1, 2})`` is the
 monomial ``d1*d2``); this keeps permutations and axis labels aligned with
 the usual subscript notation for microsquares and microcubes.
+
+Inside, a monomial is a bitmask (bit ``i - 1`` for ``di``) and an element
+stores integer numerators keyed by mask over one positive common
+denominator, in lowest terms: no numerator is zero, the gcd of the
+denominator and all numerators is 1, and zero has denominator 1.  Each
+domain caches the set of masks that survive, so a product term is dropped
+by two integer tests.  The API speaks ``frozenset`` monomials and
+``Fraction`` coefficients at its edges: the constructor, ``coefficient``,
+``scalar_part``, the read-only ``coeffs`` mapping and ``str``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Monomial = frozenset[int]
@@ -53,6 +64,22 @@ def _monomial_name(m: Monomial) -> str:
     return "*".join(f"d{i}" for i in sorted(m))
 
 
+def _mask(m: Iterable[int]) -> int:
+    b = 0
+    for i in m:
+        b |= 1 << (i - 1)
+    return b
+
+
+def _indices(b: int) -> tuple[int, ...]:
+    """The generator indices of a mask, in increasing order."""
+    return tuple(i + 1 for i in range(b.bit_length()) if b >> i & 1)
+
+
+def _frac(n: int, den: int) -> Fraction:
+    return Fraction(n) if den == 1 else Fraction(n, den)
+
+
 class InfinitesimalDomain:
     """A finite set of square-zero generators with extra vanishing monomials.
 
@@ -62,7 +89,7 @@ class InfinitesimalDomain:
     construction).
     """
 
-    __slots__ = ("generator_count", "zero_monomials", "_allowed")
+    __slots__ = ("generator_count", "zero_monomials", "_allowed", "_ok", "_sets", "_hash")
 
     def __init__(self, generator_count: int, zero_monomials: Iterable[Iterable[int]] = ()) -> None:
         if generator_count < 0:
@@ -79,9 +106,24 @@ class InfinitesimalDomain:
         for z in sets:
             if not any(m <= z for m in minimal):
                 minimal.append(z)
+        zero_monomials = frozenset(minimal)
+        # surviving masks, grown one generator above the top one at a time:
+        # every subset of a surviving monomial survives
+        zero_masks = [_mask(z) for z in minimal]
+        ok = [0]
+        for b in ok:
+            for i in range(b.bit_length(), generator_count):
+                c = b | 1 << i
+                if not any(z & c == z for z in zero_masks):
+                    ok.append(c)
+        # the monomials' public order: the empty one first, then by size, then lexicographic
+        allowed = tuple(sorted((frozenset(_indices(b)) for b in ok), key=lambda m: (len(m), sorted(m))))
         object.__setattr__(self, "generator_count", generator_count)
-        object.__setattr__(self, "zero_monomials", frozenset(minimal))
-        object.__setattr__(self, "_allowed", None)
+        object.__setattr__(self, "zero_monomials", zero_monomials)
+        object.__setattr__(self, "_allowed", allowed)
+        object.__setattr__(self, "_ok", frozenset(ok))
+        object.__setattr__(self, "_sets", {_mask(m): m for m in allowed})
+        object.__setattr__(self, "_hash", hash((generator_count, zero_monomials)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("InfinitesimalDomain is immutable")
@@ -126,18 +168,7 @@ class InfinitesimalDomain:
 
     def monomials(self) -> tuple[Monomial, ...]:
         """All surviving monomials, the empty one first, then by size."""
-        cached = self._allowed
-        if cached is None:
-            gens = range(1, self.generator_count + 1)
-            out = []
-            for size in range(self.generator_count + 1):
-                for combo in combinations(gens, size):
-                    m = frozenset(combo)
-                    if not self.is_zero_monomial(m):
-                        out.append(m)
-            cached = tuple(out)
-            object.__setattr__(self, "_allowed", cached)
-        return cached
+        return self._allowed
 
     @property
     def nilpotency_order(self) -> int:
@@ -157,14 +188,14 @@ class InfinitesimalDomain:
         )
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, InfinitesimalDomain)
             and self.generator_count == other.generator_count
             and self.zero_monomials == other.zero_monomials
         )
 
     def __hash__(self) -> int:
-        return hash((self.generator_count, self.zero_monomials))
+        return self._hash
 
     def __repr__(self) -> str:
         n = self.generator_count
@@ -193,21 +224,28 @@ D3 = InfinitesimalDomain.power(3)
 AXES2 = InfinitesimalDomain.first_order(2)
 
 
+def _require_same(a: InfinitesimalDomain, b: InfinitesimalDomain) -> None:
+    if a is not b and a != b:
+        raise DomainMismatchError(f"incompatible algebras: {a!r} vs {b!r}")
+
+
 class WeilElement:
     """An exact element of an InfinitesimalDomain's algebra.
 
-    Stored as a normalized map from surviving monomials to nonzero
-    rationals; absent keys are zero, so equality is structural.
+    Stored as integer numerators keyed by surviving monomial masks over one
+    denominator, in lowest terms (see the module docstring), so equality
+    is structural.  ``coeffs`` is the read-only map from monomials to
+    nonzero ``Fraction`` coefficients, built on first read.
     """
 
-    __slots__ = ("domain", "coeffs")
+    __slots__ = ("domain", "_num", "_den", "_view")
 
     def __init__(
         self,
         domain: InfinitesimalDomain,
         coeffs: Mapping[Iterable[int], Rational] | None = None,
     ) -> None:
-        table: dict[Monomial, Fraction] = {}
+        table: dict[int, Fraction] = {}
         for key, value in (coeffs or {}).items():
             m = _monomial(key)
             if not domain.in_range(m):
@@ -216,11 +254,13 @@ class WeilElement:
                 raise ZeroMonomialError(f"monomial {_monomial_name(m)} vanishes in {domain!r}")
             c = Fraction(value)
             if c:
-                table[m] = table.get(m, Fraction(0)) + c
-                if not table[m]:
-                    del table[m]
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "coeffs", table)
+                b = _mask(m)
+                table[b] = table.get(b, 0) + c
+        den = 1
+        for c in table.values():
+            den = den * c.denominator // gcd(den, c.denominator)
+        lowest = _reduced(domain, {b: int(c * den) for b, c in table.items()}, den)
+        _init(self, domain, lowest._num, lowest._den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("WeilElement is immutable")
@@ -229,80 +269,105 @@ class WeilElement:
 
     @classmethod
     def zero(cls, domain: InfinitesimalDomain) -> "WeilElement":
-        return cls(domain)
+        return _make(domain, {}, 1)
 
     @classmethod
     def one(cls, domain: InfinitesimalDomain) -> "WeilElement":
-        return cls(domain, {SCALAR: 1})
+        return _make(domain, {0: 1}, 1)
 
     @classmethod
     def scalar(cls, domain: InfinitesimalDomain, c: Rational) -> "WeilElement":
-        return cls(domain, {SCALAR: c})
+        c = Fraction(c)
+        return _make(domain, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def generator(cls, domain: InfinitesimalDomain, i: int) -> "WeilElement":
         if not 1 <= i <= domain.generator_count:
             raise ValueError(f"no generator d{i} in {domain!r}")
-        return cls(domain, {frozenset({i}): 1})
+        return _make(domain, {1 << (i - 1): 1}, 1)
 
     # -- ring structure --------------------------------------------------------
-
-    def _require_same_domain(self, other: "WeilElement") -> None:
-        if self.domain != other.domain:
-            raise DomainMismatchError(f"incompatible algebras: {self.domain!r} vs {other.domain!r}")
-
-    def _raw(self, table: dict[Monomial, Fraction]) -> "WeilElement":
-        out = WeilElement.__new__(WeilElement)
-        object.__setattr__(out, "domain", self.domain)
-        object.__setattr__(out, "coeffs", {m: c for m, c in table.items() if c})
-        return out
 
     def __add__(self, other: "WeilElement") -> "WeilElement":
         if not isinstance(other, WeilElement):
             return NotImplemented
-        self._require_same_domain(other)
-        table = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            table[m] = table.get(m, Fraction(0)) + c
-        return self._raw(table)
+        _require_same(self.domain, other.domain)
+        a, b = self._num, other._num
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self._den, other._den
+        if da == db:
+            table = a.copy()
+            for m, n in b.items():
+                table[m] = table.get(m, 0) + n
+            return _reduced(self.domain, table, da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        table = {m: n * fa for m, n in a.items()}
+        for m, n in b.items():
+            table[m] = table.get(m, 0) + n * fb
+        return _reduced(self.domain, table, da * fa)
 
     def __sub__(self, other: "WeilElement") -> "WeilElement":
         return self + (-other)
 
     def __neg__(self) -> "WeilElement":
-        return self._raw({m: -c for m, c in self.coeffs.items()})
+        return _make(self.domain, {m: -n for m, n in self._num.items()}, self._den)
 
     def __mul__(self, other: "WeilElement | Rational") -> "WeilElement":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return self._raw({m: v * c for m, v in self.coeffs.items()})
         if not isinstance(other, WeilElement):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        self._require_same_domain(other)
         domain = self.domain
-        table: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
+        _require_same(domain, other.domain)
+        a, b = self._num, other._num
+        # a scalar operand only scales: no monomial pairs to test
+        if len(b) == 1 and 0 in b:
+            return self._scaled(b[0], other._den)
+        if len(a) == 1 and 0 in a:
+            return other._scaled(a[0], self._den)
+        ok = domain._ok
+        table: dict[int, int] = {}
+        for m1, n1 in a.items():
+            for m2, n2 in b.items():
                 if m1 & m2:
                     continue  # repeated generator: square is zero
                 m = m1 | m2
-                if domain.is_zero_monomial(m):
-                    continue
-                table[m] = table.get(m, Fraction(0)) + c1 * c2
-        return self._raw(table)
+                if m in ok:
+                    table[m] = table.get(m, 0) + n1 * n2
+        return _reduced(domain, table, self._den * other._den)
 
     def __rmul__(self, other: Rational) -> "WeilElement":
         return self * other
 
+    def _scaled(self, p: int, q: int) -> "WeilElement":
+        """This element times p/q (q > 0)."""
+        if not p:
+            return _make(self.domain, {}, 1)
+        return _reduced(self.domain, {m: n * p for m, n in self._num.items()}, self._den * q)
+
     # -- structure maps -------------------------------------------------------
 
     @property
+    def coeffs(self) -> Mapping[Monomial, Fraction]:
+        """Read-only map from each monomial with a nonzero coefficient to that coefficient."""
+        view = self._view
+        if view is None:
+            sets, den = self.domain._sets, self._den
+            view = MappingProxyType({sets[m]: _frac(n, den) for m, n in self._num.items()})
+            _set_view(self, view)
+        return view
+
+    @property
     def scalar_part(self) -> Fraction:
-        return self.coeffs.get(SCALAR, Fraction(0))
+        return _frac(self._num.get(0, 0), self._den)
 
     @property
     def is_scalar(self) -> bool:
-        return all(m == SCALAR for m in self.coeffs)
+        return self._num.keys() <= _SCALAR_MASKS
 
     def coefficient(self, monomial: Iterable[int]) -> Fraction:
         m = _monomial(monomial)
@@ -310,24 +375,40 @@ class WeilElement:
             raise ValueError(f"monomial {_monomial_name(m)} exceeds generator range")
         if self.domain.is_zero_monomial(m):
             raise ZeroMonomialError(f"monomial {_monomial_name(m)} vanishes in {self.domain!r}")
-        return self.coeffs.get(m, Fraction(0))
+        return _frac(self._num.get(_mask(m), 0), self._den)
+
+    def split_last(self, target: InfinitesimalDomain) -> tuple["WeilElement", "WeilElement"]:
+        """``(a, b)`` with ``self = a + b * dn``, neither involving the last generator ``dn``.
+
+        Both parts are read in ``target``, which has the first ``n - 1``
+        generators; a coefficient on a monomial vanishing there is an error.
+        """
+        n = self.domain.generator_count
+        if n == 0 or target.generator_count != n - 1:
+            raise ValueError(f"{target!r} does not have the generators of {self.domain!r} but the last")
+        top = 1 << (n - 1)
+        value: dict[int, int] = {}
+        derivative: dict[int, int] = {}
+        for m, c in self._num.items():
+            part, key = (derivative, m ^ top) if m & top else (value, m)
+            if key not in target._ok:
+                name = _monomial_name(frozenset(_indices(key)))
+                raise ZeroMonomialError(f"monomial {name} vanishes in {target!r}")
+            part[key] = c
+        return _reduced(target, value, self._den), _reduced(target, derivative, self._den)
 
     def restrict(self, sub: InfinitesimalDomain) -> "WeilElement":
         """Push into a coarser domain: newly vanishing coefficients drop."""
         if not sub.coarsens(self.domain):
             raise RestrictionError(f"{sub!r} is not a coarsening of {self.domain!r}")
-        out = WeilElement.__new__(WeilElement)
-        object.__setattr__(out, "domain", sub)
-        object.__setattr__(
-            out, "coeffs", {m: c for m, c in self.coeffs.items() if not sub.is_zero_monomial(m)}
-        )
-        return out
+        ok = sub._ok
+        return _reduced(sub, {m: n for m, n in self._num.items() if m in ok}, self._den)
 
     def extend(self, sup: InfinitesimalDomain) -> "WeilElement":
         """Re-read in a finer domain (one that this element's domain coarsens)."""
         if not self.domain.coarsens(sup):
             raise RestrictionError(f"{self.domain!r} is not a coarsening of {sup!r}")
-        return WeilElement(sup, self.coeffs)
+        return _make(sup, self._num, self._den)
 
     def substitute(self, target: InfinitesimalDomain, images: Sequence["WeilElement"]) -> "WeilElement":
         """Apply the algebra homomorphism sending generator i to images[i-1].
@@ -340,24 +421,26 @@ class WeilElement:
         if len(images) != n:
             raise SubstitutionError(f"expected {n} generator images, got {len(images)}")
         for i, im in enumerate(images, start=1):
-            if im.domain != target:
+            if im.domain is not target and im.domain != target:
                 raise DomainMismatchError(f"image of d{i} lives in {im.domain!r}, not {target!r}")
             if im.scalar_part:
                 raise SubstitutionError(f"image of d{i} has nonzero scalar part {im.scalar_part}")
-            if (im * im).coeffs:
+            if im * im:
                 raise SubstitutionError(f"relation d{i}^2 = 0 violated: image squares to {im * im}")
         for z in self.domain.zero_monomials:
             prod = WeilElement.one(target)
             for i in sorted(z):
                 prod = prod * images[i - 1]
-            if prod.coeffs:
+            if prod:
                 raise SubstitutionError(
                     f"relation {_monomial_name(z)} = 0 violated: image is {prod}"
                 )
         acc = WeilElement.zero(target)
-        for m, c in self.coeffs.items():
-            term = WeilElement.scalar(target, c)
-            for i in sorted(m):
+        den = self._den
+        for m, c in self._num.items():
+            g = gcd(c, den)
+            term = _make(target, {0: c // g}, den // g)
+            for i in _indices(m):
                 term = term * images[i - 1]
             acc = acc + term
         return acc
@@ -366,7 +449,7 @@ class WeilElement:
         """Relabel generator i as perm[i-1]; the domain's relations follow."""
         p = check_permutation(perm, self.domain.generator_count)
         new_domain = self.domain.permuted(p)
-        return WeilElement(new_domain, {frozenset(p[i - 1] for i in m): c for m, c in self.coeffs.items()})
+        return _make(new_domain, {_mask(p[i - 1] for i in _indices(m)): n for m, n in self._num.items()}, self._den)
 
     def inverse(self) -> "WeilElement":
         """Exact inverse; defined iff the scalar part is nonzero."""
@@ -377,7 +460,7 @@ class WeilElement:
         nil = unit - WeilElement.one(self.domain)
         acc = WeilElement.one(self.domain)
         power = -nil
-        while power.coeffs:
+        while power:
             acc = acc + power
             power = power * (-nil)
         return acc * (Fraction(1) / s)
@@ -385,21 +468,26 @@ class WeilElement:
     # -- comparisons / formatting ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WeilElement)
-            and self.domain == other.domain
-            and self.coeffs == other.coeffs
-        )
+        if self is other:
+            return True
+        if not isinstance(other, WeilElement):
+            return False
+        a, b = self.domain, other.domain
+        return (a is b or a == b) and self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self._den, frozenset(self._num.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for m in sorted(self.coeffs, key=lambda k: (len(k), sorted(k))):
-            c = self.coeffs[m]
+        for m in sorted(coeffs, key=lambda k: (len(k), sorted(k))):
+            c = coeffs[m]
             if m == SCALAR:
                 text = str(c)
             elif c == 1:
@@ -418,6 +506,39 @@ class WeilElement:
 
     def __repr__(self) -> str:
         return f"WeilElement({self.domain!r}; {self})"
+
+
+_SCALAR_MASKS = frozenset({0})
+_set_domain = WeilElement.domain.__set__
+_set_num = WeilElement._num.__set__
+_set_den = WeilElement._den.__set__
+_set_view = WeilElement._view.__set__
+_new = object.__new__
+
+
+def _init(out: WeilElement, domain: InfinitesimalDomain, num: dict[int, int], den: int) -> None:
+    _set_domain(out, domain)
+    _set_num(out, num)
+    _set_den(out, den)
+    _set_view(out, None)
+
+
+def _make(domain: InfinitesimalDomain, num: dict[int, int], den: int) -> WeilElement:
+    """An element from numerators and a denominator already in lowest terms."""
+    out = _new(WeilElement)
+    _init(out, domain, num, den)
+    return out
+
+
+def _reduced(domain: InfinitesimalDomain, table: dict[int, int], den: int) -> WeilElement:
+    """An element from numerators (zeros allowed) over ``den > 0``, brought to lowest terms."""
+    num = {m: n for m, n in table.items() if n}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {m: n // g for m, n in num.items()}
+    return _make(domain, num, den)
 
 
 def generators(domain: InfinitesimalDomain) -> tuple[WeilElement, ...]:

@@ -160,6 +160,15 @@ class TestBisections:
         with pytest.raises(InvertibilityError):
             WBisection(GG, D, ((0, 0), (matrices.identity(2, D), matrices.identity(2, D))))
 
+    def test_singular_scalar_parts_rejected(self):
+        one, d = WeilElement.one(D), WeilElement.generator(D, 1)
+        singular = ((one, one + d), (one, one))  # scalar part has two equal rows
+        with pytest.raises(InvertibilityError, match="singular scalar part"):
+            WSection(GG, D, ((0, 1), (singular, matrices.identity(2, D))))
+        linear = (Poly(2, D, {(1, 0): 1, (0, 1): 2}), Poly(2, D, {(1, 0): 2, (0, 1): 4, (0, 0): d}))
+        with pytest.raises(InvertibilityError, match="singular linear term"):
+            WBisection(P2, D, linear)
+
 
 class TestSectionAt:
     def test_zero_gives_identity(self):

@@ -55,3 +55,22 @@ def test_exponent_validation():
         rational_poly(2, {(1,): 1})
     with pytest.raises(ValueError):
         rational_poly(1, {(-1,): 1})
+
+
+def test_terms_are_read_only():
+    p = rational_poly(1, {(1,): 1})
+    with pytest.raises(TypeError):
+        p.terms[(0,)] = WeilElement.one(RATIONALS)
+    with pytest.raises(TypeError):
+        del p.terms[(1,)]
+    assert p == rational_poly(1, {(1,): 1})
+
+
+def test_equal_polynomials_hash_equally():
+    d = WeilElement.generator(D, 1)
+    p = Poly(1, D, {(1,): d, (0,): 2})
+    q = Poly(1, D, {(0,): 1}) + Poly(1, D, {(1,): d, (0,): 1})
+    assert p == q and hash(p) == hash(q)
+    x = rational_poly(2, {(1, 0): 1})
+    assert hash((x + x) * x) == hash(rational_poly(2, {(2, 0): 2}))
+    assert len({p, q, x}) == 2

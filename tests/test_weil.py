@@ -1,8 +1,12 @@
+import importlib.util
 from fractions import Fraction
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from microlie.harness import _RING_DOMAINS
 from microlie.weil import (
     DomainMismatchError,
     InfinitesimalDomain,
@@ -226,3 +230,151 @@ def test_generator_squares_vanish(a):
         for i in sorted(z):
             prod = prod * WeilElement.generator(domain, i)
         assert not prod
+
+
+class TestImmutability:
+    def test_coeffs_is_read_only(self):
+        x = WeilElement.one(D)
+        with pytest.raises(TypeError):
+            x.coeffs[frozenset()] = 5
+        with pytest.raises(TypeError):
+            del x.coeffs[frozenset()]
+        assert x == WeilElement.one(D)
+
+    def test_coeffs_speaks_monomials_and_fractions(self):
+        x = w(D2, {(): Fraction(1, 2), (2, 1): 3})
+        assert dict(x.coeffs) == {frozenset(): Fraction(1, 2), frozenset({1, 2}): Fraction(3)}
+        assert all(type(c) is Fraction for c in x.coeffs.values())
+        assert x.coeffs is x.coeffs  # built once, then cached
+
+    def test_equal_values_hash_equally(self):
+        a, b = w(D2, {(): 2, (1,): 1}), w(D2, {(2,): Fraction(1, 3)})
+        pairs = [
+            (a * b, b * a),
+            (w(D2, {(1, 2): Fraction(2, 4)}), w(D2, {(2, 1): Fraction(1, 2)})),
+            (w(D2, {(1,): 1, (2,): 1}) - w(D2, {(2,): 1}), WeilElement.generator(D2, 1)),
+            (WeilElement.one(InfinitesimalDomain.power(2)), WeilElement.one(D2)),
+            (a * Fraction(1, 2), w(D2, {(): 1, (1,): Fraction(1, 2)})),
+        ]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+        assert len({x for pair in pairs for x in pair}) == len(pairs)
+
+
+class TestSplitLast:
+    def test_splits_off_the_last_generator(self):
+        x = w(D3, {(): 1, (1,): 2, (3,): 3, (1, 2, 3): Fraction(1, 2)})
+        value, derivative = x.split_last(D2)
+        assert value == w(D2, {(): 1, (1,): 2})
+        assert derivative == w(D2, {(): 3, (1, 2): Fraction(1, 2)})
+
+    def test_rejects_a_vanishing_part(self):
+        with pytest.raises(ZeroMonomialError):
+            w(D3, {(1, 2, 3): 1}).split_last(A2)
+        with pytest.raises(ValueError):
+            w(D3, {(1,): 1}).split_last(D)
+
+
+# -- differential test against the frozen seed kernel ------------------------------------
+
+
+def _load_reference_kernel():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "weil.py"
+    spec = importlib.util.spec_from_file_location("microlie_reference_weil", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REF = _load_reference_kernel()
+
+
+def _twin(domain):
+    return REF.InfinitesimalDomain(domain.generator_count, domain.zero_monomials)
+
+
+def _agree(new, ref):
+    assert new.domain.generator_count == ref.domain.generator_count
+    assert new.domain.zero_monomials == ref.domain.zero_monomials
+    for m in new.domain.monomials():
+        assert new.coefficient(m) == ref.coefficient(m)
+    assert dict(new.coeffs) == ref.coeffs
+    assert str(new) == str(ref)
+
+
+RATIONAL = st.one_of(
+    st.just(0),
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+def coefficient_tables(domain, nilpotent_only=False):
+    monos = [m for m in domain.monomials() if m or not nilpotent_only]
+    return st.fixed_dictionaries({m: RATIONAL for m in monos})
+
+
+def pairs_over(domain):
+    """Elements of ``domain`` built by both kernels from the same coefficients."""
+    return coefficient_tables(domain).map(lambda c: (WeilElement(domain, c), REF.WeilElement(_twin(domain), c)))
+
+
+def restriction_targets(domain):
+    n = domain.generator_count
+    targets = [domain, InfinitesimalDomain.first_order(n)]
+    if n == 3:
+        targets.append(InfinitesimalDomain(3, [(1, 3), (2, 3), (1, 2)]))
+    return [t for t in targets if t.coarsens(domain)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_RING_DOMAINS).flatmap(lambda d: st.tuples(pairs_over(d), pairs_over(d), RATIONAL)))
+def test_kernel_agrees_with_the_seed_kernel(case):
+    (a, ra), (b, rb), c = case
+    _agree(a, ra)
+    _agree(a * b, ra * rb)
+    _agree(a + b, ra + rb)
+    _agree(a - b, ra - rb)
+    _agree(-a, -ra)
+    _agree(a * Fraction(c), ra * Fraction(c))
+    _agree(Fraction(c) * a, Fraction(c) * ra)
+    assert (a == b) == (ra == rb) and bool(a) == bool(ra)
+    if ra.scalar_part:
+        _agree(a.inverse(), ra.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    for sub in restriction_targets(a.domain):
+        _agree(a.restrict(sub), ra.restrict(_twin(sub)))
+    for perm in permutations(range(1, a.domain.generator_count + 1)):
+        _agree(a.permute_generators(perm), ra.permute_generators(perm))
+
+
+def substitution_cases(domain):
+    n = domain.generator_count
+    images = st.lists(coefficient_tables(domain, nilpotent_only=True), min_size=n, max_size=n)
+    return st.tuples(pairs_over(domain), images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_RING_DOMAINS).flatmap(substitution_cases))
+def test_substitution_agrees_with_the_seed_kernel(case):
+    # random nilpotent images in the element's own domain: some respect the
+    # relations and some do not, and both kernels must give the same verdict
+    (a, ra), tables = case
+    domain = a.domain
+    images = [WeilElement(domain, t) for t in tables]
+    ref_images = [REF.WeilElement(_twin(domain), t) for t in tables]
+    try:
+        expected = ra.substitute(_twin(domain), ref_images)
+    except REF.SubstitutionError as exc:
+        with pytest.raises(SubstitutionError) as caught:
+            a.substitute(domain, images)
+        assert str(caught.value) == str(exc)
+    else:
+        _agree(a.substitute(domain, images), expected)
+    # scaled generators always respect the relations
+    scales = [t.get(frozenset({i + 1})) or 1 for i, t in enumerate(tables)]
+    gens = [WeilElement.generator(domain, i + 1) * s for i, s in enumerate(scales)]
+    ref_gens = [REF.WeilElement.generator(_twin(domain), i + 1) * s for i, s in enumerate(scales)]
+    _agree(a.substitute(domain, gens), ra.substitute(_twin(domain), ref_gens))
