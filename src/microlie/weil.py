@@ -89,7 +89,7 @@ class InfinitesimalDomain:
     construction).
     """
 
-    __slots__ = ("generator_count", "zero_monomials", "_allowed", "_ok", "_sets", "_hash")
+    __slots__ = ("generator_count", "zero_monomials", "_ok", "_hash", "_named")
 
     def __init__(self, generator_count: int, zero_monomials: Iterable[Iterable[int]] = ()) -> None:
         if generator_count < 0:
@@ -116,14 +116,11 @@ class InfinitesimalDomain:
                 c = b | 1 << i
                 if not any(z & c == z for z in zero_masks):
                     ok.append(c)
-        # the monomials' public order: the empty one first, then by size, then lexicographic
-        allowed = tuple(sorted((frozenset(_indices(b)) for b in ok), key=lambda m: (len(m), sorted(m))))
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "zero_monomials", zero_monomials)
-        object.__setattr__(self, "_allowed", allowed)
         object.__setattr__(self, "_ok", frozenset(ok))
-        object.__setattr__(self, "_sets", {_mask(m): m for m in allowed})
         object.__setattr__(self, "_hash", hash((generator_count, zero_monomials)))
+        object.__setattr__(self, "_named", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("InfinitesimalDomain is immutable")
@@ -168,7 +165,17 @@ class InfinitesimalDomain:
 
     def monomials(self) -> tuple[Monomial, ...]:
         """All surviving monomials, the empty one first, then by size."""
-        return self._allowed
+        return self._monomial_tables()[0]
+
+    def _monomial_tables(self) -> tuple[tuple[Monomial, ...], dict[int, Monomial]]:
+        """The surviving monomials in public order, and by mask; built on first use."""
+        tables = self._named
+        if tables is None:
+            # the empty monomial first, then by size, then lexicographic
+            allowed = tuple(sorted((frozenset(_indices(b)) for b in self._ok), key=lambda m: (len(m), sorted(m))))
+            tables = allowed, {_mask(m): m for m in allowed}
+            object.__setattr__(self, "_named", tables)
+        return tables
 
     @property
     def nilpotency_order(self) -> int:
@@ -356,7 +363,7 @@ class WeilElement:
         """Read-only map from each monomial with a nonzero coefficient to that coefficient."""
         view = self._view
         if view is None:
-            sets, den = self.domain._sets, self._den
+            sets, den = self.domain._monomial_tables()[1], self._den
             view = MappingProxyType({sets[m]: _frac(n, den) for m, n in self._num.items()})
             _set_view(self, view)
         return view
