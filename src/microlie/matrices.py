@@ -97,22 +97,14 @@ def q_inverse(m: Matrix) -> Matrix:
 
 
 def _determinant(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix: closed form up to 3 x 3, else Bareiss.
+    """Exact determinant of an integer matrix by Bareiss elimination.
 
-    Bareiss elimination divides each step exactly by the previous pivot, so
-    every entry stays an integer (Bareiss, Math. Comp. 22, 1968).
+    Each step divides exactly by the previous pivot, so every entry stays an
+    integer (Bareiss, Math. Comp. 22, 1968).
     """
     k = len(rows)
     if k == 0:
         return 1
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    if k == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     work = [list(row) for row in rows]
     sign, prev = 1, 1
     for col in range(k - 1):

@@ -299,21 +299,11 @@ class WeilElement:
         if not isinstance(other, WeilElement):
             return NotImplemented
         _require_same(self.domain, other.domain)
-        a, b = self._num, other._num
-        if not b:
-            return self
-        if not a:
-            return other
         da, db = self._den, other._den
-        if da == db:
-            table = a.copy()
-            for m, n in b.items():
-                table[m] = table.get(m, 0) + n
-            return _reduced(self.domain, table, da)
         g = gcd(da, db)
         fa, fb = db // g, da // g
-        table = {m: n * fa for m, n in a.items()}
-        for m, n in b.items():
+        table = {m: n * fa for m, n in self._num.items()}
+        for m, n in other._num.items():
             table[m] = table.get(m, 0) + n * fb
         return _reduced(self.domain, table, da * fa)
 
@@ -326,19 +316,16 @@ class WeilElement:
     def __mul__(self, other: "WeilElement | Rational") -> "WeilElement":
         if not isinstance(other, WeilElement):
             if isinstance(other, (int, Fraction)):
-                return self._scaled(other.numerator, other.denominator)
+                # a rational only scales the numerators: no monomial pairs to test
+                p = other.numerator
+                return _reduced(self.domain, {m: n * p for m, n in self._num.items()}, self._den * other.denominator)
             return NotImplemented
         domain = self.domain
         _require_same(domain, other.domain)
-        a, b = self._num, other._num
-        # a scalar operand only scales: no monomial pairs to test
-        if len(b) == 1 and 0 in b:
-            return self._scaled(b[0], other._den)
-        if len(a) == 1 and 0 in a:
-            return other._scaled(a[0], self._den)
         ok = domain._ok
         table: dict[int, int] = {}
-        for m1, n1 in a.items():
+        b = other._num
+        for m1, n1 in self._num.items():
             for m2, n2 in b.items():
                 if m1 & m2:
                     continue  # repeated generator: square is zero
@@ -349,12 +336,6 @@ class WeilElement:
 
     def __rmul__(self, other: Rational) -> "WeilElement":
         return self * other
-
-    def _scaled(self, p: int, q: int) -> "WeilElement":
-        """This element times p/q (q > 0)."""
-        if not p:
-            return _make(self.domain, {}, 1)
-        return _reduced(self.domain, {m: n * p for m, n in self._num.items()}, self._den * q)
 
     # -- structure maps -------------------------------------------------------
 
