@@ -355,7 +355,7 @@ class TrivialGaugeGroupoid:
 
     def flow_data(self, fields, e: WeilElement) -> tuple:
         ident = matrices.identity(self.matrix_size, e.domain)
-        tables = tuple(matrices.add(ident, tuple(tuple(e * c for c in row) for row in t)) for t in fields)
+        tables = tuple(matrices.add(ident, matrices.scale(e, t)) for t in fields)
         return tuple(range(self.base_size)), tables
 
     def read_coefficient(self, data, monomial) -> tuple[Matrix, ...]:
