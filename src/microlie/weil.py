@@ -299,6 +299,8 @@ class WeilElement:
         if not isinstance(other, WeilElement):
             return NotImplemented
         _require_same(self.domain, other.domain)
+        if not other._num:
+            return self  # matrix arithmetic adds many zero entries
         da, db = self._den, other._den
         g = gcd(da, db)
         fa, fb = db // g, da // g
