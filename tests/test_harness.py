@@ -142,6 +142,8 @@ GOLDEN_REPORTS = {
     ("gauge:base=4:k=3", "none"): "546a1428f743d8337f610aac93542fec85cbce05f6efd6f2b6675754994a128a",
     ("pair:dim=3:deg=1", "none"): "d820ea796653b9155e066cb61689b410db0f50ffa5bf6d91ed1e296517794f58",
     ("pair:dim=1:deg=3", "none"): "7977a9f29ba1d7b8d1c40c697294b37774c21060e612d761e7627997113bd1a5",
+    ("pair:dim=3:deg=2", "none"): "12c125af45f386996c570f78ff51e784ee08087dc66c315191fd7e6a7d70d673",
+    ("pair:dim=2:deg=3", "flip-bracket-sign"): "300de67171ff14eef74d6a76fbb0751e7c8ac86a579ae7cb3b16aa94db8207e1",
 }
 
 
