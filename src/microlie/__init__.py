@@ -17,7 +17,7 @@ from .weil import (
     ZeroMonomialError,
     generators,
 )
-from .poly import Poly, RATIONALS, identity_map, rational_poly
+from .poly import Poly, RATIONALS, identity_map
 from .spaces import (
     AffineSpace,
     CompatibilityError,
@@ -42,6 +42,7 @@ from .groupoids import (
     GroupoidInstance,
     GroupoidMismatchError,
     InvertibilityError,
+    Jet,
     NotDPointError,
     PairGroupoid,
     SectionChart,

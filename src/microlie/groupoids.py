@@ -10,10 +10,19 @@ A section sigma assigns to each base point an arrow sourced there, so it
 is determined by its target map ``beta . sigma`` together with (for the
 gauge case) the fiber matrices.  The product is
 ``(sigma * rho)(x) = sigma(beta(rho(x))) . rho(x)``; on the stored data
-this is exact polynomial/table composition.  A bisection additionally has
-an invertible target map; invertibility is witnessed by the scalar part
-(an invertible affine map, or a base permutation) and inverses are
-computed exactly through nilpotent Newton iteration.
+this is exact map/table composition.  A bisection additionally has an
+invertible target map; invertibility is witnessed by the scalar part (an
+invertible affine map, or a base permutation) and inverses are computed
+exactly through nilpotent Newton iteration.
+
+A Weil-parametrised pair section is stored as a :class:`Jet`: one tuple of
+rational polynomials per surviving Weil monomial, keyed by mask.  By the
+Kock-Lawvere axiom a map of such a family is its finite Taylor polynomial
+in the nilpotent generators, so composing jets is a finite Taylor sum
+(:func:`_compose`) whose derivatives need no substitution when the inner
+map's scalar part is the identity, as it is for every flow and every star
+word of flows.  Evaluation at a Weil point is composition with a jet of
+constants.
 
 Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
 ``SectionChart``, ``star``, ``section_at`` and the harness only call its
@@ -40,14 +49,16 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from . import matrices
 from .matrices import Matrix
 from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
-from .poly import RATIONALS, Poly, compose_map, identity_map
+from .poly import RATIONALS, Exponents, Poly, compose_map, format_terms, identity_map, sum_of_products
 from .spaces import AffineSpace, MatrixGroup, WPoint
 from .weil import (
     DomainMismatchError,
@@ -101,11 +112,9 @@ def _rand_element(
     return WeilElement(domain, coeffs)
 
 
-def _rand_poly(
-    rng: random.Random, nvars: int, degree: int, domain: InfinitesimalDomain, density: float, draw
-) -> Poly:
+def _rand_terms(rng: random.Random, nvars: int, degree: int, density: float, draw) -> dict:
     """Each monomial of degree <= ``degree`` gets a coefficient ``draw()`` with probability ``density``."""
-    return Poly(nvars, domain, {e: draw() for e in _exponents(nvars, degree) if rng.random() < density})
+    return {e: draw() for e in _exponents(nvars, degree) if rng.random() < density}
 
 
 def _rand_matrix(rng: random.Random, k: int) -> Matrix:
@@ -138,9 +147,10 @@ MAX_FIELD_DEGREE = 3  # largest degree of a pair-groupoid vector field, in verif
 class PairGroupoid:
     """Arrows are pairs (target point, source point) of an affine base.
 
-    Section data is the tuple of polynomial components of the target map;
-    Lie algebroid data is a polynomial vector field with rational
-    coefficients; a base point is a tuple of coordinates.
+    Section data is the :class:`Jet` of the target map: one tuple of
+    rational polynomial components per Weil monomial.  Lie algebroid data
+    is a polynomial vector field with rational coefficients; a base point
+    is a tuple of coordinates.
     """
 
     dim: int
@@ -167,55 +177,76 @@ class PairGroupoid:
         return arrow.target
 
     def arrow_at(self, data, domain: InfinitesimalDomain, x) -> "Arrow":
+        # a point is a jet of constant maps, so evaluating is composing with it
         point = tuple(v if isinstance(v, WeilElement) else WeilElement.scalar(domain, v) for v in x)
-        at_point = tuple(Poly.constant(0, v) for v in point)
-        return Arrow(self, tuple(c.compose(at_point).coefficient(()) for c in data), point)
+        parts = {0: [0] * self.dim}
+        for i, v in enumerate(point):
+            for b, c in v.mask_coeffs().items():
+                parts.setdefault(b, [0] * self.dim)[i] = c
+        at = Jet(domain, {b: tuple(Poly.scalar(0, c) for c in cs) for b, cs in parts.items()})
+        image = _compose(data, at)
+        target = tuple(
+            WeilElement.from_masks(domain, {b: comps[i].coefficient(()) for b, comps in image.items()})
+            for i in range(self.dim)
+        )
+        return Arrow(self, target, point)
 
     # -- section data -----------------------------------------------------------------
 
-    def section_data(self, domain: InfinitesimalDomain, data) -> tuple[Poly, ...]:
-        comps = tuple(data)
-        if len(comps) != self.dim:
-            raise ValueError(f"expected {self.dim} map components")
-        for c in comps:
-            if not isinstance(c, Poly) or c.nvars != self.dim or c.domain != domain:
-                raise ValueError("components must be polynomials over the section's domain")
-        return comps
+    def section_data(self, domain: InfinitesimalDomain, data) -> "Jet":
+        if not isinstance(data, Jet) or data.domain != domain:
+            raise ValueError("pair section data must be a jet over the section's domain")
+        for b, comps in data.items():
+            if b not in domain.masks:
+                raise ValueError(f"jet mask {b} does not survive in {domain!r}")
+            if len(comps) != self.dim or any(not isinstance(c, Poly) or c.nvars != self.dim for c in comps):
+                raise ValueError(f"expected {self.dim} map components in {self.dim} variables")
+        return data
 
     def check_bisection(self, data) -> None:
         _affine_witness(data)
 
-    def identity_data(self, domain: InfinitesimalDomain) -> tuple[Poly, ...]:
-        return identity_map(self.dim, domain)
+    def identity_data(self, domain: InfinitesimalDomain) -> "Jet":
+        return Jet(domain, {0: identity_map(self.dim)})
 
-    def star_data(self, sigma, rho) -> tuple[Poly, ...]:
-        return compose_map(sigma, rho)
+    def star_data(self, sigma, rho) -> "Jet":
+        return _compose(sigma, rho)
 
-    def inverse_data(self, data, domain: InfinitesimalDomain) -> tuple[Poly, ...]:
+    def inverse_data(self, data, domain: InfinitesimalDomain) -> "Jet":
         return formal_inverse(data)
 
-    def flow_data(self, fields, e: WeilElement) -> tuple[Poly, ...]:
-        return tuple(
-            Poly.variable(self.dim, e.domain, i) + field.with_domain(e.domain) * e
-            for i, field in enumerate(fields)
-        )
+    def flow_data(self, fields, e: WeilElement) -> "Jet":
+        # X_e = id + e X, for a square-zero e with no scalar part (section_at checks)
+        parts = {b: tuple(field * c for field in fields) for b, c in e.mask_coeffs().items()}
+        return Jet(e.domain, {**parts, 0: identity_map(self.dim)})
 
     def read_coefficient(self, data, monomial) -> tuple[Poly, ...]:
-        return map_data(self, data, lambda w: w.coefficient(monomial), RATIONALS)
+        return data.get(sum(1 << (i - 1) for i in set(monomial)), self.ag_zero())
 
     def section_repr(self, data) -> str:
-        return f"x -> ({'; '.join(str(c) for c in data)})"
+        comps = [{} for _ in range(self.dim)]
+        for (i, e), w in self.slots(data)[1].items():
+            comps[i][e] = w
+        return f"x -> ({'; '.join(format_terms(c) for c in comps)})"
 
     # -- coefficient view: one slot per (component, exponent tuple) term; no shape --------
 
     def slots(self, data) -> tuple[None, dict]:
-        return None, {(i, e): w for i, comp in enumerate(data) for e, w in comp.terms.items()}
+        table: dict[tuple[int, Exponents], dict[int, Fraction]] = {}
+        for b, comps in data.items():
+            for i, comp in enumerate(comps):
+                for e, c in comp.coeffs.items():
+                    table.setdefault((i, e), {})[b] = c
+        return None, {slot: WeilElement.from_masks(data.domain, cs) for slot, cs in table.items()}
 
-    def from_slots(self, shape: None, coeffs, domain: InfinitesimalDomain) -> tuple[Poly, ...]:
-        terms = [{} for _ in range(self.dim)]
+    def from_slots(self, shape: None, coeffs, domain: InfinitesimalDomain) -> "Jet":
+        parts: dict[int, list[dict]] = {0: [{} for _ in range(self.dim)]}
         for (i, e), w in coeffs.items():
-            terms[i][e] = w
-        return tuple(Poly(self.dim, domain, t) for t in terms)
+            if w.domain is not domain and w.domain != domain:
+                raise DomainMismatchError(f"coefficient domain {w.domain!r} is not {domain!r}")
+            for b, c in w.mask_coeffs().items():
+                parts.setdefault(b, [{} for _ in range(self.dim)])[i][e] = c
+        return Jet(domain, {b: tuple(Poly(self.dim, t) for t in comps) for b, comps in parts.items()})
 
     # -- Lie algebroid data -------------------------------------------------------------
 
@@ -226,12 +257,10 @@ class PairGroupoid:
         for c in comps:
             if not isinstance(c, Poly) or c.nvars != self.dim:
                 raise ValueError("field components must be polynomials in the base variables")
-            if c.domain.generator_count != 0:
-                raise ValueError("field coefficients must be plain rationals")
         return comps
 
     def ag_zero(self) -> tuple[Poly, ...]:
-        return tuple(Poly.zero(self.dim, RATIONALS) for _ in range(self.dim))
+        return tuple(Poly.zero(self.dim) for _ in range(self.dim))
 
     def ag_add(self, a, b) -> tuple[Poly, ...]:
         return tuple(x + y for x, y in zip(a, b))
@@ -249,14 +278,16 @@ class PairGroupoid:
 
     def random_ag(self, rng: random.Random, degree: int) -> "AGSection":
         draw = lambda: _rand_int(rng)
-        fields = [_rand_poly(rng, self.dim, degree, RATIONALS, 0.6, draw) for _ in range(self.dim)]
+        fields = [Poly(self.dim, _rand_terms(rng, self.dim, degree, 0.6, draw)) for _ in range(self.dim)]
         return AGSection(self, fields)
 
     def random_section(self, rng: random.Random, domain, degree: int) -> "WSection":
         """An arbitrary section (not necessarily a bisection)."""
         draw = lambda: _rand_element(rng, domain)
-        comps = [_rand_poly(rng, self.dim, degree, domain, 0.5, draw) for _ in range(self.dim)]
-        return WSection(self, domain, comps)
+        coeffs = {}
+        for i in range(self.dim):
+            coeffs.update(((i, e), w) for e, w in _rand_terms(rng, self.dim, degree, 0.5, draw).items())
+        return WSection(self, domain, self.from_slots(None, coeffs, domain))
 
     def random_bisection(
         self, rng: random.Random, domain, degree: int, scalar_exact: bool = False
@@ -265,15 +296,15 @@ class PairGroupoid:
         nilpotent = lambda: _rand_element(rng, domain, nilpotent_only=True)
         a = _rand_invertible(rng, n)
         b = [_rand_int(rng) for _ in range(n)]
-        comps = []
+        coeffs = {}
         for i in range(n):
             terms = {(0,) * n: b[i]}
             terms.update((tuple(1 if t == j else 0 for t in range(n)), a[i][j]) for j in range(n))
-            poly = Poly(n, domain, terms)
+            coeffs.update(((i, e), WeilElement.scalar(domain, c)) for e, c in terms.items())
             if not scalar_exact:
-                poly = poly + _rand_poly(rng, n, degree, domain, 0.4, nilpotent)
-            comps.append(poly)
-        return WBisection(self, domain, comps)
+                for e, w in _rand_terms(rng, n, degree, 0.4, nilpotent).items():
+                    coeffs[i, e] = coeffs[i, e] + w if (i, e) in coeffs else w
+        return WBisection(self, domain, self.from_slots(None, coeffs, domain))
 
     def base_points(self, rng: random.Random, domain) -> list[tuple]:
         """The points a pointwise law checks: three random ones."""
@@ -529,23 +560,19 @@ class WBisection(WSection):
         groupoid.check_bisection(self.data)
 
 
-def _affine_witness(components: Sequence[Poly]) -> tuple[Matrix, tuple[Fraction, ...]]:
+def _affine_witness(jet: "Jet") -> tuple[Matrix, tuple[Fraction, ...]]:
     """Check the scalar part is an invertible affine map; return (matrix, shift)."""
-    n = len(components)
+    scalar = jet[0]
+    n = len(scalar)
     rows = []
     shift = []
-    for comp in components:
-        scalar = comp.scalar_poly()
-        if scalar.degree > 1:
+    for comp in scalar:
+        if comp.degree > 1:
             raise InvertibilityError(
-                f"scalar part {scalar} is not affine; no invertibility witness"
+                f"scalar part {comp} is not affine; no invertibility witness"
             )
-        row = []
-        for j in range(n):
-            alpha = tuple(1 if t == j else 0 for t in range(n))
-            row.append(scalar.coefficient(alpha).scalar_part)
-        rows.append(tuple(row))
-        shift.append(scalar.coefficient((0,) * n).scalar_part)
+        rows.append(tuple(comp.coefficient(tuple(1 if t == j else 0 for t in range(n))) for j in range(n)))
+        shift.append(comp.coefficient((0,) * n))
     matrix = tuple(rows)
     if not matrices.q_is_invertible(matrix):
         raise InvertibilityError("scalar part has a singular linear term")
@@ -573,11 +600,138 @@ def star_word(*sections: WSection) -> WSection:
     return acc
 
 
+# -- jets: Weil-parametrised polynomial maps ------------------------------------------------
+
+
+class Jet(Mapping):
+    """A Weil-parametrised polynomial map, stored one rational map per Weil monomial.
+
+    ``jet[b]`` is the tuple of component polynomials on the monomial of
+    ``domain`` with mask ``b`` (see ``InfinitesimalDomain.masks``).  Mask 0,
+    the scalar part, is always present; any other mask whose components are
+    all zero is left out, so equal maps are equal jets.  Jets are read-only
+    and hash consistently with ``==``.
+    """
+
+    __slots__ = ("domain", "_parts")
+
+    def __init__(self, domain: InfinitesimalDomain, parts: Mapping[int, Sequence[Poly]]) -> None:
+        table = {b: tuple(comps) for b, comps in parts.items() if not b or any(comps)}
+        if 0 not in table:
+            raise ValueError("a jet needs its scalar part, mask 0")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_parts", table)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Jet is immutable")
+
+    def __getitem__(self, b: int) -> tuple[Poly, ...]:
+        return self._parts[b]
+
+    def __iter__(self):
+        return iter(self._parts)
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Jet) and self.domain == other.domain and self._parts == other._parts
+
+    def __hash__(self) -> int:
+        return hash((self.domain, frozenset(self._parts.items())))
+
+    def __repr__(self) -> str:
+        return f"Jet({self.domain!r}; {self._parts})"
+
+
+def _compose(f: Jet, g: Jet) -> Jet:
+    """The jet of ``f o g``, by the finite Taylor sum (Kock-Lawvere).
+
+    ``(f o g)_M`` is the sum of ``D^r f_m(g_0)[g_s1, ..., g_sr]`` over the
+    masks ``m`` of ``f`` and the sets ``s1 < ... < sr`` of pairwise disjoint
+    nonzero masks of ``g`` with ``m | s1 | ... | sr = M`` surviving.
+    Monomials are square-free, so the ``1/r!`` of the Taylor series meets
+    the ``r!`` orders of each set and no factorial remains.  When ``g_0`` is
+    the identity the derivatives of ``f_m`` are used as they are; otherwise
+    each is composed with ``g_0``.
+    """
+    domain = g.domain
+    ok = domain.masks
+    g0 = g[0]
+    n = len(g0)
+    nvars = g0[0].nvars
+    at_identity = g0 == identity_map(n)
+    sets = [((), 0)]  # each set of disjoint nonzero masks of g, with its union
+    for s in sorted(b for b in g if b):
+        sets += [(S + (s,), u | s) for S, u in sets if not u & s and u | s in ok]
+
+    # the product g_s1[j1] * ... * g_sr[jr], for ordered (s1..sr) and (j1..jr)
+    products = {((), ()): Poly.scalar(nvars, 1)}
+
+    def prod(S: tuple[int, ...], j: tuple[int, ...]) -> Poly:
+        p = products.get((S, j))
+        if p is None:
+            p = products[S, j] = prod(S[:-1], j[:-1]) * g[S[-1]][j[-1]]
+        return p
+
+    # per set S: each multiset J of variables, with the sum of prod(S, j) over the orders j of J
+    weights = {(): {(): products[(), ()]}}
+
+    def weight(S: tuple[int, ...]) -> dict[tuple[int, ...], Poly]:
+        out = weights.get(S)
+        if out is None:
+            orders: dict[tuple[int, ...], list[tuple[Poly, Poly]]] = {}
+            for j in product(range(n), repeat=len(S) - 1):
+                head = prod(S[:-1], j)
+                for last, comp in enumerate(g[S[-1]]):
+                    orders.setdefault(tuple(sorted(j + (last,))), []).append((head, comp))
+            out = weights[S] = {J: sum_of_products(nvars, pairs) for J, pairs in orders.items()}
+        return out
+
+    # d^J f_m, componentwise, then composed with g_0 unless g_0 is the identity
+    partials: dict[tuple[int, tuple[int, ...]], tuple[Poly, ...]] = {}
+
+    def partial(m: int, J: tuple[int, ...]) -> tuple[Poly, ...]:
+        p = partials.get((m, J))
+        if p is None:
+            p = partials[m, J] = f[m] if not J else tuple(c.derivative(J[-1]) for c in partial(m, J[:-1]))
+        return p
+
+    width = len(f[0])
+    terms = []  # (M, m, J, weight): D^r f_m[.., ..] contributes d^J f_m * weight to mask M
+    for m in f:
+        for S, u in sets:
+            if m & u or m | u not in ok:
+                continue
+            for J, w in weight(S).items():
+                if any(partial(m, J)):
+                    terms.append((m | u, m, J, w))
+    derivatives = partials
+    if not at_identity:
+        # one composition with g_0 for every derivative, so all share the powers of g_0
+        keys = list(dict.fromkeys((m, J) for _, m, J, _ in terms))
+        flat = compose_map([c for key in keys for c in partials[key]], g0)
+        derivatives = {key: flat[k * width : (k + 1) * width] for k, key in enumerate(keys)}
+    sums = {M: [[] for _ in range(width)] for M, _, _, _ in terms}
+    sums.setdefault(0, [[] for _ in range(width)])
+    for M, m, J, w in terms:
+        for i, d in enumerate(derivatives[m, J]):
+            sums[M][i].append((d, w))
+    return Jet(domain, {M: tuple(sum_of_products(nvars, p) for p in pairs) for M, pairs in sums.items()})
+
+
+def _minus_identity(jet: Jet, ident: tuple[Poly, ...]) -> dict[int, tuple[Poly, ...]]:
+    """The nonzero parts of ``jet - id``, by mask."""
+    parts = dict(jet)
+    parts[0] = tuple(p - x for p, x in zip(parts[0], ident))
+    return {b: comps for b, comps in parts.items() if any(comps)}
+
+
 # -- formal inversion -------------------------------------------------------------------
 
 
-def formal_inverse(components: Sequence[Poly]) -> tuple[Poly, ...]:
-    """Two-sided compositional inverse of a polynomial self-map.
+def formal_inverse(f: Jet) -> Jet:
+    """Two-sided compositional inverse of a jet of polynomial self-maps.
 
     Requires the scalar part to be an invertible affine map.  Newton
     iteration preconditioned by the scalar linear part,
@@ -585,31 +739,31 @@ def formal_inverse(components: Sequence[Poly]) -> tuple[Poly, ...]:
     and therefore terminates exactly.  (The unpreconditioned step only
     converges when the scalar part is the identity.)
     """
-    f = tuple(components)
-    n = len(f)
-    domain = f[0].domain
+    domain = f.domain
+    n = len(f[0])
     matrix, shift = _affine_witness(f)
     inv = matrices.q_inverse(matrix)
-    ident = identity_map(n, domain)
+    ident = identity_map(n)
     # seed: the exact inverse A^-1 (x - b) of the scalar affine part
-    g = []
+    seed = []
     for i in range(n):
-        acc = Poly.scalar(n, domain, sum((-inv[i][j]) * shift[j] for j in range(n)))
+        acc = Poly.scalar(n, sum((-inv[i][j]) * shift[j] for j in range(n)))
         for j in range(n):
-            acc = acc + Poly.variable(n, domain, j) * inv[i][j]
-        g.append(acc)
-    g = tuple(g)
+            acc = acc + Poly.variable(n, j) * inv[i][j]
+        seed.append(acc)
+    g = Jet(domain, {0: tuple(seed)})
+    zero = (Poly.zero(n),) * n
     for _ in range(domain.nilpotency_order + 1):
-        err = tuple(e - x for e, x in zip(compose_map(f, g), ident))
-        if not any(err):
-            back = tuple(e - x for e, x in zip(compose_map(g, f), ident))
-            if any(back):
+        err = _minus_identity(_compose(f, g), ident)
+        if not err:
+            if _minus_identity(_compose(g, f), ident):
                 raise InvertibilityError("one-sided inverse only; map is not a bisection datum")
             return g
-        g = tuple(
-            gi - sum((err[j] * inv[i][j] for j in range(n)), Poly.zero(n, domain))
-            for i, gi in enumerate(g)
-        )
+        parts = dict(g)
+        for b, e in err.items():
+            gb = parts.get(b, zero)
+            parts[b] = tuple(gb[i] - sum((e[j] * inv[i][j] for j in range(n)), Poly.zero(n)) for i in range(n))
+        g = Jet(domain, parts)
     raise AssertionError("nilpotent Newton iteration failed to terminate")
 
 

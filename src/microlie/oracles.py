@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import matrices
 from .matrices import Matrix
-from .poly import Poly, RATIONALS
+from .poly import Poly
 
 
 class PolyVectorField:
@@ -29,8 +29,6 @@ class PolyVectorField:
         for c in comps:
             if not isinstance(c, Poly) or c.nvars != n:
                 raise ValueError(f"need {n} polynomials in {n} variables")
-            if c.domain.generator_count != 0:
-                raise ValueError("vector field coefficients must be plain rationals")
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "components", comps)
 
@@ -39,7 +37,7 @@ class PolyVectorField:
 
     @classmethod
     def zero(cls, dimension: int) -> "PolyVectorField":
-        return cls(tuple(Poly.zero(dimension, RATIONALS) for _ in range(dimension)))
+        return cls(tuple(Poly.zero(dimension) for _ in range(dimension)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolyVectorField) and self.components == other.components
@@ -55,7 +53,7 @@ def classical_vf_bracket(xi: PolyVectorField, eta: PolyVectorField) -> PolyVecto
     n = xi.dimension
     out = []
     for i in range(n):
-        acc = Poly.zero(n, RATIONALS)
+        acc = Poly.zero(n)
         for j in range(n):
             acc = acc + xi.components[j] * eta.components[i].derivative(j)
             acc = acc - eta.components[j] * xi.components[i].derivative(j)

@@ -1,19 +1,35 @@
-"""Multivariate polynomials whose coefficients are Weil-algebra elements.
+"""Multivariate polynomials with exact rational coefficients.
 
 Variables are written ``x0 .. x(n-1)`` (0-based, matching the expression
-grammar); exponent tuples key the terms.  Rational polynomials are the
-special case over :meth:`InfinitesimalDomain.scalars`.
+grammar); exponent tuples key the terms.  Inside, a polynomial stores
+integer numerators keyed by exponent tuple over one positive common
+denominator, in lowest terms, as :class:`~microlie.weil.WeilElement` does
+with monomial masks: no numerator is zero, the gcd of the denominator and
+all numerators is 1, and zero has denominator 1, so equality is
+structural.  The API speaks ``Fraction`` at its edges: the constructor,
+``coefficient``, the read-only ``coeffs`` mapping and ``str``.  ``terms``
+is the same map with each coefficient as a scalar Weil element over
+:data:`RATIONALS`, built on first read.
+
+A Weil-parametrised family of polynomial maps is not a polynomial with
+Weil coefficients here: the pair groupoid stores it as a jet, one rational
+polynomial map per Weil monomial (see :mod:`microlie.groupoids`), and
+:func:`sum_of_products` is the one fused step of its Taylor sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .weil import DomainMismatchError, InfinitesimalDomain, Rational, WeilElement
+from .weil import InfinitesimalDomain, Rational, WeilElement
 
 Exponents = tuple[int, ...]
+
+RATIONALS = InfinitesimalDomain.scalars()
 
 
 def _as_exponents(alpha: Iterable[int], nvars: int) -> Exponents:
@@ -23,37 +39,29 @@ def _as_exponents(alpha: Iterable[int], nvars: int) -> Exponents:
     return e
 
 
-class Poly:
-    """Exact polynomial over a fixed InfinitesimalDomain.
+def _frac(n: int, den: int) -> Fraction:
+    return Fraction(n) if den == 1 else Fraction(n, den)
 
-    ``terms`` is a read-only map from exponent tuples to nonzero coefficients.
+
+class Poly:
+    """Exact rational polynomial in ``nvars`` variables.
+
+    Stored as integer numerators keyed by exponent tuple over one
+    denominator, in lowest terms (see the module docstring).
     """
 
-    __slots__ = ("nvars", "domain", "terms")
+    __slots__ = ("nvars", "_num", "_den", "_coeffs", "_terms")
 
-    def __init__(
-        self,
-        nvars: int,
-        domain: InfinitesimalDomain,
-        terms: Mapping[Iterable[int], WeilElement | Rational] | None = None,
-    ) -> None:
-        table: dict[Exponents, WeilElement] = {}
-        for alpha, c in (terms or {}).items():
+    def __init__(self, nvars: int, terms: Mapping[Iterable[int], Rational] | None = None) -> None:
+        table: dict[Exponents, Fraction] = {}
+        for alpha, value in (terms or {}).items():
             e = _as_exponents(alpha, nvars)
-            w = c if isinstance(c, WeilElement) else WeilElement.scalar(domain, c)
-            if w.domain != domain:
-                raise DomainMismatchError(f"coefficient domain {w.domain!r} is not {domain!r}")
-            if not w:
-                continue
-            prev = table.get(e)
-            acc = w if prev is None else prev + w
-            if acc:
-                table[e] = acc
-            elif e in table:
-                del table[e]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "terms", MappingProxyType(table))
+            c = Fraction(value)
+            if c:
+                table[e] = table.get(e, 0) + c
+        den = lcm(1, *(c.denominator for c in table.values()))
+        lowest = _reduced(nvars, {e: int(c * den) for e, c in table.items()}, den)
+        _init(self, nvars, lowest._num, lowest._den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
@@ -61,79 +69,59 @@ class Poly:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int, domain: InfinitesimalDomain) -> "Poly":
-        return cls(nvars, domain)
+    def zero(cls, nvars: int) -> "Poly":
+        return _make(nvars, {}, 1)
 
     @classmethod
-    def constant(cls, nvars: int, value: WeilElement) -> "Poly":
-        return cls(nvars, value.domain, {(0,) * nvars: value})
+    def scalar(cls, nvars: int, c: Rational) -> "Poly":
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def scalar(cls, nvars: int, domain: InfinitesimalDomain, c: Rational) -> "Poly":
-        return cls(nvars, domain, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, nvars: int, domain: InfinitesimalDomain, i: int) -> "Poly":
+    def variable(cls, nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise ValueError(f"variable x{i} out of range for {nvars} variables")
-        alpha = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, domain, {alpha: 1})
-
-    def _raw(self, table: dict[Exponents, WeilElement]) -> "Poly":
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "domain", self.domain)
-        object.__setattr__(out, "terms", MappingProxyType({e: c for e, c in table.items() if c}))
-        return out
+        return _make(nvars, {tuple(1 if j == i else 0 for j in range(nvars)): 1}, 1)
 
     # -- arithmetic -------------------------------------------------------------
 
     def _require_compatible(self, other: "Poly") -> None:
-        if self.nvars != other.nvars or self.domain != other.domain:
-            raise DomainMismatchError("polynomials over different rings")
+        if self.nvars != other.nvars:
+            raise ValueError(f"polynomials in {self.nvars} and {other.nvars} variables")
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_compatible(other)
-        table = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = table.get(e)
-            table[e] = c if prev is None else prev + c
-        return self._raw(table)
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        table = {e: n * fa for e, n in self._num.items()}
+        for e, n in other._num.items():
+            table[e] = table.get(e, 0) + n * fb
+        return _reduced(self.nvars, table, da * fa)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return self._raw({e: -c for e, c in self.terms.items()})
+        return _make(self.nvars, {e: -n for e, n in self._num.items()}, self._den)
 
-    def __mul__(self, other: "Poly | WeilElement | Rational") -> "Poly":
+    def __mul__(self, other: "Poly | Rational") -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return self._raw({e: c * other for e, c in self.terms.items()})
-        if isinstance(other, WeilElement):
-            return self._raw({e: c * other for e, c in self.terms.items()})
+            p = other.numerator
+            return _reduced(self.nvars, {e: n * p for e, n in self._num.items()}, self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_compatible(other)
-        table: dict[Exponents, WeilElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                c = c1 * c2
-                if not c:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prev = table.get(e)
-                table[e] = c if prev is None else prev + c
-        return self._raw(table)
+        return _reduced(self.nvars, _product(self._num, other._num), self._den * other._den)
 
-    def __rmul__(self, other: WeilElement | Rational) -> "Poly":
+    def __rmul__(self, other: Rational) -> "Poly":
         return self * other
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
-        out = Poly.scalar(self.nvars, self.domain, 1)
+        out = Poly.scalar(self.nvars, 1)
         base = self
         while k:
             if k & 1:
@@ -142,120 +130,192 @@ class Poly:
             k >>= 1
         return out
 
-    # -- calculus / evaluation ----------------------------------------------------
+    # -- calculus -----------------------------------------------------------------
 
-    def coefficient(self, alpha: Iterable[int]) -> WeilElement:
+    def coefficient(self, alpha: Iterable[int]) -> Fraction:
         e = _as_exponents(alpha, self.nvars)
-        return self.terms.get(e, WeilElement.zero(self.domain))
+        return _frac(self._num.get(e, 0), self._den)
 
     def derivative(self, i: int) -> "Poly":
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable x{i} out of range")
-        table: dict[Exponents, WeilElement] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = tuple(k - 1 if j == i else k for j, k in enumerate(e))
-            table[e2] = table.get(e2, WeilElement.zero(self.domain)) + c * e[i]
-        return self._raw(table)
+        table = {}
+        for e, n in self._num.items():
+            k = e[i]
+            if k:
+                table[e[:i] + (k - 1,) + e[i + 1 :]] = n * k
+        return _reduced(self.nvars, table, self._den)
 
     def compose(self, args: Sequence["Poly"]) -> "Poly":
-        """Substitute args[i] for xi; exact, no truncation beyond nilpotency."""
-        if len(args) != self.nvars:
-            raise ValueError(f"expected {self.nvars} arguments, got {len(args)}")
-        if not args:
-            return self
-        target_nvars = args[0].nvars
-        for g in args:
-            if g.nvars != target_nvars or g.domain != self.domain:
-                raise DomainMismatchError("composition arguments over different rings")
-        acc = Poly.zero(target_nvars, self.domain)
-        powers: dict[tuple[int, int], Poly] = {}
-
-        def power(i: int, k: int) -> Poly:
-            if (i, k) not in powers:
-                powers[(i, k)] = (
-                    Poly.scalar(target_nvars, self.domain, 1) if k == 0 else power(i, k - 1) * args[i]
-                )
-            return powers[(i, k)]
-
-        for e, c in self.terms.items():
-            term = Poly.constant(target_nvars, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            acc = acc + term
-        return acc
-
-    def map_coefficients(
-        self, fn: Callable[[WeilElement], WeilElement], domain: InfinitesimalDomain
-    ) -> "Poly":
-        return Poly(self.nvars, domain, {e: fn(c) for e, c in self.terms.items()})
-
-    def with_domain(self, domain: InfinitesimalDomain) -> "Poly":
-        """Lift a polynomial with purely scalar coefficients into another domain."""
-        if any(not c.is_scalar for c in self.terms.values()):
-            raise DomainMismatchError("coefficients carry infinitesimals; cannot re-home")
-        return Poly(self.nvars, domain, {e: c.scalar_part for e, c in self.terms.items()})
-
-    def scalar_poly(self) -> "Poly":
-        """The scalar part, as a polynomial over the trivial domain."""
-        return Poly(self.nvars, RATIONALS, {e: c.scalar_part for e, c in self.terms.items()})
+        """Substitute args[i] for xi, exactly."""
+        return compose_map((self,), args)[0]
 
     # -- queries ----------------------------------------------------------------
 
     @property
+    def coeffs(self) -> Mapping[Exponents, Fraction]:
+        """Read-only map from each exponent tuple with a nonzero coefficient to that coefficient."""
+        view = self._coeffs
+        if view is None:
+            den = self._den
+            view = MappingProxyType({e: _frac(n, den) for e, n in self._num.items()})
+            _set_coeffs(self, view)
+        return view
+
+    @property
+    def terms(self) -> Mapping[Exponents, WeilElement]:
+        """``coeffs`` with each coefficient as a scalar Weil element over RATIONALS."""
+        view = self._terms
+        if view is None:
+            view = MappingProxyType({e: WeilElement.scalar(RATIONALS, c) for e, c in self.coeffs.items()})
+            _set_terms(self, view)
+        return view
+
+    @property
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self._num), default=0)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Poly)
             and self.nvars == other.nvars
-            and self.domain == other.domain
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.domain, frozenset(self.terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._num.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
-            c = self.terms[e]
-            names = [f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k]
-            body = "*".join(names)
-            cs = str(c)
-            needs_parens = " " in cs or not c.is_scalar
-            if not body:
-                parts.append(f"({cs})" if needs_parens else cs)
-            elif c == WeilElement.one(self.domain):
-                parts.append(body)
-            else:
-                parts.append(f"({cs})*{body}" if needs_parens else f"{cs}*{body}")
-        return " + ".join(parts)
+        return format_terms(self.terms)
 
     def __repr__(self) -> str:
-        return f"Poly({self.nvars} vars over {self.domain!r}; {self})"
+        return f"Poly({self.nvars} vars over {RATIONALS!r}; {self})"
 
 
-def identity_map(nvars: int, domain: InfinitesimalDomain) -> tuple[Poly, ...]:
+_set_nvars = Poly.nvars.__set__
+_set_num = Poly._num.__set__
+_set_den = Poly._den.__set__
+_set_coeffs = Poly._coeffs.__set__
+_set_terms = Poly._terms.__set__
+_new = object.__new__
+
+
+def _init(out: Poly, nvars: int, num: dict[Exponents, int], den: int) -> None:
+    _set_nvars(out, nvars)
+    _set_num(out, num)
+    _set_den(out, den)
+    _set_coeffs(out, None)
+    _set_terms(out, None)
+
+
+def _make(nvars: int, num: dict[Exponents, int], den: int) -> Poly:
+    """A polynomial from numerators and a denominator already in lowest terms."""
+    out = _new(Poly)
+    _init(out, nvars, num, den)
+    return out
+
+
+def _reduced(nvars: int, table: dict[Exponents, int], den: int) -> Poly:
+    """A polynomial from numerators (zeros allowed) over ``den > 0``, brought to lowest terms."""
+    num = {e: n for e, n in table.items() if n}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {e: n // g for e, n in num.items()}
+    return _make(nvars, num, den)
+
+
+def _product(a: dict[Exponents, int], b: dict[Exponents, int]) -> dict[Exponents, int]:
+    """The numerators of a product, zeros included."""
+    table: dict[Exponents, int] = {}
+    for e1, n1 in a.items():
+        for e2, n2 in b.items():
+            e = tuple(map(add, e1, e2))
+            table[e] = table.get(e, 0) + n1 * n2
+    return table
+
+
+def sum_of_products(nvars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
+    """``sum(a * b for a, b in pairs)``, accumulated over one denominator and reduced once."""
+    den = lcm(1, *(a._den * b._den for a, b in pairs))
+    table: dict[Exponents, int] = {}
+    for a, b in pairs:
+        scale = den // (a._den * b._den)
+        for e1, n1 in a._num.items():
+            n1 *= scale
+            for e2, n2 in b._num.items():
+                e = tuple(map(add, e1, e2))
+                table[e] = table.get(e, 0) + n1 * n2
+    return _reduced(nvars, table, den)
+
+
+def format_terms(terms: Mapping[Exponents, WeilElement]) -> str:
+    """A polynomial with Weil coefficients, written ``c*x0^2 + ...`` by degree, then exponents."""
+    if not terms:
+        return "0"
+    parts = []
+    for e in sorted(terms, key=lambda t: (sum(t), t)):
+        c = terms[e]
+        names = [f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k]
+        body = "*".join(names)
+        cs = str(c)
+        needs_parens = " " in cs or not c.is_scalar
+        if not body:
+            parts.append(f"({cs})" if needs_parens else cs)
+        elif c == WeilElement.one(c.domain):
+            parts.append(body)
+        else:
+            parts.append(f"({cs})*{body}" if needs_parens else f"{cs}*{body}")
+    return " + ".join(parts)
+
+
+def identity_map(nvars: int) -> tuple[Poly, ...]:
     """The tuple (x0, ..., x(n-1)) as a polynomial self-map."""
-    return tuple(Poly.variable(nvars, domain, i) for i in range(nvars))
+    return tuple(Poly.variable(nvars, i) for i in range(nvars))
 
 
 def compose_map(f: Sequence[Poly], g: Sequence[Poly]) -> tuple[Poly, ...]:
-    """Componentwise composition f(g(x))."""
-    return tuple(fi.compose(tuple(g)) for fi in f)
+    """Componentwise composition f(g(x)); the products of powers of g are shared by all of f."""
+    nvars = len(g)
+    if any(fi.nvars != nvars for fi in f):
+        raise ValueError(f"expected {nvars} arguments")
+    if not g:
+        return tuple(f)
+    target = g[0].nvars
+    if any(gi.nvars != target for gi in g):
+        raise ValueError("composition arguments in different numbers of variables")
+    products: dict[Exponents, dict[Exponents, int]] = {(0,) * nvars: {(0,) * target: 1}}
 
+    def product(e: Exponents) -> dict[Exponents, int]:
+        # the numerators of prod(g_i ** e_i), peeling one factor off the last variable in e
+        out = products.get(e)
+        if out is None:
+            i = max(j for j, k in enumerate(e) if k)
+            out = products[e] = _product(product(e[:i] + (e[i] - 1,) + e[i + 1 :]), g[i]._num)
+        return out
 
-RATIONALS = InfinitesimalDomain.scalars()
-
-
-def rational_poly(nvars: int, terms: Mapping[Iterable[int], Rational]) -> Poly:
-    return Poly(nvars, RATIONALS, terms)
+    dens = [gi._den for gi in g]
+    out = []
+    for fi in f:
+        # over the common denominator den * prod(den_i ** top_i), a term
+        # c * x^e scales by prod(den_i ** (top_i - e_i)): all integers
+        tops = [max((e[i] for e in fi._num), default=0) for i in range(nvars)]
+        acc: dict[Exponents, int] = {}
+        for e, n in fi._num.items():
+            for d, top, k in zip(dens, tops, e):
+                if d != 1:
+                    n *= d ** (top - k)
+            for a, m in product(e).items():
+                acc[a] = acc.get(a, 0) + n * m
+        den = fi._den
+        for d, top in zip(dens, tops):
+            den *= d**top
+        out.append(_reduced(target, acc, den))
+    return tuple(out)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, RATIONALS
+from .poly import Poly
 
 
 class VectorFieldSyntaxError(ValueError):
@@ -159,7 +159,7 @@ class _Parser:
                 if d == 0:
                     raise VectorFieldSyntaxError(denom.pos, "zero denominator")
                 value /= d
-            return Poly.scalar(self.nvars, RATIONALS, value)
+            return Poly.scalar(self.nvars, value)
         if tok.kind == "VAR":
             self.take()
             index = _int(tok.text[1:], tok.pos)
@@ -167,7 +167,7 @@ class _Parser:
                 raise VectorFieldSyntaxError(
                     tok.pos, f"variable {tok.text} out of range; dimension is {self.nvars}"
                 )
-            return Poly.variable(self.nvars, RATIONALS, index)
+            return Poly.variable(self.nvars, index)
         if tok.kind == "(":
             self.take()
             self.depth += 1
@@ -215,11 +215,11 @@ def parse_vector_field(text: str, dimension: int, max_degree: int | None = None)
 
 def format_poly(poly: Poly) -> str:
     """Render a rational polynomial in the input grammar."""
-    if not poly.terms:
+    if not poly:
         return "0"
     parts: list[str] = []
-    for e in sorted(poly.terms, key=lambda t: (sum(t), tuple(-k for k in t))):
-        c = poly.terms[e].scalar_part
+    for e in sorted(poly.coeffs, key=lambda t: (sum(t), tuple(-k for k in t))):
+        c = poly.coeffs[e]
         names = [f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k]
         if not names:
             body = str(abs(c))

@@ -15,17 +15,19 @@ Inside, a monomial is a bitmask (bit ``i - 1`` for ``di``) and an element
 stores integer numerators keyed by mask over one positive common
 denominator, in lowest terms: no numerator is zero, the gcd of the
 denominator and all numerators is 1, and zero has denominator 1.  Each
-domain caches the set of masks that survive, so a product term is dropped
-by two integer tests.  The API speaks ``frozenset`` monomials and
-``Fraction`` coefficients at its edges: the constructor, ``coefficient``,
-``scalar_part``, the read-only ``coeffs`` mapping and ``str``.
+domain keeps the set of masks that survive (``masks``), so a product term
+is dropped by two integer tests.  The API speaks ``frozenset`` monomials
+and ``Fraction`` coefficients at its edges: the constructor,
+``coefficient``, ``scalar_part``, the read-only ``coeffs`` mapping and
+``str``.  ``from_masks`` and ``mask_coeffs`` speak masks, for the pair
+groupoid's jets, which key rational polynomial maps by mask.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -86,10 +88,11 @@ class InfinitesimalDomain:
     ``zero_monomials`` is stored as its minimal antichain; a monomial
     vanishes iff it contains one of the stored sets (or repeats a
     generator, which the square-free representation rules out by
-    construction).
+    construction).  ``masks`` is the set of surviving monomials as
+    bitmasks (bit ``i - 1`` for ``di``); it is closed under subsets.
     """
 
-    __slots__ = ("generator_count", "zero_monomials", "_ok", "_hash", "_named")
+    __slots__ = ("generator_count", "zero_monomials", "masks", "_hash", "_named")
 
     def __init__(self, generator_count: int, zero_monomials: Iterable[Iterable[int]] = ()) -> None:
         if generator_count < 0:
@@ -118,7 +121,7 @@ class InfinitesimalDomain:
                     ok.append(c)
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "zero_monomials", zero_monomials)
-        object.__setattr__(self, "_ok", frozenset(ok))
+        object.__setattr__(self, "masks", frozenset(ok))
         object.__setattr__(self, "_hash", hash((generator_count, zero_monomials)))
         object.__setattr__(self, "_named", None)
 
@@ -172,7 +175,7 @@ class InfinitesimalDomain:
         tables = self._named
         if tables is None:
             # the empty monomial first, then by size, then lexicographic
-            allowed = tuple(sorted((frozenset(_indices(b)) for b in self._ok), key=lambda m: (len(m), sorted(m))))
+            allowed = tuple(sorted((frozenset(_indices(b)) for b in self.masks), key=lambda m: (len(m), sorted(m))))
             tables = allowed, {_mask(m): m for m in allowed}
             object.__setattr__(self, "_named", tables)
         return tables
@@ -263,10 +266,7 @@ class WeilElement:
             if c:
                 b = _mask(m)
                 table[b] = table.get(b, 0) + c
-        den = 1
-        for c in table.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        lowest = _reduced(domain, {b: int(c * den) for b, c in table.items()}, den)
+        lowest = _from_fractions(domain, table)
         _init(self, domain, lowest._num, lowest._den)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -286,6 +286,14 @@ class WeilElement:
     def scalar(cls, domain: InfinitesimalDomain, c: Rational) -> "WeilElement":
         c = Fraction(c)
         return _make(domain, {0: c.numerator} if c else {}, c.denominator)
+
+    @classmethod
+    def from_masks(cls, domain: InfinitesimalDomain, coeffs: Mapping[int, Rational]) -> "WeilElement":
+        """The element with coefficient ``coeffs[b]`` on the monomial of each surviving mask ``b``."""
+        stray = coeffs.keys() - domain.masks
+        if stray:
+            raise ZeroMonomialError(f"masks {sorted(stray)} do not survive in {domain!r}")
+        return _from_fractions(domain, {b: Fraction(c) for b, c in coeffs.items() if c})
 
     @classmethod
     def generator(cls, domain: InfinitesimalDomain, i: int) -> "WeilElement":
@@ -324,7 +332,7 @@ class WeilElement:
             return NotImplemented
         domain = self.domain
         _require_same(domain, other.domain)
-        ok = domain._ok
+        ok = domain.masks
         table: dict[int, int] = {}
         b = other._num
         for m1, n1 in self._num.items():
@@ -350,6 +358,11 @@ class WeilElement:
             view = MappingProxyType({sets[m]: _frac(n, den) for m, n in self._num.items()})
             _set_view(self, view)
         return view
+
+    def mask_coeffs(self) -> dict[int, Fraction]:
+        """``coeffs`` keyed by monomial mask (see ``InfinitesimalDomain.masks``), as a new dict."""
+        den = self._den
+        return {m: _frac(n, den) for m, n in self._num.items()}
 
     @property
     def scalar_part(self) -> Fraction:
@@ -381,7 +394,7 @@ class WeilElement:
         derivative: dict[int, int] = {}
         for m, c in self._num.items():
             part, key = (derivative, m ^ top) if m & top else (value, m)
-            if key not in target._ok:
+            if key not in target.masks:
                 name = _monomial_name(frozenset(_indices(key)))
                 raise ZeroMonomialError(f"monomial {name} vanishes in {target!r}")
             part[key] = c
@@ -391,7 +404,7 @@ class WeilElement:
         """Push into a coarser domain: newly vanishing coefficients drop."""
         if not sub.coarsens(self.domain):
             raise RestrictionError(f"{sub!r} is not a coarsening of {self.domain!r}")
-        ok = sub._ok
+        ok = sub.masks
         return _reduced(sub, {m: n for m, n in self._num.items() if m in ok}, self._den)
 
     def extend(self, sup: InfinitesimalDomain) -> "WeilElement":
@@ -518,6 +531,12 @@ def _make(domain: InfinitesimalDomain, num: dict[int, int], den: int) -> WeilEle
     out = _new(WeilElement)
     _init(out, domain, num, den)
     return out
+
+
+def _from_fractions(domain: InfinitesimalDomain, table: dict[int, Fraction]) -> WeilElement:
+    """An element from nonzero ``Fraction`` coefficients keyed by surviving mask."""
+    den = lcm(1, *(c.denominator for c in table.values()))
+    return _reduced(domain, {b: int(c * den) for b, c in table.items()}, den)
 
 
 def _reduced(domain: InfinitesimalDomain, table: dict[int, int], den: int) -> WeilElement:

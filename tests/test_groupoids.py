@@ -1,6 +1,12 @@
+import importlib
+import random
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microlie import matrices
 from microlie.groupoids import (
@@ -20,9 +26,9 @@ from microlie.groupoids import (
     section_at,
     star,
 )
-from microlie.poly import Poly, identity_map
+from microlie.liealg import WITNESS_DOMAIN
 from microlie.vfexpr import parse_vector_field
-from microlie.weil import DomainMismatchError, InfinitesimalDomain, WeilElement, generators
+from microlie.weil import AXES2, D3, DomainMismatchError, InfinitesimalDomain, WeilElement, generators
 
 D = InfinitesimalDomain.line()
 D2 = InfinitesimalDomain.power(2)
@@ -33,8 +39,18 @@ P2 = PairGroupoid(2)
 GG = TrivialGaugeGroupoid(2, 2)
 
 
+def pair_data(groupoid, domain, *term_dicts):
+    """Pair section data with one ``{exponents: coefficient}`` dict per component, through ``from_slots``."""
+    coeffs = {
+        (i, e): c if isinstance(c, WeilElement) else WeilElement.scalar(domain, c)
+        for i, terms in enumerate(term_dicts)
+        for e, c in terms.items()
+    }
+    return groupoid.from_slots(None, coeffs, domain)
+
+
 def pair_section(groupoid, domain, *term_dicts):
-    return WSection(groupoid, domain, tuple(Poly(groupoid.dim, domain, t) for t in term_dicts))
+    return WSection(groupoid, domain, pair_data(groupoid, domain, *term_dicts))
 
 
 def ag(groupoid, text):
@@ -91,30 +107,27 @@ class TestStar:
 class TestFormalInverse:
     def test_nilpotent_quadratic(self):
         eps = WeilElement.generator(D, 1)
-        f = (Poly(1, D, {(1,): 1, (2,): eps}),)
+        f = pair_data(P1, D, {(1,): 1, (2,): eps})
         g = formal_inverse(f)
-        assert g == (Poly(1, D, {(1,): 1, (2,): -1 * eps}),)
+        assert g == pair_data(P1, D, {(1,): 1, (2,): -1 * eps})
 
     def test_identity(self):
-        ident = identity_map(2, D2)
+        ident = P2.identity_data(D2)
         assert formal_inverse(ident) == ident
 
     def test_affine_with_nilpotent_shift(self):
         eps = WeilElement.generator(D, 1)
-        f = (Poly(1, D, {(1,): 2, (0,): eps}),)
+        f = pair_data(P1, D, {(1,): 2, (0,): eps})
         g = formal_inverse(f)
-        assert g == (Poly(1, D, {(1,): Fraction(1, 2), (0,): Fraction(-1, 2) * eps}),)
+        assert g == pair_data(P1, D, {(1,): Fraction(1, 2), (0,): Fraction(-1, 2) * eps})
 
     def test_non_affine_scalar_part_rejected(self):
-        f = (Poly(1, D, {(2,): 1}),)
+        f = pair_data(P1, D, {(2,): 1})
         with pytest.raises(InvertibilityError):
             formal_inverse(f)
 
     def test_singular_linear_part_rejected(self):
-        f = (
-            Poly(2, D, {(1, 0): 1, (0, 1): 1}),
-            Poly(2, D, {(1, 0): 1, (0, 1): 1}),
-        )
+        f = pair_data(P2, D, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1})
         with pytest.raises(InvertibilityError):
             formal_inverse(f)
 
@@ -144,9 +157,11 @@ class TestBisections:
         sigma = WBisection(
             P2,
             D2,
-            (
-                Poly(2, D2, {(1, 0): 1, (0, 1): 1, (2, 0): d1}),
-                Poly(2, D2, {(0, 1): 1, (0, 0): WeilElement.scalar(D2, 3) + d2, (1, 1): d1 * d2}),
+            pair_data(
+                P2,
+                D2,
+                {(1, 0): 1, (0, 1): 1, (2, 0): d1},
+                {(0, 1): 1, (0, 0): WeilElement.scalar(D2, 3) + d2, (1, 1): d1 * d2},
             ),
         )
         tau = invert_bisection(sigma)
@@ -156,7 +171,7 @@ class TestBisections:
 
     def test_witness_failures(self):
         with pytest.raises(InvertibilityError):
-            WBisection(P1, D, (Poly(1, D, {(2,): 1}),))
+            WBisection(P1, D, pair_data(P1, D, {(2,): 1}))
         with pytest.raises(InvertibilityError):
             WBisection(GG, D, ((0, 0), (matrices.identity(2, D), matrices.identity(2, D))))
 
@@ -165,7 +180,7 @@ class TestBisections:
         singular = ((one, one + d), (one, one))  # scalar part has two equal rows
         with pytest.raises(InvertibilityError, match="singular scalar part"):
             WSection(GG, D, ((0, 1), (singular, matrices.identity(2, D))))
-        linear = (Poly(2, D, {(1, 0): 1, (0, 1): 2}), Poly(2, D, {(1, 0): 2, (0, 1): 4, (0, 0): d}))
+        linear = pair_data(P2, D, {(1, 0): 1, (0, 1): 2}, {(1, 0): 2, (0, 1): 4, (0, 0): d})
         with pytest.raises(InvertibilityError, match="singular linear term"):
             WBisection(P2, D, linear)
 
@@ -192,7 +207,7 @@ class TestSectionAt:
         x = ag(P1, "x0^3")
         d1, d2 = generators(D2)
         flow = section_at(x, d1 * d2)
-        assert flow.data[0] == Poly(1, D2, {(1,): 1, (3,): d1 * d2})
+        assert flow.data == pair_data(P1, D2, {(1,): 1, (3,): d1 * d2})
 
 
 class TestArrows:
@@ -284,3 +299,119 @@ def test_groupoid_classes_share_one_interface():
     assert len(GROUPOID_METHODS) == 26
     assert methods(PairGroupoid) == GROUPOID_METHODS
     assert methods(TrivialGaugeGroupoid) == GROUPOID_METHODS
+
+
+# -- properties: the Taylor sum against the frozen seed kernel, inverses, associativity -------
+
+
+def _load_reference_kernel():
+    # the frozen seed poly.py imports its weil.py relatively, so both load as one package;
+    # nothing in it runs on import but definitions
+    root = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    package = types.ModuleType("microlie_reference_kernel")
+    package.__path__ = [str(root)]
+    sys.modules.setdefault(package.__name__, package)
+    weil = importlib.import_module(f"{package.__name__}.weil")
+    poly = importlib.import_module(f"{package.__name__}.poly")
+    return weil, poly
+
+
+REF_WEIL, REF_POLY = _load_reference_kernel()
+TAYLOR_DOMAINS = (D, D2, D3, AXES2, WITNESS_DOMAIN)
+SMALL = st.one_of(st.integers(min_value=-3, max_value=3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _exponents(n, degree):
+    out = [()]
+    for _ in range(n):
+        out = [e + (k,) for e in out for k in range(degree + 1)]
+    return [e for e in out if sum(e) <= degree]
+
+
+def _weil_terms(draw, domain, n, degree, monomials):
+    """One {exponents: {monomial: coefficient}} dict per component, drawn sparsely."""
+    return [
+        {
+            e: {m: draw(SMALL) for m in monomials if draw(st.booleans())}
+            for e in _exponents(n, degree)
+            if draw(st.booleans())
+        }
+        for _ in range(n)
+    ]
+
+
+def _scalar_part(draw, kind, n):
+    ident = [{tuple(int(t == i) for t in range(n)): 1} for i in range(n)]
+    if kind == "identity":
+        return ident
+    degree = 1 if kind == "affine" else 2
+    return [{e: draw(SMALL) for e in _exponents(n, degree)} for _ in range(n)]
+
+
+def _both_kernels(groupoid, domain, comps):
+    """The same map as a jet and as a tuple of seed-kernel polynomials over Weil coefficients."""
+    n = groupoid.dim
+    twin = REF_WEIL.InfinitesimalDomain(domain.generator_count, domain.zero_monomials)
+    coeffs, ref = {}, []
+    for i, terms in enumerate(comps):
+        for e, table in terms.items():
+            coeffs[i, e] = WeilElement(domain, table)
+        ref.append(REF_POLY.Poly(n, twin, {e: REF_WEIL.WeilElement(twin, table) for e, table in terms.items()}))
+    return groupoid.from_slots(None, coeffs, domain), tuple(ref)
+
+
+def _merge(scalar, nilpotent):
+    out = [{e: {frozenset(): c} for e, c in comp.items()} for comp in scalar]
+    for comp, terms in zip(out, nilpotent):
+        for e, table in terms.items():
+            comp.setdefault(e, {}).update(table)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_taylor_sum_agrees_with_the_seed_kernel(data):
+    draw = data.draw
+    domain = draw(st.sampled_from(TAYLOR_DOMAINS))
+    n = draw(st.integers(min_value=1, max_value=2))
+    groupoid = PairGroupoid(n)
+    kind = draw(st.sampled_from(["identity", "affine", "general"]))
+    monomials = domain.monomials()
+    outer = _weil_terms(draw, domain, n, 2, monomials)
+    inner = _merge(_scalar_part(draw, kind, n), _weil_terms(draw, domain, n, 2, monomials[1:]))
+    f, ref_f = _both_kernels(groupoid, domain, outer)
+    g, ref_g = _both_kernels(groupoid, domain, inner)
+    expected = REF_POLY.compose_map(ref_f, ref_g)
+    got = {}
+    for (i, e), w in groupoid.slots(groupoid.star_data(f, g))[1].items():
+        got.setdefault(i, {})[e] = dict(w.coeffs)
+    for i, comp in enumerate(expected):
+        assert got.get(i, {}) == {e: c.coeffs for e, c in comp.terms.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([P1, P2, PairGroupoid(3)]),
+    st.sampled_from([D, D2, AXES2]),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_formal_inverse_is_two_sided(groupoid, domain, degree, seed):
+    sigma = groupoid.random_bisection(random.Random(seed), domain, degree)
+    tau = invert_bisection(sigma)
+    ident = WSection.identity(groupoid, domain)
+    assert star(sigma, tau) == ident
+    assert star(tau, sigma) == ident
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([P1, P2, GG, TrivialGaugeGroupoid(3, 1)]),
+    st.sampled_from([D, D2, AXES2]),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_star_is_associative(groupoid, domain, degree, seed):
+    rng = random.Random(seed)
+    a, b, c = (groupoid.random_section(rng, domain, degree) for _ in range(3))
+    assert star(star(a, b), c) == star(a, star(b, c))

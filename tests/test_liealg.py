@@ -25,7 +25,6 @@ from microlie.liealg import (
     section_as_tangent,
     six_microcubes,
 )
-from microlie.poly import Poly
 from microlie.spaces import strong_difference, tangent_combine
 from microlie.vfexpr import parse_vector_field
 from microlie.weil import InfinitesimalDomain, WeilElement, generators
@@ -144,13 +143,13 @@ class TestPushforward:
 
     def test_pair_linear_rescaling(self):
         # sigma: x -> 2x, field 1: pushforward field is the constant 2
-        sigma = WSection(P1, D, (Poly(1, D, {(1,): 2}),))
+        sigma = WSection(P1, D, P1.from_slots(None, {(0, (1,)): WeilElement.scalar(D, 2)}, D))
         x = ag(P1, "1")
         assert pushforward(sigma, x) == ag(P1, "2")
 
     def test_rejects_infinitesimal_bisections(self):
         d = WeilElement.generator(D, 1)
-        sigma = WSection(P1, D, (Poly(1, D, {(1,): WeilElement.one(D) + d}),))
+        sigma = WSection(P1, D, P1.from_slots(None, {(0, (1,)): WeilElement.one(D) + d}, D))
         with pytest.raises(ValueError, match="scalar-exact"):
             pushforward(sigma, ag(P1, "x0"))
 

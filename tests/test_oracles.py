@@ -5,7 +5,7 @@ import pytest
 
 from microlie import matrices
 from microlie.oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
-from microlie.poly import rational_poly
+from microlie.poly import Poly
 from microlie.vfexpr import parse_vector_field
 from microlie.weil import InfinitesimalDomain, generators
 
@@ -53,7 +53,7 @@ def random_fields(rng, dim, degree=2):
     exps = [e for e in _exponents(dim, degree)]
     comps = []
     for _ in range(dim):
-        comps.append(rational_poly(dim, {e: rng.randint(-3, 3) for e in exps}))
+        comps.append(Poly(dim, {e: rng.randint(-3, 3) for e in exps}))
     return PolyVectorField(comps)
 
 
