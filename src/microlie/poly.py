@@ -113,7 +113,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_compatible(other)
-        return _reduced(self.nvars, _product(self._num, other._num), self._den * other._den)
+        return sum_of_products(self.nvars, ((self, other),))
 
     def __rmul__(self, other: Rational) -> "Poly":
         return self * other
@@ -232,16 +232,6 @@ def _reduced(nvars: int, table: dict[Exponents, int], den: int) -> Poly:
     return _make(nvars, num, den)
 
 
-def _product(a: dict[Exponents, int], b: dict[Exponents, int]) -> dict[Exponents, int]:
-    """The numerators of a product, zeros included."""
-    table: dict[Exponents, int] = {}
-    for e1, n1 in a.items():
-        for e2, n2 in b.items():
-            e = tuple(map(add, e1, e2))
-            table[e] = table.get(e, 0) + n1 * n2
-    return table
-
-
 def sum_of_products(nvars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
     """``sum(a * b for a, b in pairs)``, accumulated over one denominator and reduced once."""
     den = lcm(1, *(a._den * b._den for a, b in pairs))
@@ -291,31 +281,18 @@ def compose_map(f: Sequence[Poly], g: Sequence[Poly]) -> tuple[Poly, ...]:
     target = g[0].nvars
     if any(gi.nvars != target for gi in g):
         raise ValueError("composition arguments in different numbers of variables")
-    products: dict[Exponents, dict[Exponents, int]] = {(0,) * nvars: {(0,) * target: 1}}
+    one = (0,) * target
+    products = {(0,) * nvars: _make(target, {one: 1}, 1)}
 
-    def product(e: Exponents) -> dict[Exponents, int]:
-        # the numerators of prod(g_i ** e_i), peeling one factor off the last variable in e
+    def product(e: Exponents) -> Poly:
+        # prod(g_i ** e_i), peeling one factor off the last variable in e
         out = products.get(e)
         if out is None:
             i = max(j for j, k in enumerate(e) if k)
-            out = products[e] = _product(product(e[:i] + (e[i] - 1,) + e[i + 1 :]), g[i]._num)
+            out = products[e] = product(e[:i] + (e[i] - 1,) + e[i + 1 :]) * g[i]
         return out
 
-    dens = [gi._den for gi in g]
-    out = []
-    for fi in f:
-        # over the common denominator den * prod(den_i ** top_i), a term
-        # c * x^e scales by prod(den_i ** (top_i - e_i)): all integers
-        tops = [max((e[i] for e in fi._num), default=0) for i in range(nvars)]
-        acc: dict[Exponents, int] = {}
-        for e, n in fi._num.items():
-            for d, top, k in zip(dens, tops, e):
-                if d != 1:
-                    n *= d ** (top - k)
-            for a, m in product(e).items():
-                acc[a] = acc.get(a, 0) + n * m
-        den = fi._den
-        for d, top in zip(dens, tops):
-            den *= d**top
-        out.append(_reduced(target, acc, den))
-    return tuple(out)
+    return tuple(
+        sum_of_products(target, [(_reduced(target, {one: n}, fi._den), product(e)) for e, n in fi._num.items()])
+        for fi in f
+    )
