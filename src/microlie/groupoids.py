@@ -52,7 +52,6 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from . import matrices
@@ -665,26 +664,17 @@ def _compose(f: Jet, g: Jet) -> Jet:
     for s in sorted(b for b in g if b):
         sets += [(S + (s,), u | s) for S, u in sets if not u & s and u | s in ok]
 
-    # the product g_s1[j1] * ... * g_sr[jr], for ordered (s1..sr) and (j1..jr)
-    products = {((), ()): Poly.scalar(nvars, 1)}
-
-    def prod(S: tuple[int, ...], j: tuple[int, ...]) -> Poly:
-        p = products.get((S, j))
-        if p is None:
-            p = products[S, j] = prod(S[:-1], j[:-1]) * g[S[-1]][j[-1]]
-        return p
-
-    # per set S: each multiset J of variables, with the sum of prod(S, j) over the orders j of J
-    weights = {(): {(): products[(), ()]}}
+    # per set S = (s1..sr): each multiset J of r variables, with the sum over the
+    # orders (j1..jr) of J of g_s1[j1] * ... * g_sr[jr]; split on the last factor
+    weights = {(): {(): Poly.scalar(nvars, 1)}}
 
     def weight(S: tuple[int, ...]) -> dict[tuple[int, ...], Poly]:
         out = weights.get(S)
         if out is None:
             orders: dict[tuple[int, ...], list[tuple[Poly, Poly]]] = {}
-            for j in product(range(n), repeat=len(S) - 1):
-                head = prod(S[:-1], j)
-                for last, comp in enumerate(g[S[-1]]):
-                    orders.setdefault(tuple(sorted(j + (last,))), []).append((head, comp))
+            for J, w in weight(S[:-1]).items():
+                for v, comp in enumerate(g[S[-1]]):
+                    orders.setdefault(tuple(sorted(J + (v,))), []).append((w, comp))
             out = weights[S] = {J: sum_of_products(nvars, pairs) for J, pairs in orders.items()}
         return out
 
