@@ -688,7 +688,7 @@ def _compose(f: Jet, g: Jet) -> Jet:
         return p
 
     width = len(f[0])
-    terms = []  # (M, m, J, weight): D^r f_m[.., ..] contributes d^J f_m * weight to mask M
+    terms = []  # (M, m, J, weight): mask M gets d^J f_m * weight
     for m in f:
         for S, u in sets:
             if m & u or m | u not in ok:
@@ -703,7 +703,7 @@ def _compose(f: Jet, g: Jet) -> Jet:
         flat = compose_map([c for key in keys for c in partials[key]], g0)
         derivatives = {key: flat[k * width : (k + 1) * width] for k, key in enumerate(keys)}
     sums = {M: [[] for _ in range(width)] for M, _, _, _ in terms}
-    sums.setdefault(0, [[] for _ in range(width)])
+    sums.setdefault(0, [[] for _ in range(width)])  # a jet keeps its scalar part, even a zero one
     for M, m, J, w in terms:
         for i, d in enumerate(derivatives[m, J]):
             sums[M][i].append((d, w))
