@@ -34,11 +34,12 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
 * ``section_data`` (validate and normalise), ``check_bisection``,
   ``identity_data``, ``star_data``, ``inverse_data``, ``flow_data``,
   ``read_coefficient`` and ``section_repr`` for section data;
+* ``substitute_data(data, table)``, the one reparametrisation of section
+  data, by a table of Weil monomial images (see :meth:`WSection.substitute`);
 * ``slots`` and ``from_slots``, the one coefficient view of section data:
   ``slots(data)`` returns ``(shape, {slot: WeilElement})`` and
-  ``from_slots`` rebuilds the data.  Mapping coefficients
-  (:func:`map_data`), testing them and charting sections go through these
-  two alone;
+  ``from_slots`` rebuilds the data.  Charts, coefficient tests and random
+  sections go through these two alone;
 * ``ag_data``, ``ag_zero``, ``ag_add``, ``ag_scale``, ``ag_repr`` and
   ``oracle_bracket`` for Lie algebroid data;
 * ``random_ag``, ``random_section``, ``random_bisection`` and
@@ -57,7 +58,7 @@ from typing import Sequence
 from . import matrices
 from .matrices import Matrix
 from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
-from .poly import RATIONALS, Exponents, Poly, compose_map, format_terms, identity_map, sum_of_products
+from .poly import Exponents, Poly, compose_map, format_terms, identity_map, sum_of_products
 from .spaces import AffineSpace, MatrixGroup, WPoint
 from .weil import (
     DomainMismatchError,
@@ -65,6 +66,7 @@ from .weil import (
     Rational,
     WeilElement,
     check_permutation,
+    monomial_images,
 )
 
 
@@ -221,6 +223,16 @@ class PairGroupoid:
 
     def read_coefficient(self, data, monomial) -> tuple[Poly, ...]:
         return data.get(sum(1 << (i - 1) for i in set(monomial)), self.ag_zero())
+
+    def substitute_data(self, data, table) -> "Jet":
+        # part M of the image sums c * part b over the terms c d^M of table[b]
+        sums: dict[int, list[list[tuple[Poly, Poly]]]] = {}
+        for b, comps in data.items():
+            for M, c in table[b].mask_coeffs().items():
+                c = Poly.scalar(self.dim, c)
+                for acc, comp in zip(sums.setdefault(M, [[] for _ in comps]), comps):
+                    acc.append((comp, c))
+        return Jet(table[0].domain, {M: tuple(sum_of_products(self.dim, p) for p in acc) for M, acc in sums.items()})
 
     def section_repr(self, data) -> str:
         comps = [{} for _ in range(self.dim)]
@@ -389,7 +401,10 @@ class TrivialGaugeGroupoid:
         return tuple(range(self.base_size)), tables
 
     def read_coefficient(self, data, monomial) -> tuple[Matrix, ...]:
-        return map_data(self, data, lambda w: w.coefficient(monomial), RATIONALS)[1]
+        return tuple(tuple(tuple(w.coefficient(monomial) for w in row) for row in t) for t in data[1])
+
+    def substitute_data(self, data, table) -> tuple:
+        return data[0], tuple(tuple(tuple(w.image(table) for w in row) for row in t) for t in data[1])
 
     def section_repr(self, data) -> str:
         return f"base {data[0]}"
@@ -485,12 +500,6 @@ def compose_arrows(g2: Arrow, g1: Arrow) -> Arrow:
 # -- sections ---------------------------------------------------------------------
 
 
-def map_data(groupoid: GroupoidInstance, data, fn, domain: InfinitesimalDomain):
-    """Section data with ``fn`` applied to every coefficient, over ``domain``."""
-    shape, coeffs = groupoid.slots(data)
-    return groupoid.from_slots(shape, {slot: fn(w) for slot, w in coeffs.items()}, domain)
-
-
 class WSection:
     """A Weil-parametrized section of the source projection.
 
@@ -519,19 +528,18 @@ class WSection:
         """Evaluate the section at a base point."""
         return self.groupoid.arrow_at(self.data, self.domain, x)
 
-    # -- coefficientwise transforms --------------------------------------------------
-
-    def map_coefficients(self, fn, domain: InfinitesimalDomain) -> "WSection":
-        return type(self)(self.groupoid, domain, map_data(self.groupoid, self.data, fn, domain))
+    # -- reparametrisation -----------------------------------------------------------
 
     def substitute(self, target: InfinitesimalDomain, images: Sequence[WeilElement]) -> "WSection":
-        """Substitute Weil generators in every coefficient (reparametrize the family)."""
-        return self.map_coefficients(lambda w: w.substitute(target, images), target)
+        """Reparametrise the family by the Weil homomorphism sending generator i to images[i-1]."""
+        table = monomial_images(self.domain, target, images)
+        return type(self)(self.groupoid, target, self.groupoid.substitute_data(self.data, table))
 
     def permute_generators(self, perm: Sequence[int]) -> "WSection":
+        """Relabel generator i as perm[i-1]; the domain's relations follow."""
         p = check_permutation(perm, self.domain.generator_count)
         new_domain = self.domain.permuted(p)
-        return self.map_coefficients(lambda w: w.permute_generators(p), new_domain)
+        return self.substitute(new_domain, [WeilElement.generator(new_domain, i) for i in p])
 
     @property
     def is_scalar_exact(self) -> bool:
@@ -842,7 +850,7 @@ def ag_from_flow(section: WSection) -> AGSection:
     if domain.generator_count != 1:
         raise ValueError("expected a section over the one-generator domain")
     groupoid = section.groupoid
-    scalar = map_data(groupoid, section.data, lambda w: WeilElement.scalar(domain, w.scalar_part), domain)
+    scalar = section.substitute(domain, [WeilElement.zero(domain)]).data
     if scalar != groupoid.identity_data(domain):
         raise ValueError("flow's scalar part is not the identity section")
     return AGSection(groupoid, groupoid.read_coefficient(section.data, {1}))

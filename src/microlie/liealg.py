@@ -97,7 +97,7 @@ def pushforward(sigma: WSection, x: AGSection) -> AGSection:
         raise GroupoidMismatchError("bisection and section of different groupoids")
     if not sigma.is_scalar_exact:
         raise ValueError("pushforward needs a scalar-exact bisection (no infinitesimal part)")
-    lifted = sigma.map_coefficients(lambda w: WeilElement.scalar(LINE, w.scalar_part), LINE)
+    lifted = sigma.substitute(LINE, [WeilElement.zero(LINE)] * sigma.domain.generator_count)
     sigma_line = lifted if isinstance(lifted, WBisection) else WBisection(lifted.groupoid, LINE, lifted.data)
     flow = section_at(x, WeilElement.generator(LINE, 1))
     conjugated = star_word(sigma_line, flow, invert_bisection(sigma_line))

@@ -146,10 +146,6 @@ class Poly:
                 table[e[:i] + (k - 1,) + e[i + 1 :]] = n * k
         return _reduced(self.nvars, table, self._den)
 
-    def compose(self, args: Sequence["Poly"]) -> "Poly":
-        """Substitute args[i] for xi, exactly."""
-        return compose_map((self,), args)[0]
-
     # -- queries ----------------------------------------------------------------
 
     @property

@@ -43,6 +43,7 @@ from .weil import (
     Rational,
     WeilElement,
     check_permutation,
+    monomial_images,
 )
 
 
@@ -240,7 +241,8 @@ def sigma_perm(gamma: WPoint, eps: Sequence[int]) -> WPoint:
     """Permute the cube's arguments: result(d1..dn) = gamma(d_eps(1), ..., d_eps(n))."""
     p = check_permutation(eps, gamma.domain.generator_count)
     new_domain = gamma.domain.permuted(p)
-    return gamma.map_coords(lambda w: w.permute_generators(p), new_domain)
+    table = monomial_images(gamma.domain, new_domain, [WeilElement.generator(new_domain, i) for i in p])
+    return gamma.map_coords(lambda w: w.image(table), new_domain)
 
 
 _PSI_PERM = {1: (3, 1, 2), 2: (1, 3, 2), 3: (1, 2, 3)}

@@ -20,7 +20,10 @@ is dropped by two integer tests.  The API speaks ``frozenset`` monomials
 and ``Fraction`` coefficients at its edges: the constructor,
 ``coefficient``, ``scalar_part``, the read-only ``coeffs`` mapping and
 ``str``.  ``from_masks`` and ``mask_coeffs`` speak masks, for the pair
-groupoid's jets, which key rational polynomial maps by mask.
+groupoid's jets, which key rational polynomial maps by mask.  Elements,
+points and sections are all reparametrised the same way: by a table of
+monomial images, checked against the source relations once by
+:func:`monomial_images` and applied by :meth:`WeilElement.image`.
 """
 
 from __future__ import annotations
@@ -414,45 +417,19 @@ class WeilElement:
         return _make(sup, self._num, self._den)
 
     def substitute(self, target: InfinitesimalDomain, images: Sequence["WeilElement"]) -> "WeilElement":
-        """Apply the algebra homomorphism sending generator i to images[i-1].
+        """Apply the algebra homomorphism sending generator i to images[i-1] (see :func:`monomial_images`)."""
+        return self.image(monomial_images(self.domain, target, images))
 
-        Valid only when every source relation is respected: the image of
-        each generator must square to zero in the target, and the image of
-        every vanishing monomial must vanish.
-        """
-        n = self.domain.generator_count
-        if len(images) != n:
-            raise SubstitutionError(f"expected {n} generator images, got {len(images)}")
-        for i, im in enumerate(images, start=1):
-            if im.domain is not target and im.domain != target:
-                raise DomainMismatchError(f"image of d{i} lives in {im.domain!r}, not {target!r}")
-            if im.scalar_part:
-                raise SubstitutionError(f"image of d{i} has nonzero scalar part {im.scalar_part}")
-            if im * im:
-                raise SubstitutionError(f"relation d{i}^2 = 0 violated: image squares to {im * im}")
-        for z in self.domain.zero_monomials:
-            prod = WeilElement.one(target)
-            for i in sorted(z):
-                prod = prod * images[i - 1]
-            if prod:
-                raise SubstitutionError(
-                    f"relation {_monomial_name(z)} = 0 violated: image is {prod}"
-                )
-        acc = WeilElement.zero(target)
-        den = self._den
-        for m, c in self._num.items():
-            g = gcd(c, den)
-            term = _make(target, {0: c // g}, den // g)
-            for i in _indices(m):
-                term = term * images[i - 1]
-            acc = acc + term
-        return acc
-
-    def permute_generators(self, perm: Sequence[int]) -> "WeilElement":
-        """Relabel generator i as perm[i-1]; the domain's relations follow."""
-        p = check_permutation(perm, self.domain.generator_count)
-        new_domain = self.domain.permuted(p)
-        return _make(new_domain, {_mask(p[i - 1] for i in _indices(m)): n for m, n in self._num.items()}, self._den)
+    def image(self, table: Mapping[int, "WeilElement"]) -> "WeilElement":
+        """Apply a homomorphism given as a :func:`monomial_images` table, over one common denominator."""
+        pairs = [(n, table[m]) for m, n in self._num.items()]
+        common = lcm(1, *(w._den for _, w in pairs))
+        acc: dict[int, int] = {}
+        for n, w in pairs:
+            n *= common // w._den
+            for m, k in w._num.items():
+                acc[m] = acc.get(m, 0) + n * k
+        return _reduced(table[0].domain, acc, self._den * common)
 
     def inverse(self) -> "WeilElement":
         """Exact inverse; defined iff the scalar part is nonzero."""
@@ -548,6 +525,38 @@ def _reduced(domain: InfinitesimalDomain, table: dict[int, int], den: int) -> We
             den //= g
             num = {m: n // g for m, n in num.items()}
     return _make(domain, num, den)
+
+
+def monomial_images(
+    source: InfinitesimalDomain, target: InfinitesimalDomain, images: Sequence[WeilElement]
+) -> dict[int, WeilElement]:
+    """The image of every surviving monomial of ``source`` under ``di -> images[i-1]``, keyed by mask.
+
+    Valid only when every source relation is respected: the image of each
+    generator must square to zero in the target, and so must the image of
+    every vanishing monomial.
+    """
+    n = source.generator_count
+    if len(images) != n:
+        raise SubstitutionError(f"expected {n} generator images, got {len(images)}")
+    for i, im in enumerate(images, start=1):
+        if im.domain is not target and im.domain != target:
+            raise DomainMismatchError(f"image of d{i} lives in {im.domain!r}, not {target!r}")
+        if im.scalar_part:
+            raise SubstitutionError(f"image of d{i} has nonzero scalar part {im.scalar_part}")
+        if im * im:
+            raise SubstitutionError(f"relation d{i}^2 = 0 violated: image squares to {im * im}")
+    for z in source.zero_monomials:
+        prod = WeilElement.one(target)
+        for i in sorted(z):
+            prod = prod * images[i - 1]
+        if prod:
+            raise SubstitutionError(f"relation {_monomial_name(z)} = 0 violated: image is {prod}")
+    table = {0: WeilElement.one(target)}
+    for b in sorted(source.masks - {0}):  # b without its top generator is smaller, so already built
+        top = b.bit_length()
+        table[b] = table[b ^ (1 << (top - 1))] * images[top - 1]
+    return table
 
 
 def generators(domain: InfinitesimalDomain) -> tuple[WeilElement, ...]:

@@ -28,7 +28,7 @@ from microlie.groupoids import (
 )
 from microlie.liealg import WITNESS_DOMAIN
 from microlie.vfexpr import parse_vector_field
-from microlie.weil import AXES2, D3, DomainMismatchError, InfinitesimalDomain, WeilElement, generators
+from microlie.weil import AXES2, D3, DomainMismatchError, InfinitesimalDomain, SubstitutionError, WeilElement, generators
 
 D = InfinitesimalDomain.line()
 D2 = InfinitesimalDomain.power(2)
@@ -283,7 +283,7 @@ GROUPOID_METHODS = {
     "spec", "bounds_error", "sample_spaces",
     "fiber_product", "beta", "arrow_at",
     "section_data", "check_bisection", "identity_data", "star_data", "inverse_data", "flow_data",
-    "read_coefficient", "section_repr",
+    "read_coefficient", "section_repr", "substitute_data",
     "slots", "from_slots",
     "ag_data", "ag_zero", "ag_add", "ag_scale", "ag_repr", "oracle_bracket",
     "random_ag", "random_section", "random_bisection", "base_points",
@@ -296,7 +296,7 @@ def test_groupoid_classes_share_one_interface():
     def methods(cls):
         return {name for name, value in vars(cls).items() if callable(value) and not name.startswith("_")}
 
-    assert len(GROUPOID_METHODS) == 26
+    assert len(GROUPOID_METHODS) == 27
     assert methods(PairGroupoid) == GROUPOID_METHODS
     assert methods(TrivialGaugeGroupoid) == GROUPOID_METHODS
 
@@ -415,3 +415,92 @@ def test_star_is_associative(groupoid, domain, degree, seed):
     rng = random.Random(seed)
     a, b, c = (groupoid.random_section(rng, domain, degree) for _ in range(3))
     assert star(star(a, b), c) == star(a, star(b, c))
+
+
+# -- property: section substitution against substituting every coefficient on its own ----------
+
+
+def _substitute_each_coefficient(section, target, images):
+    """Substitution as it was done before sections had their own: slot by slot, then rebuilt."""
+    groupoid = section.groupoid
+    shape, coeffs = groupoid.slots(section.data)
+    data = groupoid.from_slots(shape, {slot: w.substitute(target, images) for slot, w in coeffs.items()}, target)
+    return WSection(groupoid, target, data)
+
+
+def _weil_element(draw, domain):
+    return WeilElement(domain, {m: draw(SMALL) for m in domain.monomials() if draw(st.booleans())})
+
+
+def _substitution(draw, source):
+    """Generator images for ``source`` that respect its relations, with their target domain."""
+    n = source.generator_count
+    kind = draw(st.sampled_from(["zero", "relabel", "fixed"]))
+    if kind == "zero":
+        target = draw(st.sampled_from(TAYLOR_DOMAINS))
+        return target, [WeilElement.zero(target)] * n
+    if kind == "relabel":
+        # di -> d_perm(i) * u: square-zero, and zero on every relabelled relation, for any u
+        perm = draw(st.permutations(range(1, n + 1)))
+        target = source.permuted(perm)
+        plain = draw(st.booleans())  # a bare generator permutation
+        units = [WeilElement.one(target) if plain else _weil_element(draw, target) for _ in perm]
+        return target, [WeilElement.generator(target, p) * u for p, u in zip(perm, units)]
+    r = lambda: draw(SMALL)
+    d = WeilElement.generator(D, 1)
+    d1, d2 = generators(D2)
+    e1, e2 = generators(AXES2)
+    zero, zero2 = WeilElement.zero(D), WeilElement.zero(D2)
+    maps = {
+        D: [(D2, [d1 * r() + d1 * d2 * r()]), (AXES2, [e1 * r() + e2 * r()])],
+        D2: [(D2, [d1 * r(), d2 * r() + d1 * d2 * r()]), (D, [d, zero]), (D, [zero, d])],
+        D3: [(D2, [d1 * r(), d2 * r(), d1 * d2 * r()])],
+        AXES2: [(D, [d * r(), d * r()])],
+        WITNESS_DOMAIN: [(D2, [d1 * r(), d2 * r(), d1 * d2 * r()]), (D2, [d1, d2, zero2]), (D, [zero, zero, d * r()])],
+    }
+    return draw(st.sampled_from(maps[source]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_section_substitution_agrees_with_substituting_each_coefficient(data):
+    draw = data.draw
+    source = draw(st.sampled_from(TAYLOR_DOMAINS))
+    groupoid = draw(st.sampled_from([P1, P2, GG, TrivialGaugeGroupoid(3, 1)]))
+    build = draw(st.sampled_from([groupoid.random_section, groupoid.random_bisection]))
+    section = build(random.Random(draw(st.integers(min_value=0, max_value=2**32))), source, draw(st.integers(0, 2)))
+    target, images = _substitution(draw, source)
+    got = section.substitute(target, images)
+    assert type(got) is type(section) and got.domain == target
+    assert got == _substitute_each_coefficient(section, target, images)
+
+
+def _broken_substitutions():
+    """``(source, target, images, relation)``: images that break ``relation`` of ``source``."""
+    d1, d2 = generators(D2)
+    e1, e2, e3 = generators(D3)
+    return [
+        (D, D2, [d1 + d2], "relation d1\\^2 = 0"),
+        (D2, D2, [d1, WeilElement.one(D2)], "nonzero scalar part"),
+        (D2, D2, [d1], "expected 2 generator images"),
+        (AXES2, D2, [d1, d2], "relation d1\\*d2 = 0"),
+        (WITNESS_DOMAIN, D3, [e1, e2, e3], "relation d[12]\\*d3 = 0"),
+    ]
+
+
+@pytest.mark.parametrize("groupoid", [P2, GG], ids=["pair", "gauge"])
+@pytest.mark.parametrize("case", range(len(_broken_substitutions())))
+def test_broken_images_raise_the_element_error_on_every_section(groupoid, case):
+    source, target, images, relation = _broken_substitutions()[case]
+    with pytest.raises(SubstitutionError, match=relation) as expected:
+        WeilElement.one(source).substitute(target, images)
+    sections = [
+        groupoid.random_section(random.Random(case), source, 2),
+        WSection.identity(groupoid, source),  # no nonzero part off the scalar one
+    ]
+    if isinstance(groupoid, PairGroupoid):
+        sections.append(WSection(groupoid, source, groupoid.from_slots(None, {}, source)))  # no coefficient at all
+    for section in sections:
+        with pytest.raises(SubstitutionError) as caught:
+            section.substitute(target, images)
+        assert str(caught.value) == str(expected.value)

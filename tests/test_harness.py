@@ -144,6 +144,8 @@ GOLDEN_REPORTS = {
     ("pair:dim=1:deg=3", "none"): "7977a9f29ba1d7b8d1c40c697294b37774c21060e612d761e7627997113bd1a5",
     ("pair:dim=3:deg=2", "none"): "12c125af45f386996c570f78ff51e784ee08087dc66c315191fd7e6a7d70d673",
     ("pair:dim=2:deg=3", "flip-bracket-sign"): "300de67171ff14eef74d6a76fbb0751e7c8ac86a579ae7cb3b16aa94db8207e1",
+    ("gauge:base=4:k=3", "flip-bracket-sign"): "490df9345625aa32b8e51f622e40a067e515c9a63d3123bb44578da0d4f5a545",
+    ("gauge:base=1:k=1", "none"): "6e30fb3b94a7c5921660dfcb751d8a6c056964dab2029b9a9576d2e5c0f46756",
 }
 
 

@@ -28,6 +28,12 @@ def w(domain, coeffs):
     return WeilElement(domain, coeffs)
 
 
+def permuted(a, perm):
+    """``a`` with generator i relabelled ``perm[i-1]``: substitution by the permuted domain's generators."""
+    target = a.domain.permuted(perm)
+    return a.substitute(target, [WeilElement.generator(target, i) for i in perm])
+
+
 class TestDomain:
     def test_named_constructors(self):
         assert D.generator_count == 1 and not D.zero_monomials
@@ -178,7 +184,7 @@ class TestCoefficient:
 
     def test_permute_generators(self):
         x = w(D3, {(1,): 1, (2, 3): 5})
-        y = x.permute_generators((2, 3, 1))
+        y = permuted(x, (2, 3, 1))
         assert y == w(D3, {(2,): 1, (1, 3): 5})
 
 
@@ -347,7 +353,7 @@ def test_kernel_agrees_with_the_seed_kernel(case):
     for sub in restriction_targets(a.domain):
         _agree(a.restrict(sub), ra.restrict(_twin(sub)))
     for perm in permutations(range(1, a.domain.generator_count + 1)):
-        _agree(a.permute_generators(perm), ra.permute_generators(perm))
+        _agree(permuted(a, perm), ra.permute_generators(perm))
 
 
 def substitution_cases(domain):
