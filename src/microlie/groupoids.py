@@ -195,7 +195,7 @@ class PairGroupoid:
     # -- section data -----------------------------------------------------------------
 
     def section_data(self, domain: InfinitesimalDomain, data) -> "Jet":
-        if not isinstance(data, Jet) or data.domain != domain:
+        if not isinstance(data, Jet) or data.domain is not domain:
             raise ValueError("pair section data must be a jet over the section's domain")
         for b, comps in data.items():
             if b not in domain.masks:
@@ -222,7 +222,7 @@ class PairGroupoid:
         return Jet(e.domain, {**parts, 0: identity_map(self.dim)})
 
     def read_coefficient(self, data, monomial) -> tuple[Poly, ...]:
-        return data.get(sum(1 << (i - 1) for i in set(monomial)), self.ag_zero())
+        return data.get(data.domain.mask_of(monomial), self.ag_zero())
 
     def substitute_data(self, data, table) -> "Jet":
         # part M of the image sums c * part b over the terms c d^M of table[b]
@@ -253,7 +253,7 @@ class PairGroupoid:
     def from_slots(self, shape: None, coeffs, domain: InfinitesimalDomain) -> "Jet":
         parts: dict[int, list[dict]] = {0: [{} for _ in range(self.dim)]}
         for (i, e), w in coeffs.items():
-            if w.domain is not domain and w.domain != domain:
+            if w.domain is not domain:
                 raise DomainMismatchError(f"coefficient domain {w.domain!r} is not {domain!r}")
             for b, c in w.mask_coeffs().items():
                 parts.setdefault(b, [{} for _ in range(self.dim)])[i][e] = c
@@ -372,7 +372,7 @@ class TrivialGaugeGroupoid:
         if any(not 0 <= i < m for i in base_map):
             raise ValueError("base map leaves the base")
         for t in tables:
-            if len(t) != k or any(w.domain != domain for row in t for w in row):
+            if len(t) != k or any(w.domain is not domain for row in t for w in row):
                 raise ValueError("fiber tables must be k x k over the section's domain")
             if not matrices.q_is_invertible(matrices.scalar_part(t)):
                 raise InvertibilityError("fiber matrix has singular scalar part")
@@ -549,7 +549,7 @@ class WSection:
         return (
             isinstance(other, WSection)
             and self.groupoid == other.groupoid
-            and self.domain == other.domain
+            and self.domain is other.domain
             and self.data == other.data
         )
 
@@ -593,7 +593,7 @@ def star(sigma: WSection, rho: WSection) -> WSection:
     """(sigma * rho)(x) = sigma(beta(rho(x))) . rho(x), computed on the data."""
     if sigma.groupoid != rho.groupoid:
         raise GroupoidMismatchError("sections of different groupoids")
-    if sigma.domain != rho.domain:
+    if sigma.domain is not rho.domain:
         raise DomainMismatchError("sections over different Weil domains")
     cls = WBisection if isinstance(sigma, WBisection) and isinstance(rho, WBisection) else WSection
     return cls(sigma.groupoid, sigma.domain, sigma.groupoid.star_data(sigma.data, rho.data))
@@ -642,7 +642,7 @@ class Jet(Mapping):
         return len(self._parts)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Jet) and self.domain == other.domain and self._parts == other._parts
+        return isinstance(other, Jet) and self.domain is other.domain and self._parts == other._parts
 
     def __hash__(self) -> int:
         return hash((self.domain, frozenset(self._parts.items())))

@@ -140,7 +140,7 @@ def circledast(sections: Sequence[AGSection]) -> WBisection:
     groupoid = sections[0].groupoid
     if any(s.groupoid != groupoid for s in sections):
         raise GroupoidMismatchError("sections of different groupoids")
-    domain = InfinitesimalDomain.power(n)
+    domain = InfinitesimalDomain(n)
     factors = [section_at(s, WeilElement.generator(domain, i + 1)) for i, s in enumerate(sections)]
     return star_word(*reversed(factors))
 

@@ -57,7 +57,7 @@ def neg(a: Matrix) -> Matrix:
 
 
 def scale(c, a: Matrix) -> Matrix:
-    return tuple(tuple(x * c for x in row) for row in a)
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:

@@ -29,7 +29,7 @@ from .weil import InfinitesimalDomain, Rational, WeilElement
 
 Exponents = tuple[int, ...]
 
-RATIONALS = InfinitesimalDomain.scalars()
+RATIONALS = InfinitesimalDomain(0)
 
 
 def _as_exponents(alpha: Iterable[int], nvars: int) -> Exponents:

@@ -104,7 +104,7 @@ class WPoint:
         if len(coords) != space.flat_dim:
             raise ValueError(f"expected {space.flat_dim} coordinates, got {len(coords)}")
         for w in coords:
-            if not isinstance(w, WeilElement) or w.domain != domain:
+            if not isinstance(w, WeilElement) or w.domain is not domain:
                 raise ValueError("all coordinates must be WeilElements over the point's domain")
         space.check(coords)
         object.__setattr__(self, "space", space)
@@ -145,7 +145,7 @@ class WPoint:
         return (
             isinstance(other, WPoint)
             and self.space == other.space
-            and self.domain == other.domain
+            and self.domain is other.domain
             and self.coords == other.coords
         )
 
@@ -160,7 +160,7 @@ class Tangent:
     __slots__ = ("point",)
 
     def __init__(self, point: WPoint) -> None:
-        if point.domain != LINE:
+        if point.domain is not LINE:
             raise ValueError("a tangent is a point over the one-generator domain")
         object.__setattr__(self, "point", point)
 
@@ -225,7 +225,7 @@ def strong_difference(plus: WPoint, minus: WPoint) -> Tangent:
     """
     if plus.space != minus.space:
         raise CompatibilityError("points live in different spaces")
-    if plus.domain != D2 or minus.domain != D2:
+    if plus.domain is not D2 or minus.domain is not D2:
         raise ValueError("strong difference expects microsquares over D^2")
     if restrict_point(plus, AXES2) != restrict_point(minus, AXES2):
         raise CompatibilityError("not D(2)-compatible")
@@ -297,7 +297,7 @@ def relative_strong_difference(i: int, plus: WPoint, minus: WPoint) -> WPoint:
         raise ValueError("axis must be 1, 2 or 3")
     if plus.space != minus.space:
         raise CompatibilityError("points live in different spaces")
-    if plus.domain != D3 or minus.domain != D3:
+    if plus.domain is not D3 or minus.domain is not D3:
         raise ValueError("relative strong difference expects microcubes over D^3")
     j, k = _other_axes(i)
     agreement = InfinitesimalDomain(3, [(j, k)])
@@ -325,7 +325,7 @@ def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> W
     """
     if plus.space != minus.space:
         raise CompatibilityError("points live in different spaces")
-    if plus.domain != D3 or minus.domain != D3:
+    if plus.domain is not D3 or minus.domain is not D3:
         raise ValueError("relative strong difference expects microcubes over D^3")
     relabeled_plus = psi(i, plus)
     relabeled_minus = psi(i, minus)

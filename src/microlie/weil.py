@@ -1,7 +1,10 @@
 """Exact arithmetic in square-free nilpotent monomial algebras.
 
 An :class:`InfinitesimalDomain` fixes ``n`` generators ``d1 .. dn``, each
-squaring to zero, plus an optional set of extra monomials that vanish.  An
+squaring to zero, plus an optional set of extra monomials that vanish.
+There is one domain object per presentation, so domains compare by
+identity, and :meth:`InfinitesimalDomain.mask_of` is the one checked
+conversion from a monomial to its mask.  An
 element of the resulting algebra is a finite family of exact rational
 coefficients indexed by the surviving square-free monomials; the empty
 monomial is the scalar part.  Everything is immutable and every operation
@@ -31,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -88,16 +92,21 @@ def _frac(n: int, den: int) -> Fraction:
 class InfinitesimalDomain:
     """A finite set of square-zero generators with extra vanishing monomials.
 
-    ``zero_monomials`` is stored as its minimal antichain; a monomial
-    vanishes iff it contains one of the stored sets (or repeats a
-    generator, which the square-free representation rules out by
-    construction).  ``masks`` is the set of surviving monomials as
-    bitmasks (bit ``i - 1`` for ``di``); it is closed under subsets.
+    There is one object per presentation: ``zero_monomials`` is reduced to
+    its minimal antichain, and ``InfinitesimalDomain(n, zero_monomials)``
+    returns the instance held for ``(n, minimal relations)``, built on first
+    request.  So equal domains are the same object, and domains compare by
+    identity.  A monomial vanishes iff it contains one of the stored sets (or
+    repeats a generator, which the square-free representation rules out by
+    construction).  ``masks`` is the set of surviving monomials as bitmasks
+    (bit ``i - 1`` for ``di``); it is closed under subsets, and
+    :meth:`mask_of` answers every question about a monomial from it.
     """
 
-    __slots__ = ("generator_count", "zero_monomials", "masks", "_hash", "_named")
+    __slots__ = ("generator_count", "zero_monomials", "masks", "_monomials", "_monomial_of")
 
-    def __init__(self, generator_count: int, zero_monomials: Iterable[Iterable[int]] = ()) -> None:
+    def __new__(cls, generator_count: int, zero_monomials: Iterable[Iterable[int]] = ()) -> "InfinitesimalDomain":
+        generator_count = index(generator_count)
         if generator_count < 0:
             raise ValueError("generator_count must be nonnegative")
         sets = [_monomial(z) for z in zero_monomials]
@@ -112,7 +121,10 @@ class InfinitesimalDomain:
         for z in sets:
             if not any(m <= z for m in minimal):
                 minimal.append(z)
-        zero_monomials = frozenset(minimal)
+        key = (generator_count, frozenset(minimal))
+        self = _DOMAINS.get(key)
+        if self is not None:
+            return self
         # surviving masks, grown one generator above the top one at a time:
         # every subset of a surviving monomial survives
         zero_masks = [_mask(z) for z in minimal]
@@ -122,66 +134,40 @@ class InfinitesimalDomain:
                 c = b | 1 << i
                 if not any(z & c == z for z in zero_masks):
                     ok.append(c)
+        # the empty monomial first, then by size, then lexicographic
+        named = sorted((frozenset(_indices(b)) for b in ok), key=lambda m: (len(m), sorted(m)))
+        self = object.__new__(cls)
         object.__setattr__(self, "generator_count", generator_count)
-        object.__setattr__(self, "zero_monomials", zero_monomials)
+        object.__setattr__(self, "zero_monomials", key[1])
         object.__setattr__(self, "masks", frozenset(ok))
-        object.__setattr__(self, "_hash", hash((generator_count, zero_monomials)))
-        object.__setattr__(self, "_named", None)
+        object.__setattr__(self, "_monomials", tuple(named))
+        object.__setattr__(self, "_monomial_of", {_mask(m): m for m in named})
+        _DOMAINS[key] = self
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("InfinitesimalDomain is immutable")
-
-    # -- named constructors -------------------------------------------------
-
-    @classmethod
-    def scalars(cls) -> "InfinitesimalDomain":
-        """The trivial algebra: plain rationals, no generators."""
-        return cls(0)
-
-    @classmethod
-    def line(cls) -> "InfinitesimalDomain":
-        """One square-zero generator."""
-        return cls(1)
-
-    @classmethod
-    def power(cls, n: int) -> "InfinitesimalDomain":
-        """n independent square-zero generators (microcube domain)."""
-        return cls(n)
 
     @classmethod
     def first_order(cls, n: int) -> "InfinitesimalDomain":
         """n generators with every pairwise product zero."""
         return cls(n, combinations(range(1, n + 1), 2))
 
-    @classmethod
-    def product(cls, a: "InfinitesimalDomain", b: "InfinitesimalDomain") -> "InfinitesimalDomain":
-        """Disjoint union of generators; b's indices are shifted past a's."""
-        shift = a.generator_count
-        zeros = [set(z) for z in a.zero_monomials]
-        zeros += [{i + shift for i in z} for z in b.zero_monomials]
-        return cls(a.generator_count + b.generator_count, zeros)
-
     # -- queries ------------------------------------------------------------
 
-    def is_zero_monomial(self, m: Monomial) -> bool:
-        return any(z <= m for z in self.zero_monomials)
-
-    def in_range(self, m: Monomial) -> bool:
-        return all(1 <= i <= self.generator_count for i in m)
+    def mask_of(self, monomial: Iterable[int]) -> int:
+        """The mask of a surviving monomial; out of range is a ``ValueError``, vanishing a ``ZeroMonomialError``."""
+        m = _monomial(monomial)
+        if max(m, default=0) > self.generator_count:
+            raise ValueError(f"monomial {_monomial_name(m)} exceeds generator range")
+        b = _mask(m)
+        if b not in self.masks:
+            raise ZeroMonomialError(f"monomial {_monomial_name(m)} vanishes in {self!r}")
+        return b
 
     def monomials(self) -> tuple[Monomial, ...]:
         """All surviving monomials, the empty one first, then by size."""
-        return self._monomial_tables()[0]
-
-    def _monomial_tables(self) -> tuple[tuple[Monomial, ...], dict[int, Monomial]]:
-        """The surviving monomials in public order, and by mask; built on first use."""
-        tables = self._named
-        if tables is None:
-            # the empty monomial first, then by size, then lexicographic
-            allowed = tuple(sorted((frozenset(_indices(b)) for b in self.masks), key=lambda m: (len(m), sorted(m))))
-            tables = allowed, {_mask(m): m for m in allowed}
-            object.__setattr__(self, "_named", tables)
-        return tables
+        return self._monomials
 
     @property
     def nilpotency_order(self) -> int:
@@ -190,25 +176,13 @@ class InfinitesimalDomain:
 
     def coarsens(self, other: "InfinitesimalDomain") -> bool:
         """True if self kills at least everything other kills (same rank)."""
-        return self.generator_count == other.generator_count and all(
-            self.is_zero_monomial(z) for z in other.zero_monomials
-        )
+        return self.generator_count == other.generator_count and self.masks <= other.masks
 
     def permuted(self, perm: Sequence[int]) -> "InfinitesimalDomain":
         check_permutation(perm, self.generator_count)
         return InfinitesimalDomain(
             self.generator_count, [{perm[i - 1] for i in z} for z in self.zero_monomials]
         )
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, InfinitesimalDomain)
-            and self.generator_count == other.generator_count
-            and self.zero_monomials == other.zero_monomials
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         n = self.generator_count
@@ -222,6 +196,10 @@ class InfinitesimalDomain:
         return f"D^{n}{{{zeros}}}"
 
 
+# one domain per presentation: (generator count, minimal relations) -> its only instance
+_DOMAINS: dict[tuple[int, frozenset[Monomial]], InfinitesimalDomain] = {}
+
+
 def check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
     """Validate a 1-based permutation given as the tuple (eps(1), ..., eps(n))."""
     p = tuple(perm)
@@ -231,14 +209,14 @@ def check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 # the domains of tangents, microsquares, microcubes and the first-order square
-LINE = InfinitesimalDomain.line()
-D2 = InfinitesimalDomain.power(2)
-D3 = InfinitesimalDomain.power(3)
+LINE = InfinitesimalDomain(1)
+D2 = InfinitesimalDomain(2)
+D3 = InfinitesimalDomain(3)
 AXES2 = InfinitesimalDomain.first_order(2)
 
 
 def _require_same(a: InfinitesimalDomain, b: InfinitesimalDomain) -> None:
-    if a is not b and a != b:
+    if a is not b:
         raise DomainMismatchError(f"incompatible algebras: {a!r} vs {b!r}")
 
 
@@ -260,14 +238,9 @@ class WeilElement:
     ) -> None:
         table: dict[int, Fraction] = {}
         for key, value in (coeffs or {}).items():
-            m = _monomial(key)
-            if not domain.in_range(m):
-                raise ValueError(f"monomial {_monomial_name(m)} exceeds generator range")
-            if domain.is_zero_monomial(m):
-                raise ZeroMonomialError(f"monomial {_monomial_name(m)} vanishes in {domain!r}")
+            b = domain.mask_of(key)
             c = Fraction(value)
             if c:
-                b = _mask(m)
                 table[b] = table.get(b, 0) + c
         lowest = _from_fractions(domain, table)
         _init(self, domain, lowest._num, lowest._den)
@@ -357,7 +330,7 @@ class WeilElement:
         """Read-only map from each monomial with a nonzero coefficient to that coefficient."""
         view = self._view
         if view is None:
-            sets, den = self.domain._monomial_tables()[1], self._den
+            sets, den = self.domain._monomial_of, self._den
             view = MappingProxyType({sets[m]: _frac(n, den) for m, n in self._num.items()})
             _set_view(self, view)
         return view
@@ -376,12 +349,7 @@ class WeilElement:
         return self._num.keys() <= _SCALAR_MASKS
 
     def coefficient(self, monomial: Iterable[int]) -> Fraction:
-        m = _monomial(monomial)
-        if not self.domain.in_range(m):
-            raise ValueError(f"monomial {_monomial_name(m)} exceeds generator range")
-        if self.domain.is_zero_monomial(m):
-            raise ZeroMonomialError(f"monomial {_monomial_name(m)} vanishes in {self.domain!r}")
-        return _frac(self._num.get(_mask(m), 0), self._den)
+        return _frac(self._num.get(self.domain.mask_of(monomial), 0), self._den)
 
     def split_last(self, target: InfinitesimalDomain) -> tuple["WeilElement", "WeilElement"]:
         """``(a, b)`` with ``self = a + b * dn``, neither involving the last generator ``dn``.
@@ -453,7 +421,7 @@ class WeilElement:
         if not isinstance(other, WeilElement):
             return False
         a, b = self.domain, other.domain
-        return (a is b or a == b) and self._den == other._den and self._num == other._num
+        return a is b and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         return hash((self.domain, self._den, frozenset(self._num.items())))
@@ -540,7 +508,7 @@ def monomial_images(
     if len(images) != n:
         raise SubstitutionError(f"expected {n} generator images, got {len(images)}")
     for i, im in enumerate(images, start=1):
-        if im.domain is not target and im.domain != target:
+        if im.domain is not target:
             raise DomainMismatchError(f"image of d{i} lives in {im.domain!r}, not {target!r}")
         if im.scalar_part:
             raise SubstitutionError(f"image of d{i} has nonzero scalar part {im.scalar_part}")

@@ -28,10 +28,19 @@ from microlie.groupoids import (
 )
 from microlie.liealg import WITNESS_DOMAIN
 from microlie.vfexpr import parse_vector_field
-from microlie.weil import AXES2, D3, DomainMismatchError, InfinitesimalDomain, SubstitutionError, WeilElement, generators
+from microlie.weil import (
+    AXES2,
+    D3,
+    DomainMismatchError,
+    InfinitesimalDomain,
+    SubstitutionError,
+    WeilElement,
+    ZeroMonomialError,
+    generators,
+)
 
-D = InfinitesimalDomain.line()
-D2 = InfinitesimalDomain.power(2)
+D = InfinitesimalDomain(1)
+D2 = InfinitesimalDomain(2)
 A2 = InfinitesimalDomain.first_order(2)
 
 P1 = PairGroupoid(1)
@@ -504,3 +513,16 @@ def test_broken_images_raise_the_element_error_on_every_section(groupoid, case):
         with pytest.raises(SubstitutionError) as caught:
             section.substitute(target, images)
         assert str(caught.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("groupoid", [P2, GG], ids=["pair", "gauge"])
+@pytest.mark.parametrize(
+    "monomial, error", [({1, 2}, ZeroMonomialError), ({5}, ValueError)], ids=["vanishing", "out-of-range"]
+)
+def test_read_coefficient_rejects_what_the_element_rejects(groupoid, monomial, error):
+    with pytest.raises(error) as expected:
+        WeilElement.one(AXES2).coefficient(monomial)
+    section = groupoid.random_section(random.Random(0), AXES2, 2)
+    with pytest.raises(error) as caught:
+        groupoid.read_coefficient(section.data, monomial)
+    assert type(caught.value) is error and str(caught.value) == str(expected.value)

@@ -29,9 +29,9 @@ from microlie.spaces import strong_difference, tangent_combine
 from microlie.vfexpr import parse_vector_field
 from microlie.weil import InfinitesimalDomain, WeilElement, generators
 
-D = InfinitesimalDomain.line()
-D2 = InfinitesimalDomain.power(2)
-D3 = InfinitesimalDomain.power(3)
+D = InfinitesimalDomain(1)
+D2 = InfinitesimalDomain(2)
+D3 = InfinitesimalDomain(3)
 
 P1 = PairGroupoid(1)
 P2 = PairGroupoid(2)
@@ -214,7 +214,7 @@ class TestFlowCubes:
     def test_four_factor_cube_permitted(self):
         w, x, y, z = random_sections(GPT, 4, seed=35)
         cube = circledast([w, x, y, z])
-        domain = InfinitesimalDomain.power(4)
+        domain = InfinitesimalDomain(4)
         gens = generators(domain)
         expected = star_word(
             section_at(z, gens[3]),

@@ -103,7 +103,7 @@ def test_matrix_oracle_self_consistency():
 
 def test_table_sign_matches_commutator_word():
     """Re-derive the table bracket's sign from the four-flow word over D^2."""
-    D2 = InfinitesimalDomain.power(2)
+    D2 = InfinitesimalDomain(2)
     d1, d2 = generators(D2)
     rng = random.Random(5)
     for _ in range(5):

@@ -6,7 +6,7 @@ from microlie.groupoids import PairGroupoid, WSection, star
 from microlie.poly import Poly, RATIONALS, compose_map, identity_map
 from microlie.weil import InfinitesimalDomain, WeilElement
 
-D = InfinitesimalDomain.line()
+D = InfinitesimalDomain(1)
 P1 = PairGroupoid(1)
 
 

@@ -22,9 +22,9 @@ from microlie.spaces import (
 )
 from microlie.weil import InfinitesimalDomain, WeilElement, generators
 
-D = InfinitesimalDomain.line()
-D2 = InfinitesimalDomain.power(2)
-D3 = InfinitesimalDomain.power(3)
+D = InfinitesimalDomain(1)
+D2 = InfinitesimalDomain(2)
+D3 = InfinitesimalDomain(3)
 A2 = InfinitesimalDomain.first_order(2)
 A3 = AffineSpace(3)
 

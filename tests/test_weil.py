@@ -1,6 +1,6 @@
 import importlib.util
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from microlie.harness import _RING_DOMAINS
 from microlie.weil import (
+    AXES2,
     DomainMismatchError,
     InfinitesimalDomain,
     RestrictionError,
@@ -17,9 +18,9 @@ from microlie.weil import (
     generators,
 )
 
-D = InfinitesimalDomain.line()
-D2 = InfinitesimalDomain.power(2)
-D3 = InfinitesimalDomain.power(3)
+D = InfinitesimalDomain(1)
+D2 = InfinitesimalDomain(2)
+D3 = InfinitesimalDomain(3)
 A2 = InfinitesimalDomain.first_order(2)
 W3 = InfinitesimalDomain(3, [(1, 3), (2, 3)])
 
@@ -41,16 +42,12 @@ class TestDomain:
         assert A2.zero_monomials == frozenset({frozenset({1, 2})})
         assert W3.zero_monomials == frozenset({frozenset({1, 3}), frozenset({2, 3})})
 
-    def test_product_of_domains(self):
-        prod = InfinitesimalDomain.product(A2, D)
-        assert prod.generator_count == 3
-        assert prod.zero_monomials == frozenset({frozenset({1, 2})})
-
     def test_minimal_antichain(self):
         dom = InfinitesimalDomain(3, [(1, 3), (1, 2, 3)])
         assert dom.zero_monomials == frozenset({frozenset({1, 3})})
         # upward closure via membership, not storage
-        assert dom.is_zero_monomial(frozenset({1, 2, 3}))
+        with pytest.raises(ZeroMonomialError):
+            dom.mask_of({1, 2, 3})
 
     def test_singletons_rejected(self):
         with pytest.raises(ValueError):
@@ -65,6 +62,62 @@ class TestDomain:
             frozenset({1, 2}),
         }
         assert W3.nilpotency_order == 3
+
+    def test_one_object_per_presentation(self):
+        assert InfinitesimalDomain(2, [(2, 1)]) is InfinitesimalDomain.first_order(2) is AXES2
+        assert D3.permuted((3, 1, 2)) is D3
+        assert InfinitesimalDomain(3, [[3, 2], (1, 3), (3, 2, 1), (2, 3)]) is W3
+        with pytest.raises(TypeError):
+            InfinitesimalDomain(2.0)  # not read as the interned D^2
+        assert "__eq__" not in vars(InfinitesimalDomain) and "__hash__" not in vars(InfinitesimalDomain)
+
+
+@st.composite
+def presentations(draw):
+    """``(n, relations, padded, other)`` with at most 4 generators.
+
+    ``padded`` is ``relations`` shuffled (each relation's indices too) and
+    padded with duplicates and redundant supersets; ``other`` is a second,
+    independent relation list on the same generators.
+    """
+    n = draw(st.integers(0, 4))
+    relation_lists = st.lists(st.frozensets(st.integers(1, n), min_size=2), max_size=4) if n >= 2 else st.just([])
+    relations = draw(relation_lists)
+    extra = []
+    for z in relations:
+        extra += [z] * draw(st.integers(0, 1))
+        if draw(st.booleans()):
+            extra.append(z | draw(st.frozensets(st.integers(1, n))))
+    padded = [tuple(draw(st.permutations(sorted(z)))) for z in draw(st.permutations(relations + extra))]
+    return n, relations, padded, draw(relation_lists)
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(), st.data())
+def test_domains_are_interned_and_answer_from_their_masks(case, data):
+    n, relations, padded, other_relations = case
+    dom = InfinitesimalDomain(n, relations)
+    assert InfinitesimalDomain(n, padded) is dom
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    moved = {frozenset(perm[i - 1] for i in z) for z in dom.zero_monomials}
+    assert dom.permuted(perm) is InfinitesimalDomain(n, moved)
+    assert (dom.permuted(perm) is dom) == (moved == dom.zero_monomials)
+    # the scans mask_of replaces, rebuilt here
+    for size in range(n + 2):
+        for m in combinations(range(1, n + 2), size):
+            if not all(1 <= i <= n for i in m):
+                with pytest.raises(ValueError) as caught:
+                    dom.mask_of(m)
+                assert type(caught.value) is ValueError
+            elif any(z <= set(m) for z in relations):
+                with pytest.raises(ZeroMonomialError):
+                    dom.mask_of(m)
+            else:
+                assert dom.mask_of(m) == sum(1 << (i - 1) for i in m)
+    other = InfinitesimalDomain(n, other_relations)
+    for a, b in ((dom, other), (other, dom), (dom, dom)):
+        assert a.coarsens(b) == all(any(z <= y for z in a.zero_monomials) for y in b.zero_monomials)
+    assert not dom.coarsens(InfinitesimalDomain(n + 1))
 
 
 class TestArithmetic:
@@ -259,7 +312,7 @@ class TestImmutability:
             (a * b, b * a),
             (w(D2, {(1, 2): Fraction(2, 4)}), w(D2, {(2, 1): Fraction(1, 2)})),
             (w(D2, {(1,): 1, (2,): 1}) - w(D2, {(2,): 1}), WeilElement.generator(D2, 1)),
-            (WeilElement.one(InfinitesimalDomain.power(2)), WeilElement.one(D2)),
+            (WeilElement.one(InfinitesimalDomain(2)), WeilElement.one(D2)),
             (a * Fraction(1, 2), w(D2, {(): 1, (1,): Fraction(1, 2)})),
         ]
         for x, y in pairs:
