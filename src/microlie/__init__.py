@@ -26,9 +26,7 @@ from .spaces import (
     MembershipError,
     Tangent,
     WPoint,
-    extend_point,
     psi,
-    psi_inverse,
     relative_strong_difference,
     relative_strong_difference_curried,
     restrict_point,

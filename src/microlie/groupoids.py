@@ -39,7 +39,8 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
 * ``slots`` and ``from_slots``, the one coefficient view of section data:
   ``slots(data)`` returns ``(shape, {slot: WeilElement})`` and
   ``from_slots`` rebuilds the data.  Charts, coefficient tests and random
-  sections go through these two alone;
+  sections go through these two alone, and :meth:`SectionChart.of` reads
+  each charted section's view once;
 * ``ag_data``, ``ag_zero``, ``ag_add``, ``ag_scale``, ``ag_repr`` and
   ``oracle_bracket`` for Lie algebroid data;
 * ``random_ag``, ``random_section``, ``random_bisection`` and
@@ -65,6 +66,7 @@ from .weil import (
     InfinitesimalDomain,
     Rational,
     WeilElement,
+    _rational,
     check_permutation,
     monomial_images,
 )
@@ -809,7 +811,7 @@ class AGSection:
         return self + (-other)
 
     def scaled(self, a: Rational) -> "AGSection":
-        return AGSection(self.groupoid, self.groupoid.ag_scale(self.data, Fraction(a)))
+        return AGSection(self.groupoid, self.groupoid.ag_scale(self.data, _rational(a)))
 
     def __rmul__(self, a: Rational) -> "AGSection":
         return self.scaled(a)
@@ -866,7 +868,8 @@ class SectionChart:
     One coordinate per slot (see ``slots``) of any charted section or of
     the identity section, in sorted order.  The charted sections must share
     a shape (the gauge base map), which is stored so points can be turned
-    back into sections.
+    back into sections.  :meth:`of` builds a chart together with the points
+    of the sections it charts; :meth:`to_section` reads a point back.
     """
 
     groupoid: GroupoidInstance
@@ -874,7 +877,8 @@ class SectionChart:
     shape: tuple | None = None
 
     @classmethod
-    def for_sections(cls, *sections: WSection) -> "SectionChart":
+    def of(cls, *sections: WSection) -> tuple["SectionChart", tuple[WPoint, ...]]:
+        """The chart of ``sections`` and their points in it, in argument order."""
         if not sections:
             raise ValueError("chart needs at least one section")
         groupoid = sections[0].groupoid
@@ -887,23 +891,17 @@ class SectionChart:
         slots = {slot for _, coeffs in views for slot in coeffs}
         # always include the identity section's slots so it is chartable
         slots.update(groupoid.slots(groupoid.identity_data(sections[0].domain))[1])
-        return cls(groupoid, tuple(sorted(slots)), shape)
+        chart = cls(groupoid, tuple(sorted(slots)), shape)
+        space = chart.space
+        points = []
+        for section, (_, coeffs) in zip(sections, views):
+            zero = WeilElement.zero(section.domain)
+            points.append(WPoint(space, section.domain, tuple(coeffs.get(slot, zero) for slot in chart.slots)))
+        return chart, tuple(points)
 
     @property
     def space(self) -> AffineSpace:
         return AffineSpace(len(self.slots))
-
-    def to_point(self, section: WSection) -> WPoint:
-        if section.groupoid != self.groupoid:
-            raise GroupoidMismatchError("section not over the chart's groupoid")
-        shape, coeffs = self.groupoid.slots(section.data)
-        if shape != self.shape:
-            raise ValueError("section has a different shape than the chart")
-        missing = coeffs.keys() - set(self.slots)
-        if missing:
-            raise ValueError(f"section uses slots outside the chart: {sorted(missing)}")
-        zero = WeilElement.zero(section.domain)
-        return WPoint(self.space, section.domain, tuple(coeffs.get(slot, zero) for slot in self.slots))
 
     def to_section(self, point: WPoint) -> WSection:
         if point.space != self.space:

@@ -48,10 +48,8 @@ from .spaces import (
     MembershipError,
     Tangent,
     WPoint,
-    extend_point,
     relative_strong_difference,
     relative_strong_difference_curried,
-    restrict_point,
     strong_difference,
     tangent_combine,
 )
@@ -594,7 +592,7 @@ def _law_axis_recovery(env: LawEnv, trial: int) -> None:
     rng = env.rng(trial)
     for space in env.config.groupoid.sample_spaces():
         gamma = _rand_square_family(rng, space, 1)[0]
-        flattened = extend_point(restrict_point(gamma, AXES2), D2)
+        flattened = WPoint.from_coefficients(space, D2, {m: gamma.coefficient(m) for m in AXES2.monomials()})
         t = strong_difference(gamma, flattened)
         if t.direction != gamma.coefficient({1, 2}):
             raise LawViolation(space=space, gamma=gamma, tangent=t)
@@ -734,10 +732,9 @@ def _six_cube_tangents(b: BracketFn, x, y, z):
     cubes = liealg.six_microcubes(x, y, z)
     nested = (b(x, b(y, z)), b(y, b(z, x)), b(z, b(x, y)))
     d = WeilElement.generator(LINE, 1)
-    chart = SectionChart.for_sections(*cubes.values(), *(section_at(b, d) for b in nested))
-    points = {key: chart.to_point(cube) for key, cube in cubes.items()}
-    expressions = _general_jacobi_expressions(points)
-    targets = tuple(liealg.section_as_tangent(b, chart) for b in nested)
+    _, points = SectionChart.of(*cubes.values(), *(section_at(n, d) for n in nested))
+    expressions = _general_jacobi_expressions(dict(zip(cubes, points)))
+    targets = tuple(Tangent(p) for p in points[-3:])
     return expressions, targets
 
 

@@ -34,11 +34,7 @@ from .groupoids import (
     star,
     star_word,
 )
-from .spaces import (
-    InternalInvariantError,
-    Tangent,
-    strong_difference,
-)
+from .spaces import InternalInvariantError, strong_difference
 from .weil import D2, D3, LINE, InfinitesimalDomain, WeilElement
 
 WITNESS_DOMAIN = InfinitesimalDomain(3, [(1, 3), (2, 3)])
@@ -97,8 +93,7 @@ def pushforward(sigma: WSection, x: AGSection) -> AGSection:
         raise GroupoidMismatchError("bisection and section of different groupoids")
     if not sigma.is_scalar_exact:
         raise ValueError("pushforward needs a scalar-exact bisection (no infinitesimal part)")
-    lifted = sigma.substitute(LINE, [WeilElement.zero(LINE)] * sigma.domain.generator_count)
-    sigma_line = lifted if isinstance(lifted, WBisection) else WBisection(lifted.groupoid, LINE, lifted.data)
+    sigma_line = sigma.substitute(LINE, [WeilElement.zero(LINE)] * sigma.domain.generator_count)
     flow = section_at(x, WeilElement.generator(LINE, 1))
     conjugated = star_word(sigma_line, flow, invert_bisection(sigma_line))
     return ag_from_flow(conjugated)
@@ -162,11 +157,6 @@ def six_microcubes(x: AGSection, y: AGSection, z: AGSection) -> dict[str, WBisec
     return cubes
 
 
-def section_as_tangent(x: AGSection, chart: SectionChart) -> Tangent:
-    """The tangent at the identity represented by a section's flow, in chart coordinates."""
-    return Tangent(chart.to_point(section_at(x, WeilElement.generator(LINE, 1))))
-
-
 # -- the strong-difference route to the bracket ----------------------------------------------
 
 
@@ -176,10 +166,9 @@ def bracket_via_strong_difference(x: AGSection, y: AGSection) -> AGSection:
         raise GroupoidMismatchError("sections of different groupoids")
     plus = circledast([x, y])  # (d1, d2) -> Y_{d2} * X_{d1}
     minus = circledast([y, x]).permute_generators((2, 1))  # (d1, d2) -> X_{d1} * Y_{d2}
-    chart = SectionChart.for_sections(plus, minus)
-    t = strong_difference(chart.to_point(plus), chart.to_point(minus))
-    direction_point = t.point
-    return ag_from_flow(chart.to_section(direction_point))
+    chart, (plus_point, minus_point) = SectionChart.of(plus, minus)
+    t = strong_difference(plus_point, minus_point)
+    return ag_from_flow(chart.to_section(t.point))
 
 
 def lambda_witness(x: AGSection, y: AGSection) -> WBisection:

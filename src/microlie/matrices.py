@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .weil import InfinitesimalDomain, WeilElement
+from .weil import InfinitesimalDomain, WeilElement, _rational
 
 Matrix = tuple[tuple, ...]
 
@@ -159,4 +159,4 @@ def w_inverse(a: Matrix, domain: InfinitesimalDomain) -> Matrix:
 
 
 def rational_rows(m: Matrix) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+    return tuple(tuple(_rational(x) for x in row) for row in m)

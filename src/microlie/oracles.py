@@ -35,10 +35,6 @@ class PolyVectorField:
     def __setattr__(self, name, value) -> None:
         raise AttributeError("PolyVectorField is immutable")
 
-    @classmethod
-    def zero(cls, dimension: int) -> "PolyVectorField":
-        return cls(tuple(Poly.zero(dimension) for _ in range(dimension)))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolyVectorField) and self.components == other.components
 

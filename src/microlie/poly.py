@@ -25,7 +25,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .weil import InfinitesimalDomain, Rational, WeilElement
+from .weil import InfinitesimalDomain, Rational, WeilElement, _rational
 
 Exponents = tuple[int, ...]
 
@@ -56,7 +56,7 @@ class Poly:
         table: dict[Exponents, Fraction] = {}
         for alpha, value in (terms or {}).items():
             e = _as_exponents(alpha, nvars)
-            c = Fraction(value)
+            c = _rational(value)
             if c:
                 table[e] = table.get(e, 0) + c
         den = lcm(1, *(c.denominator for c in table.values()))

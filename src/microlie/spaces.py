@@ -10,6 +10,8 @@ one-generator domain a point is a tangent vector; over ``D^2`` a
 microsquare; over ``D^3`` a microcube.  :meth:`WPoint.coefficient` reads
 one monomial's coefficient across all coordinates and
 :meth:`WPoint.from_coefficients` builds a point from such vectors.
+:func:`restrict_point` drops the coefficients that vanish in a coarser
+domain, and :func:`tangent_combine` adds two tangents at one base point.
 
 Conventions, pinned once and enforced by the law suites:
 
@@ -204,10 +206,6 @@ def restrict_point(p: WPoint, sub: InfinitesimalDomain) -> WPoint:
     return p.map_coords(lambda w: w.restrict(sub), sub)
 
 
-def extend_point(p: WPoint, sup: InfinitesimalDomain) -> WPoint:
-    return p.map_coords(lambda w: w.extend(sup), sup)
-
-
 # -- strong difference of microsquares ---------------------------------------------
 
 
@@ -259,14 +257,6 @@ def psi(i: int, cube: WPoint) -> WPoint:
     if cube.domain.generator_count != 3:
         raise ValueError("psi expects a three-generator domain")
     return sigma_perm(cube, _PSI_PERM[i])
-
-
-def psi_inverse(i: int, cube: WPoint) -> WPoint:
-    if i not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2 or 3")
-    p = _PSI_PERM[i]
-    inverse = tuple(p.index(j) + 1 for j in (1, 2, 3))
-    return sigma_perm(cube, inverse)
 
 
 # -- relativized strong differences -------------------------------------------------
@@ -348,13 +338,11 @@ def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> W
     return WPoint.from_coefficients(plus.space, D2, columns)
 
 
-def tangent_combine(a: Tangent, b: Tangent, ca: Rational = 1, cb: Rational = 1) -> Tangent:
-    """Linear combination in a common tangent space (same space, same base)."""
+def tangent_combine(a: Tangent, b: Tangent) -> Tangent:
+    """Sum in a common tangent space (same space, same base)."""
     if a.space != b.space:
         raise ValueError("tangents live in different spaces")
     if a.base != b.base:
         raise ValueError("tangents have different base points")
-    direction = tuple(
-        Fraction(ca) * x + Fraction(cb) * y for x, y in zip(a.direction, b.direction)
-    )
+    direction = tuple(x + y for x, y in zip(a.direction, b.direction))
     return tangent_from_parts(a.space, a.base, direction)

@@ -20,7 +20,8 @@ denominator, in lowest terms: no numerator is zero, the gcd of the
 denominator and all numerators is 1, and zero has denominator 1.  Each
 domain keeps the set of masks that survive (``masks``), so a product term
 is dropped by two integer tests.  The API speaks ``frozenset`` monomials
-and ``Fraction`` coefficients at its edges: the constructor,
+and ``Fraction`` coefficients at its edges, and takes ``int`` or
+``Fraction`` coefficients only (:func:`_rational`): the constructor,
 ``coefficient``, ``scalar_part``, the read-only ``coeffs`` mapping and
 ``str``.  ``from_masks`` and ``mask_coeffs`` speak masks, for the pair
 groupoid's jets, which key rational polynomial maps by mask.  Elements,
@@ -49,7 +50,7 @@ class DomainMismatchError(ValueError):
 
 
 class RestrictionError(ValueError):
-    """The target of a restriction (or extension) is not a legal coarsening."""
+    """The target of a restriction is not a legal coarsening."""
 
 
 class SubstitutionError(ValueError):
@@ -87,6 +88,13 @@ def _indices(b: int) -> tuple[int, ...]:
 
 def _frac(n: int, den: int) -> Fraction:
     return Fraction(n) if den == 1 else Fraction(n, den)
+
+
+def _rational(value: object) -> Fraction:
+    """An exact coefficient from outside the kernel: only an ``int`` or a ``Fraction`` is one."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}: {value!r}")
+    return Fraction(value)
 
 
 class InfinitesimalDomain:
@@ -239,7 +247,7 @@ class WeilElement:
         table: dict[int, Fraction] = {}
         for key, value in (coeffs or {}).items():
             b = domain.mask_of(key)
-            c = Fraction(value)
+            c = _rational(value)
             if c:
                 table[b] = table.get(b, 0) + c
         lowest = _from_fractions(domain, table)
@@ -260,7 +268,7 @@ class WeilElement:
 
     @classmethod
     def scalar(cls, domain: InfinitesimalDomain, c: Rational) -> "WeilElement":
-        c = Fraction(c)
+        c = _rational(c)
         return _make(domain, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
@@ -269,7 +277,7 @@ class WeilElement:
         stray = coeffs.keys() - domain.masks
         if stray:
             raise ZeroMonomialError(f"masks {sorted(stray)} do not survive in {domain!r}")
-        return _from_fractions(domain, {b: Fraction(c) for b, c in coeffs.items() if c})
+        return _from_fractions(domain, {b: _rational(c) for b, c in coeffs.items()})
 
     @classmethod
     def generator(cls, domain: InfinitesimalDomain, i: int) -> "WeilElement":
@@ -378,12 +386,6 @@ class WeilElement:
         ok = sub.masks
         return _reduced(sub, {m: n for m, n in self._num.items() if m in ok}, self._den)
 
-    def extend(self, sup: InfinitesimalDomain) -> "WeilElement":
-        """Re-read in a finer domain (one that this element's domain coarsens)."""
-        if not self.domain.coarsens(sup):
-            raise RestrictionError(f"{self.domain!r} is not a coarsening of {sup!r}")
-        return _make(sup, self._num, self._den)
-
     def substitute(self, target: InfinitesimalDomain, images: Sequence["WeilElement"]) -> "WeilElement":
         """Apply the algebra homomorphism sending generator i to images[i-1] (see :func:`monomial_images`)."""
         return self.image(monomial_images(self.domain, target, images))
@@ -398,20 +400,6 @@ class WeilElement:
             for m, k in w._num.items():
                 acc[m] = acc.get(m, 0) + n * k
         return _reduced(table[0].domain, acc, self._den * common)
-
-    def inverse(self) -> "WeilElement":
-        """Exact inverse; defined iff the scalar part is nonzero."""
-        s = self.scalar_part
-        if not s:
-            raise ZeroDivisionError(f"no inverse: zero scalar part in {self}")
-        unit = self * (Fraction(1) / s)  # 1 + nilpotent
-        nil = unit - WeilElement.one(self.domain)
-        acc = WeilElement.one(self.domain)
-        power = -nil
-        while power:
-            acc = acc + power
-            power = power * (-nil)
-        return acc * (Fraction(1) / s)
 
     # -- comparisons / formatting ----------------------------------------------
 
@@ -479,7 +467,7 @@ def _make(domain: InfinitesimalDomain, num: dict[int, int], den: int) -> WeilEle
 
 
 def _from_fractions(domain: InfinitesimalDomain, table: dict[int, Fraction]) -> WeilElement:
-    """An element from nonzero ``Fraction`` coefficients keyed by surviving mask."""
+    """An element from ``Fraction`` coefficients (zeros allowed) keyed by surviving mask."""
     den = lcm(1, *(c.denominator for c in table.values()))
     return _reduced(domain, {b: int(c * den) for b, c in table.items()}, den)
 

@@ -250,8 +250,8 @@ class TestCharts:
     @pytest.mark.parametrize("kind", ["pair", "gauge"])
     def test_round_trip(self, kind):
         sigma = chart_sections()[kind]
-        chart = SectionChart.for_sections(sigma)
-        assert chart.to_section(chart.to_point(sigma)) == sigma
+        chart, (point,) = SectionChart.of(sigma)
+        assert chart.to_section(point) == sigma
         g = sigma.groupoid
         assert g.from_slots(*g.slots(sigma.data), sigma.domain) == sigma.data
 
@@ -260,24 +260,37 @@ class TestCharts:
         d = WeilElement.generator(D, 1)
         table = ((WeilElement.one(D), d), (WeilElement.zero(D), WeilElement.one(D)))
         sigma = WSection(gg1, D, ((0,), (table,)))
-        point = SectionChart.for_sections(sigma).to_point(sigma)
+        _, (point,) = SectionChart.of(sigma)
         assert point.coords == tuple(w for row in table for w in row)
-
-    def test_chart_requires_covered_slots(self):
-        sigma = pair_section(P1, D, {(1,): 1})
-        rho = pair_section(P1, D, {(2,): WeilElement.generator(D, 1), (1,): 1})
-        chart = SectionChart.for_sections(sigma)
-        with pytest.raises(ValueError):
-            chart.to_point(rho)
 
     def test_gauge_charts_need_shared_base_map(self):
         one = matrices.identity(2, D)
         sigma = WSection(GG, D, ((0, 1), (one, one)))
         rho = WSection(GG, D, ((1, 0), (one, one)))
         with pytest.raises(ValueError):
-            SectionChart.for_sections(sigma, rho)
-        with pytest.raises(ValueError):
-            SectionChart.for_sections(sigma).to_point(rho)
+            SectionChart.of(sigma, rho)
+
+    @pytest.mark.parametrize("kind", ["pair", "gauge"])
+    def test_points_follow_their_sections(self, kind):
+        sigma = chart_sections()[kind]
+        family = (sigma, sigma.permute_generators((2, 1)), star(sigma, sigma))
+        chart, points = SectionChart.of(*family)
+        assert chart.slots == tuple(sorted(chart.slots))
+        zero = WeilElement.zero(D2)
+        for section, point in zip(family, points):
+            assert chart.to_section(point) == section
+            coeffs = sigma.groupoid.slots(section.data)[1]
+            assert point.coords == tuple(coeffs.get(slot, zero) for slot in chart.slots)
+
+    def test_identity_slots_are_always_charted(self):
+        sigma = pair_section(P1, D, {(2,): 1})  # x -> x^2 has no identity term
+        assert SectionChart.of(sigma)[0] == SectionChart.of(sigma, WSection.identity(P1, D))[0]
+
+    def test_needs_sections_of_one_groupoid(self):
+        with pytest.raises(ValueError, match="at least one section"):
+            SectionChart.of()
+        with pytest.raises(GroupoidMismatchError):
+            SectionChart.of(WSection.identity(P1, D), WSection.identity(P2, D))
 
 
 def test_monoid_associativity_with_nonbisections():

@@ -20,7 +20,7 @@ class TestClassicalBracket:
 
     def test_self_bracket(self):
         xi = vf("x0^2*x1; x1 - x0", 2)
-        assert classical_vf_bracket(xi, xi) == PolyVectorField.zero(2)
+        assert classical_vf_bracket(xi, xi) == PolyVectorField((Poly.zero(2),) * 2)
 
     def test_one_dimensional(self):
         # [x0, x0^2] = x0 * 2 x0 - x0^2 * 1 = x0^2

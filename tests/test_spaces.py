@@ -9,9 +9,7 @@ from microlie.spaces import (
     MatrixGroup,
     MembershipError,
     WPoint,
-    extend_point,
     psi,
-    psi_inverse,
     relative_strong_difference,
     relative_strong_difference_curried,
     restrict_point,
@@ -141,7 +139,7 @@ class TestStrongDifference:
 
     def test_axis_recovery(self):
         gamma = affine_square({(): 1, (1,): 2, (1, 2): -3}, {(2,): 1}, {(1, 2): 7})
-        flattened = extend_point(restrict_point(gamma, A2), D2)
+        flattened = WPoint.from_coefficients(gamma.space, D2, {m: gamma.coefficient(m) for m in A2.monomials()})
         t = strong_difference(gamma, flattened)
         assert t.direction == gamma.coefficient({1, 2})
 
@@ -163,9 +161,11 @@ class TestRelabelings:
                 WeilElement(D3, {(1,): i, (2, 3): 2 * i, (1, 2, 3): 3 + i}) for i in range(3)
             ),
         )
-        for i in (1, 2, 3):
-            assert psi(i, psi_inverse(i, cube)) == cube
-            assert psi_inverse(i, psi(i, cube)) == cube
+        # psi(i) is sigma_perm by these permutations; undo each by its inverse
+        for i, p in {1: (3, 1, 2), 2: (1, 3, 2), 3: (1, 2, 3)}.items():
+            inverse = tuple(p.index(j) + 1 for j in (1, 2, 3))
+            assert psi(i, sigma_perm(cube, inverse)) == cube
+            assert sigma_perm(psi(i, cube), inverse) == cube
 
     def test_sigma_identity(self):
         cube = coordinate_cube()
@@ -245,8 +245,7 @@ class TestTangents:
         a = tangent_from_parts(AffineSpace(2), (0, 0), (1, 0))
         b = tangent_from_parts(AffineSpace(2), (0, 0), (0, 1))
         assert tangent_combine(a, b).direction == (1, 1)
-        assert tangent_combine(a, a, 1, -1).is_zero
-        assert tangent_combine(b, b, 1, 1).direction == (0, 2)
+        assert tangent_combine(b, b).direction == (0, 2)
 
     def test_base_mismatch(self):
         a = tangent_from_parts(AffineSpace(1), (0,), (1,))
