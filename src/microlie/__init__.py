@@ -37,6 +37,7 @@ from .spaces import (
 from .groupoids import (
     AGSection,
     Arrow,
+    GaugeJet,
     GroupoidInstance,
     GroupoidMismatchError,
     InvertibilityError,

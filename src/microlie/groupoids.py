@@ -13,7 +13,8 @@ gauge case) the fiber matrices.  The product is
 this is exact map/table composition.  A bisection additionally has an
 invertible target map; invertibility is witnessed by the scalar part (an
 invertible affine map, or a base permutation) and inverses are computed
-exactly through nilpotent Newton iteration.
+exactly, by nilpotent Newton iteration (pair) or a finite nilpotent series
+(gauge).
 
 A Weil-parametrised pair section is stored as a :class:`Jet`: one tuple of
 rational polynomials per surviving Weil monomial, keyed by mask.  By the
@@ -23,6 +24,15 @@ in the nilpotent generators, so composing jets is a finite Taylor sum
 map's scalar part is the identity, as it is for every flow and every star
 word of flows.  Evaluation at a Weil point is composition with a jet of
 constants.
+
+A Weil-parametrised gauge section is stored as ``(base_map, jet)`` with a
+:class:`GaugeJet`: by the same axiom a table of matrices over a Weil domain
+is its family of coefficient tables, one per surviving mask, and each holds
+one integer k x k matrix per base point over a denominator common to the
+whole jet.  The product sums matrix products over the pairs of disjoint
+masks whose union survives; the inverse inverts the scalar part once per
+table and sums the finite nilpotent series.  Matrices of ``WeilElement``
+entries appear only at the edges: arrows, ``slots`` and ``from_slots``.
 
 Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
 ``SectionChart``, ``star``, ``section_at`` and the harness only call its
@@ -54,10 +64,12 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul
 from typing import Sequence
 
 from . import matrices
-from .matrices import Matrix
+from .matrices import Matrix, _determinant
 from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
 from .poly import Exponents, Poly, compose_map, format_terms, identity_map, sum_of_products
 from .spaces import AffineSpace, MatrixGroup, WPoint
@@ -131,13 +143,14 @@ def _rand_invertible(rng: random.Random, k: int) -> Matrix:
             return m
 
 
-def _rand_fiber(rng: random.Random, k: int, domain: InfinitesimalDomain, scalar_exact: bool) -> Matrix:
-    """An invertible scalar matrix plus, unless ``scalar_exact``, a nilpotent one."""
-    t = matrices.lift(_rand_invertible(rng, k), domain)
-    if scalar_exact:
-        return t
-    nil = tuple(tuple(_rand_element(rng, domain, nilpotent_only=True) for _ in range(k)) for _ in range(k))
-    return matrices.add(t, nil)
+def _rand_fiber(rng: random.Random, k: int, domain: InfinitesimalDomain, scalar_exact: bool) -> dict[int, list[int]]:
+    """An invertible scalar matrix plus, unless ``scalar_exact``, a nilpotent one, as flat integer parts by mask."""
+    parts = {0: [c.numerator for row in _rand_invertible(rng, k) for c in row]}
+    if not scalar_exact:
+        for e in range(k * k):
+            for b, n in _rand_element(rng, domain, nilpotent_only=True).mask_numerators()[0].items():
+                parts.setdefault(b, [0] * (k * k))[e] = n
+    return parts
 
 
 MAX_FIELD_DEGREE = 3  # largest degree of a pair-groupoid vector field, in verify and bracket
@@ -329,9 +342,13 @@ class PairGroupoid:
 class TrivialGaugeGroupoid:
     """Arrows are triples (target index, fiber matrix, source index).
 
-    Section data is ``(base_map, tables)``: a tuple of target indices and
-    one fiber matrix per source point.  Lie algebroid data is a table of
-    rational matrices, one per base point; a base point is an index.
+    Section data is ``(base_map, jet)``: a tuple of target indices and a
+    :class:`GaugeJet`, which holds the fiber matrices of every source point
+    as one integer matrix per Weil mask and base point over one common
+    denominator.  An arrow's fiber is a matrix of ``WeilElement`` entries,
+    built from the jet only at the edges: ``arrow_at``, ``slots`` and
+    ``from_slots``.  Lie algebroid data is a table of rational matrices, one
+    per base point; a base point is an index.
     """
 
     base_size: int
@@ -359,54 +376,98 @@ class TrivialGaugeGroupoid:
         return arrow.target[0]
 
     def arrow_at(self, data, domain: InfinitesimalDomain, x: int) -> "Arrow":
-        base_map, tables = data
-        return Arrow(self, (base_map[x],), (x,), tables[x])
+        base_map, jet = data
+        k = self.matrix_size
+        fiber = tuple(tuple(jet.entry(x, i * k + j) for j in range(k)) for i in range(k))
+        return Arrow(self, (base_map[x],), (x,), fiber)
 
     # -- section data -----------------------------------------------------------------
 
     def section_data(self, domain: InfinitesimalDomain, data) -> tuple:
-        base_map, tables = data
+        base_map, jet = data
         base_map = tuple(base_map)
-        tables = tuple(matrices.from_rows(t) for t in tables)
         m, k = self.base_size, self.matrix_size
-        if len(base_map) != m or len(tables) != m:
-            raise ValueError(f"expected tables over {m} base points")
+        if any(not isinstance(i, int) or isinstance(i, bool) for i in base_map):
+            raise TypeError(f"base map entries must be int: {base_map!r}")
+        if len(base_map) != m:
+            raise ValueError(f"expected a base map over {m} base points")
         if any(not 0 <= i < m for i in base_map):
             raise ValueError("base map leaves the base")
-        for t in tables:
-            if len(t) != k or any(w.domain is not domain for row in t for w in row):
-                raise ValueError("fiber tables must be k x k over the section's domain")
-            if not matrices.q_is_invertible(matrices.scalar_part(t)):
+        if not isinstance(jet, GaugeJet) or jet.domain is not domain:
+            raise ValueError("gauge section data must be a matrix jet over the section's domain")
+        scalar = jet[0]  # every part of a jet has the shape of its scalar part
+        if len(scalar) != m or any(len(t) != k * k for t in scalar):
+            raise ValueError(f"fiber tables must be {k} x {k} over {m} base points")
+        for t in scalar:
+            if not _determinant([t[i : i + k] for i in range(0, k * k, k)]):
                 raise InvertibilityError("fiber matrix has singular scalar part")
-        return base_map, tables
+        return base_map, jet
 
     def check_bisection(self, data) -> None:
         if sorted(data[0]) != list(range(self.base_size)):
             raise InvertibilityError(f"base map {data[0]} is not a permutation")
 
     def identity_data(self, domain: InfinitesimalDomain) -> tuple:
-        ident = matrices.identity(self.matrix_size, domain)
-        return tuple(range(self.base_size)), (ident,) * self.base_size
+        m = self.base_size
+        return tuple(range(m)), GaugeJet(domain, {0: [_identity(self.matrix_size)] * m}, 1)
 
     def star_data(self, sigma, rho) -> tuple:
-        (f_s, h_s), (f_r, h_r) = sigma, rho
-        return tuple(f_s[y] for y in f_r), tuple(matrices.mul(h_s[y], h) for y, h in zip(f_r, h_r))
+        (f_s, s), (f_r, r) = sigma, rho
+        left = {b: [mats[y] for y in f_r] for b, mats in s.items()}  # sigma's fiber at beta(rho(x))
+        parts = _product(r.domain.masks, left, r, self.matrix_size)
+        return tuple(f_s[y] for y in f_r), GaugeJet(r.domain, parts, s.den * r.den)
 
     def inverse_data(self, data, domain: InfinitesimalDomain) -> tuple:
-        base_map, tables = data
-        inverse_map = tuple(base_map.index(x) for x in range(len(base_map)))
-        return inverse_map, tuple(matrices.w_inverse(tables[y], domain) for y in inverse_map)
+        """Invert each table by the finite series ``(sum_r C^r) A0^-1`` with ``C = -A0^-1 (A - A0)``."""
+        base_map, jet = data
+        m, k = self.base_size, self.matrix_size
+        inverse_map = tuple(base_map.index(x) for x in range(m))
+        parts = {b: [mats[y] for y in inverse_map] for b, mats in jet.items()}
+        # A0^-1 = den Q / q, with one rational inverse per table and q common to all
+        inverses = [matrices.q_inverse([t[i : i + k] for i in range(0, k * k, k)]) for t in parts.pop(0)]
+        q = lcm(1, *(c.denominator for inv in inverses for row in inv for c in row))
+        Q = [[c.numerator * (q // c.denominator) for row in inv for c in row] for inv in inverses]
+        # C over q: (den Q / q)(P_b / den) = Q P_b / q
+        c = {b: [[-n for n in _mat_mul(a, p, k)] for a, p in zip(Q, mats)] for b, mats in parts.items()}
+        ok = domain.masks
+        series, power, den = {0: [_identity(k)] * m}, c, 1  # series holds sum_{r <= R} C^r over q^R
+        while power:
+            series = {b: [[n * q for n in t] for t in mats] for b, mats in series.items()}
+            _accumulate(series, power)
+            den *= q
+            power = _nonzero(_product(ok, c, power, k))
+        right = {0: [[jet.den * n for n in a] for a in Q]}
+        return inverse_map, GaugeJet(domain, _product(ok, series, right, k), den * q)
 
     def flow_data(self, fields, e: WeilElement) -> tuple:
-        ident = matrices.identity(self.matrix_size, e.domain)
-        tables = tuple(matrices.add(ident, matrices.scale(e, t)) for t in fields)
-        return tuple(range(self.base_size)), tables
+        # X_e = I + e X, for a square-zero e with no scalar part (section_at checks)
+        m, k = self.base_size, self.matrix_size
+        q = lcm(1, *(c.denominator for t in fields for row in t for c in row))
+        X = [[c.numerator * (q // c.denominator) for row in t for c in row] for t in fields]
+        num, den = e.mask_numerators()
+        parts = {b: [[n * x for x in t] for t in X] for b, n in num.items()}
+        parts[0] = [[den * q * n for n in _identity(k)]] * m
+        return tuple(range(m)), GaugeJet(e.domain, parts, den * q)
 
     def read_coefficient(self, data, monomial) -> tuple[Matrix, ...]:
-        return tuple(tuple(tuple(w.coefficient(monomial) for w in row) for row in t) for t in data[1])
+        jet = data[1]
+        part = jet.get(jet.domain.mask_of(monomial))
+        if part is None:
+            return self.ag_zero()
+        k, den = self.matrix_size, jet.den
+        return tuple(tuple(tuple(Fraction(n, den) for n in t[i : i + k]) for i in range(0, k * k, k)) for t in part)
 
     def substitute_data(self, data, table) -> tuple:
-        return data[0], tuple(tuple(tuple(w.image(table) for w in row) for row in t) for t in data[1])
+        # part M of the image sums c * part b over the terms c d^M of table[b]
+        base_map, jet = data
+        images = [(mats, table[b].mask_numerators()) for b, mats in jet.items()]
+        q = lcm(1, *(d for _, (_, d) in images))
+        sums: dict[int, list[list[int]]] = {}
+        for mats, (num, d) in images:
+            for M, n in num.items():
+                c = n * (q // d)
+                _accumulate(sums, {M: [[c * x for x in t] for t in mats]})
+        return base_map, GaugeJet(table[0].domain, sums, jet.den * q)
 
     def section_repr(self, data) -> str:
         return f"base {data[0]}"
@@ -414,16 +475,28 @@ class TrivialGaugeGroupoid:
     # -- coefficient view: one slot per (base point, row, column); the shape is the base map
 
     def slots(self, data) -> tuple[tuple[int, ...], dict]:
-        base_map, tables = data
+        base_map, jet = data
+        k = self.matrix_size
         return base_map, {
-            (x, i, j): w for x, t in enumerate(tables) for i, row in enumerate(t) for j, w in enumerate(row)
+            (x, i, j): jet.entry(x, i * k + j) for x in range(self.base_size) for i in range(k) for j in range(k)
         }
 
     def from_slots(self, shape: tuple[int, ...], coeffs, domain: InfinitesimalDomain) -> tuple:
         m, k = self.base_size, self.matrix_size
-        return shape, tuple(
-            tuple(tuple(coeffs[x, i, j] for j in range(k)) for i in range(k)) for x in range(m)
-        )
+        entries = [coeffs[x, i, j] for x in range(m) for i in range(k) for j in range(k)]
+        for w in entries:
+            if not isinstance(w, WeilElement):
+                raise TypeError(f"gauge coefficients must be WeilElements, not {type(w).__name__}: {w!r}")
+            if w.domain is not domain:
+                raise DomainMismatchError(f"coefficient domain {w.domain!r} is not {domain!r}")
+        forms = [w.mask_numerators() for w in entries]
+        q = lcm(1, *(d for _, d in forms))
+        parts: dict[int, list[list[int]]] = {0: [[0] * (k * k) for _ in range(m)]}
+        for slot, (num, d) in enumerate(forms):
+            x, e = divmod(slot, k * k)
+            for b, n in num.items():
+                parts.setdefault(b, [[0] * (k * k) for _ in range(m)])[x][e] = n * (q // d)
+        return shape, GaugeJet(domain, parts, q)
 
     # -- Lie algebroid data -------------------------------------------------------------
 
@@ -459,18 +532,24 @@ class TrivialGaugeGroupoid:
 
     def random_section(self, rng: random.Random, domain, degree: int) -> "WSection":
         """An arbitrary section (not necessarily a bisection)."""
-        m, k = self.base_size, self.matrix_size
+        m = self.base_size
         base_map = tuple(rng.randrange(m) for _ in range(m))
-        tables = [_rand_fiber(rng, k, domain, False) for _ in range(m)]
-        return WSection(self, domain, (base_map, tables))
+        return WSection(self, domain, (base_map, self._rand_tables(rng, domain, False)))
 
     def random_bisection(
         self, rng: random.Random, domain, degree: int, scalar_exact: bool = False
     ) -> "WBisection":
         perm = list(range(self.base_size))
         rng.shuffle(perm)
-        tables = [_rand_fiber(rng, self.matrix_size, domain, scalar_exact) for _ in perm]
-        return WBisection(self, domain, (perm, tables))
+        return WBisection(self, domain, (perm, self._rand_tables(rng, domain, scalar_exact)))
+
+    def _rand_tables(self, rng: random.Random, domain, scalar_exact: bool) -> "GaugeJet":
+        m, kk = self.base_size, self.matrix_size**2
+        parts: dict[int, list[list[int]]] = {}
+        for x in range(m):
+            for b, t in _rand_fiber(rng, self.matrix_size, domain, scalar_exact).items():
+                parts.setdefault(b, [[0] * kk for _ in range(m)])[x] = t
+        return GaugeJet(domain, parts, 1)
 
     def base_points(self, rng: random.Random, domain) -> range:
         """The points a pointwise law checks: all of them, drawing nothing from ``rng``."""
@@ -651,6 +730,106 @@ class Jet(Mapping):
 
     def __repr__(self) -> str:
         return f"Jet({self.domain!r}; {self._parts})"
+
+
+class GaugeJet(Mapping):
+    """A Weil-parametrised table of k x k matrices, stored one integer matrix per Weil mask and base point.
+
+    ``jet[b][x]`` is the numerator matrix, flat and row-major (``k * k``
+    ints), of base point ``x`` on the monomial of ``domain`` with mask
+    ``b``.  Every part shares the positive denominator ``den`` and the whole
+    is in lowest terms.  Mask 0, the scalar part, is always present; any
+    other part whose matrices are all zero is left out, so equal tables are
+    equal jets.  The constructor takes integer parts (zeros allowed, mask 0
+    present, one shape) over any positive denominator and brings them to
+    that form.  Jets are read-only and hash consistently with ``==``.
+    """
+
+    __slots__ = ("domain", "den", "_parts")
+
+    def __init__(self, domain: InfinitesimalDomain, parts: Mapping[int, Sequence[Sequence[int]]], den: int) -> None:
+        table = {b: mats for b, mats in parts.items() if not b or any(map(any, mats))}
+        if den != 1:
+            g = den
+            for mats in table.values():
+                for t in mats:
+                    g = gcd(g, *t)
+            if g != 1:
+                den //= g
+                table = {b: [[n // g for n in t] for t in mats] for b, mats in table.items()}
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_parts", {b: tuple(map(tuple, mats)) for b, mats in table.items()})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GaugeJet is immutable")
+
+    def __getitem__(self, b: int) -> tuple[tuple[int, ...], ...]:
+        return self._parts[b]
+
+    def __iter__(self):
+        return iter(self._parts)
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def items(self):
+        return self._parts.items()
+
+    def entry(self, x: int, e: int) -> WeilElement:
+        """The Weil element at flat entry ``e`` of base point ``x``'s matrix."""
+        return WeilElement.from_mask_numerators(
+            self.domain, {b: mats[x][e] for b, mats in self._parts.items() if mats[x][e]}, self.den
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, GaugeJet)
+            and self.domain is other.domain
+            and self.den == other.den
+            and self._parts == other._parts
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.den, frozenset(self._parts.items())))
+
+    def __repr__(self) -> str:
+        return f"GaugeJet({self.domain!r}; {self._parts} / {self.den})"
+
+
+def _identity(k: int) -> list[int]:
+    return [int(i == j) for i in range(k) for j in range(k)]
+
+
+def _mat_mul(a: Sequence[int], b: Sequence[int], k: int) -> list[int]:
+    """The product of two flat row-major k x k integer matrices."""
+    cols = [b[j::k] for j in range(k)]
+    return [sum(map(mul, a[i : i + k], col)) for i in range(0, k * k, k) for col in cols]
+
+
+def _product(ok: frozenset[int], left: Mapping, right: Mapping, k: int) -> dict[int, list[list[int]]]:
+    """Numerators of a jet product: part M sums ``left[b1] @ right[b2]`` pointwise.
+
+    The sum runs over the disjoint masks ``b1``, ``b2`` with ``b1 | b2 = M`` in ``ok``.
+    """
+    sums: dict[int, list[list[int]]] = {}
+    for b1, a in left.items():
+        for b2, c in right.items():
+            if b1 & b2 or b1 | b2 not in ok:
+                continue  # a repeated generator squares to zero, and so does a vanishing monomial
+            _accumulate(sums, {b1 | b2: [_mat_mul(x, y, k) for x, y in zip(a, c)]})
+    return sums
+
+
+def _accumulate(sums: dict[int, list[list[int]]], parts: Mapping) -> None:
+    """Add integer ``parts`` into ``sums`` in place, mask by mask and entry by entry."""
+    for b, mats in parts.items():
+        acc = sums.get(b)
+        sums[b] = list(mats) if acc is None else [list(map(add, s, t)) for s, t in zip(acc, mats)]
+
+
+def _nonzero(parts: dict[int, list[list[int]]]) -> dict[int, list[list[int]]]:
+    return {b: mats for b, mats in parts.items() if any(map(any, mats))}
 
 
 def _compose(f: Jet, g: Jet) -> Jet:

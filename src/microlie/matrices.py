@@ -1,47 +1,27 @@
-"""Small exact-matrix helpers over the rationals and over Weil algebras.
+"""Small exact-matrix helpers.
 
-Matrices are immutable tuples of row tuples.  The generic arithmetic works
-for any entries supporting ``+``/``*`` (Fractions or WeilElements); the
-inverse over a Weil algebra uses the finite geometric series of the
-nilpotent part around the rational scalar matrix.  Invertibility of a
-rational matrix is decided by an exact integer determinant, so a check
-computes no inverse.
+Matrices are immutable tuples of row tuples.  The arithmetic works for any
+entries supporting ``+``/``*``: ``Fraction`` entries in Lie algebroid
+tables and the gauge oracle, ``WeilElement`` entries in gauge arrows.  A
+rational matrix is inverted by exact Gauss-Jordan elimination, and its
+invertibility is decided by an exact integer determinant, so a check
+computes no inverse.  The gauge groupoid keeps its fiber matrices as
+integer numerators and inverts them around the rational scalar part (see
+``TrivialGaugeGroupoid.inverse_data``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
-from .weil import InfinitesimalDomain, WeilElement, _rational
+from .weil import _rational
 
 Matrix = tuple[tuple, ...]
 
 
 class SingularMatrixError(ValueError):
-    """The scalar part of a matrix is not invertible."""
-
-
-def from_rows(rows: Sequence[Sequence]) -> Matrix:
-    k = len(rows)
-    out = tuple(tuple(row) for row in rows)
-    if any(len(row) != k for row in out):
-        raise ValueError("matrix must be square")
-    return out
-
-
-def identity(k: int, domain: InfinitesimalDomain) -> Matrix:
-    one, zero = WeilElement.one(domain), WeilElement.zero(domain)
-    return tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k))
-
-
-def lift(m: Matrix, domain: InfinitesimalDomain) -> Matrix:
-    return tuple(tuple(WeilElement.scalar(domain, c) for c in row) for row in m)
-
-
-def scalar_part(m: Matrix) -> Matrix:
-    return tuple(tuple(c.scalar_part for c in row) for row in m)
+    """A rational matrix is not invertible."""
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
@@ -50,10 +30,6 @@ def add(a: Matrix, b: Matrix) -> Matrix:
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
 
 
 def scale(c, a: Matrix) -> Matrix:
@@ -72,10 +48,6 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def is_zero(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def q_inverse(m: Matrix) -> Matrix:
@@ -138,24 +110,6 @@ def q_is_invertible(m: Matrix) -> bool:
             den = den * d // gcd(den, d)
         rows.append([x.numerator * (den // x.denominator) for x in row])
     return _determinant(rows) != 0
-
-
-def w_inverse(a: Matrix, domain: InfinitesimalDomain) -> Matrix:
-    """Inverse of a Weil-algebra matrix with invertible scalar part.
-
-    With a = m0 + nilpotent, a^-1 = (sum_k (-m0^-1 n)^k) m0^-1, and the sum
-    is finite because the domain is nilpotent.
-    """
-    m0_inv = lift(q_inverse(scalar_part(a)), domain)
-    nil = sub(a, lift(scalar_part(a), domain))
-    k = len(a)
-    acc = identity(k, domain)
-    c = neg(mul(m0_inv, nil))
-    power = c
-    while not is_zero(power):
-        acc = add(acc, power)
-        power = mul(c, power)
-    return mul(acc, m0_inv)
 
 
 def rational_rows(m: Matrix) -> Matrix:

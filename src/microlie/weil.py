@@ -24,7 +24,9 @@ and ``Fraction`` coefficients at its edges, and takes ``int`` or
 ``Fraction`` coefficients only (:func:`_rational`): the constructor,
 ``coefficient``, ``scalar_part``, the read-only ``coeffs`` mapping and
 ``str``.  ``from_masks`` and ``mask_coeffs`` speak masks, for the pair
-groupoid's jets, which key rational polynomial maps by mask.  Elements,
+groupoid's jets, which key rational polynomial maps by mask;
+``from_mask_numerators`` and ``mask_numerators`` speak the stored integer
+form, for the gauge groupoid's jets of integer matrices.  Elements,
 points and sections are all reparametrised the same way: by a table of
 monomial images, checked against the source relations once by
 :func:`monomial_images` and applied by :meth:`WeilElement.image`.
@@ -280,6 +282,16 @@ class WeilElement:
         return _from_fractions(domain, {b: _rational(c) for b, c in coeffs.items()})
 
     @classmethod
+    def from_mask_numerators(
+        cls, domain: InfinitesimalDomain, numerators: Mapping[int, int], den: int
+    ) -> "WeilElement":
+        """The element ``numerators[b] / den`` on each surviving mask ``b``, for ``int``s and ``den > 0``."""
+        stray = numerators.keys() - domain.masks
+        if stray:
+            raise ZeroMonomialError(f"masks {sorted(stray)} do not survive in {domain!r}")
+        return _reduced(domain, dict(numerators), den)
+
+    @classmethod
     def generator(cls, domain: InfinitesimalDomain, i: int) -> "WeilElement":
         if not 1 <= i <= domain.generator_count:
             raise ValueError(f"no generator d{i} in {domain!r}")
@@ -347,6 +359,10 @@ class WeilElement:
         """``coeffs`` keyed by monomial mask (see ``InfinitesimalDomain.masks``), as a new dict."""
         den = self._den
         return {m: _frac(n, den) for m, n in self._num.items()}
+
+    def mask_numerators(self) -> tuple[dict[int, int], int]:
+        """The stored form in lowest terms: nonzero integer numerators by mask (a new dict) and their denominator."""
+        return dict(self._num), self._den
 
     @property
     def scalar_part(self) -> Fraction:

@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 import sys
 import types
@@ -37,6 +38,7 @@ from microlie.weil import (
     WeilElement,
     ZeroMonomialError,
     generators,
+    monomial_images,
 )
 
 D = InfinitesimalDomain(1)
@@ -60,6 +62,28 @@ def pair_data(groupoid, domain, *term_dicts):
 
 def pair_section(groupoid, domain, *term_dicts):
     return WSection(groupoid, domain, pair_data(groupoid, domain, *term_dicts))
+
+
+def weil_identity(k, domain):
+    one, zero = WeilElement.one(domain), WeilElement.zero(domain)
+    return tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k))
+
+
+def gauge_data(groupoid, domain, base_map, tables):
+    """Gauge section data from one matrix of Weil elements per base point, through ``from_slots``."""
+    coeffs = {(x, i, j): w for x, t in enumerate(tables) for i, row in enumerate(t) for j, w in enumerate(row)}
+    return groupoid.from_slots(tuple(base_map), coeffs, domain)
+
+
+def gauge_section(groupoid, domain, base_map, tables, cls=WSection):
+    return cls(groupoid, domain, gauge_data(groupoid, domain, base_map, tables))
+
+
+def weil_tables(groupoid, data):
+    """The fiber matrices of gauge section data, one matrix of Weil elements per base point, read from ``slots``."""
+    coeffs = groupoid.slots(data)[1]
+    k = groupoid.matrix_size
+    return tuple(tuple(tuple(coeffs[x, i, j] for j in range(k)) for i in range(k)) for x in range(groupoid.base_size))
 
 
 def ag(groupoid, text):
@@ -87,11 +111,11 @@ class TestStar:
         d = WeilElement.generator(D, 1)
         s_table = ((one, d), (zero, one))
         r_table = ((one + d, zero), (zero, one))
-        sigma = WSection(GG, D, ((0, 1), (s_table, matrices.identity(2, D))))
-        rho = WSection(GG, D, ((0, 1), (r_table, matrices.identity(2, D))))
+        sigma = gauge_section(GG, D, (0, 1), (s_table, weil_identity(2, D)))
+        rho = gauge_section(GG, D, (0, 1), (r_table, weil_identity(2, D)))
         product = star(sigma, rho)
         assert product.data[0] == (0, 1)
-        assert product.data[1][0] == matrices.mul(s_table, r_table)
+        assert weil_tables(GG, product.data)[0] == matrices.mul(s_table, r_table)
 
     def test_mismatches_rejected(self):
         a = pair_section(P1, D, {(1,): 1})
@@ -150,13 +174,12 @@ class TestBisections:
     def test_invert_gauge_permutation(self):
         one, zero = WeilElement.one(D), WeilElement.zero(D)
         h0 = ((one, 2 * one), (zero, one))
-        h1 = matrices.identity(2, D)
-        sigma = WBisection(GG, D, ((1, 0), (h0, h1)))
+        h1 = weil_identity(2, D)
+        sigma = gauge_section(GG, D, (1, 0), (h0, h1), WBisection)
         tau = invert_bisection(sigma)
         # formula: inverse base map, then inverted matrix at the pulled-back point
         assert tau.data[0] == (1, 0)
-        assert tau.data[1][0] == matrices.w_inverse(h1, D)
-        assert tau.data[1][1] == matrices.w_inverse(h0, D)
+        assert weil_tables(GG, tau.data) == (h1, ((one, -2 * one), (zero, one)))
         ident = WSection.identity(GG, D)
         assert star(sigma, tau) == ident
         assert star(tau, sigma) == ident
@@ -182,13 +205,13 @@ class TestBisections:
         with pytest.raises(InvertibilityError):
             WBisection(P1, D, pair_data(P1, D, {(2,): 1}))
         with pytest.raises(InvertibilityError):
-            WBisection(GG, D, ((0, 0), (matrices.identity(2, D), matrices.identity(2, D))))
+            gauge_section(GG, D, (0, 0), (weil_identity(2, D),) * 2, WBisection)
 
     def test_singular_scalar_parts_rejected(self):
         one, d = WeilElement.one(D), WeilElement.generator(D, 1)
         singular = ((one, one + d), (one, one))  # scalar part has two equal rows
         with pytest.raises(InvertibilityError, match="singular scalar part"):
-            WSection(GG, D, ((0, 1), (singular, matrices.identity(2, D))))
+            gauge_section(GG, D, (0, 1), (singular, weil_identity(2, D)))
         linear = pair_data(P2, D, {(1, 0): 1, (0, 1): 2}, {(1, 0): 2, (0, 1): 4, (0, 0): d})
         with pytest.raises(InvertibilityError, match="singular linear term"):
             WBisection(P2, D, linear)
@@ -229,20 +252,20 @@ class TestArrows:
             compose_arrows(a, b)
 
     def test_gauge_compose_and_invert(self):
-        h = ((WeilElement.one(D), WeilElement.generator(D, 1)), (WeilElement.zero(D), WeilElement.one(D)))
-        a = Arrow(GG, (1,), (0,), h)
-        ident = Arrow(GG, (1,), (1,), matrices.identity(2, D))
+        one, zero, d = WeilElement.one(D), WeilElement.zero(D), WeilElement.generator(D, 1)
+        a = Arrow(GG, (1,), (0,), ((one, d), (zero, one)))
+        ident = Arrow(GG, (1,), (1,), weil_identity(2, D))
         assert compose_arrows(ident, a) == a
-        back = Arrow(GG, (0,), (1,), matrices.w_inverse(h, D))
-        assert compose_arrows(back, a) == Arrow(GG, (0,), (0,), matrices.identity(2, D))
+        back = Arrow(GG, (0,), (1,), ((one, -d), (zero, one)))
+        assert compose_arrows(back, a) == Arrow(GG, (0,), (0,), weil_identity(2, D))
 
 
 def chart_sections():
     d1, d2 = generators(D2)
     pair = pair_section(P2, D2, {(1, 0): 1, (2, 1): d1}, {(0, 1): 1, (0, 0): d1 * d2})
-    one = matrices.identity(2, D2)
+    one = weil_identity(2, D2)
     table = ((WeilElement.one(D2) + d1, d1 * d2), (WeilElement.zero(D2), WeilElement.one(D2) - d2))
-    gauge = WSection(GG, D2, ((1, 1), (table, one)))
+    gauge = gauge_section(GG, D2, (1, 1), (table, one))
     return {"pair": pair, "gauge": gauge}
 
 
@@ -259,14 +282,14 @@ class TestCharts:
         gg1 = TrivialGaugeGroupoid(1, 2)
         d = WeilElement.generator(D, 1)
         table = ((WeilElement.one(D), d), (WeilElement.zero(D), WeilElement.one(D)))
-        sigma = WSection(gg1, D, ((0,), (table,)))
+        sigma = gauge_section(gg1, D, (0,), (table,))
         _, (point,) = SectionChart.of(sigma)
         assert point.coords == tuple(w for row in table for w in row)
 
     def test_gauge_charts_need_shared_base_map(self):
-        one = matrices.identity(2, D)
-        sigma = WSection(GG, D, ((0, 1), (one, one)))
-        rho = WSection(GG, D, ((1, 0), (one, one)))
+        one = weil_identity(2, D)
+        sigma = gauge_section(GG, D, (0, 1), (one, one))
+        rho = gauge_section(GG, D, (1, 0), (one, one))
         with pytest.raises(ValueError):
             SectionChart.of(sigma, rho)
 
@@ -539,3 +562,133 @@ def test_read_coefficient_rejects_what_the_element_rejects(groupoid, monomial, e
     with pytest.raises(error) as caught:
         groupoid.read_coefficient(section.data, monomial)
     assert type(caught.value) is error and str(caught.value) == str(expected.value)
+
+
+# -- gauge data: jets of integer matrices against matrices of Weil elements -------------------
+
+
+@pytest.mark.parametrize("bad", [1.0, True, False], ids=["float", "True", "False"])
+def test_gauge_base_map_entries_must_be_int(bad):
+    jet = WSection.identity(GG, D).data[1]
+    for base_map in ((bad, 1), (1, bad)):
+        with pytest.raises(TypeError, match="base map entries must be int"):
+            WSection(GG, D, (base_map, jet))
+
+
+@pytest.mark.parametrize("bad", [Fraction(1), 1, 1.0], ids=["Fraction", "int", "float"])
+def test_gauge_from_slots_takes_only_weil_elements(bad):
+    shape, coeffs = GG.slots(GG.identity_data(D))
+    coeffs[0, 0, 0] = bad
+    with pytest.raises(TypeError, match="gauge coefficients must be WeilElements"):
+        GG.from_slots(shape, coeffs, D)
+
+
+def _gauge_case(draw):
+    """A gauge groupoid with 1-3 base points and 1-3 square matrices, and a Weil domain."""
+    groupoid = TrivialGaugeGroupoid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    return groupoid, draw(st.sampled_from(TAYLOR_DOMAINS))
+
+
+def _base_map(draw, groupoid):
+    m = groupoid.base_size
+    return tuple(draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)))
+
+
+def _invertible(draw, k):
+    """A dense invertible rational matrix: unit lower triangular times upper triangular."""
+    nonzero = SMALL.filter(bool)
+    lower = tuple(tuple(1 if i == j else draw(SMALL) if j < i else 0 for j in range(k)) for i in range(k))
+    upper = tuple(tuple(draw(nonzero) if i == j else draw(SMALL) if j > i else 0 for j in range(k)) for i in range(k))
+    return matrices.mul(lower, upper)
+
+
+def _gauge_tables(draw, groupoid, domain, invertible=False):
+    """One matrix of Weil elements with fractional coefficients per base point; invertible scalar parts if asked."""
+    k = groupoid.matrix_size
+    tables = []
+    for _ in range(groupoid.base_size):
+        t = tuple(tuple(_weil_element(draw, domain) for _ in range(k)) for _ in range(k))
+        if invertible:
+            scalar = _invertible(draw, k)
+            t = tuple(
+                tuple(w + WeilElement.scalar(domain, c - w.scalar_part) for w, c in zip(row, srow))
+                for row, srow in zip(t, scalar)
+            )
+        tables.append(t)
+    return tuple(tables)
+
+
+def _assert_normal(jet):
+    """One denominator in lowest terms, and no all-zero part but the scalar one."""
+    assert math.gcd(jet.den, *(n for _, mats in jet.items() for t in mats for n in t)) == 1
+    assert 0 in jet and all(any(map(any, mats)) for b, mats in jet.items() if b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gauge_star_agrees_with_weil_matrices(data):
+    draw = data.draw
+    g, domain = _gauge_case(draw)
+    f_s, s = _base_map(draw, g), _gauge_tables(draw, g, domain)
+    f_r, r = _base_map(draw, g), _gauge_tables(draw, g, domain)
+    got = g.star_data(gauge_data(g, domain, f_s, s), gauge_data(g, domain, f_r, r))
+    products = tuple(matrices.mul(s[y], h) for y, h in zip(f_r, r))
+    assert got == gauge_data(g, domain, tuple(f_s[y] for y in f_r), products)
+    _assert_normal(got[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gauge_inverse_is_two_sided_on_weil_matrices(data):
+    draw = data.draw
+    g, domain = _gauge_case(draw)
+    base_map = tuple(draw(st.permutations(range(g.base_size))))
+    tables = _gauge_tables(draw, g, domain, invertible=True)
+    inverse = g.inverse_data(gauge_data(g, domain, base_map, tables), domain)
+    _assert_normal(inverse[1])
+    inverse_tables = weil_tables(g, inverse)
+    ident = weil_identity(g.matrix_size, domain)
+    for y, x in enumerate(base_map):  # the inverse sends x back to y, through the inverse of y's matrix
+        assert inverse[0][x] == y
+        assert matrices.mul(inverse_tables[x], tables[y]) == ident
+        assert matrices.mul(tables[y], inverse_tables[x]) == ident
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gauge_flow_agrees_with_weil_matrices(data):
+    draw = data.draw
+    g, domain = _gauge_case(draw)
+    k = g.matrix_size
+    fields = g.ag_data(tuple(tuple(tuple(draw(SMALL) for _ in range(k)) for _ in range(k)) for _ in range(g.base_size)))
+    i = draw(st.integers(1, domain.generator_count))
+    e = _weil_element(draw, domain) * WeilElement.generator(domain, i)  # square-zero, no scalar part
+    got = g.flow_data(fields, e)
+    flows = tuple(matrices.add(weil_identity(k, domain), matrices.scale(e, t)) for t in fields)
+    assert got == gauge_data(g, domain, tuple(range(g.base_size)), flows)
+    _assert_normal(got[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gauge_substitution_agrees_with_weil_matrices(data):
+    draw = data.draw
+    g, source = _gauge_case(draw)
+    base_map, tables = _base_map(draw, g), _gauge_tables(draw, g, source)
+    target, images = _substitution(draw, source)
+    got = g.substitute_data(gauge_data(g, source, base_map, tables), monomial_images(source, target, images))
+    images_of_tables = tuple(tuple(tuple(w.substitute(target, images) for w in row) for row in t) for t in tables)
+    assert got == gauge_data(g, target, base_map, images_of_tables)
+    _assert_normal(got[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gauge_read_coefficient_agrees_with_weil_matrices(data):
+    draw = data.draw
+    g, domain = _gauge_case(draw)
+    tables = _gauge_tables(draw, g, domain)
+    section = gauge_data(g, domain, _base_map(draw, g), tables)
+    for monomial in domain.monomials():
+        expected = tuple(tuple(tuple(w.coefficient(monomial) for w in row) for row in t) for t in tables)
+        assert g.read_coefficient(section, monomial) == expected

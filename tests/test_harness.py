@@ -146,6 +146,15 @@ GOLDEN_REPORTS = {
     ("pair:dim=2:deg=3", "flip-bracket-sign"): "300de67171ff14eef74d6a76fbb0751e7c8ac86a579ae7cb3b16aa94db8207e1",
     ("gauge:base=4:k=3", "flip-bracket-sign"): "490df9345625aa32b8e51f622e40a067e515c9a63d3123bb44578da0d4f5a545",
     ("gauge:base=1:k=1", "none"): "6e30fb3b94a7c5921660dfcb751d8a6c056964dab2029b9a9576d2e5c0f46756",
+    ("gauge:base=1:k=2", "none"): "a1b6665d720a5adb153fed3bd6d676153cdae997f481078d18ac399bf44a6ef2",
+    ("gauge:base=1:k=3", "none"): "d9a3cce6cfc71d79be08c5198e971a4894724642ee509a4841f540731cf7384a",
+    ("gauge:base=2:k=1", "none"): "903398ac73dfd55d3371e9d314ef4bb136283cbd5f3a4497a93e7dbf4810e7e1",
+    ("gauge:base=2:k=3", "none"): "5226595c9101f2ee8605952d5fbaf1aa768e3005c987836beddb355feec5cb98",
+    ("gauge:base=3:k=1", "none"): "46fe7edb8df1b859e77bc6c29b7d25061ed3b2bbad95eba120868c9b5353d24b",
+    ("gauge:base=3:k=2", "none"): "e58ddd33aa69bce880bccbca5e702497fa4c5e3d63ddf2c3944ad5b4ae5b4911",
+    ("gauge:base=3:k=3", "none"): "068ce1b9f8afdd43b26ed0d660848bed517d5b29fa36483caa6081d2db117c86",
+    ("gauge:base=4:k=1", "none"): "d96e713af5320f1801c62ca80c79143542633a13f79c78ee6061c36a6beb8985",
+    ("gauge:base=4:k=2", "none"): "cca2f0d275e666e48745015a91112009f44be03f0a0d69bdb0b7ba453777b76f",
 }
 
 

@@ -49,6 +49,21 @@ E12 = gauge((0, 1), (0, 0))
 E21 = gauge((0, 0), (1, 0))
 
 
+def lift(m, domain):
+    """A rational matrix as a matrix of scalar Weil elements."""
+    return tuple(tuple(WeilElement.scalar(domain, c) for c in row) for row in m)
+
+
+def weil_identity(k, domain):
+    return lift(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)), domain)
+
+
+def gauge_point_section(domain, table):
+    """A section of the gauge groupoid over a single point, from its matrix of Weil elements."""
+    coeffs = {(0, i, j): w for i, row in enumerate(table) for j, w in enumerate(row)}
+    return WSection(GPT, domain, GPT.from_slots((0,), coeffs, domain))
+
+
 def random_sections(groupoid, count, seed, degree=2):
     rng = random.Random(seed)
     return tuple(groupoid.random_ag(rng, degree) for _ in range(count))
@@ -80,15 +95,15 @@ class TestCommutatorSquare:
         # (I - d2 B)(I - d1 A)(I + d2 B)(I + d1 A) = I + d1 d2 (BA - AB)
         square = commutator_square(E12, E21)
         d1, d2 = generators(D2)
-        a = matrices.lift(E12.data[0], D2)
-        b = matrices.lift(E21.data[0], D2)
+        a = lift(E12.data[0], D2)
+        b = lift(E21.data[0], D2)
         expected = matrices.add(
-            matrices.identity(2, D2),
+            weil_identity(2, D2),
             matrices.scale(
                 d1 * d2, matrices.sub(matrices.mul(b, a), matrices.mul(a, b))
             ),
         )
-        assert square.data[1][0] == expected
+        assert square.arrow_at(0).fiber == expected
 
     def test_axes_vanish_for_any_pair(self):
         x, y = random_sections(P2, 2, seed=3)
@@ -134,7 +149,7 @@ class TestPushforward:
 
     def test_gauge_conjugation(self):
         s = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
-        sigma = WSection(GPT, D, ((0,), (matrices.lift(s, D),)))
+        sigma = gauge_point_section(D, lift(s, D))
         pushed = pushforward(sigma, E12)
         s_inv = matrices.q_inverse(s)
         expected = matrices.mul(matrices.mul(s, E12.data[0]), s_inv)
@@ -187,13 +202,13 @@ class TestFlowCubes:
         # Y (*) X = I + d1 A + d2 B + d1 d2 B A
         cube = circledast([E12, E21])
         d1, d2 = generators(D2)
-        a = matrices.lift(E12.data[0], D2)
-        b = matrices.lift(E21.data[0], D2)
+        a = lift(E12.data[0], D2)
+        b = lift(E21.data[0], D2)
         expected = matrices.add(
-            matrices.add(matrices.identity(2, D2), matrices.scale(d1, a)),
+            matrices.add(weil_identity(2, D2), matrices.scale(d1, a)),
             matrices.add(matrices.scale(d2, b), matrices.scale(d1 * d2, matrices.mul(b, a))),
         )
-        assert cube.data[1][0] == expected
+        assert cube.arrow_at(0).fiber == expected
 
     def test_six_cubes_as_direct_words(self):
         x, y, z = random_sections(P2, 3, seed=33, degree=1)
