@@ -32,7 +32,7 @@ one integer k x k matrix per base point over a denominator common to the
 whole jet.  The product sums matrix products over the pairs of disjoint
 masks whose union survives; the inverse inverts the scalar part once per
 table and sums the finite nilpotent series.  Matrices of ``WeilElement``
-entries appear only at the edges: arrows, ``slots`` and ``from_slots``.
+entries appear only in arrows.
 
 Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
 ``SectionChart``, ``star``, ``section_at`` and the harness only call its
@@ -47,10 +47,11 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
 * ``substitute_data(data, table)``, the one reparametrisation of section
   data, by a table of Weil monomial images (see :meth:`WSection.substitute`);
 * ``slots`` and ``from_slots``, the one coefficient view of section data:
-  ``slots(data)`` returns ``(shape, {slot: WeilElement})`` and
+  ``slots(data)`` returns ``(shape, {slot: {mask: Fraction}})`` and
   ``from_slots`` rebuilds the data.  Charts, coefficient tests and random
-  sections go through these two alone, and :meth:`SectionChart.of` reads
-  each charted section's view once;
+  pair sections go through these two alone; :meth:`SectionChart.of`
+  transposes each view once into the mask-keyed vectors of a point, and
+  builds no Weil element;
 * ``ag_data``, ``ag_zero``, ``ag_add``, ``ag_scale``, ``ag_repr`` and
   ``oracle_bracket`` for Lie algebroid data;
 * ``random_ag``, ``random_section``, ``random_bisection`` and
@@ -251,8 +252,8 @@ class PairGroupoid:
 
     def section_repr(self, data) -> str:
         comps = [{} for _ in range(self.dim)]
-        for (i, e), w in self.slots(data)[1].items():
-            comps[i][e] = w
+        for (i, e), cs in self.slots(data)[1].items():
+            comps[i][e] = WeilElement.from_masks(data.domain, cs)
         return f"x -> ({'; '.join(format_terms(c) for c in comps)})"
 
     # -- coefficient view: one slot per (component, exponent tuple) term; no shape --------
@@ -263,14 +264,13 @@ class PairGroupoid:
             for i, comp in enumerate(comps):
                 for e, c in comp.coeffs.items():
                     table.setdefault((i, e), {})[b] = c
-        return None, {slot: WeilElement.from_masks(data.domain, cs) for slot, cs in table.items()}
+        return None, table
 
     def from_slots(self, shape: None, coeffs, domain: InfinitesimalDomain) -> "Jet":
         parts: dict[int, list[dict]] = {0: [{} for _ in range(self.dim)]}
-        for (i, e), w in coeffs.items():
-            if w.domain is not domain:
-                raise DomainMismatchError(f"coefficient domain {w.domain!r} is not {domain!r}")
-            for b, c in w.mask_coeffs().items():
+        for (i, e), cs in coeffs.items():
+            domain.check_masks(cs)
+            for b, c in cs.items():
                 parts.setdefault(b, [{} for _ in range(self.dim)])[i][e] = c
         return Jet(domain, {b: tuple(Poly(self.dim, t) for t in comps) for b, comps in parts.items()})
 
@@ -309,10 +309,10 @@ class PairGroupoid:
 
     def random_section(self, rng: random.Random, domain, degree: int) -> "WSection":
         """An arbitrary section (not necessarily a bisection)."""
-        draw = lambda: _rand_element(rng, domain)
+        draw = lambda: _rand_element(rng, domain).mask_coeffs()
         coeffs = {}
         for i in range(self.dim):
-            coeffs.update(((i, e), w) for e, w in _rand_terms(rng, self.dim, degree, 0.5, draw).items())
+            coeffs.update(((i, e), cs) for e, cs in _rand_terms(rng, self.dim, degree, 0.5, draw).items())
         return WSection(self, domain, self.from_slots(None, coeffs, domain))
 
     def random_bisection(
@@ -330,7 +330,7 @@ class PairGroupoid:
             if not scalar_exact:
                 for e, w in _rand_terms(rng, n, degree, 0.4, nilpotent).items():
                     coeffs[i, e] = coeffs[i, e] + w if (i, e) in coeffs else w
-        return WBisection(self, domain, self.from_slots(None, coeffs, domain))
+        return WBisection(self, domain, self.from_slots(None, {s: w.mask_coeffs() for s, w in coeffs.items()}, domain))
 
     def base_points(self, rng: random.Random, domain) -> list[tuple]:
         """The points a pointwise law checks: three random ones."""
@@ -346,9 +346,8 @@ class TrivialGaugeGroupoid:
     :class:`GaugeJet`, which holds the fiber matrices of every source point
     as one integer matrix per Weil mask and base point over one common
     denominator.  An arrow's fiber is a matrix of ``WeilElement`` entries,
-    built from the jet only at the edges: ``arrow_at``, ``slots`` and
-    ``from_slots``.  Lie algebroid data is a table of rational matrices, one
-    per base point; a base point is an index.
+    built from the jet only in ``arrow_at``.  Lie algebroid data is a table
+    of rational k x k matrices, one per base point; a base point is an index.
     """
 
     base_size: int
@@ -476,26 +475,25 @@ class TrivialGaugeGroupoid:
 
     def slots(self, data) -> tuple[tuple[int, ...], dict]:
         base_map, jet = data
-        k = self.matrix_size
+        k, den = self.matrix_size, jet.den
         return base_map, {
-            (x, i, j): jet.entry(x, i * k + j) for x in range(self.base_size) for i in range(k) for j in range(k)
+            (x, i, j): {b: Fraction(mats[x][i * k + j], den) for b, mats in jet.items() if mats[x][i * k + j]}
+            for x in range(self.base_size)
+            for i in range(k)
+            for j in range(k)
         }
 
     def from_slots(self, shape: tuple[int, ...], coeffs, domain: InfinitesimalDomain) -> tuple:
         m, k = self.base_size, self.matrix_size
         entries = [coeffs[x, i, j] for x in range(m) for i in range(k) for j in range(k)]
-        for w in entries:
-            if not isinstance(w, WeilElement):
-                raise TypeError(f"gauge coefficients must be WeilElements, not {type(w).__name__}: {w!r}")
-            if w.domain is not domain:
-                raise DomainMismatchError(f"coefficient domain {w.domain!r} is not {domain!r}")
-        forms = [w.mask_numerators() for w in entries]
-        q = lcm(1, *(d for _, d in forms))
+        domain.check_masks(b for cs in entries for b in cs)
+        entries = [{b: _rational(c) for b, c in cs.items()} for cs in entries]
+        q = lcm(1, *(c.denominator for cs in entries for c in cs.values()))
         parts: dict[int, list[list[int]]] = {0: [[0] * (k * k) for _ in range(m)]}
-        for slot, (num, d) in enumerate(forms):
+        for slot, cs in enumerate(entries):
             x, e = divmod(slot, k * k)
-            for b, n in num.items():
-                parts.setdefault(b, [[0] * (k * k) for _ in range(m)])[x][e] = n * (q // d)
+            for b, c in cs.items():
+                parts.setdefault(b, [[0] * (k * k) for _ in range(m)])[x][e] = c.numerator * (q // c.denominator)
         return shape, GaugeJet(domain, parts, q)
 
     # -- Lie algebroid data -------------------------------------------------------------
@@ -504,7 +502,8 @@ class TrivialGaugeGroupoid:
         tables = tuple(matrices.rational_rows(t) for t in data)
         if len(tables) != self.base_size:
             raise ValueError(f"expected {self.base_size} tables")
-        if any(len(t) != self.matrix_size for t in tables):
+        k = self.matrix_size
+        if any(len(t) != k or any(len(row) != k for row in t) for t in tables):
             raise ValueError("tables must be k x k")
         return tables
 
@@ -624,7 +623,7 @@ class WSection:
 
     @property
     def is_scalar_exact(self) -> bool:
-        return all(w.is_scalar for w in self.groupoid.slots(self.data)[1].values())
+        return all(cs.keys() <= {0} for cs in self.groupoid.slots(self.data)[1].values())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -1071,11 +1070,15 @@ class SectionChart:
         # always include the identity section's slots so it is chartable
         slots.update(groupoid.slots(groupoid.identity_data(sections[0].domain))[1])
         chart = cls(groupoid, tuple(sorted(slots)), shape)
-        space = chart.space
+        n = len(chart.slots)
         points = []
         for section, (_, coeffs) in zip(sections, views):
-            zero = WeilElement.zero(section.domain)
-            points.append(WPoint(space, section.domain, tuple(coeffs.get(slot, zero) for slot in chart.slots)))
+            # transpose {slot: {mask: c}} into {mask: vector over the chart's slots}
+            parts: dict[int, list] = {}
+            for s, slot in enumerate(chart.slots):
+                for b, c in coeffs.get(slot, {}).items():
+                    parts.setdefault(b, [0] * n)[s] = c
+            points.append(WPoint.from_masks(chart.space, section.domain, parts))
         return chart, tuple(points)
 
     @property
@@ -1085,5 +1088,9 @@ class SectionChart:
     def to_section(self, point: WPoint) -> WSection:
         if point.space != self.space:
             raise ValueError("point does not live in the chart's space")
-        data = self.groupoid.from_slots(self.shape, dict(zip(self.slots, point.coords)), point.domain)
-        return WSection(self.groupoid, point.domain, data)
+        coeffs: dict = {slot: {} for slot in self.slots}
+        for b, vector in point.parts.items():
+            for slot, c in zip(self.slots, vector):
+                if c:
+                    coeffs[slot][b] = c
+        return WSection(self.groupoid, point.domain, self.groupoid.from_slots(self.shape, coeffs, point.domain))

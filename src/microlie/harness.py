@@ -42,7 +42,6 @@ from .groupoids import (
     section_at,
     star,
 )
-from .poly import RATIONALS
 from .spaces import (
     AffineSpace,
     MembershipError,
@@ -555,7 +554,7 @@ def _rand_vec(rng: random.Random, n: int) -> list[Fraction]:
 def _is_scalar_point(space, vec: list[Fraction]) -> bool:
     """Whether the rational flat coordinates ``vec`` are a point of the space."""
     try:
-        space.check([WeilElement.scalar(RATIONALS, c) for c in vec])
+        space.check(vec)
     except MembershipError:
         return False
     return True
@@ -569,7 +568,7 @@ def _rand_square_family(rng: random.Random, space, count: int) -> list[WPoint]:
         base = _rand_vec(rng, n)
     low = {SCALAR: base, frozenset({1}): a1, frozenset({2}): a2}
     return [
-        WPoint.from_coefficients(space, D2, {**low, frozenset({1, 2}): _rand_vec(rng, n)})
+        WPoint(space, D2, {**low, frozenset({1, 2}): _rand_vec(rng, n)})
         for _ in range(count)
     ]
 
@@ -592,7 +591,7 @@ def _law_axis_recovery(env: LawEnv, trial: int) -> None:
     rng = env.rng(trial)
     for space in env.config.groupoid.sample_spaces():
         gamma = _rand_square_family(rng, space, 1)[0]
-        flattened = WPoint.from_coefficients(space, D2, {m: gamma.coefficient(m) for m in AXES2.monomials()})
+        flattened = WPoint(space, D2, {m: gamma.coefficient(m) for m in AXES2.monomials()})
         t = strong_difference(gamma, flattened)
         if t.direction != gamma.coefficient({1, 2}):
             raise LawViolation(space=space, gamma=gamma, tangent=t)
@@ -610,7 +609,7 @@ def _rand_cube_pair(rng: random.Random, space, axis: int) -> tuple[WPoint, WPoin
     minus = dict(shared)
     for m, delta in deltas.items():
         minus[m] = [c - d for c, d in zip(shared[m], delta)]
-    return WPoint.from_coefficients(space, D3, shared), WPoint.from_coefficients(space, D3, minus)
+    return WPoint(space, D3, shared), WPoint(space, D3, minus)
 
 
 @law(
@@ -650,7 +649,7 @@ def _rand_compatible_six(rng: random.Random) -> dict[str, WPoint]:
     c13 = (rand_vec(), rand_vec())
     tops = {key: rand_vec() for key in liealg.SIX_KEYS}
     return {
-        key: WPoint.from_coefficients(
+        key: WPoint(
             AffineSpace(3),
             D3,
             {

@@ -1,17 +1,20 @@
 """Representable spaces, their Weil points, and the strong-difference calculus.
 
 Two spaces are supported: affine space (:class:`AffineSpace`) and the
-invertible matrices (:class:`MatrixGroup`).  A point of a space over an
-InfinitesimalDomain is a flat tuple of Weil elements, one per coordinate;
-a matrix point lists its entries row-major.  Each space class gives its
-number of coordinates (``flat_dim``) and its membership test (``check``),
-so no code here asks which kind of space it holds.  Over the
-one-generator domain a point is a tangent vector; over ``D^2`` a
-microsquare; over ``D^3`` a microcube.  :meth:`WPoint.coefficient` reads
-one monomial's coefficient across all coordinates and
-:meth:`WPoint.from_coefficients` builds a point from such vectors.
-:func:`restrict_point` drops the coefficients that vanish in a coarser
-domain, and :func:`tangent_combine` adds two tangents at one base point.
+invertible matrices (:class:`MatrixGroup`), whose flat coordinates are the
+entries row-major.  Each space class gives its number of coordinates
+(``flat_dim``) and its membership test on the rational scalar vector
+(``check``), so no code here asks which kind of space it holds.
+
+By the Kock-Lawvere axiom a point of a space over an InfinitesimalDomain
+is its family of coefficient vectors, one per surviving monomial, and a
+:class:`WPoint` stores just that, keyed by mask.  Over the one-generator
+domain a point is a tangent vector; over ``D^2`` a microsquare; over
+``D^3`` a microcube.  :meth:`WPoint.coefficient` reads one monomial's
+vector.  :func:`restrict_point` drops the vectors of monomials that vanish
+in a coarser domain, :func:`sigma_perm` relabels mask bits, and
+:func:`tangent_combine` adds two tangents at one base point; none of them
+builds a Weil element, which appear only in a point's ``repr``.
 
 Conventions, pinned once and enforced by the law suites:
 
@@ -31,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from . import matrices
 from .weil import (
@@ -43,9 +47,11 @@ from .weil import (
     InfinitesimalDomain,
     Monomial,
     Rational,
+    RestrictionError,
     WeilElement,
+    _indices,
+    _rational,
     check_permutation,
-    monomial_images,
 )
 
 
@@ -71,8 +77,8 @@ class AffineSpace:
     def flat_dim(self) -> int:
         return self.dim
 
-    def check(self, coords: Sequence[WeilElement]) -> None:
-        """Accept every tuple of ``dim`` coordinates."""
+    def check(self, scalar: Sequence[Fraction]) -> None:
+        """Accept every point."""
 
 
 @dataclass(frozen=True)
@@ -85,11 +91,10 @@ class MatrixGroup:
     def flat_dim(self) -> int:
         return self.size * self.size
 
-    def check(self, coords: Sequence[WeilElement]) -> None:
-        """Reject a matrix whose scalar part is singular."""
+    def check(self, scalar: Sequence[Fraction]) -> None:
+        """Reject a matrix whose scalar part, given row-major, is singular."""
         k = self.size
-        scalar = tuple(tuple(coords[i * k + j].scalar_part for j in range(k)) for i in range(k))
-        if not matrices.q_is_invertible(scalar):
+        if not matrices.q_is_invertible([scalar[i : i + k] for i in range(0, k * k, k)]):
             raise MembershipError("matrix point has singular scalar part")
 
 
@@ -97,63 +102,66 @@ Space = AffineSpace | MatrixGroup
 
 
 class WPoint:
-    """A point of a space: one Weil element per flat coordinate of the space."""
+    """A point of a space over a Weil domain, stored as its jet.
 
-    __slots__ = ("space", "domain", "coords")
+    ``parts`` is the read-only map from each mask (see
+    ``InfinitesimalDomain.masks``) to that monomial's vector of ``flat_dim``
+    ``Fraction`` coordinates.  Mask 0, the scalar part, is always present;
+    any other all-zero vector is left out, so equal points have equal parts.
+    The constructor takes the vectors keyed by monomial and
+    :meth:`from_masks` keyed by mask; absent monomials are zero.
+    """
 
-    def __init__(self, space: Space, domain: InfinitesimalDomain, coords: Sequence[WeilElement]) -> None:
-        coords = tuple(coords)
-        if len(coords) != space.flat_dim:
-            raise ValueError(f"expected {space.flat_dim} coordinates, got {len(coords)}")
-        for w in coords:
-            if not isinstance(w, WeilElement) or w.domain is not domain:
-                raise ValueError("all coordinates must be WeilElements over the point's domain")
-        space.check(coords)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "coords", coords)
+    __slots__ = ("space", "domain", "parts")
+
+    def __new__(
+        cls, space: Space, domain: InfinitesimalDomain, columns: Mapping[Iterable[int], Sequence[Rational]]
+    ) -> "WPoint":
+        parts = {domain.mask_of(m): vector for m, vector in columns.items()}
+        if len(parts) != len(columns):
+            raise ValueError("a monomial is given twice")
+        return cls.from_masks(space, domain, parts)
 
     @classmethod
-    def from_coefficients(
-        cls,
-        space: Space,
-        domain: InfinitesimalDomain,
-        columns: Mapping[Monomial, Sequence[Rational]],
-    ) -> "WPoint":
-        """The point whose coordinate ``i`` has coefficient ``columns[m][i]`` at each monomial ``m``.
-
-        The write-side twin of :meth:`coefficient`; absent monomials are zero.
-        """
+    def from_masks(cls, space: Space, domain: InfinitesimalDomain, parts: Mapping[int, Sequence[Rational]]) -> "WPoint":
+        """The point with coordinate vector ``parts[b]`` on the monomial of each surviving mask ``b``."""
+        domain.check_masks(parts)
         n = space.flat_dim
-        if any(len(vector) != n for vector in columns.values()):
-            raise ValueError(f"every coefficient vector must have {n} entries")
-        return cls(
-            space,
-            domain,
-            tuple(WeilElement(domain, {m: vector[i] for m, vector in columns.items()}) for i in range(n)),
-        )
+        table = {0: (Fraction(0),) * n}
+        for b, vector in parts.items():
+            vector = tuple(map(_rational, vector))
+            if len(vector) != n:
+                raise ValueError(f"expected {n} coordinates, got {len(vector)}")
+            if not b or any(vector):
+                table[b] = vector
+        space.check(table[0])
+        point = object.__new__(cls)
+        object.__setattr__(point, "space", space)
+        object.__setattr__(point, "domain", domain)
+        object.__setattr__(point, "parts", MappingProxyType(table))
+        return point
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("WPoint is immutable")
 
-    def map_coords(self, fn, domain: InfinitesimalDomain) -> "WPoint":
-        return WPoint(self.space, domain, tuple(fn(w) for w in self.coords))
-
-    def coefficient(self, monomial) -> tuple[Fraction, ...]:
+    def coefficient(self, monomial: Iterable[int]) -> tuple[Fraction, ...]:
         """The given monomial's coefficient in every coordinate."""
-        return tuple(w.coefficient(monomial) for w in self.coords)
+        return self.parts.get(self.domain.mask_of(monomial)) or (Fraction(0),) * self.space.flat_dim
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, WPoint)
             and self.space == other.space
             and self.domain is other.domain
-            and self.coords == other.coords
+            and self.parts == other.parts
         )
 
     def __repr__(self) -> str:
-        body = ", ".join(str(c) for c in self.coords)
-        return f"WPoint({self.space}, {self.domain!r}; {body})"
+        coords = (
+            WeilElement.from_masks(self.domain, {b: v[i] for b, v in self.parts.items()})
+            for i in range(self.space.flat_dim)
+        )
+        return f"WPoint({self.space}, {self.domain!r}; {', '.join(map(str, coords))})"
 
 
 class Tangent:
@@ -194,7 +202,7 @@ class Tangent:
 
 def tangent_from_parts(space: Space, base: Sequence[Rational], direction: Sequence[Rational]) -> Tangent:
     try:
-        return Tangent(WPoint.from_coefficients(space, LINE, {SCALAR: base, frozenset({1}): direction}))
+        return Tangent(WPoint(space, LINE, {SCALAR: base, frozenset({1}): direction}))
     except MembershipError as exc:
         raise InternalInvariantError(f"tangent escapes the space: {exc}") from exc
 
@@ -203,7 +211,10 @@ def tangent_from_parts(space: Space, base: Sequence[Rational], direction: Sequen
 
 
 def restrict_point(p: WPoint, sub: InfinitesimalDomain) -> WPoint:
-    return p.map_coords(lambda w: w.restrict(sub), sub)
+    """Push a point into a coarser domain: the vectors of newly vanishing monomials drop."""
+    if not sub.coarsens(p.domain):
+        raise RestrictionError(f"{sub!r} is not a coarsening of {p.domain!r}")
+    return WPoint.from_masks(p.space, sub, {b: v for b, v in p.parts.items() if b in sub.masks})
 
 
 # -- strong difference of microsquares ---------------------------------------------
@@ -238,9 +249,9 @@ def strong_difference(plus: WPoint, minus: WPoint) -> Tangent:
 def sigma_perm(gamma: WPoint, eps: Sequence[int]) -> WPoint:
     """Permute the cube's arguments: result(d1..dn) = gamma(d_eps(1), ..., d_eps(n))."""
     p = check_permutation(eps, gamma.domain.generator_count)
-    new_domain = gamma.domain.permuted(p)
-    table = monomial_images(gamma.domain, new_domain, [WeilElement.generator(new_domain, i) for i in p])
-    return gamma.map_coords(lambda w: w.image(table), new_domain)
+    # the vector on monomial S moves to eps(S)
+    parts = {sum(1 << (p[i - 1] - 1) for i in _indices(b)): v for b, v in gamma.parts.items()}
+    return WPoint.from_masks(gamma.space, gamma.domain.permuted(p), parts)
 
 
 _PSI_PERM = {1: (3, 1, 2), 2: (1, 3, 2), 3: (1, 2, 3)}
@@ -260,11 +271,6 @@ def psi(i: int, cube: WPoint) -> WPoint:
 
 
 # -- relativized strong differences -------------------------------------------------
-
-
-def _other_axes(i: int) -> tuple[int, int]:
-    j, k = sorted({1, 2, 3} - {i})
-    return j, k
 
 
 def relative_strong_difference(i: int, plus: WPoint, minus: WPoint) -> WPoint:
@@ -289,7 +295,7 @@ def relative_strong_difference(i: int, plus: WPoint, minus: WPoint) -> WPoint:
         raise CompatibilityError("points live in different spaces")
     if plus.domain is not D3 or minus.domain is not D3:
         raise ValueError("relative strong difference expects microcubes over D^3")
-    j, k = _other_axes(i)
+    j, k = sorted({1, 2, 3} - {i})
     agreement = InfinitesimalDomain(3, [(j, k)])
     if restrict_point(plus, agreement) != restrict_point(minus, agreement):
         raise CompatibilityError(f"not D(2)xD-compatible along axis {i}")
@@ -300,7 +306,7 @@ def relative_strong_difference(i: int, plus: WPoint, minus: WPoint) -> WPoint:
         TOP_SQUARE: _difference(plus, minus, frozenset({i, j, k})),
     }
     try:
-        return WPoint.from_coefficients(plus.space, D2, columns)
+        return WPoint(plus.space, D2, columns)
     except MembershipError as exc:
         raise InternalInvariantError(f"relativized difference escapes the space: {exc}") from exc
 
@@ -322,10 +328,12 @@ def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> W
     m = plus.space.flat_dim
     doubled = AffineSpace(2 * m)
 
+    zero = (Fraction(0),) * m
+
     def curry(cube: WPoint) -> WPoint:
-        # coordinates of the tangent-space point: (value part, inner-direction part)
-        parts = [w.split_last(D2) for w in cube.coords]
-        return WPoint(doubled, D2, tuple(v for v, _ in parts) + tuple(d for _, d in parts))
+        # split on generator 3: the value part (no d3) then the inner-direction part (the d3 factor)
+        parts = cube.parts
+        return WPoint.from_masks(doubled, D2, {b: parts.get(b, zero) + parts.get(b | 4, zero) for b in D2.masks})
 
     t = strong_difference(curry(relabeled_plus), curry(relabeled_minus))
     base, direction = t.base, t.direction
@@ -335,7 +343,7 @@ def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> W
         frozenset({2}): base[m:],
         TOP_SQUARE: direction[m:],
     }
-    return WPoint.from_coefficients(plus.space, D2, columns)
+    return WPoint(plus.space, D2, columns)
 
 
 def tangent_combine(a: Tangent, b: Tangent) -> Tangent:

@@ -23,13 +23,14 @@ is dropped by two integer tests.  The API speaks ``frozenset`` monomials
 and ``Fraction`` coefficients at its edges, and takes ``int`` or
 ``Fraction`` coefficients only (:func:`_rational`): the constructor,
 ``coefficient``, ``scalar_part``, the read-only ``coeffs`` mapping and
-``str``.  ``from_masks`` and ``mask_coeffs`` speak masks, for the pair
-groupoid's jets, which key rational polynomial maps by mask;
-``from_mask_numerators`` and ``mask_numerators`` speak the stored integer
-form, for the gauge groupoid's jets of integer matrices.  Elements,
-points and sections are all reparametrised the same way: by a table of
-monomial images, checked against the source relations once by
-:func:`monomial_images` and applied by :meth:`WeilElement.image`.
+``str``.  Jets, points and the groupoids' slot view key rational
+coefficients by mask; ``from_masks`` and ``mask_coeffs`` convert at the
+edges that need an element, and ``from_mask_numerators`` and
+``mask_numerators`` speak the stored integer form, for the gauge jets.
+:meth:`InfinitesimalDomain.check_masks` is the one stray-mask check.
+Elements and sections are reparametrised by a table of monomial images,
+checked once by :func:`monomial_images` and applied by
+:meth:`WeilElement.image`; a point is only relabelled, bit by bit.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _rational(value: object) -> Fraction:
     """An exact coefficient from outside the kernel: only an ``int`` or a ``Fraction`` is one."""
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}: {value!r}")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class InfinitesimalDomain:
@@ -174,6 +175,12 @@ class InfinitesimalDomain:
         if b not in self.masks:
             raise ZeroMonomialError(f"monomial {_monomial_name(m)} vanishes in {self!r}")
         return b
+
+    def check_masks(self, masks: Iterable[int]) -> None:
+        """Raise ``ZeroMonomialError`` unless every mask survives."""
+        stray = set(masks) - self.masks
+        if stray:
+            raise ZeroMonomialError(f"masks {sorted(stray)} do not survive in {self!r}")
 
     def monomials(self) -> tuple[Monomial, ...]:
         """All surviving monomials, the empty one first, then by size."""
@@ -276,9 +283,7 @@ class WeilElement:
     @classmethod
     def from_masks(cls, domain: InfinitesimalDomain, coeffs: Mapping[int, Rational]) -> "WeilElement":
         """The element with coefficient ``coeffs[b]`` on the monomial of each surviving mask ``b``."""
-        stray = coeffs.keys() - domain.masks
-        if stray:
-            raise ZeroMonomialError(f"masks {sorted(stray)} do not survive in {domain!r}")
+        domain.check_masks(coeffs)
         return _from_fractions(domain, {b: _rational(c) for b, c in coeffs.items()})
 
     @classmethod
@@ -286,9 +291,7 @@ class WeilElement:
         cls, domain: InfinitesimalDomain, numerators: Mapping[int, int], den: int
     ) -> "WeilElement":
         """The element ``numerators[b] / den`` on each surviving mask ``b``, for ``int``s and ``den > 0``."""
-        stray = numerators.keys() - domain.masks
-        if stray:
-            raise ZeroMonomialError(f"masks {sorted(stray)} do not survive in {domain!r}")
+        domain.check_masks(numerators)
         return _reduced(domain, dict(numerators), den)
 
     @classmethod
@@ -374,26 +377,6 @@ class WeilElement:
 
     def coefficient(self, monomial: Iterable[int]) -> Fraction:
         return _frac(self._num.get(self.domain.mask_of(monomial), 0), self._den)
-
-    def split_last(self, target: InfinitesimalDomain) -> tuple["WeilElement", "WeilElement"]:
-        """``(a, b)`` with ``self = a + b * dn``, neither involving the last generator ``dn``.
-
-        Both parts are read in ``target``, which has the first ``n - 1``
-        generators; a coefficient on a monomial vanishing there is an error.
-        """
-        n = self.domain.generator_count
-        if n == 0 or target.generator_count != n - 1:
-            raise ValueError(f"{target!r} does not have the generators of {self.domain!r} but the last")
-        top = 1 << (n - 1)
-        value: dict[int, int] = {}
-        derivative: dict[int, int] = {}
-        for m, c in self._num.items():
-            part, key = (derivative, m ^ top) if m & top else (value, m)
-            if key not in target.masks:
-                name = _monomial_name(frozenset(_indices(key)))
-                raise ZeroMonomialError(f"monomial {name} vanishes in {target!r}")
-            part[key] = c
-        return _reduced(target, value, self._den), _reduced(target, derivative, self._den)
 
     def restrict(self, sub: InfinitesimalDomain) -> "WeilElement":
         """Push into a coarser domain: newly vanishing coefficients drop."""

@@ -28,6 +28,7 @@ from microlie.groupoids import (
     star,
 )
 from microlie.liealg import WITNESS_DOMAIN
+from microlie.spaces import AffineSpace, WPoint
 from microlie.vfexpr import parse_vector_field
 from microlie.weil import (
     AXES2,
@@ -51,9 +52,12 @@ GG = TrivialGaugeGroupoid(2, 2)
 
 
 def pair_data(groupoid, domain, *term_dicts):
-    """Pair section data with one ``{exponents: coefficient}`` dict per component, through ``from_slots``."""
+    """Pair section data with one ``{exponents: coefficient}`` dict per component, through ``from_slots``.
+
+    A coefficient is a Weil element or a rational scalar.
+    """
     coeffs = {
-        (i, e): c if isinstance(c, WeilElement) else WeilElement.scalar(domain, c)
+        (i, e): (c if isinstance(c, WeilElement) else WeilElement.scalar(domain, c)).mask_coeffs()
         for i, terms in enumerate(term_dicts)
         for e, c in terms.items()
     }
@@ -71,7 +75,9 @@ def weil_identity(k, domain):
 
 def gauge_data(groupoid, domain, base_map, tables):
     """Gauge section data from one matrix of Weil elements per base point, through ``from_slots``."""
-    coeffs = {(x, i, j): w for x, t in enumerate(tables) for i, row in enumerate(t) for j, w in enumerate(row)}
+    coeffs = {
+        (x, i, j): w.mask_coeffs() for x, t in enumerate(tables) for i, row in enumerate(t) for j, w in enumerate(row)
+    }
     return groupoid.from_slots(tuple(base_map), coeffs, domain)
 
 
@@ -82,8 +88,20 @@ def gauge_section(groupoid, domain, base_map, tables, cls=WSection):
 def weil_tables(groupoid, data):
     """The fiber matrices of gauge section data, one matrix of Weil elements per base point, read from ``slots``."""
     coeffs = groupoid.slots(data)[1]
-    k = groupoid.matrix_size
-    return tuple(tuple(tuple(coeffs[x, i, j] for j in range(k)) for i in range(k)) for x in range(groupoid.base_size))
+    k, domain = groupoid.matrix_size, data[1].domain
+    return tuple(
+        tuple(tuple(WeilElement.from_masks(domain, coeffs[x, i, j]) for j in range(k)) for i in range(k))
+        for x in range(groupoid.base_size)
+    )
+
+
+def weil_coords(point):
+    """A point's coordinates as Weil elements, built from its coefficient vectors."""
+    monomials = point.domain.monomials()
+    columns = [point.coefficient(m) for m in monomials]
+    return tuple(
+        WeilElement(point.domain, dict(zip(monomials, (v[i] for v in columns)))) for i in range(point.space.flat_dim)
+    )
 
 
 def ag(groupoid, text):
@@ -284,7 +302,7 @@ class TestCharts:
         table = ((WeilElement.one(D), d), (WeilElement.zero(D), WeilElement.one(D)))
         sigma = gauge_section(gg1, D, (0,), (table,))
         _, (point,) = SectionChart.of(sigma)
-        assert point.coords == tuple(w for row in table for w in row)
+        assert weil_coords(point) == tuple(w for row in table for w in row)
 
     def test_gauge_charts_need_shared_base_map(self):
         one = weil_identity(2, D)
@@ -299,11 +317,10 @@ class TestCharts:
         family = (sigma, sigma.permute_generators((2, 1)), star(sigma, sigma))
         chart, points = SectionChart.of(*family)
         assert chart.slots == tuple(sorted(chart.slots))
-        zero = WeilElement.zero(D2)
         for section, point in zip(family, points):
             assert chart.to_section(point) == section
             coeffs = sigma.groupoid.slots(section.data)[1]
-            assert point.coords == tuple(coeffs.get(slot, zero) for slot in chart.slots)
+            assert weil_coords(point) == tuple(WeilElement.from_masks(D2, coeffs.get(slot, {})) for slot in chart.slots)
 
     def test_identity_slots_are_always_charted(self):
         sigma = pair_section(P1, D, {(2,): 1})  # x -> x^2 has no identity term
@@ -400,7 +417,7 @@ def _both_kernels(groupoid, domain, comps):
     coeffs, ref = {}, []
     for i, terms in enumerate(comps):
         for e, table in terms.items():
-            coeffs[i, e] = WeilElement(domain, table)
+            coeffs[i, e] = WeilElement(domain, table).mask_coeffs()
         ref.append(REF_POLY.Poly(n, twin, {e: REF_WEIL.WeilElement(twin, table) for e, table in terms.items()}))
     return groupoid.from_slots(None, coeffs, domain), tuple(ref)
 
@@ -428,8 +445,8 @@ def test_taylor_sum_agrees_with_the_seed_kernel(data):
     g, ref_g = _both_kernels(groupoid, domain, inner)
     expected = REF_POLY.compose_map(ref_f, ref_g)
     got = {}
-    for (i, e), w in groupoid.slots(groupoid.star_data(f, g))[1].items():
-        got.setdefault(i, {})[e] = dict(w.coeffs)
+    for (i, e), cs in groupoid.slots(groupoid.star_data(f, g))[1].items():
+        got.setdefault(i, {})[e] = dict(WeilElement.from_masks(domain, cs).coeffs)
     for i, comp in enumerate(expected):
         assert got.get(i, {}) == {e: c.coeffs for e, c in comp.terms.items()}
 
@@ -469,7 +486,11 @@ def _substitute_each_coefficient(section, target, images):
     """Substitution as it was done before sections had their own: slot by slot, then rebuilt."""
     groupoid = section.groupoid
     shape, coeffs = groupoid.slots(section.data)
-    data = groupoid.from_slots(shape, {slot: w.substitute(target, images) for slot, w in coeffs.items()}, target)
+    images_of = {
+        slot: WeilElement.from_masks(section.domain, cs).substitute(target, images).mask_coeffs()
+        for slot, cs in coeffs.items()
+    }
+    data = groupoid.from_slots(shape, images_of, target)
     return WSection(groupoid, target, data)
 
 
@@ -575,12 +596,42 @@ def test_gauge_base_map_entries_must_be_int(bad):
             WSection(GG, D, (base_map, jet))
 
 
-@pytest.mark.parametrize("bad", [Fraction(1), 1, 1.0], ids=["Fraction", "int", "float"])
-def test_gauge_from_slots_takes_only_weil_elements(bad):
+@pytest.mark.parametrize(
+    "coefficient, error, message",
+    [({0: 1.0}, TypeError, "must be int or Fraction, not float"), ({2: 1}, ZeroMonomialError, "masks \\[2\\]")],
+    ids=["float", "vanishing-mask"],
+)
+def test_gauge_from_slots_checks_each_coefficient(coefficient, error, message):
     shape, coeffs = GG.slots(GG.identity_data(D))
-    coeffs[0, 0, 0] = bad
-    with pytest.raises(TypeError, match="gauge coefficients must be WeilElements"):
+    assert GG.from_slots(shape, coeffs, D) == GG.identity_data(D)
+    coeffs[0, 0, 0] = coefficient
+    with pytest.raises(error, match=message):
         GG.from_slots(shape, coeffs, D)
+
+
+@pytest.mark.parametrize("table", [((1, 2, 5), (3, 4)), ((1, 2), (3,))], ids=["long-row", "short-row"])
+def test_ragged_gauge_tables_are_rejected(table):
+    with pytest.raises(ValueError, match="tables must be k x k"):
+        AGSection(TrivialGaugeGroupoid(1, 2), [table])
+
+
+def test_one_stray_mask_check_serves_every_mask_keyed_constructor():
+    with pytest.raises(ZeroMonomialError) as expected:
+        D.check_masks({0, 2})
+    assert str(expected.value) == "masks [2] do not survive in D"
+    shape, coeffs = GG.slots(GG.identity_data(D))
+    coeffs[0, 0, 0] = {2: 1}
+    builds = [
+        lambda: WeilElement.from_masks(D, {2: 1}),
+        lambda: WeilElement.from_mask_numerators(D, {2: 1}, 1),
+        lambda: WPoint.from_masks(AffineSpace(1), D, {2: [1]}),
+        lambda: P1.from_slots(None, {(0, (1,)): {0: 1, 2: 1}}, D),
+        lambda: GG.from_slots(shape, coeffs, D),
+    ]
+    for build in builds:
+        with pytest.raises(ZeroMonomialError) as caught:
+            build()
+        assert str(caught.value) == str(expected.value)
 
 
 def _gauge_case(draw):

@@ -60,7 +60,7 @@ def weil_identity(k, domain):
 
 def gauge_point_section(domain, table):
     """A section of the gauge groupoid over a single point, from its matrix of Weil elements."""
-    coeffs = {(0, i, j): w for i, row in enumerate(table) for j, w in enumerate(row)}
+    coeffs = {(0, i, j): w.mask_coeffs() for i, row in enumerate(table) for j, w in enumerate(row)}
     return WSection(GPT, domain, GPT.from_slots((0,), coeffs, domain))
 
 
@@ -157,13 +157,12 @@ class TestPushforward:
 
     def test_pair_linear_rescaling(self):
         # sigma: x -> 2x, field 1: pushforward field is the constant 2
-        sigma = WSection(P1, D, P1.from_slots(None, {(0, (1,)): WeilElement.scalar(D, 2)}, D))
+        sigma = WSection(P1, D, P1.from_slots(None, {(0, (1,)): {0: 2}}, D))
         x = ag(P1, "1")
         assert pushforward(sigma, x) == ag(P1, "2")
 
     def test_rejects_infinitesimal_bisections(self):
-        d = WeilElement.generator(D, 1)
-        sigma = WSection(P1, D, P1.from_slots(None, {(0, (1,)): WeilElement.one(D) + d}, D))
+        sigma = WSection(P1, D, P1.from_slots(None, {(0, (1,)): {0: 1, 1: 1}}, D))  # x -> (1 + d) x
         with pytest.raises(ValueError, match="scalar-exact"):
             pushforward(sigma, ag(P1, "x0"))
 

@@ -11,9 +11,12 @@ P1 = PairGroupoid(1)
 
 
 def pair_data(groupoid, domain, *term_dicts):
-    """Pair section data with one ``{exponents: coefficient}`` dict per component, through ``from_slots``."""
+    """Pair section data with one ``{exponents: coefficient}`` dict per component, through ``from_slots``.
+
+    A coefficient is a Weil element or a rational scalar.
+    """
     coeffs = {
-        (i, e): c if isinstance(c, WeilElement) else WeilElement.scalar(domain, c)
+        (i, e): (c if isinstance(c, WeilElement) else WeilElement.scalar(domain, c)).mask_coeffs()
         for i, terms in enumerate(term_dicts)
         for e, c in terms.items()
     }

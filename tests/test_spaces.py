@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from microlie.spaces import (
     AffineSpace,
@@ -18,7 +19,7 @@ from microlie.spaces import (
     tangent_combine,
     tangent_from_parts,
 )
-from microlie.weil import InfinitesimalDomain, WeilElement, generators
+from microlie.weil import InfinitesimalDomain, RestrictionError, WeilElement, generators, monomial_images
 
 D = InfinitesimalDomain(1)
 D2 = InfinitesimalDomain(2)
@@ -27,41 +28,47 @@ A2 = InfinitesimalDomain.first_order(2)
 A3 = AffineSpace(3)
 
 
+def weil_point(space, domain, coords):
+    """The point whose coordinates are the given Weil elements, through the monomial-keyed constructor."""
+    return WPoint(space, domain, {m: [w.coefficient(m) for w in coords] for m in domain.monomials()})
+
+
+def weil_coords(point):
+    """A point's coordinates as Weil elements, built from its coefficient vectors."""
+    monomials = point.domain.monomials()
+    columns = [point.coefficient(m) for m in monomials]
+    return tuple(
+        WeilElement(point.domain, dict(zip(monomials, (v[i] for v in columns)))) for i in range(point.space.flat_dim)
+    )
+
+
 def affine_square(*coeff_rows):
     """Build a microsquare in 3-space from per-coordinate coefficient dicts."""
-    return WPoint(A3, D2, tuple(WeilElement(D2, c) for c in coeff_rows))
+    return weil_point(A3, D2, [WeilElement(D2, c) for c in coeff_rows])
 
 
 def coordinate_cube():
-    return WPoint(A3, D3, tuple(WeilElement.generator(D3, i) for i in (1, 2, 3)))
+    return weil_point(A3, D3, generators(D3))
 
 
 class TestPoints:
     def test_restrict_microsquare(self):
         p = affine_square({(1,): 1}, {(2,): 1}, {(1, 2): 7})
         r = restrict_point(p, A2)
-        expected = WPoint(
-            A3,
-            A2,
-            (
-                WeilElement(A2, {(1,): 1}),
-                WeilElement(A2, {(2,): 1}),
-                WeilElement.zero(A2),
-            ),
-        )
+        expected = weil_point(A3, A2, (WeilElement(A2, {(1,): 1}), WeilElement(A2, {(2,): 1}), WeilElement.zero(A2)))
         assert r == expected
         assert restrict_point(p, D2) == p
 
     def test_matrix_point_membership(self):
         singular = (WeilElement.zero(D),) * 4
         with pytest.raises(MembershipError, match="singular scalar part"):
-            WPoint(MatrixGroup(2), D, singular)
+            weil_point(MatrixGroup(2), D, singular)
 
     def test_coordinate_count_checked(self):
         with pytest.raises(ValueError, match="expected 4 coordinates, got 3"):
-            WPoint(MatrixGroup(2), D, (WeilElement.one(D),) * 3)
+            weil_point(MatrixGroup(2), D, (WeilElement.one(D),) * 3)
         with pytest.raises(ValueError, match="expected 3 coordinates"):
-            WPoint(A3, D, (WeilElement.one(D),) * 4)
+            weil_point(A3, D, (WeilElement.one(D),) * 4)
 
     def test_matrix_restriction(self):
         # row-major entries of [[1 + 2 d1 + 3 d1 d2, 0], [0, 1]]
@@ -71,9 +78,9 @@ class TestPoints:
             WeilElement.zero(D2),
             WeilElement.one(D2),
         )
-        p = WPoint(MatrixGroup(2), D2, entries)
+        p = weil_point(MatrixGroup(2), D2, entries)
         r = restrict_point(p, A2)
-        assert r.coords[0] == WeilElement(A2, {(): 1, (1,): 2})
+        assert weil_coords(r)[0] == WeilElement(A2, {(): 1, (1,): 2})
 
     @pytest.mark.parametrize("space", [A3, MatrixGroup(2)])
     def test_from_coefficients_round_trip(self, space):
@@ -82,16 +89,36 @@ class TestPoints:
         columns = {m: [Fraction(rng.randint(-3, 3)) for _ in range(n)] for m in D2.monomials()}
         if isinstance(space, MatrixGroup):
             columns[frozenset()] = [Fraction(1), Fraction(2), Fraction(0), Fraction(1)]  # invertible
-        p = WPoint.from_coefficients(space, D2, columns)
+        p = WPoint(space, D2, columns)
         for m, vector in columns.items():
             assert p.coefficient(m) == tuple(vector)
-        assert WPoint.from_coefficients(space, D2, {m: p.coefficient(m) for m in D2.monomials()}) == p
+        assert WPoint(space, D2, {m: p.coefficient(m) for m in D2.monomials()}) == p
+        assert WPoint.from_masks(space, D2, {D2.mask_of(m): vector for m, vector in columns.items()}) == p
+
+    def test_parts_are_in_normal_form(self):
+        p = WPoint(A3, D2, {(1,): (0, 0, 0), (1, 2): (1, 0, Fraction(1, 2))})
+        assert p.parts == {0: (0, 0, 0), 3: (1, 0, Fraction(1, 2))}
+        assert all(type(c) is Fraction for v in p.parts.values() for c in v)
+        assert p == WPoint.from_masks(A3, D2, {3: (1, 0, Fraction(1, 2))})
+        assert p.coefficient({2}) == (0, 0, 0) and all(type(c) is Fraction for c in p.coefficient({2}))
+        with pytest.raises(TypeError):
+            p.parts[1] = (1, 1, 1)
+        with pytest.raises(AttributeError, match="immutable"):
+            p.parts = {}
+
+    def test_a_monomial_given_twice_is_rejected(self):
+        with pytest.raises(ValueError, match="given twice"):
+            WPoint(A3, D2, {(1, 2): (1, 0, 0), (2, 1): (0, 1, 0)})
+
+    def test_restricting_without_coordinates_still_checks_the_domain(self):
+        with pytest.raises(RestrictionError, match="not a coarsening"):
+            restrict_point(WPoint(AffineSpace(0), D2, {}), D3)
 
     def test_from_coefficients_checks_lengths_and_membership(self):
-        with pytest.raises(ValueError, match="4 entries"):
-            WPoint.from_coefficients(MatrixGroup(2), D, {frozenset(): (1, 0, 0)})
+        with pytest.raises(ValueError, match="expected 4 coordinates, got 3"):
+            WPoint(MatrixGroup(2), D, {frozenset(): (1, 0, 0)})
         with pytest.raises(MembershipError):
-            WPoint.from_coefficients(MatrixGroup(2), D, {frozenset({1}): (1, 0, 0, 1)})
+            WPoint(MatrixGroup(2), D, {frozenset({1}): (1, 0, 0, 1)})
 
 
 def test_space_classes_share_one_interface():
@@ -126,7 +153,7 @@ class TestStrongDifference:
         d1d2 = WeilElement(D2, {(1, 2): 1})
 
         def pt(c):
-            return WPoint(MatrixGroup(2), D2, (one, c * d1d2, zero, one))
+            return weil_point(MatrixGroup(2), D2, (one, c * d1d2, zero, one))
 
         t = strong_difference(pt(4), pt(1))
         assert t.direction == (0, 3, 0, 0)
@@ -139,7 +166,7 @@ class TestStrongDifference:
 
     def test_axis_recovery(self):
         gamma = affine_square({(): 1, (1,): 2, (1, 2): -3}, {(2,): 1}, {(1, 2): 7})
-        flattened = WPoint.from_coefficients(gamma.space, D2, {m: gamma.coefficient(m) for m in A2.monomials()})
+        flattened = WPoint(gamma.space, D2, {m: gamma.coefficient(m) for m in A2.monomials()})
         t = strong_difference(gamma, flattened)
         assert t.direction == gamma.coefficient({1, 2})
 
@@ -151,16 +178,10 @@ class TestRelabelings:
 
     def test_psi1_rotates_roles(self):
         d1, d2, d3 = generators(D3)
-        assert psi(1, coordinate_cube()) == WPoint(A3, D3, (d3, d1, d2))
+        assert psi(1, coordinate_cube()) == weil_point(A3, D3, (d3, d1, d2))
 
     def test_psi_bijective(self):
-        cube = WPoint(
-            A3,
-            D3,
-            tuple(
-                WeilElement(D3, {(1,): i, (2, 3): 2 * i, (1, 2, 3): 3 + i}) for i in range(3)
-            ),
-        )
+        cube = weil_point(A3, D3, [WeilElement(D3, {(1,): i, (2, 3): 2 * i, (1, 2, 3): 3 + i}) for i in range(3)])
         # psi(i) is sigma_perm by these permutations; undo each by its inverse
         for i, p in {1: (3, 1, 2), 2: (1, 3, 2), 3: (1, 2, 3)}.items():
             inverse = tuple(p.index(j) + 1 for j in (1, 2, 3))
@@ -173,18 +194,18 @@ class TestRelabelings:
 
     def test_sigma_three_cycle(self):
         d1, d2, d3 = generators(D3)
-        assert sigma_perm(coordinate_cube(), (2, 3, 1)) == WPoint(A3, D3, (d2, d3, d1))
+        assert sigma_perm(coordinate_cube(), (2, 3, 1)) == weil_point(A3, D3, (d2, d3, d1))
 
     def test_sigma_respects_domain_relations(self):
         dom = InfinitesimalDomain(3, [(1, 3), (2, 3)])
-        p = WPoint(AffineSpace(1), dom, (WeilElement(dom, {(1, 2): 1}),))
+        p = weil_point(AffineSpace(1), dom, (WeilElement(dom, {(1, 2): 1}),))
         q = sigma_perm(p, (3, 2, 1))
         assert q.domain == InfinitesimalDomain(3, [(1, 3), (1, 2)])
-        assert q.coords[0] == WeilElement(q.domain, {(2, 3): 1})
+        assert weil_coords(q)[0] == WeilElement(q.domain, {(2, 3): 1})
 
 
 def affine_cube(*coeff_rows):
-    return WPoint(A3, D3, tuple(WeilElement(D3, c) for c in coeff_rows))
+    return weil_point(A3, D3, [WeilElement(D3, c) for c in coeff_rows])
 
 
 class TestRelativeStrongDifference:
@@ -193,9 +214,7 @@ class TestRelativeStrongDifference:
         minus = affine_cube({(1,): 1}, {(2,): 1}, {(3,): 1})
         mu = relative_strong_difference(3, plus, minus)
         # expected microsquare (0, 0, t + 4 s) over fresh generators (s, t)
-        assert mu.coords[0] == WeilElement.zero(D2)
-        assert mu.coords[1] == WeilElement.zero(D2)
-        assert mu.coords[2] == WeilElement(D2, {(1,): 4, (2,): 1})
+        assert weil_coords(mu) == (WeilElement.zero(D2), WeilElement.zero(D2), WeilElement(D2, {(1,): 4, (2,): 1}))
 
     def test_degenerate_equal_cubes(self):
         cube = affine_cube({(1,): 1, (1, 2): 2}, {(2,): 1}, {(3,): 1, (1, 2, 3): 5})
@@ -227,7 +246,7 @@ class TestRelativeStrongDifference:
                 cm[m] = cm[m] - delta[i]
             plus_flat.append(WeilElement(D3, cp))
             minus_flat.append(WeilElement(D3, cm))
-        return WPoint(space, D3, tuple(plus_flat)), WPoint(space, D3, tuple(minus_flat))
+        return weil_point(space, D3, plus_flat), weil_point(space, D3, minus_flat)
 
     def test_rule_matches_curried_definition(self):
         rng = random.Random(7)
@@ -281,3 +300,127 @@ def test_cocycle_identity():
             strong_difference(g3, g1),
         )
         assert total.is_zero
+
+
+# -- property: each point operation against the same operation on every coordinate --------------
+#
+# The reference reads a point's coordinates as Weil elements (from ``coefficient``), applies the
+# element operation to each, and builds the point back.
+
+SPACES = (A3, MatrixGroup(2))
+POINT_DOMAINS = (D, D2, D3, A2)
+SMALL = st.integers(min_value=-3, max_value=3)
+
+
+def _columns(draw, space, domain):
+    return {m: [draw(SMALL) for _ in range(space.flat_dim)] for m in domain.monomials()}
+
+
+def _point(space, domain, columns):
+    try:
+        return WPoint(space, domain, columns)
+    except MembershipError:
+        assume(False)  # a singular matrix at the scalar part is not a point
+
+
+def _pair(draw, space, domain, free):
+    """Two points; unless drawn independent, the second redraws only the vectors on ``free``."""
+    columns = _columns(draw, space, domain)
+    other = dict(columns)
+    if draw(st.booleans()):
+        other.update((m, v) for m, v in _columns(draw, space, domain).items() if m in free)
+    else:
+        other = _columns(draw, space, domain)
+    return _point(space, domain, columns), _point(space, domain, other)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_restrict_point_acts_on_every_coordinate(data):
+    draw = data.draw
+    space = draw(st.sampled_from(SPACES))
+    domain, sub = draw(st.sampled_from(POINT_DOMAINS)), draw(st.sampled_from(POINT_DOMAINS))
+    p = _point(space, domain, _columns(draw, space, domain))
+    try:
+        expected = weil_point(space, sub, [w.restrict(sub) for w in weil_coords(p)])
+    except RestrictionError:
+        with pytest.raises(RestrictionError):
+            restrict_point(p, sub)
+    else:
+        assert restrict_point(p, sub) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sigma_perm_and_psi_act_on_every_coordinate(data):
+    draw = data.draw
+    space, domain = draw(st.sampled_from(SPACES)), draw(st.sampled_from(POINT_DOMAINS))
+    p = _point(space, domain, _columns(draw, space, domain))
+
+    def by_substitution(perm):
+        target = domain.permuted(perm)
+        table = monomial_images(domain, target, [WeilElement.generator(target, i) for i in perm])
+        return weil_point(space, target, [w.image(table) for w in weil_coords(p)])
+
+    perm = tuple(draw(st.permutations(range(1, domain.generator_count + 1))))
+    assert sigma_perm(p, perm) == by_substitution(perm)
+    if domain is D3:
+        for axis in (1, 2, 3):
+            j, k = sorted({1, 2, 3} - {axis})
+            # axis becomes the inner generator 3; the other two keep their order as 1, 2
+            perm = tuple({axis: 3, j: 1, k: 2}[g] for g in (1, 2, 3))
+            assert psi(axis, p) == by_substitution(perm)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_strong_difference_acts_on_every_coordinate(data):
+    draw = data.draw
+    space = draw(st.sampled_from(SPACES))
+    plus, minus = _pair(draw, space, D2, {frozenset({1, 2})})
+    pairs = list(zip(weil_coords(plus), weil_coords(minus)))
+    if any(a.restrict(A2) != b.restrict(A2) for a, b in pairs):
+        with pytest.raises(CompatibilityError):
+            strong_difference(plus, minus)
+        return
+    t = strong_difference(plus, minus)
+    assert t.base == tuple(a.scalar_part for a, _ in pairs)
+    assert t.direction == tuple(a.coefficient({1, 2}) - b.coefficient({1, 2}) for a, b in pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_relative_strong_differences_act_on_every_coordinate(data):
+    draw = data.draw
+    space, axis = draw(st.sampled_from(SPACES)), draw(st.sampled_from((1, 2, 3)))
+    j, k = sorted({1, 2, 3} - {axis})
+    plus, minus = _pair(draw, space, D3, {frozenset({j, k}), frozenset({1, 2, 3})})
+    pairs = list(zip(weil_coords(plus), weil_coords(minus)))
+    agreement = InfinitesimalDomain(3, [(j, k)])
+    if any(a.restrict(agreement) != b.restrict(agreement) for a, b in pairs):
+        for difference in (relative_strong_difference, relative_strong_difference_curried):
+            with pytest.raises(CompatibilityError):
+                difference(axis, plus, minus)
+        return
+    # the definition on one coordinate: make the axis d3 (psi), curry along d3 into a microsquare
+    # of (value, d3-part) pairs, and take the strong difference of the two microsquares
+    perm = tuple({axis: 3, j: 1, k: 2}[g] for g in (1, 2, 3))
+    table = monomial_images(D3, D3, [WeilElement.generator(D3, i) for i in perm])
+    coords = []
+    for a, b in pairs:
+        a, b = a.image(table), b.image(table)
+        top, cube = frozenset({1, 2}), frozenset({1, 2, 3})
+        coords.append(
+            WeilElement(
+                D2,
+                {
+                    (): a.scalar_part,
+                    (1,): a.coefficient(top) - b.coefficient(top),
+                    (2,): a.coefficient({3}),
+                    (1, 2): a.coefficient(cube) - b.coefficient(cube),
+                },
+            )
+        )
+    expected = weil_point(space, D2, coords)
+    assert relative_strong_difference(axis, plus, minus) == expected
+    assert relative_strong_difference_curried(axis, plus, minus) == expected

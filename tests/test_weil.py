@@ -331,20 +331,6 @@ class TestImmutability:
         assert len({x for pair in pairs for x in pair}) == len(pairs)
 
 
-class TestSplitLast:
-    def test_splits_off_the_last_generator(self):
-        x = w(D3, {(): 1, (1,): 2, (3,): 3, (1, 2, 3): Fraction(1, 2)})
-        value, derivative = x.split_last(D2)
-        assert value == w(D2, {(): 1, (1,): 2})
-        assert derivative == w(D2, {(): 3, (1, 2): Fraction(1, 2)})
-
-    def test_rejects_a_vanishing_part(self):
-        with pytest.raises(ZeroMonomialError):
-            w(D3, {(1, 2, 3): 1}).split_last(A2)
-        with pytest.raises(ValueError):
-            w(D3, {(1,): 1}).split_last(D)
-
-
 # -- differential test against the frozen seed kernel ------------------------------------
 
 
