@@ -16,6 +16,21 @@ invertible affine map, or a base permutation) and inverses are computed
 exactly, by nilpotent Newton iteration (pair) or a finite nilpotent series
 (gauge).
 
+Every constructed section is checked, derived ones included: ``WSection``
+runs the groupoid's ``section_data`` and ``WBisection`` also its
+``check_bisection``, whether the data comes from a caller or from ``star``,
+``invert_bisection``, ``substitute``, ``section_at`` or a chart.  The checks
+read integer numerators and build no ``Fraction``.  Pair ``section_data``
+checks the jet's masks and component shapes; pair ``check_bisection``
+rejects a scalar part with a term of degree above 1 and takes the Bareiss
+determinant of the linear part's numerator rows (clearing each row's
+denominator scales the determinant by a nonzero factor).  Gauge
+``section_data`` checks the base map, the jet's masks, the shape of every
+part and that every scalar table is nonsingular: a table equal to
+``den * I`` is (its determinant is ``den^k``), and any other takes a
+Bareiss determinant.  Gauge ``check_bisection`` checks that the base map is
+a permutation.
+
 A Weil-parametrised pair section is stored as a :class:`Jet`: one tuple of
 rational polynomials per surviving Weil monomial, keyed by mask.  By the
 Kock-Lawvere axiom a map of such a family is its finite Taylor polynomial
@@ -65,6 +80,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import add, mul
 from typing import Sequence
@@ -221,7 +237,7 @@ class PairGroupoid:
         return data
 
     def check_bisection(self, data) -> None:
-        _affine_witness(data)
+        _check_affine(data)
 
     def identity_data(self, domain: InfinitesimalDomain) -> "Jet":
         return Jet(domain, {0: identity_map(self.dim)})
@@ -394,11 +410,12 @@ class TrivialGaugeGroupoid:
             raise ValueError("base map leaves the base")
         if not isinstance(jet, GaugeJet) or jet.domain is not domain:
             raise ValueError("gauge section data must be a matrix jet over the section's domain")
-        scalar = jet[0]  # every part of a jet has the shape of its scalar part
-        if len(scalar) != m or any(len(t) != k * k for t in scalar):
+        domain.check_masks(jet)
+        if any(len(mats) != m or any(len(t) != k * k for t in mats) for _, mats in jet.items()):
             raise ValueError(f"fiber tables must be {k} x {k} over {m} base points")
-        for t in scalar:
-            if not _determinant([t[i : i + k] for i in range(0, k * k, k)]):
+        scaled_identity = tuple(jet.den * n for n in _identity(k))  # det den^k, so no determinant needed
+        for t in jet[0]:
+            if t != scaled_identity and not _determinant([t[i : i + k] for i in range(0, k * k, k)]):
                 raise InvertibilityError("fiber matrix has singular scalar part")
         return base_map, jet
 
@@ -647,23 +664,27 @@ class WBisection(WSection):
         groupoid.check_bisection(self.data)
 
 
-def _affine_witness(jet: "Jet") -> tuple[Matrix, tuple[Fraction, ...]]:
-    """Check the scalar part is an invertible affine map; return (matrix, shift)."""
+@cache
+def _affine_keys(n: int) -> tuple[frozenset[Exponents], tuple[Exponents, ...]]:
+    """The exponent tuples of degree at most 1 in ``n`` variables, and those of x0 .. x(n-1)."""
+    units = tuple(tuple(int(t == j) for t in range(n)) for j in range(n))
+    return frozenset({(0,) * n, *units}), units
+
+
+def _check_affine(jet: "Jet") -> None:
+    """Check the scalar part is an invertible affine map, on its integer numerators.
+
+    Row i of the linear part is component i's numerators over its
+    denominator; clearing each row's denominator scales the determinant by a
+    nonzero factor, so the integer determinant decides invertibility.
+    """
     scalar = jet[0]
-    n = len(scalar)
-    rows = []
-    shift = []
+    affine, units = _affine_keys(len(scalar))
     for comp in scalar:
-        if comp.degree > 1:
-            raise InvertibilityError(
-                f"scalar part {comp} is not affine; no invertibility witness"
-            )
-        rows.append(tuple(comp.coefficient(tuple(1 if t == j else 0 for t in range(n))) for j in range(n)))
-        shift.append(comp.coefficient((0,) * n))
-    matrix = tuple(rows)
-    if not matrices.q_is_invertible(matrix):
+        if not comp._num.keys() <= affine:
+            raise InvertibilityError(f"scalar part {comp} is not affine; no invertibility witness")
+    if not _determinant([[comp._num.get(u, 0) for u in units] for comp in scalar]):
         raise InvertibilityError("scalar part has a singular linear term")
-    return matrix, tuple(shift)
 
 
 # -- the section product -------------------------------------------------------------
@@ -747,6 +768,10 @@ class GaugeJet(Mapping):
     __slots__ = ("domain", "den", "_parts")
 
     def __init__(self, domain: InfinitesimalDomain, parts: Mapping[int, Sequence[Sequence[int]]], den: int) -> None:
+        if 0 not in parts:
+            raise ValueError("a jet needs its scalar part, mask 0")
+        if not isinstance(den, int) or den <= 0:
+            raise ValueError(f"a gauge jet needs a positive integer denominator, got {den!r}")
         table = {b: mats for b, mats in parts.items() if not b or any(map(any, mats))}
         if den != 1:
             g = den
@@ -796,8 +821,9 @@ class GaugeJet(Mapping):
         return f"GaugeJet({self.domain!r}; {self._parts} / {self.den})"
 
 
-def _identity(k: int) -> list[int]:
-    return [int(i == j) for i in range(k) for j in range(k)]
+@cache
+def _identity(k: int) -> tuple[int, ...]:
+    return tuple(int(i == j) for i in range(k) for j in range(k))
 
 
 def _mat_mul(a: Sequence[int], b: Sequence[int], k: int) -> list[int]:
@@ -919,8 +945,10 @@ def formal_inverse(f: Jet) -> Jet:
     """
     domain = f.domain
     n = len(f[0])
-    matrix, shift = _affine_witness(f)
-    inv = matrices.q_inverse(matrix)
+    _check_affine(f)
+    _, units = _affine_keys(n)
+    inv = matrices.q_inverse(tuple(tuple(comp.coefficient(u) for u in units) for comp in f[0]))
+    shift = [comp.coefficient((0,) * n) for comp in f[0]]
     ident = identity_map(n)
     # seed: the exact inverse A^-1 (x - b) of the scalar affine part
     seed = []
@@ -1070,14 +1098,14 @@ class SectionChart:
         # always include the identity section's slots so it is chartable
         slots.update(groupoid.slots(groupoid.identity_data(sections[0].domain))[1])
         chart = cls(groupoid, tuple(sorted(slots)), shape)
-        n = len(chart.slots)
+        n, zero = len(chart.slots), Fraction(0)
         points = []
         for section, (_, coeffs) in zip(sections, views):
             # transpose {slot: {mask: c}} into {mask: vector over the chart's slots}
             parts: dict[int, list] = {}
             for s, slot in enumerate(chart.slots):
                 for b, c in coeffs.get(slot, {}).items():
-                    parts.setdefault(b, [0] * n)[s] = c
+                    parts.setdefault(b, [zero] * n)[s] = c
             points.append(WPoint.from_masks(chart.space, section.domain, parts))
         return chart, tuple(points)
 

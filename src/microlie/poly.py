@@ -74,7 +74,8 @@ class Poly:
 
     @classmethod
     def scalar(cls, nvars: int, c: Rational) -> "Poly":
-        return cls(nvars, {(0,) * nvars: c})
+        c = _rational(c)
+        return _make(nvars, {(0,) * nvars: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":

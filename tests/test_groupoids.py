@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microlie import matrices
+from microlie import groupoids, matrices
 from microlie.groupoids import (
     AGSection,
     Arrow,
+    GaugeJet,
     GroupoidMismatchError,
     InvertibilityError,
+    Jet,
     NotDPointError,
     PairGroupoid,
     SectionChart,
@@ -28,6 +30,7 @@ from microlie.groupoids import (
     star,
 )
 from microlie.liealg import WITNESS_DOMAIN
+from microlie.poly import Poly
 from microlie.spaces import AffineSpace, WPoint
 from microlie.vfexpr import parse_vector_field
 from microlie.weil import (
@@ -743,3 +746,125 @@ def test_gauge_read_coefficient_agrees_with_weil_matrices(data):
     for monomial in domain.monomials():
         expected = tuple(tuple(tuple(w.coefficient(monomial) for w in row) for row in t) for t in tables)
         assert g.read_coefficient(section, monomial) == expected
+
+
+# -- the section checks: exact on integer numerators, on every construction path ---------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pair_witness_agrees_with_the_rational_linear_part(data):
+    draw = data.draw
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2)
+    numerators = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):  # make the last row a multiple of the first (zero when n = 1): singular
+        c = draw(entry)
+        numerators[-1] = [c * a for a in numerators[0]] if n > 1 else [0]
+    dens = [draw(st.integers(1, 6)) for _ in range(n)]  # one denominator per component
+    matrix = tuple(tuple(Fraction(a, d) for a in row) for row, d in zip(numerators, dens))
+    units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
+    comps = tuple(Poly(n, {(0,) * n: draw(SMALL), **dict(zip(units, row))}) for row in matrix)
+    jet = Jet(D, {0: comps})
+    if matrices.q_is_invertible(matrix):
+        PairGroupoid(n).check_bisection(jet)
+        WBisection(PairGroupoid(n), D, jet)
+    else:
+        with pytest.raises(InvertibilityError, match="singular linear term"):
+            PairGroupoid(n).check_bisection(jet)
+
+
+def test_pair_witness_rejects_every_term_of_degree_two():
+    for e in ((2, 0), (1, 1), (0, 2)):
+        jet = Jet(D, {0: (Poly(2, {(1, 0): 1, e: Fraction(1, 3)}), Poly.variable(2, 1))})
+        with pytest.raises(InvertibilityError, match="is not affine; no invertibility witness"):
+            P2.check_bisection(jet)
+
+
+def _determinant_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(groupoids, "_determinant", lambda rows: calls.append(rows) or matrices._determinant(rows))
+    return calls
+
+
+def test_a_scaled_identity_table_needs_no_determinant(monkeypatch):
+    third = ((Fraction(1, 3), 0), (0, 0))
+    flow = section_at(AGSection(GG, [third, third]), WeilElement.generator(D, 1))
+    calls = _determinant_calls(monkeypatch)
+    product = star(flow, flow)  # a derived bisection whose scalar tables are den * I with den = 3
+    assert product.data[1].den == 3 and all(t == (3, 0, 0, 3) for t in product.data[1][0])
+    assert calls == []
+    assert product == section_at(AGSection(GG, [matrices.scale(2, third)] * 2), WeilElement.generator(D, 1))
+
+
+def test_other_scalar_tables_take_the_determinant(monkeypatch):
+    calls = _determinant_calls(monkeypatch)
+    doubled = GaugeJet(D, {0: [(2, 0, 0, 2), (1, 0, 0, 1)]}, 1)  # 2 I over den 1, then I
+    WBisection(GG, D, ((0, 1), doubled))
+    assert calls == [[(2, 0), (0, 2)]]
+    calls.clear()
+    singular = GaugeJet(D, {0: [(1, 1, 1, 1), (1, 0, 0, 1)], 1: [(1, 0, 0, 0), (0, 0, 0, 0)]}, 1)
+    with pytest.raises(InvertibilityError, match="fiber matrix has singular scalar part"):
+        WSection(GG, D, ((0, 1), singular))
+    assert calls == [[(1, 1), (1, 1)]]
+
+
+def test_charting_back_a_zero_scalar_part_is_caught():
+    chart, (point,) = SectionChart.of(WSection.identity(GG, D))
+    zero = WPoint.from_masks(point.space, D, {0: [0] * point.space.flat_dim, 1: point.parts[0]})
+    with pytest.raises(InvertibilityError, match="fiber matrix has singular scalar part"):
+        chart.to_section(zero)
+
+
+@pytest.mark.parametrize("groupoid", [P2, GG], ids=["pair", "gauge"])
+def test_every_construction_path_runs_the_checks(groupoid, monkeypatch):
+    d = WeilElement.generator(D, 1)
+    x = groupoid.random_ag(random.Random(0), 1)
+    sigma = section_at(x, d)
+    chart, (point,) = SectionChart.of(sigma)
+    seen = []
+    for name in ("section_data", "check_bisection"):
+        check = getattr(type(groupoid), name)
+        spy = lambda self, *args, check=check, name=name: seen.append(name) or check(self, *args)
+        monkeypatch.setattr(type(groupoid), name, spy)
+    paths = {
+        "star": (lambda: star(sigma, sigma), True),
+        "invert_bisection": (lambda: invert_bisection(sigma), True),
+        "substitute": (lambda: sigma.substitute(D, [-d]), True),
+        "section_at": (lambda: section_at(x, -d), True),
+        "to_section": (lambda: chart.to_section(point), False),
+        "from_slots": (lambda: WSection(groupoid, D, groupoid.from_slots(*groupoid.slots(sigma.data), D)), False),
+    }
+    for path, (build, bisection) in paths.items():
+        seen.clear()
+        build()
+        assert seen == ["section_data", "check_bisection"] if bisection else ["section_data"], path
+
+
+I2 = (1, 0, 0, 1)
+
+
+def test_gauge_sections_reject_stray_masks():
+    with pytest.raises(ZeroMonomialError, match="masks \\[2\\] do not survive in D"):
+        WSection(GG, D, ((0, 1), GaugeJet(D, {0: [I2, I2], 2: [I2, I2]}, 1)))
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [{0: [I2, I2], 1: [(1, 2, 3), I2]}, {0: [I2, I2], 1: [I2]}, {0: [I2, I2], 1: [I2, I2, I2]}],
+    ids=["short-table", "one-base-point", "three-base-points"],
+)
+def test_gauge_sections_check_the_shape_of_every_part(parts):
+    with pytest.raises(ValueError, match="fiber tables must be 2 x 2 over 2 base points"):
+        WSection(GG, D, ((0, 1), GaugeJet(D, parts, 1)))
+
+
+@pytest.mark.parametrize("den", [0, -1, Fraction(1, 2), 1.0], ids=["zero", "negative", "Fraction", "float"])
+def test_gauge_jets_need_a_positive_integer_denominator(den):
+    with pytest.raises(ValueError, match="positive integer denominator"):
+        GaugeJet(D, {0: [I2]}, den)
+
+
+def test_gauge_jets_need_their_scalar_part():
+    with pytest.raises(ValueError, match="a jet needs its scalar part, mask 0"):
+        GaugeJet(D, {1: [I2]}, 1)
