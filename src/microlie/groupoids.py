@@ -88,7 +88,7 @@ from typing import Sequence
 from . import matrices
 from .matrices import Matrix, _determinant
 from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
-from .poly import Exponents, Poly, compose_map, format_terms, identity_map, sum_of_products
+from .poly import Exponents, Poly, affine_row, compose_map, format_terms, identity_map, sum_of_products
 from .spaces import AffineSpace, MatrixGroup, WPoint
 from .weil import (
     DomainMismatchError,
@@ -165,7 +165,7 @@ def _rand_fiber(rng: random.Random, k: int, domain: InfinitesimalDomain, scalar_
     parts = {0: [c.numerator for row in _rand_invertible(rng, k) for c in row]}
     if not scalar_exact:
         for e in range(k * k):
-            for b, n in _rand_element(rng, domain, nilpotent_only=True).mask_numerators()[0].items():
+            for b, n in _rand_element(rng, domain, nilpotent_only=True).mask_integers()[0].items():
                 parts.setdefault(b, [0] * (k * k))[e] = n
     return parts
 
@@ -229,9 +229,8 @@ class PairGroupoid:
     def section_data(self, domain: InfinitesimalDomain, data) -> "Jet":
         if not isinstance(data, Jet) or data.domain is not domain:
             raise ValueError("pair section data must be a jet over the section's domain")
-        for b, comps in data.items():
-            if b not in domain.masks:
-                raise ValueError(f"jet mask {b} does not survive in {domain!r}")
+        domain.check_masks(data)
+        for comps in data.values():
             if len(comps) != self.dim or any(not isinstance(c, Poly) or c.nvars != self.dim for c in comps):
                 raise ValueError(f"expected {self.dim} map components in {self.dim} variables")
         return data
@@ -460,7 +459,7 @@ class TrivialGaugeGroupoid:
         m, k = self.base_size, self.matrix_size
         q = lcm(1, *(c.denominator for t in fields for row in t for c in row))
         X = [[c.numerator * (q // c.denominator) for row in t for c in row] for t in fields]
-        num, den = e.mask_numerators()
+        num, den = e.mask_integers()
         parts = {b: [[n * x for x in t] for t in X] for b, n in num.items()}
         parts[0] = [[den * q * n for n in _identity(k)]] * m
         return tuple(range(m)), GaugeJet(e.domain, parts, den * q)
@@ -476,7 +475,7 @@ class TrivialGaugeGroupoid:
     def substitute_data(self, data, table) -> tuple:
         # part M of the image sums c * part b over the terms c d^M of table[b]
         base_map, jet = data
-        images = [(mats, table[b].mask_numerators()) for b, mats in jet.items()]
+        images = [(mats, table[b].mask_integers()) for b, mats in jet.items()]
         q = lcm(1, *(d for _, (_, d) in images))
         sums: dict[int, list[list[int]]] = {}
         for mats, (num, d) in images:
@@ -664,13 +663,6 @@ class WBisection(WSection):
         groupoid.check_bisection(self.data)
 
 
-@cache
-def _affine_keys(n: int) -> tuple[frozenset[Exponents], tuple[Exponents, ...]]:
-    """The exponent tuples of degree at most 1 in ``n`` variables, and those of x0 .. x(n-1)."""
-    units = tuple(tuple(int(t == j) for t in range(n)) for j in range(n))
-    return frozenset({(0,) * n, *units}), units
-
-
 def _check_affine(jet: "Jet") -> None:
     """Check the scalar part is an invertible affine map, on its integer numerators.
 
@@ -678,12 +670,13 @@ def _check_affine(jet: "Jet") -> None:
     denominator; clearing each row's denominator scales the determinant by a
     nonzero factor, so the integer determinant decides invertibility.
     """
-    scalar = jet[0]
-    affine, units = _affine_keys(len(scalar))
-    for comp in scalar:
-        if not comp._num.keys() <= affine:
+    rows = []
+    for comp in jet[0]:
+        row = affine_row(comp)
+        if row is None:
             raise InvertibilityError(f"scalar part {comp} is not affine; no invertibility witness")
-    if not _determinant([[comp._num.get(u, 0) for u in units] for comp in scalar]):
+        rows.append(row)
+    if not _determinant(rows):
         raise InvertibilityError("scalar part has a singular linear term")
 
 
@@ -802,7 +795,7 @@ class GaugeJet(Mapping):
 
     def entry(self, x: int, e: int) -> WeilElement:
         """The Weil element at flat entry ``e`` of base point ``x``'s matrix."""
-        return WeilElement.from_mask_numerators(
+        return WeilElement.from_mask_integers(
             self.domain, {b: mats[x][e] for b, mats in self._parts.items() if mats[x][e]}, self.den
         )
 
@@ -946,7 +939,7 @@ def formal_inverse(f: Jet) -> Jet:
     domain = f.domain
     n = len(f[0])
     _check_affine(f)
-    _, units = _affine_keys(n)
+    units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
     inv = matrices.q_inverse(tuple(tuple(comp.coefficient(u) for u in units) for comp in f[0]))
     shift = [comp.coefficient((0,) * n) for comp in f[0]]
     ident = identity_map(n)
@@ -955,7 +948,7 @@ def formal_inverse(f: Jet) -> Jet:
     for i in range(n):
         acc = Poly.scalar(n, sum((-inv[i][j]) * shift[j] for j in range(n)))
         for j in range(n):
-            acc = acc + Poly.variable(n, j) * inv[i][j]
+            acc = acc + ident[j] * inv[i][j]
         seed.append(acc)
     g = Jet(domain, {0: tuple(seed)})
     zero = (Poly.zero(n),) * n

@@ -1,15 +1,25 @@
 """Multivariate polynomials with exact rational coefficients.
 
 Variables are written ``x0 .. x(n-1)`` (0-based, matching the expression
-grammar); exponent tuples key the terms.  Inside, a polynomial stores
-integer numerators keyed by exponent tuple over one positive common
-denominator, in lowest terms, as :class:`~microlie.weil.WeilElement` does
-with monomial masks: no numerator is zero, the gcd of the denominator and
-all numerators is 1, and zero has denominator 1, so equality is
-structural.  The API speaks ``Fraction`` at its edges: the constructor,
-``coefficient``, the read-only ``coeffs`` mapping and ``str``.  ``terms``
-is the same map with each coefficient as a scalar Weil element over
-:data:`RATIONALS`, built on first read.
+grammar).  Inside, a polynomial stores integer numerators over one positive
+common denominator, in lowest terms, as :class:`~microlie.weil.WeilElement`
+does with monomial masks: no numerator is zero, the gcd of the denominator
+and all numerators is 1, and zero has denominator 1, so equality is
+structural.
+
+Each monomial is keyed by one packed ``int`` (the packed exponent vectors
+of Monagan and Pearce, *Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors*, CASC 2007): a ``_W``-bit digit per exponent,
+``x0`` highest, under a top digit holding the total degree.  The key of a
+product of monomials is the sum of their keys, and keys order monomials by
+degree, then exponents.  Every digit is at most the total degree, so a
+degree at most :data:`MAX_DEGREE` never carries; a product above it raises
+``OverflowError``.  Exponent tuples appear only at the API edges: the
+constructor, ``coefficient``, the read-only ``coeffs`` mapping,
+``derivative``'s variable, ``degree`` and ``str``, which speak
+``Fraction`` for coefficients.  ``terms`` is ``coeffs`` with each
+coefficient as a scalar Weil element over :data:`RATIONALS`, built on first
+read.
 
 A Weil-parametrised family of polynomial maps is not a polynomial with
 Weil coefficients here: the pair groupoid stores it as a jet, one rational
@@ -20,8 +30,8 @@ polynomial map per Weil monomial (see :mod:`microlie.groupoids`), and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -31,12 +41,37 @@ Exponents = tuple[int, ...]
 
 RATIONALS = InfinitesimalDomain(0)
 
+# The pair laws reach degree 27 (degree-9 maps composed with degree-3 ones);
+# 7-bit digits leave room for that and keep a key in dimension 3 (four
+# digits, 28 bits) inside one 30-bit CPython int digit.
+_W = 7
+MAX_DEGREE = (1 << _W) - 1
 
-def _as_exponents(alpha: Iterable[int], nvars: int) -> Exponents:
+
+def _degree_error(degree: int) -> OverflowError:
+    return OverflowError(f"degree {degree} is above the polynomial degree limit {MAX_DEGREE}")
+
+
+def _key(alpha: Iterable[int], nvars: int) -> int:
+    """The packed key of an exponent tuple, checked."""
     e = tuple(alpha)
     if len(e) != nvars or any(k < 0 or not isinstance(k, int) for k in e):
         raise ValueError(f"bad exponent tuple {e} for {nvars} variables")
-    return e
+    key = sum(e)
+    if key > MAX_DEGREE:
+        raise _degree_error(key)
+    for k in e:
+        key = key << _W | k
+    return key
+
+
+def _exponents(key: int, nvars: int) -> Exponents:
+    return tuple(key >> s & MAX_DEGREE for s in range(_W * (nvars - 1), -1, -_W))
+
+
+def _unit(nvars: int, i: int) -> int:
+    """The key of ``x_i``."""
+    return 1 << _W * nvars | 1 << _W * (nvars - 1 - i)
 
 
 def _frac(n: int, den: int) -> Fraction:
@@ -46,21 +81,21 @@ def _frac(n: int, den: int) -> Fraction:
 class Poly:
     """Exact rational polynomial in ``nvars`` variables.
 
-    Stored as integer numerators keyed by exponent tuple over one
+    Stored as integer numerators keyed by packed exponent key over one
     denominator, in lowest terms (see the module docstring).
     """
 
     __slots__ = ("nvars", "_num", "_den", "_coeffs", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[Iterable[int], Rational] | None = None) -> None:
-        table: dict[Exponents, Fraction] = {}
+        table: dict[int, Fraction] = {}
         for alpha, value in (terms or {}).items():
-            e = _as_exponents(alpha, nvars)
+            key = _key(alpha, nvars)
             c = _rational(value)
             if c:
-                table[e] = table.get(e, 0) + c
+                table[key] = table.get(key, 0) + c
         den = lcm(1, *(c.denominator for c in table.values()))
-        lowest = _reduced(nvars, {e: int(c * den) for e, c in table.items()}, den)
+        lowest = _reduced(nvars, {key: int(c * den) for key, c in table.items()}, den)
         _init(self, nvars, lowest._num, lowest._den)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -75,13 +110,13 @@ class Poly:
     @classmethod
     def scalar(cls, nvars: int, c: Rational) -> "Poly":
         c = _rational(c)
-        return _make(nvars, {(0,) * nvars: c.numerator} if c else {}, c.denominator)
+        return _make(nvars, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise ValueError(f"variable x{i} out of range for {nvars} variables")
-        return _make(nvars, {tuple(1 if j == i else 0 for j in range(nvars)): 1}, 1)
+        return _make(nvars, {_unit(nvars, i): 1}, 1)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -96,21 +131,21 @@ class Poly:
         da, db = self._den, other._den
         g = gcd(da, db)
         fa, fb = db // g, da // g
-        table = {e: n * fa for e, n in self._num.items()}
-        for e, n in other._num.items():
-            table[e] = table.get(e, 0) + n * fb
+        table = {key: n * fa for key, n in self._num.items()}
+        for key, n in other._num.items():
+            table[key] = table.get(key, 0) + n * fb
         return _reduced(self.nvars, table, da * fa)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return _make(self.nvars, {e: -n for e, n in self._num.items()}, self._den)
+        return _make(self.nvars, {key: -n for key, n in self._num.items()}, self._den)
 
     def __mul__(self, other: "Poly | Rational") -> "Poly":
         if isinstance(other, (int, Fraction)):
             p = other.numerator
-            return _reduced(self.nvars, {e: n * p for e, n in self._num.items()}, self._den * other.denominator)
+            return _reduced(self.nvars, {key: n * p for key, n in self._num.items()}, self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_compatible(other)
@@ -134,17 +169,18 @@ class Poly:
     # -- calculus -----------------------------------------------------------------
 
     def coefficient(self, alpha: Iterable[int]) -> Fraction:
-        e = _as_exponents(alpha, self.nvars)
-        return _frac(self._num.get(e, 0), self._den)
+        return _frac(self._num.get(_key(alpha, self.nvars), 0), self._den)
 
     def derivative(self, i: int) -> "Poly":
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable x{i} out of range")
+        shift = _W * (self.nvars - 1 - i)
+        unit = _unit(self.nvars, i)
         table = {}
-        for e, n in self._num.items():
-            k = e[i]
+        for key, n in self._num.items():
+            k = key >> shift & MAX_DEGREE
             if k:
-                table[e[:i] + (k - 1,) + e[i + 1 :]] = n * k
+                table[key - unit] = n * k
         return _reduced(self.nvars, table, self._den)
 
     # -- queries ----------------------------------------------------------------
@@ -154,8 +190,8 @@ class Poly:
         """Read-only map from each exponent tuple with a nonzero coefficient to that coefficient."""
         view = self._coeffs
         if view is None:
-            den = self._den
-            view = MappingProxyType({e: _frac(n, den) for e, n in self._num.items()})
+            den, nvars = self._den, self.nvars
+            view = MappingProxyType({_exponents(key, nvars): _frac(n, den) for key, n in self._num.items()})
             _set_coeffs(self, view)
         return view
 
@@ -170,7 +206,8 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        return max((sum(e) for e in self._num), default=0)
+        # the top digit of the largest key
+        return max(self._num, default=0) >> _W * self.nvars
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -203,7 +240,7 @@ _set_terms = Poly._terms.__set__
 _new = object.__new__
 
 
-def _init(out: Poly, nvars: int, num: dict[Exponents, int], den: int) -> None:
+def _init(out: Poly, nvars: int, num: dict[int, int], den: int) -> None:
     _set_nvars(out, nvars)
     _set_num(out, num)
     _set_den(out, den)
@@ -211,36 +248,51 @@ def _init(out: Poly, nvars: int, num: dict[Exponents, int], den: int) -> None:
     _set_terms(out, None)
 
 
-def _make(nvars: int, num: dict[Exponents, int], den: int) -> Poly:
+def _make(nvars: int, num: dict[int, int], den: int) -> Poly:
     """A polynomial from numerators and a denominator already in lowest terms."""
     out = _new(Poly)
     _init(out, nvars, num, den)
     return out
 
 
-def _reduced(nvars: int, table: dict[Exponents, int], den: int) -> Poly:
+def _reduced(nvars: int, table: dict[int, int], den: int) -> Poly:
     """A polynomial from numerators (zeros allowed) over ``den > 0``, brought to lowest terms."""
-    num = {e: n for e, n in table.items() if n}
+    num = {key: n for key, n in table.items() if n}
     if den != 1:
         g = gcd(den, *num.values())
         if g != 1:
             den //= g
-            num = {e: n // g for e, n in num.items()}
+            num = {key: n // g for key, n in num.items()}
     return _make(nvars, num, den)
 
 
 def sum_of_products(nvars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
-    """``sum(a * b for a, b in pairs)``, accumulated over one denominator and reduced once."""
+    """``sum(a * b for a, b in pairs)``, accumulated over one denominator and reduced once.
+
+    Raises ``OverflowError`` when a product's degree is above ``MAX_DEGREE``.
+    """
     den = lcm(1, *(a._den * b._den for a, b in pairs))
-    table: dict[Exponents, int] = {}
+    table: dict[int, int] = {}
     for a, b in pairs:
         scale = den // (a._den * b._den)
-        for e1, n1 in a._num.items():
+        right = b._num.items()
+        for k1, n1 in a._num.items():
             n1 *= scale
-            for e2, n2 in b._num.items():
-                e = tuple(map(add, e1, e2))
-                table[e] = table.get(e, 0) + n1 * n2
+            for k2, n2 in right:
+                k = k1 + k2
+                table[k] = table.get(k, 0) + n1 * n2
+    # a product above the limit has a top digit above it, carry or not
+    if table and max(table) >> _W * nvars > MAX_DEGREE:
+        raise _degree_error(max(a.degree + b.degree for a, b in pairs))
     return _reduced(nvars, table, den)
+
+
+def affine_row(p: Poly) -> tuple[int, ...] | None:
+    """The numerators of ``x0 .. x(n-1)`` in ``p``, over its denominator; None unless ``p`` is affine."""
+    if p.degree > 1:
+        return None
+    num = p._num
+    return tuple(num.get(_unit(p.nvars, i), 0) for i in range(p.nvars))
 
 
 def format_terms(terms: Mapping[Exponents, WeilElement]) -> str:
@@ -263,6 +315,7 @@ def format_terms(terms: Mapping[Exponents, WeilElement]) -> str:
     return " + ".join(parts)
 
 
+@cache
 def identity_map(nvars: int) -> tuple[Poly, ...]:
     """The tuple (x0, ..., x(n-1)) as a polynomial self-map."""
     return tuple(Poly.variable(nvars, i) for i in range(nvars))
@@ -278,18 +331,18 @@ def compose_map(f: Sequence[Poly], g: Sequence[Poly]) -> tuple[Poly, ...]:
     target = g[0].nvars
     if any(gi.nvars != target for gi in g):
         raise ValueError("composition arguments in different numbers of variables")
-    one = (0,) * target
-    products = {(0,) * nvars: _make(target, {one: 1}, 1)}
+    units = [_unit(nvars, i) for i in range(nvars)]
+    products = {0: _make(target, {0: 1}, 1)}  # keyed by the packed key of e
 
-    def product(e: Exponents) -> Poly:
-        # prod(g_i ** e_i), peeling one factor off the last variable in e
-        out = products.get(e)
+    def product(key: int) -> Poly:
+        # prod(g_i ** e_i), peeling one factor off the last variable in e: the lowest nonzero digit
+        out = products.get(key)
         if out is None:
-            i = max(j for j, k in enumerate(e) if k)
-            out = products[e] = product(e[:i] + (e[i] - 1,) + e[i + 1 :]) * g[i]
+            i = nvars - 1 - ((key & -key).bit_length() - 1) // _W
+            out = products[key] = product(key - units[i]) * g[i]
         return out
 
     return tuple(
-        sum_of_products(target, [(_reduced(target, {one: n}, fi._den), product(e)) for e, n in fi._num.items()])
+        sum_of_products(target, [(_reduced(target, {0: n}, fi._den), product(key)) for key, n in fi._num.items()])
         for fi in f
     )

@@ -7,9 +7,10 @@ parentheses.  The unicode minus sign is accepted.  Whitespace is
 insignificant.  Parentheses nest at most 100 deep.  Errors report the
 offending position and what was expected there.
 
-An optional degree limit bounds every product and power before it is
-expanded, and every exponent, so a short input cannot ask for an
-arbitrarily large polynomial.
+Every product and power is bounded before it is expanded, by the
+polynomial degree limit :data:`~microlie.poly.MAX_DEGREE` or by an optional
+lower degree limit, which also bounds every exponent, so a short input
+cannot ask for an arbitrarily large polynomial.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly
+from .poly import MAX_DEGREE, Poly
 
 
 class VectorFieldSyntaxError(ValueError):
@@ -88,14 +89,13 @@ class _Parser:
         self.tokens = tokens
         self.k = 0
         self.nvars = nvars
-        self.max_degree = max_degree
+        self.bounds_exponents = max_degree is not None
+        self.limit = MAX_DEGREE if max_degree is None else min(max_degree, MAX_DEGREE)
         self.depth = 0
 
     def check_degree(self, degree: int, tok: _Token, what: str = "degree") -> None:
-        if self.max_degree is not None and degree > self.max_degree:
-            raise VectorFieldSyntaxError(
-                tok.pos, f"{what} {degree} is above the degree limit {self.max_degree}"
-            )
+        if degree > self.limit:
+            raise VectorFieldSyntaxError(tok.pos, f"{what} {degree} is above the degree limit {self.limit}")
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -141,7 +141,8 @@ class _Parser:
             self.take()
             exp = self.expect("NUM", "a nonnegative integer exponent")
             k = _int(exp.text, exp.pos)
-            self.check_degree(k, exp, "exponent")
+            if self.bounds_exponents:
+                self.check_degree(k, exp, "exponent")
             self.check_degree(base.degree * k, exp)
             return base ** k
         return base
@@ -195,7 +196,8 @@ def parse_component(text: str, nvars: int, max_degree: int | None = None) -> Pol
 def parse_vector_field(text: str, dimension: int, max_degree: int | None = None) -> tuple[Poly, ...]:
     """Parse ';'-separated components into polynomials over the rationals.
 
-    With ``max_degree``, a product, power or exponent above it is a syntax error.
+    A product or power above ``MAX_DEGREE`` is a syntax error, and with
+    ``max_degree`` so is a product, power or exponent above it.
     """
     pieces = text.split(";")
     if len(pieces) != dimension:

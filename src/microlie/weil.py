@@ -25,8 +25,8 @@ and ``Fraction`` coefficients at its edges, and takes ``int`` or
 ``coefficient``, ``scalar_part``, the read-only ``coeffs`` mapping and
 ``str``.  Jets, points and the groupoids' slot view key rational
 coefficients by mask; ``from_masks`` and ``mask_coeffs`` convert at the
-edges that need an element, and ``from_mask_numerators`` and
-``mask_numerators`` speak the stored integer form, for the gauge jets.
+edges that need an element, and ``from_mask_integers`` and
+``mask_integers`` speak the stored integer form, for the gauge jets.
 :meth:`InfinitesimalDomain.check_masks` is the one stray-mask check.
 Elements and sections are reparametrised by a table of monomial images,
 checked once by :func:`monomial_images` and applied by
@@ -287,7 +287,7 @@ class WeilElement:
         return _from_fractions(domain, {b: _rational(c) for b, c in coeffs.items()})
 
     @classmethod
-    def from_mask_numerators(
+    def from_mask_integers(
         cls, domain: InfinitesimalDomain, numerators: Mapping[int, int], den: int
     ) -> "WeilElement":
         """The element ``numerators[b] / den`` on each surviving mask ``b``, for ``int``s and ``den > 0``."""
@@ -363,7 +363,7 @@ class WeilElement:
         den = self._den
         return {m: _frac(n, den) for m, n in self._num.items()}
 
-    def mask_numerators(self) -> tuple[dict[int, int], int]:
+    def mask_integers(self) -> tuple[dict[int, int], int]:
         """The stored form in lowest terms: nonzero integer numerators by mask (a new dict) and their denominator."""
         return dict(self._num), self._den
 

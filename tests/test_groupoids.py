@@ -626,7 +626,7 @@ def test_one_stray_mask_check_serves_every_mask_keyed_constructor():
     coeffs[0, 0, 0] = {2: 1}
     builds = [
         lambda: WeilElement.from_masks(D, {2: 1}),
-        lambda: WeilElement.from_mask_numerators(D, {2: 1}, 1),
+        lambda: WeilElement.from_mask_integers(D, {2: 1}, 1),
         lambda: WPoint.from_masks(AffineSpace(1), D, {2: [1]}),
         lambda: P1.from_slots(None, {(0, (1,)): {0: 1, 2: 1}}, D),
         lambda: GG.from_slots(shape, coeffs, D),
@@ -844,9 +844,17 @@ def test_every_construction_path_runs_the_checks(groupoid, monkeypatch):
 I2 = (1, 0, 0, 1)
 
 
-def test_gauge_sections_reject_stray_masks():
+@pytest.mark.parametrize(
+    "groupoid, data",
+    [
+        (P1, Jet(D, {0: (Poly.variable(1, 0),), 2: (Poly.variable(1, 0),)})),
+        (GG, ((0, 1), GaugeJet(D, {0: [I2, I2], 2: [I2, I2]}, 1))),
+    ],
+    ids=["pair", "gauge"],
+)
+def test_sections_reject_stray_masks(groupoid, data):
     with pytest.raises(ZeroMonomialError, match="masks \\[2\\] do not survive in D"):
-        WSection(GG, D, ((0, 1), GaugeJet(D, {0: [I2, I2], 2: [I2, I2]}, 1)))
+        WSection(groupoid, D, data)
 
 
 @pytest.mark.parametrize(

@@ -155,6 +155,8 @@ GOLDEN_REPORTS = {
     ("gauge:base=3:k=3", "none"): "068ce1b9f8afdd43b26ed0d660848bed517d5b29fa36483caa6081d2db117c86",
     ("gauge:base=4:k=1", "none"): "d96e713af5320f1801c62ca80c79143542633a13f79c78ee6061c36a6beb8985",
     ("gauge:base=4:k=2", "none"): "cca2f0d275e666e48745015a91112009f44be03f0a0d69bdb0b7ba453777b76f",
+    # the one accepted config whose polynomials reach degree 27
+    ("pair:dim=3:deg=3", "none"): "b14e7ce69ac0f0e598acb5db061108eb2fa6b1e9d1aa24199709c74e55ee7090",
 }
 
 
@@ -247,6 +249,13 @@ class TestCli:
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_bracket_text_is_pinned(self, capsys):
+        # the exact output, term order included, for one dense degree-3 pair
+        x_text = "(x0+x1+x2+1)^3; x0*x1*x2 - 2*x1^2; 1/2*x2^3"
+        y_text = "x1 - 3*x2^2*x0; (x0 - 2*x1 + 1/3)^3; (x0 - x1)^3 + x2"
+        assert main(["bracket", "--groupoid", "pair:dim=3", "--x", x_text, "--y", y_text]) == 0
+        assert capsys.readouterr().out == (Path(__file__).parent / "data" / "bracket_pair_dim3.txt").read_text()
 
     def test_bracket_accepts_degree_three(self, capsys):
         x_text = "(x0+x1+x2+1)^3; x0*x1*x2 - 2*x1^2; 1/2*x2^3"

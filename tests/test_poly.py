@@ -1,9 +1,12 @@
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microlie.groupoids import PairGroupoid, WSection, star
-from microlie.poly import Poly, RATIONALS, compose_map, identity_map
+from microlie.poly import MAX_DEGREE, Poly, RATIONALS, compose_map, identity_map
+from microlie.vfexpr import VectorFieldSyntaxError, parse_vector_field
 from microlie.weil import InfinitesimalDomain, WeilElement
 
 D = InfinitesimalDomain(1)
@@ -109,3 +112,168 @@ def test_equal_polynomials_hash_equally():
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
     assert len({a for pair in pairs for a in pair}) == 3
+
+
+def test_identity_map_is_built_once():
+    assert identity_map(3) is identity_map(3)
+    assert identity_map(3) == tuple(Poly(3, {tuple(int(i == j) for i in range(3)): 1}) for j in range(3))
+
+
+# -- a plain reference: {exponent tuple: Fraction}, no zero coefficients ------------------
+
+
+def ref_clean(table):
+    return {e: c for e, c in table.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, k, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_degree(a):
+    return max((sum(e) for e in a), default=0)
+
+
+def ref_derivative(a, i):
+    return ref_clean({e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in a.items() if e[i]})
+
+
+def ref_compose(f, g, target):
+    out = {}
+    for e, c in f.items():
+        term = {(0,) * target: c}
+        for gi, k in zip(g, e):
+            term = ref_mul(term, ref_pow(gi, k, target))
+        out = ref_add(out, term)
+    return out
+
+
+@st.composite
+def exponents(draw, nvars, top=MAX_DEGREE):
+    # mostly small exponents, so that products stay below the limit, and some up to it
+    budget, e = top, []
+    for _ in range(nvars):
+        k = draw(st.one_of(st.integers(0, min(2, budget)), st.integers(0, budget)))
+        e.append(k)
+        budget -= k
+    return tuple(e)
+
+
+def tables(nvars, top=MAX_DEGREE, max_size=5):
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.dictionaries(exponents(nvars, top), coeff, max_size=max_size).map(ref_clean)
+
+
+@st.composite
+def poly_pairs(draw):
+    nvars = draw(st.integers(0, 4))
+    return nvars, draw(tables(nvars)), draw(tables(nvars))
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs(), st.integers(0, 4))
+def test_arithmetic_matches_the_reference(case, k):
+    nvars, a, b = case
+    pa, pb = Poly(nvars, a), Poly(nvars, b)
+    for p, ref in ((pa, a), (pb, b)):
+        assert dict(p.coeffs) == ref
+        assert p.degree == ref_degree(ref)
+        for e in list(ref)[:2]:
+            assert p.coefficient(e) == ref[e]
+        assert p.coefficient((0,) * nvars) == ref.get((0,) * nvars, 0)
+    assert dict((pa + pb).coeffs) == ref_add(a, b)
+    assert (pa == pb) == (a == b)
+    assert pa + pb - pb == pa and hash(pa + pb - pb) == hash(pa)
+    if a and b and ref_degree(a) + ref_degree(b) > MAX_DEGREE:
+        with pytest.raises(OverflowError):
+            pa * pb
+    else:
+        assert dict((pa * pb).coeffs) == ref_mul(a, b)
+    if ref_degree(a) * k > MAX_DEGREE:
+        with pytest.raises(OverflowError):
+            pa**k
+    else:
+        assert dict((pa**k).coeffs) == ref_pow(a, k, nvars)
+    for i in range(nvars):
+        assert dict(pa.derivative(i).coeffs) == ref_derivative(a, i)
+
+
+@st.composite
+def compositions(draw):
+    nvars, target = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    f = draw(st.lists(tables(nvars, top=3, max_size=4), min_size=1, max_size=3))
+    g = draw(st.lists(tables(target, top=3, max_size=4), min_size=nvars, max_size=nvars))
+    return target, f, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(compositions())
+def test_compose_map_matches_the_reference(case):
+    target, f, g = case
+    nvars = len(g)
+    got = compose_map(tuple(Poly(nvars, fi) for fi in f), tuple(Poly(target, gi) for gi in g))
+    if not g:
+        assert got == tuple(Poly(0, fi) for fi in f)
+    else:
+        assert [dict(p.coeffs) for p in got] == [ref_compose(fi, g, target) for fi in f]
+
+
+# -- the degree limit --------------------------------------------------------------------
+
+
+def test_largest_exponent_round_trips():
+    for nvars in (1, 2, 3):
+        for i in range(nvars):
+            e = tuple(MAX_DEGREE if j == i else 0 for j in range(nvars))
+            p = Poly(nvars, {e: Fraction(-3, 7)})
+            assert dict(p.coeffs) == {e: Fraction(-3, 7)} and p.degree == MAX_DEGREE
+            assert p.derivative(i) == Poly(nvars, {e[:i] + (MAX_DEGREE - 1,) + e[i + 1 :]: Fraction(-3 * MAX_DEGREE, 7)})
+
+
+def test_products_past_the_limit_raise():
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    top = x**MAX_DEGREE
+    for make in (lambda: top * x, lambda: top * y, lambda: x ** (MAX_DEGREE + 1), lambda: (x * y) ** 64):
+        with pytest.raises(OverflowError, match=f"above the polynomial degree limit {MAX_DEGREE}"):
+            make()
+    # a constant has no degree to overflow
+    assert Poly.scalar(2, 2) ** (MAX_DEGREE + 1) == Poly.scalar(2, 2 ** (MAX_DEGREE + 1))
+
+
+def test_exponents_past_the_limit_raise():
+    for alpha in ((MAX_DEGREE + 1, 0), (MAX_DEGREE, 1)):
+        with pytest.raises(OverflowError):
+            Poly(2, {alpha: 1})
+        with pytest.raises(OverflowError):
+            Poly.zero(2).coefficient(alpha)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [(f"x0^{MAX_DEGREE + 1}", 3), (f"x0^{MAX_DEGREE}*x0", 6), ("(x0^64)^2", 8)],
+    ids=["power", "product", "nested-power"],
+)
+def test_parser_rejects_degrees_past_the_limit(text, position):
+    with pytest.raises(VectorFieldSyntaxError, match=f"above the degree limit {MAX_DEGREE}") as caught:
+        parse_vector_field(text, 1)
+    assert caught.value.position == position
+    assert parse_vector_field(f"x0^{MAX_DEGREE}", 1) == (Poly(1, {(MAX_DEGREE,): 1}),)
