@@ -11,6 +11,7 @@ machine-checked, with zero tolerance, by the suites in
 from .weil import (
     DomainMismatchError,
     InfinitesimalDomain,
+    Jet,
     RestrictionError,
     SubstitutionError,
     WeilElement,
@@ -37,11 +38,9 @@ from .spaces import (
 from .groupoids import (
     AGSection,
     Arrow,
-    GaugeJet,
     GroupoidInstance,
     GroupoidMismatchError,
     InvertibilityError,
-    Jet,
     NotDPointError,
     PairGroupoid,
     SectionChart,

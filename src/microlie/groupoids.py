@@ -20,34 +20,36 @@ Every constructed section is checked, derived ones included: ``WSection``
 runs the groupoid's ``section_data`` and ``WBisection`` also its
 ``check_bisection``, whether the data comes from a caller or from ``star``,
 ``invert_bisection``, ``substitute``, ``section_at`` or a chart.  The checks
-read integer numerators and build no ``Fraction``.  Pair ``section_data``
-checks the jet's masks and component shapes; pair ``check_bisection``
+read integer numerators and build no ``Fraction``; the jet constructor has
+already checked the masks, the scalar part and the denominator.  Pair
+``section_data`` checks the component shapes; pair ``check_bisection``
 rejects a scalar part with a term of degree above 1 and takes the Bareiss
 determinant of the linear part's numerator rows (clearing each row's
 denominator scales the determinant by a nonzero factor).  Gauge
-``section_data`` checks the base map, the jet's masks, the shape of every
-part and that every scalar table is nonsingular: a table equal to
-``den * I`` is (its determinant is ``den^k``), and any other takes a
-Bareiss determinant.  Gauge ``check_bisection`` checks that the base map is
-a permutation.
+``section_data`` checks the base map, the length of every part, that every
+entry is an ``int`` and that every scalar table is nonsingular: a table
+equal to ``den * I`` is (its determinant is ``den^k``), and any other takes
+a Bareiss determinant.  Gauge ``check_bisection`` checks that the base map
+is a permutation.
 
-A Weil-parametrised pair section is stored as a :class:`Jet`: one tuple of
-rational polynomials per surviving Weil monomial, keyed by mask.  By the
-Kock-Lawvere axiom a map of such a family is its finite Taylor polynomial
-in the nilpotent generators, so composing jets is a finite Taylor sum
-(:func:`_compose`) whose derivatives need no substitution when the inner
-map's scalar part is the identity, as it is for every flow and every star
-word of flows.  Evaluation at a Weil point is composition with a jet of
-constants.
+Both groupoids store a Weil-parametrised section through one
+:class:`~microlie.weil.Jet`, keyed by mask.  A pair section is the jet of
+its target map: one tuple of rational polynomials per surviving Weil
+monomial.  By the Kock-Lawvere axiom a map of such a family is its finite
+Taylor polynomial in the nilpotent generators, so composing jets is a
+finite Taylor sum (:func:`_compose`) whose derivatives need no substitution
+when the inner map's scalar part is the identity, as it is for every flow
+and every star word of flows.  Evaluation at a Weil point is composition
+with a jet of constants.
 
-A Weil-parametrised gauge section is stored as ``(base_map, jet)`` with a
-:class:`GaugeJet`: by the same axiom a table of matrices over a Weil domain
-is its family of coefficient tables, one per surviving mask, and each holds
-one integer k x k matrix per base point over a denominator common to the
-whole jet.  The product sums matrix products over the pairs of disjoint
-masks whose union survives; the inverse inverts the scalar part once per
-table and sums the finite nilpotent series.  Matrices of ``WeilElement``
-entries appear only in arrows.
+A gauge section is ``(base_map, jet)``: by the same axiom a table of
+matrices over a Weil domain is its family of coefficient tables, and the
+jet's part on each mask is one flat tuple of integer numerators, the k x k
+matrix of every base point in turn, over the jet's denominator.  The
+product sums matrix products over the pairs of disjoint masks whose union
+survives; the inverse inverts the scalar part once per table and sums the
+finite nilpotent series.  Matrices of ``WeilElement`` entries appear only
+in arrows.
 
 Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
 ``SectionChart``, ``star``, ``section_at`` and the harness only call its
@@ -81,6 +83,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import gcd, lcm
 from operator import add, mul
 from typing import Sequence
@@ -93,6 +96,7 @@ from .spaces import AffineSpace, MatrixGroup, WPoint
 from .weil import (
     DomainMismatchError,
     InfinitesimalDomain,
+    Jet,
     Rational,
     WeilElement,
     _rational,
@@ -229,7 +233,6 @@ class PairGroupoid:
     def section_data(self, domain: InfinitesimalDomain, data) -> "Jet":
         if not isinstance(data, Jet) or data.domain is not domain:
             raise ValueError("pair section data must be a jet over the section's domain")
-        domain.check_masks(data)
         for comps in data.values():
             if len(comps) != self.dim or any(not isinstance(c, Poly) or c.nvars != self.dim for c in comps):
                 raise ValueError(f"expected {self.dim} map components in {self.dim} variables")
@@ -253,7 +256,7 @@ class PairGroupoid:
         return Jet(e.domain, {**parts, 0: identity_map(self.dim)})
 
     def read_coefficient(self, data, monomial) -> tuple[Poly, ...]:
-        return data.get(data.domain.mask_of(monomial), self.ag_zero())
+        return data.coefficient(monomial, self.ag_zero())
 
     def substitute_data(self, data, table) -> "Jet":
         # part M of the image sums c * part b over the terms c d^M of table[b]
@@ -284,7 +287,6 @@ class PairGroupoid:
     def from_slots(self, shape: None, coeffs, domain: InfinitesimalDomain) -> "Jet":
         parts: dict[int, list[dict]] = {0: [{} for _ in range(self.dim)]}
         for (i, e), cs in coeffs.items():
-            domain.check_masks(cs)
             for b, c in cs.items():
                 parts.setdefault(b, [{} for _ in range(self.dim)])[i][e] = c
         return Jet(domain, {b: tuple(Poly(self.dim, t) for t in comps) for b, comps in parts.items()})
@@ -358,11 +360,13 @@ class TrivialGaugeGroupoid:
     """Arrows are triples (target index, fiber matrix, source index).
 
     Section data is ``(base_map, jet)``: a tuple of target indices and a
-    :class:`GaugeJet`, which holds the fiber matrices of every source point
-    as one integer matrix per Weil mask and base point over one common
-    denominator.  An arrow's fiber is a matrix of ``WeilElement`` entries,
-    built from the jet only in ``arrow_at``.  Lie algebroid data is a table
-    of rational k x k matrices, one per base point; a base point is an index.
+    :class:`~microlie.weil.Jet` whose part on each Weil mask is one flat
+    tuple of ``m * k * k`` integer numerators over the jet's denominator:
+    the row-major fiber matrix of every source point, base point by base
+    point, which is also the ``(x, i, j)`` slot order.  An arrow's fiber is
+    a matrix of ``WeilElement`` entries, built from the jet only in
+    ``arrow_at``.  Lie algebroid data is a table of rational k x k
+    matrices, one per base point; a base point is an index.
     """
 
     base_size: int
@@ -391,9 +395,10 @@ class TrivialGaugeGroupoid:
 
     def arrow_at(self, data, domain: InfinitesimalDomain, x: int) -> "Arrow":
         base_map, jet = data
-        k = self.matrix_size
-        fiber = tuple(tuple(jet.entry(x, i * k + j) for j in range(k)) for i in range(k))
-        return Arrow(self, (base_map[x],), (x,), fiber)
+        k, parts = self.matrix_size, jet.items()
+        entry = lambda s: WeilElement.from_mask_integers(domain, {b: p[s] for b, p in parts if p[s]}, jet.den)
+        rows = range(x * k * k, (x + 1) * k * k, k)
+        return Arrow(self, (base_map[x],), (x,), tuple(tuple(entry(s) for s in range(r, r + k)) for r in rows))
 
     # -- section data -----------------------------------------------------------------
 
@@ -407,14 +412,20 @@ class TrivialGaugeGroupoid:
             raise ValueError(f"expected a base map over {m} base points")
         if any(not 0 <= i < m for i in base_map):
             raise ValueError("base map leaves the base")
-        if not isinstance(jet, GaugeJet) or jet.domain is not domain:
+        if not isinstance(jet, Jet) or jet.domain is not domain:
             raise ValueError("gauge section data must be a matrix jet over the section's domain")
-        domain.check_masks(jet)
-        if any(len(mats) != m or any(len(t) != k * k for t in mats) for _, mats in jet.items()):
-            raise ValueError(f"fiber tables must be {k} x {k} over {m} base points")
+        kk = k * k
+        for part in jet.values():
+            if len(part) != m * kk:
+                raise ValueError(f"fiber tables must be {k} x {k} over {m} base points")
+            try:  # a one-component pair jet has the length of a gauge:base=1:k=1 part
+                gcd(*part)  # a TypeError unless every entry is an int, and cheaper than a type test per entry
+            except TypeError:
+                raise TypeError("fiber tables must hold int numerators") from None
         scaled_identity = tuple(jet.den * n for n in _identity(k))  # det den^k, so no determinant needed
-        for t in jet[0]:
-            if t != scaled_identity and not _determinant([t[i : i + k] for i in range(0, k * k, k)]):
+        scalar = jet[0]
+        for t in (scalar[at : at + kk] for at in range(0, m * kk, kk)):
+            if t != scaled_identity and not _determinant(_matrices(t, k)[0]):
                 raise InvertibilityError("fiber matrix has singular scalar part")
         return base_map, jet
 
@@ -424,65 +435,67 @@ class TrivialGaugeGroupoid:
 
     def identity_data(self, domain: InfinitesimalDomain) -> tuple:
         m = self.base_size
-        return tuple(range(m)), GaugeJet(domain, {0: [_identity(self.matrix_size)] * m}, 1)
+        return tuple(range(m)), Jet(domain, {0: _identity(self.matrix_size) * m})
 
     def star_data(self, sigma, rho) -> tuple:
         (f_s, s), (f_r, r) = sigma, rho
-        left = {b: [mats[y] for y in f_r] for b, mats in s.items()}  # sigma's fiber at beta(rho(x))
-        parts = _product(r.domain.masks, left, r, self.matrix_size)
-        return tuple(f_s[y] for y in f_r), GaugeJet(r.domain, parts, s.den * r.den)
+        k = self.matrix_size
+        left = {b: _gather(part, f_r, k) for b, part in s.items()}  # sigma's fiber at beta(rho(x))
+        parts = _product(r.domain.masks, left, r, k)
+        return tuple(f_s[y] for y in f_r), Jet(r.domain, parts, s.den * r.den)
 
     def inverse_data(self, data, domain: InfinitesimalDomain) -> tuple:
         """Invert each table by the finite series ``(sum_r C^r) A0^-1`` with ``C = -A0^-1 (A - A0)``."""
         base_map, jet = data
         m, k = self.base_size, self.matrix_size
         inverse_map = tuple(base_map.index(x) for x in range(m))
-        parts = {b: [mats[y] for y in inverse_map] for b, mats in jet.items()}
+        parts = {b: _gather(part, inverse_map, k) for b, part in jet.items()}
         # A0^-1 = den Q / q, with one rational inverse per table and q common to all
-        inverses = [matrices.q_inverse([t[i : i + k] for i in range(0, k * k, k)]) for t in parts.pop(0)]
+        inverses = [matrices.q_inverse(t) for t in _matrices(parts.pop(0), k)]
         q = lcm(1, *(c.denominator for inv in inverses for row in inv for c in row))
-        Q = [[c.numerator * (q // c.denominator) for row in inv for c in row] for inv in inverses]
+        Q = [c.numerator * (q // c.denominator) for inv in inverses for row in inv for c in row]
         # C over q: (den Q / q)(P_b / den) = Q P_b / q
-        c = {b: [[-n for n in _mat_mul(a, p, k)] for a, p in zip(Q, mats)] for b, mats in parts.items()}
+        c = {b: [-n for n in _mat_mul(Q, part, k)] for b, part in parts.items()}
         ok = domain.masks
-        series, power, den = {0: [_identity(k)] * m}, c, 1  # series holds sum_{r <= R} C^r over q^R
+        series, power, den = {0: _identity(k) * m}, c, 1  # series holds sum_{r <= R} C^r over q^R
         while power:
-            series = {b: [[n * q for n in t] for t in mats] for b, mats in series.items()}
-            _accumulate(series, power)
+            series = {b: [n * q for n in part] for b, part in series.items()}
+            for b, part in power.items():
+                _accumulate(series, b, part)
             den *= q
-            power = _nonzero(_product(ok, c, power, k))
-        right = {0: [[jet.den * n for n in a] for a in Q]}
-        return inverse_map, GaugeJet(domain, _product(ok, series, right, k), den * q)
+            power = {b: part for b, part in _product(ok, c, power, k).items() if any(part)}
+        right = {0: [jet.den * n for n in Q]}
+        return inverse_map, Jet(domain, _product(ok, series, right, k), den * q)
 
     def flow_data(self, fields, e: WeilElement) -> tuple:
         # X_e = I + e X, for a square-zero e with no scalar part (section_at checks)
         m, k = self.base_size, self.matrix_size
         q = lcm(1, *(c.denominator for t in fields for row in t for c in row))
-        X = [[c.numerator * (q // c.denominator) for row in t for c in row] for t in fields]
+        X = [c.numerator * (q // c.denominator) for t in fields for row in t for c in row]
         num, den = e.mask_integers()
-        parts = {b: [[n * x for x in t] for t in X] for b, n in num.items()}
-        parts[0] = [[den * q * n for n in _identity(k)]] * m
-        return tuple(range(m)), GaugeJet(e.domain, parts, den * q)
+        parts = {b: [n * x for x in X] for b, n in num.items()}
+        parts[0] = [den * q * n for n in _identity(k)] * m
+        return tuple(range(m)), Jet(e.domain, parts, den * q)
 
     def read_coefficient(self, data, monomial) -> tuple[Matrix, ...]:
         jet = data[1]
-        part = jet.get(jet.domain.mask_of(monomial))
+        part = jet.coefficient(monomial)
         if part is None:
             return self.ag_zero()
-        k, den = self.matrix_size, jet.den
-        return tuple(tuple(tuple(Fraction(n, den) for n in t[i : i + k]) for i in range(0, k * k, k)) for t in part)
+        den = jet.den
+        return tuple(tuple(tuple(Fraction(n, den) for n in r) for r in t) for t in _matrices(part, self.matrix_size))
 
     def substitute_data(self, data, table) -> tuple:
         # part M of the image sums c * part b over the terms c d^M of table[b]
         base_map, jet = data
-        images = [(mats, table[b].mask_integers()) for b, mats in jet.items()]
+        images = [(part, table[b].mask_integers()) for b, part in jet.items()]
         q = lcm(1, *(d for _, (_, d) in images))
-        sums: dict[int, list[list[int]]] = {}
-        for mats, (num, d) in images:
+        sums: dict[int, list[int]] = {}
+        for part, (num, d) in images:
             for M, n in num.items():
                 c = n * (q // d)
-                _accumulate(sums, {M: [[c * x for x in t] for t in mats]})
-        return base_map, GaugeJet(table[0].domain, sums, jet.den * q)
+                _accumulate(sums, M, [c * x for x in part])
+        return base_map, Jet(table[0].domain, sums, jet.den * q)
 
     def section_repr(self, data) -> str:
         return f"base {data[0]}"
@@ -491,26 +504,21 @@ class TrivialGaugeGroupoid:
 
     def slots(self, data) -> tuple[tuple[int, ...], dict]:
         base_map, jet = data
-        k, den = self.matrix_size, jet.den
-        return base_map, {
-            (x, i, j): {b: Fraction(mats[x][i * k + j], den) for b, mats in jet.items() if mats[x][i * k + j]}
-            for x in range(self.base_size)
-            for i in range(k)
-            for j in range(k)
-        }
+        den, parts = jet.den, jet.items()
+        return base_map, {slot: {b: Fraction(p[s], den) for b, p in parts if p[s]} for s, slot in self._slots()}
 
     def from_slots(self, shape: tuple[int, ...], coeffs, domain: InfinitesimalDomain) -> tuple:
-        m, k = self.base_size, self.matrix_size
-        entries = [coeffs[x, i, j] for x in range(m) for i in range(k) for j in range(k)]
-        domain.check_masks(b for cs in entries for b in cs)
-        entries = [{b: _rational(c) for b, c in cs.items()} for cs in entries]
+        entries = [{b: _rational(c) for b, c in coeffs[slot].items()} for _, slot in self._slots()]
         q = lcm(1, *(c.denominator for cs in entries for c in cs.values()))
-        parts: dict[int, list[list[int]]] = {0: [[0] * (k * k) for _ in range(m)]}
-        for slot, cs in enumerate(entries):
-            x, e = divmod(slot, k * k)
+        parts: dict[int, list[int]] = {0: [0] * len(entries)}
+        for s, cs in enumerate(entries):
             for b, c in cs.items():
-                parts.setdefault(b, [[0] * (k * k) for _ in range(m)])[x][e] = c.numerator * (q // c.denominator)
-        return shape, GaugeJet(domain, parts, q)
+                parts.setdefault(b, [0] * len(entries))[s] = c.numerator * (q // c.denominator)
+        return shape, Jet(domain, parts, q)
+
+    def _slots(self):
+        """Each slot ``(x, i, j)`` with its index in a part's numerators."""
+        return enumerate(product(range(self.base_size), range(self.matrix_size), range(self.matrix_size)))
 
     # -- Lie algebroid data -------------------------------------------------------------
 
@@ -558,13 +566,13 @@ class TrivialGaugeGroupoid:
         rng.shuffle(perm)
         return WBisection(self, domain, (perm, self._rand_tables(rng, domain, scalar_exact)))
 
-    def _rand_tables(self, rng: random.Random, domain, scalar_exact: bool) -> "GaugeJet":
+    def _rand_tables(self, rng: random.Random, domain, scalar_exact: bool) -> Jet:
         m, kk = self.base_size, self.matrix_size**2
-        parts: dict[int, list[list[int]]] = {}
-        for x in range(m):
+        parts: dict[int, list[int]] = {}
+        for at in range(0, m * kk, kk):
             for b, t in _rand_fiber(rng, self.matrix_size, domain, scalar_exact).items():
-                parts.setdefault(b, [[0] * kk for _ in range(m)])[x] = t
-        return GaugeJet(domain, parts, 1)
+                parts.setdefault(b, [0] * (m * kk))[at : at + kk] = t
+        return Jet(domain, parts)
 
     def base_points(self, rng: random.Random, domain) -> range:
         """The points a pointwise law checks: all of them, drawing nothing from ``rng``."""
@@ -701,117 +709,7 @@ def star_word(*sections: WSection) -> WSection:
     return acc
 
 
-# -- jets: Weil-parametrised polynomial maps ------------------------------------------------
-
-
-class Jet(Mapping):
-    """A Weil-parametrised polynomial map, stored one rational map per Weil monomial.
-
-    ``jet[b]`` is the tuple of component polynomials on the monomial of
-    ``domain`` with mask ``b`` (see ``InfinitesimalDomain.masks``).  Mask 0,
-    the scalar part, is always present; any other mask whose components are
-    all zero is left out, so equal maps are equal jets.  Jets are read-only
-    and hash consistently with ``==``.
-    """
-
-    __slots__ = ("domain", "_parts")
-
-    def __init__(self, domain: InfinitesimalDomain, parts: Mapping[int, Sequence[Poly]]) -> None:
-        table = {b: tuple(comps) for b, comps in parts.items() if not b or any(comps)}
-        if 0 not in table:
-            raise ValueError("a jet needs its scalar part, mask 0")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_parts", table)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Jet is immutable")
-
-    def __getitem__(self, b: int) -> tuple[Poly, ...]:
-        return self._parts[b]
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Jet) and self.domain is other.domain and self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash((self.domain, frozenset(self._parts.items())))
-
-    def __repr__(self) -> str:
-        return f"Jet({self.domain!r}; {self._parts})"
-
-
-class GaugeJet(Mapping):
-    """A Weil-parametrised table of k x k matrices, stored one integer matrix per Weil mask and base point.
-
-    ``jet[b][x]`` is the numerator matrix, flat and row-major (``k * k``
-    ints), of base point ``x`` on the monomial of ``domain`` with mask
-    ``b``.  Every part shares the positive denominator ``den`` and the whole
-    is in lowest terms.  Mask 0, the scalar part, is always present; any
-    other part whose matrices are all zero is left out, so equal tables are
-    equal jets.  The constructor takes integer parts (zeros allowed, mask 0
-    present, one shape) over any positive denominator and brings them to
-    that form.  Jets are read-only and hash consistently with ``==``.
-    """
-
-    __slots__ = ("domain", "den", "_parts")
-
-    def __init__(self, domain: InfinitesimalDomain, parts: Mapping[int, Sequence[Sequence[int]]], den: int) -> None:
-        if 0 not in parts:
-            raise ValueError("a jet needs its scalar part, mask 0")
-        if not isinstance(den, int) or den <= 0:
-            raise ValueError(f"a gauge jet needs a positive integer denominator, got {den!r}")
-        table = {b: mats for b, mats in parts.items() if not b or any(map(any, mats))}
-        if den != 1:
-            g = den
-            for mats in table.values():
-                for t in mats:
-                    g = gcd(g, *t)
-            if g != 1:
-                den //= g
-                table = {b: [[n // g for n in t] for t in mats] for b, mats in table.items()}
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_parts", {b: tuple(map(tuple, mats)) for b, mats in table.items()})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GaugeJet is immutable")
-
-    def __getitem__(self, b: int) -> tuple[tuple[int, ...], ...]:
-        return self._parts[b]
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def items(self):
-        return self._parts.items()
-
-    def entry(self, x: int, e: int) -> WeilElement:
-        """The Weil element at flat entry ``e`` of base point ``x``'s matrix."""
-        return WeilElement.from_mask_integers(
-            self.domain, {b: mats[x][e] for b, mats in self._parts.items() if mats[x][e]}, self.den
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GaugeJet)
-            and self.domain is other.domain
-            and self.den == other.den
-            and self._parts == other._parts
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.den, frozenset(self._parts.items())))
-
-    def __repr__(self) -> str:
-        return f"GaugeJet({self.domain!r}; {self._parts} / {self.den})"
+# -- jet arithmetic: flat tables of integer matrices, then polynomial maps ------------------------
 
 
 @cache
@@ -819,35 +717,45 @@ def _identity(k: int) -> tuple[int, ...]:
     return tuple(int(i == j) for i in range(k) for j in range(k))
 
 
+def _matrices(part: Sequence[int], k: int) -> list[list[Sequence[int]]]:
+    """The k x k matrices of a flat table, one list of rows per base point."""
+    return [[part[i : i + k] for i in range(at, at + k * k, k)] for at in range(0, len(part), k * k)]
+
+
+def _gather(part: Sequence[int], points: Sequence[int], k: int) -> list[int]:
+    """The k x k blocks of a flat table at the given base points, in their order."""
+    kk = k * k
+    return [n for y in points for n in part[y * kk : y * kk + kk]]
+
+
 def _mat_mul(a: Sequence[int], b: Sequence[int], k: int) -> list[int]:
-    """The product of two flat row-major k x k integer matrices."""
-    cols = [b[j::k] for j in range(k)]
-    return [sum(map(mul, a[i : i + k], col)) for i in range(0, k * k, k) for col in cols]
+    """The pointwise product of two flat tables of row-major k x k integer matrices."""
+    kk = k * k
+    out: list[int] = []
+    for at in range(0, len(a), kk):
+        cols = [b[j : at + kk : k] for j in range(at, at + k)]
+        out += [sum(map(mul, a[i : i + k], col)) for i in range(at, at + kk, k) for col in cols]
+    return out
 
 
-def _product(ok: frozenset[int], left: Mapping, right: Mapping, k: int) -> dict[int, list[list[int]]]:
+def _product(ok: frozenset[int], left: Mapping, right: Mapping, k: int) -> dict[int, list[int]]:
     """Numerators of a jet product: part M sums ``left[b1] @ right[b2]`` pointwise.
 
     The sum runs over the disjoint masks ``b1``, ``b2`` with ``b1 | b2 = M`` in ``ok``.
     """
-    sums: dict[int, list[list[int]]] = {}
+    sums: dict[int, list[int]] = {}
     for b1, a in left.items():
         for b2, c in right.items():
             if b1 & b2 or b1 | b2 not in ok:
                 continue  # a repeated generator squares to zero, and so does a vanishing monomial
-            _accumulate(sums, {b1 | b2: [_mat_mul(x, y, k) for x, y in zip(a, c)]})
+            _accumulate(sums, b1 | b2, _mat_mul(a, c, k))
     return sums
 
 
-def _accumulate(sums: dict[int, list[list[int]]], parts: Mapping) -> None:
-    """Add integer ``parts`` into ``sums`` in place, mask by mask and entry by entry."""
-    for b, mats in parts.items():
-        acc = sums.get(b)
-        sums[b] = list(mats) if acc is None else [list(map(add, s, t)) for s, t in zip(acc, mats)]
-
-
-def _nonzero(parts: dict[int, list[list[int]]]) -> dict[int, list[list[int]]]:
-    return {b: mats for b, mats in parts.items() if any(map(any, mats))}
+def _accumulate(sums: dict[int, list[int]], b: int, part: list[int]) -> None:
+    """Add the integer ``part`` into ``sums[b]``, entry by entry."""
+    acc = sums.get(b)
+    sums[b] = part if acc is None else list(map(add, acc, part))
 
 
 def _compose(f: Jet, g: Jet) -> Jet:

@@ -17,9 +17,10 @@ degree at most :data:`MAX_DEGREE` never carries; a product above it raises
 ``OverflowError``.  Exponent tuples appear only at the API edges: the
 constructor, ``coefficient``, the read-only ``coeffs`` mapping,
 ``derivative``'s variable, ``degree`` and ``str``, which speak
-``Fraction`` for coefficients.  ``terms`` is ``coeffs`` with each
-coefficient as a scalar Weil element over :data:`RATIONALS`, built on first
-read.
+``Fraction`` for coefficients; :func:`format_poly` writes the input
+grammar of :mod:`microlie.vfexpr` straight from the numerators.  ``terms``
+is ``coeffs`` with each coefficient as a scalar Weil element over
+:data:`RATIONALS`, built on first read.
 
 A Weil-parametrised family of polynomial maps is not a polynomial with
 Weil coefficients here: the pair groupoid stores it as a jet, one rational
@@ -313,6 +314,32 @@ def format_terms(terms: Mapping[Exponents, WeilElement]) -> str:
         else:
             parts.append(f"({cs})*{body}" if needs_parens else f"{cs}*{body}")
     return " + ".join(parts)
+
+
+def format_poly(p: Poly) -> str:
+    """``p`` in the input grammar of :mod:`microlie.vfexpr`, by degree, then exponents descending.
+
+    Each coefficient is written from its numerator over the denominator,
+    reduced by their gcd, so no ``Fraction`` is built.
+    """
+    if not p._num:
+        return "0"
+    nvars, den, num = p.nvars, p._den, p._num
+    top = _W * nvars
+    parts: list[str] = []
+    for key in sorted(num, key=lambda k: (k >> top, -k)):  # one degree's keys order as its exponents
+        n = num[key]
+        a = abs(n)
+        g = gcd(a, den)
+        c = str(a // g) if g == den else f"{a // g}/{den // g}"
+        names = [f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(_exponents(key, nvars)) if k]
+        body = "*".join(names if a == den else [c, *names]) if names else c
+        if parts:
+            body = ("+ " if n > 0 else "- ") + body
+        elif n < 0:
+            body = "-" + body
+        parts.append(body)
+    return " ".join(parts)
 
 
 @cache

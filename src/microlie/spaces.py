@@ -8,11 +8,13 @@ entries row-major.  Each space class gives its number of coordinates
 
 By the Kock-Lawvere axiom a point of a space over an InfinitesimalDomain
 is its family of coefficient vectors, one per surviving monomial, and a
-:class:`WPoint` stores just that, keyed by mask.  Over the one-generator
-domain a point is a tangent vector; over ``D^2`` a microsquare; over
-``D^3`` a microcube.  :meth:`WPoint.coefficient` reads one monomial's
-vector.  :func:`restrict_point` drops the vectors of monomials that vanish
-in a coarser domain, :func:`sigma_perm` relabels mask bits, and
+:class:`WPoint` stores just that as a :class:`~microlie.weil.Jet` of
+``Fraction`` vectors.  Over the one-generator domain a point is a tangent
+vector; over ``D^2`` a microsquare; over ``D^3`` a microcube.
+:meth:`WPoint.coefficient` reads one monomial's vector.  A point built
+from given coordinates is checked in full.  :func:`restrict_point` (the
+jet's ``restrict``) and :func:`sigma_perm` (its ``relabel``) keep the
+scalar part of a checked point, so they check nothing again, and
 :func:`tangent_combine` adds two tangents at one base point; none of them
 builds a Weil element, which appear only in a point's ``repr``.
 
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import matrices
@@ -45,13 +46,11 @@ from .weil import (
     LINE,
     SCALAR,
     InfinitesimalDomain,
+    Jet,
     Monomial,
     Rational,
-    RestrictionError,
     WeilElement,
-    _indices,
     _rational,
-    check_permutation,
 )
 
 
@@ -104,15 +103,15 @@ Space = AffineSpace | MatrixGroup
 class WPoint:
     """A point of a space over a Weil domain, stored as its jet.
 
-    ``parts`` is the read-only map from each mask (see
-    ``InfinitesimalDomain.masks``) to that monomial's vector of ``flat_dim``
-    ``Fraction`` coordinates.  Mask 0, the scalar part, is always present;
-    any other all-zero vector is left out, so equal points have equal parts.
-    The constructor takes the vectors keyed by monomial and
-    :meth:`from_masks` keyed by mask; absent monomials are zero.
+    ``parts`` is the :class:`~microlie.weil.Jet` of the point: each mask's
+    vector of ``flat_dim`` ``Fraction`` coordinates, with mask 0, the scalar
+    part, always present and every other all-zero vector left out, so equal
+    points have equal parts.  The constructor takes the vectors keyed by
+    monomial and :meth:`from_masks` keyed by mask; absent monomials are
+    zero.  Both check every coordinate and the scalar part's membership.
     """
 
-    __slots__ = ("space", "domain", "parts")
+    __slots__ = ("space", "parts")
 
     def __new__(
         cls, space: Space, domain: InfinitesimalDomain, columns: Mapping[Iterable[int], Sequence[Rational]]
@@ -125,36 +124,30 @@ class WPoint:
     @classmethod
     def from_masks(cls, space: Space, domain: InfinitesimalDomain, parts: Mapping[int, Sequence[Rational]]) -> "WPoint":
         """The point with coordinate vector ``parts[b]`` on the monomial of each surviving mask ``b``."""
-        domain.check_masks(parts)
         n = space.flat_dim
         table = {0: (Fraction(0),) * n}
         for b, vector in parts.items():
             vector = tuple(map(_rational, vector))
             if len(vector) != n:
                 raise ValueError(f"expected {n} coordinates, got {len(vector)}")
-            if not b or any(vector):
-                table[b] = vector
-        space.check(table[0])
-        point = object.__new__(cls)
-        object.__setattr__(point, "space", space)
-        object.__setattr__(point, "domain", domain)
-        object.__setattr__(point, "parts", MappingProxyType(table))
-        return point
+            table[b] = vector
+        jet = Jet(domain, table)
+        space.check(jet[0])
+        return _point(space, jet)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("WPoint is immutable")
 
+    @property
+    def domain(self) -> InfinitesimalDomain:
+        return self.parts.domain
+
     def coefficient(self, monomial: Iterable[int]) -> tuple[Fraction, ...]:
         """The given monomial's coefficient in every coordinate."""
-        return self.parts.get(self.domain.mask_of(monomial)) or (Fraction(0),) * self.space.flat_dim
+        return self.parts.coefficient(monomial) or (Fraction(0),) * self.space.flat_dim
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WPoint)
-            and self.space == other.space
-            and self.domain is other.domain
-            and self.parts == other.parts
-        )
+        return isinstance(other, WPoint) and self.space == other.space and self.parts == other.parts
 
     def __repr__(self) -> str:
         coords = (
@@ -162,6 +155,14 @@ class WPoint:
             for i in range(self.space.flat_dim)
         )
         return f"WPoint({self.space}, {self.domain!r}; {', '.join(map(str, coords))})"
+
+
+def _point(space: Space, jet: Jet) -> WPoint:
+    """The point with the given jet, which is already checked: a restriction or relabelling of a point's jet."""
+    point = object.__new__(WPoint)
+    object.__setattr__(point, "space", space)
+    object.__setattr__(point, "parts", jet)
+    return point
 
 
 class Tangent:
@@ -212,9 +213,7 @@ def tangent_from_parts(space: Space, base: Sequence[Rational], direction: Sequen
 
 def restrict_point(p: WPoint, sub: InfinitesimalDomain) -> WPoint:
     """Push a point into a coarser domain: the vectors of newly vanishing monomials drop."""
-    if not sub.coarsens(p.domain):
-        raise RestrictionError(f"{sub!r} is not a coarsening of {p.domain!r}")
-    return WPoint.from_masks(p.space, sub, {b: v for b, v in p.parts.items() if b in sub.masks})
+    return _point(p.space, p.parts.restrict(sub))
 
 
 # -- strong difference of microsquares ---------------------------------------------
@@ -248,10 +247,7 @@ def strong_difference(plus: WPoint, minus: WPoint) -> Tangent:
 
 def sigma_perm(gamma: WPoint, eps: Sequence[int]) -> WPoint:
     """Permute the cube's arguments: result(d1..dn) = gamma(d_eps(1), ..., d_eps(n))."""
-    p = check_permutation(eps, gamma.domain.generator_count)
-    # the vector on monomial S moves to eps(S)
-    parts = {sum(1 << (p[i - 1] - 1) for i in _indices(b)): v for b, v in gamma.parts.items()}
-    return WPoint.from_masks(gamma.space, gamma.domain.permuted(p), parts)
+    return _point(gamma.space, gamma.parts.relabel(eps))  # the vector on monomial S moves to eps(S)
 
 
 _PSI_PERM = {1: (3, 1, 2), 2: (1, 3, 2), 3: (1, 2, 3)}

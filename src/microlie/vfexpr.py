@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import MAX_DEGREE, Poly
+from .poly import MAX_DEGREE, Poly, format_poly
 
 
 class VectorFieldSyntaxError(ValueError):
@@ -213,27 +213,6 @@ def parse_vector_field(text: str, dimension: int, max_degree: int | None = None)
             raise VectorFieldSyntaxError(offset + exc.position, str(exc).split(": ", 1)[1]) from None
         offset += len(piece) + 1
     return tuple(out)
-
-
-def format_poly(poly: Poly) -> str:
-    """Render a rational polynomial in the input grammar."""
-    if not poly:
-        return "0"
-    parts: list[str] = []
-    for e in sorted(poly.coeffs, key=lambda t: (sum(t), tuple(-k for k in t))):
-        c = poly.coeffs[e]
-        names = [f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k]
-        if not names:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = "*".join(names)
-        else:
-            body = "*".join([str(abs(c))] + names)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
 
 
 def format_vector_field(components) -> str:

@@ -23,24 +23,29 @@ is dropped by two integer tests.  The API speaks ``frozenset`` monomials
 and ``Fraction`` coefficients at its edges, and takes ``int`` or
 ``Fraction`` coefficients only (:func:`_rational`): the constructor,
 ``coefficient``, ``scalar_part``, the read-only ``coeffs`` mapping and
-``str``.  Jets, points and the groupoids' slot view key rational
-coefficients by mask; ``from_masks`` and ``mask_coeffs`` convert at the
-edges that need an element, and ``from_mask_integers`` and
-``mask_integers`` speak the stored integer form, for the gauge jets.
-:meth:`InfinitesimalDomain.check_masks` is the one stray-mask check.
+``str``; ``from_masks``, ``mask_coeffs``, ``from_mask_integers`` and
+``mask_integers`` convert to and from coefficients keyed by mask.
+
+By the Kock-Lawvere axiom a map out of a Weil domain is its family of
+coefficients, and one :class:`Jet` stores every such family: pair and gauge
+sections and points.  It owns their invariants and the operations on masks
+alone: a checked ``coefficient`` lookup, ``restrict`` (a filter on masks)
+and ``relabel`` (a renaming of mask bits).  Its constructor makes the one
+stray-mask check for them, :meth:`InfinitesimalDomain.check_masks`.
 Elements and sections are reparametrised by a table of monomial images,
 checked once by :func:`monomial_images` and applied by
-:meth:`WeilElement.image`; a point is only relabelled, bit by bit.
+:meth:`WeilElement.image`; a point is only relabelled.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from operator import index
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 Monomial = frozenset[int]
 Rational = Fraction | int
@@ -230,6 +235,90 @@ LINE = InfinitesimalDomain(1)
 D2 = InfinitesimalDomain(2)
 D3 = InfinitesimalDomain(3)
 AXES2 = InfinitesimalDomain.first_order(2)
+
+
+class Jet(Mapping):
+    """A map out of a Weil domain, stored as its family of coefficients (Kock-Lawvere).
+
+    ``jet[b]`` is the part on the monomial of ``domain`` with mask ``b``: a
+    tuple of the family's coefficients (rational polynomials for a pair
+    section, integer numerators for a gauge section, ``Fraction``
+    coordinates for a point) over the positive denominator ``den``.  Every
+    mask survives and mask 0, the scalar part, is present; any other
+    all-zero part is left out, and when ``den`` is not 1 the integer parts
+    are in lowest terms with it, so equal families are equal jets.  Jets are
+    read-only and hash consistently with ``==``.
+    """
+
+    __slots__ = ("domain", "den", "_parts")
+
+    def __init__(self, domain: InfinitesimalDomain, parts: Mapping[int, Sequence], den: int = 1) -> None:
+        domain.check_masks(parts)
+        if 0 not in parts:
+            raise ValueError("a jet needs its scalar part, mask 0")
+        if type(den) is not int or den <= 0:
+            raise ValueError(f"a jet needs a positive integer denominator, got {den!r}")
+        table = {b: tuple(part) for b, part in parts.items() if not b or any(part)}
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(table.values()))
+            if g != 1:
+                den //= g
+                table = {b: tuple(n // g for n in part) for b, part in table.items()}
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_parts", table)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Jet is immutable")
+
+    def __getitem__(self, b: int) -> tuple:
+        return self._parts[b]
+
+    def __iter__(self):
+        return iter(self._parts)
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def items(self):
+        return self._parts.items()
+
+    def values(self):
+        return self._parts.values()
+
+    def coefficient(self, monomial: Iterable[int], default=None):
+        """The part on a surviving monomial (checked by ``mask_of``), or ``default`` where it is zero."""
+        return self._parts.get(self.domain.mask_of(monomial), default)
+
+    def restrict(self, sub: InfinitesimalDomain) -> "Jet":
+        """The jet over a coarser domain: the parts of newly vanishing monomials drop."""
+        if not sub.coarsens(self.domain):
+            raise RestrictionError(f"{sub!r} is not a coarsening of {self.domain!r}")
+        ok = sub.masks
+        return Jet(sub, {b: part for b, part in self._parts.items() if b in ok}, self.den)
+
+    def relabel(self, perm: Sequence[int]) -> "Jet":
+        """Rename generator i as ``perm[i-1]``: the part on S moves to perm(S), over the permuted domain."""
+        bits = [1 << (i - 1) for i in check_permutation(perm, self.domain.generator_count)]
+        return Jet(
+            self.domain.permuted(perm),
+            {sum(bits[i - 1] for i in _indices(b)): part for b, part in self._parts.items()},
+            self.den,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Jet)
+            and self.domain is other.domain
+            and self.den == other.den
+            and self._parts == other._parts
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.den, frozenset(self._parts.items())))
+
+    def __repr__(self) -> str:
+        return f"Jet({self.domain!r}; {self._parts} / {self.den})"
 
 
 def _require_same(a: InfinitesimalDomain, b: InfinitesimalDomain) -> None:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from microlie import matrices
 from microlie.spaces import (
     AffineSpace,
     CompatibilityError,
@@ -97,7 +98,7 @@ class TestPoints:
 
     def test_parts_are_in_normal_form(self):
         p = WPoint(A3, D2, {(1,): (0, 0, 0), (1, 2): (1, 0, Fraction(1, 2))})
-        assert p.parts == {0: (0, 0, 0), 3: (1, 0, Fraction(1, 2))}
+        assert dict(p.parts) == {0: (0, 0, 0), 3: (1, 0, Fraction(1, 2))} and p.parts.den == 1
         assert all(type(c) is Fraction for v in p.parts.values() for c in v)
         assert p == WPoint.from_masks(A3, D2, {3: (1, 0, Fraction(1, 2))})
         assert p.coefficient({2}) == (0, 0, 0) and all(type(c) is Fraction for c in p.coefficient({2}))
@@ -119,6 +120,22 @@ class TestPoints:
             WPoint(MatrixGroup(2), D, {frozenset(): (1, 0, 0)})
         with pytest.raises(MembershipError):
             WPoint(MatrixGroup(2), D, {frozenset({1}): (1, 0, 0, 1)})
+
+    def test_restriction_and_relabelling_take_no_determinant(self, monkeypatch):
+        # both keep the scalar part of a checked point, which is all that membership reads
+        calls = []
+        check = matrices.q_is_invertible
+        monkeypatch.setattr(matrices, "q_is_invertible", lambda rows: calls.append(rows) or check(rows))
+        gamma = WPoint(MatrixGroup(2), D3, {(): (1, 2, 0, 1), (1, 3): (1, 0, 0, 0), (2,): (0, 0, 3, 0)})
+        assert len(calls) == 1
+        restricted, permuted = restrict_point(gamma, InfinitesimalDomain(3, [(1, 3)])), sigma_perm(gamma, (2, 3, 1))
+        assert len(calls) == 1
+        assert set(restricted.parts) == {0, 2} and restricted.coefficient({2}) == (0, 0, 3, 0)
+        assert permuted.coefficient({2, 1}) == (1, 0, 0, 0) and permuted.coefficient({3}) == (0, 0, 3, 0)
+        assert permuted.parts[0] is gamma.parts[0]
+        with pytest.raises(MembershipError, match="singular scalar part"):
+            WPoint(MatrixGroup(2), D3, {(): (1, 2, 2, 4)})
+        assert len(calls) == 2
 
 
 def test_space_classes_share_one_interface():
