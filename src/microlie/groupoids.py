@@ -1,7 +1,7 @@
 """Concrete groupoids, Weil-parametrized sections and bisections.
 
 Two instances are built: the pair groupoid of an affine space (arrows are
-ordered pairs of base points, sections are polynomial self-maps recorded
+ordered pairs of points, sections are polynomial self-maps recorded
 through their target map), and the gauge groupoid of a trivial bundle over
 a finite base (arrows are ``(target, matrix, source)`` triples, sections
 are per-point tables).
@@ -40,7 +40,8 @@ Taylor polynomial in the nilpotent generators, so composing jets is a
 finite Taylor sum (:func:`_compose`) whose derivatives need no substitution
 when the inner map's scalar part is the identity, as it is for every flow
 and every star word of flows.  Evaluation at a Weil point is composition
-with a jet of constants.
+with the point's jet of constants, and the arrow's ends are
+:class:`~microlie.spaces.WPoint` s.
 
 A gauge section is ``(base_map, jet)``: by the same axiom a table of
 matrices over a Weil domain is its family of coefficient tables, and the
@@ -48,8 +49,8 @@ jet's part on each mask is one flat tuple of integer numerators, the k x k
 matrix of every base point in turn, over the jet's denominator.  The
 product sums matrix products over the pairs of disjoint masks whose union
 survives; the inverse inverts the scalar part once per table and sums the
-finite nilpotent series.  Matrices of ``WeilElement`` entries appear only
-in arrows.
+finite nilpotent series.  An arrow's fiber is the jet of one base point's
+block, and arrows compose by the same product.
 
 Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
 ``SectionChart``, ``star``, ``section_at`` and the harness only call its
@@ -63,12 +64,12 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
   ``read_coefficient`` and ``section_repr`` for section data;
 * ``substitute_data(data, table)``, the one reparametrisation of section
   data, by a table of Weil monomial images (see :meth:`WSection.substitute`);
-* ``slots`` and ``from_slots``, the one coefficient view of section data:
-  ``slots(data)`` returns ``(shape, {slot: {mask: Fraction}})`` and
-  ``from_slots`` rebuilds the data.  Charts, coefficient tests and random
-  pair sections go through these two alone; :meth:`SectionChart.of`
-  transposes each view once into the mask-keyed vectors of a point, and
-  builds no Weil element;
+* ``slots`` and ``from_slots``, the one coefficient view of section data,
+  mask-major like the jet: ``slots(data)`` returns
+  ``(shape, {mask: {slot: Fraction}})`` and ``from_slots`` rebuilds the
+  data.  Charts, coefficient tests and random pair sections go through
+  these two alone; :meth:`SectionChart.of` fills a point's vector on each
+  mask from that mask's slots, and builds no Weil element;
 * ``ag_data``, ``ag_zero``, ``ag_add``, ``ag_scale``, ``ag_repr`` and
   ``oracle_bracket`` for Lie algebroid data;
 * ``random_ag``, ``random_section``, ``random_bisection`` and
@@ -99,6 +100,7 @@ from .weil import (
     Jet,
     Rational,
     WeilElement,
+    _mask,
     _rational,
     check_permutation,
     monomial_images,
@@ -136,16 +138,15 @@ def _exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(e for e in out if sum(e) <= degree)
 
 
-def _rand_element(
-    rng: random.Random, domain: InfinitesimalDomain, nilpotent_only: bool = False
-) -> WeilElement:
+def _rand_element(rng: random.Random, domain: InfinitesimalDomain, nilpotent_only: bool = False) -> dict[int, int]:
+    """Integer coefficients by mask: each monomial's, in ``monomials()`` order, is drawn with probability 0.6."""
     coeffs = {}
     for m in domain.monomials():
         if nilpotent_only and not m:
             continue
         if rng.random() < 0.6:
-            coeffs[m] = _rand_int(rng)
-    return WeilElement(domain, coeffs)
+            coeffs[_mask(m)] = _rand_int(rng)
+    return coeffs
 
 
 def _rand_terms(rng: random.Random, nvars: int, degree: int, density: float, draw) -> dict:
@@ -153,23 +154,34 @@ def _rand_terms(rng: random.Random, nvars: int, degree: int, density: float, dra
     return {e: draw() for e in _exponents(nvars, degree) if rng.random() < density}
 
 
-def _rand_matrix(rng: random.Random, k: int) -> Matrix:
-    return tuple(tuple(Fraction(_rand_int(rng)) for _ in range(k)) for _ in range(k))
+def _rand_view(rng: random.Random, domain, n: int, degree: int, density: float, nilpotent_only: bool) -> dict:
+    """Random Weil coefficients for the terms of ``n`` components, as a pair section's mask-major view."""
+    draw = lambda: _rand_element(rng, domain, nilpotent_only)
+    view: dict[int, dict] = {}
+    for i in range(n):
+        for e, cs in _rand_terms(rng, n, degree, density, draw).items():
+            for b, c in cs.items():
+                view.setdefault(b, {})[i, e] = c
+    return view
 
 
-def _rand_invertible(rng: random.Random, k: int) -> Matrix:
+def _rand_matrix(rng: random.Random, k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(_rand_int(rng) for _ in range(k)) for _ in range(k))
+
+
+def _rand_invertible(rng: random.Random, k: int) -> tuple[tuple[int, ...], ...]:
     while True:
         m = _rand_matrix(rng, k)
-        if matrices.q_is_invertible(m):
+        if _determinant(m):
             return m
 
 
 def _rand_fiber(rng: random.Random, k: int, domain: InfinitesimalDomain, scalar_exact: bool) -> dict[int, list[int]]:
     """An invertible scalar matrix plus, unless ``scalar_exact``, a nilpotent one, as flat integer parts by mask."""
-    parts = {0: [c.numerator for row in _rand_invertible(rng, k) for c in row]}
+    parts = {0: [n for row in _rand_invertible(rng, k) for n in row]}
     if not scalar_exact:
         for e in range(k * k):
-            for b, n in _rand_element(rng, domain, nilpotent_only=True).mask_integers()[0].items():
+            for b, n in _rand_element(rng, domain, nilpotent_only=True).items():
                 parts.setdefault(b, [0] * (k * k))[e] = n
     return parts
 
@@ -186,8 +198,9 @@ class PairGroupoid:
 
     Section data is the :class:`Jet` of the target map: one tuple of
     rational polynomial components per Weil monomial.  Lie algebroid data
-    is a polynomial vector field with rational coefficients; a base point
-    is a tuple of coordinates.
+    is a polynomial vector field with rational coefficients; a base point,
+    like either end of an arrow, is a :class:`~microlie.spaces.WPoint` of
+    ``AffineSpace(dim)`` over the section's domain.
     """
 
     dim: int
@@ -210,23 +223,16 @@ class PairGroupoid:
     def fiber_product(self, h2, h1) -> None:
         return None
 
-    def beta(self, arrow: "Arrow") -> tuple:
+    def beta(self, arrow: "Arrow") -> WPoint:
         return arrow.target
 
-    def arrow_at(self, data, domain: InfinitesimalDomain, x) -> "Arrow":
+    def arrow_at(self, data, domain: InfinitesimalDomain, x: WPoint) -> "Arrow":
         # a point is a jet of constant maps, so evaluating is composing with it
-        point = tuple(v if isinstance(v, WeilElement) else WeilElement.scalar(domain, v) for v in x)
-        parts = {0: [0] * self.dim}
-        for i, v in enumerate(point):
-            for b, c in v.mask_coeffs().items():
-                parts.setdefault(b, [0] * self.dim)[i] = c
-        at = Jet(domain, {b: tuple(Poly.scalar(0, c) for c in cs) for b, cs in parts.items()})
-        image = _compose(data, at)
-        target = tuple(
-            WeilElement.from_masks(domain, {b: comps[i].coefficient(()) for b, comps in image.items()})
-            for i in range(self.dim)
-        )
-        return Arrow(self, target, point)
+        if x.domain is not domain:
+            raise DomainMismatchError(f"point over {x.domain!r}, section over {domain!r}")
+        image = _compose(data, Jet(domain, {b: tuple(Poly.scalar(0, c) for c in v) for b, v in x.parts.items()}))
+        target = {b: [c.coefficient(()) for c in comps] for b, comps in image.items()}
+        return Arrow(self, WPoint.from_masks(x.space, domain, target), x)
 
     # -- section data -----------------------------------------------------------------
 
@@ -269,27 +275,22 @@ class PairGroupoid:
         return Jet(table[0].domain, {M: tuple(sum_of_products(self.dim, p) for p in acc) for M, acc in sums.items()})
 
     def section_repr(self, data) -> str:
-        comps = [{} for _ in range(self.dim)]
-        for (i, e), cs in self.slots(data)[1].items():
-            comps[i][e] = WeilElement.from_masks(data.domain, cs)
-        return f"x -> ({'; '.join(format_terms(c) for c in comps)})"
+        comps: list[dict[Exponents, dict[int, Fraction]]] = [{} for _ in range(self.dim)]
+        for b, cs in self.slots(data)[1].items():
+            for (i, e), c in cs.items():
+                comps[i].setdefault(e, {})[b] = c
+        terms = ({e: WeilElement.from_masks(data.domain, cs) for e, cs in comp.items()} for comp in comps)
+        return f"x -> ({'; '.join(map(format_terms, terms))})"
 
     # -- coefficient view: one slot per (component, exponent tuple) term; no shape --------
 
     def slots(self, data) -> tuple[None, dict]:
-        table: dict[tuple[int, Exponents], dict[int, Fraction]] = {}
-        for b, comps in data.items():
-            for i, comp in enumerate(comps):
-                for e, c in comp.coeffs.items():
-                    table.setdefault((i, e), {})[b] = c
-        return None, table
+        terms = lambda comps: {(i, e): c for i, comp in enumerate(comps) for e, c in comp.coeffs.items()}
+        return None, {b: terms(comps) for b, comps in data.items()}
 
     def from_slots(self, shape: None, coeffs, domain: InfinitesimalDomain) -> "Jet":
-        parts: dict[int, list[dict]] = {0: [{} for _ in range(self.dim)]}
-        for (i, e), cs in coeffs.items():
-            for b, c in cs.items():
-                parts.setdefault(b, [{} for _ in range(self.dim)])[i][e] = c
-        return Jet(domain, {b: tuple(Poly(self.dim, t) for t in comps) for b, comps in parts.items()})
+        comps = lambda cs: tuple(Poly(self.dim, {e: c for (j, e), c in cs.items() if j == i}) for i in range(self.dim))
+        return Jet(domain, {b: comps(cs) for b, cs in {0: {}, **coeffs}.items()})
 
     # -- Lie algebroid data -------------------------------------------------------------
 
@@ -326,33 +327,24 @@ class PairGroupoid:
 
     def random_section(self, rng: random.Random, domain, degree: int) -> "WSection":
         """An arbitrary section (not necessarily a bisection)."""
-        draw = lambda: _rand_element(rng, domain).mask_coeffs()
-        coeffs = {}
-        for i in range(self.dim):
-            coeffs.update(((i, e), cs) for e, cs in _rand_terms(rng, self.dim, degree, 0.5, draw).items())
-        return WSection(self, domain, self.from_slots(None, coeffs, domain))
+        view = _rand_view(rng, domain, self.dim, degree, 0.5, False)
+        return WSection(self, domain, self.from_slots(None, view, domain))
 
     def random_bisection(
         self, rng: random.Random, domain, degree: int, scalar_exact: bool = False
     ) -> "WBisection":
         n = self.dim
-        nilpotent = lambda: _rand_element(rng, domain, nilpotent_only=True)
         a = _rand_invertible(rng, n)
-        b = [_rand_int(rng) for _ in range(n)]
-        coeffs = {}
-        for i in range(n):
-            terms = {(0,) * n: b[i]}
-            terms.update((tuple(1 if t == j else 0 for t in range(n)), a[i][j]) for j in range(n))
-            coeffs.update(((i, e), WeilElement.scalar(domain, c)) for e, c in terms.items())
-            if not scalar_exact:
-                for e, w in _rand_terms(rng, n, degree, 0.4, nilpotent).items():
-                    coeffs[i, e] = coeffs[i, e] + w if (i, e) in coeffs else w
-        return WBisection(self, domain, self.from_slots(None, {s: w.mask_coeffs() for s, w in coeffs.items()}, domain))
+        scalar = {(i, (0,) * n): _rand_int(rng) for i in range(n)}
+        scalar.update(((i, tuple(int(t == j) for t in range(n))), a[i][j]) for i in range(n) for j in range(n))
+        # the nilpotent terms lie on the other masks, so the two views merge with nothing to add
+        view = {} if scalar_exact else _rand_view(rng, domain, n, degree, 0.4, True)
+        return WBisection(self, domain, self.from_slots(None, {**view, 0: scalar}, domain))
 
-    def base_points(self, rng: random.Random, domain) -> list[tuple]:
+    def base_points(self, rng: random.Random, domain) -> list[WPoint]:
         """The points a pointwise law checks: three random ones."""
-        draw = lambda: WeilElement.scalar(domain, _rand_int(rng))
-        return [tuple(draw() for _ in range(self.dim)) for _ in range(3)]
+        space = AffineSpace(self.dim)
+        return [WPoint.from_masks(space, domain, {0: [_rand_int(rng) for _ in range(self.dim)]}) for _ in range(3)]
 
 
 @dataclass(frozen=True)
@@ -364,9 +356,9 @@ class TrivialGaugeGroupoid:
     tuple of ``m * k * k`` integer numerators over the jet's denominator:
     the row-major fiber matrix of every source point, base point by base
     point, which is also the ``(x, i, j)`` slot order.  An arrow's fiber is
-    a matrix of ``WeilElement`` entries, built from the jet only in
-    ``arrow_at``.  Lie algebroid data is a table of rational k x k
-    matrices, one per base point; a base point is an index.
+    the jet of one such block, over the same denominator.  Lie algebroid
+    data is a table of rational k x k matrices, one per base point; a base
+    point is an index.
     """
 
     base_size: int
@@ -387,18 +379,17 @@ class TrivialGaugeGroupoid:
 
     # -- arrows --------------------------------------------------------------------
 
-    def fiber_product(self, h2: Matrix, h1: Matrix) -> Matrix:
-        return matrices.mul(h2, h1)
+    def fiber_product(self, h2: Jet, h1: Jet) -> Jet:
+        return Jet(h1.domain, _product(h1.domain.masks, h2, h1, self.matrix_size), h2.den * h1.den)
 
     def beta(self, arrow: "Arrow") -> int:
         return arrow.target[0]
 
     def arrow_at(self, data, domain: InfinitesimalDomain, x: int) -> "Arrow":
         base_map, jet = data
-        k, parts = self.matrix_size, jet.items()
-        entry = lambda s: WeilElement.from_mask_integers(domain, {b: p[s] for b, p in parts if p[s]}, jet.den)
-        rows = range(x * k * k, (x + 1) * k * k, k)
-        return Arrow(self, (base_map[x],), (x,), tuple(tuple(entry(s) for s in range(r, r + k)) for r in rows))
+        at = x * self.matrix_size**2
+        fiber = Jet(domain, {b: p[at : at + self.matrix_size**2] for b, p in jet.items()}, jet.den)
+        return Arrow(self, (base_map[x],), (x,), fiber)
 
     # -- section data -----------------------------------------------------------------
 
@@ -503,22 +494,26 @@ class TrivialGaugeGroupoid:
     # -- coefficient view: one slot per (base point, row, column); the shape is the base map
 
     def slots(self, data) -> tuple[tuple[int, ...], dict]:
+        # the scalar part names every slot, so the identity's view charts them all
         base_map, jet = data
-        den, parts = jet.den, jet.items()
-        return base_map, {slot: {b: Fraction(p[s], den) for b, p in parts if p[s]} for s, slot in self._slots()}
+        slots, den, zero = self._slots(), jet.den, Fraction(0)
+        part = lambda b, p: {s: Fraction(n, den) if n else zero for s, n in zip(slots, p) if n or not b}
+        return base_map, {b: part(b, p) for b, p in jet.items()}
 
     def from_slots(self, shape: tuple[int, ...], coeffs, domain: InfinitesimalDomain) -> tuple:
-        entries = [{b: _rational(c) for b, c in coeffs[slot].items()} for _, slot in self._slots()]
-        q = lcm(1, *(c.denominator for cs in entries for c in cs.values()))
-        parts: dict[int, list[int]] = {0: [0] * len(entries)}
-        for s, cs in enumerate(entries):
-            for b, c in cs.items():
-                parts.setdefault(b, [0] * len(entries))[s] = c.numerator * (q // c.denominator)
+        index = {slot: s for s, slot in enumerate(self._slots())}
+        entries = {b: [(index[slot], _rational(c)) for slot, c in cs.items()] for b, cs in coeffs.items()}
+        q = lcm(1, *(c.denominator for cs in entries.values() for _, c in cs))
+        parts: dict[int, list[int]] = {0: [0] * len(index)}
+        for b, cs in entries.items():
+            part = parts.setdefault(b, [0] * len(index))
+            for s, c in cs:
+                part[s] = c.numerator * (q // c.denominator)
         return shape, Jet(domain, parts, q)
 
-    def _slots(self):
-        """Each slot ``(x, i, j)`` with its index in a part's numerators."""
-        return enumerate(product(range(self.base_size), range(self.matrix_size), range(self.matrix_size)))
+    def _slots(self) -> list[tuple[int, int, int]]:
+        """The slots ``(x, i, j)`` in the order of a part's numerators."""
+        return list(product(range(self.base_size), range(self.matrix_size), range(self.matrix_size)))
 
     # -- Lie algebroid data -------------------------------------------------------------
 
@@ -588,9 +583,9 @@ GroupoidInstance = PairGroupoid | TrivialGaugeGroupoid
 @dataclass(frozen=True)
 class Arrow:
     groupoid: GroupoidInstance
-    target: tuple
-    source: tuple
-    fiber: Matrix | None = None
+    target: WPoint | tuple[int]
+    source: WPoint | tuple[int]
+    fiber: Jet | None = None
 
 
 def compose_arrows(g2: Arrow, g1: Arrow) -> Arrow:
@@ -647,7 +642,7 @@ class WSection:
 
     @property
     def is_scalar_exact(self) -> bool:
-        return all(cs.keys() <= {0} for cs in self.groupoid.slots(self.data)[1].values())
+        return self.groupoid.slots(self.data)[1].keys() <= {0}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -779,37 +774,29 @@ def _compose(f: Jet, g: Jet) -> Jet:
     for s in sorted(b for b in g if b):
         sets += [(S + (s,), u | s) for S, u in sets if not u & s and u | s in ok]
 
-    # per set S = (s1..sr): each multiset J of r variables, with the sum over the
-    # orders (j1..jr) of J of g_s1[j1] * ... * g_sr[jr]; split on the last factor
+    # per set S = (s1..sr): each multiset J of r variables, with the sum over the orders (j1..jr)
+    # of J of g_s1[j1] * ... * g_sr[jr]; split on the last factor, as S[:-1] comes first in sets
     weights = {(): {(): Poly.scalar(nvars, 1)}}
+    for S, _ in sets[1:]:
+        orders: dict[tuple[int, ...], list[tuple[Poly, Poly]]] = {}
+        for J, w in weights[S[:-1]].items():
+            for v, comp in enumerate(g[S[-1]]):
+                orders.setdefault(tuple(sorted(J + (v,))), []).append((w, comp))
+        weights[S] = {J: sum_of_products(nvars, pairs) for J, pairs in orders.items()}
 
-    def weight(S: tuple[int, ...]) -> dict[tuple[int, ...], Poly]:
-        out = weights.get(S)
-        if out is None:
-            orders: dict[tuple[int, ...], list[tuple[Poly, Poly]]] = {}
-            for J, w in weight(S[:-1]).items():
-                for v, comp in enumerate(g[S[-1]]):
-                    orders.setdefault(tuple(sorted(J + (v,))), []).append((w, comp))
-            out = weights[S] = {J: sum_of_products(nvars, pairs) for J, pairs in orders.items()}
-        return out
-
-    # d^J f_m, componentwise, then composed with g_0 unless g_0 is the identity
-    partials: dict[tuple[int, tuple[int, ...]], tuple[Poly, ...]] = {}
-
-    def partial(m: int, J: tuple[int, ...]) -> tuple[Poly, ...]:
-        p = partials.get((m, J))
-        if p is None:
-            p = partials[m, J] = f[m] if not J else tuple(c.derivative(J[-1]) for c in partial(m, J[:-1]))
-        return p
-
+    # d^J f_m from d^J[:-1] f_m, met at S[:-1]; composed with g_0 below unless g_0 is the identity
+    partials = {(m, ()): part for m, part in f.items()}
     width = len(f[0])
     terms = []  # (M, m, J, weight): mask M gets d^J f_m * weight
     for m in f:
         for S, u in sets:
             if m & u or m | u not in ok:
                 continue
-            for J, w in weight(S).items():
-                if any(partial(m, J)):
+            for J, w in weights[S].items():
+                p = partials.get((m, J))
+                if p is None:
+                    p = partials[m, J] = tuple(c.derivative(J[-1]) for c in partials[m, J[:-1]])
+                if any(p):
                     terms.append((m | u, m, J, w))
     derivatives = partials
     if not at_identity:
@@ -995,18 +982,18 @@ class SectionChart:
         shape = views[0][0]
         if any(v[0] != shape for v in views):
             raise ValueError("charted sections must share a shape")
-        slots = {slot for _, coeffs in views for slot in coeffs}
+        slots = {slot for _, view in views for cs in view.values() for slot in cs}
         # always include the identity section's slots so it is chartable
-        slots.update(groupoid.slots(groupoid.identity_data(sections[0].domain))[1])
+        slots.update(groupoid.slots(groupoid.identity_data(sections[0].domain))[1][0])
         chart = cls(groupoid, tuple(sorted(slots)), shape)
-        n, zero = len(chart.slots), Fraction(0)
+        index = {slot: s for s, slot in enumerate(chart.slots)}
         points = []
-        for section, (_, coeffs) in zip(sections, views):
-            # transpose {slot: {mask: c}} into {mask: vector over the chart's slots}
-            parts: dict[int, list] = {}
-            for s, slot in enumerate(chart.slots):
-                for b, c in coeffs.get(slot, {}).items():
-                    parts.setdefault(b, [zero] * n)[s] = c
+        for section, (_, view) in zip(sections, views):
+            parts = {}
+            for b, cs in view.items():
+                vector = parts[b] = [Fraction(0)] * len(index)
+                for slot, c in cs.items():
+                    vector[index[slot]] = c
             points.append(WPoint.from_masks(chart.space, section.domain, parts))
         return chart, tuple(points)
 
@@ -1017,9 +1004,5 @@ class SectionChart:
     def to_section(self, point: WPoint) -> WSection:
         if point.space != self.space:
             raise ValueError("point does not live in the chart's space")
-        coeffs: dict = {slot: {} for slot in self.slots}
-        for b, vector in point.parts.items():
-            for slot, c in zip(self.slots, vector):
-                if c:
-                    coeffs[slot][b] = c
+        coeffs = {b: {slot: c for slot, c in zip(self.slots, vector) if c} for b, vector in point.parts.items()}
         return WSection(self.groupoid, point.domain, self.groupoid.from_slots(self.shape, coeffs, point.domain))

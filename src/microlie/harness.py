@@ -377,9 +377,7 @@ _RING_DOMAINS = (
 def _law_ring_laws(env: LawEnv, trial: int) -> None:
     rng = env.rng(trial)
     domain = _RING_DOMAINS[trial % len(_RING_DOMAINS)]
-    a = _rand_element(rng, domain)
-    b = _rand_element(rng, domain)
-    c = _rand_element(rng, domain)
+    a, b, c = (WeilElement.from_masks(domain, _rand_element(rng, domain)) for _ in range(3))
     checks = {
         "add-assoc": (a + b) + c == a + (b + c),
         "add-comm": a + b == b + a,
@@ -418,8 +416,7 @@ def _substitution_maps(rng: random.Random):
 def _law_substitution_homomorphism(env: LawEnv, trial: int) -> None:
     rng = env.rng(trial)
     for source, target, images in _substitution_maps(rng):
-        a = _rand_element(rng, source)
-        b = _rand_element(rng, source)
+        a, b = (WeilElement.from_masks(source, _rand_element(rng, source)) for _ in range(2))
         mul_ok = (a * b).substitute(target, images) == a.substitute(target, images) * b.substitute(
             target, images
         )
@@ -435,7 +432,7 @@ def _law_restriction_composition(env: LawEnv, trial: int) -> None:
     rng = env.rng(trial)
     mid = InfinitesimalDomain(3, [(1, 2)])
     coarse = InfinitesimalDomain.first_order(3)
-    a = _rand_element(rng, D3)
+    a = WeilElement.from_masks(D3, _rand_element(rng, D3))
     if a.restrict(mid).restrict(coarse) != a.restrict(coarse):
         raise LawViolation(a=a)
     if a.restrict(D3) != a:

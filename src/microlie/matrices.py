@@ -1,13 +1,12 @@
 """Small exact-matrix helpers.
 
-Matrices are immutable tuples of row tuples.  The arithmetic works for any
-entries supporting ``+``/``*``: ``Fraction`` entries in Lie algebroid
-tables and the gauge oracle, ``WeilElement`` entries in gauge arrows.  A
-rational matrix is inverted by exact Gauss-Jordan elimination, and its
-invertibility is decided by an exact integer determinant, so a check
-computes no inverse.  The gauge groupoid keeps its fiber matrices as
-integer numerators and inverts them around the rational scalar part (see
-``TrivialGaugeGroupoid.inverse_data``).
+Matrices are immutable tuples of row tuples with ``Fraction`` entries: Lie
+algebroid tables and the gauge oracle's products.  A rational matrix is
+inverted by exact Gauss-Jordan elimination, and its invertibility is
+decided by an exact integer determinant, so a check computes no inverse.
+The gauge groupoid keeps its fiber matrices, in sections and in arrows, as
+jets of integer numerators, and inverts them around the rational scalar
+part (see ``TrivialGaugeGroupoid.inverse_data``).
 """
 
 from __future__ import annotations

@@ -359,17 +359,17 @@ def compose_map(f: Sequence[Poly], g: Sequence[Poly]) -> tuple[Poly, ...]:
     if any(gi.nvars != target for gi in g):
         raise ValueError("composition arguments in different numbers of variables")
     units = [_unit(nvars, i) for i in range(nvars)]
-    products = {0: _make(target, {0: 1}, 1)}  # keyed by the packed key of e
-
-    def product(key: int) -> Poly:
-        # prod(g_i ** e_i), peeling one factor off the last variable in e: the lowest nonzero digit
-        out = products.get(key)
-        if out is None:
-            i = nvars - 1 - ((key & -key).bit_length() - 1) // _W
-            out = products[key] = product(key - units[i]) * g[i]
-        return out
-
+    # prod(g_i ** e_i) by the packed key of e: the product for e less one factor of its last
+    # variable i (the lowest nonzero digit), a smaller key, times g_i; so filled in key order
+    last: dict[int, int] = {}  # each key needed, with its i
+    for key in (key for fi in f for key in fi._num):
+        while key and key not in last:
+            i = last[key] = nvars - 1 - ((key & -key).bit_length() - 1) // _W
+            key -= units[i]
+    products = {0: _make(target, {0: 1}, 1)}
+    for key in sorted(last):
+        products[key] = products[key - units[last[key]]] * g[last[key]]
     return tuple(
-        sum_of_products(target, [(_reduced(target, {0: n}, fi._den), product(key)) for key, n in fi._num.items()])
+        sum_of_products(target, [(_reduced(target, {0: n}, fi._den), products[key]) for key, n in fi._num.items()])
         for fi in f
     )

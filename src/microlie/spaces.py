@@ -149,6 +149,9 @@ class WPoint:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WPoint) and self.space == other.space and self.parts == other.parts
 
+    def __hash__(self) -> int:
+        return hash((self.space, self.parts))
+
     def __repr__(self) -> str:
         coords = (
             WeilElement.from_masks(self.domain, {b: v[i] for b, v in self.parts.items()})

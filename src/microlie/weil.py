@@ -23,18 +23,20 @@ is dropped by two integer tests.  The API speaks ``frozenset`` monomials
 and ``Fraction`` coefficients at its edges, and takes ``int`` or
 ``Fraction`` coefficients only (:func:`_rational`): the constructor,
 ``coefficient``, ``scalar_part``, the read-only ``coeffs`` mapping and
-``str``; ``from_masks``, ``mask_coeffs``, ``from_mask_integers`` and
-``mask_integers`` convert to and from coefficients keyed by mask.
+``str``; ``from_masks``, ``mask_coeffs`` and ``mask_integers`` convert to
+and from coefficients keyed by mask.
 
 By the Kock-Lawvere axiom a map out of a Weil domain is its family of
 coefficients, and one :class:`Jet` stores every such family: pair and gauge
-sections and points.  It owns their invariants and the operations on masks
-alone: a checked ``coefficient`` lookup, ``restrict`` (a filter on masks)
-and ``relabel`` (a renaming of mask bits).  Its constructor makes the one
-stray-mask check for them, :meth:`InfinitesimalDomain.check_masks`.
-Elements and sections are reparametrised by a table of monomial images,
-checked once by :func:`monomial_images` and applied by
-:meth:`WeilElement.image`; a point is only relabelled.
+sections, points, and so the ends and fibers of arrows.  It owns their
+invariants and the operations on masks alone: a checked ``coefficient``
+lookup, ``restrict`` (a filter on masks) and ``relabel`` (a renaming of
+mask bits).  Its constructor makes the one stray-mask check for them,
+:meth:`InfinitesimalDomain.check_masks`.  Elements and sections are
+reparametrised by a table of monomial images, checked once by
+:func:`monomial_images` and applied by :meth:`WeilElement.image`; a point
+is only relabelled.  Weil elements are the scalars of the ring laws and of
+reparametrisation: no arrow, chart or random section is built from them.
 """
 
 from __future__ import annotations
@@ -376,14 +378,6 @@ class WeilElement:
         return _from_fractions(domain, {b: _rational(c) for b, c in coeffs.items()})
 
     @classmethod
-    def from_mask_integers(
-        cls, domain: InfinitesimalDomain, numerators: Mapping[int, int], den: int
-    ) -> "WeilElement":
-        """The element ``numerators[b] / den`` on each surviving mask ``b``, for ``int``s and ``den > 0``."""
-        domain.check_masks(numerators)
-        return _reduced(domain, dict(numerators), den)
-
-    @classmethod
     def generator(cls, domain: InfinitesimalDomain, i: int) -> "WeilElement":
         if not 1 <= i <= domain.generator_count:
             raise ValueError(f"no generator d{i} in {domain!r}")
@@ -395,8 +389,6 @@ class WeilElement:
         if not isinstance(other, WeilElement):
             return NotImplemented
         _require_same(self.domain, other.domain)
-        if not other._num:
-            return self  # matrix arithmetic adds many zero entries
         da, db = self._den, other._den
         g = gcd(da, db)
         fa, fb = db // g, da // g

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import random
 import sys
@@ -52,17 +53,35 @@ P2 = PairGroupoid(2)
 GG = TrivialGaugeGroupoid(2, 2)
 
 
+def mask_major(elements):
+    """The mask-major coefficient view ``{mask: {slot: c}}`` of one Weil element per slot."""
+    view = {}
+    for slot, w in elements.items():
+        for b, c in w.mask_coeffs().items():
+            view.setdefault(b, {})[slot] = c
+    return view
+
+
+def slot_elements(view, domain):
+    """One Weil element per slot that a mask-major coefficient view names."""
+    by_slot = {}
+    for b, cs in view.items():
+        for slot, c in cs.items():
+            by_slot.setdefault(slot, {})[b] = c
+    return {slot: WeilElement.from_masks(domain, cs) for slot, cs in by_slot.items()}
+
+
 def pair_data(groupoid, domain, *term_dicts):
     """Pair section data with one ``{exponents: coefficient}`` dict per component, through ``from_slots``.
 
     A coefficient is a Weil element or a rational scalar.
     """
-    coeffs = {
-        (i, e): (c if isinstance(c, WeilElement) else WeilElement.scalar(domain, c)).mask_coeffs()
+    elements = {
+        (i, e): c if isinstance(c, WeilElement) else WeilElement.scalar(domain, c)
         for i, terms in enumerate(term_dicts)
         for e, c in terms.items()
     }
-    return groupoid.from_slots(None, coeffs, domain)
+    return groupoid.from_slots(None, mask_major(elements), domain)
 
 
 def pair_section(groupoid, domain, *term_dicts):
@@ -76,10 +95,8 @@ def weil_identity(k, domain):
 
 def gauge_data(groupoid, domain, base_map, tables):
     """Gauge section data from one matrix of Weil elements per base point, through ``from_slots``."""
-    coeffs = {
-        (x, i, j): w.mask_coeffs() for x, t in enumerate(tables) for i, row in enumerate(t) for j, w in enumerate(row)
-    }
-    return groupoid.from_slots(tuple(base_map), coeffs, domain)
+    elements = {(x, i, j): w for x, t in enumerate(tables) for i, row in enumerate(t) for j, w in enumerate(row)}
+    return groupoid.from_slots(tuple(base_map), mask_major(elements), domain)
 
 
 def gauge_section(groupoid, domain, base_map, tables, cls=WSection):
@@ -88,12 +105,22 @@ def gauge_section(groupoid, domain, base_map, tables, cls=WSection):
 
 def weil_tables(groupoid, data):
     """The fiber matrices of gauge section data, one matrix of Weil elements per base point, read from ``slots``."""
-    coeffs = groupoid.slots(data)[1]
-    k, domain = groupoid.matrix_size, data[1].domain
+    elements = slot_elements(groupoid.slots(data)[1], data[1].domain)  # the scalar part names every slot
+    k = groupoid.matrix_size
     return tuple(
-        tuple(tuple(WeilElement.from_masks(domain, coeffs[x, i, j]) for j in range(k)) for i in range(k))
-        for x in range(groupoid.base_size)
+        tuple(tuple(elements[x, i, j] for j in range(k)) for i in range(k)) for x in range(groupoid.base_size)
     )
+
+
+def weil_matrix(fiber, k):
+    """A gauge arrow's fiber jet as its k x k matrix of Weil elements."""
+    entry = lambda s: WeilElement.from_masks(fiber.domain, {b: Fraction(p[s], fiber.den) for b, p in fiber.items()})
+    return tuple(tuple(entry(i * k + j) for j in range(k)) for i in range(k))
+
+
+def base_point(domain, *coords):
+    """A scalar base point of the pair groupoid's affine space over ``domain``."""
+    return WPoint.from_masks(AffineSpace(len(coords)), domain, {0: coords})
 
 
 def weil_coords(point):
@@ -151,7 +178,7 @@ class TestStar:
         rho = pair_section(P1, D2, {(0,): d2, (1,): 2})
         product = star(sigma, rho)
         for x in (-1, 0, 2):
-            point = (WeilElement.scalar(D2, x),)
+            point = base_point(D2, x)
             rho_arrow = rho.arrow_at(point)
             assert product.arrow_at(point) == compose_arrows(sigma.arrow_at(rho_arrow.target), rho_arrow)
 
@@ -263,20 +290,25 @@ class TestSectionAt:
 
 class TestArrows:
     def test_pair_compose_and_invert(self):
-        a = Arrow(P1, (1,), (0,))
-        b = Arrow(P1, (2,), (1,))
-        assert compose_arrows(b, a) == Arrow(P1, (2,), (0,))
-        assert compose_arrows(Arrow(P1, (0,), (1,)), a) == Arrow(P1, (0,), (0,))
+        p0, p1, p2 = (base_point(D, c) for c in (0, 1, 2))
+        a = Arrow(P1, p1, p0)
+        b = Arrow(P1, p2, p1)
+        assert compose_arrows(b, a) == Arrow(P1, p2, p0)
+        assert hash(compose_arrows(b, a)) == hash(Arrow(P1, base_point(D, 2), base_point(D, 0)))
+        assert compose_arrows(Arrow(P1, p0, p1), a) == Arrow(P1, p0, p0)
         with pytest.raises(ValueError):
             compose_arrows(a, b)
+        with pytest.raises(DomainMismatchError, match="point over D\\^2, section over D"):
+            pair_section(P1, D, {(1,): 1}).arrow_at(base_point(D2, 0))
 
     def test_gauge_compose_and_invert(self):
-        one, zero, d = WeilElement.one(D), WeilElement.zero(D), WeilElement.generator(D, 1)
-        a = Arrow(GG, (1,), (0,), ((one, d), (zero, one)))
-        ident = Arrow(GG, (1,), (1,), weil_identity(2, D))
+        # fibers are jets of flat 2 x 2 matrices: a = I + d E12, back = I - d E12
+        a = Arrow(GG, (1,), (0,), Jet(D, {0: I2, 1: (0, 1, 0, 0)}))
+        ident = Arrow(GG, (1,), (1,), Jet(D, {0: I2}))
         assert compose_arrows(ident, a) == a
-        back = Arrow(GG, (0,), (1,), ((one, -d), (zero, one)))
-        assert compose_arrows(back, a) == Arrow(GG, (0,), (0,), weil_identity(2, D))
+        back = Arrow(GG, (0,), (1,), Jet(D, {0: I2, 1: (0, -1, 0, 0)}))
+        assert compose_arrows(back, a) == Arrow(GG, (0,), (0,), Jet(D, {0: I2}))
+        assert hash(compose_arrows(back, a)) == hash(Arrow(GG, (0,), (0,), Jet(D, {0: I2})))
 
 
 def chart_sections():
@@ -320,8 +352,8 @@ class TestCharts:
         assert chart.slots == tuple(sorted(chart.slots))
         for section, point in zip(family, points):
             assert chart.to_section(point) == section
-            coeffs = sigma.groupoid.slots(section.data)[1]
-            assert weil_coords(point) == tuple(WeilElement.from_masks(D2, coeffs.get(slot, {})) for slot in chart.slots)
+            elements = slot_elements(sigma.groupoid.slots(section.data)[1], D2)
+            assert weil_coords(point) == tuple(elements.get(slot, WeilElement.zero(D2)) for slot in chart.slots)
 
     def test_identity_slots_are_always_charted(self):
         sigma = pair_section(P1, D, {(2,): 1})  # x -> x^2 has no identity term
@@ -415,12 +447,12 @@ def _both_kernels(groupoid, domain, comps):
     """The same map as a jet and as a tuple of seed-kernel polynomials over Weil coefficients."""
     n = groupoid.dim
     twin = REF_WEIL.InfinitesimalDomain(domain.generator_count, domain.zero_monomials)
-    coeffs, ref = {}, []
+    elements, ref = {}, []
     for i, terms in enumerate(comps):
         for e, table in terms.items():
-            coeffs[i, e] = WeilElement(domain, table).mask_coeffs()
+            elements[i, e] = WeilElement(domain, table)
         ref.append(REF_POLY.Poly(n, twin, {e: REF_WEIL.WeilElement(twin, table) for e, table in terms.items()}))
-    return groupoid.from_slots(None, coeffs, domain), tuple(ref)
+    return groupoid.from_slots(None, mask_major(elements), domain), tuple(ref)
 
 
 def _merge(scalar, nilpotent):
@@ -446,8 +478,8 @@ def test_taylor_sum_agrees_with_the_seed_kernel(data):
     g, ref_g = _both_kernels(groupoid, domain, inner)
     expected = REF_POLY.compose_map(ref_f, ref_g)
     got = {}
-    for (i, e), cs in groupoid.slots(groupoid.star_data(f, g))[1].items():
-        got.setdefault(i, {})[e] = dict(WeilElement.from_masks(domain, cs).coeffs)
+    for (i, e), w in slot_elements(groupoid.slots(groupoid.star_data(f, g))[1], domain).items():
+        got.setdefault(i, {})[e] = dict(w.coeffs)
     for i, comp in enumerate(expected):
         assert got.get(i, {}) == {e: c.coeffs for e, c in comp.terms.items()}
 
@@ -480,18 +512,34 @@ def test_star_is_associative(groupoid, domain, degree, seed):
     assert star(star(a, b), c) == star(a, star(b, c))
 
 
+@pytest.mark.parametrize(
+    "operation",
+    [lambda a, b, x: star(a, b), lambda a, b, x: invert_bisection(b), lambda a, b, x: a.arrow_at(x)],
+    ids=["star", "invert_bisection", "arrow_at"],
+)
+def test_compositions_leave_no_reference_cycles(operation):
+    # the scratch tables of compose_map and _compose must be freed by reference counting alone
+    rng = random.Random(0)
+    a, b = P2.random_section(rng, D2, 2), P2.random_bisection(rng, D2, 2)
+    x = P2.base_points(rng, D2)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        operation(a, b, x)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- property: section substitution against substituting every coefficient on its own ----------
 
 
 def _substitute_each_coefficient(section, target, images):
     """Substitution as it was done before sections had their own: slot by slot, then rebuilt."""
     groupoid = section.groupoid
-    shape, coeffs = groupoid.slots(section.data)
-    images_of = {
-        slot: WeilElement.from_masks(section.domain, cs).substitute(target, images).mask_coeffs()
-        for slot, cs in coeffs.items()
-    }
-    data = groupoid.from_slots(shape, images_of, target)
+    shape, view = groupoid.slots(section.data)
+    images_of = {slot: w.substitute(target, images) for slot, w in slot_elements(view, section.domain).items()}
+    data = groupoid.from_slots(shape, mask_major(images_of), target)
     return WSection(groupoid, target, data)
 
 
@@ -603,11 +651,12 @@ def test_gauge_base_map_entries_must_be_int(bad):
     ids=["float", "vanishing-mask"],
 )
 def test_gauge_from_slots_checks_each_coefficient(coefficient, error, message):
-    shape, coeffs = GG.slots(GG.identity_data(D))
-    assert GG.from_slots(shape, coeffs, D) == GG.identity_data(D)
-    coeffs[0, 0, 0] = coefficient
+    shape, view = GG.slots(GG.identity_data(D))
+    assert GG.from_slots(shape, view, D) == GG.identity_data(D)
+    for b, c in coefficient.items():  # the coefficients of slot (0, 0, 0), by mask
+        view.setdefault(b, {})[0, 0, 0] = c
     with pytest.raises(error, match=message):
-        GG.from_slots(shape, coeffs, D)
+        GG.from_slots(shape, view, D)
 
 
 @pytest.mark.parametrize("table", [((1, 2, 5), (3, 4)), ((1, 2), (3,))], ids=["long-row", "short-row"])
@@ -620,15 +669,14 @@ def test_one_stray_mask_check_serves_every_mask_keyed_constructor():
     with pytest.raises(ZeroMonomialError) as expected:
         D.check_masks({0, 2})
     assert str(expected.value) == "masks [2] do not survive in D"
-    shape, coeffs = GG.slots(GG.identity_data(D))
-    coeffs[0, 0, 0] = {2: 1}
+    shape, view = GG.slots(GG.identity_data(D))
+    view[2] = {(0, 0, 0): 1}
     builds = [
         lambda: WeilElement.from_masks(D, {2: 1}),
-        lambda: WeilElement.from_mask_integers(D, {2: 1}, 1),
         lambda: WPoint.from_masks(AffineSpace(1), D, {2: [1]}),
         lambda: Jet(D, {0: (1,), 2: (1,)}),
-        lambda: P1.from_slots(None, {(0, (1,)): {0: 1, 2: 1}}, D),
-        lambda: GG.from_slots(shape, coeffs, D),
+        lambda: P1.from_slots(None, {0: {(0, (1,)): 1}, 2: {(0, (1,)): 1}}, D),
+        lambda: GG.from_slots(shape, view, D),
     ]
     for build in builds:
         with pytest.raises(ZeroMonomialError) as caught:
@@ -681,6 +729,25 @@ def test_gauge_star_agrees_with_weil_matrices(data):
     got = g.star_data(gauge_data(g, domain, f_s, s), gauge_data(g, domain, f_r, r))
     products = tuple(matrices.mul(s[y], h) for y, h in zip(f_r, r))
     assert got == gauge_data(g, domain, tuple(f_s[y] for y in f_r), products)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gauge_arrows_compose_as_weil_matrices(data):
+    # the old arrow path, matrices of Weil elements multiplied entrywise, is the reference
+    draw = data.draw
+    g, domain = _gauge_case(draw)
+    k = g.matrix_size
+    f_s, s = _base_map(draw, g), _gauge_tables(draw, g, domain)
+    f_r, r = _base_map(draw, g), _gauge_tables(draw, g, domain)
+    sigma, rho = gauge_data(g, domain, f_s, s), gauge_data(g, domain, f_r, r)
+    for x in range(g.base_size):
+        h1 = g.arrow_at(rho, domain, x)
+        h2 = g.arrow_at(sigma, domain, g.beta(h1))
+        assert (weil_matrix(h1.fiber, k), weil_matrix(h2.fiber, k)) == (r[x], s[f_r[x]])
+        h = compose_arrows(h2, h1)
+        assert (h.target, h.source) == ((f_s[f_r[x]],), (x,))
+        assert weil_matrix(h.fiber, k) == matrices.mul(weil_matrix(h2.fiber, k), weil_matrix(h1.fiber, k))
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from microlie.groupoids import PairGroupoid, WSection, star
 from microlie.poly import MAX_DEGREE, Poly, RATIONALS, compose_map, identity_map
+from microlie.spaces import AffineSpace, WPoint
 from microlie.vfexpr import VectorFieldSyntaxError, parse_vector_field
 from microlie.weil import InfinitesimalDomain, WeilElement
 
@@ -18,12 +19,13 @@ def pair_data(groupoid, domain, *term_dicts):
 
     A coefficient is a Weil element or a rational scalar.
     """
-    coeffs = {
-        (i, e): (c if isinstance(c, WeilElement) else WeilElement.scalar(domain, c)).mask_coeffs()
-        for i, terms in enumerate(term_dicts)
-        for e, c in terms.items()
-    }
-    return groupoid.from_slots(None, coeffs, domain)
+    view = {}
+    for i, terms in enumerate(term_dicts):
+        for e, c in terms.items():
+            w = c if isinstance(c, WeilElement) else WeilElement.scalar(domain, c)
+            for b, x in w.mask_coeffs().items():
+                view.setdefault(b, {})[i, e] = x
+    return groupoid.from_slots(None, view, domain)
 
 
 def test_mul_and_pow():
@@ -57,8 +59,8 @@ def test_derivative():
 
 def test_evaluate_at_weil_point():
     sq = WSection(P1, D, pair_data(P1, D, {(2,): 1}))
-    one_plus_d = WeilElement(D, {(): 1, (1,): 1})
-    assert sq.arrow_at((one_plus_d,)).target == (WeilElement(D, {(): 1, (1,): 2}),)
+    one_plus_d = WPoint(AffineSpace(1), D, {(): [1], (1,): [1]})
+    assert sq.arrow_at(one_plus_d).target == WPoint(AffineSpace(1), D, {(): [1], (1,): [2]})
 
 
 def test_nilpotent_coefficients_truncate_products():
