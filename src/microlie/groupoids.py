@@ -48,9 +48,12 @@ matrices over a Weil domain is its family of coefficient tables, and the
 jet's part on each mask is one flat tuple of integer numerators, the k x k
 matrix of every base point in turn, over the jet's denominator.  The
 product sums matrix products over the pairs of disjoint masks whose union
-survives; the inverse inverts the scalar part once per table and sums the
-finite nilpotent series.  An arrow's fiber is the jet of one base point's
-block, and arrows compose by the same product.
+survives; the inverse inverts the scalar part once per table, as its
+integer adjugate over its determinant, and sums the finite nilpotent
+series.  An arrow's fiber is the jet of one base point's block, and arrows
+compose by the same product.  Gauge Lie algebroid data, a table of rational
+matrices, is a jet over :data:`TABLE_DOMAIN` with one part laid out like a
+section's, so flows, coefficient reads and module operations are integer.
 
 Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
 ``SectionChart``, ``star``, ``section_at`` and the harness only call its
@@ -71,7 +74,8 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
   these two alone; :meth:`SectionChart.of` fills a point's vector on each
   mask from that mask's slots, and builds no Weil element;
 * ``ag_data``, ``ag_zero``, ``ag_add``, ``ag_scale``, ``ag_repr`` and
-  ``oracle_bracket`` for Lie algebroid data;
+  ``oracle_bracket`` for Lie algebroid data; ``oracle_bracket`` returns the
+  classical oracle's own value, which ``ag_data`` accepts;
 * ``random_ag``, ``random_section``, ``random_bisection`` and
   ``base_points`` for seeded trial data, with coefficients in
   ``[-COEFF_BOUND, COEFF_BOUND]``.
@@ -84,13 +88,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 from operator import add, mul
 from typing import Sequence
 
 from . import matrices
-from .matrices import Matrix, _determinant
+from .matrices import Matrix, _adjugate, _determinant
 from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
 from .poly import Exponents, Poly, affine_row, compose_map, format_terms, identity_map, sum_of_products
 from .spaces import AffineSpace, MatrixGroup, WPoint
@@ -165,13 +169,9 @@ def _rand_view(rng: random.Random, domain, n: int, degree: int, density: float, 
     return view
 
 
-def _rand_matrix(rng: random.Random, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(_rand_int(rng) for _ in range(k)) for _ in range(k))
-
-
 def _rand_invertible(rng: random.Random, k: int) -> tuple[tuple[int, ...], ...]:
     while True:
-        m = _rand_matrix(rng, k)
+        m = tuple(tuple(_rand_int(rng) for _ in range(k)) for _ in range(k))
         if _determinant(m):
             return m
 
@@ -187,6 +187,8 @@ def _rand_fiber(rng: random.Random, k: int, domain: InfinitesimalDomain, scalar_
 
 
 MAX_FIELD_DEGREE = 3  # largest degree of a pair-groupoid vector field, in verify and bracket
+
+TABLE_DOMAIN = InfinitesimalDomain(0)  # gauge Lie algebroid data is a jet over the domain with no generators
 
 
 # -- the two groupoids ------------------------------------------------------------
@@ -356,9 +358,10 @@ class TrivialGaugeGroupoid:
     tuple of ``m * k * k`` integer numerators over the jet's denominator:
     the row-major fiber matrix of every source point, base point by base
     point, which is also the ``(x, i, j)`` slot order.  An arrow's fiber is
-    the jet of one such block, over the same denominator.  Lie algebroid
-    data is a table of rational k x k matrices, one per base point; a base
-    point is an index.
+    the jet of one such block, over the same denominator; a base point is an
+    index.  Lie algebroid data, a table of rational k x k matrices, one per
+    base point, is the jet over :data:`TABLE_DOMAIN` whose one part is laid
+    out the same way; a caller may pass the rational tables instead.
     """
 
     base_size: int
@@ -441,10 +444,14 @@ class TrivialGaugeGroupoid:
         m, k = self.base_size, self.matrix_size
         inverse_map = tuple(base_map.index(x) for x in range(m))
         parts = {b: _gather(part, inverse_map, k) for b, part in jet.items()}
-        # A0^-1 = den Q / q, with one rational inverse per table and q common to all
-        inverses = [matrices.q_inverse(t) for t in _matrices(parts.pop(0), k)]
-        q = lcm(1, *(c.denominator for inv in inverses for row in inv for c in row))
-        Q = [c.numerator * (q // c.denominator) for inv in inverses for row in inv for c in row]
+        # A0^-1 = den Q / q, from each table t = den A0 as adj(t) / det(t) in lowest terms, and q common to all
+        inverses = []
+        for t in _matrices(parts.pop(0), k):
+            adj, det = _adjugate(t)
+            g = gcd(det, *chain.from_iterable(adj))
+            inverses.append(([n // g for row in adj for n in row], det // g))
+        q = lcm(*(det for _, det in inverses))
+        Q = [n * (q // det) for adj, det in inverses for n in adj]
         # C over q: (den Q / q)(P_b / den) = Q P_b / q
         c = {b: [-n for n in _mat_mul(Q, part, k)] for b, part in parts.items()}
         ok = domain.masks
@@ -458,23 +465,19 @@ class TrivialGaugeGroupoid:
         right = {0: [jet.den * n for n in Q]}
         return inverse_map, Jet(domain, _product(ok, series, right, k), den * q)
 
-    def flow_data(self, fields, e: WeilElement) -> tuple:
+    def flow_data(self, fields: Jet, e: WeilElement) -> tuple:
         # X_e = I + e X, for a square-zero e with no scalar part (section_at checks)
         m, k = self.base_size, self.matrix_size
-        q = lcm(1, *(c.denominator for t in fields for row in t for c in row))
-        X = [c.numerator * (q // c.denominator) for t in fields for row in t for c in row]
+        q = fields.den
         num, den = e.mask_integers()
-        parts = {b: [n * x for x in X] for b, n in num.items()}
+        parts = {b: [n * x for x in fields[0]] for b, n in num.items()}
         parts[0] = [den * q * n for n in _identity(k)] * m
         return tuple(range(m)), Jet(e.domain, parts, den * q)
 
-    def read_coefficient(self, data, monomial) -> tuple[Matrix, ...]:
+    def read_coefficient(self, data, monomial) -> Jet:
         jet = data[1]
         part = jet.coefficient(monomial)
-        if part is None:
-            return self.ag_zero()
-        den = jet.den
-        return tuple(tuple(tuple(Fraction(n, den) for n in r) for r in t) for t in _matrices(part, self.matrix_size))
+        return self.ag_zero() if part is None else Jet(TABLE_DOMAIN, {0: part}, jet.den)
 
     def substitute_data(self, data, table) -> tuple:
         # part M of the image sums c * part b over the terms c d^M of table[b]
@@ -517,36 +520,53 @@ class TrivialGaugeGroupoid:
 
     # -- Lie algebroid data -------------------------------------------------------------
 
-    def ag_data(self, data) -> tuple[Matrix, ...]:
-        tables = tuple(matrices.rational_rows(t) for t in data)
-        if len(tables) != self.base_size:
-            raise ValueError(f"expected {self.base_size} tables")
-        k = self.matrix_size
-        if any(len(t) != k or any(len(row) != k for row in t) for t in tables):
-            raise ValueError("tables must be k x k")
-        return tables
+    def ag_data(self, data) -> Jet:
+        """A table jet, checked, or the jet of a sequence of rational k x k tables."""
+        m, k = self.base_size, self.matrix_size
+        if not isinstance(data, Jet):
+            tables = tuple(matrices.rational_rows(t) for t in data)
+            if len(tables) != m:
+                raise ValueError(f"expected {m} tables")
+            if any(len(t) != k or any(len(row) != k for row in t) for t in tables):
+                raise ValueError("tables must be k x k")
+            entries = [c for t in tables for row in t for c in row]
+            q = lcm(1, *(c.denominator for c in entries))
+            data = Jet(TABLE_DOMAIN, {0: [c.numerator * (q // c.denominator) for c in entries]}, q)
+        if data.domain is not TABLE_DOMAIN:  # whose only mask is 0, so the jet has one part
+            raise ValueError("a table jet must be over the domain with no generators")
+        if len(data[0]) != m * k * k:
+            raise ValueError(f"a table jet must hold {m} tables of {k} x {k} numerators")
+        try:
+            gcd(*data[0])
+        except TypeError:
+            raise TypeError("a table jet must hold int numerators") from None
+        return data
 
-    def ag_zero(self) -> tuple[Matrix, ...]:
-        k = self.matrix_size
-        zero = tuple(tuple(Fraction(0) for _ in range(k)) for _ in range(k))
-        return (zero,) * self.base_size
+    def ag_zero(self) -> Jet:
+        return Jet(TABLE_DOMAIN, {0: (0,) * (self.base_size * self.matrix_size**2)})
 
-    def ag_add(self, a, b) -> tuple[Matrix, ...]:
-        return tuple(matrices.add(x, y) for x, y in zip(a, b))
+    def ag_add(self, a: Jet, b: Jet) -> Jet:
+        q = lcm(a.den, b.den)
+        return Jet(TABLE_DOMAIN, {0: [q // a.den * x + q // b.den * y for x, y in zip(a[0], b[0])]}, q)
 
-    def ag_scale(self, a, c: Fraction) -> tuple[Matrix, ...]:
-        return tuple(matrices.scale(c, t) for t in a)
+    def ag_scale(self, a: Jet, c: Fraction) -> Jet:
+        return Jet(TABLE_DOMAIN, {0: [c.numerator * n for n in a[0]]}, a.den * c.denominator)
 
-    def ag_repr(self, data) -> str:
-        return str(data)
+    def ag_repr(self, data: Jet) -> str:
+        return str(self._tables(data))
 
-    def oracle_bracket(self, x, y) -> tuple[Matrix, ...]:
-        return matrix_table_bracket(x, y)
+    def oracle_bracket(self, x: Jet, y: Jet) -> tuple[Matrix, ...]:
+        return matrix_table_bracket(self._tables(x), self._tables(y))
+
+    def _tables(self, jet: Jet) -> tuple[Matrix, ...]:  # the rational k x k matrices, one per base point
+        den, k = jet.den, self.matrix_size
+        return tuple(tuple(tuple(Fraction(n, den) for n in row) for row in t) for t in _matrices(jet[0], k))
 
     # -- random trial data -------------------------------------------------------------------
 
     def random_ag(self, rng: random.Random, degree: int) -> "AGSection":
-        return AGSection(self, [_rand_matrix(rng, self.matrix_size) for _ in range(self.base_size)])
+        n = self.base_size * self.matrix_size**2  # one k x k matrix per base point, drawn row by row
+        return AGSection(self, Jet(TABLE_DOMAIN, {0: [_rand_int(rng) for _ in range(n)]}))
 
     def random_section(self, rng: random.Random, domain, degree: int) -> "WSection":
         """An arbitrary section (not necessarily a bisection)."""
@@ -652,6 +672,9 @@ class WSection:
             and self.data == other.data
         )
 
+    def __hash__(self) -> int:
+        return hash((self.groupoid, self.domain, self.data))
+
     def __repr__(self) -> str:
         return f"WSection({self.groupoid}, {self.domain!r}; {self.groupoid.section_repr(self.data)})"
 
@@ -666,12 +689,13 @@ class WBisection(WSection):
         groupoid.check_bisection(self.data)
 
 
-def _check_affine(jet: "Jet") -> None:
+def _check_affine(jet: "Jet") -> list[tuple[tuple[int, ...], int]]:
     """Check the scalar part is an invertible affine map, on its integer numerators.
 
     Row i of the linear part is component i's numerators over its
     denominator; clearing each row's denominator scales the determinant by a
     nonzero factor, so the integer determinant decides invertibility.
+    Returns each row's numerators with their denominator.
     """
     rows = []
     for comp in jet[0]:
@@ -679,8 +703,9 @@ def _check_affine(jet: "Jet") -> None:
         if row is None:
             raise InvertibilityError(f"scalar part {comp} is not affine; no invertibility witness")
         rows.append(row)
-    if not _determinant(rows):
+    if not _determinant([num for num, _ in rows]):
         raise InvertibilityError("scalar part has a singular linear term")
+    return rows
 
 
 # -- the section product -------------------------------------------------------------
@@ -833,9 +858,10 @@ def formal_inverse(f: Jet) -> Jet:
     """
     domain = f.domain
     n = len(f[0])
-    _check_affine(f)
-    units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
-    inv = matrices.q_inverse(tuple(tuple(comp.coefficient(u) for u in units) for comp in f[0]))
+    rows = _check_affine(f)
+    # row i of the linear part A is N_i over den_i, so A^-1 = adj(N) diag(den) / det(N)
+    adj, det = _adjugate([num for num, _ in rows])
+    inv = [[Fraction(a * den, det) for a, (_, den) in zip(row, rows)] for row in adj]
     shift = [comp.coefficient((0,) * n) for comp in f[0]]
     ident = identity_map(n)
     # seed: the exact inverse A^-1 (x - b) of the scalar affine part
@@ -916,6 +942,9 @@ class AGSection:
             and self.groupoid == other.groupoid
             and self.data == other.data
         )
+
+    def __hash__(self) -> int:
+        return hash((self.groupoid, self.data))
 
     def __repr__(self) -> str:
         return f"AGSection({self.groupoid}; {self.groupoid.ag_repr(self.data)})"

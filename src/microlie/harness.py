@@ -774,8 +774,8 @@ def _law_oracle_self_consistency(env: LawEnv, trial: int) -> None:
 def _law_bracket_degeneration(env: LawEnv, trial: int) -> None:
     x, y, _ = env.triple(trial)
     ours = env.bracket_fn(x, y)
-    expected = env.config.groupoid.oracle_bracket(x.data, y.data)
-    if ours.data != expected:
+    expected = env.config.groupoid.oracle_bracket(x.data, y.data)  # the oracle's own value, printed below
+    if ours != AGSection(env.config.groupoid, expected):
         raise LawViolation(X=x, Y=y, groupoid_bracket=ours, classical=expected)
 
 

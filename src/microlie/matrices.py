@@ -1,73 +1,24 @@
-"""Small exact-matrix helpers.
+"""Small exact-matrix helpers on integers.
 
-Matrices are immutable tuples of row tuples with ``Fraction`` entries: Lie
-algebroid tables and the gauge oracle's products.  A rational matrix is
-inverted by exact Gauss-Jordan elimination, and its invertibility is
-decided by an exact integer determinant, so a check computes no inverse.
-The gauge groupoid keeps its fiber matrices, in sections and in arrows, as
-jets of integer numerators, and inverts them around the rational scalar
-part (see ``TrivialGaugeGroupoid.inverse_data``).
+Invertibility of a rational matrix is decided by an exact integer
+determinant of its rows with their denominators cleared, so a check
+computes no inverse.  An inverse is the integer adjugate over the integer
+determinant: of a gauge scalar fiber table's numerators, or of the
+numerator rows of a pair bisection's linear part.  ``Matrix``, a tuple of
+row tuples, is a rational table of the gauge oracle or of a caller.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 from .weil import _rational
 
 Matrix = tuple[tuple, ...]
 
 
-class SingularMatrixError(ValueError):
-    """A rational matrix is not invertible."""
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scale(c, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mul(a: Matrix, b: Matrix) -> Matrix:
-    k = len(a)
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def q_inverse(m: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse of a rational matrix."""
-    k = len(m)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(m)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if work[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular over the rationals")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(k):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[k:]) for row in work)
-
-
-def _determinant(rows: list[list[int]]) -> int:
+def _determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix by Bareiss elimination.
 
     Each step divides exactly by the previous pivot, so every entry stays an
@@ -93,6 +44,17 @@ def _determinant(rows: list[list[int]]) -> int:
                 row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
     return sign * work[-1][-1]
+
+
+def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """The adjugate and determinant of an integer matrix: ``adj[i][j]`` is the signed minor of entry ``(j, i)``.
+
+    So ``rows @ adj == adj @ rows == det * I``, singular or not, and a nonsingular matrix's inverse is ``adj / det``.
+    """
+    k = len(rows)
+    minor = lambda i, j: [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(rows) if r != i]
+    adj = [[(-1) ** (i + j) * _determinant(minor(j, i)) for j in range(k)] for i in range(k)]
+    return adj, sum(rows[0][j] * adj[j][0] for j in range(k)) if k else 1
 
 
 def q_is_invertible(m: Matrix) -> bool:

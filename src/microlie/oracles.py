@@ -5,16 +5,18 @@ vector fields and the bracket must agree with the classical Jacobi-Lie
 bracket computed by symbolic differentiation.  On the trivial gauge
 groupoid they degenerate into matrix tables; expanding the commutator word
 ``(I - d2 B)(I - d1 A)(I + d2 B)(I + d1 A) = I + d1 d2 (BA - AB)`` fixes
-the table bracket as ``x -> Y(x) X(x) - X(x) Y(x)``.  Neither function
+the table bracket as ``x -> Y(x) X(x) - X(x) Y(x)``, computed on the
+integer numerators of X(x) and Y(x) over one denominator.  Neither function
 touches the groupoid machinery, so they are genuine cross-checks.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from . import matrices
-from .matrices import Matrix
+from .matrices import Matrix, rational_rows
 from .poly import Poly
 
 
@@ -63,9 +65,12 @@ def matrix_table_bracket(x: Sequence[Matrix], y: Sequence[Matrix]) -> tuple[Matr
         raise ValueError("tables over different bases")
     out = []
     for a, b in zip(x, y):
-        a = matrices.rational_rows(a)
-        b = matrices.rational_rows(b)
+        a, b = rational_rows(a), rational_rows(b)
         if len(a) != len(b):
             raise ValueError("tables of different matrix sizes")
-        out.append(matrices.sub(matrices.mul(b, a), matrices.mul(a, b)))
+        q = lcm(1, *(c.denominator for row in a + b for c in row))  # A = a' / q and B = b' / q, integer a' and b'
+        a, b = ([[c.numerator * (q // c.denominator) for c in row] for row in m] for m in (a, b))
+        k = len(a)
+        entry = lambda i, j: sum(b[i][t] * a[t][j] - a[i][t] * b[t][j] for t in range(k))
+        out.append(tuple(tuple(Fraction(entry(i, j), q * q) for j in range(k)) for i in range(k)))
     return tuple(out)

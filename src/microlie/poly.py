@@ -288,12 +288,12 @@ def sum_of_products(nvars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
     return _reduced(nvars, table, den)
 
 
-def affine_row(p: Poly) -> tuple[int, ...] | None:
-    """The numerators of ``x0 .. x(n-1)`` in ``p``, over its denominator; None unless ``p`` is affine."""
+def affine_row(p: Poly) -> tuple[tuple[int, ...], int] | None:
+    """The numerators of ``x0 .. x(n-1)`` in ``p`` and their denominator; None unless ``p`` is affine."""
     if p.degree > 1:
         return None
     num = p._num
-    return tuple(num.get(_unit(p.nvars, i), 0) for i in range(p.nvars))
+    return tuple(num.get(_unit(p.nvars, i), 0) for i in range(p.nvars)), p._den
 
 
 def format_terms(terms: Mapping[Exponents, WeilElement]) -> str:

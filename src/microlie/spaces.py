@@ -200,6 +200,9 @@ class Tangent:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Tangent) and self.point == other.point
 
+    def __hash__(self) -> int:
+        return hash(self.point)
+
     def __repr__(self) -> str:
         return f"Tangent(base={self.base}, direction={self.direction})"
 

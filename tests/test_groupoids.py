@@ -4,13 +4,16 @@ import random
 import sys
 import types
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from microlie import groupoids, matrices
 from microlie.groupoids import (
+    TABLE_DOMAIN,
     AGSection,
     Arrow,
     GroupoidMismatchError,
@@ -21,6 +24,7 @@ from microlie.groupoids import (
     TrivialGaugeGroupoid,
     WBisection,
     WSection,
+    ag_from_flow,
     compose_arrows,
     formal_inverse,
     invert_bisection,
@@ -47,6 +51,7 @@ from microlie.weil import (
 D = InfinitesimalDomain(1)
 D2 = InfinitesimalDomain(2)
 A2 = InfinitesimalDomain.first_order(2)
+I2 = (1, 0, 0, 1)
 
 P1 = PairGroupoid(1)
 P2 = PairGroupoid(2)
@@ -86,6 +91,11 @@ def pair_data(groupoid, domain, *term_dicts):
 
 def pair_section(groupoid, domain, *term_dicts):
     return WSection(groupoid, domain, pair_data(groupoid, domain, *term_dicts))
+
+
+def mat_mul(a, b):
+    """Reference product of square matrices over any ring: ints, ``Fraction`` s or Weil elements."""
+    return tuple(tuple(reduce(add, map(mul, row, col)) for col in zip(*b)) for row in a)
 
 
 def weil_identity(k, domain):
@@ -161,7 +171,7 @@ class TestStar:
         rho = gauge_section(GG, D, (0, 1), (r_table, weil_identity(2, D)))
         product = star(sigma, rho)
         assert product.data[0] == (0, 1)
-        assert weil_tables(GG, product.data)[0] == matrices.mul(s_table, r_table)
+        assert weil_tables(GG, product.data)[0] == mat_mul(s_table, r_table)
 
     def test_mismatches_rejected(self):
         a = pair_section(P1, D, {(1,): 1})
@@ -700,7 +710,7 @@ def _invertible(draw, k):
     nonzero = SMALL.filter(bool)
     lower = tuple(tuple(1 if i == j else draw(SMALL) if j < i else 0 for j in range(k)) for i in range(k))
     upper = tuple(tuple(draw(nonzero) if i == j else draw(SMALL) if j > i else 0 for j in range(k)) for i in range(k))
-    return matrices.mul(lower, upper)
+    return mat_mul(lower, upper)
 
 
 def _gauge_tables(draw, groupoid, domain, invertible=False):
@@ -727,7 +737,7 @@ def test_gauge_star_agrees_with_weil_matrices(data):
     f_s, s = _base_map(draw, g), _gauge_tables(draw, g, domain)
     f_r, r = _base_map(draw, g), _gauge_tables(draw, g, domain)
     got = g.star_data(gauge_data(g, domain, f_s, s), gauge_data(g, domain, f_r, r))
-    products = tuple(matrices.mul(s[y], h) for y, h in zip(f_r, r))
+    products = tuple(mat_mul(s[y], h) for y, h in zip(f_r, r))
     assert got == gauge_data(g, domain, tuple(f_s[y] for y in f_r), products)
 
 
@@ -747,7 +757,7 @@ def test_gauge_arrows_compose_as_weil_matrices(data):
         assert (weil_matrix(h1.fiber, k), weil_matrix(h2.fiber, k)) == (r[x], s[f_r[x]])
         h = compose_arrows(h2, h1)
         assert (h.target, h.source) == ((f_s[f_r[x]],), (x,))
-        assert weil_matrix(h.fiber, k) == matrices.mul(weil_matrix(h2.fiber, k), weil_matrix(h1.fiber, k))
+        assert weil_matrix(h.fiber, k) == mat_mul(weil_matrix(h2.fiber, k), weil_matrix(h1.fiber, k))
 
 
 @settings(max_examples=60, deadline=None)
@@ -757,13 +767,15 @@ def test_gauge_inverse_is_two_sided_on_weil_matrices(data):
     g, domain = _gauge_case(draw)
     base_map = tuple(draw(st.permutations(range(g.base_size))))
     tables = _gauge_tables(draw, g, domain, invertible=True)
-    inverse = g.inverse_data(gauge_data(g, domain, base_map, tables), domain)
+    off_identity = (w.scalar_part != (i == j) for t in tables for i, row in enumerate(t) for j, w in enumerate(row))
+    assume(any(off_identity))  # some scalar table is not den * I, so the inverse needs its adjugate
+    inverse = invert_bisection(gauge_section(g, domain, base_map, tables, cls=WBisection)).data
     inverse_tables = weil_tables(g, inverse)
     ident = weil_identity(g.matrix_size, domain)
     for y, x in enumerate(base_map):  # the inverse sends x back to y, through the inverse of y's matrix
         assert inverse[0][x] == y
-        assert matrices.mul(inverse_tables[x], tables[y]) == ident
-        assert matrices.mul(tables[y], inverse_tables[x]) == ident
+        assert mat_mul(inverse_tables[x], tables[y]) == ident
+        assert mat_mul(tables[y], inverse_tables[x]) == ident
 
 
 @settings(max_examples=60, deadline=None)
@@ -772,11 +784,12 @@ def test_gauge_flow_agrees_with_weil_matrices(data):
     draw = data.draw
     g, domain = _gauge_case(draw)
     k = g.matrix_size
-    fields = g.ag_data(tuple(tuple(tuple(draw(SMALL) for _ in range(k)) for _ in range(k)) for _ in range(g.base_size)))
+    tables = tuple(tuple(tuple(draw(SMALL) for _ in range(k)) for _ in range(k)) for _ in range(g.base_size))
     i = draw(st.integers(1, domain.generator_count))
     e = _weil_element(draw, domain) * WeilElement.generator(domain, i)  # square-zero, no scalar part
-    got = g.flow_data(fields, e)
-    flows = tuple(matrices.add(weil_identity(k, domain), matrices.scale(e, t)) for t in fields)
+    got = g.flow_data(g.ag_data(tables), e)
+    ident = weil_identity(k, domain)
+    flows = tuple(tuple(tuple(w + e * c for w, c in zip(*rows)) for rows in zip(ident, t)) for t in tables)
     assert got == gauge_data(g, domain, tuple(range(g.base_size)), flows)
 
 
@@ -801,7 +814,80 @@ def test_gauge_read_coefficient_agrees_with_weil_matrices(data):
     section = gauge_data(g, domain, _base_map(draw, g), tables)
     for monomial in domain.monomials():
         expected = tuple(tuple(tuple(w.coefficient(monomial) for w in row) for row in t) for t in tables)
-        assert g.read_coefficient(section, monomial) == expected
+        assert AGSection(g, g.read_coefficient(section, monomial)) == AGSection(g, expected)
+
+
+# -- gauge Lie algebroid data: integer table jets against a Fraction-table reference ----------------
+
+RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def _rational_tables(draw, groupoid):
+    """One k x k table of rationals per base point; the first entry has a denominator above 1."""
+    k = groupoid.matrix_size
+    tables = [[[draw(RATIONAL) for _ in range(k)] for _ in range(k)] for _ in range(groupoid.base_size)]
+    tables[0][0][0] = draw(st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(-5, 6)]))
+    return tuple(tuple(map(tuple, t)) for t in tables)
+
+
+def _fraction_bracket(a, b):
+    """Reference: the table ``x -> B(x) A(x) - A(x) B(x)``, in ``Fraction`` arithmetic."""
+    sub = lambda p, q: tuple(tuple(x - y for x, y in zip(rp, rq)) for rp, rq in zip(p, q))
+    return tuple(sub(mat_mul(q, p), mat_mul(p, q)) for p, q in zip(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gauge_table_jets_agree_with_fraction_tables(data):
+    draw = data.draw
+    g = TrivialGaugeGroupoid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    a, b, c = _rational_tables(draw, g), _rational_tables(draw, g), draw(RATIONAL)
+    x, y = AGSection(g, a), AGSection(g, b)
+    assert x.data.domain is TABLE_DOMAIN and x.data.den > 1
+    assert g.ag_repr(x.data) == str(a) and x == AGSection(g, x.data)
+    entrywise = lambda f, p, q: tuple(tuple(tuple(map(f, rp, rq)) for rp, rq in zip(tp, tq)) for tp, tq in zip(p, q))
+    assert x + y == AGSection(g, entrywise(add, a, b))
+    assert x - y == AGSection(g, entrywise(lambda u, v: u - v, a, b))
+    assert x.scaled(c) == AGSection(g, tuple(tuple(tuple(c * u for u in row) for row in t) for t in a))
+    expected = _fraction_bracket(a, b)
+    assert g.oracle_bracket(x.data, y.data) == expected
+    assert AGSection(g, g.oracle_bracket(x.data, y.data)) == AGSection(g, expected)
+    assert ag_from_flow(section_at(x, WeilElement.generator(D, 1))) == x
+
+
+def test_gauge_table_repr_prints_every_entry_as_a_fraction():
+    x = AGSection(TrivialGaugeGroupoid(1, 2), [[[Fraction(1, 2), Fraction(-2, 3)], [0, 3]]])
+    assert repr(x) == (
+        "AGSection(TrivialGaugeGroupoid(base_size=1, matrix_size=2); "
+        "(((Fraction(1, 2), Fraction(-2, 3)), (Fraction(0, 1), Fraction(3, 1))),))"
+    )
+
+
+@pytest.mark.parametrize(
+    "jet, error, message",
+    [
+        (Jet(D, {0: I2 * 2}), ValueError, "over the domain with no generators"),
+        (Jet(TABLE_DOMAIN, {0: I2}), ValueError, "must hold 2 tables of 2 x 2 numerators"),
+        (Jet(TABLE_DOMAIN, {0: (Fraction(1, 2), 0, 0, 1) + I2}), TypeError, "must hold int numerators"),
+        (Jet(TABLE_DOMAIN, {0: (0.5, 0, 0, 1) + I2}), TypeError, "must hold int numerators"),
+    ],
+    ids=["domain", "length", "Fraction", "float"],
+)
+def test_gauge_table_jets_are_checked(jet, error, message):
+    with pytest.raises(error, match=message):
+        AGSection(GG, jet)
+
+
+@pytest.mark.parametrize("groupoid", [P2, GG], ids=["pair", "gauge"])
+def test_equal_sections_hash_equal(groupoid):
+    x, y = (groupoid.random_ag(random.Random(4), 1) for _ in range(2))  # equal, built apart
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert len({x, y, x + AGSection.zero(groupoid), x.scaled(2)}) == 2
+    d = WeilElement.generator(D, 1)
+    flows = [section_at(x, d), section_at(y, d), WSection(groupoid, D, section_at(x, d).data)]
+    assert flows[0] == flows[1] == flows[2] and len({hash(s) for s in flows}) == 1
+    assert isinstance(flows[0], WBisection) and not isinstance(flows[2], WBisection)
+    assert len({*flows, section_at(x, -d), star(flows[0], flows[1])}) == 3
 
 
 # -- the section checks: exact on integer numerators, on every construction path ---------------------
@@ -824,7 +910,9 @@ def test_pair_witness_agrees_with_the_rational_linear_part(data):
     jet = Jet(D, {0: comps})
     if matrices.q_is_invertible(matrix):
         PairGroupoid(n).check_bisection(jet)
-        WBisection(PairGroupoid(n), D, jet)
+        sigma = WBisection(PairGroupoid(n), D, jet)
+        inverse = invert_bisection(sigma)  # A^-1 from the adjugate of the numerator rows and their denominators
+        assert star(inverse, sigma) == WSection.identity(sigma.groupoid, D) == star(sigma, inverse)
     else:
         with pytest.raises(InvertibilityError, match="singular linear term"):
             PairGroupoid(n).check_bisection(jet)
@@ -850,7 +938,8 @@ def test_a_scaled_identity_table_needs_no_determinant(monkeypatch):
     product = star(flow, flow)  # a derived bisection whose scalar tables are den * I with den = 3
     assert product.data[1].den == 3 and product.data[1][0] == (3, 0, 0, 3) * 2
     assert calls == []
-    assert product == section_at(AGSection(GG, [matrices.scale(2, third)] * 2), WeilElement.generator(D, 1))
+    two_thirds = ((Fraction(2, 3), 0), (0, 0))
+    assert product == section_at(AGSection(GG, [two_thirds] * 2), WeilElement.generator(D, 1))
 
 
 def test_other_scalar_tables_take_the_determinant(monkeypatch):
@@ -895,9 +984,6 @@ def test_every_construction_path_runs_the_checks(groupoid, monkeypatch):
         seen.clear()
         build()
         assert seen == ["section_data", "check_bisection"] if bisection else ["section_data"], path
-
-
-I2 = (1, 0, 0, 1)
 
 
 @pytest.mark.parametrize(

@@ -289,6 +289,13 @@ class TestTangents:
         with pytest.raises(ValueError):
             tangent_combine(a, b)
 
+    def test_equal_tangents_hash_equal(self):
+        a = tangent_from_parts(AffineSpace(1), [1], [2])
+        b = tangent_from_parts(AffineSpace(1), [Fraction(2, 2)], (Fraction(4, 2),))
+        c = tangent_from_parts(AffineSpace(1), [1], [3])
+        assert a == b and hash(a) == hash(b)
+        assert {a, b, c} == {a, c} and len({a, b, c}) == 2
+
 
 def random_square_family(rng, count):
     base = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
