@@ -69,10 +69,12 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
   data, by a table of Weil monomial images (see :meth:`WSection.substitute`);
 * ``slots`` and ``from_slots``, the one coefficient view of section data,
   mask-major like the jet: ``slots(data)`` returns
-  ``(shape, {mask: {slot: Fraction}})`` and ``from_slots`` rebuilds the
+  ``(shape, {mask: {slot: int}}, den)``, integer numerators over one
+  denominator, and ``from_slots(shape, view, den, domain)`` rebuilds the
   data.  Charts, coefficient tests and random pair sections go through
-  these two alone; :meth:`SectionChart.of` fills a point's vector on each
-  mask from that mask's slots, and builds no Weil element;
+  these two alone; :meth:`SectionChart.of` fills a point's numerators on
+  each mask from that mask's slots, and builds no Weil element, and for a
+  gauge section no ``Fraction`` either;
 * ``ag_data``, ``ag_zero``, ``ag_add``, ``ag_scale``, ``ag_repr`` and
   ``oracle_bracket`` for Lie algebroid data; ``oracle_bracket`` returns the
   classical oracle's own value, which ``ag_data`` accepts;
@@ -93,11 +95,10 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Sequence
 
-from . import matrices
 from .matrices import Matrix, _adjugate, _determinant
 from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
-from .poly import Exponents, Poly, affine_row, compose_map, format_terms, identity_map, sum_of_products
-from .spaces import AffineSpace, MatrixGroup, WPoint
+from .poly import Exponents, Poly, affine_row, compose_map, format_terms, identity_map, numerators, sum_of_products
+from .spaces import AffineSpace, MatrixGroup, WPoint, _point
 from .weil import (
     DomainMismatchError,
     InfinitesimalDomain,
@@ -232,7 +233,9 @@ class PairGroupoid:
         # a point is a jet of constant maps, so evaluating is composing with it
         if x.domain is not domain:
             raise DomainMismatchError(f"point over {x.domain!r}, section over {domain!r}")
-        image = _compose(data, Jet(domain, {b: tuple(Poly.scalar(0, c) for c in v) for b, v in x.parts.items()}))
+        den = x.parts.den
+        constants = {b: tuple(Poly.scalar(0, Fraction(n, den)) for n in v) for b, v in x.parts.items()}
+        image = _compose(data, Jet(domain, constants))
         target = {b: [c.coefficient(()) for c in comps] for b, comps in image.items()}
         return Arrow(self, WPoint.from_masks(x.space, domain, target), x)
 
@@ -278,20 +281,25 @@ class PairGroupoid:
 
     def section_repr(self, data) -> str:
         comps: list[dict[Exponents, dict[int, Fraction]]] = [{} for _ in range(self.dim)]
-        for b, cs in self.slots(data)[1].items():
-            for (i, e), c in cs.items():
-                comps[i].setdefault(e, {})[b] = c
+        _, view, den = self.slots(data)
+        for b, cs in view.items():
+            for (i, e), n in cs.items():
+                comps[i].setdefault(e, {})[b] = Fraction(n, den)
         terms = ({e: WeilElement.from_masks(data.domain, cs) for e, cs in comp.items()} for comp in comps)
         return f"x -> ({'; '.join(map(format_terms, terms))})"
 
     # -- coefficient view: one slot per (component, exponent tuple) term; no shape --------
 
-    def slots(self, data) -> tuple[None, dict]:
-        terms = lambda comps: {(i, e): c for i, comp in enumerate(comps) for e, c in comp.coeffs.items()}
-        return None, {b: terms(comps) for b, comps in data.items()}
+    def slots(self, data) -> tuple[None, dict, int]:
+        rows = {b: [numerators(comp) for comp in comps] for b, comps in data.items()}
+        den = lcm(1, *(d for row in rows.values() for _, d in row))
+        terms = lambda row: {(i, e): n * (den // d) for i, (num, d) in enumerate(row) for e, n in num.items()}
+        return None, {b: terms(row) for b, row in rows.items()}, den
 
-    def from_slots(self, shape: None, coeffs, domain: InfinitesimalDomain) -> "Jet":
-        comps = lambda cs: tuple(Poly(self.dim, {e: c for (j, e), c in cs.items() if j == i}) for i in range(self.dim))
+    def from_slots(self, shape: None, coeffs, den: int, domain: InfinitesimalDomain) -> "Jet":
+        comps = lambda cs: tuple(
+            Poly(self.dim, {e: Fraction(n, den) for (j, e), n in cs.items() if j == i}) for i in range(self.dim)
+        )
         return Jet(domain, {b: comps(cs) for b, cs in {0: {}, **coeffs}.items()})
 
     # -- Lie algebroid data -------------------------------------------------------------
@@ -330,7 +338,7 @@ class PairGroupoid:
     def random_section(self, rng: random.Random, domain, degree: int) -> "WSection":
         """An arbitrary section (not necessarily a bisection)."""
         view = _rand_view(rng, domain, self.dim, degree, 0.5, False)
-        return WSection(self, domain, self.from_slots(None, view, domain))
+        return WSection(self, domain, self.from_slots(None, view, 1, domain))
 
     def random_bisection(
         self, rng: random.Random, domain, degree: int, scalar_exact: bool = False
@@ -341,7 +349,7 @@ class PairGroupoid:
         scalar.update(((i, tuple(int(t == j) for t in range(n))), a[i][j]) for i in range(n) for j in range(n))
         # the nilpotent terms lie on the other masks, so the two views merge with nothing to add
         view = {} if scalar_exact else _rand_view(rng, domain, n, degree, 0.4, True)
-        return WBisection(self, domain, self.from_slots(None, {**view, 0: scalar}, domain))
+        return WBisection(self, domain, self.from_slots(None, {**view, 0: scalar}, 1, domain))
 
     def base_points(self, rng: random.Random, domain) -> list[WPoint]:
         """The points a pointwise law checks: three random ones."""
@@ -496,23 +504,21 @@ class TrivialGaugeGroupoid:
 
     # -- coefficient view: one slot per (base point, row, column); the shape is the base map
 
-    def slots(self, data) -> tuple[tuple[int, ...], dict]:
+    def slots(self, data) -> tuple[tuple[int, ...], dict, int]:
         # the scalar part names every slot, so the identity's view charts them all
         base_map, jet = data
-        slots, den, zero = self._slots(), jet.den, Fraction(0)
-        part = lambda b, p: {s: Fraction(n, den) if n else zero for s, n in zip(slots, p) if n or not b}
-        return base_map, {b: part(b, p) for b, p in jet.items()}
+        slots = self._slots()
+        part = lambda b, p: {s: n for s, n in zip(slots, p) if n or not b}
+        return base_map, {b: part(b, p) for b, p in jet.items()}, jet.den
 
-    def from_slots(self, shape: tuple[int, ...], coeffs, domain: InfinitesimalDomain) -> tuple:
+    def from_slots(self, shape: tuple[int, ...], coeffs, den: int, domain: InfinitesimalDomain) -> tuple:
         index = {slot: s for s, slot in enumerate(self._slots())}
-        entries = {b: [(index[slot], _rational(c)) for slot, c in cs.items()] for b, cs in coeffs.items()}
-        q = lcm(1, *(c.denominator for cs in entries.values() for _, c in cs))
         parts: dict[int, list[int]] = {0: [0] * len(index)}
-        for b, cs in entries.items():
+        for b, cs in coeffs.items():
             part = parts.setdefault(b, [0] * len(index))
-            for s, c in cs:
-                part[s] = c.numerator * (q // c.denominator)
-        return shape, Jet(domain, parts, q)
+            for slot, n in cs.items():
+                part[index[slot]] = n
+        return shape, Jet(domain, parts, den)
 
     def _slots(self) -> list[tuple[int, int, int]]:
         """The slots ``(x, i, j)`` in the order of a part's numerators."""
@@ -524,14 +530,13 @@ class TrivialGaugeGroupoid:
         """A table jet, checked, or the jet of a sequence of rational k x k tables."""
         m, k = self.base_size, self.matrix_size
         if not isinstance(data, Jet):
-            tables = tuple(matrices.rational_rows(t) for t in data)
+            tables = tuple(data)
             if len(tables) != m:
                 raise ValueError(f"expected {m} tables")
-            if any(len(t) != k or any(len(row) != k for row in t) for t in tables):
+            square = lambda rows: isinstance(rows, Sequence) and len(rows) == k
+            if not all(square(t) and all(map(square, t)) for t in tables):
                 raise ValueError("tables must be k x k")
-            entries = [c for t in tables for row in t for c in row]
-            q = lcm(1, *(c.denominator for c in entries))
-            data = Jet(TABLE_DOMAIN, {0: [c.numerator * (q // c.denominator) for c in entries]}, q)
+            data = Jet.of_rationals(TABLE_DOMAIN, {0: [c for t in tables for row in t for c in row]})
         if data.domain is not TABLE_DOMAIN:  # whose only mask is 0, so the jet has one part
             raise ValueError("a table jet must be over the domain with no generators")
         if len(data[0]) != m * k * k:
@@ -1011,19 +1016,19 @@ class SectionChart:
         shape = views[0][0]
         if any(v[0] != shape for v in views):
             raise ValueError("charted sections must share a shape")
-        slots = {slot for _, view in views for cs in view.values() for slot in cs}
+        slots = {slot for _, view, _ in views for cs in view.values() for slot in cs}
         # always include the identity section's slots so it is chartable
         slots.update(groupoid.slots(groupoid.identity_data(sections[0].domain))[1][0])
         chart = cls(groupoid, tuple(sorted(slots)), shape)
         index = {slot: s for s, slot in enumerate(chart.slots)}
         points = []
-        for section, (_, view) in zip(sections, views):
+        for section, (_, view, den) in zip(sections, views):
             parts = {}
             for b, cs in view.items():
-                vector = parts[b] = [Fraction(0)] * len(index)
-                for slot, c in cs.items():
-                    vector[index[slot]] = c
-            points.append(WPoint.from_masks(chart.space, section.domain, parts))
+                vector = parts[b] = [0] * len(index)
+                for slot, n in cs.items():
+                    vector[index[slot]] = n
+            points.append(_point(chart.space, Jet(section.domain, parts, den)))  # an affine space checks nothing
         return chart, tuple(points)
 
     @property
@@ -1033,5 +1038,7 @@ class SectionChart:
     def to_section(self, point: WPoint) -> WSection:
         if point.space != self.space:
             raise ValueError("point does not live in the chart's space")
-        coeffs = {b: {slot: c for slot, c in zip(self.slots, vector) if c} for b, vector in point.parts.items()}
-        return WSection(self.groupoid, point.domain, self.groupoid.from_slots(self.shape, coeffs, point.domain))
+        jet = point.parts
+        coeffs = {b: {slot: n for slot, n in zip(self.slots, vector) if n} for b, vector in jet.items()}
+        data = self.groupoid.from_slots(self.shape, coeffs, jet.den, point.domain)
+        return WSection(self.groupoid, point.domain, data)

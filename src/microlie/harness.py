@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from . import liealg
@@ -402,7 +401,7 @@ def _law_ring_laws(env: LawEnv, trial: int) -> None:
 
 def _substitution_maps(rng: random.Random):
     """A few relation-respecting generator substitutions with random weights."""
-    r = lambda: Fraction(_rand_int(rng))
+    r = lambda: _rand_int(rng)
     d = WeilElement.generator(LINE, 1)
     d1, d2 = WeilElement.generator(D2, 1), WeilElement.generator(D2, 2)
     e1, e2 = WeilElement.generator(AXES2, 1), WeilElement.generator(AXES2, 2)
@@ -544,12 +543,12 @@ def _law_derived_jacobi(env: LawEnv, trial: int) -> None:
 # -- strong difference laws --------------------------------------------------------------------------
 
 
-def _rand_vec(rng: random.Random, n: int) -> list[Fraction]:
-    return [Fraction(_rand_int(rng)) for _ in range(n)]
+def _rand_vec(rng: random.Random, n: int) -> list[int]:
+    return [_rand_int(rng) for _ in range(n)]
 
 
-def _is_scalar_point(space, vec: list[Fraction]) -> bool:
-    """Whether the rational flat coordinates ``vec`` are a point of the space."""
+def _is_scalar_point(space, vec: list[int]) -> bool:
+    """Whether the integer flat coordinates ``vec`` are a point of the space."""
     try:
         space.check(vec)
     except MembershipError:

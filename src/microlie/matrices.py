@@ -1,16 +1,17 @@
 """Small exact-matrix helpers on integers.
 
-Invertibility of a rational matrix is decided by an exact integer
-determinant of its rows with their denominators cleared, so a check
-computes no inverse.  An inverse is the integer adjugate over the integer
-determinant: of a gauge scalar fiber table's numerators, or of the
-numerator rows of a pair bisection's linear part.  ``Matrix``, a tuple of
-row tuples, is a rational table of the gauge oracle or of a caller.
+Invertibility of a rational matrix is decided by the exact integer
+determinant of its numerator rows: a gauge scalar fiber table, a matrix
+point's scalar part (both over one denominator) or a pair bisection's
+linear part (a denominator per row).  Clearing denominators scales the
+determinant by a nonzero factor, so a check computes no inverse.  An
+inverse is the integer adjugate over the integer determinant.
+``Matrix``, a tuple of row tuples, is a rational table of the gauge oracle
+or of a caller.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 from .weil import _rational
@@ -55,22 +56,6 @@ def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     minor = lambda i, j: [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(rows) if r != i]
     adj = [[(-1) ** (i + j) * _determinant(minor(j, i)) for j in range(k)] for i in range(k)]
     return adj, sum(rows[0][j] * adj[j][0] for j in range(k)) if k else 1
-
-
-def q_is_invertible(m: Matrix) -> bool:
-    """Whether a rational matrix is invertible, decided by its determinant.
-
-    Each row is scaled by a common multiple of its denominators first, which
-    leaves integers and multiplies the determinant by a nonzero factor.
-    """
-    rows = []
-    for row in m:
-        den = 1
-        for x in row:
-            d = x.denominator
-            den = den * d // gcd(den, d)
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-    return _determinant(rows) != 0
 
 
 def rational_rows(m: Matrix) -> Matrix:

@@ -17,7 +17,8 @@ degree at most :data:`MAX_DEGREE` never carries; a product above it raises
 ``OverflowError``.  Exponent tuples appear only at the API edges: the
 constructor, ``coefficient``, the read-only ``coeffs`` mapping,
 ``derivative``'s variable, ``degree`` and ``str``, which speak
-``Fraction`` for coefficients; :func:`format_poly` writes the input
+``Fraction`` for coefficients, and :func:`numerators`, which gives the
+integer numerators by exponent tuple; :func:`format_poly` writes the input
 grammar of :mod:`microlie.vfexpr` straight from the numerators.  ``terms``
 is ``coeffs`` with each coefficient as a scalar Weil element over
 :data:`RATIONALS`, built on first read.
@@ -294,6 +295,11 @@ def affine_row(p: Poly) -> tuple[tuple[int, ...], int] | None:
         return None
     num = p._num
     return tuple(num.get(_unit(p.nvars, i), 0) for i in range(p.nvars)), p._den
+
+
+def numerators(p: Poly) -> tuple[dict[Exponents, int], int]:
+    """The nonzero numerators of ``p`` by exponent tuple, and their denominator."""
+    return {_exponents(key, p.nvars): n for key, n in p._num.items()}, p._den
 
 
 def format_terms(terms: Mapping[Exponents, WeilElement]) -> str:

@@ -3,20 +3,23 @@
 Two spaces are supported: affine space (:class:`AffineSpace`) and the
 invertible matrices (:class:`MatrixGroup`), whose flat coordinates are the
 entries row-major.  Each space class gives its number of coordinates
-(``flat_dim``) and its membership test on the rational scalar vector
-(``check``), so no code here asks which kind of space it holds.
+(``flat_dim``) and its membership test on the scalar part's integer
+numerators (``check``; a membership that a positive common factor cannot
+change), so no code here asks which kind of space it holds.
 
 By the Kock-Lawvere axiom a point of a space over an InfinitesimalDomain
 is its family of coefficient vectors, one per surviving monomial, and a
 :class:`WPoint` stores just that as a :class:`~microlie.weil.Jet` of
-``Fraction`` vectors.  Over the one-generator domain a point is a tangent
-vector; over ``D^2`` a microsquare; over ``D^3`` a microcube.
-:meth:`WPoint.coefficient` reads one monomial's vector.  A point built
-from given coordinates is checked in full.  :func:`restrict_point` (the
-jet's ``restrict``) and :func:`sigma_perm` (its ``relabel``) keep the
-scalar part of a checked point, so they check nothing again, and
-:func:`tangent_combine` adds two tangents at one base point; none of them
-builds a Weil element, which appear only in a point's ``repr``.
+integer numerators over one denominator.  Over the one-generator domain a
+point is a tangent vector; over ``D^2`` a microsquare; over ``D^3`` a
+microcube.  A point built from given coordinates is checked in full.
+:func:`restrict_point` (the jet's ``restrict``) and :func:`sigma_perm` (its
+``relabel``) keep the scalar part of a checked point, so they check nothing
+again.  The strong differences and :func:`tangent_combine` bring their two
+points over the lcm of their denominators and subtract or add numerators;
+their result keeps a checked scalar part too.  Only the edges build a
+``Fraction`` or a Weil element: :meth:`WPoint.coefficient`,
+:attr:`Tangent.base`, :attr:`Tangent.direction` and both ``repr`` s.
 
 Conventions, pinned once and enforced by the law suites:
 
@@ -36,22 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import matrices
-from .weil import (
-    AXES2,
-    D2,
-    D3,
-    LINE,
-    SCALAR,
-    InfinitesimalDomain,
-    Jet,
-    Monomial,
-    Rational,
-    WeilElement,
-    _rational,
-)
+from .weil import AXES2, D2, D3, LINE, SCALAR, InfinitesimalDomain, Jet, Rational, WeilElement, _frac
 
 
 class MembershipError(ValueError):
@@ -76,7 +68,7 @@ class AffineSpace:
     def flat_dim(self) -> int:
         return self.dim
 
-    def check(self, scalar: Sequence[Fraction]) -> None:
+    def check(self, scalar: Sequence[int]) -> None:
         """Accept every point."""
 
 
@@ -90,10 +82,10 @@ class MatrixGroup:
     def flat_dim(self) -> int:
         return self.size * self.size
 
-    def check(self, scalar: Sequence[Fraction]) -> None:
-        """Reject a matrix whose scalar part, given row-major, is singular."""
+    def check(self, scalar: Sequence[int]) -> None:
+        """Reject a matrix whose scalar part, given as row-major numerators over one denominator, is singular."""
         k = self.size
-        if not matrices.q_is_invertible([scalar[i : i + k] for i in range(0, k * k, k)]):
+        if not matrices._determinant([scalar[i * k : i * k + k] for i in range(k)]):
             raise MembershipError("matrix point has singular scalar part")
 
 
@@ -104,11 +96,12 @@ class WPoint:
     """A point of a space over a Weil domain, stored as its jet.
 
     ``parts`` is the :class:`~microlie.weil.Jet` of the point: each mask's
-    vector of ``flat_dim`` ``Fraction`` coordinates, with mask 0, the scalar
-    part, always present and every other all-zero vector left out, so equal
-    points have equal parts.  The constructor takes the vectors keyed by
-    monomial and :meth:`from_masks` keyed by mask; absent monomials are
-    zero.  Both check every coordinate and the scalar part's membership.
+    vector of ``flat_dim`` integer numerators over the jet's denominator,
+    with mask 0, the scalar part, always present and every other all-zero
+    vector left out, so equal points have equal parts.  The constructor
+    takes rational vectors keyed by monomial and :meth:`from_masks` keyed by
+    mask; absent monomials are zero.  Both check every coordinate and the
+    scalar part's membership.
     """
 
     __slots__ = ("space", "parts")
@@ -125,13 +118,11 @@ class WPoint:
     def from_masks(cls, space: Space, domain: InfinitesimalDomain, parts: Mapping[int, Sequence[Rational]]) -> "WPoint":
         """The point with coordinate vector ``parts[b]`` on the monomial of each surviving mask ``b``."""
         n = space.flat_dim
-        table = {0: (Fraction(0),) * n}
-        for b, vector in parts.items():
-            vector = tuple(map(_rational, vector))
+        table = {0: (0,) * n, **{b: tuple(vector) for b, vector in parts.items()}}
+        for vector in table.values():
             if len(vector) != n:
                 raise ValueError(f"expected {n} coordinates, got {len(vector)}")
-            table[b] = vector
-        jet = Jet(domain, table)
+        jet = Jet.of_rationals(domain, table)
         space.check(jet[0])
         return _point(space, jet)
 
@@ -143,8 +134,9 @@ class WPoint:
         return self.parts.domain
 
     def coefficient(self, monomial: Iterable[int]) -> tuple[Fraction, ...]:
-        """The given monomial's coefficient in every coordinate."""
-        return self.parts.coefficient(monomial) or (Fraction(0),) * self.space.flat_dim
+        """The given monomial's coefficient in every coordinate, as ``Fraction`` s."""
+        jet = self.parts
+        return tuple(_frac(n, jet.den) for n in jet.coefficient(monomial, (0,) * self.space.flat_dim))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WPoint) and self.space == other.space and self.parts == other.parts
@@ -153,15 +145,16 @@ class WPoint:
         return hash((self.space, self.parts))
 
     def __repr__(self) -> str:
+        den = self.parts.den
         coords = (
-            WeilElement.from_masks(self.domain, {b: v[i] for b, v in self.parts.items()})
+            WeilElement.from_masks(self.domain, {b: _frac(v[i], den) for b, v in self.parts.items()})
             for i in range(self.space.flat_dim)
         )
         return f"WPoint({self.space}, {self.domain!r}; {', '.join(map(str, coords))})"
 
 
 def _point(space: Space, jet: Jet) -> WPoint:
-    """The point with the given jet, which is already checked: a restriction or relabelling of a point's jet."""
+    """The point with the given jet of ``flat_dim`` numerators per mask, whose scalar part lies in the space."""
     point = object.__new__(WPoint)
     object.__setattr__(point, "space", space)
     object.__setattr__(point, "parts", jet)
@@ -195,7 +188,7 @@ class Tangent:
 
     @property
     def is_zero(self) -> bool:
-        return all(not v for v in self.direction)
+        return 1 not in self.point.parts
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Tangent) and self.point == other.point
@@ -225,11 +218,16 @@ def restrict_point(p: WPoint, sub: InfinitesimalDomain) -> WPoint:
 # -- strong difference of microsquares ---------------------------------------------
 
 
-TOP_SQUARE: Monomial = frozenset({1, 2})
+def _over_lcm(a: WPoint, b: WPoint):
+    """A reader of each point's vector on a mask, as numerators over the lcm ``q`` of their denominators, and ``q``."""
+    q = lcm(a.parts.den, b.parts.den)
+    zero = (0,) * a.space.flat_dim
 
+    def vectors(jet: Jet):
+        f = q // jet.den
+        return lambda mask: [n * f for n in jet.get(mask, zero)]
 
-def _difference(plus: WPoint, minus: WPoint, monomial: Monomial) -> tuple[Fraction, ...]:
-    return tuple(p - m for p, m in zip(plus.coefficient(monomial), minus.coefficient(monomial)))
+    return vectors(a.parts), vectors(b.parts), q
 
 
 def strong_difference(plus: WPoint, minus: WPoint) -> Tangent:
@@ -243,9 +241,9 @@ def strong_difference(plus: WPoint, minus: WPoint) -> Tangent:
         raise ValueError("strong difference expects microsquares over D^2")
     if restrict_point(plus, AXES2) != restrict_point(minus, AXES2):
         raise CompatibilityError("not D(2)-compatible")
-    return tangent_from_parts(
-        plus.space, plus.coefficient(SCALAR), _difference(plus, minus, TOP_SQUARE)
-    )
+    p, m, q = _over_lcm(plus, minus)
+    direction = [x - y for x, y in zip(p(3), m(3))]  # mask 3 is d1*d2
+    return Tangent(_point(plus.space, Jet(LINE, {0: p(0), 1: direction}, q)))
 
 
 # -- permutation action and axis relabelings ---------------------------------------
@@ -301,16 +299,10 @@ def relative_strong_difference(i: int, plus: WPoint, minus: WPoint) -> WPoint:
     agreement = InfinitesimalDomain(3, [(j, k)])
     if restrict_point(plus, agreement) != restrict_point(minus, agreement):
         raise CompatibilityError(f"not D(2)xD-compatible along axis {i}")
-    columns = {
-        SCALAR: plus.coefficient(SCALAR),
-        frozenset({1}): _difference(plus, minus, frozenset({j, k})),
-        frozenset({2}): plus.coefficient({i}),
-        TOP_SQUARE: _difference(plus, minus, frozenset({i, j, k})),
-    }
-    try:
-        return WPoint(plus.space, D2, columns)
-    except MembershipError as exc:
-        raise InternalInvariantError(f"relativized difference escapes the space: {exc}") from exc
+    p, m, q = _over_lcm(plus, minus)
+    difference = lambda mask: [x - y for x, y in zip(p(mask), m(mask))]
+    side = 1 << j - 1 | 1 << k - 1  # d_j*d_k; mask 7 is d1*d2*d3
+    return _point(plus.space, Jet(D2, {0: p(0), 1: difference(side), 2: p(1 << i - 1), 3: difference(7)}, q))
 
 
 def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> WPoint:
@@ -330,29 +322,23 @@ def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> W
     m = plus.space.flat_dim
     doubled = AffineSpace(2 * m)
 
-    zero = (Fraction(0),) * m
+    zero = (0,) * m
 
     def curry(cube: WPoint) -> WPoint:
         # split on generator 3: the value part (no d3) then the inner-direction part (the d3 factor)
         parts = cube.parts
-        return WPoint.from_masks(doubled, D2, {b: parts.get(b, zero) + parts.get(b | 4, zero) for b in D2.masks})
+        return _point(doubled, Jet(D2, {b: parts.get(b, zero) + parts.get(b | 4, zero) for b in D2.masks}, parts.den))
 
-    t = strong_difference(curry(relabeled_plus), curry(relabeled_minus))
-    base, direction = t.base, t.direction
-    columns = {
-        SCALAR: base[:m],
-        frozenset({1}): direction[:m],
-        frozenset({2}): base[m:],
-        TOP_SQUARE: direction[m:],
-    }
-    return WPoint(plus.space, D2, columns)
+    t = strong_difference(curry(relabeled_plus), curry(relabeled_minus)).point.parts
+    base, direction = t[0], t.get(1, zero + zero)
+    return _point(plus.space, Jet(D2, {0: base[:m], 1: direction[:m], 2: base[m:], 3: direction[m:]}, t.den))
 
 
 def tangent_combine(a: Tangent, b: Tangent) -> Tangent:
     """Sum in a common tangent space (same space, same base)."""
     if a.space != b.space:
         raise ValueError("tangents live in different spaces")
-    if a.base != b.base:
+    p, m, q = _over_lcm(a.point, b.point)
+    if p(0) != m(0):
         raise ValueError("tangents have different base points")
-    direction = tuple(x + y for x, y in zip(a.direction, b.direction))
-    return tangent_from_parts(a.space, a.base, direction)
+    return Tangent(_point(a.space, Jet(LINE, {0: p(0), 1: [x + y for x, y in zip(p(1), m(1))]}, q)))

@@ -28,15 +28,19 @@ and from coefficients keyed by mask.
 
 By the Kock-Lawvere axiom a map out of a Weil domain is its family of
 coefficients, and one :class:`Jet` stores every such family: pair and gauge
-sections, points, and so the ends and fibers of arrows.  It owns their
-invariants and the operations on masks alone: a checked ``coefficient``
-lookup, ``restrict`` (a filter on masks) and ``relabel`` (a renaming of
-mask bits).  Its constructor makes the one stray-mask check for them,
-:meth:`InfinitesimalDomain.check_masks`.  Elements and sections are
-reparametrised by a table of monomial images, checked once by
-:func:`monomial_images` and applied by :meth:`WeilElement.image`; a point
-is only relabelled.  Weil elements are the scalars of the ring laws and of
-reparametrisation: no arrow, chart or random section is built from them.
+sections, points, and so the ends and fibers of arrows.  A part is either a
+tuple of rational polynomials (a pair section) or a tuple of integer
+numerators over the jet's one denominator (everything else), and
+:meth:`Jet.of_rationals` is the one conversion from rational parts to the
+second kind.  A jet owns their invariants and the operations on masks
+alone: a checked ``coefficient`` lookup, ``restrict`` (a filter on masks)
+and ``relabel`` (a renaming of mask bits).  Its constructor makes the one
+stray-mask check for them, :meth:`InfinitesimalDomain.check_masks`.
+Elements and sections are reparametrised by a table of monomial images,
+checked once by :func:`monomial_images` and applied by
+:meth:`WeilElement.image`; a point is only relabelled.  Weil elements are
+the scalars of the ring laws and of reparametrisation: no arrow, chart or
+random section is built from them.
 """
 
 from __future__ import annotations
@@ -243,13 +247,14 @@ class Jet(Mapping):
     """A map out of a Weil domain, stored as its family of coefficients (Kock-Lawvere).
 
     ``jet[b]`` is the part on the monomial of ``domain`` with mask ``b``: a
-    tuple of the family's coefficients (rational polynomials for a pair
-    section, integer numerators for a gauge section, ``Fraction``
-    coordinates for a point) over the positive denominator ``den``.  Every
-    mask survives and mask 0, the scalar part, is present; any other
-    all-zero part is left out, and when ``den`` is not 1 the integer parts
-    are in lowest terms with it, so equal families are equal jets.  Jets are
-    read-only and hash consistently with ``==``.
+    tuple of the family's coefficients over the positive denominator
+    ``den``.  There are two kinds of part: rational polynomials, for a pair
+    section (``den`` is 1), and integer numerators, for everything else:
+    gauge sections and tables, arrow fibers and points.  Every mask survives
+    and mask 0, the scalar part, is present; any other all-zero part is left
+    out, and when ``den`` is not 1 the integer parts are in lowest terms
+    with it, so equal families are equal jets.  Jets are read-only and hash
+    consistently with ``==``.
     """
 
     __slots__ = ("domain", "den", "_parts")
@@ -269,6 +274,13 @@ class Jet(Mapping):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_parts", table)
+
+    @classmethod
+    def of_rationals(cls, domain: InfinitesimalDomain, parts: Mapping[int, Sequence[Rational]]) -> "Jet":
+        """The jet of parts of ``int`` or ``Fraction`` coefficients, as numerators over their common denominator."""
+        parts = {b: [_rational(c) for c in part] for b, part in parts.items()}
+        den = lcm(1, *(c.denominator for part in parts.values() for c in part))
+        return cls(domain, {b: [c.numerator * (den // c.denominator) for c in part] for b, part in parts.items()}, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Jet is immutable")

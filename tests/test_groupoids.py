@@ -5,6 +5,7 @@ import sys
 import types
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 from operator import add, mul
 from pathlib import Path
 
@@ -59,20 +60,21 @@ GG = TrivialGaugeGroupoid(2, 2)
 
 
 def mask_major(elements):
-    """The mask-major coefficient view ``{mask: {slot: c}}`` of one Weil element per slot."""
+    """The mask-major view ``{mask: {slot: numerator}}`` of one Weil element per slot, and its one denominator."""
     view = {}
     for slot, w in elements.items():
         for b, c in w.mask_coeffs().items():
             view.setdefault(b, {})[slot] = c
-    return view
+    den = lcm(1, *(c.denominator for cs in view.values() for c in cs.values()))
+    return {b: {slot: int(c * den) for slot, c in cs.items()} for b, cs in view.items()}, den
 
 
-def slot_elements(view, domain):
-    """One Weil element per slot that a mask-major coefficient view names."""
+def slot_elements(view, den, domain):
+    """One Weil element per slot that a mask-major view of numerators over ``den`` names."""
     by_slot = {}
     for b, cs in view.items():
-        for slot, c in cs.items():
-            by_slot.setdefault(slot, {})[b] = c
+        for slot, n in cs.items():
+            by_slot.setdefault(slot, {})[b] = Fraction(n, den)
     return {slot: WeilElement.from_masks(domain, cs) for slot, cs in by_slot.items()}
 
 
@@ -86,7 +88,7 @@ def pair_data(groupoid, domain, *term_dicts):
         for i, terms in enumerate(term_dicts)
         for e, c in terms.items()
     }
-    return groupoid.from_slots(None, mask_major(elements), domain)
+    return groupoid.from_slots(None, *mask_major(elements), domain)
 
 
 def pair_section(groupoid, domain, *term_dicts):
@@ -106,7 +108,7 @@ def weil_identity(k, domain):
 def gauge_data(groupoid, domain, base_map, tables):
     """Gauge section data from one matrix of Weil elements per base point, through ``from_slots``."""
     elements = {(x, i, j): w for x, t in enumerate(tables) for i, row in enumerate(t) for j, w in enumerate(row)}
-    return groupoid.from_slots(tuple(base_map), mask_major(elements), domain)
+    return groupoid.from_slots(tuple(base_map), *mask_major(elements), domain)
 
 
 def gauge_section(groupoid, domain, base_map, tables, cls=WSection):
@@ -115,7 +117,7 @@ def gauge_section(groupoid, domain, base_map, tables, cls=WSection):
 
 def weil_tables(groupoid, data):
     """The fiber matrices of gauge section data, one matrix of Weil elements per base point, read from ``slots``."""
-    elements = slot_elements(groupoid.slots(data)[1], data[1].domain)  # the scalar part names every slot
+    elements = slot_elements(*groupoid.slots(data)[1:], data[1].domain)  # the scalar part names every slot
     k = groupoid.matrix_size
     return tuple(
         tuple(tuple(elements[x, i, j] for j in range(k)) for i in range(k)) for x in range(groupoid.base_size)
@@ -310,6 +312,8 @@ class TestArrows:
             compose_arrows(a, b)
         with pytest.raises(DomainMismatchError, match="point over D\\^2, section over D"):
             pair_section(P1, D, {(1,): 1}).arrow_at(base_point(D2, 0))
+        half = base_point(D, Fraction(1, 2))  # one numerator over the denominator 2
+        assert pair_section(P1, D, {(1,): 2, (2,): 2}).arrow_at(half).target == base_point(D, Fraction(3, 2))
 
     def test_gauge_compose_and_invert(self):
         # fibers are jets of flat 2 x 2 matrices: a = I + d E12, back = I - d E12
@@ -339,6 +343,19 @@ class TestCharts:
         g = sigma.groupoid
         assert g.from_slots(*g.slots(sigma.data), sigma.domain) == sigma.data
 
+    @pytest.mark.parametrize("groupoid, seed", [(P2, 1), (GG, 0)], ids=["pair", "gauge"])
+    def test_round_trip_over_a_denominator(self, groupoid, seed):
+        # an inverse has rational coefficients, so its points are numerators over a denominator other than 1
+        sigma = invert_bisection(groupoid.random_bisection(random.Random(seed), D2, 1))
+        family = (sigma, sigma.permute_generators((2, 1)))
+        chart, points = SectionChart.of(*family)
+        assert points[0].parts.den != 1
+        for section, point in zip(family, points):
+            assert chart.to_section(point) == section
+            jet = point.parts  # int numerators in lowest terms, like every non-polynomial jet
+            assert all(type(n) is int for part in jet.values() for n in part) and type(jet.den) is int
+            assert gcd(jet.den, *(n for part in jet.values() for n in part)) == 1
+
     def test_gauge_over_point_is_the_matrix(self):
         gg1 = TrivialGaugeGroupoid(1, 2)
         d = WeilElement.generator(D, 1)
@@ -362,7 +379,7 @@ class TestCharts:
         assert chart.slots == tuple(sorted(chart.slots))
         for section, point in zip(family, points):
             assert chart.to_section(point) == section
-            elements = slot_elements(sigma.groupoid.slots(section.data)[1], D2)
+            elements = slot_elements(*sigma.groupoid.slots(section.data)[1:], D2)
             assert weil_coords(point) == tuple(elements.get(slot, WeilElement.zero(D2)) for slot in chart.slots)
 
     def test_identity_slots_are_always_charted(self):
@@ -462,7 +479,7 @@ def _both_kernels(groupoid, domain, comps):
         for e, table in terms.items():
             elements[i, e] = WeilElement(domain, table)
         ref.append(REF_POLY.Poly(n, twin, {e: REF_WEIL.WeilElement(twin, table) for e, table in terms.items()}))
-    return groupoid.from_slots(None, mask_major(elements), domain), tuple(ref)
+    return groupoid.from_slots(None, *mask_major(elements), domain), tuple(ref)
 
 
 def _merge(scalar, nilpotent):
@@ -488,7 +505,7 @@ def test_taylor_sum_agrees_with_the_seed_kernel(data):
     g, ref_g = _both_kernels(groupoid, domain, inner)
     expected = REF_POLY.compose_map(ref_f, ref_g)
     got = {}
-    for (i, e), w in slot_elements(groupoid.slots(groupoid.star_data(f, g))[1], domain).items():
+    for (i, e), w in slot_elements(*groupoid.slots(groupoid.star_data(f, g))[1:], domain).items():
         got.setdefault(i, {})[e] = dict(w.coeffs)
     for i, comp in enumerate(expected):
         assert got.get(i, {}) == {e: c.coeffs for e, c in comp.terms.items()}
@@ -547,9 +564,9 @@ def test_compositions_leave_no_reference_cycles(operation):
 def _substitute_each_coefficient(section, target, images):
     """Substitution as it was done before sections had their own: slot by slot, then rebuilt."""
     groupoid = section.groupoid
-    shape, view = groupoid.slots(section.data)
-    images_of = {slot: w.substitute(target, images) for slot, w in slot_elements(view, section.domain).items()}
-    data = groupoid.from_slots(shape, mask_major(images_of), target)
+    shape, view, den = groupoid.slots(section.data)
+    images_of = {slot: w.substitute(target, images) for slot, w in slot_elements(view, den, section.domain).items()}
+    data = groupoid.from_slots(shape, *mask_major(images_of), target)
     return WSection(groupoid, target, data)
 
 
@@ -624,7 +641,7 @@ def test_broken_images_raise_the_element_error_on_every_section(groupoid, case):
         WSection.identity(groupoid, source),  # no nonzero part off the scalar one
     ]
     if isinstance(groupoid, PairGroupoid):
-        sections.append(WSection(groupoid, source, groupoid.from_slots(None, {}, source)))  # no coefficient at all
+        sections.append(WSection(groupoid, source, groupoid.from_slots(None, {}, 1, source)))  # no coefficient at all
     for section in sections:
         with pytest.raises(SubstitutionError) as caught:
             section.substitute(target, images)
@@ -657,16 +674,20 @@ def test_gauge_base_map_entries_must_be_int(bad):
 
 @pytest.mark.parametrize(
     "coefficient, error, message",
-    [({0: 1.0}, TypeError, "must be int or Fraction, not float"), ({2: 1}, ZeroMonomialError, "masks \\[2\\]")],
-    ids=["float", "vanishing-mask"],
+    [
+        ({0: 1.0}, TypeError, "must hold int numerators"),
+        ({0: Fraction(1, 2)}, TypeError, "must hold int numerators"),
+        ({2: 1}, ZeroMonomialError, "masks \\[2\\]"),
+    ],
+    ids=["float", "Fraction", "vanishing-mask"],
 )
 def test_gauge_from_slots_checks_each_coefficient(coefficient, error, message):
-    shape, view = GG.slots(GG.identity_data(D))
-    assert GG.from_slots(shape, view, D) == GG.identity_data(D)
-    for b, c in coefficient.items():  # the coefficients of slot (0, 0, 0), by mask
+    shape, view, den = GG.slots(GG.identity_data(D))
+    assert GG.from_slots(shape, view, den, D) == GG.identity_data(D)
+    for b, c in coefficient.items():  # the numerators of slot (0, 0, 0), by mask
         view.setdefault(b, {})[0, 0, 0] = c
-    with pytest.raises(error, match=message):
-        GG.from_slots(shape, view, D)
+    with pytest.raises(error, match=message):  # the section check reads every numerator
+        WSection(GG, D, GG.from_slots(shape, view, den, D))
 
 
 @pytest.mark.parametrize("table", [((1, 2, 5), (3, 4)), ((1, 2), (3,))], ids=["long-row", "short-row"])
@@ -675,18 +696,25 @@ def test_ragged_gauge_tables_are_rejected(table):
         AGSection(TrivialGaugeGroupoid(1, 2), [table])
 
 
+@pytest.mark.parametrize("base_size, message", [(1, "expected 1 tables"), (2, "tables must be k x k")])
+def test_a_bare_table_is_a_shape_error(base_size, message):
+    # one table where the list of tables belongs: its rows count as tables and its entries as rows
+    with pytest.raises(ValueError, match=message):
+        AGSection(TrivialGaugeGroupoid(base_size, 2), [[Fraction(1, 2), Fraction(-2, 3)], [0, 3]])
+
+
 def test_one_stray_mask_check_serves_every_mask_keyed_constructor():
     with pytest.raises(ZeroMonomialError) as expected:
         D.check_masks({0, 2})
     assert str(expected.value) == "masks [2] do not survive in D"
-    shape, view = GG.slots(GG.identity_data(D))
+    shape, view, den = GG.slots(GG.identity_data(D))
     view[2] = {(0, 0, 0): 1}
     builds = [
         lambda: WeilElement.from_masks(D, {2: 1}),
         lambda: WPoint.from_masks(AffineSpace(1), D, {2: [1]}),
         lambda: Jet(D, {0: (1,), 2: (1,)}),
-        lambda: P1.from_slots(None, {0: {(0, (1,)): 1}, 2: {(0, (1,)): 1}}, D),
-        lambda: GG.from_slots(shape, view, D),
+        lambda: P1.from_slots(None, {0: {(0, (1,)): 1}, 2: {(0, (1,)): 1}}, 1, D),
+        lambda: GG.from_slots(shape, view, den, D),
     ]
     for build in builds:
         with pytest.raises(ZeroMonomialError) as caught:
@@ -908,7 +936,8 @@ def test_pair_witness_agrees_with_the_rational_linear_part(data):
     units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
     comps = tuple(Poly(n, {(0,) * n: draw(SMALL), **dict(zip(units, row))}) for row in matrix)
     jet = Jet(D, {0: comps})
-    if matrices.q_is_invertible(matrix):
+    common = lcm(*dens)  # the rows cleared over one denominator have the rank of the rational matrix
+    if matrices._determinant([[a * (common // d) for a in row] for row, d in zip(numerators, dens)]):
         PairGroupoid(n).check_bisection(jet)
         sigma = WBisection(PairGroupoid(n), D, jet)
         inverse = invert_bisection(sigma)  # A^-1 from the adjugate of the numerator rows and their denominators
@@ -1022,12 +1051,12 @@ def test_gauge_sections_take_only_int_numerators(part):
 
 # -- one jet for every family: the invariants, over each kind of part --------------------------
 
-# a part whose entries scale with c: pair sections hold polynomials, gauge sections int
-# numerators, points Fraction coordinates
+# a part whose entries scale with c: pair sections hold polynomials, gauge sections and
+# points int numerators
 JET_PARTS = {
     "pair": lambda c: (Poly.scalar(1, c), Poly.scalar(1, 0)),
     "gauge": lambda c: (c, 0, 0, c),
-    "point": lambda c: (Fraction(c), Fraction(0)),
+    "point": lambda c: (c, 0),
 }
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import add, mul, sub
 
 import pytest
@@ -85,7 +86,9 @@ def gauge_point_section(domain, table):
         for j, w in enumerate(row):
             for b, c in w.mask_coeffs().items():
                 view.setdefault(b, {})[0, i, j] = c
-    return WSection(GPT, domain, GPT.from_slots((0,), view, domain))
+    den = lcm(1, *(c.denominator for cs in view.values() for c in cs.values()))
+    view = {b: {slot: int(c * den) for slot, c in cs.items()} for b, cs in view.items()}  # numerators over den
+    return WSection(GPT, domain, GPT.from_slots((0,), view, den, domain))
 
 
 def fiber_matrix(arrow):
@@ -184,12 +187,12 @@ class TestPushforward:
 
     def test_pair_linear_rescaling(self):
         # sigma: x -> 2x, field 1: pushforward field is the constant 2
-        sigma = WSection(P1, D, P1.from_slots(None, {0: {(0, (1,)): 2}}, D))
+        sigma = WSection(P1, D, P1.from_slots(None, {0: {(0, (1,)): 2}}, 1, D))
         x = ag(P1, "1")
         assert pushforward(sigma, x) == ag(P1, "2")
 
     def test_rejects_infinitesimal_bisections(self):
-        sigma = WSection(P1, D, P1.from_slots(None, {0: {(0, (1,)): 1}, 1: {(0, (1,)): 1}}, D))  # x -> (1 + d) x
+        sigma = WSection(P1, D, P1.from_slots(None, {0: {(0, (1,)): 1}, 1: {(0, (1,)): 1}}, 1, D))  # x -> (1 + d) x
         with pytest.raises(ValueError, match="scalar-exact"):
             pushforward(sigma, ag(P1, "x0"))
 

@@ -4,7 +4,9 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microlie.matrices import _adjugate, _determinant, q_is_invertible
+from microlie.matrices import _adjugate, _determinant
+from microlie.spaces import MatrixGroup, MembershipError, WPoint
+from microlie.weil import InfinitesimalDomain
 
 INTEGER = st.integers(min_value=-3, max_value=3)
 ENTRY = st.one_of(INTEGER, st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -35,6 +37,15 @@ def numerator_rows(m):
         den = lcm(1, *(x.denominator for x in row))
         rows.append([x.numerator * (den // x.denominator) for x in row])
     return rows
+
+
+def is_matrix_point(m):
+    """Whether a rational matrix is a point of ``MatrixGroup``: its check reads the numerators over one denominator."""
+    try:
+        WPoint(MatrixGroup(len(m)), InfinitesimalDomain(0), {(): [x for row in m for x in row]})
+    except MembershipError:
+        return False
+    return True
 
 
 def int_mul(a, b):
@@ -82,7 +93,7 @@ def singular(k, entry=ENTRY):
 def test_invertible_exactly_when_the_inverse_exists(k, data):
     m = data.draw(st.one_of(square(k), singular(k)))
     det = check_adjugate(numerator_rows(m))
-    assert q_is_invertible(m) == (fraction_inverse(m) is not None) == (det != 0)
+    assert is_matrix_point(m) == (fraction_inverse(m) is not None) == (det != 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -91,7 +102,7 @@ def test_invertible_exactly_when_the_inverse_exists(k, data):
 def test_adjugate_times_matrix_is_the_determinant(k, data):
     m = data.draw(st.one_of(square(k, INTEGER), singular(k, INTEGER)))
     rows = [[int(x) for x in row] for row in m]  # integer combinations of integer rows
-    assert q_is_invertible(m) == (check_adjugate(rows) != 0)
+    assert is_matrix_point(m) == (fraction_inverse(m) is not None) == (check_adjugate(rows) != 0)
 
 
 F = Fraction
@@ -112,7 +123,7 @@ INVERTIBLE = {
 @pytest.mark.parametrize("name", sorted(SINGULAR))
 def test_singular_cases(name):
     m = SINGULAR[name]
-    assert not q_is_invertible(m)
+    assert not is_matrix_point(m)
     assert fraction_inverse(m) is None
     assert check_adjugate(numerator_rows(m)) == 0
 
@@ -120,7 +131,7 @@ def test_singular_cases(name):
 @pytest.mark.parametrize("name", sorted(INVERTIBLE))
 def test_invertible_cases(name):
     m = INVERTIBLE[name]
-    assert q_is_invertible(m)
+    assert is_matrix_point(m)
     assert check_adjugate(numerator_rows(m)) != 0
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 import pytest
@@ -25,7 +26,9 @@ def pair_data(groupoid, domain, *term_dicts):
             w = c if isinstance(c, WeilElement) else WeilElement.scalar(domain, c)
             for b, x in w.mask_coeffs().items():
                 view.setdefault(b, {})[i, e] = x
-    return groupoid.from_slots(None, view, domain)
+    den = lcm(1, *(x.denominator for cs in view.values() for x in cs.values()))
+    view = {b: {slot: int(x * den) for slot, x in cs.items()} for b, cs in view.items()}  # numerators over den
+    return groupoid.from_slots(None, view, den, domain)
 
 
 def test_mul_and_pow():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,7 +21,7 @@ from microlie.spaces import (
     tangent_combine,
     tangent_from_parts,
 )
-from microlie.weil import InfinitesimalDomain, RestrictionError, WeilElement, generators, monomial_images
+from microlie.weil import LINE, InfinitesimalDomain, RestrictionError, WeilElement, generators, monomial_images
 
 D = InfinitesimalDomain(1)
 D2 = InfinitesimalDomain(2)
@@ -41,6 +42,14 @@ def weil_coords(point):
     return tuple(
         WeilElement(point.domain, dict(zip(monomials, (v[i] for v in columns)))) for i in range(point.space.flat_dim)
     )
+
+
+def assert_integer_jet(point):
+    """A point's jet holds ``int`` numerators only, over a positive ``int`` denominator in lowest terms."""
+    jet = point.parts
+    assert all(type(n) is int for part in jet.values() for n in part)
+    assert type(jet.den) is int and jet.den > 0 and gcd(jet.den, *(n for part in jet.values() for n in part)) == 1
+    assert all(len(part) == point.space.flat_dim for part in jet.values())
 
 
 def affine_square(*coeff_rows):
@@ -98,9 +107,13 @@ class TestPoints:
 
     def test_parts_are_in_normal_form(self):
         p = WPoint(A3, D2, {(1,): (0, 0, 0), (1, 2): (1, 0, Fraction(1, 2))})
-        assert dict(p.parts) == {0: (0, 0, 0), 3: (1, 0, Fraction(1, 2))} and p.parts.den == 1
-        assert all(type(c) is Fraction for v in p.parts.values() for c in v)
+        assert dict(p.parts) == {0: (0, 0, 0), 3: (2, 0, 1)} and p.parts.den == 2
+        assert_integer_jet(p)
         assert p == WPoint.from_masks(A3, D2, {3: (1, 0, Fraction(1, 2))})
+        assert p.coefficient({1, 2}) == (1, 0, Fraction(1, 2))
+        assert all(type(c) is Fraction for c in p.coefficient({1, 2}))
+        halves = WPoint(A3, D2, {(): (Fraction(2, 4), 0, 0), (1,): (Fraction(3, 2), 0, Fraction(-6, 4))})
+        assert dict(halves.parts) == {0: (1, 0, 0), 1: (3, 0, -3)} and halves.parts.den == 2
         assert p.coefficient({2}) == (0, 0, 0) and all(type(c) is Fraction for c in p.coefficient({2}))
         with pytest.raises(TypeError):
             p.parts[1] = (1, 1, 1)
@@ -124,8 +137,8 @@ class TestPoints:
     def test_restriction_and_relabelling_take_no_determinant(self, monkeypatch):
         # both keep the scalar part of a checked point, which is all that membership reads
         calls = []
-        check = matrices.q_is_invertible
-        monkeypatch.setattr(matrices, "q_is_invertible", lambda rows: calls.append(rows) or check(rows))
+        check = matrices._determinant
+        monkeypatch.setattr(matrices, "_determinant", lambda rows: calls.append(rows) or check(rows))
         gamma = WPoint(MatrixGroup(2), D3, {(): (1, 2, 0, 1), (1, 3): (1, 0, 0, 0), (2,): (0, 0, 3, 0)})
         assert len(calls) == 1
         restricted, permuted = restrict_point(gamma, InfinitesimalDomain(3, [(1, 3)])), sigma_perm(gamma, (2, 3, 1))
@@ -136,6 +149,27 @@ class TestPoints:
         with pytest.raises(MembershipError, match="singular scalar part"):
             WPoint(MatrixGroup(2), D3, {(): (1, 2, 2, 4)})
         assert len(calls) == 2
+        plus = WPoint(MatrixGroup(2), D2, {(): (1, 2, 0, 1), (1, 2): (Fraction(1, 3), 0, 0, 0)})
+        minus = WPoint(MatrixGroup(2), D2, {(): (1, 2, 0, 1)})
+        cubes = [
+            WPoint(MatrixGroup(2), D3, {(): (1, 2, 0, 1), m: (0, 0, Fraction(1, 2), 0)})
+            for m in ((1, 2), (1, 2, 3))
+        ]
+        assert len(calls) == 6
+        # the differences keep plus's scalar part, so they take no determinant either
+        strong_difference(plus, minus), relative_strong_difference(3, *cubes)
+        assert len(calls) == 6
+
+    def test_point_text_is_pinned(self):
+        # counterexamples print points and tangents: the coordinates as Weil elements, and Fraction tuples
+        p = WPoint(AffineSpace(2), D2, {(): (Fraction(1, 2), 0), (1, 2): (Fraction(-2, 3), 5)})
+        assert repr(p) == "WPoint(AffineSpace(dim=2), D^2; 1/2 - 2/3*d1*d2, 5*d1*d2)"
+        t = tangent_from_parts(AffineSpace(2), (Fraction(1, 2), 1), (Fraction(-1, 3), 0))
+        assert repr(t) == (
+            "Tangent(base=(Fraction(1, 2), Fraction(1, 1)), direction=(Fraction(-1, 3), Fraction(0, 1)))"
+        )
+        q = WPoint(MatrixGroup(2), LINE, {(): (Fraction(1, 2), 0, 0, 3), (1,): (Fraction(1, 4), 0, 0, 0)})
+        assert repr(q) == "WPoint(MatrixGroup(size=2), D; 1/2 + 1/4*d1, 0, 0, 3)"
 
 
 def test_space_classes_share_one_interface():
@@ -157,7 +191,7 @@ class TestStrongDifference:
         minus = affine_square({(1,): 1}, {(2,): 1}, {(1, 2): 2})
         t = strong_difference(plus, minus)
         assert t.base == (0, 0, 0)
-        assert t.direction == (0, 0, 3)
+        assert t.direction == (0, 0, 3) and not t.is_zero
 
     def test_equal_points_give_zero(self):
         p = affine_square({(): 1, (1,): 2}, {(2,): 1}, {(1, 2): 4})
@@ -282,6 +316,11 @@ class TestTangents:
         b = tangent_from_parts(AffineSpace(2), (0, 0), (0, 1))
         assert tangent_combine(a, b).direction == (1, 1)
         assert tangent_combine(b, b).direction == (0, 2)
+        directions = ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
+        half, third = (tangent_from_parts(AffineSpace(2), (1, 0), v) for v in directions)
+        total = tangent_combine(half, third)  # over the lcm of the denominators 2 and 3
+        assert total.base == (1, 0) and total.direction == (Fraction(1, 2), Fraction(1, 3))
+        assert_integer_jet(total.point)
 
     def test_base_mismatch(self):
         a = tangent_from_parts(AffineSpace(1), (0,), (1,))
@@ -333,11 +372,12 @@ def test_cocycle_identity():
 
 SPACES = (A3, MatrixGroup(2))
 POINT_DOMAINS = (D, D2, D3, A2)
-SMALL = st.integers(min_value=-3, max_value=3)
+# denominators up to 4, so two points rarely share one and the differences rescale both
+RATIONAL = st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4))
 
 
 def _columns(draw, space, domain):
-    return {m: [draw(SMALL) for _ in range(space.flat_dim)] for m in domain.monomials()}
+    return {m: [draw(RATIONAL) for _ in range(space.flat_dim)] for m in domain.monomials()}
 
 
 def _point(space, domain, columns):
@@ -372,6 +412,7 @@ def test_restrict_point_acts_on_every_coordinate(data):
             restrict_point(p, sub)
     else:
         assert restrict_point(p, sub) == expected
+        assert_integer_jet(restrict_point(p, sub))
 
 
 @settings(max_examples=80, deadline=None)
@@ -388,6 +429,7 @@ def test_sigma_perm_and_psi_act_on_every_coordinate(data):
 
     perm = tuple(draw(st.permutations(range(1, domain.generator_count + 1))))
     assert sigma_perm(p, perm) == by_substitution(perm)
+    assert_integer_jet(sigma_perm(p, perm))
     if domain is D3:
         for axis in (1, 2, 3):
             j, k = sorted({1, 2, 3} - {axis})
@@ -410,6 +452,7 @@ def test_strong_difference_acts_on_every_coordinate(data):
     t = strong_difference(plus, minus)
     assert t.base == tuple(a.scalar_part for a, _ in pairs)
     assert t.direction == tuple(a.coefficient({1, 2}) - b.coefficient({1, 2}) for a, b in pairs)
+    assert_integer_jet(t.point)
 
 
 @settings(max_examples=80, deadline=None)
@@ -446,5 +489,6 @@ def test_relative_strong_differences_act_on_every_coordinate(data):
             )
         )
     expected = weil_point(space, D2, coords)
-    assert relative_strong_difference(axis, plus, minus) == expected
-    assert relative_strong_difference_curried(axis, plus, minus) == expected
+    for difference in (relative_strong_difference, relative_strong_difference_curried):
+        assert difference(axis, plus, minus) == expected
+        assert_integer_jet(difference(axis, plus, minus))
