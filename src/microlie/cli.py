@@ -3,6 +3,10 @@
 Exit codes: 0 all laws pass, 1 at least one law fails, 2 usage or
 configuration error (including a ``bracket`` field above degree 3, or a
 ``bracket`` groupoid outside the ``verify`` bounds: dimension 1-3, ``deg`` 0-3).
+
+The ``argparse`` parser is built once per process, on the first call of
+:func:`main`, and reused; parsing keeps no state in it, so each call
+behaves as it would alone.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .groupoids import MAX_FIELD_DEGREE, AGSection, PairGroupoid
 from .harness import (
@@ -24,6 +29,7 @@ from .liealg import bracket
 from .vfexpr import VectorFieldSyntaxError, format_vector_field, parse_vector_field
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="microlie",

@@ -97,7 +97,17 @@ from typing import Sequence
 
 from .matrices import Matrix, _adjugate, _determinant
 from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
-from .poly import Exponents, Poly, affine_row, compose_map, format_terms, identity_map, numerators, sum_of_products
+from .poly import (
+    Exponents,
+    Poly,
+    affine_row,
+    compose_map,
+    format_terms,
+    from_numerators,
+    identity_map,
+    numerators,
+    sum_of_products,
+)
 from .spaces import AffineSpace, MatrixGroup, WPoint, _point
 from .weil import (
     DomainMismatchError,
@@ -298,7 +308,7 @@ class PairGroupoid:
 
     def from_slots(self, shape: None, coeffs, den: int, domain: InfinitesimalDomain) -> "Jet":
         comps = lambda cs: tuple(
-            Poly(self.dim, {e: Fraction(n, den) for (j, e), n in cs.items() if j == i}) for i in range(self.dim)
+            from_numerators(self.dim, {e: n for (j, e), n in cs.items() if j == i}, den) for i in range(self.dim)
         )
         return Jet(domain, {b: comps(cs) for b, cs in {0: {}, **coeffs}.items()})
 
@@ -792,7 +802,8 @@ def _compose(f: Jet, g: Jet) -> Jet:
     Monomials are square-free, so the ``1/r!`` of the Taylor series meets
     the ``r!`` orders of each set and no factorial remains.  When ``g_0`` is
     the identity the derivatives of ``f_m`` are used as they are; otherwise
-    each is composed with ``g_0``.
+    each is composed with ``g_0``.  Weights are built only for the sets
+    that meet a nonzero derivative, and for their prefixes.
     """
     domain = g.domain
     ok = domain.masks
@@ -804,30 +815,46 @@ def _compose(f: Jet, g: Jet) -> Jet:
     for s in sorted(b for b in g if b):
         sets += [(S + (s,), u | s) for S, u in sets if not u & s and u | s in ok]
 
-    # per set S = (s1..sr): each multiset J of r variables, with the sum over the orders (j1..jr)
-    # of J of g_s1[j1] * ... * g_sr[jr]; split on the last factor, as S[:-1] comes first in sets
+    # the multisets J of r variables, sorted, in the order the weights below fill them
+    multisets = [((),)]
+    for _ in range(max(len(S) for S, _ in sets)):
+        multisets.append(tuple(dict.fromkeys(tuple(sorted(J + (v,))) for J in multisets[-1] for v in range(n))))
+    # d^J f_m from d^J[:-1] f_m, met at S[:-1]; composed with g_0 below unless g_0 is the identity
+    partials = {(m, ()): part for m, part in f.items()}
+    width = len(f[0])
+    terms = []  # (M, m, J, S): mask M gets d^J f_m times the weight of J in S
+    needed = {()}
+    for m in f:
+        for S, u in sets:
+            if m & u or m | u not in ok:
+                continue
+            for J in multisets[len(S)]:
+                p = partials.get((m, J))
+                if p is None:
+                    p = partials[m, J] = tuple(c.derivative(J[-1]) for c in partials[m, J[:-1]])
+                if any(p):
+                    terms.append((m | u, m, J, S))
+                    needed.add(S)
+    for S, _ in reversed(sets):
+        if S in needed:
+            needed.add(S[:-1])
+
+    # per needed set S = (s1..sr): each multiset J of r variables, with the sum over the orders
+    # (j1..jr) of J of g_s1[j1] * ... * g_sr[jr]; split on the last factor, as S[:-1] comes first
+    # in sets; a one-mask set's weights are the components of g_s1 themselves
     weights = {(): {(): Poly.scalar(nvars, 1)}}
     for S, _ in sets[1:]:
+        if S not in needed:
+            continue
+        if len(S) == 1:
+            weights[S] = dict(zip(multisets[1], g[S[0]]))
+            continue
         orders: dict[tuple[int, ...], list[tuple[Poly, Poly]]] = {}
         for J, w in weights[S[:-1]].items():
             for v, comp in enumerate(g[S[-1]]):
                 orders.setdefault(tuple(sorted(J + (v,))), []).append((w, comp))
         weights[S] = {J: sum_of_products(nvars, pairs) for J, pairs in orders.items()}
 
-    # d^J f_m from d^J[:-1] f_m, met at S[:-1]; composed with g_0 below unless g_0 is the identity
-    partials = {(m, ()): part for m, part in f.items()}
-    width = len(f[0])
-    terms = []  # (M, m, J, weight): mask M gets d^J f_m * weight
-    for m in f:
-        for S, u in sets:
-            if m & u or m | u not in ok:
-                continue
-            for J, w in weights[S].items():
-                p = partials.get((m, J))
-                if p is None:
-                    p = partials[m, J] = tuple(c.derivative(J[-1]) for c in partials[m, J[:-1]])
-                if any(p):
-                    terms.append((m | u, m, J, w))
     derivatives = partials
     if not at_identity:
         # one composition with g_0 for every derivative, so all share the powers of g_0
@@ -836,9 +863,11 @@ def _compose(f: Jet, g: Jet) -> Jet:
         derivatives = {key: flat[k * width : (k + 1) * width] for k, key in enumerate(keys)}
     sums = {M: [[] for _ in range(width)] for M, _, _, _ in terms}
     sums.setdefault(0, [[] for _ in range(width)])  # a jet keeps its scalar part, even a zero one
-    for M, m, J, w in terms:
+    for M, m, J, S in terms:
+        w = weights[S][J]
         for i, d in enumerate(derivatives[m, J]):
-            sums[M][i].append((d, w))
+            if d:
+                sums[M][i].append((d, w))
     return Jet(domain, {M: tuple(sum_of_products(nvars, p) for p in pairs) for M, pairs in sums.items()})
 
 

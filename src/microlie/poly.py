@@ -17,8 +17,9 @@ degree at most :data:`MAX_DEGREE` never carries; a product above it raises
 ``OverflowError``.  Exponent tuples appear only at the API edges: the
 constructor, ``coefficient``, the read-only ``coeffs`` mapping,
 ``derivative``'s variable, ``degree`` and ``str``, which speak
-``Fraction`` for coefficients, and :func:`numerators`, which gives the
-integer numerators by exponent tuple; :func:`format_poly` writes the input
+``Fraction`` for coefficients, and :func:`numerators` and
+:func:`from_numerators`, which give and take the integer numerators by
+exponent tuple; :func:`format_poly` writes the input
 grammar of :mod:`microlie.vfexpr` straight from the numerators.  ``terms``
 is ``coeffs`` with each coefficient as a scalar Weil element over
 :data:`RATIONALS`, built on first read.
@@ -111,7 +112,8 @@ class Poly:
 
     @classmethod
     def scalar(cls, nvars: int, c: Rational) -> "Poly":
-        c = _rational(c)
+        if type(c) is not int:  # an int is its own numerator over 1
+            c = _rational(c)
         return _make(nvars, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
@@ -300,6 +302,19 @@ def affine_row(p: Poly) -> tuple[tuple[int, ...], int] | None:
 def numerators(p: Poly) -> tuple[dict[Exponents, int], int]:
     """The nonzero numerators of ``p`` by exponent tuple, and their denominator."""
     return {_exponents(key, p.nvars): n for key, n in p._num.items()}, p._den
+
+
+def from_numerators(nvars: int, num: Mapping[Exponents, int], den: int) -> Poly:
+    """The polynomial with integer numerators ``num`` by exponent tuple over ``den > 0``; inverse of :func:`numerators`.
+
+    Exponent tuples are checked as the constructor checks them, and the
+    result is reduced once.
+    """
+    if type(den) is not int or den <= 0:
+        raise ValueError(f"a polynomial needs a positive integer denominator, got {den!r}")
+    if any(type(n) is not int for n in num.values()):
+        raise TypeError("numerators must be int")
+    return _reduced(nvars, {_key(e, nvars): n for e, n in num.items()}, den)
 
 
 def format_terms(terms: Mapping[Exponents, WeilElement]) -> str:

@@ -3,9 +3,14 @@
 Components are separated by ``;``.  Within a component: variables
 ``x0 .. x(n-1)``, integer and rational literals (``3``, ``1/2``), the
 operators ``+ - * ^`` with ``^`` a nonnegative integer power, and
-parentheses.  The unicode minus sign is accepted.  Whitespace is
-insignificant.  Parentheses nest at most 100 deep.  Errors report the
-offending position and what was expected there.
+parentheses.  Numbers and variable indices are ASCII digits ``0``-``9``;
+any other digit is an unexpected character.  The unicode minus sign is
+accepted.  Whitespace is insignificant.  Parentheses nest at most 100
+deep.  Errors report the offending position and what was expected there.
+
+A sum is parsed in one pass: its signed terms are collected and added by
+one :func:`~microlie.poly.sum_of_products`, so the running sum is not
+copied and reduced once per term.
 
 Every product and power is bounded before it is expanded, by the
 polynomial degree limit :data:`~microlie.poly.MAX_DEGREE` or by an optional
@@ -15,10 +20,10 @@ cannot ask for an arbitrarily large polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .poly import MAX_DEGREE, Poly, format_poly
+from .poly import MAX_DEGREE, Poly, format_poly, sum_of_products
 
 
 class VectorFieldSyntaxError(ValueError):
@@ -27,11 +32,19 @@ class VectorFieldSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUM VAR + - * ^ / ( ) ; END
     text: str
     pos: int
+
+
+_DIGITS = frozenset("0123456789")
+
+
+def _unexpected(text: str, i: int) -> VectorFieldSyntaxError:
+    return VectorFieldSyntaxError(
+        i, f"unexpected character {text[i]!r}; expected a number, variable, or operator"
+    )
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -43,18 +56,20 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("NUM", text[i:j], i))
             i = j
             continue
         if ch == "x":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j == i + 1:
+                if text[j : j + 1].isdigit():  # a digit, but not an ASCII one
+                    raise _unexpected(text, j)
                 raise VectorFieldSyntaxError(i, "expected a variable index after 'x'")
             tokens.append(_Token("VAR", text[i:j], i))
             i = j
@@ -65,9 +80,7 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(ch, ch, i))
             i += 1
             continue
-        raise VectorFieldSyntaxError(
-            i, f"unexpected character {text[i]!r}; expected a number, variable, or operator"
-        )
+        raise _unexpected(text, i)
     tokens.append(_Token("END", "", n))
     return tokens
 
@@ -92,6 +105,7 @@ class _Parser:
         self.bounds_exponents = max_degree is not None
         self.limit = MAX_DEGREE if max_degree is None else min(max_degree, MAX_DEGREE)
         self.depth = 0
+        self.signs = {"+": Poly.scalar(nvars, 1), "-": Poly.scalar(nvars, -1)}
 
     def check_degree(self, degree: int, tok: _Token, what: str = "degree") -> None:
         if degree > self.limit:
@@ -114,15 +128,13 @@ class _Parser:
 
     # expr := ['+'|'-'] term (('+'|'-') term)*
     def expr(self) -> Poly:
-        sign = 1
-        if self.peek().kind in "+-":
-            sign = -1 if self.take().kind == "-" else 1
-        acc = self.term() * sign
+        signs = self.signs
+        op = self.take().kind if self.peek().kind in "+-" else "+"
+        pairs = [(self.term(), signs[op])]
         while self.peek().kind in "+-":
             op = self.take().kind
-            rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
+            pairs.append((self.term(), signs[op]))
+        return sum_of_products(self.nvars, pairs)
 
     # term := factor ('*' factor)*
     def term(self) -> Poly:
@@ -152,14 +164,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUM":
             self.take()
-            value = Fraction(_int(tok.text, tok.pos))
+            value = _int(tok.text, tok.pos)
             if self.peek().kind == "/":
                 self.take()
                 denom = self.expect("NUM", "a denominator")
                 d = _int(denom.text, denom.pos)
                 if d == 0:
                     raise VectorFieldSyntaxError(denom.pos, "zero denominator")
-                value /= d
+                value = Fraction(value, d)
             return Poly.scalar(self.nvars, value)
         if tok.kind == "VAR":
             self.take()

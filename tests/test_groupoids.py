@@ -466,7 +466,7 @@ def _scalar_part(draw, kind, n):
     ident = [{tuple(int(t == i) for t in range(n)): 1} for i in range(n)]
     if kind == "identity":
         return ident
-    degree = 1 if kind == "affine" else 2
+    degree = {"affine": 1, "general": 2, "cubic": 3}[kind]
     return [{e: draw(SMALL) for e in _exponents(n, degree)} for _ in range(n)]
 
 
@@ -490,17 +490,16 @@ def _merge(scalar, nilpotent):
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_taylor_sum_agrees_with_the_seed_kernel(data):
-    draw = data.draw
-    domain = draw(st.sampled_from(TAYLOR_DOMAINS))
-    n = draw(st.integers(min_value=1, max_value=2))
+def _check_taylor_sum(draw, domain, n, kind, outer_degree, every_mask):
     groupoid = PairGroupoid(n)
-    kind = draw(st.sampled_from(["identity", "affine", "general"]))
     monomials = domain.monomials()
-    outer = _weil_terms(draw, domain, n, 2, monomials)
-    inner = _merge(_scalar_part(draw, kind, n), _weil_terms(draw, domain, n, 2, monomials[1:]))
+    outer = _weil_terms(draw, domain, n, outer_degree, monomials)
+    nilpotent = _weil_terms(draw, domain, n, 2, monomials[1:])
+    if every_mask:  # a nonzero part on every nilpotent mask, so every set of disjoint masks has its weights
+        for m in monomials[1:]:
+            comp = nilpotent[draw(st.integers(0, n - 1))]
+            comp.setdefault(draw(st.sampled_from(_exponents(n, 2))), {})[m] = draw(SMALL.filter(bool))
+    inner = _merge(_scalar_part(draw, kind, n), nilpotent)
     f, ref_f = _both_kernels(groupoid, domain, outer)
     g, ref_g = _both_kernels(groupoid, domain, inner)
     expected = REF_POLY.compose_map(ref_f, ref_g)
@@ -509,6 +508,26 @@ def test_taylor_sum_agrees_with_the_seed_kernel(data):
         got.setdefault(i, {})[e] = dict(w.coeffs)
     for i, comp in enumerate(expected):
         assert got.get(i, {}) == {e: c.coeffs for e, c in comp.terms.items()}
+
+
+KINDS = st.sampled_from(["identity", "affine", "general", "cubic"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_taylor_sum_agrees_with_the_seed_kernel(data):
+    draw = data.draw
+    domain = draw(st.sampled_from(TAYLOR_DOMAINS))
+    n = draw(st.integers(min_value=1, max_value=3))
+    _check_taylor_sum(draw, domain, n, draw(KINDS), 2, draw(st.booleans()))
+
+
+@settings(max_examples=10, deadline=None)  # the largest cases: half the time is the seed kernel's composition
+@given(st.data())
+def test_taylor_sum_agrees_with_the_seed_kernel_on_every_mask_of_d3(data):
+    # a cubic outer map has nonzero third derivatives, so the weights of the three-mask set are read
+    draw = data.draw
+    _check_taylor_sum(draw, D3, draw(st.integers(min_value=1, max_value=3)), draw(KINDS), 3, True)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import microlie
-from microlie import harness
+from microlie import cli, harness
 from microlie.cli import main
 from microlie.harness import (
     SUITE_IDS,
@@ -222,6 +222,28 @@ class TestCli:
         code = main(["bracket", "--groupoid", "pair:dim=2", "--x", "1; 0", "--y", "0; x0"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "0; 1"
+
+    def test_cached_parser_keeps_no_state_between_calls(self, capsys):
+        calls = [
+            ["bracket", "--groupoid", "pair:dim=2", "--x", "-x1; x0", "--y", "x0^2; 1/2*x1"],
+            ["verify", "--trials"],  # usage error: exit 2
+            ["verify", "--trials", "1"],
+            ["bracket", "--groupoid", "pair:dim=2", "--x", "-x1; x0", "--y", "x0^2; 1/2*x1"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            return code, *capsys.readouterr()
+
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()  # as in a fresh process
+            alone.append(run(argv))
+        cli._build_parser.cache_clear()
+        together = [run(argv) for argv in calls]
+        assert together == alone
+        assert [code for code, _, _ in together] == [0, 2, 0, 0]
+        assert cli._build_parser.cache_info().misses == 1
 
     def test_bracket_parse_error(self, capsys):
         code = main(["bracket", "--groupoid", "pair:dim=1", "--x", "x0 +", "--y", "x0"])

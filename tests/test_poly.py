@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from microlie.groupoids import PairGroupoid, WSection, star
-from microlie.poly import MAX_DEGREE, Poly, RATIONALS, compose_map, identity_map
+from microlie.poly import MAX_DEGREE, Poly, RATIONALS, compose_map, from_numerators, identity_map, numerators
 from microlie.spaces import AffineSpace, WPoint
 from microlie.vfexpr import VectorFieldSyntaxError, parse_vector_field
 from microlie.weil import InfinitesimalDomain, WeilElement
@@ -220,6 +220,27 @@ def test_arithmetic_matches_the_reference(case, k):
         assert dict((pa**k).coeffs) == ref_pow(a, k, nvars)
     for i in range(nvars):
         assert dict(pa.derivative(i).coeffs) == ref_derivative(a, i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs())
+def test_from_numerators_inverts_numerators(case):
+    nvars, a, _ = case
+    p = Poly(nvars, a)
+    assert from_numerators(p.nvars, *numerators(p)) == p
+
+
+def test_from_numerators_reduces_and_checks():
+    assert from_numerators(1, {(1,): 2, (0,): 4, (2,): 0}, 6) == Poly(1, {(1,): Fraction(1, 3), (0,): Fraction(2, 3)})
+    assert from_numerators(2, {}, 5) == Poly.zero(2)
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        from_numerators(2, {(1,): 1}, 1)
+    with pytest.raises(OverflowError):
+        from_numerators(1, {(MAX_DEGREE + 1,): 1}, 1)
+    with pytest.raises(ValueError, match="positive integer denominator"):
+        from_numerators(1, {(1,): 1}, 0)
+    with pytest.raises(TypeError, match="numerators must be int"):
+        from_numerators(1, {(1,): Fraction(1, 2)}, 1)
 
 
 @st.composite

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from microlie.poly import Poly
 from microlie.vfexpr import (
     VectorFieldSyntaxError,
     format_vector_field,
+    parse_component,
     parse_vector_field,
 )
 
@@ -90,3 +92,100 @@ def test_degree_limit_allows_degree_three_and_no_limit_by_default():
     assert parse_vector_field("(x0+1)^3 - x0^3", 1, max_degree=3) == expanded
     (p,) = parse_vector_field("x0^5 + x0^2*x0^3", 1)
     assert p == Poly(1, {(5,): 2})
+
+
+@pytest.mark.parametrize(
+    ("text", "position", "character"),
+    [("x0^²", 3, "²"), ("²", 0, "²"), ("x0 + ٣", 5, "٣"), ("x٣", 1, "٣")],
+    ids=["superscript-exponent", "superscript-alone", "arabic-indic-number", "arabic-indic-index"],
+)
+def test_only_ascii_digits(text, position, character):
+    with pytest.raises(VectorFieldSyntaxError) as caught:
+        parse_vector_field(text, 1)
+    assert caught.value.position == position
+    assert str(caught.value) == (
+        f"position {position}: unexpected character {character!r}; expected a number, variable, or operator"
+    )
+
+
+# -- differential test: printed expression trees against the same trees evaluated with Poly ----
+
+NVARS = 3
+SIGNS = ("+", "-", "−")  # the last is the unicode minus
+
+
+def _exprs(atoms):
+    """expr := ['+'|'-'] term (('+'|'-') term)*, a term a list of (atom, exponent or None) factors."""
+    factor = st.tuples(atoms, st.none() | st.integers(0, 3))
+    term = st.lists(factor, min_size=1, max_size=3)
+    return st.tuples(st.sampled_from(("",) + SIGNS), term, st.lists(st.tuples(st.sampled_from(SIGNS), term), max_size=2))
+
+
+LEAVES = st.one_of(
+    st.tuples(st.just("num"), st.integers(0, 30), st.none() | st.integers(1, 9)),
+    st.tuples(st.just("var"), st.integers(0, NVARS - 1)),
+)
+ATOMS = LEAVES
+for _ in range(2):  # parentheses nest up to two deep
+    ATOMS = st.one_of(LEAVES, LEAVES, _exprs(ATOMS).map(lambda e: ("paren", e)))
+
+
+def _text(expr) -> str:
+    lead, first, rest = expr
+    out = lead + _term_text(first)
+    for op, term in rest:
+        out += f" {op} " + _term_text(term)
+    return out
+
+
+def _term_text(term) -> str:
+    return "*".join(_atom_text(atom) + ("" if k is None else f"^{k}") for atom, k in term)
+
+
+def _atom_text(atom) -> str:
+    if atom[0] == "num":
+        return str(atom[1]) if atom[2] is None else f"{atom[1]}/{atom[2]}"
+    if atom[0] == "var":
+        return f"x{atom[1]}"
+    return "(" + _text(atom[1]) + ")"
+
+
+def _degree_bound(expr) -> int:
+    lead, first, rest = expr
+    return max(sum(_atom_degree(atom) * (1 if k is None else k) for atom, k in term) for term in [first] + [t for _, t in rest])
+
+
+def _atom_degree(atom) -> int:
+    return _degree_bound(atom[1]) if atom[0] == "paren" else int(atom[0] == "var")
+
+
+def _value(expr) -> Poly:
+    lead, first, rest = expr
+    out = -_term_value(first) if lead in ("-", "−") else _term_value(first)
+    for op, term in rest:
+        out = out + _term_value(term) if op == "+" else out - _term_value(term)
+    return out
+
+
+def _term_value(term) -> Poly:
+    out = Poly.scalar(NVARS, 1)
+    for atom, k in term:
+        base = _atom_value(atom)
+        out = out * (base if k is None else base**k)
+    return out
+
+
+def _atom_value(atom) -> Poly:
+    if atom[0] == "num":
+        return Poly.scalar(NVARS, Fraction(atom[1], atom[2] or 1))
+    if atom[0] == "var":
+        return Poly.variable(NVARS, atom[1])
+    return _value(atom[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exprs(ATOMS))
+def test_parser_agrees_with_poly_arithmetic(expr):
+    assume(_degree_bound(expr) <= 12)  # nested powers can ask for a large expansion
+    text = _text(expr)
+    assert parse_component(text, NVARS) == _value(expr), text
