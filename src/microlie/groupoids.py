@@ -48,12 +48,14 @@ matrices over a Weil domain is its family of coefficient tables, and the
 jet's part on each mask is one flat tuple of integer numerators, the k x k
 matrix of every base point in turn, over the jet's denominator.  The
 product sums matrix products over the pairs of disjoint masks whose union
-survives; the inverse inverts the scalar part once per table, as its
-integer adjugate over its determinant, and sums the finite nilpotent
-series.  An arrow's fiber is the jet of one base point's block, and arrows
-compose by the same product.  Gauge Lie algebroid data, a table of rational
-matrices, is a jet over :data:`TABLE_DOMAIN` with one part laid out like a
-section's, so flows, coefficient reads and module operations are integer.
+survives, each output mask in one gathered multiply-and-sum over all of
+its pairs (:func:`_product`); the inverse inverts the scalar part once per
+table, as its integer adjugate over its determinant, and sums the finite
+nilpotent series.  An arrow's fiber is the jet of one base point's block,
+and arrows compose by the same product.  Gauge Lie algebroid data, a table
+of rational matrices, is a jet over :data:`TABLE_DOMAIN` with one part
+laid out like a section's, so flows, coefficient reads and module
+operations are integer.
 
 Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
 ``SectionChart``, ``star``, ``section_at`` and the harness only call its
@@ -86,13 +88,13 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, product
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .matrices import Matrix, _adjugate, _determinant
@@ -418,11 +420,11 @@ class TrivialGaugeGroupoid:
         base_map, jet = data
         base_map = tuple(base_map)
         m, k = self.base_size, self.matrix_size
-        if any(not isinstance(i, int) or isinstance(i, bool) for i in base_map):
+        if not all(issubclass(t, int) and t is not bool for t in set(map(type, base_map))):
             raise TypeError(f"base map entries must be int: {base_map!r}")
         if len(base_map) != m:
             raise ValueError(f"expected a base map over {m} base points")
-        if any(not 0 <= i < m for i in base_map):
+        if min(base_map) < 0 or max(base_map) >= m:
             raise ValueError("base map leaves the base")
         if not isinstance(jet, Jet) or jet.domain is not domain:
             raise ValueError("gauge section data must be a matrix jet over the section's domain")
@@ -434,9 +436,11 @@ class TrivialGaugeGroupoid:
                 gcd(*part)  # a TypeError unless every entry is an int, and cheaper than a type test per entry
             except TypeError:
                 raise TypeError("fiber tables must hold int numerators") from None
-        scaled_identity = tuple(jet.den * n for n in _identity(k))  # det den^k, so no determinant needed
+        # den * I has determinant den^k, so it needs no determinant
+        scaled_identity = _identity(k) if jet.den == 1 else tuple(jet.den * n for n in _identity(k))
         scalar = jet[0]
-        for t in (scalar[at : at + kk] for at in range(0, m * kk, kk)):
+        for at in range(0, m * kk, kk):
+            t = scalar[at : at + kk]
             if t != scaled_identity and not _determinant(_matrices(t, k)[0]):
                 raise InvertibilityError("fiber matrix has singular scalar part")
         return base_map, jet
@@ -470,9 +474,9 @@ class TrivialGaugeGroupoid:
             inverses.append(([n // g for row in adj for n in row], det // g))
         q = lcm(*(det for _, det in inverses))
         Q = [n * (q // det) for adj, det in inverses for n in adj]
-        # C over q: (den Q / q)(P_b / den) = Q P_b / q
-        c = {b: [-n for n in _mat_mul(Q, part, k)] for b, part in parts.items()}
         ok = domain.masks
+        # C over q: (den Q / q)(P_b / den) = Q P_b / q
+        c = _product(ok, {0: [-n for n in Q]}, parts, k)
         series, power, den = {0: _identity(k) * m}, c, 1  # series holds sum_{r <= R} C^r over q^R
         while power:
             series = {b: [n * q for n in part] for b, part in series.items()}
@@ -763,28 +767,43 @@ def _gather(part: Sequence[int], points: Sequence[int], k: int) -> list[int]:
     return [n for y in points for n in part[y * kk : y * kk + kk]]
 
 
-def _mat_mul(a: Sequence[int], b: Sequence[int], k: int) -> list[int]:
-    """The pointwise product of two flat tables of row-major k x k integer matrices."""
+@cache
+def _plan(k: int, n: int) -> tuple[Callable, Callable]:
+    """The gathers of a pointwise product of flat tables of ``n`` entries, row-major k x k matrices in turn.
+
+    Both lay out ``k * n`` factors by inner index ``l``, then by output entry
+    ``e = (x, i, j)``: ``rows(a)[l * n + e]`` is ``a[x, i, l]`` and
+    ``cols(c)[l * n + e]`` is ``c[x, l, j]``.
+    """
     kk = k * k
-    out: list[int] = []
-    for at in range(0, len(a), kk):
-        cols = [b[j : at + kk : k] for j in range(at, at + k)]
-        out += [sum(map(mul, a[i : i + k], col)) for i in range(at, at + kk, k) for col in cols]
-    return out
+    rows = [e - e % k + l for l in range(k) for e in range(n)]
+    cols = [e - e % kk + l * k + e % k for l in range(k) for e in range(n)]
+    # itemgetter of one index returns the entry itself, not a tuple of it
+    gather = lambda idx: itemgetter(*idx) if len(idx) > 1 else lambda t: (t[idx[0]],)
+    return gather(rows), gather(cols)
 
 
 def _product(ok: frozenset[int], left: Mapping, right: Mapping, k: int) -> dict[int, list[int]]:
     """Numerators of a jet product: part M sums ``left[b1] @ right[b2]`` pointwise.
 
     The sum runs over the disjoint masks ``b1``, ``b2`` with ``b1 | b2 = M`` in ``ok``.
+    Each pair is one multiply of the gathered factors, cut into its ``k``
+    chunks of one ``l`` each; each entry of part M sums its column of the
+    chunks of all of M's pairs.
     """
-    sums: dict[int, list[int]] = {}
+    if not left or not right:
+        return {}
+    n = len(next(iter(right.values())))
+    rows, cols = _plan(k, n)
+    right_cols = [(b2, cols(c)) for b2, c in right.items()]
+    chunks: dict[int, list[tuple[int, ...]]] = {}
     for b1, a in left.items():
-        for b2, c in right.items():
+        a_rows = rows(a)
+        for b2, c_cols in right_cols:
             if b1 & b2 or b1 | b2 not in ok:
                 continue  # a repeated generator squares to zero, and so does a vanishing monomial
-            _accumulate(sums, b1 | b2, _mat_mul(a, c, k))
-    return sums
+            chunks.setdefault(b1 | b2, []).extend(zip(*[map(mul, a_rows, c_cols)] * n))
+    return {b: list(map(sum, zip(*cs))) for b, cs in chunks.items()}
 
 
 def _accumulate(sums: dict[int, list[int]], b: int, part: list[int]) -> None:

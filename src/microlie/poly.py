@@ -161,13 +161,16 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
-        out = Poly.scalar(self.nvars, 1)
+        if not k:
+            return Poly.scalar(self.nvars, 1)
         base = self
-        while k:
+        while not k & 1:  # square up to the lowest set bit, whose power starts the product
+            base, k = base * base, k >> 1
+        out = base
+        while k := k >> 1:
+            base = base * base
             if k & 1:
                 out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
         return out
 
     # -- calculus -----------------------------------------------------------------

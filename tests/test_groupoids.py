@@ -742,8 +742,8 @@ def test_one_stray_mask_check_serves_every_mask_keyed_constructor():
 
 
 def _gauge_case(draw):
-    """A gauge groupoid with 1-3 base points and 1-3 square matrices, and a Weil domain."""
-    groupoid = TrivialGaugeGroupoid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    """A gauge groupoid with 1-4 base points and 1-3 square matrices, and a Weil domain."""
+    groupoid = TrivialGaugeGroupoid(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
     return groupoid, draw(st.sampled_from(TAYLOR_DOMAINS))
 
 
@@ -862,6 +862,51 @@ def test_gauge_read_coefficient_agrees_with_weil_matrices(data):
     for monomial in domain.monomials():
         expected = tuple(tuple(tuple(w.coefficient(monomial) for w in row) for row in t) for t in tables)
         assert AGSection(g, g.read_coefficient(section, monomial)) == AGSection(g, expected)
+
+
+def _reference_product(ok, left, right, k):
+    """Part M of a jet product, matrix by matrix: the sum of ``left[b1] @ right[b2]`` with ``b1 | b2 = M``."""
+    blocks = lambda part: [
+        tuple(tuple(part[at + i * k : at + i * k + k]) for i in range(k)) for at in range(0, len(part), k * k)
+    ]
+    sums = {}
+    for b1, a in left.items():
+        for b2, c in right.items():
+            if not b1 & b2 and b1 | b2 in ok:
+                flat = [n for x, y in zip(blocks(a), blocks(c)) for row in mat_mul(x, y) for n in row]
+                sums[b1 | b2] = list(map(add, sums.get(b1 | b2, [0] * len(flat)), flat))
+    return sums
+
+
+@pytest.mark.parametrize(
+    "k, left, right",
+    [
+        (1, {0: (3,), 1: (-2,)}, {0: (5,), 1: (7,)}),
+        (2, {0: (1, 2, 3, 4)}, {0: (0, 1, -1, 5)}),
+        (2, {0: (1, 2, 3, 4, 2, 0, 1, 1), 1: (0,) * 8}, {0: (0, 1, -1, 5, 1, 1, 0, 3), 1: (2, 0, 0, -1, 1, 2, 3, 4)}),
+        (3, {0: tuple(range(9)), 2: tuple(range(9, 0, -1))}, {1: (1, 0, 2, 0, 1, 0, 3, 0, 1), 3: (1,) * 9}),
+        (2, {}, {0: I2}),
+        (2, {0: I2}, {}),
+    ],
+    ids=["one-entry", "mask-0-only", "zero-nilpotent-part", "k3-vanishing-union", "empty-left", "empty-right"],
+)
+def test_gauge_product_kernel_agrees_matrix_by_matrix(k, left, right):
+    # the mask-0-only and zero-part cases multiply matrices that do not commute, so a swapped
+    # layout of rows and columns multiplies in the wrong order and fails
+    assert groupoids._product(D.masks, left, right, k) == _reference_product(D.masks, left, right, k)
+
+
+@pytest.mark.parametrize(
+    "k, table, square", [(1, (2,), (4,)), (2, (1, 2, 3, 5), (7, 12, 18, 31))], ids=["gauge:1:1", "gauge:1:2"]
+)
+def test_gauge_sections_with_only_a_scalar_part_star_and_invert(k, table, square):
+    # no nilpotent part: the inverse's series multiplies by an empty jet and ends at once
+    g = TrivialGaugeGroupoid(1, k)
+    sigma = WBisection(g, D, ((0,), Jet(D, {0: table})))
+    inverse = invert_bisection(sigma)
+    assert set(inverse.data[1]) == {0}
+    assert star(sigma, inverse) == star(inverse, sigma) == WSection.identity(g, D)
+    assert star(sigma, sigma).data[1][0] == square
 
 
 # -- gauge Lie algebroid data: integer table jets against a Fraction-table reference ----------------

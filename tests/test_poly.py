@@ -5,8 +5,18 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from microlie import poly
 from microlie.groupoids import PairGroupoid, WSection, star
-from microlie.poly import MAX_DEGREE, Poly, RATIONALS, compose_map, from_numerators, identity_map, numerators
+from microlie.poly import (
+    MAX_DEGREE,
+    RATIONALS,
+    Poly,
+    compose_map,
+    from_numerators,
+    identity_map,
+    numerators,
+    sum_of_products,
+)
 from microlie.spaces import AffineSpace, WPoint
 from microlie.vfexpr import VectorFieldSyntaxError, parse_vector_field
 from microlie.weil import InfinitesimalDomain, WeilElement
@@ -37,6 +47,17 @@ def test_mul_and_pow():
     half = Poly(1, {(1,): Fraction(1, 2), (0,): Fraction(1, 3)})
     assert half * 6 == Poly(1, {(1,): 3, (0,): 2})
     assert half * half == Poly(1, {(2,): Fraction(1, 4), (1,): Fraction(1, 3), (0,): Fraction(1, 9)})
+
+
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+def test_a_power_starts_from_its_base(monkeypatch, k, products):
+    # square and multiply from x itself: no product spent on the scalar 1
+    calls = []
+    counted = lambda nvars, pairs: calls.append(pairs) or sum_of_products(nvars, pairs)
+    x = Poly.variable(1, 0)
+    monkeypatch.setattr(poly, "sum_of_products", counted)
+    assert x**k == Poly(1, {(k,): 1})
+    assert len(calls) == products
 
 
 def test_compose():
