@@ -67,8 +67,9 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
 * ``section_data`` (validate and normalise), ``check_bisection``,
   ``identity_data``, ``star_data``, ``inverse_data``, ``flow_data``,
   ``read_coefficient`` and ``section_repr`` for section data;
-* ``substitute_data(data, table)``, the one reparametrisation of section
-  data, by a table of Weil monomial images (see :meth:`WSection.substitute`);
+* ``substitute_data(data, table)``, which hands the data's jet and a table
+  of Weil monomial images to :meth:`~microlie.weil.Jet.image`, the one
+  reparametrisation of elements and sections (see :meth:`WSection.substitute`);
 * ``slots`` and ``from_slots``, the one coefficient view of section data,
   mask-major like the jet: ``slots(data)`` returns
   ``(shape, {mask: {slot: int}}, den)``, integer numerators over one
@@ -113,6 +114,7 @@ from .poly import (
 from .spaces import AffineSpace, MatrixGroup, WPoint, _point
 from .weil import (
     DomainMismatchError,
+    Immutable,
     InfinitesimalDomain,
     Jet,
     Rational,
@@ -282,14 +284,7 @@ class PairGroupoid:
         return data.coefficient(monomial, self.ag_zero())
 
     def substitute_data(self, data, table) -> "Jet":
-        # part M of the image sums c * part b over the terms c d^M of table[b]
-        sums: dict[int, list[list[tuple[Poly, Poly]]]] = {}
-        for b, comps in data.items():
-            for M, c in table[b].mask_coeffs().items():
-                c = Poly.scalar(self.dim, c)
-                for acc, comp in zip(sums.setdefault(M, [[] for _ in comps]), comps):
-                    acc.append((comp, c))
-        return Jet(table[0].domain, {M: tuple(sum_of_products(self.dim, p) for p in acc) for M, acc in sums.items()})
+        return data.image(table)
 
     def section_repr(self, data) -> str:
         comps: list[dict[Exponents, dict[int, Fraction]]] = [{} for _ in range(self.dim)]
@@ -490,11 +485,10 @@ class TrivialGaugeGroupoid:
     def flow_data(self, fields: Jet, e: WeilElement) -> tuple:
         # X_e = I + e X, for a square-zero e with no scalar part (section_at checks)
         m, k = self.base_size, self.matrix_size
-        q = fields.den
-        num, den = e.mask_integers()
-        parts = {b: [n * x for x in fields[0]] for b, n in num.items()}
-        parts[0] = [den * q * n for n in _identity(k)] * m
-        return tuple(range(m)), Jet(e.domain, parts, den * q)
+        q, jet = fields.den, e.jet
+        parts = {b: [n * x for x in fields[0]] for b, (n,) in jet.items() if b}
+        parts[0] = [jet.den * q * n for n in _identity(k)] * m
+        return tuple(range(m)), Jet(e.domain, parts, jet.den * q)
 
     def read_coefficient(self, data, monomial) -> Jet:
         jet = data[1]
@@ -502,16 +496,7 @@ class TrivialGaugeGroupoid:
         return self.ag_zero() if part is None else Jet(TABLE_DOMAIN, {0: part}, jet.den)
 
     def substitute_data(self, data, table) -> tuple:
-        # part M of the image sums c * part b over the terms c d^M of table[b]
-        base_map, jet = data
-        images = [(part, table[b].mask_integers()) for b, part in jet.items()]
-        q = lcm(1, *(d for _, (_, d) in images))
-        sums: dict[int, list[int]] = {}
-        for part, (num, d) in images:
-            for M, n in num.items():
-                c = n * (q // d)
-                _accumulate(sums, M, [c * x for x in part])
-        return base_map, Jet(table[0].domain, sums, jet.den * q)
+        return data[0], data[1].image(table)
 
     def section_repr(self, data) -> str:
         return f"base {data[0]}"
@@ -638,7 +623,7 @@ def compose_arrows(g2: Arrow, g1: Arrow) -> Arrow:
 # -- sections ---------------------------------------------------------------------
 
 
-class WSection:
+class WSection(Immutable):
     """A Weil-parametrized section of the source projection.
 
     ``data`` is laid out by the groupoid class (see its docstring).
@@ -650,9 +635,6 @@ class WSection:
         object.__setattr__(self, "groupoid", groupoid)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "data", groupoid.section_data(domain, data))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError("WSection is immutable")
 
     # -- constructors ----------------------------------------------------------
 
@@ -950,7 +932,7 @@ def invert_bisection(sigma: WSection) -> WBisection:
 # -- sections of the Lie algebroid ------------------------------------------------------
 
 
-class AGSection:
+class AGSection(Immutable):
     """Exact data for a tangent vector to the bisection group at the identity.
 
     ``data`` is laid out by the groupoid class (see its docstring).
@@ -962,9 +944,6 @@ class AGSection:
     def __init__(self, groupoid: GroupoidInstance, data) -> None:
         object.__setattr__(self, "groupoid", groupoid)
         object.__setattr__(self, "data", groupoid.ag_data(data))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError("AGSection is immutable")
 
     @classmethod
     def zero(cls, groupoid: GroupoidInstance) -> "AGSection":

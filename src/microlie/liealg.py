@@ -35,7 +35,7 @@ from .groupoids import (
     star_word,
 )
 from .spaces import InternalInvariantError, strong_difference
-from .weil import D2, D3, LINE, InfinitesimalDomain, WeilElement
+from .weil import D2, LINE, InfinitesimalDomain, WeilElement
 
 WITNESS_DOMAIN = InfinitesimalDomain(3, [(1, 3), (2, 3)])
 

@@ -18,9 +18,10 @@ from typing import Sequence
 
 from .matrices import Matrix, rational_rows
 from .poly import Poly
+from .weil import Immutable
 
 
-class PolyVectorField:
+class PolyVectorField(Immutable):
     """A polynomial vector field with exact rational coefficients."""
 
     __slots__ = ("dimension", "components")
@@ -33,9 +34,6 @@ class PolyVectorField:
                 raise ValueError(f"need {n} polynomials in {n} variables")
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError("PolyVectorField is immutable")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolyVectorField) and self.components == other.components

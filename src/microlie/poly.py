@@ -2,10 +2,10 @@
 
 Variables are written ``x0 .. x(n-1)`` (0-based, matching the expression
 grammar).  Inside, a polynomial stores integer numerators over one positive
-common denominator, in lowest terms, as :class:`~microlie.weil.WeilElement`
-does with monomial masks: no numerator is zero, the gcd of the denominator
-and all numerators is 1, and zero has denominator 1, so equality is
-structural.
+common denominator, in lowest terms, the normal form of a
+:class:`~microlie.weil.Jet` of integer parts with a packed key in place of
+a mask: no numerator is zero, the gcd of the denominator and all numerators
+is 1, and zero has denominator 1, so equality is structural.
 
 Each monomial is keyed by one packed ``int`` (the packed exponent vectors
 of Monagan and Pearce, *Polynomial division using dynamic arrays, heaps,
@@ -38,7 +38,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .weil import InfinitesimalDomain, Rational, WeilElement, _rational
+from .weil import Immutable, InfinitesimalDomain, Rational, WeilElement, _rational
 
 Exponents = tuple[int, ...]
 
@@ -81,7 +81,7 @@ def _frac(n: int, den: int) -> Fraction:
     return Fraction(n) if den == 1 else Fraction(n, den)
 
 
-class Poly:
+class Poly(Immutable):
     """Exact rational polynomial in ``nvars`` variables.
 
     Stored as integer numerators keyed by packed exponent key over one
@@ -100,9 +100,6 @@ class Poly:
         den = lcm(1, *(c.denominator for c in table.values()))
         lowest = _reduced(nvars, {key: int(c * den) for key, c in table.items()}, den)
         _init(self, nvars, lowest._num, lowest._den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ---------------------------------------------------------
 

@@ -43,7 +43,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import matrices
-from .weil import AXES2, D2, D3, LINE, SCALAR, InfinitesimalDomain, Jet, Rational, WeilElement, _frac
+from .weil import AXES2, D2, D3, LINE, SCALAR, Immutable, InfinitesimalDomain, Jet, Rational, _element, _frac
 
 
 class MembershipError(ValueError):
@@ -92,7 +92,7 @@ class MatrixGroup:
 Space = AffineSpace | MatrixGroup
 
 
-class WPoint:
+class WPoint(Immutable):
     """A point of a space over a Weil domain, stored as its jet.
 
     ``parts`` is the :class:`~microlie.weil.Jet` of the point: each mask's
@@ -126,9 +126,6 @@ class WPoint:
         space.check(jet[0])
         return _point(space, jet)
 
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError("WPoint is immutable")
-
     @property
     def domain(self) -> InfinitesimalDomain:
         return self.parts.domain
@@ -145,10 +142,9 @@ class WPoint:
         return hash((self.space, self.parts))
 
     def __repr__(self) -> str:
-        den = self.parts.den
+        jet = self.parts
         coords = (
-            WeilElement.from_masks(self.domain, {b: _frac(v[i], den) for b, v in self.parts.items()})
-            for i in range(self.space.flat_dim)
+            _element(Jet(jet.domain, {b: (v[i],) for b, v in jet.items()}, jet.den)) for i in range(self.space.flat_dim)
         )
         return f"WPoint({self.space}, {self.domain!r}; {', '.join(map(str, coords))})"
 
@@ -161,7 +157,7 @@ def _point(space: Space, jet: Jet) -> WPoint:
     return point
 
 
-class Tangent:
+class Tangent(Immutable):
     """A point over the one-generator domain, with base/direction accessors."""
 
     __slots__ = ("point",)
@@ -170,9 +166,6 @@ class Tangent:
         if point.domain is not LINE:
             raise ValueError("a tangent is a point over the one-generator domain")
         object.__setattr__(self, "point", point)
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError("Tangent is immutable")
 
     @property
     def space(self) -> Space:

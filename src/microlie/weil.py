@@ -7,46 +7,50 @@ identity, and :meth:`InfinitesimalDomain.mask_of` is the one checked
 conversion from a monomial to its mask.  An
 element of the resulting algebra is a finite family of exact rational
 coefficients indexed by the surviving square-free monomials; the empty
-monomial is the scalar part.  Everything is immutable and every operation
-is exact, so equality is structural and zero-tolerance.
+monomial is the scalar part.  Every type is read-only (:class:`Immutable`)
+and every operation is exact, so equality is structural and zero-tolerance.
 
 Generator indices are 1-based throughout (``frozenset({1, 2})`` is the
 monomial ``d1*d2``); this keeps permutations and axis labels aligned with
 the usual subscript notation for microsquares and microcubes.
 
-Inside, a monomial is a bitmask (bit ``i - 1`` for ``di``) and an element
-stores integer numerators keyed by mask over one positive common
-denominator, in lowest terms: no numerator is zero, the gcd of the
-denominator and all numerators is 1, and zero has denominator 1.  Each
-domain keeps the set of masks that survive (``masks``), so a product term
-is dropped by two integer tests.  The API speaks ``frozenset`` monomials
-and ``Fraction`` coefficients at its edges, and takes ``int`` or
-``Fraction`` coefficients only (:func:`_rational`): the constructor,
-``coefficient``, ``scalar_part``, the read-only ``coeffs`` mapping and
-``str``; ``from_masks``, ``mask_coeffs`` and ``mask_integers`` convert to
-and from coefficients keyed by mask.
+Inside, a monomial is a bitmask (bit ``i - 1`` for ``di``), and each domain
+keeps the set of masks that survive (``masks``), so a product term is
+dropped by two integer tests.
 
-By the Kock-Lawvere axiom a map out of a Weil domain is its family of
+By the Kock-Lawvere axiom a map out of a Weil domain into ``R^n`` is an
+``n``-tuple of elements of its Weil algebra, that is, its family of
 coefficients, and one :class:`Jet` stores every such family: pair and gauge
-sections, points, and so the ends and fibers of arrows.  A part is either a
-tuple of rational polynomials (a pair section) or a tuple of integer
-numerators over the jet's one denominator (everything else), and
-:meth:`Jet.of_rationals` is the one conversion from rational parts to the
-second kind.  A jet owns their invariants and the operations on masks
-alone: a checked ``coefficient`` lookup, ``restrict`` (a filter on masks)
-and ``relabel`` (a renaming of mask bits).  Its constructor makes the one
-stray-mask check for them, :meth:`InfinitesimalDomain.check_masks`.
-Elements and sections are reparametrised by a table of monomial images,
-checked once by :func:`monomial_images` and applied by
-:meth:`WeilElement.image`; a point is only relabelled.  Weil elements are
-the scalars of the ring laws and of reparametrisation: no arrow, chart or
-random section is built from them.
+sections, points, and so the ends and fibers of arrows, and a
+:class:`WeilElement`, the ``n = 1`` case.  A part is either a tuple of
+rational polynomials (a pair section) or a tuple of integer numerators over
+the jet's one positive denominator (everything else).  The jet constructor
+is the one normal form: every mask survives
+(:meth:`InfinitesimalDomain.check_masks`), the scalar part is present, any
+other all-zero part is left out, and integer parts are in lowest terms with
+the denominator, so zero has denominator 1 and equal families are equal
+jets.  :meth:`Jet.of_rationals` is the one conversion from rational parts to
+integer ones.  A jet owns the operations on masks: a checked
+``coefficient`` lookup, ``restrict`` (a filter on masks), ``relabel`` (a
+renaming of mask bits) and ``image``, the one reparametrisation of elements
+and sections, by a table of monomial images that :func:`monomial_images`
+checks, builds once per substitution and shares read-only.  A point is only
+relabelled.
+
+A Weil element speaks ``frozenset`` monomials and ``Fraction`` coefficients
+at its edges, and takes ``int`` or ``Fraction`` coefficients only
+(:func:`_rational`): the constructor, ``coefficient``, ``scalar_part``, the
+read-only ``coeffs`` mapping and ``str``; ``from_masks`` and
+``mask_coeffs`` convert to and from coefficients keyed by mask.  Weil
+elements are the scalars of the ring laws and of reparametrisation: no
+arrow, chart or random section is built from them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd, lcm
 from operator import index
@@ -73,6 +77,22 @@ class SubstitutionError(ValueError):
 
 class ZeroMonomialError(ValueError):
     """A coefficient was requested or supplied on a vanishing monomial."""
+
+
+class Immutable:
+    """A read-only type: setting or deleting an attribute raises, and no instance has a ``__dict__``.
+
+    A subclass lists its fields in ``__slots__`` and fills each once, with
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def _monomial(indices: Iterable[int]) -> Monomial:
@@ -111,7 +131,7 @@ def _rational(value: object) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
-class InfinitesimalDomain:
+class InfinitesimalDomain(Immutable):
     """A finite set of square-zero generators with extra vanishing monomials.
 
     There is one object per presentation: ``zero_monomials`` is reduced to
@@ -167,9 +187,6 @@ class InfinitesimalDomain:
         _DOMAINS[key] = self
         return self
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("InfinitesimalDomain is immutable")
-
     @classmethod
     def first_order(cls, n: int) -> "InfinitesimalDomain":
         """n generators with every pairwise product zero."""
@@ -189,8 +206,8 @@ class InfinitesimalDomain:
 
     def check_masks(self, masks: Iterable[int]) -> None:
         """Raise ``ZeroMonomialError`` unless every mask survives."""
-        stray = set(masks) - self.masks
-        if stray:
+        if not self.masks.issuperset(masks):
+            stray = set(masks) - self.masks
             raise ZeroMonomialError(f"masks {sorted(stray)} do not survive in {self!r}")
 
     def monomials(self) -> tuple[Monomial, ...]:
@@ -243,18 +260,18 @@ D3 = InfinitesimalDomain(3)
 AXES2 = InfinitesimalDomain.first_order(2)
 
 
-class Jet(Mapping):
+class Jet(Mapping, Immutable):
     """A map out of a Weil domain, stored as its family of coefficients (Kock-Lawvere).
 
     ``jet[b]`` is the part on the monomial of ``domain`` with mask ``b``: a
     tuple of the family's coefficients over the positive denominator
     ``den``.  There are two kinds of part: rational polynomials, for a pair
     section (``den`` is 1), and integer numerators, for everything else:
-    gauge sections and tables, arrow fibers and points.  Every mask survives
-    and mask 0, the scalar part, is present; any other all-zero part is left
-    out, and when ``den`` is not 1 the integer parts are in lowest terms
-    with it, so equal families are equal jets.  Jets are read-only and hash
-    consistently with ``==``.
+    Weil elements, gauge sections and tables, arrow fibers and points.
+    Every mask survives and mask 0, the scalar part, is present; any other
+    all-zero part is left out, and when ``den`` is not 1 the integer parts
+    are in lowest terms with it, so equal families are equal jets.  Jets are
+    read-only and hash consistently with ``==``.
     """
 
     __slots__ = ("domain", "den", "_parts")
@@ -281,9 +298,6 @@ class Jet(Mapping):
         parts = {b: [_rational(c) for c in part] for b, part in parts.items()}
         den = lcm(1, *(c.denominator for part in parts.values() for c in part))
         return cls(domain, {b: [c.numerator * (den // c.denominator) for c in part] for b, part in parts.items()}, den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Jet is immutable")
 
     def __getitem__(self, b: int) -> tuple:
         return self._parts[b]
@@ -320,6 +334,38 @@ class Jet(Mapping):
             self.den,
         )
 
+    def image(self, table: Mapping[int, "WeilElement"]) -> "Jet":
+        """Reparametrise by a :func:`monomial_images` table: part M sums ``c * part b`` over the terms ``c d^M`` of ``table[b]``.
+
+        The coefficients ``c`` are brought over the lcm ``q`` of the images'
+        denominators.  Integer parts are summed as numerators over ``den * q``;
+        polynomial parts (a pair section, over 1) keep their own denominators,
+        so each is scaled by its ``c / q``.
+        """
+        images = [(part, table[b].jet) for b, part in self._parts.items()]
+        q = lcm(1, *(w.den for _, w in images))
+        terms: dict[int, list[tuple[int, tuple]]] = {0: []}  # part M: each (c, part b), c / q the coefficient of d^M
+        for part, w in images:
+            f = q // w.den
+            for M, (n,) in w._parts.items():
+                if n:
+                    terms.setdefault(M, []).append((n * f, part))
+        target, width = table[0].domain, range(len(self._parts[0]))
+        if width and type(self._parts[0][0]) is not int:
+            from .poly import Poly, sum_of_products  # poly imports this module
+
+            nvars = self._parts[0][0].nvars
+            scaled = {M: [(Poly.scalar(nvars, Fraction(c, q)), part) for c, part in ts] for M, ts in terms.items()}
+            sums = lambda ts: tuple(sum_of_products(nvars, [(part[i], c) for c, part in ts]) for i in width)
+            return Jet(target, {M: sums(ts) for M, ts in scaled.items()})
+        parts = {}
+        for M, ts in terms.items():
+            acc = [0] * len(width)
+            for c, part in ts:
+                acc = [a + c * x for a, x in zip(acc, part)]
+            parts[M] = acc
+        return Jet(target, parts, self.den * q)
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Jet)
@@ -340,101 +386,98 @@ def _require_same(a: InfinitesimalDomain, b: InfinitesimalDomain) -> None:
         raise DomainMismatchError(f"incompatible algebras: {a!r} vs {b!r}")
 
 
-class WeilElement:
-    """An exact element of an InfinitesimalDomain's algebra.
+class WeilElement(Immutable):
+    """An exact element of an InfinitesimalDomain's algebra: a jet of one coordinate.
 
-    Stored as integer numerators keyed by surviving monomial masks over one
-    denominator, in lowest terms (see the module docstring), so equality
-    is structural.  ``coeffs`` is the read-only map from monomials to
-    nonzero ``Fraction`` coefficients, built on first read.
+    ``jet`` is the :class:`Jet` whose part on each surviving mask is the
+    1-tuple of its monomial's integer numerator over ``jet.den``, in the
+    jet's normal form, so equality is structural.  ``coeffs`` is the
+    read-only map from monomials to nonzero ``Fraction`` coefficients, built
+    on first read.
     """
 
-    __slots__ = ("domain", "_num", "_den", "_view")
+    __slots__ = ("jet", "_view")
 
     def __init__(
         self,
         domain: InfinitesimalDomain,
         coeffs: Mapping[Iterable[int], Rational] | None = None,
     ) -> None:
-        table: dict[int, Fraction] = {}
+        table: dict[int, Rational] = {0: 0}
         for key, value in (coeffs or {}).items():
             b = domain.mask_of(key)
-            c = _rational(value)
-            if c:
-                table[b] = table.get(b, 0) + c
-        lowest = _from_fractions(domain, table)
-        _init(self, domain, lowest._num, lowest._den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("WeilElement is immutable")
+            table[b] = table.get(b, 0) + _rational(value)
+        object.__setattr__(self, "jet", Jet.of_rationals(domain, {b: (c,) for b, c in table.items()}))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, domain: InfinitesimalDomain) -> "WeilElement":
-        return _make(domain, {}, 1)
+        return _element(Jet(domain, {0: (0,)}))
 
     @classmethod
     def one(cls, domain: InfinitesimalDomain) -> "WeilElement":
-        return _make(domain, {0: 1}, 1)
+        return _element(Jet(domain, {0: (1,)}))
 
     @classmethod
     def scalar(cls, domain: InfinitesimalDomain, c: Rational) -> "WeilElement":
         c = _rational(c)
-        return _make(domain, {0: c.numerator} if c else {}, c.denominator)
+        return _element(Jet(domain, {0: (c.numerator,)}, c.denominator))
 
     @classmethod
     def from_masks(cls, domain: InfinitesimalDomain, coeffs: Mapping[int, Rational]) -> "WeilElement":
         """The element with coefficient ``coeffs[b]`` on the monomial of each surviving mask ``b``."""
-        domain.check_masks(coeffs)
-        return _from_fractions(domain, {b: _rational(c) for b, c in coeffs.items()})
+        return _element(Jet.of_rationals(domain, {0: (0,), **{b: (c,) for b, c in coeffs.items()}}))
 
     @classmethod
     def generator(cls, domain: InfinitesimalDomain, i: int) -> "WeilElement":
         if not 1 <= i <= domain.generator_count:
             raise ValueError(f"no generator d{i} in {domain!r}")
-        return _make(domain, {1 << (i - 1): 1}, 1)
+        return _element(Jet(domain, {0: (0,), 1 << (i - 1): (1,)}))
 
     # -- ring structure --------------------------------------------------------
 
     def __add__(self, other: "WeilElement") -> "WeilElement":
         if not isinstance(other, WeilElement):
             return NotImplemented
-        _require_same(self.domain, other.domain)
-        da, db = self._den, other._den
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-        table = {m: n * fa for m, n in self._num.items()}
-        for m, n in other._num.items():
+        a, b = self.jet, other.jet
+        _require_same(a.domain, b.domain)
+        q = lcm(a.den, b.den)
+        fa, fb = q // a.den, q // b.den
+        table = {m: n * fa for m, (n,) in a._parts.items()}
+        for m, (n,) in b._parts.items():
             table[m] = table.get(m, 0) + n * fb
-        return _reduced(self.domain, table, da * fa)
+        return _element(Jet(a.domain, {m: (n,) for m, n in table.items()}, q))
 
     def __sub__(self, other: "WeilElement") -> "WeilElement":
         return self + (-other)
 
     def __neg__(self) -> "WeilElement":
-        return _make(self.domain, {m: -n for m, n in self._num.items()}, self._den)
+        a = self.jet
+        return _element(Jet(a.domain, {m: (-n,) for m, (n,) in a._parts.items()}, a.den))
 
     def __mul__(self, other: "WeilElement | Rational") -> "WeilElement":
+        a = self.jet
         if not isinstance(other, WeilElement):
             if isinstance(other, (int, Fraction)):
                 # a rational only scales the numerators: no monomial pairs to test
                 p = other.numerator
-                return _reduced(self.domain, {m: n * p for m, n in self._num.items()}, self._den * other.denominator)
+                return _element(Jet(a.domain, {m: (n * p,) for m, (n,) in a._parts.items()}, a.den * other.denominator))
             return NotImplemented
-        domain = self.domain
-        _require_same(domain, other.domain)
+        b = other.jet
+        domain = a.domain
+        _require_same(domain, b.domain)
         ok = domain.masks
-        table: dict[int, int] = {}
-        b = other._num
-        for m1, n1 in self._num.items():
-            for m2, n2 in b.items():
+        table: dict[int, int] = {}  # gets mask 0 from the two scalar parts
+        right = b._parts.items()
+        for m1, (n1,) in a._parts.items():
+            for m2, (n2,) in right:
                 if m1 & m2:
                     continue  # repeated generator: square is zero
                 m = m1 | m2
                 if m in ok:
                     table[m] = table.get(m, 0) + n1 * n2
-        return _reduced(domain, table, self._den * other._den)
+        return _element(Jet(domain, {m: (n,) for m, n in table.items()}, a.den * b.den))
 
     def __rmul__(self, other: Rational) -> "WeilElement":
         return self * other
@@ -442,72 +485,59 @@ class WeilElement:
     # -- structure maps -------------------------------------------------------
 
     @property
+    def domain(self) -> InfinitesimalDomain:
+        return self.jet.domain
+
+    @property
     def coeffs(self) -> Mapping[Monomial, Fraction]:
         """Read-only map from each monomial with a nonzero coefficient to that coefficient."""
-        view = self._view
-        if view is None:
-            sets, den = self.domain._monomial_of, self._den
-            view = MappingProxyType({sets[m]: _frac(n, den) for m, n in self._num.items()})
-            _set_view(self, view)
-        return view
+        try:
+            return self._view
+        except AttributeError:  # the slot is filled on first read
+            sets = self.jet.domain._monomial_of
+            view = MappingProxyType({sets[m]: c for m, c in self.mask_coeffs().items()})
+            object.__setattr__(self, "_view", view)
+            return view
 
     def mask_coeffs(self) -> dict[int, Fraction]:
         """``coeffs`` keyed by monomial mask (see ``InfinitesimalDomain.masks``), as a new dict."""
-        den = self._den
-        return {m: _frac(n, den) for m, n in self._num.items()}
-
-    def mask_integers(self) -> tuple[dict[int, int], int]:
-        """The stored form in lowest terms: nonzero integer numerators by mask (a new dict) and their denominator."""
-        return dict(self._num), self._den
+        den = self.jet.den
+        return {m: _frac(n, den) for m, (n,) in self.jet._parts.items() if n}
 
     @property
     def scalar_part(self) -> Fraction:
-        return _frac(self._num.get(0, 0), self._den)
+        return _frac(self.jet[0][0], self.jet.den)
 
     @property
     def is_scalar(self) -> bool:
-        return self._num.keys() <= _SCALAR_MASKS
+        return len(self.jet) == 1
 
     def coefficient(self, monomial: Iterable[int]) -> Fraction:
-        return _frac(self._num.get(self.domain.mask_of(monomial), 0), self._den)
+        (n,) = self.jet.coefficient(monomial, (0,))
+        return _frac(n, self.jet.den)
 
     def restrict(self, sub: InfinitesimalDomain) -> "WeilElement":
         """Push into a coarser domain: newly vanishing coefficients drop."""
-        if not sub.coarsens(self.domain):
-            raise RestrictionError(f"{sub!r} is not a coarsening of {self.domain!r}")
-        ok = sub.masks
-        return _reduced(sub, {m: n for m, n in self._num.items() if m in ok}, self._den)
+        return _element(self.jet.restrict(sub))
 
     def substitute(self, target: InfinitesimalDomain, images: Sequence["WeilElement"]) -> "WeilElement":
         """Apply the algebra homomorphism sending generator i to images[i-1] (see :func:`monomial_images`)."""
         return self.image(monomial_images(self.domain, target, images))
 
     def image(self, table: Mapping[int, "WeilElement"]) -> "WeilElement":
-        """Apply a homomorphism given as a :func:`monomial_images` table, over one common denominator."""
-        pairs = [(n, table[m]) for m, n in self._num.items()]
-        common = lcm(1, *(w._den for _, w in pairs))
-        acc: dict[int, int] = {}
-        for n, w in pairs:
-            n *= common // w._den
-            for m, k in w._num.items():
-                acc[m] = acc.get(m, 0) + n * k
-        return _reduced(table[0].domain, acc, self._den * common)
+        """Apply a homomorphism given as a :func:`monomial_images` table (see :meth:`Jet.image`)."""
+        return _element(self.jet.image(table))
 
     # -- comparisons / formatting ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, WeilElement):
-            return False
-        a, b = self.domain, other.domain
-        return a is b and self._den == other._den and self._num == other._num
+        return self is other or isinstance(other, WeilElement) and self.jet == other.jet
 
     def __hash__(self) -> int:
-        return hash((self.domain, self._den, frozenset(self._num.items())))
+        return hash(self.jet)
 
     def __bool__(self) -> bool:
-        return bool(self._num)
+        return len(self.jet) > 1 or self.jet[0] != (0,)
 
     def __str__(self) -> str:
         coeffs = self.coeffs
@@ -536,54 +566,31 @@ class WeilElement:
         return f"WeilElement({self.domain!r}; {self})"
 
 
-_SCALAR_MASKS = frozenset({0})
-_set_domain = WeilElement.domain.__set__
-_set_num = WeilElement._num.__set__
-_set_den = WeilElement._den.__set__
-_set_view = WeilElement._view.__set__
-_new = object.__new__
-
-
-def _init(out: WeilElement, domain: InfinitesimalDomain, num: dict[int, int], den: int) -> None:
-    _set_domain(out, domain)
-    _set_num(out, num)
-    _set_den(out, den)
-    _set_view(out, None)
-
-
-def _make(domain: InfinitesimalDomain, num: dict[int, int], den: int) -> WeilElement:
-    """An element from numerators and a denominator already in lowest terms."""
-    out = _new(WeilElement)
-    _init(out, domain, num, den)
+def _element(jet: Jet) -> WeilElement:
+    """The element stored as ``jet``, whose parts are 1-tuples of integer numerators."""
+    out = object.__new__(WeilElement)
+    object.__setattr__(out, "jet", jet)
     return out
-
-
-def _from_fractions(domain: InfinitesimalDomain, table: dict[int, Fraction]) -> WeilElement:
-    """An element from ``Fraction`` coefficients (zeros allowed) keyed by surviving mask."""
-    den = lcm(1, *(c.denominator for c in table.values()))
-    return _reduced(domain, {b: int(c * den) for b, c in table.items()}, den)
-
-
-def _reduced(domain: InfinitesimalDomain, table: dict[int, int], den: int) -> WeilElement:
-    """An element from numerators (zeros allowed) over ``den > 0``, brought to lowest terms."""
-    num = {m: n for m, n in table.items() if n}
-    if den != 1:
-        g = gcd(den, *num.values())
-        if g != 1:
-            den //= g
-            num = {m: n // g for m, n in num.items()}
-    return _make(domain, num, den)
 
 
 def monomial_images(
     source: InfinitesimalDomain, target: InfinitesimalDomain, images: Sequence[WeilElement]
-) -> dict[int, WeilElement]:
+) -> Mapping[int, WeilElement]:
     """The image of every surviving monomial of ``source`` under ``di -> images[i-1]``, keyed by mask.
 
     Valid only when every source relation is respected: the image of each
     generator must square to zero in the target, and so must the image of
-    every vanishing monomial.
+    every vanishing monomial.  The table is a pure function of the
+    arguments, so it is built once per key and returned read-only; an
+    invalid substitution raises on every call.
     """
+    return _monomial_images(source, target, tuple(images))
+
+
+@lru_cache(maxsize=64)  # the hot keys are few: the axis checks, generator permutations and zero maps
+def _monomial_images(
+    source: InfinitesimalDomain, target: InfinitesimalDomain, images: tuple[WeilElement, ...]
+) -> Mapping[int, WeilElement]:
     n = source.generator_count
     if len(images) != n:
         raise SubstitutionError(f"expected {n} generator images, got {len(images)}")
@@ -604,7 +611,7 @@ def monomial_images(
     for b in sorted(source.masks - {0}):  # b without its top generator is smaller, so already built
         top = b.bit_length()
         table[b] = table[b ^ (1 << (top - 1))] * images[top - 1]
-    return table
+    return MappingProxyType(table)
 
 
 def generators(domain: InfinitesimalDomain) -> tuple[WeilElement, ...]:

@@ -8,18 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from microlie import matrices
-from microlie.groupoids import AGSection, PairGroupoid
+from microlie.groupoids import AGSection, PairGroupoid, WSection, section_at
 from microlie.harness import _RING_DOMAINS
+from microlie.oracles import PolyVectorField
 from microlie.poly import Poly
+from microlie.spaces import AffineSpace, Tangent, WPoint
 from microlie.weil import (
     AXES2,
     DomainMismatchError,
     InfinitesimalDomain,
+    Jet,
     RestrictionError,
     SubstitutionError,
     WeilElement,
     ZeroMonomialError,
     generators,
+    monomial_images,
 )
 
 D = InfinitesimalDomain(1)
@@ -329,6 +333,80 @@ class TestImmutability:
         for x, y in pairs:
             assert x == y and hash(x) == hash(y)
         assert len({x for pair in pairs for x in pair}) == len(pairs)
+
+
+READ_ONLY_TYPES = (
+    "InfinitesimalDomain", "Jet", "WeilElement", "Poly", "WPoint", "Tangent",
+    "WSection", "WBisection", "AGSection", "PolyVectorField",
+)
+
+
+def _read_only_instance(name):
+    """An instance of the read-only type ``name``, with one of its fields."""
+    d = WeilElement.generator(D, 1)
+    point = WPoint(AffineSpace(2), D, {(): (1, 2), (1,): (0, Fraction(1, 2))})
+    pair = PairGroupoid(1)
+    x = AGSection(pair, [Poly.variable(1, 0)])
+    return {
+        "InfinitesimalDomain": lambda: (D2, "masks"),
+        "Jet": lambda: (Jet(D, {0: (1,), 1: (2,)}, 3), "den"),
+        "WeilElement": lambda: (d, "jet"),
+        "Poly": lambda: (Poly.variable(2, 0), "nvars"),
+        "WPoint": lambda: (point, "parts"),
+        "Tangent": lambda: (Tangent(point), "point"),
+        "WSection": lambda: (WSection(pair, D, pair.identity_data(D)), "data"),
+        "WBisection": lambda: (section_at(x, d), "data"),
+        "AGSection": lambda: (x, "data"),
+        "PolyVectorField": lambda: (PolyVectorField(x.data), "components"),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", READ_ONLY_TYPES)
+def test_read_only_types_refuse_to_set_or_delete_an_attribute(name):
+    obj, field = _read_only_instance(name)
+    assert type(obj).__name__ == name and not hasattr(obj, "__dict__")
+    value = getattr(obj, field)
+    message = f"^{name} is immutable$"
+    with pytest.raises(AttributeError, match=message):
+        setattr(obj, field, value)
+    with pytest.raises(AttributeError, match=message):
+        delattr(obj, field)
+    with pytest.raises(AttributeError, match=message):
+        obj.extra = 1
+    assert getattr(obj, field) is value
+
+
+def test_monomial_images_are_built_once_and_read_only():
+    d = WeilElement.generator(D, 1)
+    images = [d, WeilElement.zero(D)]
+    table = monomial_images(D2, D, images)
+    assert monomial_images(D2, D, tuple(images)) is table
+    assert dict(table) == {0: WeilElement.one(D), 1: d, 2: WeilElement.zero(D), 3: WeilElement.zero(D)}
+    with pytest.raises(TypeError):
+        table[1] = WeilElement.zero(D)
+    with pytest.raises(TypeError):
+        del table[1]
+    assert table[1] == d
+
+
+@pytest.mark.parametrize(
+    "source, target, images, error, message",
+    [
+        (D, D2, [WeilElement.generator(D2, 1) + WeilElement.generator(D2, 2)], SubstitutionError,
+         "relation d1^2 = 0 violated: image squares to 2*d1*d2"),
+        (A2, D2, list(generators(D2)), SubstitutionError, "relation d1*d2 = 0 violated: image is d1*d2"),
+        (D, D2, [WeilElement.generator(D, 1)], DomainMismatchError, "image of d1 lives in D, not D^2"),
+    ],
+    ids=["square", "relation", "domain"],
+)
+def test_a_broken_substitution_raises_the_same_error_on_every_call(source, target, images, error, message):
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            monomial_images(source, target, images)
+        assert str(caught.value) == message
+        with pytest.raises(error) as caught:
+            WeilElement.one(source).substitute(target, images)
+        assert str(caught.value) == message
 
 
 # -- differential test against the frozen seed kernel ------------------------------------
