@@ -19,9 +19,10 @@ exactly, by nilpotent Newton iteration (pair) or a finite nilpotent series
 Every constructed section is checked, derived ones included: ``WSection``
 runs the groupoid's ``section_data`` and ``WBisection`` also its
 ``check_bisection``, whether the data comes from a caller or from ``star``,
-``invert_bisection``, ``substitute``, ``section_at`` or a chart.  The checks
-read integer numerators and build no ``Fraction``; the jet constructor has
-already checked the masks, the scalar part and the denominator.  Pair
+``invert_bisection``, ``substitute``, ``restrict``, ``permute_generators``,
+``section_at`` or a chart.  The checks read integer numerators and build no
+``Fraction``; the jet constructor has already checked the masks, the scalar
+part and the denominator.  Pair
 ``section_data`` checks the component shapes; pair ``check_bisection``
 rejects a scalar part with a term of degree above 1 and takes the Bareiss
 determinant of the linear part's numerator rows (clearing each row's
@@ -67,9 +68,11 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
 * ``section_data`` (validate and normalise), ``check_bisection``,
   ``identity_data``, ``star_data``, ``inverse_data``, ``flow_data``,
   ``read_coefficient`` and ``section_repr`` for section data;
-* ``substitute_data(data, table)``, which hands the data's jet and a table
-  of Weil monomial images to :meth:`~microlie.weil.Jet.image`, the one
-  reparametrisation of elements and sections (see :meth:`WSection.substitute`);
+* ``map_jet(data, change)``, which applies a map of jets to the data's jet
+  and keeps the rest: :meth:`WSection.substitute`, :meth:`WSection.restrict`
+  and :meth:`WSection.permute_generators` pass
+  :meth:`~microlie.weil.Jet.image`, :meth:`~microlie.weil.Jet.restrict` and
+  :meth:`~microlie.weil.Jet.relabel`, the reparametrisations of a jet;
 * ``slots`` and ``from_slots``, the one coefficient view of section data,
   mask-major like the jet: ``slots(data)`` returns
   ``(shape, {mask: {slot: int}}, den)``, integer numerators over one
@@ -121,7 +124,6 @@ from .weil import (
     WeilElement,
     _mask,
     _rational,
-    check_permutation,
     monomial_images,
 )
 
@@ -283,8 +285,8 @@ class PairGroupoid:
     def read_coefficient(self, data, monomial) -> tuple[Poly, ...]:
         return data.coefficient(monomial, self.ag_zero())
 
-    def substitute_data(self, data, table) -> "Jet":
-        return data.image(table)
+    def map_jet(self, data, change: Callable[[Jet], Jet]) -> "Jet":
+        return change(data)
 
     def section_repr(self, data) -> str:
         comps: list[dict[Exponents, dict[int, Fraction]]] = [{} for _ in range(self.dim)]
@@ -495,8 +497,8 @@ class TrivialGaugeGroupoid:
         part = jet.coefficient(monomial)
         return self.ag_zero() if part is None else Jet(TABLE_DOMAIN, {0: part}, jet.den)
 
-    def substitute_data(self, data, table) -> tuple:
-        return data[0], data[1].image(table)
+    def map_jet(self, data, change: Callable[[Jet], Jet]) -> tuple:
+        return data[0], change(data[1])
 
     def section_repr(self, data) -> str:
         return f"base {data[0]}"
@@ -653,13 +655,18 @@ class WSection(Immutable):
     def substitute(self, target: InfinitesimalDomain, images: Sequence[WeilElement]) -> "WSection":
         """Reparametrise the family by the Weil homomorphism sending generator i to images[i-1]."""
         table = monomial_images(self.domain, target, images)
-        return type(self)(self.groupoid, target, self.groupoid.substitute_data(self.data, table))
+        return self._mapped(target, lambda jet: jet.image(table))
+
+    def restrict(self, sub: InfinitesimalDomain) -> "WSection":
+        """The family over a coarser domain: the parts of newly vanishing monomials drop."""
+        return self._mapped(sub, lambda jet: jet.restrict(sub))
 
     def permute_generators(self, perm: Sequence[int]) -> "WSection":
         """Relabel generator i as perm[i-1]; the domain's relations follow."""
-        p = check_permutation(perm, self.domain.generator_count)
-        new_domain = self.domain.permuted(p)
-        return self.substitute(new_domain, [WeilElement.generator(new_domain, i) for i in p])
+        return self._mapped(self.domain.permuted(perm), lambda jet: jet.relabel(perm))
+
+    def _mapped(self, domain: InfinitesimalDomain, change: Callable[[Jet], Jet]) -> "WSection":
+        return type(self)(self.groupoid, domain, self.groupoid.map_jet(self.data, change))
 
     @property
     def is_scalar_exact(self) -> bool:

@@ -51,7 +51,7 @@ from .spaces import (
     strong_difference,
     tangent_combine,
 )
-from .weil import AXES2, D2, D3, LINE, SCALAR, InfinitesimalDomain, WeilElement
+from .weil import AXES2, D2, D3, LINE, SCALAR, InfinitesimalDomain, WeilElement, generators
 
 SUITE_IDS = ("flows", "module", "bracket", "liederiv", "strongdiff", "jacobi2", "oracle")
 MUTATIONS = ("none", "flip-bracket-sign")
@@ -256,8 +256,7 @@ def _law_flow_zero(env: LawEnv, trial: int) -> None:
 @law("flows", "flow-additivity", "flow law: additivity over the commuting square")
 def _law_flow_additivity(env: LawEnv, trial: int) -> None:
     x, _, _ = env.triple(trial)
-    d1 = WeilElement.generator(AXES2, 1)
-    d2 = WeilElement.generator(AXES2, 2)
+    d1, d2 = generators(AXES2)
     combined = section_at(x, d1 + d2)
     split = star(section_at(x, d1), section_at(x, d2))
     if combined != split:
@@ -267,7 +266,7 @@ def _law_flow_additivity(env: LawEnv, trial: int) -> None:
 @law("flows", "flow-inverse", "inverse law: X_d * X_{-d} = id")
 def _law_flow_inverse(env: LawEnv, trial: int) -> None:
     x, _, _ = env.triple(trial)
-    d = WeilElement.generator(LINE, 1)
+    (d,) = generators(LINE)
     ident = WSection.identity(x.groupoid, LINE)
     if star(section_at(x, d), section_at(x, -d)) != ident:
         raise LawViolation(X=x, side="right")
@@ -278,7 +277,7 @@ def _law_flow_inverse(env: LawEnv, trial: int) -> None:
 @law("flows", "bisection-inverse", "inverse law: invert(X_d) = X_{-d}")
 def _law_bisection_inverse(env: LawEnv, trial: int) -> None:
     x, _, _ = env.triple(trial)
-    d = WeilElement.generator(LINE, 1)
+    (d,) = generators(LINE)
     if invert_bisection(section_at(x, d)) != section_at(x, -d):
         raise LawViolation(X=x)
 
@@ -289,7 +288,7 @@ def _law_bisection_inverse(env: LawEnv, trial: int) -> None:
 @law("module", "addition-flow", "module law: (X+Y)_d = X_d * Y_d = Y_d * X_d")
 def _law_addition_flow(env: LawEnv, trial: int) -> None:
     x, y, _ = env.triple(trial)
-    d = WeilElement.generator(LINE, 1)
+    (d,) = generators(LINE)
     combined = section_at(x + y, d)
     xy = star(section_at(x, d), section_at(y, d))
     yx = star(section_at(y, d), section_at(x, d))
@@ -300,8 +299,7 @@ def _law_addition_flow(env: LawEnv, trial: int) -> None:
 @law("module", "infinitesimal-commutation", "module law: X_{d1} and Y_{d2} commute on the commuting square")
 def _law_infinitesimal_commutation(env: LawEnv, trial: int) -> None:
     x, y, _ = env.triple(trial)
-    d1 = WeilElement.generator(AXES2, 1)
-    d2 = WeilElement.generator(AXES2, 2)
+    d1, d2 = generators(AXES2)
     if star(section_at(x, d1), section_at(y, d2)) != star(section_at(y, d2), section_at(x, d1)):
         raise LawViolation(X=x, Y=y)
 
@@ -310,7 +308,7 @@ def _law_infinitesimal_commutation(env: LawEnv, trial: int) -> None:
 def _law_scaling_flow(env: LawEnv, trial: int) -> None:
     x, _, _ = env.triple(trial)
     a = _rand_int(env.rng(trial, "scaling-flow-coeff"))
-    d = WeilElement.generator(LINE, 1)
+    (d,) = generators(LINE)
     if section_at(x.scaled(a), d) != section_at(x, a * d):
         raise LawViolation(X=x, a=a)
 
@@ -386,13 +384,13 @@ def _law_ring_laws(env: LawEnv, trial: int) -> None:
         "zero": a + WeilElement.zero(domain) == a,
         "one": a * WeilElement.one(domain) == a,
     }
-    for i in range(1, domain.generator_count + 1):
-        g = WeilElement.generator(domain, i)
+    gens = generators(domain)
+    for i, g in enumerate(gens, start=1):
         checks[f"square d{i}"] = not (g * g)
     for z in domain.zero_monomials:
         prod = WeilElement.one(domain)
         for i in sorted(z):
-            prod = prod * WeilElement.generator(domain, i)
+            prod = prod * gens[i - 1]
         checks[f"zero monomial {sorted(z)}"] = not prod
     bad = [name for name, holds in checks.items() if not holds]
     if bad:
@@ -402,9 +400,9 @@ def _law_ring_laws(env: LawEnv, trial: int) -> None:
 def _substitution_maps(rng: random.Random):
     """A few relation-respecting generator substitutions with random weights."""
     r = lambda: _rand_int(rng)
-    d = WeilElement.generator(LINE, 1)
-    d1, d2 = WeilElement.generator(D2, 1), WeilElement.generator(D2, 2)
-    e1, e2 = WeilElement.generator(AXES2, 1), WeilElement.generator(AXES2, 2)
+    (d,) = generators(LINE)
+    d1, d2 = generators(D2)
+    e1, e2 = generators(AXES2)
     yield LINE, D2, [d1 * r() + d1 * d2 * r()]
     yield LINE, AXES2, [e1 * r() + e2 * r()]
     yield AXES2, LINE, [d * r(), d * r()]
@@ -451,7 +449,8 @@ def _law_commutator_axes(env: LawEnv, trial: int) -> None:
 def _law_bracket_definition(env: LawEnv, trial: int) -> None:
     x, y, _ = env.triple(trial)
     b = env.bracket_fn(x, y)
-    d1d2 = WeilElement.generator(D2, 1) * WeilElement.generator(D2, 2)
+    d1, d2 = generators(D2)
+    d1d2 = d1 * d2
     if section_at(b, d1d2) != liealg.commutator_square(x, y):
         raise LawViolation(X=x, Y=y, bracket=b)
 
@@ -693,9 +692,7 @@ def _law_general_jacobi_random(env: LawEnv, trial: int) -> None:
 def _law_sigma_convention(env: LawEnv, trial: int) -> None:
     x, y, z = env.triple(trial)
     cubes = liealg.six_microcubes(x, y, z)
-    d1 = WeilElement.generator(D3, 1)
-    d2 = WeilElement.generator(D3, 2)
-    d3 = WeilElement.generator(D3, 3)
+    d1, d2, d3 = generators(D3)
     flows = {1: section_at(x, d1), 2: section_at(y, d2), 3: section_at(z, d3)}
     for key, cube in cubes.items():
         a, b, c = (int(ch) for ch in key)
@@ -726,7 +723,7 @@ def _law_bracket_strong_difference(env: LawEnv, trial: int) -> None:
 def _six_cube_tangents(b: BracketFn, x, y, z):
     cubes = liealg.six_microcubes(x, y, z)
     nested = (b(x, b(y, z)), b(y, b(z, x)), b(z, b(x, y)))
-    d = WeilElement.generator(LINE, 1)
+    (d,) = generators(LINE)
     _, points = SectionChart.of(*cubes.values(), *(section_at(n, d) for n in nested))
     expressions = _general_jacobi_expressions(dict(zip(cubes, points)))
     targets = tuple(Tangent(p) for p in points[-3:])

@@ -4,12 +4,12 @@ The bracket of two sections X, Y is carried by the commutator microsquare
 
     lambda(d1, d2) = Y_{-d2} * X_{-d1} * Y_{d2} * X_{d1}
 
-which restricts to the identity on both axes, so its whole content is the
-``d1*d2`` coefficient; extracting that coefficient and re-reading it as
-section data realizes [X, Y].  The same extraction pattern yields the Lie
-derivative and the pushforward.  A second, independent route to the
-bracket goes through microcubes built from flow products and the
-strong-difference calculus of :mod:`microlie.spaces`.
+which restricts to the identity on D(2) = {d1*d2 = 0}, the union of both
+axes, so its whole content is the ``d1*d2`` coefficient; extracting that
+coefficient and re-reading it as section data realizes [X, Y].  The same
+extraction pattern yields the Lie derivative and the pushforward.  A second,
+independent route to the bracket goes through microcubes built from flow
+products and the strong-difference calculus of :mod:`microlie.spaces`.
 
 Sign conventions follow the commutator word above: on the pair groupoid
 the bracket agrees with the classical vector-field bracket
@@ -35,7 +35,7 @@ from .groupoids import (
     star_word,
 )
 from .spaces import InternalInvariantError, strong_difference
-from .weil import D2, LINE, InfinitesimalDomain, WeilElement
+from .weil import AXES2, D2, LINE, InfinitesimalDomain, WeilElement, generators
 
 WITNESS_DOMAIN = InfinitesimalDomain(3, [(1, 3), (2, 3)])
 
@@ -48,22 +48,16 @@ class AxisCheckError(InternalInvariantError):
 
 
 def _check_axes(section: WSection, label: str) -> None:
-    """Verify a D^2-parametrized section restricts to the identity on both axes."""
-    d = WeilElement.generator(LINE, 1)
-    zero = WeilElement.zero(LINE)
-    ident = WSection.identity(section.groupoid, LINE)
-    if section.substitute(LINE, [d, zero]) != ident:
-        raise AxisCheckError(f"{label}(d, 0) is not the identity section")
-    if section.substitute(LINE, [zero, d]) != ident:
-        raise AxisCheckError(f"{label}(0, d) is not the identity section")
+    """Verify a D^2-parametrized section restricts to the identity on D(2), the union of both axes."""
+    if section.restrict(AXES2) != WSection.identity(section.groupoid, AXES2):
+        raise AxisCheckError(f"{label} does not restrict to the identity on {AXES2!r}")
 
 
 def commutator_square(x: AGSection, y: AGSection) -> WBisection:
     """The microsquare Y_{-d2} * X_{-d1} * Y_{d2} * X_{d1}, checked on both axes."""
     if x.groupoid != y.groupoid:
         raise GroupoidMismatchError("sections of different groupoids")
-    d1 = WeilElement.generator(D2, 1)
-    d2 = WeilElement.generator(D2, 2)
+    d1, d2 = generators(D2)
     word = star_word(
         section_at(y, -d2),
         section_at(x, -d1),
@@ -94,7 +88,8 @@ def pushforward(sigma: WSection, x: AGSection) -> AGSection:
     if not sigma.is_scalar_exact:
         raise ValueError("pushforward needs a scalar-exact bisection (no infinitesimal part)")
     sigma_line = sigma.substitute(LINE, [WeilElement.zero(LINE)] * sigma.domain.generator_count)
-    flow = section_at(x, WeilElement.generator(LINE, 1))
+    (d,) = generators(LINE)
+    flow = section_at(x, d)
     conjugated = star_word(sigma_line, flow, invert_bisection(sigma_line))
     return ag_from_flow(conjugated)
 
@@ -108,8 +103,7 @@ def lie_derivative(x: AGSection, y: AGSection) -> AGSection:
     """
     if x.groupoid != y.groupoid:
         raise GroupoidMismatchError("sections of different groupoids")
-    d = WeilElement.generator(D2, 1)
-    dp = WeilElement.generator(D2, 2)
+    d, dp = generators(D2)
     word = star_word(
         section_at(x, -d),
         section_at(y, dp),
@@ -135,8 +129,7 @@ def circledast(sections: Sequence[AGSection]) -> WBisection:
     groupoid = sections[0].groupoid
     if any(s.groupoid != groupoid for s in sections):
         raise GroupoidMismatchError("sections of different groupoids")
-    domain = InfinitesimalDomain(n)
-    factors = [section_at(s, WeilElement.generator(domain, i + 1)) for i, s in enumerate(sections)]
+    factors = [section_at(s, d) for s, d in zip(sections, generators(InfinitesimalDomain(n)))]
     return star_word(*reversed(factors))
 
 
@@ -181,13 +174,10 @@ def lambda_witness(x: AGSection, y: AGSection) -> WBisection:
     if x.groupoid != y.groupoid:
         raise GroupoidMismatchError("sections of different groupoids")
     b = bracket(x, y)
-    d1 = WeilElement.generator(WITNESS_DOMAIN, 1)
-    d2 = WeilElement.generator(WITNESS_DOMAIN, 2)
-    d3 = WeilElement.generator(WITNESS_DOMAIN, 3)
+    d1, d2, d3 = generators(WITNESS_DOMAIN)
     witness = star_word(section_at(x, d1), section_at(b, d3), section_at(y, d2))
 
-    e1 = WeilElement.generator(D2, 1)
-    e2 = WeilElement.generator(D2, 2)
+    e1, e2 = generators(D2)
     zero2 = WeilElement.zero(D2)
     swapped = witness.substitute(D2, [e1, e2, zero2])
     if swapped != star(section_at(x, e1), section_at(y, e2)):
@@ -195,7 +185,7 @@ def lambda_witness(x: AGSection, y: AGSection) -> WBisection:
     closed = witness.substitute(D2, [e1, e2, e1 * e2])
     if closed != star(section_at(y, e2), section_at(x, e1)):
         raise InternalInvariantError("witness at d3 = d1*d2 is not Y_{d2} * X_{d1}")
-    d = WeilElement.generator(LINE, 1)
+    (d,) = generators(LINE)
     zero1 = WeilElement.zero(LINE)
     if witness.substitute(LINE, [zero1, zero1, d]) != section_at(b, d):
         raise InternalInvariantError("witness at (0, 0, d) is not the bracket flow")

@@ -31,11 +31,12 @@ other all-zero part is left out, and integer parts are in lowest terms with
 the denominator, so zero has denominator 1 and equal families are equal
 jets.  :meth:`Jet.of_rationals` is the one conversion from rational parts to
 integer ones.  A jet owns the operations on masks: a checked
-``coefficient`` lookup, ``restrict`` (a filter on masks), ``relabel`` (a
-renaming of mask bits) and ``image``, the one reparametrisation of elements
-and sections, by a table of monomial images that :func:`monomial_images`
-checks, builds once per substitution and shares read-only.  A point is only
-relabelled.
+``coefficient`` lookup, ``restrict`` (a filter on masks: the pullback
+along the inclusion of a coarser domain), ``relabel`` (a renaming of mask
+bits: a generator permutation) and ``image``, the general reparametrisation,
+by a table of monomial images that :func:`monomial_images` checks and
+builds.  Points and sections are restricted and relabelled through the
+first two, so only a substitution that is neither builds a table.
 
 A Weil element speaks ``frozenset`` monomials and ``Fraction`` coefficients
 at its edges, and takes ``int`` or ``Fraction`` coefficients only
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import chain, combinations
 from math import gcd, lcm
 from operator import index
@@ -102,7 +103,7 @@ def _monomial(indices: Iterable[int]) -> Monomial:
     return m
 
 
-def _monomial_name(m: Monomial) -> str:
+def _monomial_name(m: Iterable[int]) -> str:
     if not m:
         return "1"
     return "*".join(f"d{i}" for i in sorted(m))
@@ -138,10 +139,9 @@ class InfinitesimalDomain(Immutable):
     its minimal antichain, and ``InfinitesimalDomain(n, zero_monomials)``
     returns the instance held for ``(n, minimal relations)``, built on first
     request.  So equal domains are the same object, and domains compare by
-    identity.  A monomial vanishes iff it contains one of the stored sets (or
-    repeats a generator, which the square-free representation rules out by
-    construction).  ``masks`` is the set of surviving monomials as bitmasks
-    (bit ``i - 1`` for ``di``); it is closed under subsets, and
+    identity.  A monomial vanishes iff it contains one of the stored sets or
+    repeats a generator.  ``masks`` is the set of surviving monomials as
+    bitmasks (bit ``i - 1`` for ``di``); it is closed under subsets, and
     :meth:`mask_of` answers every question about a monomial from it.
     """
 
@@ -196,12 +196,13 @@ class InfinitesimalDomain(Immutable):
 
     def mask_of(self, monomial: Iterable[int]) -> int:
         """The mask of a surviving monomial; out of range is a ``ValueError``, vanishing a ``ZeroMonomialError``."""
-        m = _monomial(monomial)
+        indices = tuple(monomial)  # a one-shot iterable is read once; a repeated generator squares to zero
+        m = _monomial(indices)
         if max(m, default=0) > self.generator_count:
             raise ValueError(f"monomial {_monomial_name(m)} exceeds generator range")
         b = _mask(m)
-        if b not in self.masks:
-            raise ZeroMonomialError(f"monomial {_monomial_name(m)} vanishes in {self!r}")
+        if len(m) < len(indices) or b not in self.masks:
+            raise ZeroMonomialError(f"monomial {_monomial_name(indices)} vanishes in {self!r}")
         return b
 
     def check_masks(self, masks: Iterable[int]) -> None:
@@ -403,11 +404,11 @@ class WeilElement(Immutable):
         domain: InfinitesimalDomain,
         coeffs: Mapping[Iterable[int], Rational] | None = None,
     ) -> None:
-        table: dict[int, Rational] = {0: 0}
-        for key, value in (coeffs or {}).items():
-            b = domain.mask_of(key)
-            table[b] = table.get(b, 0) + _rational(value)
-        object.__setattr__(self, "jet", Jet.of_rationals(domain, {b: (c,) for b, c in table.items()}))
+        coeffs = coeffs or {}
+        parts = {domain.mask_of(key): (value,) for key, value in coeffs.items()}
+        if len(parts) != len(coeffs):
+            raise ValueError("a monomial is given twice")
+        object.__setattr__(self, "jet", Jet.of_rationals(domain, {0: (0,), **parts}))
 
     # -- constructors --------------------------------------------------------
 
@@ -575,22 +576,13 @@ def _element(jet: Jet) -> WeilElement:
 
 def monomial_images(
     source: InfinitesimalDomain, target: InfinitesimalDomain, images: Sequence[WeilElement]
-) -> Mapping[int, WeilElement]:
+) -> dict[int, WeilElement]:
     """The image of every surviving monomial of ``source`` under ``di -> images[i-1]``, keyed by mask.
 
     Valid only when every source relation is respected: the image of each
     generator must square to zero in the target, and so must the image of
-    every vanishing monomial.  The table is a pure function of the
-    arguments, so it is built once per key and returned read-only; an
-    invalid substitution raises on every call.
+    every vanishing monomial.
     """
-    return _monomial_images(source, target, tuple(images))
-
-
-@lru_cache(maxsize=64)  # the hot keys are few: the axis checks, generator permutations and zero maps
-def _monomial_images(
-    source: InfinitesimalDomain, target: InfinitesimalDomain, images: tuple[WeilElement, ...]
-) -> Mapping[int, WeilElement]:
     n = source.generator_count
     if len(images) != n:
         raise SubstitutionError(f"expected {n} generator images, got {len(images)}")
@@ -611,8 +603,9 @@ def _monomial_images(
     for b in sorted(source.masks - {0}):  # b without its top generator is smaller, so already built
         top = b.bit_length()
         table[b] = table[b ^ (1 << (top - 1))] * images[top - 1]
-    return MappingProxyType(table)
+    return table
 
 
+@cache  # domains are interned, so this holds one tuple per domain ever asked for
 def generators(domain: InfinitesimalDomain) -> tuple[WeilElement, ...]:
     return tuple(WeilElement.generator(domain, i) for i in range(1, domain.generator_count + 1))

@@ -42,6 +42,7 @@ from microlie.weil import (
     DomainMismatchError,
     InfinitesimalDomain,
     Jet,
+    RestrictionError,
     SubstitutionError,
     WeilElement,
     ZeroMonomialError,
@@ -404,7 +405,7 @@ GROUPOID_METHODS = {
     "spec", "bounds_error", "sample_spaces",
     "fiber_product", "beta", "arrow_at",
     "section_data", "check_bisection", "identity_data", "star_data", "inverse_data", "flow_data",
-    "read_coefficient", "section_repr", "substitute_data",
+    "read_coefficient", "section_repr", "map_jet",
     "slots", "from_slots",
     "ag_data", "ag_zero", "ag_add", "ag_scale", "ag_repr", "oracle_bracket",
     "random_ag", "random_section", "random_bisection", "base_points",
@@ -1069,6 +1070,8 @@ def test_every_construction_path_runs_the_checks(groupoid, monkeypatch):
         "star": (lambda: star(sigma, sigma), True),
         "invert_bisection": (lambda: invert_bisection(sigma), True),
         "substitute": (lambda: sigma.substitute(D, [-d]), True),
+        "restrict": (lambda: sigma.restrict(D), True),
+        "permute_generators": (lambda: sigma.permute_generators((1,)), True),
         "section_at": (lambda: section_at(x, -d), True),
         "to_section": (lambda: chart.to_section(point), False),
         "from_slots": (lambda: WSection(groupoid, D, groupoid.from_slots(*groupoid.slots(sigma.data), D)), False),
@@ -1198,6 +1201,54 @@ def test_relabelling_a_jet_is_permuting_the_generators(groupoid):
     rng = random.Random(11)
     for perm in [(1, 2, 3), (2, 1, 3), (3, 1, 2), (2, 3, 1), (1, 3, 2), (3, 2, 1)]:
         sigma = groupoid.random_section(rng, domain, 2)
+        permuted = sigma.permute_generators(perm)
         relabelled = jet(sigma.data).relabel(perm)
-        assert relabelled == jet(sigma.permute_generators(perm).data)
-        assert relabelled.domain is domain.permuted(perm)
+        assert relabelled == jet(permuted.data)
+        target = domain.permuted(perm)
+        assert relabelled.domain is target
+        # the reference: substitution of di by the generator d_perm(i) of the permuted domain
+        assert permuted == sigma.substitute(target, [generators(target)[i - 1] for i in perm])
+
+
+@pytest.mark.parametrize("groupoid", [P2, GG], ids=["pair", "gauge"])
+def test_restricting_a_section_is_substituting_the_generators(groupoid):
+    rng = random.Random(5)
+    coarsenings = [
+        (D2, D2),
+        (D2, AXES2),
+        (D3, InfinitesimalDomain(3, [(1, 2)])),
+        (D3, InfinitesimalDomain.first_order(3)),
+        (WITNESS_DOMAIN, InfinitesimalDomain.first_order(3)),
+    ]
+    for source, sub in coarsenings:
+        for build in (groupoid.random_section, groupoid.random_bisection):
+            sigma = build(rng, source, 2)
+            restricted = sigma.restrict(sub)
+            assert type(restricted) is type(sigma) and restricted.domain is sub
+            assert restricted == sigma.substitute(sub, generators(sub))
+    sigma = groupoid.random_section(rng, AXES2, 2)
+    for other in (D2, D3, D):
+        with pytest.raises(RestrictionError) as caught:
+            sigma.restrict(other)
+        assert str(caught.value) == f"{other!r} is not a coarsening of D(2)"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([P2, GG]),
+    st.integers(min_value=0, max_value=2**32),
+    st.booleans(),
+    st.sets(st.sampled_from([1, 2, 3])),
+)
+def test_the_identity_on_d2_is_the_identity_on_each_axis(groupoid, seed, identity_scalar, masks):
+    # a random D^2 section keeps its parts on ``masks`` only, over its own scalar part or the identity's
+    jet = (lambda data: data) if groupoid is P2 else (lambda data: data[1])
+    drawn = groupoid.random_section(random.Random(seed), D2, 2).data
+    parts = jet(drawn)
+    base = groupoid.identity_data(D2) if identity_scalar else drawn
+    data = groupoid.map_jet(base, lambda j: Jet(D2, {0: j[0], **{b: parts[b] for b in masks if b in parts}}))
+    section = WSection(groupoid, D2, data)
+    d, zero = WeilElement.generator(D, 1), WeilElement.zero(D)
+    ident = WSection.identity(groupoid, D)
+    on_each_axis = section.substitute(D, [d, zero]) == ident and section.substitute(D, [zero, d]) == ident
+    assert (section.restrict(AXES2) == WSection.identity(groupoid, AXES2)) is on_each_axis

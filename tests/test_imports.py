@@ -1,11 +1,18 @@
-"""No unused imports in the package, checked with the standard library's ``ast`` alone.
+"""No unused imports and no dead private names in the package, checked with the standard library's ``ast`` alone.
 
 A module-level import of ``src/microlie`` must bind a name that the module
 reads somewhere, in code or in a quoted annotation.  ``__init__.py`` is
 exempt: its imports are the package's re-exports.
+
+A private name (one leading underscore) defined at module level, by ``def``,
+``class`` or assignment, and a private method must be read by some module
+of the package: as a name, an attribute or an imported name.  A definition
+under a decorator that registers it (``@law``) is exempt; one under a
+decorator that only wraps it (``@cache``, ``@property``, ...) is not.
 """
 
 import ast
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -61,3 +68,70 @@ def test_an_unused_import_is_caught():
     tree = ast.parse('from math import gcd, lcm\nimport os.path\n\ndef f(x: "Fraction") -> int:\n    return lcm(x)\n')
     assert [name for name, _ in _imports(tree) if name not in _used(tree)] == ["gcd", "os"]
     assert "Fraction" in _used(tree)
+
+
+WRAPPERS = {"cache", "lru_cache", "cached_property", "property", "staticmethod", "classmethod", "dataclass"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _registered(node: ast.AST) -> bool:
+    """Whether a decorator other than a plain wrapper keeps the definition alive."""
+    for decorator in getattr(node, "decorator_list", ()):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name not in WRAPPERS:
+            return True
+    return False
+
+
+def _private_definitions(tree: ast.Module):
+    """Each private module-level name and private method a module defines, with its line."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = (n for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for n in c.body if isinstance(n, functions))
+    for node in chain(tree.body, methods):
+        if isinstance(node, (*functions, ast.ClassDef)):
+            if _private(node.name) and not _registered(node):
+                yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name) and _private(n.id):
+                        yield n.id, node.lineno
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name a module reads as a name, an attribute or an import, annotations included."""
+    reads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    reads |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)}
+    reads |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    quoted = _used(tree) - _names(tree)  # the names that only quoted annotations read
+    return reads | quoted
+
+
+def _dead(trees: dict[str, ast.Module]) -> list[str]:
+    read = set().union(*map(_reads, trees.values()))
+    return [f"{module}: {name} (line {line})" for module, tree in trees.items()
+            for name, line in _private_definitions(tree) if name not in read]
+
+
+def test_every_private_name_is_read():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    dead = _dead(trees)
+    assert not dead, f"never read: {', '.join(dead)}"
+
+
+def test_a_dead_private_name_is_caught():
+    source = (
+        "from functools import lru_cache\n"
+        "_TABLE = {}\n_unused = 0\n"
+        "@lru_cache(maxsize=64)\ndef _monomial_images(a):\n    return a\n"
+        "@law('module', 'ring-laws')\ndef _law_ring(env):\n    return _TABLE\n"
+        "class Jet:\n    def _live(self):\n        return self._parts\n    def _dead(self, x: '_Hint'):\n        return self._live()\n"
+        "class _Hint:\n    pass\n"
+    )
+    other = "from .weil import _helper\n"
+    trees = {"weil.py": ast.parse(source + "def _helper():\n    pass\n"), "other.py": ast.parse(other)}
+    assert _dead(trees) == ["weil.py: _unused (line 3)", "weil.py: _monomial_images (line 5)", "weil.py: _dead (line 13)"]

@@ -16,7 +16,9 @@ from microlie.groupoids import (
     star,
     star_word,
 )
+from microlie import liealg
 from microlie.liealg import (
+    AxisCheckError,
     bracket,
     bracket_via_strong_difference,
     circledast,
@@ -142,6 +144,17 @@ class TestCommutatorSquare:
         ident = WSection.identity(P2, D)
         assert square.substitute(D, [d, zero]) == ident
         assert square.substitute(D, [zero, d]) == ident
+
+    @pytest.mark.parametrize("groupoid", [P2, GPT], ids=["pair", "gauge"])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_a_square_off_the_identity_on_one_axis_is_refused(self, groupoid, axis, monkeypatch):
+        x, y = random_sections(groupoid, 2, seed=axis)
+        commutator_square(x, y)  # the true square passes
+        off_axis = section_at(x, generators(D2)[axis - 1])  # X on one axis, the identity on the other
+        monkeypatch.setattr(liealg, "star_word", lambda *factors: off_axis)
+        with pytest.raises(AxisCheckError) as caught:
+            commutator_square(x, y)
+        assert str(caught.value) == "commutator square does not restrict to the identity on D(2)"
 
     def test_zero_sections_give_identity_square(self):
         z = AGSection.zero(P2)
