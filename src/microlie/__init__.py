@@ -9,6 +9,7 @@ machine-checked, with zero tolerance, by the suites in
 """
 
 from .weil import (
+    D0,
     DomainMismatchError,
     InfinitesimalDomain,
     Jet,
@@ -18,7 +19,7 @@ from .weil import (
     ZeroMonomialError,
     generators,
 )
-from .poly import Poly, RATIONALS, identity_map
+from .poly import Poly, identity_map
 from .spaces import (
     AffineSpace,
     CompatibilityError,

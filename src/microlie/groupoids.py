@@ -52,11 +52,11 @@ product sums matrix products over the pairs of disjoint masks whose union
 survives, each output mask in one gathered multiply-and-sum over all of
 its pairs (:func:`_product`); the inverse inverts the scalar part once per
 table, as its integer adjugate over its determinant, and sums the finite
-nilpotent series.  An arrow's fiber is the jet of one base point's block,
-and arrows compose by the same product.  Gauge Lie algebroid data, a table
-of rational matrices, is a jet over :data:`TABLE_DOMAIN` with one part
-laid out like a section's, so flows, coefficient reads and module
-operations are integer.
+nilpotent series.  An arrow's fiber is the jet of one base point's block;
+arrows over one Weil domain compose by the same product.  Gauge Lie
+algebroid data, a table of rational matrices, is a jet over the point
+``D0`` with one part laid out like a section's, so flows, coefficient reads
+and module operations are integer.
 
 Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
 ``SectionChart``, ``star``, ``section_at`` and the harness only call its
@@ -84,9 +84,9 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
 * ``ag_data``, ``ag_zero``, ``ag_add``, ``ag_scale``, ``ag_repr`` and
   ``oracle_bracket`` for Lie algebroid data; ``oracle_bracket`` returns the
   classical oracle's own value, which ``ag_data`` accepts;
-* ``random_ag``, ``random_section``, ``random_bisection`` and
-  ``base_points`` for seeded trial data, with coefficients in
-  ``[-COEFF_BOUND, COEFF_BOUND]``.
+* ``random_ag``, ``random_section``, ``random_bisection(rng, domain,
+  degree)`` (a constant one is drawn over ``D0``) and ``base_points`` for
+  seeded trial data, with coefficients in ``[-COEFF_BOUND, COEFF_BOUND]``.
 """
 
 from __future__ import annotations
@@ -116,6 +116,7 @@ from .poly import (
 )
 from .spaces import AffineSpace, MatrixGroup, WPoint, _point
 from .weil import (
+    D0,
     DomainMismatchError,
     Immutable,
     InfinitesimalDomain,
@@ -124,6 +125,8 @@ from .weil import (
     WeilElement,
     _mask,
     _rational,
+    _require_same,
+    generators,
     monomial_images,
 )
 
@@ -193,19 +196,16 @@ def _rand_invertible(rng: random.Random, k: int) -> tuple[tuple[int, ...], ...]:
             return m
 
 
-def _rand_fiber(rng: random.Random, k: int, domain: InfinitesimalDomain, scalar_exact: bool) -> dict[int, list[int]]:
-    """An invertible scalar matrix plus, unless ``scalar_exact``, a nilpotent one, as flat integer parts by mask."""
+def _rand_fiber(rng: random.Random, k: int, domain: InfinitesimalDomain) -> dict[int, list[int]]:
+    """An invertible scalar matrix plus a nilpotent one, as flat integer parts by mask."""
     parts = {0: [n for row in _rand_invertible(rng, k) for n in row]}
-    if not scalar_exact:
-        for e in range(k * k):
-            for b, n in _rand_element(rng, domain, nilpotent_only=True).items():
-                parts.setdefault(b, [0] * (k * k))[e] = n
+    for e in range(k * k):
+        for b, n in _rand_element(rng, domain, nilpotent_only=True).items():
+            parts.setdefault(b, [0] * (k * k))[e] = n
     return parts
 
 
 MAX_FIELD_DEGREE = 3  # largest degree of a pair-groupoid vector field, in verify and bracket
-
-TABLE_DOMAIN = InfinitesimalDomain(0)  # gauge Lie algebroid data is a jet over the domain with no generators
 
 
 # -- the two groupoids ------------------------------------------------------------
@@ -349,15 +349,13 @@ class PairGroupoid:
         view = _rand_view(rng, domain, self.dim, degree, 0.5, False)
         return WSection(self, domain, self.from_slots(None, view, 1, domain))
 
-    def random_bisection(
-        self, rng: random.Random, domain, degree: int, scalar_exact: bool = False
-    ) -> "WBisection":
+    def random_bisection(self, rng: random.Random, domain, degree: int) -> "WBisection":
         n = self.dim
         a = _rand_invertible(rng, n)
         scalar = {(i, (0,) * n): _rand_int(rng) for i in range(n)}
         scalar.update(((i, tuple(int(t == j) for t in range(n))), a[i][j]) for i in range(n) for j in range(n))
         # the nilpotent terms lie on the other masks, so the two views merge with nothing to add
-        view = {} if scalar_exact else _rand_view(rng, domain, n, degree, 0.4, True)
+        view = _rand_view(rng, domain, n, degree, 0.4, True)
         return WBisection(self, domain, self.from_slots(None, {**view, 0: scalar}, 1, domain))
 
     def base_points(self, rng: random.Random, domain) -> list[WPoint]:
@@ -377,8 +375,8 @@ class TrivialGaugeGroupoid:
     point, which is also the ``(x, i, j)`` slot order.  An arrow's fiber is
     the jet of one such block, over the same denominator; a base point is an
     index.  Lie algebroid data, a table of rational k x k matrices, one per
-    base point, is the jet over :data:`TABLE_DOMAIN` whose one part is laid
-    out the same way; a caller may pass the rational tables instead.
+    base point, is the jet over the point ``D0`` whose one part is laid out
+    the same way; a caller may pass the rational tables instead.
     """
 
     base_size: int
@@ -400,6 +398,7 @@ class TrivialGaugeGroupoid:
     # -- arrows --------------------------------------------------------------------
 
     def fiber_product(self, h2: Jet, h1: Jet) -> Jet:
+        _require_same(h2.domain, h1.domain)
         return Jet(h1.domain, _product(h1.domain.masks, h2, h1, self.matrix_size), h2.den * h1.den)
 
     def beta(self, arrow: "Arrow") -> int:
@@ -495,7 +494,7 @@ class TrivialGaugeGroupoid:
     def read_coefficient(self, data, monomial) -> Jet:
         jet = data[1]
         part = jet.coefficient(monomial)
-        return self.ag_zero() if part is None else Jet(TABLE_DOMAIN, {0: part}, jet.den)
+        return self.ag_zero() if part is None else Jet(D0, {0: part}, jet.den)
 
     def map_jet(self, data, change: Callable[[Jet], Jet]) -> tuple:
         return data[0], change(data[1])
@@ -537,8 +536,8 @@ class TrivialGaugeGroupoid:
             square = lambda rows: isinstance(rows, Sequence) and len(rows) == k
             if not all(square(t) and all(map(square, t)) for t in tables):
                 raise ValueError("tables must be k x k")
-            data = Jet.of_rationals(TABLE_DOMAIN, {0: [c for t in tables for row in t for c in row]})
-        if data.domain is not TABLE_DOMAIN:  # whose only mask is 0, so the jet has one part
+            data = Jet.of_rationals(D0, {0: [c for t in tables for row in t for c in row]})
+        if data.domain is not D0:  # whose only mask is 0, so the jet has one part
             raise ValueError("a table jet must be over the domain with no generators")
         if len(data[0]) != m * k * k:
             raise ValueError(f"a table jet must hold {m} tables of {k} x {k} numerators")
@@ -549,14 +548,14 @@ class TrivialGaugeGroupoid:
         return data
 
     def ag_zero(self) -> Jet:
-        return Jet(TABLE_DOMAIN, {0: (0,) * (self.base_size * self.matrix_size**2)})
+        return Jet(D0, {0: (0,) * (self.base_size * self.matrix_size**2)})
 
     def ag_add(self, a: Jet, b: Jet) -> Jet:
         q = lcm(a.den, b.den)
-        return Jet(TABLE_DOMAIN, {0: [q // a.den * x + q // b.den * y for x, y in zip(a[0], b[0])]}, q)
+        return Jet(D0, {0: [q // a.den * x + q // b.den * y for x, y in zip(a[0], b[0])]}, q)
 
     def ag_scale(self, a: Jet, c: Fraction) -> Jet:
-        return Jet(TABLE_DOMAIN, {0: [c.numerator * n for n in a[0]]}, a.den * c.denominator)
+        return Jet(D0, {0: [c.numerator * n for n in a[0]]}, a.den * c.denominator)
 
     def ag_repr(self, data: Jet) -> str:
         return str(self._tables(data))
@@ -572,26 +571,24 @@ class TrivialGaugeGroupoid:
 
     def random_ag(self, rng: random.Random, degree: int) -> "AGSection":
         n = self.base_size * self.matrix_size**2  # one k x k matrix per base point, drawn row by row
-        return AGSection(self, Jet(TABLE_DOMAIN, {0: [_rand_int(rng) for _ in range(n)]}))
+        return AGSection(self, Jet(D0, {0: [_rand_int(rng) for _ in range(n)]}))
 
     def random_section(self, rng: random.Random, domain, degree: int) -> "WSection":
         """An arbitrary section (not necessarily a bisection)."""
         m = self.base_size
         base_map = tuple(rng.randrange(m) for _ in range(m))
-        return WSection(self, domain, (base_map, self._rand_tables(rng, domain, False)))
+        return WSection(self, domain, (base_map, self._rand_tables(rng, domain)))
 
-    def random_bisection(
-        self, rng: random.Random, domain, degree: int, scalar_exact: bool = False
-    ) -> "WBisection":
+    def random_bisection(self, rng: random.Random, domain, degree: int) -> "WBisection":
         perm = list(range(self.base_size))
         rng.shuffle(perm)
-        return WBisection(self, domain, (perm, self._rand_tables(rng, domain, scalar_exact)))
+        return WBisection(self, domain, (perm, self._rand_tables(rng, domain)))
 
-    def _rand_tables(self, rng: random.Random, domain, scalar_exact: bool) -> Jet:
+    def _rand_tables(self, rng: random.Random, domain) -> Jet:
         m, kk = self.base_size, self.matrix_size**2
         parts: dict[int, list[int]] = {}
         for at in range(0, m * kk, kk):
-            for b, t in _rand_fiber(rng, self.matrix_size, domain, scalar_exact).items():
+            for b, t in _rand_fiber(rng, self.matrix_size, domain).items():
                 parts.setdefault(b, [0] * (m * kk))[at : at + kk] = t
         return Jet(domain, parts)
 
@@ -667,10 +664,6 @@ class WSection(Immutable):
 
     def _mapped(self, domain: InfinitesimalDomain, change: Callable[[Jet], Jet]) -> "WSection":
         return type(self)(self.groupoid, domain, self.groupoid.map_jet(self.data, change))
-
-    @property
-    def is_scalar_exact(self) -> bool:
-        return self.groupoid.slots(self.data)[1].keys() <= {0}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -1007,17 +1000,17 @@ def section_at(x_section: AGSection, e: WeilElement) -> WBisection:
 def ag_from_flow(section: WSection) -> AGSection:
     """Read a first-order flow (a section over the one-generator domain) back.
 
-    The scalar part must be the identity section; the generator
-    coefficient is the section data.
+    The generator coefficient is the section data ``x``; the section must be
+    the flow of ``x`` at the generator: over D, its scalar part is the identity.
     """
     domain = section.domain
     if domain.generator_count != 1:
         raise ValueError("expected a section over the one-generator domain")
     groupoid = section.groupoid
-    scalar = section.substitute(domain, [WeilElement.zero(domain)]).data
-    if scalar != groupoid.identity_data(domain):
+    x = AGSection(groupoid, groupoid.read_coefficient(section.data, {1}))
+    if section_at(x, *generators(domain)) != section:
         raise ValueError("flow's scalar part is not the identity section")
-    return AGSection(groupoid, groupoid.read_coefficient(section.data, {1}))
+    return x
 
 
 # -- flattening sections into ambient points ----------------------------------------------

@@ -7,9 +7,11 @@ The bracket of two sections X, Y is carried by the commutator microsquare
 which restricts to the identity on D(2) = {d1*d2 = 0}, the union of both
 axes, so its whole content is the ``d1*d2`` coefficient; extracting that
 coefficient and re-reading it as section data realizes [X, Y].  The same
-extraction pattern yields the Lie derivative and the pushforward.  A second,
-independent route to the bracket goes through microcubes built from flow
-products and the strong-difference calculus of :mod:`microlie.spaces`.
+extraction pattern yields the Lie derivative and the pushforward, the
+adjoint action of a bisection over the point ``D0`` (no infinitesimal
+part).  A second, independent route to the bracket goes through microcubes
+built from flow products and the strong-difference calculus of
+:mod:`microlie.spaces`.
 
 Sign conventions follow the commutator word above: on the pair groupoid
 the bracket agrees with the classical vector-field bracket
@@ -35,7 +37,7 @@ from .groupoids import (
     star_word,
 )
 from .spaces import InternalInvariantError, strong_difference
-from .weil import AXES2, D2, LINE, InfinitesimalDomain, WeilElement, generators
+from .weil import AXES2, D0, D2, LINE, InfinitesimalDomain, WeilElement, generators
 
 WITNESS_DOMAIN = InfinitesimalDomain(3, [(1, 3), (2, 3)])
 
@@ -82,12 +84,12 @@ def bracket(x: AGSection, y: AGSection) -> AGSection:
 
 
 def pushforward(sigma: WSection, x: AGSection) -> AGSection:
-    """Conjugate the flow: d -> sigma * X_d * sigma^-1, re-read as section data."""
+    """The adjoint action of a bisection over ``D0``: d -> sigma * X_d * sigma^-1, re-read as section data."""
     if sigma.groupoid != x.groupoid:
         raise GroupoidMismatchError("bisection and section of different groupoids")
-    if not sigma.is_scalar_exact:
-        raise ValueError("pushforward needs a scalar-exact bisection (no infinitesimal part)")
-    sigma_line = sigma.substitute(LINE, [WeilElement.zero(LINE)] * sigma.domain.generator_count)
+    if sigma.domain is not D0:
+        raise ValueError(f"pushforward needs a bisection over the point {D0!r}, not over {sigma.domain!r}")
+    sigma_line = sigma.substitute(LINE, [])  # constant over D: the pullback along D -> D0
     (d,) = generators(LINE)
     flow = section_at(x, d)
     conjugated = star_word(sigma_line, flow, invert_bisection(sigma_line))

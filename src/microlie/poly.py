@@ -21,8 +21,9 @@ constructor, ``coefficient``, the read-only ``coeffs`` mapping,
 :func:`from_numerators`, which give and take the integer numerators by
 exponent tuple; :func:`format_poly` writes the input
 grammar of :mod:`microlie.vfexpr` straight from the numerators.  ``terms``
-is ``coeffs`` with each coefficient as a scalar Weil element over
-:data:`RATIONALS`, built on first read.
+is ``coeffs`` with each coefficient as a scalar Weil element over the
+point :data:`~microlie.weil.D0`, whose Weil algebra is the rationals
+themselves, built on first read.
 
 A Weil-parametrised family of polynomial maps is not a polynomial with
 Weil coefficients here: the pair groupoid stores it as a jet, one rational
@@ -38,11 +39,9 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .weil import Immutable, InfinitesimalDomain, Rational, WeilElement, _rational
+from .weil import D0, Immutable, Rational, WeilElement, _frac, _rational
 
 Exponents = tuple[int, ...]
-
-RATIONALS = InfinitesimalDomain(0)
 
 # The pair laws reach degree 27 (degree-9 maps composed with degree-3 ones);
 # 7-bit digits leave room for that and keep a key in dimension 3 (four
@@ -75,10 +74,6 @@ def _exponents(key: int, nvars: int) -> Exponents:
 def _unit(nvars: int, i: int) -> int:
     """The key of ``x_i``."""
     return 1 << _W * nvars | 1 << _W * (nvars - 1 - i)
-
-
-def _frac(n: int, den: int) -> Fraction:
-    return Fraction(n) if den == 1 else Fraction(n, den)
 
 
 class Poly(Immutable):
@@ -201,10 +196,10 @@ class Poly(Immutable):
 
     @property
     def terms(self) -> Mapping[Exponents, WeilElement]:
-        """``coeffs`` with each coefficient as a scalar Weil element over RATIONALS."""
+        """``coeffs`` with each coefficient as a scalar Weil element over the point ``D0``."""
         view = self._terms
         if view is None:
-            view = MappingProxyType({e: WeilElement.scalar(RATIONALS, c) for e, c in self.coeffs.items()})
+            view = MappingProxyType({e: WeilElement.scalar(D0, c) for e, c in self.coeffs.items()})
             _set_terms(self, view)
         return view
 
@@ -233,7 +228,7 @@ class Poly(Immutable):
         return format_terms(self.terms)
 
     def __repr__(self) -> str:
-        return f"Poly({self.nvars} vars over {RATIONALS!r}; {self})"
+        return f"Poly({self.nvars} vars over {D0!r}; {self})"
 
 
 _set_nvars = Poly.nvars.__set__

@@ -10,6 +10,11 @@ coefficients indexed by the surviving square-free monomials; the empty
 monomial is the scalar part.  Every type is read-only (:class:`Immutable`)
 and every operation is exact, so equality is structural and zero-tolerance.
 
+The named domains are :data:`D0`, the point, whose Weil algebra is the
+rationals (a map out of it is a constant, such as a bisection with no
+infinitesimal part), :data:`LINE` (``D``), :data:`D2`, :data:`D3` and
+:data:`AXES2` (``D(2)``).
+
 Generator indices are 1-based throughout (``frozenset({1, 2})`` is the
 monomial ``d1*d2``); this keeps permutations and axis labels aligned with
 the usual subscript notation for microsquares and microcubes.
@@ -254,7 +259,8 @@ def check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
     return p
 
 
-# the domains of tangents, microsquares, microcubes and the first-order square
+# the point and the domains of tangents, microsquares, microcubes and the first-order square
+D0 = InfinitesimalDomain(0)
 LINE = InfinitesimalDomain(1)
 D2 = InfinitesimalDomain(2)
 D3 = InfinitesimalDomain(3)

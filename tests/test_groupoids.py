@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from microlie import groupoids, matrices
 from microlie.groupoids import (
-    TABLE_DOMAIN,
     AGSection,
     Arrow,
     GroupoidMismatchError,
@@ -38,6 +37,7 @@ from microlie.spaces import AffineSpace, WPoint
 from microlie.vfexpr import parse_vector_field
 from microlie.weil import (
     AXES2,
+    D0,
     D3,
     DomainMismatchError,
     InfinitesimalDomain,
@@ -300,6 +300,21 @@ class TestSectionAt:
         assert flow.data == pair_data(P1, D2, {(1,): 1, (3,): d1 * d2})
 
 
+@pytest.mark.parametrize("groupoid", [P2, GG], ids=["pair", "gauge"])
+def test_ag_from_flow_reads_only_first_order_flows(groupoid):
+    rng = random.Random(0)
+    x = groupoid.random_ag(rng, 2)
+    (d,) = generators(D)
+    assert ag_from_flow(section_at(x, d)) == x
+    with pytest.raises(ValueError, match="one-generator domain"):
+        ag_from_flow(section_at(x, generators(D2)[0]))
+    constant = groupoid.random_bisection(rng, D0, 2).substitute(D, [])  # no d part, scalar part not the identity
+    assert constant.data != groupoid.identity_data(D)
+    for section in (constant, star(section_at(x, d), constant)):
+        with pytest.raises(ValueError, match="scalar part is not the identity section"):
+            ag_from_flow(section)
+
+
 class TestArrows:
     def test_pair_compose_and_invert(self):
         p0, p1, p2 = (base_point(D, c) for c in (0, 1, 2))
@@ -323,6 +338,14 @@ class TestArrows:
         back = Arrow(GG, (0,), (1,), Jet(D, {0: I2, 1: (0, -1, 0, 0)}))
         assert compose_arrows(back, a) == Arrow(GG, (0,), (0,), Jet(D, {0: I2}))
         assert hash(compose_arrows(back, a)) == hash(Arrow(GG, (0,), (0,), Jet(D, {0: I2})))
+
+    def test_gauge_fibers_over_different_domains_do_not_compose(self):
+        # a fiber over D^2 must not be read as one over D: its d1 part is not D's d part
+        a = GG.random_bisection(random.Random(1), D2, 0)
+        b = GG.random_bisection(random.Random(2), D, 0)
+        h1 = b.arrow_at(0)
+        with pytest.raises(DomainMismatchError, match="D\\^2 vs D"):
+            compose_arrows(a.arrow_at(GG.beta(h1)), h1)
 
 
 def chart_sections():
@@ -936,7 +959,7 @@ def test_gauge_table_jets_agree_with_fraction_tables(data):
     g = TrivialGaugeGroupoid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     a, b, c = _rational_tables(draw, g), _rational_tables(draw, g), draw(RATIONAL)
     x, y = AGSection(g, a), AGSection(g, b)
-    assert x.data.domain is TABLE_DOMAIN and x.data.den > 1
+    assert x.data.domain is D0 and x.data.den > 1
     assert g.ag_repr(x.data) == str(a) and x == AGSection(g, x.data)
     entrywise = lambda f, p, q: tuple(tuple(tuple(map(f, rp, rq)) for rp, rq in zip(tp, tq)) for tp, tq in zip(p, q))
     assert x + y == AGSection(g, entrywise(add, a, b))
@@ -960,9 +983,9 @@ def test_gauge_table_repr_prints_every_entry_as_a_fraction():
     "jet, error, message",
     [
         (Jet(D, {0: I2 * 2}), ValueError, "over the domain with no generators"),
-        (Jet(TABLE_DOMAIN, {0: I2}), ValueError, "must hold 2 tables of 2 x 2 numerators"),
-        (Jet(TABLE_DOMAIN, {0: (Fraction(1, 2), 0, 0, 1) + I2}), TypeError, "must hold int numerators"),
-        (Jet(TABLE_DOMAIN, {0: (0.5, 0, 0, 1) + I2}), TypeError, "must hold int numerators"),
+        (Jet(D0, {0: I2}), ValueError, "must hold 2 tables of 2 x 2 numerators"),
+        (Jet(D0, {0: (Fraction(1, 2), 0, 0, 1) + I2}), TypeError, "must hold int numerators"),
+        (Jet(D0, {0: (0.5, 0, 0, 1) + I2}), TypeError, "must hold int numerators"),
     ],
     ids=["domain", "length", "Fraction", "float"],
 )

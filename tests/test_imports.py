@@ -1,4 +1,4 @@
-"""No unused imports and no dead private names in the package, checked with the standard library's ``ast`` alone.
+"""No unused imports, no dead private names and no duplicated helpers in the package, checked with the standard library's ``ast`` alone.
 
 A module-level import of ``src/microlie`` must bind a name that the module
 reads somewhere, in code or in a quoted annotation.  ``__init__.py`` is
@@ -9,6 +9,9 @@ A private name (one leading underscore) defined at module level, by ``def``,
 of the package: as a name, an attribute or an imported name.  A definition
 under a decorator that registers it (``@law``) is exempt; one under a
 decorator that only wraps it (``@cache``, ``@property``, ...) is not.
+
+No two module-level functions of the package share a body (a leading
+docstring aside): a helper is defined once and imported where it is needed.
 """
 
 import ast
@@ -135,3 +138,36 @@ def test_a_dead_private_name_is_caught():
     other = "from .weil import _helper\n"
     trees = {"weil.py": ast.parse(source + "def _helper():\n    pass\n"), "other.py": ast.parse(other)}
     assert _dead(trees) == ["weil.py: _unused (line 3)", "weil.py: _monomial_images (line 5)", "weil.py: _dead (line 13)"]
+
+
+def _body(node: ast.FunctionDef) -> str:
+    """A function's body as ``ast.dump`` text, without a leading docstring and with no line numbers."""
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
+        body = body[1:]
+    return ast.dump(ast.Module(body=body, type_ignores=[]))
+
+
+def _duplicates(trees: dict[str, ast.Module]) -> list[list[str]]:
+    """The module-level functions that share a body, grouped, each as ``module: name (line n)``."""
+    by_body: dict[str, list[str]] = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                by_body.setdefault(_body(node), []).append(f"{module}: {node.name} (line {node.lineno})")
+    return [places for places in by_body.values() if len(places) > 1]
+
+
+def test_no_two_module_level_functions_share_a_body():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    duplicates = _duplicates(trees)
+    assert not duplicates, "same body: " + "; ".join(", ".join(places) for places in duplicates)
+
+
+def test_a_duplicated_helper_is_caught():
+    frac = "def _frac(n, den):\n    return Fraction(n) if den == 1 else Fraction(n, den)\n"
+    documented = 'def _ratio(n, den):\n    """A fraction."""\n    return Fraction(n) if den == 1 else Fraction(n, den)\n'
+    other = "def _frac2(n, den):\n    return Fraction(n, den)\n"
+    trees = {"weil.py": ast.parse(frac + other), "poly.py": ast.parse("import math\n\n" + documented)}
+    assert _duplicates(trees) == [["weil.py: _frac (line 1)", "poly.py: _ratio (line 3)"]]
+    assert _duplicates({"weil.py": ast.parse(frac)}) == []

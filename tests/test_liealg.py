@@ -30,7 +30,7 @@ from microlie.liealg import (
 )
 from microlie.spaces import Tangent, strong_difference, tangent_combine
 from microlie.vfexpr import parse_vector_field
-from microlie.weil import InfinitesimalDomain, WeilElement, generators
+from microlie.weil import D0, InfinitesimalDomain, WeilElement, generators
 
 D = InfinitesimalDomain(1)
 D2 = InfinitesimalDomain(2)
@@ -187,11 +187,11 @@ class TestBracket:
 class TestPushforward:
     def test_identity_bisection(self):
         x = ag(P2, "x0*x1; x1^2")
-        assert pushforward(WSection.identity(P2, D), x) == x
+        assert pushforward(WSection.identity(P2, D0), x) == x
 
     def test_gauge_conjugation(self):
         s = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
-        sigma = gauge_point_section(D, lift(s, D))
+        sigma = gauge_point_section(D0, lift(s, D0))
         pushed = pushforward(sigma, E12)
         s_inv = ((1, -1), (0, 1))
         assert mat_mul(s, s_inv) == ((1, 0), (0, 1))
@@ -200,14 +200,21 @@ class TestPushforward:
 
     def test_pair_linear_rescaling(self):
         # sigma: x -> 2x, field 1: pushforward field is the constant 2
-        sigma = WSection(P1, D, P1.from_slots(None, {0: {(0, (1,)): 2}}, 1, D))
+        sigma = WSection(P1, D0, P1.from_slots(None, {0: {(0, (1,)): 2}}, 1, D0))
         x = ag(P1, "1")
         assert pushforward(sigma, x) == ag(P1, "2")
 
     def test_rejects_infinitesimal_bisections(self):
         sigma = WSection(P1, D, P1.from_slots(None, {0: {(0, (1,)): 1}, 1: {(0, (1,)): 1}}, 1, D))  # x -> (1 + d) x
-        with pytest.raises(ValueError, match="scalar-exact"):
+        with pytest.raises(ValueError, match="over the point D\\^0, not over D"):
             pushforward(sigma, ag(P1, "x0"))
+
+    @pytest.mark.parametrize("groupoid", [P1, GPT], ids=["pair", "gauge"])
+    def test_rejects_a_constant_bisection_over_d(self, groupoid):
+        # a bisection with no infinitesimal part still lives over D, not over the point
+        sigma = WSection.identity(groupoid, D)
+        with pytest.raises(ValueError, match="over the point D\\^0, not over D"):
+            pushforward(sigma, AGSection.zero(groupoid))
 
 
 class TestLieDerivative:

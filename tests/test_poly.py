@@ -9,7 +9,6 @@ from microlie import poly
 from microlie.groupoids import PairGroupoid, WSection, star
 from microlie.poly import (
     MAX_DEGREE,
-    RATIONALS,
     Poly,
     compose_map,
     from_numerators,
@@ -19,7 +18,7 @@ from microlie.poly import (
 )
 from microlie.spaces import AffineSpace, WPoint
 from microlie.vfexpr import VectorFieldSyntaxError, parse_vector_field
-from microlie.weil import InfinitesimalDomain, WeilElement
+from microlie.weil import D0, InfinitesimalDomain, WeilElement
 
 D = InfinitesimalDomain(1)
 P1 = PairGroupoid(1)
@@ -111,7 +110,7 @@ def test_terms_are_read_only():
     p = Poly(1, {(1,): 1})
     jet = pair_data(P1, D, {(1,): 1, (2,): WeilElement.generator(D, 1)})
     for view, key, value in (
-        (p.terms, (0,), WeilElement.one(RATIONALS)),
+        (p.terms, (0,), WeilElement.one(D0)),
         (p.coeffs, (0,), Fraction(1)),
         (jet, 0, (Poly(1, {(0,): 1}),)),
     ):
