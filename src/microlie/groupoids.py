@@ -149,10 +149,21 @@ class NotDPointError(ValueError):
 # depend on that order, so changing it changes every report.
 
 COEFF_BOUND = 3  # random integer coefficients lie in [-COEFF_BOUND, COEFF_BOUND]
+_COEFF_WIDTH = 2 * COEFF_BOUND + 1
+_COEFF_BITS = _COEFF_WIDTH.bit_length()
 
 
 def _rand_int(rng: random.Random) -> int:
-    return rng.randint(-COEFF_BOUND, COEFF_BOUND)
+    """``rng.randint(-COEFF_BOUND, COEFF_BOUND)``, drawn as CPython draws it, in one frame.
+
+    ``randint`` is ``-COEFF_BOUND + _randbelow(width)``, which redraws
+    ``getrandbits(width.bit_length())`` while the result is ``width`` or
+    more; this loop consumes the same stream.
+    """
+    n = rng.getrandbits(_COEFF_BITS)
+    while n >= _COEFF_WIDTH:
+        n = rng.getrandbits(_COEFF_BITS)
+    return n - COEFF_BOUND
 
 
 def _exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -266,7 +277,8 @@ class PairGroupoid:
         return data
 
     def check_bisection(self, data) -> None:
-        _check_affine(data)
+        if data[0] != identity_map(self.dim):  # the identity is its own witness
+            _check_affine(data)
 
     def identity_data(self, domain: InfinitesimalDomain) -> "Jet":
         return Jet(domain, {0: identity_map(self.dim)})
@@ -989,10 +1001,12 @@ def section_at(x_section: AGSection, e: WeilElement) -> WBisection:
     yields flows at generators, sums, negatives, and products such as
     ``d1*d2``.
     """
-    if e.scalar_part:
-        raise NotDPointError(f"not a D-point: scalar part {e.scalar_part} is nonzero")
-    if e * e:
-        raise NotDPointError(f"not a D-point: square is {e * e}, not 0")
+    scalar = e.scalar_part
+    if scalar:
+        raise NotDPointError(f"not a D-point: scalar part {scalar} is nonzero")
+    square = e * e
+    if square:
+        raise NotDPointError(f"not a D-point: square is {square}, not 0")
     groupoid = x_section.groupoid
     return WBisection(groupoid, e.domain, groupoid.flow_data(x_section.data, e))
 

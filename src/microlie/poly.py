@@ -28,7 +28,12 @@ themselves, built on first read.
 A Weil-parametrised family of polynomial maps is not a polynomial with
 Weil coefficients here: the pair groupoid stores it as a jet, one rational
 polynomial map per Weil monomial (see :mod:`microlie.groupoids`), and
-:func:`sum_of_products` is the one fused step of its Taylor sum.
+:func:`sum_of_products` is the one fused step of its Taylor sum.  A flow
+``id + d X`` has the identity as its scalar part, so many of those sums are
+one product with the polynomial 1; a polynomial is immutable, so such a
+product is the other factor itself, as is ``p * 1``.  :func:`compose_map`
+sums each coefficient times its power of the inner map straight into one
+table over one denominator.
 """
 
 from __future__ import annotations
@@ -140,6 +145,8 @@ class Poly(Immutable):
 
     def __mul__(self, other: "Poly | Rational") -> "Poly":
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             p = other.numerator
             return _reduced(self.nvars, {key: n * p for key, n in self._num.items()}, self._den * other.denominator)
         if not isinstance(other, Poly):
@@ -265,11 +272,22 @@ def _reduced(nvars: int, table: dict[int, int], den: int) -> Poly:
     return _make(nvars, num, den)
 
 
+_ONE = {0: 1}  # the numerators of the polynomial 1, over 1
+
+
 def sum_of_products(nvars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
     """``sum(a * b for a, b in pairs)``, accumulated over one denominator and reduced once.
 
-    Raises ``OverflowError`` when a product's degree is above ``MAX_DEGREE``.
+    A single product with the polynomial 1 is the other factor itself, which
+    is immutable and already in lowest terms.  Raises ``OverflowError`` when
+    a product's degree is above ``MAX_DEGREE``.
     """
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        if b._den == 1 and b._num == _ONE and a.nvars == nvars:
+            return a
+        if a._den == 1 and a._num == _ONE and b.nvars == nvars:
+            return b
     den = lcm(1, *(a._den * b._den for a, b in pairs))
     table: dict[int, int] = {}
     for a, b in pairs:
@@ -385,7 +403,15 @@ def compose_map(f: Sequence[Poly], g: Sequence[Poly]) -> tuple[Poly, ...]:
     products = {0: _make(target, {0: 1}, 1)}
     for key in sorted(last):
         products[key] = products[key - units[last[key]]] * g[last[key]]
-    return tuple(
-        sum_of_products(target, [(_reduced(target, {0: n}, fi._den), products[key]) for key, n in fi._num.items()])
-        for fi in f
-    )
+    return tuple(_linear_combination(target, fi._den, [(n, products[key]) for key, n in fi._num.items()]) for fi in f)
+
+
+def _linear_combination(nvars: int, den: int, pairs: Sequence[tuple[int, Poly]]) -> Poly:
+    """``sum(n * p for n, p in pairs) / den``, summed over one denominator and reduced once."""
+    common = lcm(1, *(p._den for _, p in pairs))
+    table: dict[int, int] = {}
+    for n, p in pairs:
+        n *= common // p._den
+        for key, m in p._num.items():
+            table[key] = table.get(key, 0) + n * m
+    return _reduced(nvars, table, den * common)

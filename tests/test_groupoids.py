@@ -1,6 +1,7 @@
 import gc
 import importlib
 import random
+import re
 import sys
 import types
 from fractions import Fraction
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from microlie import groupoids, matrices
+from microlie import groupoids, liealg, matrices, poly
 from microlie.groupoids import (
     AGSection,
     Arrow,
@@ -32,7 +33,7 @@ from microlie.groupoids import (
     star,
 )
 from microlie.liealg import WITNESS_DOMAIN
-from microlie.poly import Poly
+from microlie.poly import Poly, identity_map
 from microlie.spaces import AffineSpace, WPoint
 from microlie.vfexpr import parse_vector_field
 from microlie.weil import (
@@ -292,6 +293,20 @@ class TestSectionAt:
             section_at(x, d1 + d2)
         with pytest.raises(NotDPointError):
             section_at(x, WeilElement.one(D))
+
+    def test_a_rejected_element_is_squared_once(self, monkeypatch):
+        x = ag(P1, "x0")
+        d1, d2 = generators(D2)
+        e = d1 + d2
+        squares = []
+        product = WeilElement.__mul__
+        monkeypatch.setattr(WeilElement, "__mul__", lambda a, b: squares.append((a, b)) or product(a, b))
+        with pytest.raises(NotDPointError, match=r"not a D-point: square is 2\*d1\*d2, not 0"):
+            section_at(x, e)
+        assert squares == [(e, e)]
+        with pytest.raises(NotDPointError, match="not a D-point: scalar part 1 is nonzero"):
+            section_at(x, WeilElement.one(D))
+        assert len(squares) == 1
 
     def test_product_generator_flow(self):
         x = ag(P1, "x0^3")
@@ -1006,6 +1021,21 @@ def test_equal_sections_hash_equal(groupoid):
     assert len({*flows, section_at(x, -d), star(flows[0], flows[1])}) == 3
 
 
+# -- trial draws ---------------------------------------------------------------------------------
+
+
+def test_coefficient_draws_are_randint_draws():
+    # the same values and the same generator state, with other draws of the stream in between
+    bound = groupoids.COEFF_BOUND
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for k in range(40):
+            assert groupoids._rand_int(ours) == theirs.randint(-bound, bound)
+            if k % 3 == 0:
+                assert ours.random() == theirs.random()
+        assert ours.getstate() == theirs.getstate()
+
+
 # -- the section checks: exact on integer numerators, on every construction path ---------------------
 
 
@@ -1069,6 +1099,56 @@ def test_other_scalar_tables_take_the_determinant(monkeypatch):
     with pytest.raises(InvertibilityError, match="fiber matrix has singular scalar part"):
         WSection(GG, D, ((0, 1), singular))
     assert calls == [[(1, 1), (1, 1)]]
+
+
+def test_the_identity_scalar_part_takes_no_determinant(monkeypatch):
+    x, y = ag(P2, "x0*x1; 1 - x0"), ag(P2, "x1^2; x0")
+    d1, d2 = generators(D2)
+    calls = _determinant_calls(monkeypatch)
+    product = star(section_at(x, d1), section_at(y, d2))  # flows and their product: identity scalar parts
+    assert isinstance(product, WBisection)
+    assert all(a is b for a, b in zip(product.data[0], identity_map(2)))  # a product with 1 keeps the factor
+    equal = (Poly(2, {(1, 0): 1}), Poly(2, {(0, 1): 1}))  # equal to the identity, not the same objects
+    WBisection(P2, D, Jet(D, {0: equal, 1: equal}))
+    assert calls == []
+    shifted = (Poly(2, {(1, 0): 1, (0, 0): 1}), Poly(2, {(0, 1): 1}))
+    WBisection(P2, D, Jet(D, {0: shifted, 1: equal}))
+    assert calls == [[(1, 0), (0, 1)]]
+
+
+@pytest.mark.parametrize(
+    "scalar, message",
+    [
+        ("x0; 0", "scalar part has a singular linear term"),
+        ("x0; x0", "scalar part has a singular linear term"),
+        ("x0 + x0^2; x1", "scalar part x0 + x0^2 is not affine; no invertibility witness"),
+        ("x0; x1 + x0*x1", "scalar part x1 + x0*x1 is not affine; no invertibility witness"),
+    ],
+    ids=["zero-row", "repeated-row", "square-term", "cross-term"],
+)
+def test_scalar_parts_next_to_the_identity_are_still_rejected(scalar, message):
+    jet = Jet(D, {0: parse_vector_field(scalar, 2), 1: identity_map(2)})
+    with pytest.raises(InvertibilityError, match=re.escape(message)):
+        P2.check_bisection(jet)
+    with pytest.raises(InvertibilityError, match=re.escape(message)):
+        WBisection(P2, D, jet)
+
+
+def test_a_commutator_square_builds_eight_product_tables(monkeypatch):
+    # 22 Taylor sums; 14 of them are one product with 1, which is the other factor
+    x, y = ag(P2, "x0*x1; 1 - x0"), ag(P2, "x1^2; 2*x0 + x1")
+    expected = liealg.commutator_square(x, y)
+    builds, sum_of_products = [], poly.sum_of_products
+
+    def counted(nvars, pairs):
+        out = sum_of_products(nvars, pairs)
+        builds.append(all(out is not factor for pair in pairs for factor in pair))
+        return out
+
+    monkeypatch.setattr(groupoids, "sum_of_products", counted)
+    monkeypatch.setattr(poly, "sum_of_products", counted)
+    assert liealg.commutator_square(x, y) == expected
+    assert (len(builds), sum(builds)) == (22, 8)
 
 
 def test_charting_back_a_zero_scalar_part_is_caught():

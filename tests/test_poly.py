@@ -67,6 +67,19 @@ def test_compose():
     assert compose_map((sq,), [halved]) == (halved * halved,)
 
 
+def test_compose_map_sums_scaled_powers_without_products(monkeypatch):
+    # the only products are those of the power table; each coefficient scales its power in one sum
+    f = (Poly(1, {(3,): Fraction(1, 2), (1,): 3, (0,): -1}), Poly(1, {(2,): 5}))
+    g = (Poly(1, {(1,): 2, (0,): Fraction(1, 3)}),)
+    x = g[0]
+    expected = (x * x * x * Fraction(1, 2) + x * 3 - Poly.scalar(1, 1), x * x * 5)
+    calls = []
+    counted = lambda nvars, pairs: calls.append(pairs) or sum_of_products(nvars, pairs)
+    monkeypatch.setattr(poly, "sum_of_products", counted)
+    assert compose_map(f, g) == expected
+    assert len(calls) == 3  # g^1, g^2 and g^3, each one product
+
+
 def test_compose_map_association():
     f = identity_map(2)
     g = (Poly(2, {(1, 0): 2}), Poly(2, {(0, 1): 1, (1, 0): -1}))
@@ -137,6 +150,43 @@ def test_equal_polynomials_hash_equally():
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
     assert len({a for pair in pairs for a in pair}) == 3
+
+
+def test_a_product_with_one_is_the_other_factor():
+    p = Poly(2, {(1, 0): Fraction(1, 2), (0, 2): -3})
+    one = Poly.scalar(2, 1)
+    assert sum_of_products(2, [(p, one)]) is p
+    assert sum_of_products(2, ((one, p),)) is p
+    assert sum_of_products(2, [(one, one)]) is one
+    assert p * one is p and one * p is p
+    for c in (1, Fraction(1)):
+        assert p * c is p and c * p is p
+
+
+def test_other_sums_and_products_build_a_new_polynomial():
+    p = Poly(2, {(1, 0): Fraction(1, 2), (0, 2): -3})
+    one, x = Poly.scalar(2, 1), Poly.variable(2, 0)
+    cases = [
+        (lambda: sum_of_products(2, [(p, one), (x, one)]), Poly(2, {(1, 0): Fraction(3, 2), (0, 2): -3})),
+        (lambda: sum_of_products(2, [(p, one), (one, p)]), Poly(2, {(1, 0): 1, (0, 2): -6})),
+        (lambda: sum_of_products(2, [(p, Poly.scalar(2, 2))]), Poly(2, {(1, 0): 1, (0, 2): -6})),
+        (lambda: sum_of_products(2, [(p, Poly.scalar(2, -1))]), -p),
+        (lambda: p * x, Poly(2, {(2, 0): Fraction(1, 2), (1, 2): -3})),
+        (lambda: p * 2, Poly(2, {(1, 0): 1, (0, 2): -6})),
+        (lambda: p * Fraction(-1), -p),
+    ]
+    for make, expected in cases:
+        out = make()
+        assert out == expected and out is not p and out is not expected
+
+
+def test_a_sum_with_a_unit_factor_still_overflows():
+    x = Poly.variable(1, 0)
+    top, one = x**MAX_DEGREE, Poly.scalar(1, 1)
+    assert sum_of_products(1, [(top, one)]) is top
+    for pairs in ([(top, one), (top, x)], [(one, top), (x, top)], [(x, top)]):
+        with pytest.raises(OverflowError, match=f"degree {MAX_DEGREE + 1} is above the polynomial degree limit"):
+            sum_of_products(1, pairs)
 
 
 def test_identity_map_is_built_once():
