@@ -64,7 +64,7 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
 
 * ``spec(degree)``, ``bounds_error(degree)`` and ``sample_spaces()`` for
   the harness configuration;
-* ``fiber_product``, ``beta`` and ``arrow_at`` for arrows;
+* ``fiber_product`` and ``arrow_at`` for arrows;
 * ``section_data`` (validate and normalise), ``check_bisection``,
   ``identity_data``, ``star_data``, ``inverse_data``, ``flow_data``,
   ``read_coefficient`` and ``section_repr`` for section data;
@@ -106,6 +106,7 @@ from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
 from .poly import (
     Exponents,
     Poly,
+    _linear_combination,
     affine_row,
     compose_map,
     format_terms,
@@ -252,9 +253,6 @@ class PairGroupoid:
 
     def fiber_product(self, h2, h1) -> None:
         return None
-
-    def beta(self, arrow: "Arrow") -> WPoint:
-        return arrow.target
 
     def arrow_at(self, data, domain: InfinitesimalDomain, x: WPoint) -> "Arrow":
         # a point is a jet of constant maps, so evaluating is composing with it
@@ -413,14 +411,11 @@ class TrivialGaugeGroupoid:
         _require_same(h2.domain, h1.domain)
         return Jet(h1.domain, _product(h1.domain.masks, h2, h1, self.matrix_size), h2.den * h1.den)
 
-    def beta(self, arrow: "Arrow") -> int:
-        return arrow.target[0]
-
     def arrow_at(self, data, domain: InfinitesimalDomain, x: int) -> "Arrow":
         base_map, jet = data
         at = x * self.matrix_size**2
         fiber = Jet(domain, {b: p[at : at + self.matrix_size**2] for b, p in jet.items()}, jet.den)
-        return Arrow(self, (base_map[x],), (x,), fiber)
+        return Arrow(self, base_map[x], x, fiber)
 
     # -- section data -----------------------------------------------------------------
 
@@ -618,8 +613,8 @@ GroupoidInstance = PairGroupoid | TrivialGaugeGroupoid
 @dataclass(frozen=True)
 class Arrow:
     groupoid: GroupoidInstance
-    target: WPoint | tuple[int]
-    source: WPoint | tuple[int]
+    target: WPoint | int
+    source: WPoint | int
     fiber: Jet | None = None
 
 
@@ -702,13 +697,13 @@ class WBisection(WSection):
         groupoid.check_bisection(self.data)
 
 
-def _check_affine(jet: "Jet") -> list[tuple[tuple[int, ...], int]]:
+def _check_affine(jet: "Jet") -> list[tuple[tuple[int, ...], int, int]]:
     """Check the scalar part is an invertible affine map, on its integer numerators.
 
     Row i of the linear part is component i's numerators over its
     denominator; clearing each row's denominator scales the determinant by a
     nonzero factor, so the integer determinant decides invertibility.
-    Returns each row's numerators with their denominator.
+    Returns each component's :func:`~microlie.poly.affine_row`.
     """
     rows = []
     for comp in jet[0]:
@@ -716,7 +711,7 @@ def _check_affine(jet: "Jet") -> list[tuple[tuple[int, ...], int]]:
         if row is None:
             raise InvertibilityError(f"scalar part {comp} is not affine; no invertibility witness")
         rows.append(row)
-    if not _determinant([num for num, _ in rows]):
+    if not _determinant([num for num, _, _ in rows]):
         raise InvertibilityError("scalar part has a singular linear term")
     return rows
 
@@ -901,24 +896,22 @@ def formal_inverse(f: Jet) -> Jet:
     iteration preconditioned by the scalar linear part,
     ``g <- g - A^-1 (f . g - id)``, gains one nilpotency degree per step
     and therefore terminates exactly.  (The unpreconditioned step only
-    converges when the scalar part is the identity.)
+    converges when the scalar part is the identity.)  With row i of ``A``
+    the integer row ``N_i`` over ``den_i``, ``A^-1`` is ``adj(N) diag(den)``
+    over ``det(N)``, made positive, so each step is one integer combination.
     """
     domain = f.domain
     n = len(f[0])
     rows = _check_affine(f)
-    # row i of the linear part A is N_i over den_i, so A^-1 = adj(N) diag(den) / det(N)
-    adj, det = _adjugate([num for num, _ in rows])
-    inv = [[Fraction(a * den, det) for a, (_, den) in zip(row, rows)] for row in adj]
-    shift = [comp.coefficient((0,) * n) for comp in f[0]]
+    adj, det = _adjugate([num for num, _, _ in rows])
+    if det < 0:
+        adj, det = [[-a for a in row] for row in adj], -det
+    inv = [[a * den for a, (_, _, den) in zip(row, rows)] for row in adj]  # A^-1 over det
+    neg = [[-a for a in row] for row in inv]
     ident = identity_map(n)
-    # seed: the exact inverse A^-1 (x - b) of the scalar affine part
-    seed = []
-    for i in range(n):
-        acc = Poly.scalar(n, sum((-inv[i][j]) * shift[j] for j in range(n)))
-        for j in range(n):
-            acc = acc + ident[j] * inv[i][j]
-        seed.append(acc)
-    g = Jet(domain, {0: tuple(seed)})
+    # seed: the exact inverse A^-1 (x - b) of the scalar affine part; A^-1 b = adj(N) c / det for b_j = c_j / den_j
+    shift = [Poly.scalar(n, -sum(a * c for a, (_, c, _) in zip(row, rows))) for row in adj]
+    g = Jet(domain, {0: tuple(_linear_combination(n, det, [*zip(row, ident), (1, s)]) for row, s in zip(inv, shift))})
     zero = (Poly.zero(n),) * n
     for _ in range(domain.nilpotency_order + 1):
         err = _minus_identity(_compose(f, g), ident)
@@ -929,7 +922,7 @@ def formal_inverse(f: Jet) -> Jet:
         parts = dict(g)
         for b, e in err.items():
             gb = parts.get(b, zero)
-            parts[b] = tuple(gb[i] - sum((e[j] * inv[i][j] for j in range(n)), Poly.zero(n)) for i in range(n))
+            parts[b] = tuple(_linear_combination(n, det, [(det, gi), *zip(row, e)]) for gi, row in zip(gb, neg))
         g = Jet(domain, parts)
     raise AssertionError("nilpotent Newton iteration failed to terminate")
 

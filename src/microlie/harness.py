@@ -327,10 +327,9 @@ def _law_star_defining_formula(env: LawEnv, trial: int) -> None:
     sigma = env.section(rng, D2)
     rho = env.section(rng, D2)
     product = star(sigma, rho)
-    g = env.config.groupoid
-    for x in g.base_points(rng, D2):
+    for x in env.config.groupoid.base_points(rng, D2):
         rho_arrow = rho.arrow_at(x)
-        if product.arrow_at(x) != compose_arrows(sigma.arrow_at(g.beta(rho_arrow)), rho_arrow):
+        if product.arrow_at(x) != compose_arrows(sigma.arrow_at(rho_arrow.target), rho_arrow):
             raise LawViolation(sigma=sigma, rho=rho, at=x)
 
 
@@ -353,9 +352,8 @@ def _law_beta_functoriality(env: LawEnv, trial: int) -> None:
     sigma = env.section(rng, D2)
     rho = env.section(rng, D2)
     product = star(sigma, rho)
-    g = env.config.groupoid
-    for x in g.base_points(rng, D2):
-        if g.beta(product.arrow_at(x)) != g.beta(sigma.arrow_at(g.beta(rho.arrow_at(x)))):
+    for x in env.config.groupoid.base_points(rng, D2):
+        if product.arrow_at(x).target != sigma.arrow_at(rho.arrow_at(x).target).target:
             raise LawViolation(sigma=sigma, rho=rho, at=x)
 
 

@@ -27,13 +27,16 @@ themselves, built on first read.
 
 A Weil-parametrised family of polynomial maps is not a polynomial with
 Weil coefficients here: the pair groupoid stores it as a jet, one rational
-polynomial map per Weil monomial (see :mod:`microlie.groupoids`), and
-:func:`sum_of_products` is the one fused step of its Taylor sum.  A flow
-``id + d X`` has the identity as its scalar part, so many of those sums are
-one product with the polynomial 1; a polynomial is immutable, so such a
-product is the other factor itself, as is ``p * 1``.  :func:`compose_map`
-sums each coefficient times its power of the inner map straight into one
-table over one denominator.
+polynomial map per Weil monomial (see :mod:`microlie.groupoids`).
+
+Two loops accumulate numerators over one denominator, reduced once:
+:func:`sum_of_products` sums products (every product and power, and the
+pair groupoid's Taylor sums), and the private ``_linear_combination`` sums
+integer multiples over an integer (``+``, ``-``, scaling by a rational, the
+parser's sums, ``Jet.image`` on a pair section, :func:`compose_map` and
+``formal_inverse``).  A polynomial is immutable, so one product with the
+polynomial 1 (frequent: a flow's scalar part is the identity) is the other
+factor itself; so is one term ``1 * p`` over 1, and so ``p * 1``.
 """
 
 from __future__ import annotations
@@ -129,26 +132,20 @@ class Poly(Immutable):
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_compatible(other)
-        da, db = self._den, other._den
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-        table = {key: n * fa for key, n in self._num.items()}
-        for key, n in other._num.items():
-            table[key] = table.get(key, 0) + n * fb
-        return _reduced(self.nvars, table, da * fa)
+        return _linear_combination(self.nvars, 1, ((1, self), (1, other)))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        self._require_compatible(other)
+        return _linear_combination(self.nvars, 1, ((1, self), (-1, other)))
 
     def __neg__(self) -> "Poly":
         return _make(self.nvars, {key: -n for key, n in self._num.items()}, self._den)
 
     def __mul__(self, other: "Poly | Rational") -> "Poly":
         if isinstance(other, (int, Fraction)):
-            if other == 1:
-                return self
-            p = other.numerator
-            return _reduced(self.nvars, {key: n * p for key, n in self._num.items()}, self._den * other.denominator)
+            return _linear_combination(self.nvars, other.denominator, ((other.numerator, self),))
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_compatible(other)
@@ -304,12 +301,12 @@ def sum_of_products(nvars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
     return _reduced(nvars, table, den)
 
 
-def affine_row(p: Poly) -> tuple[tuple[int, ...], int] | None:
-    """The numerators of ``x0 .. x(n-1)`` in ``p`` and their denominator; None unless ``p`` is affine."""
+def affine_row(p: Poly) -> tuple[tuple[int, ...], int, int] | None:
+    """The numerators of ``x0 .. x(n-1)`` and of 1 in ``p``, and their denominator; None unless ``p`` is affine."""
     if p.degree > 1:
         return None
     num = p._num
-    return tuple(num.get(_unit(p.nvars, i), 0) for i in range(p.nvars)), p._den
+    return tuple(num.get(_unit(p.nvars, i), 0) for i in range(p.nvars)), num.get(0, 0), p._den
 
 
 def numerators(p: Poly) -> tuple[dict[Exponents, int], int]:
@@ -407,7 +404,9 @@ def compose_map(f: Sequence[Poly], g: Sequence[Poly]) -> tuple[Poly, ...]:
 
 
 def _linear_combination(nvars: int, den: int, pairs: Sequence[tuple[int, Poly]]) -> Poly:
-    """``sum(n * p for n, p in pairs) / den``, summed over one denominator and reduced once."""
+    """``sum(n * p for n, p in pairs) / den`` for integers, reduced once; ``1 * p / 1`` is ``p``."""
+    if den == 1 and len(pairs) == 1 and pairs[0][0] == 1:
+        return pairs[0][1]
     common = lcm(1, *(p._den for _, p in pairs))
     table: dict[int, int] = {}
     for n, p in pairs:

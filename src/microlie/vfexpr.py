@@ -8,9 +8,9 @@ any other digit is an unexpected character.  The unicode minus sign is
 accepted.  Whitespace is insignificant.  Parentheses nest at most 100
 deep.  Errors report the offending position and what was expected there.
 
-A sum is parsed in one pass: its signed terms are collected and added by
-one :func:`~microlie.poly.sum_of_products`, so the running sum is not
-copied and reduced once per term.
+A sum is parsed in one pass: its terms are collected with their signs,
+``1`` or ``-1``, and added as one linear combination over one denominator,
+so the running sum is not copied and reduced once per term.
 
 Every product and power is bounded before it is expanded, by the
 polynomial degree limit :data:`~microlie.poly.MAX_DEGREE` or by an optional
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import MAX_DEGREE, Poly, format_poly, sum_of_products
+from .poly import MAX_DEGREE, Poly, _linear_combination, format_poly
 
 
 class VectorFieldSyntaxError(ValueError):
@@ -89,6 +89,8 @@ def _tokenize(text: str) -> list[_Token]:
 # well inside the interpreter's default recursion limit of 1000
 _MAX_NESTING = 100
 
+_SIGNS = {"+": 1, "-": -1}
+
 
 def _int(text: str, pos: int) -> int:
     try:
@@ -105,7 +107,6 @@ class _Parser:
         self.bounds_exponents = max_degree is not None
         self.limit = MAX_DEGREE if max_degree is None else min(max_degree, MAX_DEGREE)
         self.depth = 0
-        self.signs = {"+": Poly.scalar(nvars, 1), "-": Poly.scalar(nvars, -1)}
 
     def check_degree(self, degree: int, tok: _Token, what: str = "degree") -> None:
         if degree > self.limit:
@@ -128,13 +129,12 @@ class _Parser:
 
     # expr := ['+'|'-'] term (('+'|'-') term)*
     def expr(self) -> Poly:
-        signs = self.signs
         op = self.take().kind if self.peek().kind in "+-" else "+"
-        pairs = [(self.term(), signs[op])]
+        pairs = [(_SIGNS[op], self.term())]
         while self.peek().kind in "+-":
             op = self.take().kind
-            pairs.append((self.term(), signs[op]))
-        return sum_of_products(self.nvars, pairs)
+            pairs.append((_SIGNS[op], self.term()))
+        return _linear_combination(self.nvars, 1, pairs)
 
     # term := factor ('*' factor)*
     def term(self) -> Poly:

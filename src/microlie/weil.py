@@ -347,7 +347,8 @@ class Jet(Mapping, Immutable):
         The coefficients ``c`` are brought over the lcm ``q`` of the images'
         denominators.  Integer parts are summed as numerators over ``den * q``;
         polynomial parts (a pair section, over 1) keep their own denominators,
-        so each is scaled by its ``c / q``.
+        so each component is one linear combination of the parts' components
+        with the integers ``c``, over ``q``.
         """
         images = [(part, table[b].jet) for b, part in self._parts.items()]
         q = lcm(1, *(w.den for _, w in images))
@@ -359,12 +360,11 @@ class Jet(Mapping, Immutable):
                     terms.setdefault(M, []).append((n * f, part))
         target, width = table[0].domain, range(len(self._parts[0]))
         if width and type(self._parts[0][0]) is not int:
-            from .poly import Poly, sum_of_products  # poly imports this module
+            from .poly import _linear_combination  # poly imports this module
 
             nvars = self._parts[0][0].nvars
-            scaled = {M: [(Poly.scalar(nvars, Fraction(c, q)), part) for c, part in ts] for M, ts in terms.items()}
-            sums = lambda ts: tuple(sum_of_products(nvars, [(part[i], c) for c, part in ts]) for i in width)
-            return Jet(target, {M: sums(ts) for M, ts in scaled.items()})
+            sums = lambda ts: tuple(_linear_combination(nvars, q, [(c, part[i]) for c, part in ts]) for i in width)
+            return Jet(target, {M: sums(ts) for M, ts in terms.items()})
         parts = {}
         for M, ts in terms.items():
             acc = [0] * len(width)

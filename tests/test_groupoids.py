@@ -213,6 +213,20 @@ class TestFormalInverse:
         g = formal_inverse(f)
         assert g == pair_data(P1, D, {(1,): Fraction(1, 2), (0,): Fraction(-1, 2) * eps})
 
+    @pytest.mark.parametrize("case", ["reflection", "swap"])
+    def test_negative_determinant(self, case):
+        # both linear parts have determinant -1, so the integer inverse is negated into a positive one
+        if case == "reflection":  # x -> -x + 1 + d x^2 inverts to y -> 1 - y + d (1 - y)^2
+            one, d = WeilElement.one(D), WeilElement.generator(D, 1)
+            f = pair_data(P1, D, {(1,): -1, (0,): 1, (2,): d})
+            g = pair_data(P1, D, {(0,): one + d, (1,): -1 * one - 2 * d, (2,): d})
+        else:  # (x1 + e x0^2, x0) inverts to (y1, y0 - e y1^2), with e = d1 d2
+            e = WeilElement.generator(D2, 1) * WeilElement.generator(D2, 2)
+            f = pair_data(P2, D2, {(0, 1): 1, (2, 0): e}, {(1, 0): 1})
+            g = pair_data(P2, D2, {(0, 1): 1}, {(1, 0): 1, (0, 2): -1 * e})
+        assert formal_inverse(f) == g
+        assert formal_inverse(g) == f
+
     def test_non_affine_scalar_part_rejected(self):
         f = pair_data(P1, D, {(2,): 1})
         with pytest.raises(InvertibilityError):
@@ -347,12 +361,14 @@ class TestArrows:
 
     def test_gauge_compose_and_invert(self):
         # fibers are jets of flat 2 x 2 matrices: a = I + d E12, back = I - d E12
-        a = Arrow(GG, (1,), (0,), Jet(D, {0: I2, 1: (0, 1, 0, 0)}))
-        ident = Arrow(GG, (1,), (1,), Jet(D, {0: I2}))
+        a = Arrow(GG, 1, 0, Jet(D, {0: I2, 1: (0, 1, 0, 0)}))
+        ident = Arrow(GG, 1, 1, Jet(D, {0: I2}))
         assert compose_arrows(ident, a) == a
-        back = Arrow(GG, (0,), (1,), Jet(D, {0: I2, 1: (0, -1, 0, 0)}))
-        assert compose_arrows(back, a) == Arrow(GG, (0,), (0,), Jet(D, {0: I2}))
-        assert hash(compose_arrows(back, a)) == hash(Arrow(GG, (0,), (0,), Jet(D, {0: I2})))
+        back = Arrow(GG, 0, 1, Jet(D, {0: I2, 1: (0, -1, 0, 0)}))
+        assert compose_arrows(back, a) == Arrow(GG, 0, 0, Jet(D, {0: I2}))
+        assert hash(compose_arrows(back, a)) == hash(Arrow(GG, 0, 0, Jet(D, {0: I2})))
+        with pytest.raises(ValueError, match="arrows do not match: 1 vs 0"):
+            compose_arrows(back, back)
 
     def test_gauge_fibers_over_different_domains_do_not_compose(self):
         # a fiber over D^2 must not be read as one over D: its d1 part is not D's d part
@@ -360,7 +376,7 @@ class TestArrows:
         b = GG.random_bisection(random.Random(2), D, 0)
         h1 = b.arrow_at(0)
         with pytest.raises(DomainMismatchError, match="D\\^2 vs D"):
-            compose_arrows(a.arrow_at(GG.beta(h1)), h1)
+            compose_arrows(a.arrow_at(h1.target), h1)
 
 
 def chart_sections():
@@ -441,7 +457,7 @@ def test_monoid_associativity_with_nonbisections():
 
 GROUPOID_METHODS = {
     "spec", "bounds_error", "sample_spaces",
-    "fiber_product", "beta", "arrow_at",
+    "fiber_product", "arrow_at",
     "section_data", "check_bisection", "identity_data", "star_data", "inverse_data", "flow_data",
     "read_coefficient", "section_repr", "map_jet",
     "slots", "from_slots",
@@ -456,7 +472,7 @@ def test_groupoid_classes_share_one_interface():
     def methods(cls):
         return {name for name, value in vars(cls).items() if callable(value) and not name.startswith("_")}
 
-    assert len(GROUPOID_METHODS) == 27
+    assert len(GROUPOID_METHODS) == 26
     assert methods(PairGroupoid) == GROUPOID_METHODS
     assert methods(TrivialGaugeGroupoid) == GROUPOID_METHODS
 
@@ -838,10 +854,10 @@ def test_gauge_arrows_compose_as_weil_matrices(data):
     sigma, rho = gauge_data(g, domain, f_s, s), gauge_data(g, domain, f_r, r)
     for x in range(g.base_size):
         h1 = g.arrow_at(rho, domain, x)
-        h2 = g.arrow_at(sigma, domain, g.beta(h1))
+        h2 = g.arrow_at(sigma, domain, h1.target)
         assert (weil_matrix(h1.fiber, k), weil_matrix(h2.fiber, k)) == (r[x], s[f_r[x]])
         h = compose_arrows(h2, h1)
-        assert (h.target, h.source) == ((f_s[f_r[x]],), (x,))
+        assert (h.target, h.source) == (f_s[f_r[x]], x)
         assert weil_matrix(h.fiber, k) == mat_mul(weil_matrix(h2.fiber, k), weil_matrix(h1.fiber, k))
 
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,6 +189,29 @@ def test_a_sum_with_a_unit_factor_still_overflows():
             sum_of_products(1, pairs)
 
 
+def test_sums_and_scalar_products_check_their_operands():
+    p, q = Poly(2, {(1, 0): 1}), Poly(3, {(0, 0, 1): 1})
+    for op in (add, sub):
+        for bad in (0.5, 1.0, 1):
+            with pytest.raises(TypeError):
+                op(p, bad)
+        with pytest.raises(ValueError, match="polynomials in 2 and 3 variables"):
+            op(p, q)
+    for bad in (0.5, 1.0):
+        with pytest.raises(TypeError):
+            p * bad
+        with pytest.raises(TypeError):
+            bad * p
+    with pytest.raises(ValueError, match="polynomials in 2 and 3 variables"):
+        p * q
+
+
+def test_a_linear_combination_that_cancels_is_zero_over_one():
+    p = Poly(2, {(1, 0): Fraction(1, 2), (0, 2): -3})
+    for out in (poly._linear_combination(2, 6, [(2, p), (-1, p * 2)]), p - p, p * 0, p + -p):
+        assert out == Poly.zero(2) and numerators(out) == ({}, 1)
+
+
 def test_identity_map_is_built_once():
     assert identity_map(3) is identity_map(3)
     assert identity_map(3) == tuple(Poly(3, {tuple(int(i == j) for i in range(3)): 1}) for j in range(3))
@@ -290,6 +313,30 @@ def test_arithmetic_matches_the_reference(case, k):
         assert dict((pa**k).coeffs) == ref_pow(a, k, nvars)
     for i in range(nvars):
         assert dict(pa.derivative(i).coeffs) == ref_derivative(a, i)
+
+
+@st.composite
+def linear_combinations(draw):
+    nvars = draw(st.integers(0, 3))
+    polys = draw(st.lists(tables(nvars, max_size=4), max_size=4))
+    terms = [(draw(st.integers(-6, 6)), t) for t in polys]
+    if draw(st.booleans()):  # the same terms again, negated: the sum cancels to zero
+        terms += [(-n, t) for n, t in terms]
+    return nvars, draw(st.integers(1, 12)), terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_combinations())
+def test_linear_combination_matches_the_constructor(case):
+    nvars, den, terms = case
+    out = poly._linear_combination(nvars, den, [(n, Poly(nvars, t)) for n, t in terms])
+    expected = {}
+    for n, t in terms:
+        for e, c in t.items():
+            expected[e] = expected.get(e, 0) + Fraction(n, den) * c
+    assert out == Poly(nvars, expected)
+    if not out:
+        assert numerators(out) == ({}, 1)
 
 
 @settings(max_examples=100, deadline=None)
