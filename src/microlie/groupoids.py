@@ -48,15 +48,15 @@ A gauge section is ``(base_map, jet)``: by the same axiom a table of
 matrices over a Weil domain is its family of coefficient tables, and the
 jet's part on each mask is one flat tuple of integer numerators, the k x k
 matrix of every base point in turn, over the jet's denominator.  The
-product sums matrix products over the pairs of disjoint masks whose union
-survives, each output mask in one gathered multiply-and-sum over all of
-its pairs (:func:`_product`); the inverse inverts the scalar part once per
-table, as its integer adjugate over its determinant, and sums the finite
-nilpotent series.  An arrow's fiber is the jet of one base point's block;
-arrows over one Weil domain compose by the same product.  Gauge Lie
-algebroid data, a table of rational matrices, is a jet over the point
-``D0`` with one part laid out like a section's, so flows, coefficient reads
-and module operations are integer.
+product sums matrix products over the pairs of masks that the domain's
+multiplication table lists, each output mask in one gathered
+multiply-and-sum over all of its pairs (:func:`_product`); the inverse
+inverts the scalar part once per table, as its integer adjugate over its
+determinant, and sums the finite nilpotent series.  An arrow's fiber is the
+jet of one base point's block; arrows over one Weil domain compose by the
+same product.  Gauge Lie algebroid data, a table of rational matrices, is a
+jet over the point ``D0`` with one part laid out like a section's, so
+flows, coefficient reads and module operations are integer.
 
 Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
 ``SectionChart``, ``star``, ``section_at`` and the harness only call its
@@ -409,7 +409,7 @@ class TrivialGaugeGroupoid:
 
     def fiber_product(self, h2: Jet, h1: Jet) -> Jet:
         _require_same(h2.domain, h1.domain)
-        return Jet(h1.domain, _product(h1.domain.masks, h2, h1, self.matrix_size), h2.den * h1.den)
+        return Jet(h1.domain, _product(h1.domain._products, h2, h1, self.matrix_size), h2.den * h1.den)
 
     def arrow_at(self, data, domain: InfinitesimalDomain, x: int) -> "Arrow":
         base_map, jet = data
@@ -460,7 +460,7 @@ class TrivialGaugeGroupoid:
         (f_s, s), (f_r, r) = sigma, rho
         k = self.matrix_size
         left = {b: _gather(part, f_r, k) for b, part in s.items()}  # sigma's fiber at beta(rho(x))
-        parts = _product(r.domain.masks, left, r, k)
+        parts = _product(r.domain._products, left, r, k)
         return tuple(f_s[y] for y in f_r), Jet(r.domain, parts, s.den * r.den)
 
     def inverse_data(self, data, domain: InfinitesimalDomain) -> tuple:
@@ -477,18 +477,17 @@ class TrivialGaugeGroupoid:
             inverses.append(([n // g for row in adj for n in row], det // g))
         q = lcm(*(det for _, det in inverses))
         Q = [n * (q // det) for adj, det in inverses for n in adj]
-        ok = domain.masks
         # C over q: (den Q / q)(P_b / den) = Q P_b / q
-        c = _product(ok, {0: [-n for n in Q]}, parts, k)
+        c = _product(domain._products, {0: [-n for n in Q]}, parts, k)
         series, power, den = {0: _identity(k) * m}, c, 1  # series holds sum_{r <= R} C^r over q^R
         while power:
             series = {b: [n * q for n in part] for b, part in series.items()}
             for b, part in power.items():
                 _accumulate(series, b, part)
             den *= q
-            power = {b: part for b, part in _product(ok, c, power, k).items() if any(part)}
+            power = {b: part for b, part in _product(domain._products, c, power, k).items() if any(part)}
         right = {0: [jet.den * n for n in Q]}
-        return inverse_map, Jet(domain, _product(ok, series, right, k), den * q)
+        return inverse_map, Jet(domain, _product(domain._products, series, right, k), den * q)
 
     def flow_data(self, fields: Jet, e: WeilElement) -> tuple:
         # X_e = I + e X, for a square-zero e with no scalar part (section_at checks)
@@ -772,10 +771,10 @@ def _plan(k: int, n: int) -> tuple[Callable, Callable]:
     return gather(rows), gather(cols)
 
 
-def _product(ok: frozenset[int], left: Mapping, right: Mapping, k: int) -> dict[int, list[int]]:
+def _product(products: Mapping, left: Mapping, right: Mapping, k: int) -> dict[int, list[int]]:
     """Numerators of a jet product: part M sums ``left[b1] @ right[b2]`` pointwise.
 
-    The sum runs over the disjoint masks ``b1``, ``b2`` with ``b1 | b2 = M`` in ``ok``.
+    The sum runs over the pairs with ``products[b1][b2] = M``, a domain's multiplication table.
     Each pair is one multiply of the gathered factors, cut into its ``k``
     chunks of one ``l`` each; each entry of part M sums its column of the
     chunks of all of M's pairs.
@@ -787,11 +786,11 @@ def _product(ok: frozenset[int], left: Mapping, right: Mapping, k: int) -> dict[
     right_cols = [(b2, cols(c)) for b2, c in right.items()]
     chunks: dict[int, list[tuple[int, ...]]] = {}
     for b1, a in left.items():
-        a_rows = rows(a)
+        a_rows, row = rows(a), products[b1]
         for b2, c_cols in right_cols:
-            if b1 & b2 or b1 | b2 not in ok:
-                continue  # a repeated generator squares to zero, and so does a vanishing monomial
-            chunks.setdefault(b1 | b2, []).extend(zip(*[map(mul, a_rows, c_cols)] * n))
+            b = row.get(b2)
+            if b is not None:
+                chunks.setdefault(b, []).extend(zip(*[map(mul, a_rows, c_cols)] * n))
     return {b: list(map(sum, zip(*cs))) for b, cs in chunks.items()}
 
 
@@ -805,8 +804,8 @@ def _compose(f: Jet, g: Jet) -> Jet:
     """The jet of ``f o g``, by the finite Taylor sum (Kock-Lawvere).
 
     ``(f o g)_M`` is the sum of ``D^r f_m(g_0)[g_s1, ..., g_sr]`` over the
-    masks ``m`` of ``f`` and the sets ``s1 < ... < sr`` of pairwise disjoint
-    nonzero masks of ``g`` with ``m | s1 | ... | sr = M`` surviving.
+    masks ``m`` of ``f`` and the sets ``s1 < ... < sr`` of nonzero masks of
+    ``g`` whose product with ``m`` in the domain's multiplication table is M.
     Monomials are square-free, so the ``1/r!`` of the Taylor series meets
     the ``r!`` orders of each set and no factorial remains.  When ``g_0`` is
     the identity the derivatives of ``f_m`` are used as they are; otherwise
@@ -814,14 +813,14 @@ def _compose(f: Jet, g: Jet) -> Jet:
     that meet a nonzero derivative, and for their prefixes.
     """
     domain = g.domain
-    ok = domain.masks
+    products = domain._products
     g0 = g[0]
     n = len(g0)
     nvars = g0[0].nvars
     at_identity = g0 == identity_map(n)
-    sets = [((), 0)]  # each set of disjoint nonzero masks of g, with its union
+    sets = [((), 0)]  # each set of nonzero masks of g with a nonzero product, with that product
     for s in sorted(b for b in g if b):
-        sets += [(S + (s,), u | s) for S, u in sets if not u & s and u | s in ok]
+        sets += [(S + (s,), products[u][s]) for S, u in sets if s in products[u]]
 
     # the multisets J of r variables, sorted, in the order the weights below fill them
     multisets = [((),)]
@@ -833,15 +832,16 @@ def _compose(f: Jet, g: Jet) -> Jet:
     terms = []  # (M, m, J, S): mask M gets d^J f_m times the weight of J in S
     needed = {()}
     for m in f:
+        row = products[m]
         for S, u in sets:
-            if m & u or m | u not in ok:
+            if u not in row:
                 continue
             for J in multisets[len(S)]:
                 p = partials.get((m, J))
                 if p is None:
                     p = partials[m, J] = tuple(c.derivative(J[-1]) for c in partials[m, J[:-1]])
                 if any(p):
-                    terms.append((m | u, m, J, S))
+                    terms.append((row[u], m, J, S))
                     needed.add(S)
     for S, _ in reversed(sets):
         if S in needed:

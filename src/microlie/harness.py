@@ -55,6 +55,9 @@ from .weil import AXES2, D0, D2, D3, LINE, SCALAR, InfinitesimalDomain, WeilElem
 
 SUITE_IDS = ("flows", "module", "bracket", "liederiv", "strongdiff", "jacobi2", "oracle")
 MUTATIONS = ("none", "flip-bracket-sign")
+# one trial of --suite all on the slowest accepted config, pair:dim=3:deg=3, took about 1.9 s on a
+# 2-CPU machine, so the largest accepted run ends in about half an hour
+MAX_TRIALS = 1000
 
 
 class ConfigError(ValueError):
@@ -72,8 +75,8 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if self.suite not in SUITE_IDS and self.suite != "all":
             raise ConfigError(f"unknown suite {self.suite!r}; expected one of {('all',) + SUITE_IDS}")
-        if self.trials < 0:
-            raise ConfigError("trials must be nonnegative")
+        if not 0 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must be between 0 and {MAX_TRIALS}, got {self.trials}")
         if not isinstance(self.groupoid, GroupoidInstance):
             raise ConfigError(f"unknown groupoid {self.groupoid!r}")
         problem = self.groupoid.bounds_error(self.degree)

@@ -84,6 +84,19 @@ def _unit(nvars: int, i: int) -> int:
     return 1 << _W * nvars | 1 << _W * (nvars - 1 - i)
 
 
+def _linear_combination(nvars: int, den: int, pairs: Sequence[tuple[int, Poly]]) -> Poly:
+    """``sum(n * p for n, p in pairs) / den`` for integers, reduced once; ``1 * p / 1`` is ``p``."""
+    if den == 1 and len(pairs) == 1 and pairs[0][0] == 1:
+        return pairs[0][1]
+    common = lcm(1, *(p._den for _, p in pairs))
+    table: dict[int, int] = {}
+    for n, p in pairs:
+        n *= common // p._den
+        for key, m in p._num.items():
+            table[key] = table.get(key, 0) + n * m
+    return _reduced(nvars, table, den * common)
+
+
 class Poly(Immutable):
     """Exact rational polynomial in ``nvars`` variables.
 
@@ -92,6 +105,7 @@ class Poly(Immutable):
     """
 
     __slots__ = ("nvars", "_num", "_den", "_coeffs", "_terms")
+    _linear_combination = staticmethod(_linear_combination)  # Jet.image reads it from a polynomial part's type
 
     def __init__(self, nvars: int, terms: Mapping[Iterable[int], Rational] | None = None) -> None:
         table: dict[int, Fraction] = {}
@@ -401,16 +415,3 @@ def compose_map(f: Sequence[Poly], g: Sequence[Poly]) -> tuple[Poly, ...]:
     for key in sorted(last):
         products[key] = products[key - units[last[key]]] * g[last[key]]
     return tuple(_linear_combination(target, fi._den, [(n, products[key]) for key, n in fi._num.items()]) for fi in f)
-
-
-def _linear_combination(nvars: int, den: int, pairs: Sequence[tuple[int, Poly]]) -> Poly:
-    """``sum(n * p for n, p in pairs) / den`` for integers, reduced once; ``1 * p / 1`` is ``p``."""
-    if den == 1 and len(pairs) == 1 and pairs[0][0] == 1:
-        return pairs[0][1]
-    common = lcm(1, *(p._den for _, p in pairs))
-    table: dict[int, int] = {}
-    for n, p in pairs:
-        n *= common // p._den
-        for key, m in p._num.items():
-            table[key] = table.get(key, 0) + n * m
-    return _reduced(nvars, table, den * common)

@@ -20,8 +20,8 @@ monomial ``d1*d2``); this keeps permutations and axis labels aligned with
 the usual subscript notation for microsquares and microcubes.
 
 Inside, a monomial is a bitmask (bit ``i - 1`` for ``di``), and each domain
-keeps the set of masks that survive (``masks``), so a product term is
-dropped by two integer tests.
+keeps the set of masks that survive (``masks``) and its multiplication
+table, which every product of Weil coefficients reads.
 
 By the Kock-Lawvere axiom a map out of a Weil domain into ``R^n`` is an
 ``n``-tuple of elements of its Weil algebra, that is, its family of
@@ -147,10 +147,11 @@ class InfinitesimalDomain(Immutable):
     identity.  A monomial vanishes iff it contains one of the stored sets or
     repeats a generator.  ``masks`` is the set of surviving monomials as
     bitmasks (bit ``i - 1`` for ``di``); it is closed under subsets, and
-    :meth:`mask_of` answers every question about a monomial from it.
+    :meth:`mask_of` answers every question about a monomial from it, as
+    does the multiplication table ``_products``, derived from it once.
     """
 
-    __slots__ = ("generator_count", "zero_monomials", "masks", "_monomials", "_monomial_of")
+    __slots__ = ("generator_count", "zero_monomials", "masks", "_monomials", "_monomial_of", "_products")
 
     def __new__(cls, generator_count: int, zero_monomials: Iterable[Iterable[int]] = ()) -> "InfinitesimalDomain":
         generator_count = index(generator_count)
@@ -189,6 +190,8 @@ class InfinitesimalDomain(Immutable):
         object.__setattr__(self, "masks", frozenset(ok))
         object.__setattr__(self, "_monomials", tuple(named))
         object.__setattr__(self, "_monomial_of", {_mask(m): m for m in named})
+        products = {b1: {b2: b1 | b2 for b2 in ok if not b1 & b2 and b1 | b2 in self.masks} for b1 in ok}
+        object.__setattr__(self, "_products", products)
         _DOMAINS[key] = self
         return self
 
@@ -348,7 +351,7 @@ class Jet(Mapping, Immutable):
         denominators.  Integer parts are summed as numerators over ``den * q``;
         polynomial parts (a pair section, over 1) keep their own denominators,
         so each component is one linear combination of the parts' components
-        with the integers ``c``, over ``q``.
+        with the integers ``c``, over ``q``, by the part type's ``_linear_combination``.
         """
         images = [(part, table[b].jet) for b, part in self._parts.items()]
         q = lcm(1, *(w.den for _, w in images))
@@ -360,10 +363,8 @@ class Jet(Mapping, Immutable):
                     terms.setdefault(M, []).append((n * f, part))
         target, width = table[0].domain, range(len(self._parts[0]))
         if width and type(self._parts[0][0]) is not int:
-            from .poly import _linear_combination  # poly imports this module
-
-            nvars = self._parts[0][0].nvars
-            sums = lambda ts: tuple(_linear_combination(nvars, q, [(c, part[i]) for c, part in ts]) for i in width)
+            nvars, combination = self._parts[0][0].nvars, type(self._parts[0][0])._linear_combination
+            sums = lambda ts: tuple(combination(nvars, q, [(c, part[i]) for c, part in ts]) for i in width)
             return Jet(target, {M: sums(ts) for M, ts in terms.items()})
         parts = {}
         for M, ts in terms.items():
@@ -474,15 +475,13 @@ class WeilElement(Immutable):
         b = other.jet
         domain = a.domain
         _require_same(domain, b.domain)
-        ok = domain.masks
         table: dict[int, int] = {}  # gets mask 0 from the two scalar parts
         right = b._parts.items()
         for m1, (n1,) in a._parts.items():
+            row = domain._products[m1]
             for m2, (n2,) in right:
-                if m1 & m2:
-                    continue  # repeated generator: square is zero
-                m = m1 | m2
-                if m in ok:
+                m = row.get(m2)
+                if m is not None:
                     table[m] = table.get(m, 0) + n1 * n2
         return _element(Jet(domain, {m: (n,) for m, n in table.items()}, a.den * b.den))
 

@@ -934,21 +934,23 @@ def _reference_product(ok, left, right, k):
 
 
 @pytest.mark.parametrize(
-    "k, left, right",
+    "domain, k, left, right",
     [
-        (1, {0: (3,), 1: (-2,)}, {0: (5,), 1: (7,)}),
-        (2, {0: (1, 2, 3, 4)}, {0: (0, 1, -1, 5)}),
-        (2, {0: (1, 2, 3, 4, 2, 0, 1, 1), 1: (0,) * 8}, {0: (0, 1, -1, 5, 1, 1, 0, 3), 1: (2, 0, 0, -1, 1, 2, 3, 4)}),
-        (3, {0: tuple(range(9)), 2: tuple(range(9, 0, -1))}, {1: (1, 0, 2, 0, 1, 0, 3, 0, 1), 3: (1,) * 9}),
-        (2, {}, {0: I2}),
-        (2, {0: I2}, {}),
+        (D, 1, {0: (3,), 1: (-2,)}, {0: (5,), 1: (7,)}),
+        (D, 2, {0: (1, 2, 3, 4)}, {0: (0, 1, -1, 5)}),
+        (D, 2, {0: (1, 2, 3, 4, 2, 0, 1, 1), 1: (0,) * 8}, {0: (0, 1, -1, 5, 1, 1, 0, 3), 1: (2, 0, 0, -1, 1, 2, 3, 4)}),
+        # over D(2): d2 * d1 vanishes, and d2 * d2 repeats a generator
+        (A2, 3, {0: tuple(range(9)), 2: tuple(range(9, 0, -1))}, {1: (1, 0, 2, 0, 1, 0, 3, 0, 1), 2: (1,) * 9}),
+        (D, 2, {}, {0: I2}),
+        (D, 2, {0: I2}, {}),
     ],
     ids=["one-entry", "mask-0-only", "zero-nilpotent-part", "k3-vanishing-union", "empty-left", "empty-right"],
 )
-def test_gauge_product_kernel_agrees_matrix_by_matrix(k, left, right):
+def test_gauge_product_kernel_agrees_matrix_by_matrix(domain, k, left, right):
     # the mask-0-only and zero-part cases multiply matrices that do not commute, so a swapped
     # layout of rows and columns multiplies in the wrong order and fails
-    assert groupoids._product(D.masks, left, right, k) == _reference_product(D.masks, left, right, k)
+    got = groupoids._product(domain._products, left, right, k)
+    assert got == _reference_product(domain.masks, left, right, k)
 
 
 @pytest.mark.parametrize(

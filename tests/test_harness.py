@@ -11,6 +11,7 @@ import microlie
 from microlie import cli, harness
 from microlie.cli import main
 from microlie.harness import (
+    MAX_TRIALS,
     SUITE_IDS,
     SUITES,
     ConfigError,
@@ -57,6 +58,15 @@ class TestConfig:
             config("gauge:base=9:k=2")
         with pytest.raises(ConfigError):
             SuiteConfig(suite="nope", groupoid=PairGroupoid(2))
+
+    def test_trials_are_bounded(self, capsys):
+        # configs are only built here: a run with this many trials would take half an hour
+        assert config("pair:dim=3:deg=3", trials=MAX_TRIALS).trials == MAX_TRIALS
+        for trials in (MAX_TRIALS + 1, 10**12, -1):
+            with pytest.raises(ConfigError, match=f"trials must be between 0 and {MAX_TRIALS}, got {trials}"):
+                config("pair:dim=3:deg=3", trials=trials)
+        assert main(["verify", "--groupoid", "pair:dim=3:deg=3", "--trials", str(MAX_TRIALS + 1)]) == 2
+        assert f"between 0 and {MAX_TRIALS}" in capsys.readouterr().err
 
 
 def triple(cfg, trial, law="generate"):

@@ -12,6 +12,9 @@ decorator that only wraps it (``@cache``, ``@property``, ...) is not.
 
 No two module-level functions of the package share a body (a leading
 docstring aside): a helper is defined once and imported where it is needed.
+
+The modules of the package import one another without a cycle, counting the
+imports inside functions too: a cycle is what a function-level import hides.
 """
 
 import ast
@@ -171,3 +174,55 @@ def test_a_duplicated_helper_is_caught():
     trees = {"weil.py": ast.parse(frac + other), "poly.py": ast.parse("import math\n\n" + documented)}
     assert _duplicates(trees) == [["weil.py: _frac (line 1)", "poly.py: _ratio (line 3)"]]
     assert _duplicates({"weil.py": ast.parse(frac)}) == []
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, at any depth of its code."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("microlie."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("microlie.")}
+    return out
+
+
+def _cycle(trees: dict[str, ast.Module]) -> list[str]:
+    """One import cycle among the modules, as ``[a, b, ..., a]``, or ``[]`` if there is none."""
+    graph = {name: _imported_modules(tree) for name, tree in trees.items()}
+    done: set[str] = set()
+
+    def visit(name: str, path: list[str]) -> list[str]:
+        if name in path:
+            return path[path.index(name):] + [name]
+        if name in done or name not in graph:
+            return []
+        for other in sorted(graph[name]):
+            found = visit(other, path + [name])
+            if found:
+                return found
+        done.add(name)
+        return []
+
+    for name in sorted(graph):
+        found = visit(name, [])
+        if found:
+            return found
+    return []
+
+
+def test_no_import_cycle():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    cycle = _cycle(trees)
+    assert not cycle, "import cycle: " + " -> ".join(cycle)
+
+
+def test_an_import_cycle_is_caught():
+    weil = "def image(jet):\n    from .poly import _linear_combination\n    return _linear_combination\n"
+    trees = {"weil": ast.parse(weil), "poly": ast.parse("from .weil import Jet\n"), "cli": ast.parse("from . import poly\n")}
+    assert _cycle(trees) == ["poly", "weil", "poly"]
+    del trees["weil"]
+    assert _cycle(trees) == []
+    assert _imported_modules(ast.parse("import microlie.weil\nfrom microlie.poly import Poly\n")) == {"weil", "poly"}

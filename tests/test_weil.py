@@ -15,6 +15,7 @@ from microlie.poly import Poly
 from microlie.spaces import AffineSpace, Tangent, WPoint
 from microlie.weil import (
     AXES2,
+    D0,
     DomainMismatchError,
     InfinitesimalDomain,
     Jet,
@@ -126,6 +127,50 @@ def test_domains_are_interned_and_answer_from_their_masks(case, data):
     for a, b in ((dom, other), (other, dom), (dom, dom)):
         assert a.coarsens(b) == all(any(z <= y for z in a.zero_monomials) for y in b.zero_monomials)
     assert not dom.coarsens(InfinitesimalDomain(n + 1))
+
+
+D13 = InfinitesimalDomain(3, [(1, 3)])
+
+
+@pytest.mark.parametrize("domain", [D0, D, A2, D3, InfinitesimalDomain.first_order(3), D13], ids=repr)
+def test_the_multiplication_table_lists_exactly_the_surviving_products(domain):
+    table = domain._products
+    assert set(table) == domain.masks
+    masks = domain.masks
+    for b1 in masks:
+        assert table[b1] == {b2: b1 | b2 for b2 in masks if not b1 & b2 and b1 | b2 in masks}
+    # the same table from monomials: mask_of rejects a repeated generator and a vanishing monomial
+    for m1 in domain.monomials():
+        for m2 in domain.monomials():
+            b1, b2 = domain.mask_of(m1), domain.mask_of(m2)
+            try:
+                product = domain.mask_of((*m1, *m2))
+            except ZeroMonomialError:
+                assert b2 not in table[b1]
+            else:
+                assert table[b1][b2] == product
+
+
+def test_the_point_multiplies_only_its_scalars():
+    assert D0._products == {0: {0: 0}}
+
+
+def _brute_product(a, b):
+    """``a * b`` from frozenset monomials: disjoint monomials whose union contains no relation multiply."""
+    out = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            m = m1 | m2
+            if not m1 & m2 and not any(z <= m for z in a.domain.zero_monomials):
+                out[m] = out.get(m, 0) + c1 * c2
+    return WeilElement(a.domain, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([W3, D13]).flatmap(lambda d: st.tuples(elements(d), elements(d))))
+def test_products_agree_with_a_brute_force_product(pair):
+    a, b = pair
+    assert a * b == _brute_product(a, b)
 
 
 class TestArithmetic:
