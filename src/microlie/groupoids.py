@@ -38,11 +38,11 @@ Both groupoids store a Weil-parametrised section through one
 its target map: one tuple of rational polynomials per surviving Weil
 monomial.  By the Kock-Lawvere axiom a map of such a family is its finite
 Taylor polynomial in the nilpotent generators, so composing jets is a
-finite Taylor sum (:func:`_compose`) whose derivatives need no substitution
-when the inner map's scalar part is the identity, as it is for every flow
-and every star word of flows.  Evaluation at a Weil point is composition
-with the point's jet of constants, and the arrow's ends are
-:class:`~microlie.spaces.WPoint` s.
+finite Taylor sum (:func:`_compose`), exact at the identity on both sides
+as every flow and star word of flows is: an inner identity scalar part
+needs no substitution, and an outer one adds the inner jet itself.
+Evaluation at a Weil point is composition with the point's jet of
+constants, and the arrow's ends are :class:`~microlie.spaces.WPoint` s.
 
 A gauge section is ``(base_map, jet)``: by the same axiom a table of
 matrices over a Weil domain is its family of coefficient tables, and the
@@ -807,17 +807,27 @@ def _compose(f: Jet, g: Jet) -> Jet:
     masks ``m`` of ``f`` and the sets ``s1 < ... < sr`` of nonzero masks of
     ``g`` whose product with ``m`` in the domain's multiplication table is M.
     Monomials are square-free, so the ``1/r!`` of the Taylor series meets
-    the ``r!`` orders of each set and no factorial remains.  When ``g_0`` is
-    the identity the derivatives of ``f_m`` are used as they are; otherwise
-    each is composed with ``g_0``.  Weights are built only for the sets
-    that meet a nonzero derivative, and for their prefixes.
+    the ``r!`` orders of each set and no factorial remains.  The sum is
+    exact at the identity on both sides.  When ``g_0`` is the identity the
+    derivatives of ``f_m`` are used as they are; otherwise each is composed
+    with ``g_0``.  When ``f_0`` is the identity its terms sum to ``g``
+    itself, so each output part starts from ``g``'s part and only ``f``'s
+    nonzero masks are differentiated.  An identity jet on either side
+    returns the other operand.  Weights are built only for the sets that
+    meet a nonzero derivative, and for their prefixes.
     """
     domain = g.domain
     products = domain._products
     g0 = g[0]
     n = len(g0)
     nvars = g0[0].nvars
-    at_identity = g0 == identity_map(n)
+    ident = identity_map(n)
+    at_identity = g0 == ident
+    outer_identity = f[0] == ident
+    if outer_identity and len(f) == 1:
+        return g
+    if at_identity and len(g) == 1:
+        return f
     sets = [((), 0)]  # each set of nonzero masks of g with a nonzero product, with that product
     for s in sorted(b for b in g if b):
         sets += [(S + (s,), products[u][s]) for S, u in sets if s in products[u]]
@@ -831,7 +841,7 @@ def _compose(f: Jet, g: Jet) -> Jet:
     width = len(f[0])
     terms = []  # (M, m, J, S): mask M gets d^J f_m times the weight of J in S
     needed = {()}
-    for m in f:
+    for m in (b for b in f if b or not outer_identity):  # an identity f_0 adds g itself, below
         row = products[m]
         for S, u in sets:
             if u not in row:
@@ -850,7 +860,8 @@ def _compose(f: Jet, g: Jet) -> Jet:
     # per needed set S = (s1..sr): each multiset J of r variables, with the sum over the orders
     # (j1..jr) of J of g_s1[j1] * ... * g_sr[jr]; split on the last factor, as S[:-1] comes first
     # in sets; a one-mask set's weights are the components of g_s1 themselves
-    weights = {(): {(): Poly.scalar(nvars, 1)}}
+    one = Poly.scalar(nvars, 1)
+    weights = {(): {(): one}}
     for S, _ in sets[1:]:
         if S not in needed:
             continue
@@ -869,8 +880,12 @@ def _compose(f: Jet, g: Jet) -> Jet:
         keys = list(dict.fromkeys((m, J) for _, m, J, _ in terms))
         flat = compose_map([c for key in keys for c in partials[key]], g0)
         derivatives = {key: flat[k * width : (k + 1) * width] for k, key in enumerate(keys)}
-    sums = {M: [[] for _ in range(width)] for M, _, _, _ in terms}
-    sums.setdefault(0, [[] for _ in range(width)])  # a jet keeps its scalar part, even a zero one
+    if outer_identity:  # the terms of f_0 = id are g itself
+        sums = {M: [[(c, one)] for c in part] for M, part in g.items()}
+    else:  # a jet keeps its scalar part, even a zero one
+        sums = {0: [[] for _ in range(width)]}
+    for M, _, _, _ in terms:
+        sums.setdefault(M, [[] for _ in range(width)])
     for M, m, J, S in terms:
         w = weights[S][J]
         for i, d in enumerate(derivatives[m, J]):

@@ -22,6 +22,7 @@ raising ``LawViolation(**counterexample)``; the runner adds the trial index.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -99,10 +100,10 @@ def parse_groupoid_spec(text: str) -> tuple[GroupoidInstance, int]:
         key, _, value = piece.partition("=")
         if key in options:
             raise ConfigError(f"repeated groupoid option {key!r} in {text!r}")
-        try:
-            options[key] = int(value)
-        except ValueError:
-            raise ConfigError(f"non-integer value in groupoid option {piece!r}") from None
+        # ASCII digits only: int() would also take other scripts' digits, spaces and underscores
+        if not re.fullmatch("-?[0-9]+", value):
+            raise ConfigError(f"non-integer value in groupoid option {piece!r}")
+        options[key] = int(value)
     if kind == "pair":
         dim = options.pop("dim", 2)
         degree = options.pop("deg", 2)

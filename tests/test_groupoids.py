@@ -544,16 +544,23 @@ def _merge(scalar, nilpotent):
     return out
 
 
-def _check_taylor_sum(draw, domain, n, kind, outer_degree, every_mask):
-    groupoid = PairGroupoid(n)
+def _map_terms(draw, domain, n, kind, degree, every_mask=False):
+    """A map's components: a scalar part of the given kind plus sparse nilpotent terms; an identity jet has none."""
+    if kind == "identity jet":
+        return _merge(_scalar_part(draw, "identity", n), [{}] * n)
     monomials = domain.monomials()
-    outer = _weil_terms(draw, domain, n, outer_degree, monomials)
-    nilpotent = _weil_terms(draw, domain, n, 2, monomials[1:])
+    nilpotent = _weil_terms(draw, domain, n, degree, monomials[1:])
     if every_mask:  # a nonzero part on every nilpotent mask, so every set of disjoint masks has its weights
         for m in monomials[1:]:
             comp = nilpotent[draw(st.integers(0, n - 1))]
             comp.setdefault(draw(st.sampled_from(_exponents(n, 2))), {})[m] = draw(SMALL.filter(bool))
-    inner = _merge(_scalar_part(draw, kind, n), nilpotent)
+    return _merge(_scalar_part(draw, kind, n), nilpotent)
+
+
+def _check_taylor_sum(draw, domain, n, outer_kind, inner_kind, outer_degree, every_mask):
+    groupoid = PairGroupoid(n)
+    outer = _map_terms(draw, domain, n, outer_kind, outer_degree)
+    inner = _map_terms(draw, domain, n, inner_kind, 2, every_mask)
     f, ref_f = _both_kernels(groupoid, domain, outer)
     g, ref_g = _both_kernels(groupoid, domain, inner)
     expected = REF_POLY.compose_map(ref_f, ref_g)
@@ -573,15 +580,55 @@ def test_taylor_sum_agrees_with_the_seed_kernel(data):
     draw = data.draw
     domain = draw(st.sampled_from(TAYLOR_DOMAINS))
     n = draw(st.integers(min_value=1, max_value=3))
-    _check_taylor_sum(draw, domain, n, draw(KINDS), 2, draw(st.booleans()))
+    _check_taylor_sum(draw, domain, n, draw(KINDS), draw(KINDS), 2, draw(st.booleans()))
 
 
 @settings(max_examples=10, deadline=None)  # the largest cases: half the time is the seed kernel's composition
 @given(st.data())
 def test_taylor_sum_agrees_with_the_seed_kernel_on_every_mask_of_d3(data):
-    # a cubic outer map has nonzero third derivatives, so the weights of the three-mask set are read
+    # a cubic outer scalar part has nonzero third derivatives, so the weights of the three-mask set are read
     draw = data.draw
-    _check_taylor_sum(draw, D3, draw(st.integers(min_value=1, max_value=3)), draw(KINDS), 3, True)
+    _check_taylor_sum(draw, D3, draw(st.integers(min_value=1, max_value=3)), "cubic", draw(KINDS), 3, True)
+
+
+@pytest.mark.parametrize("side", ["outer", "inner"])
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_taylor_sum_agrees_with_the_seed_kernel_at_an_identity_jet(side, data):
+    draw = data.draw
+    kinds = ("identity jet", draw(KINDS)) if side == "outer" else (draw(KINDS), "identity jet")
+    domain = draw(st.sampled_from(TAYLOR_DOMAINS))
+    _check_taylor_sum(draw, domain, draw(st.integers(min_value=1, max_value=3)), *kinds, 2, draw(st.booleans()))
+
+
+def _derivative_calls(monkeypatch):
+    calls = []
+    derivative = Poly.derivative
+    monkeypatch.setattr(Poly, "derivative", lambda p, i: calls.append(p) or derivative(p, i))
+    return calls
+
+
+@pytest.mark.parametrize("domain", [D2, D3], ids=["D^2", "D^3"])
+def test_a_product_of_flows_takes_no_derivative_of_the_identity(monkeypatch, domain):
+    # the outer flow's identity scalar part contributes the inner flow itself
+    x, y = ag(P2, "x0*x1; 1 - x0"), ag(P2, "x1^2; x0")
+    d = generators(domain)
+    outer, inner = section_at(x, d[0]), section_at(y, reduce(mul, d[1:]))
+    calls = _derivative_calls(monkeypatch)
+    product = star(outer, inner)
+    assert calls and not any(p is c for p in calls for c in identity_map(2))
+    assert all(a is b for a, b in zip(product.data[0], identity_map(2)))
+
+
+def test_an_identity_jet_on_either_side_returns_the_other_operand(monkeypatch):
+    jet = P2.random_section(random.Random(0), D2, 2).data
+    flow = section_at(ag(P2, "x0*x1; 1 - x0"), generators(D2)[0]).data
+    ident = P2.identity_data(D2)
+    calls = _derivative_calls(monkeypatch)
+    for other in (jet, flow, ident):
+        assert groupoids._compose(other, ident) is other
+        assert groupoids._compose(ident, other) is other
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -1125,7 +1172,7 @@ def test_the_identity_scalar_part_takes_no_determinant(monkeypatch):
     calls = _determinant_calls(monkeypatch)
     product = star(section_at(x, d1), section_at(y, d2))  # flows and their product: identity scalar parts
     assert isinstance(product, WBisection)
-    assert all(a is b for a, b in zip(product.data[0], identity_map(2)))  # a product with 1 keeps the factor
+    assert all(a is b for a, b in zip(product.data[0], identity_map(2)))  # the inner flow's own scalar part
     equal = (Poly(2, {(1, 0): 1}), Poly(2, {(0, 1): 1}))  # equal to the identity, not the same objects
     WBisection(P2, D, Jet(D, {0: equal, 1: equal}))
     assert calls == []

@@ -49,6 +49,27 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 parse_groupoid_spec(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["pair:dim=\u0663:deg=\u0662", "pair:dim=\uff12", "pair:deg= 2", "pair:deg=2 ", "pair:dim=0_2",
+         "pair:dim=+2", "pair:dim=", "pair:dim=-", "pair:dim=--2", "gauge:base=\u0662:k=2"],
+        ids=["arabic-indic", "fullwidth", "leading-space", "trailing-space", "underscore", "plus", "empty",
+             "bare-minus", "double-minus", "gauge-arabic-indic"],
+    )
+    def test_option_values_are_ascii_integers(self, text, capsys):
+        with pytest.raises(ConfigError, match="non-integer value in groupoid option"):
+            parse_groupoid_spec(text)
+        assert main(["verify", "--groupoid", text, "--trials", "0"]) == 2
+        assert "non-integer value" in capsys.readouterr().err
+
+    def test_negative_option_values_get_the_bounds_messages(self):
+        assert parse_groupoid_spec("pair:dim=-1:deg=-2") == (PairGroupoid(-1), -2)
+        with pytest.raises(ConfigError, match="dimension must be between 1 and 3"):
+            config("pair:dim=-1:deg=2")
+        with pytest.raises(ConfigError, match="field degree must be between"):
+            config("pair:dim=2:deg=-2")
+        assert parse_groupoid_spec("pair:dim=02:deg=0") == (PairGroupoid(2), 0)
+
     def test_bounds(self):
         with pytest.raises(ConfigError):
             config("pair:dim=5:deg=2")
