@@ -107,9 +107,9 @@ from .poly import (
     Exponents,
     Poly,
     _linear_combination,
+    _monomial_text,
     affine_row,
     compose_map,
-    format_terms,
     from_numerators,
     identity_map,
     numerators,
@@ -220,6 +220,33 @@ def _rand_fiber(rng: random.Random, k: int, domain: InfinitesimalDomain) -> dict
 MAX_FIELD_DEGREE = 3  # largest degree of a pair-groupoid vector field, in verify and bracket
 
 
+def _not_int(**values: object) -> str | None:
+    """A message naming the first of ``values`` that is not an ``int`` (a ``bool`` is not one), or None."""
+    for name, value in values.items():
+        if type(value) is not int:
+            return f"{name} must be an integer, got {value!r}"
+    return None
+
+
+def _format_terms(terms: Mapping[Exponents, WeilElement]) -> str:
+    """A polynomial with Weil coefficients, written ``c*x0^2 + ...`` by degree, then exponents."""
+    if not terms:
+        return "0"
+    parts = []
+    for e in sorted(terms, key=lambda t: (sum(t), t)):
+        c = terms[e]
+        body = _monomial_text(e)
+        cs = str(c)
+        needs_parens = " " in cs or not c.is_scalar
+        if not body:
+            parts.append(f"({cs})" if needs_parens else cs)
+        elif c == WeilElement.one(c.domain):
+            parts.append(body)
+        else:
+            parts.append(f"({cs})*{body}" if needs_parens else f"{cs}*{body}")
+    return " + ".join(parts)
+
+
 # -- the two groupoids ------------------------------------------------------------
 
 
@@ -240,6 +267,8 @@ class PairGroupoid:
         return f"pair:dim={self.dim}:deg={degree}"
 
     def bounds_error(self, degree: int) -> str | None:
+        if problem := _not_int(dim=self.dim):
+            return problem
         if not 1 <= self.dim <= 3:
             return "pair groupoid dimension must be between 1 and 3"
         if not 0 <= degree <= MAX_FIELD_DEGREE:
@@ -305,7 +334,7 @@ class PairGroupoid:
             for (i, e), n in cs.items():
                 comps[i].setdefault(e, {})[b] = Fraction(n, den)
         terms = ({e: WeilElement.from_masks(data.domain, cs) for e, cs in comp.items()} for comp in comps)
-        return f"x -> ({'; '.join(map(format_terms, terms))})"
+        return f"x -> ({'; '.join(map(_format_terms, terms))})"
 
     # -- coefficient view: one slot per (component, exponent tuple) term; no shape --------
 
@@ -396,6 +425,8 @@ class TrivialGaugeGroupoid:
         return f"gauge:base={self.base_size}:k={self.matrix_size}"
 
     def bounds_error(self, degree: int) -> str | None:
+        if problem := _not_int(base_size=self.base_size, matrix_size=self.matrix_size):
+            return problem
         if not 1 <= self.base_size <= 4:
             return "gauge base size must be between 1 and 4"
         if not 1 <= self.matrix_size <= 3:

@@ -35,6 +35,7 @@ from .groupoids import (
     TrivialGaugeGroupoid,
     WBisection,
     WSection,
+    _not_int,
     _rand_element,
     _rand_int,
     compose_arrows,
@@ -76,6 +77,8 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if self.suite not in SUITE_IDS and self.suite != "all":
             raise ConfigError(f"unknown suite {self.suite!r}; expected one of {('all',) + SUITE_IDS}")
+        if problem := _not_int(trials=self.trials, seed=self.seed, degree=self.degree):
+            raise ConfigError(problem)
         if not 0 <= self.trials <= MAX_TRIALS:
             raise ConfigError(f"trials must be between 0 and {MAX_TRIALS}, got {self.trials}")
         if not isinstance(self.groupoid, GroupoidInstance):
@@ -361,13 +364,7 @@ def _law_beta_functoriality(env: LawEnv, trial: int) -> None:
             raise LawViolation(sigma=sigma, rho=rho, at=x)
 
 
-_RING_DOMAINS = (
-    LINE,
-    D2,
-    AXES2,
-    D3,
-    InfinitesimalDomain(3, [(1, 3), (2, 3)]),
-)
+_RING_DOMAINS = (LINE, D2, AXES2, D3, liealg.WITNESS_DOMAIN)
 
 
 @law("module", "ring-laws", "engine: exact ring laws of the nilpotent algebra")
@@ -620,17 +617,13 @@ def _law_relative_difference_equivalence(env: LawEnv, trial: int) -> None:
                 raise LawViolation(space=space, axis=axis, plus=plus, minus=minus)
 
 
-_C12_CLASS = {"123": 0, "132": 0, "312": 0, "321": 1, "231": 1, "213": 1}
-_C23_CLASS = {"123": 0, "213": 0, "231": 0, "132": 1, "312": 1, "321": 1}
-_C13_CLASS = {"123": 0, "132": 0, "213": 0, "312": 1, "321": 1, "231": 1}
-
-
 def _rand_compatible_six(rng: random.Random) -> dict[str, WPoint]:
     """Six microcubes in 3-space satisfying all well-definedness preconditions.
 
     The agreement constraints leave free: the shared low coefficients, one
-    pair of values for each two-generator monomial (split along the pinned
-    classes), and six independent top coefficients.
+    pair of values for each two-generator monomial ``di*dj``, i < j (a cube
+    takes the second when j comes before i in its key), and six independent
+    top coefficients.
     """
     def rand_vec():
         return _rand_vec(rng, 3)
@@ -646,9 +639,9 @@ def _rand_compatible_six(rng: random.Random) -> dict[str, WPoint]:
             D3,
             {
                 **shared,
-                frozenset({1, 2}): c12[_C12_CLASS[key]],
-                frozenset({2, 3}): c23[_C23_CLASS[key]],
-                frozenset({1, 3}): c13[_C13_CLASS[key]],
+                frozenset({1, 2}): c12[int(key.index("1") > key.index("2"))],
+                frozenset({2, 3}): c23[int(key.index("2") > key.index("3"))],
+                frozenset({1, 3}): c13[int(key.index("1") > key.index("3"))],
                 frozenset({1, 2, 3}): tops[key],
             },
         )

@@ -20,10 +20,11 @@ constructor, ``coefficient``, the read-only ``coeffs`` mapping,
 ``Fraction`` for coefficients, and :func:`numerators` and
 :func:`from_numerators`, which give and take the integer numerators by
 exponent tuple; :func:`format_poly` writes the input
-grammar of :mod:`microlie.vfexpr` straight from the numerators.  ``terms``
-is ``coeffs`` with each coefficient as a scalar Weil element over the
-point :data:`~microlie.weil.D0`, whose Weil algebra is the rationals
-themselves, built on first read.
+grammar of :mod:`microlie.vfexpr` straight from the numerators.  The
+numerators are the only stored form: ``coeffs``, and ``terms`` (``coeffs``
+with each coefficient as a scalar Weil element over the point
+:data:`~microlie.weil.D0`, read only by the benchmark's tracer), are built
+on each read, and ``str`` prints from the numerators.
 
 A Weil-parametrised family of polynomial maps is not a polynomial with
 Weil coefficients here: the pair groupoid stores it as a jet, one rational
@@ -104,7 +105,7 @@ class Poly(Immutable):
     denominator, in lowest terms (see the module docstring).
     """
 
-    __slots__ = ("nvars", "_num", "_den", "_coeffs", "_terms")
+    __slots__ = ("nvars", "_num", "_den")
     _linear_combination = staticmethod(_linear_combination)  # Jet.image reads it from a polynomial part's type
 
     def __init__(self, nvars: int, terms: Mapping[Iterable[int], Rational] | None = None) -> None:
@@ -205,21 +206,13 @@ class Poly(Immutable):
     @property
     def coeffs(self) -> Mapping[Exponents, Fraction]:
         """Read-only map from each exponent tuple with a nonzero coefficient to that coefficient."""
-        view = self._coeffs
-        if view is None:
-            den, nvars = self._den, self.nvars
-            view = MappingProxyType({_exponents(key, nvars): _frac(n, den) for key, n in self._num.items()})
-            _set_coeffs(self, view)
-        return view
+        den, nvars = self._den, self.nvars
+        return MappingProxyType({_exponents(key, nvars): _frac(n, den) for key, n in self._num.items()})
 
     @property
     def terms(self) -> Mapping[Exponents, WeilElement]:
         """``coeffs`` with each coefficient as a scalar Weil element over the point ``D0``."""
-        view = self._terms
-        if view is None:
-            view = MappingProxyType({e: WeilElement.scalar(D0, c) for e, c in self.coeffs.items()})
-            _set_terms(self, view)
-        return view
+        return MappingProxyType({e: WeilElement.scalar(D0, c) for e, c in self.coeffs.items()})
 
     @property
     def degree(self) -> int:
@@ -243,7 +236,15 @@ class Poly(Immutable):
         return hash((self.nvars, self._den, frozenset(self._num.items())))
 
     def __str__(self) -> str:
-        return format_terms(self.terms)
+        """``c*x0^2 + ...`` by degree, then exponents: the order of the packed keys."""
+        if not self._num:
+            return "0"
+        nvars, den = self.nvars, self._den
+        parts = []
+        for key in sorted(self._num):
+            c, body = _frac(self._num[key], den), _monomial_text(_exponents(key, nvars))
+            parts.append(str(c) if not body else body if c == 1 else f"{c}*{body}")
+        return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars} vars over {D0!r}; {self})"
@@ -252,8 +253,6 @@ class Poly(Immutable):
 _set_nvars = Poly.nvars.__set__
 _set_num = Poly._num.__set__
 _set_den = Poly._den.__set__
-_set_coeffs = Poly._coeffs.__set__
-_set_terms = Poly._terms.__set__
 _new = object.__new__
 
 
@@ -261,8 +260,6 @@ def _init(out: Poly, nvars: int, num: dict[int, int], den: int) -> None:
     _set_nvars(out, nvars)
     _set_num(out, num)
     _set_den(out, den)
-    _set_coeffs(out, None)
-    _set_terms(out, None)
 
 
 def _make(nvars: int, num: dict[int, int], den: int) -> Poly:
@@ -341,24 +338,9 @@ def from_numerators(nvars: int, num: Mapping[Exponents, int], den: int) -> Poly:
     return _reduced(nvars, {_key(e, nvars): n for e, n in num.items()}, den)
 
 
-def format_terms(terms: Mapping[Exponents, WeilElement]) -> str:
-    """A polynomial with Weil coefficients, written ``c*x0^2 + ...`` by degree, then exponents."""
-    if not terms:
-        return "0"
-    parts = []
-    for e in sorted(terms, key=lambda t: (sum(t), t)):
-        c = terms[e]
-        names = [f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k]
-        body = "*".join(names)
-        cs = str(c)
-        needs_parens = " " in cs or not c.is_scalar
-        if not body:
-            parts.append(f"({cs})" if needs_parens else cs)
-        elif c == WeilElement.one(c.domain):
-            parts.append(body)
-        else:
-            parts.append(f"({cs})*{body}" if needs_parens else f"{cs}*{body}")
-    return " + ".join(parts)
+def _monomial_text(e: Exponents) -> str:
+    """The monomial with exponents ``e``, written ``x0^2*x1``; empty for the constant one."""
+    return "*".join(f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k)
 
 
 def format_poly(p: Poly) -> str:
@@ -377,8 +359,8 @@ def format_poly(p: Poly) -> str:
         a = abs(n)
         g = gcd(a, den)
         c = str(a // g) if g == den else f"{a // g}/{den // g}"
-        names = [f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(_exponents(key, nvars)) if k]
-        body = "*".join(names if a == den else [c, *names]) if names else c
+        body = _monomial_text(_exponents(key, nvars))
+        body = c if not body else body if a == den else f"{c}*{body}"
         if parts:
             body = ("+ " if n > 0 else "- ") + body
         elif n < 0:

@@ -193,13 +193,6 @@ class Tangent(Immutable):
         return f"Tangent(base={self.base}, direction={self.direction})"
 
 
-def tangent_from_parts(space: Space, base: Sequence[Rational], direction: Sequence[Rational]) -> Tangent:
-    try:
-        return Tangent(WPoint(space, LINE, {SCALAR: base, frozenset({1}): direction}))
-    except MembershipError as exc:
-        raise InternalInvariantError(f"tangent escapes the space: {exc}") from exc
-
-
 # -- restriction -----------------------------------------------------------------
 
 

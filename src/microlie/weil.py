@@ -151,7 +151,7 @@ class InfinitesimalDomain(Immutable):
     does the multiplication table ``_products``, derived from it once.
     """
 
-    __slots__ = ("generator_count", "zero_monomials", "masks", "_monomials", "_monomial_of", "_products")
+    __slots__ = ("generator_count", "zero_monomials", "masks", "_monomials", "_products")
 
     def __new__(cls, generator_count: int, zero_monomials: Iterable[Iterable[int]] = ()) -> "InfinitesimalDomain":
         generator_count = index(generator_count)
@@ -189,7 +189,6 @@ class InfinitesimalDomain(Immutable):
         object.__setattr__(self, "zero_monomials", key[1])
         object.__setattr__(self, "masks", frozenset(ok))
         object.__setattr__(self, "_monomials", tuple(named))
-        object.__setattr__(self, "_monomial_of", {_mask(m): m for m in named})
         products = {b1: {b2: b1 | b2 for b2 in ok if not b1 & b2 and b1 | b2 in self.masks} for b1 in ok}
         object.__setattr__(self, "_products", products)
         _DOMAINS[key] = self
@@ -399,12 +398,12 @@ class WeilElement(Immutable):
 
     ``jet`` is the :class:`Jet` whose part on each surviving mask is the
     1-tuple of its monomial's integer numerator over ``jet.den``, in the
-    jet's normal form, so equality is structural.  ``coeffs`` is the
-    read-only map from monomials to nonzero ``Fraction`` coefficients, built
-    on first read.
+    jet's normal form, so equality is structural.  The jet is all it
+    stores: ``coeffs``, the read-only map from monomials to nonzero
+    ``Fraction`` coefficients, is built on each read.
     """
 
-    __slots__ = ("jet", "_view")
+    __slots__ = ("jet",)
 
     def __init__(
         self,
@@ -497,13 +496,7 @@ class WeilElement(Immutable):
     @property
     def coeffs(self) -> Mapping[Monomial, Fraction]:
         """Read-only map from each monomial with a nonzero coefficient to that coefficient."""
-        try:
-            return self._view
-        except AttributeError:  # the slot is filled on first read
-            sets = self.jet.domain._monomial_of
-            view = MappingProxyType({sets[m]: c for m, c in self.mask_coeffs().items()})
-            object.__setattr__(self, "_view", view)
-            return view
+        return MappingProxyType({frozenset(_indices(m)): c for m, c in self.mask_coeffs().items()})
 
     def mask_coeffs(self) -> dict[int, Fraction]:
         """``coeffs`` keyed by monomial mask (see ``InfinitesimalDomain.masks``), as a new dict."""

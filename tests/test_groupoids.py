@@ -11,7 +11,7 @@ from operator import add, mul
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from microlie import groupoids, liealg, matrices, poly
 from microlie.groupoids import (
@@ -599,6 +599,37 @@ def test_taylor_sum_agrees_with_the_seed_kernel_at_an_identity_jet(side, data):
     kinds = ("identity jet", draw(KINDS)) if side == "outer" else (draw(KINDS), "identity jet")
     domain = draw(st.sampled_from(TAYLOR_DOMAINS))
     _check_taylor_sum(draw, domain, draw(st.integers(min_value=1, max_value=3)), *kinds, 2, draw(st.booleans()))
+
+
+PRINTED_COEFFS = st.one_of(
+    st.sampled_from([0, 1, -1]), SMALL, st.fractions(min_value=-40, max_value=40, max_denominator=30)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(st.just(n), st.dictionaries(st.sampled_from(_exponents(n, 3)), PRINTED_COEFFS))
+    )
+)
+@example((2, {}))
+@example((1, {(0,): 0, (1,): 0}))
+@example((1, {(0,): 1}))
+@example((2, {(0, 0): Fraction(-5, 3), (1, 0): -1, (0, 1): 1, (2, 1): Fraction(7, 2)}))
+def test_a_polynomial_prints_as_the_seed_kernel(case):
+    # the seed printed through a polynomial with Weil coefficients over the point; a polynomial now prints itself
+    n, terms = case
+    assert str(Poly(n, terms)) == str(REF_POLY.Poly(n, REF_WEIL.InfinitesimalDomain(0), terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_pair_section_prints_as_the_seed_kernel(data):
+    draw = data.draw
+    domain = draw(st.sampled_from(TAYLOR_DOMAINS))
+    n = draw(st.integers(min_value=1, max_value=3))
+    jet, ref = _both_kernels(PairGroupoid(n), domain, _map_terms(draw, domain, n, draw(KINDS), 2))
+    assert PairGroupoid(n).section_repr(jet) == f"x -> ({'; '.join(map(str, ref))})"
 
 
 def _derivative_calls(monkeypatch):

@@ -90,6 +90,29 @@ class TestConfig:
         assert f"between 0 and {MAX_TRIALS}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        ("groupoid", "options", "message"),
+        [
+            (PairGroupoid(2.0), {}, "dim must be an integer, got 2.0"),
+            (PairGroupoid(True), {}, "dim must be an integer, got True"),
+            (PairGroupoid(2), {"degree": 1.5}, "degree must be an integer, got 1.5"),
+            (PairGroupoid(2), {"degree": True}, "degree must be an integer, got True"),
+            (TrivialGaugeGroupoid(2.0, 2), {}, "base_size must be an integer, got 2.0"),
+            (TrivialGaugeGroupoid(2, 2.0), {}, "matrix_size must be an integer, got 2.0"),
+            (TrivialGaugeGroupoid(2, 2), {"degree": 0.0}, "degree must be an integer, got 0.0"),
+            (PairGroupoid(2), {"trials": 2.5}, "trials must be an integer, got 2.5"),
+            (PairGroupoid(2), {"trials": True}, "trials must be an integer, got True"),
+            (PairGroupoid(2), {"trials": "3"}, "trials must be an integer, got '3'"),
+            (PairGroupoid(2), {"seed": 1.0}, "seed must be an integer, got 1.0"),
+            (PairGroupoid(2), {"seed": False}, "seed must be an integer, got False"),
+        ],
+    )
+    def test_sizes_counts_and_seeds_are_integers(self, groupoid, options, message):
+        # configs are only built: a bad value is a ConfigError before any law runs, never a law failure
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SuiteConfig(suite="all", groupoid=groupoid, **options)
+
+
 def triple(cfg, trial, law="generate"):
     return LawEnv(cfg, cfg.suite, bracket, law).triple(trial)
 

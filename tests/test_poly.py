@@ -5,7 +5,7 @@ from operator import add, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microlie import poly
+from microlie import poly, weil
 from microlie.groupoids import PairGroupoid, WSection, star
 from microlie.poly import (
     MAX_DEGREE,
@@ -133,6 +133,17 @@ def test_terms_are_read_only():
             del view[next(iter(view))]
     assert p == Poly(1, {(1,): 1})
     assert jet == pair_data(P1, D, {(1,): 1, (2,): WeilElement.generator(D, 1)})
+
+
+def test_a_polynomial_prints_its_own_coefficients(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Weil element was built")
+
+    monkeypatch.setattr(weil, "_element", refuse)
+    monkeypatch.setattr(WeilElement, "__init__", refuse)
+    p = Poly(2, {(0, 0): Fraction(-1, 2), (1, 0): 1, (1, 1): -1, (0, 2): Fraction(6, 4)})
+    assert str(p) == "-1/2 + x0 + 3/2*x1^2 + -1*x0*x1"
+    assert str(Poly(2, {(0, 0): 1})) == "1" and str(Poly.zero(2)) == "0"
 
 
 def test_equal_polynomials_hash_equally():

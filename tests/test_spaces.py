@@ -11,6 +11,7 @@ from microlie.spaces import (
     CompatibilityError,
     MatrixGroup,
     MembershipError,
+    Tangent,
     WPoint,
     psi,
     relative_strong_difference,
@@ -19,7 +20,6 @@ from microlie.spaces import (
     sigma_perm,
     strong_difference,
     tangent_combine,
-    tangent_from_parts,
 )
 from microlie.weil import LINE, InfinitesimalDomain, RestrictionError, WeilElement, generators, monomial_images
 
@@ -28,6 +28,11 @@ D2 = InfinitesimalDomain(2)
 D3 = InfinitesimalDomain(3)
 A2 = InfinitesimalDomain.first_order(2)
 A3 = AffineSpace(3)
+
+
+def tangent(space, base, direction):
+    """The tangent at ``base`` with ``direction``: a point over ``D``."""
+    return Tangent(WPoint(space, LINE, {(): base, (1,): direction}))
 
 
 def weil_point(space, domain, coords):
@@ -164,7 +169,7 @@ class TestPoints:
         # counterexamples print points and tangents: the coordinates as Weil elements, and Fraction tuples
         p = WPoint(AffineSpace(2), D2, {(): (Fraction(1, 2), 0), (1, 2): (Fraction(-2, 3), 5)})
         assert repr(p) == "WPoint(AffineSpace(dim=2), D^2; 1/2 - 2/3*d1*d2, 5*d1*d2)"
-        t = tangent_from_parts(AffineSpace(2), (Fraction(1, 2), 1), (Fraction(-1, 3), 0))
+        t = tangent(AffineSpace(2), (Fraction(1, 2), 1), (Fraction(-1, 3), 0))
         assert repr(t) == (
             "Tangent(base=(Fraction(1, 2), Fraction(1, 1)), direction=(Fraction(-1, 3), Fraction(0, 1)))"
         )
@@ -312,26 +317,26 @@ class TestRelativeStrongDifference:
 
 class TestTangents:
     def test_combine(self):
-        a = tangent_from_parts(AffineSpace(2), (0, 0), (1, 0))
-        b = tangent_from_parts(AffineSpace(2), (0, 0), (0, 1))
+        a = tangent(AffineSpace(2), (0, 0), (1, 0))
+        b = tangent(AffineSpace(2), (0, 0), (0, 1))
         assert tangent_combine(a, b).direction == (1, 1)
         assert tangent_combine(b, b).direction == (0, 2)
         directions = ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
-        half, third = (tangent_from_parts(AffineSpace(2), (1, 0), v) for v in directions)
+        half, third = (tangent(AffineSpace(2), (1, 0), v) for v in directions)
         total = tangent_combine(half, third)  # over the lcm of the denominators 2 and 3
         assert total.base == (1, 0) and total.direction == (Fraction(1, 2), Fraction(1, 3))
         assert_integer_jet(total.point)
 
     def test_base_mismatch(self):
-        a = tangent_from_parts(AffineSpace(1), (0,), (1,))
-        b = tangent_from_parts(AffineSpace(1), (1,), (1,))
+        a = tangent(AffineSpace(1), (0,), (1,))
+        b = tangent(AffineSpace(1), (1,), (1,))
         with pytest.raises(ValueError):
             tangent_combine(a, b)
 
     def test_equal_tangents_hash_equal(self):
-        a = tangent_from_parts(AffineSpace(1), [1], [2])
-        b = tangent_from_parts(AffineSpace(1), [Fraction(2, 2)], (Fraction(4, 2),))
-        c = tangent_from_parts(AffineSpace(1), [1], [3])
+        a = tangent(AffineSpace(1), [1], [2])
+        b = tangent(AffineSpace(1), [Fraction(2, 2)], (Fraction(4, 2),))
+        c = tangent(AffineSpace(1), [1], [3])
         assert a == b and hash(a) == hash(b)
         assert {a, b, c} == {a, c} and len({a, b, c}) == 2
 

@@ -383,7 +383,10 @@ class TestImmutability:
         x = w(D2, {(): Fraction(1, 2), (2, 1): 3})
         assert dict(x.coeffs) == {frozenset(): Fraction(1, 2), frozenset({1, 2}): Fraction(3)}
         assert all(type(c) is Fraction for c in x.coeffs.values())
-        assert x.coeffs is x.coeffs  # built once, then cached
+        assert x.coeffs == x.coeffs  # built from the jet on each read
+        with pytest.raises(TypeError):
+            x.coeffs[frozenset({1})] = 1
+        assert dict(x.coeffs) == {frozenset(): Fraction(1, 2), frozenset({1, 2}): Fraction(3)}
 
     def test_equal_values_hash_equally(self):
         a, b = w(D2, {(): 2, (1,): 1}), w(D2, {(2,): Fraction(1, 3)})
