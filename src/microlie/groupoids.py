@@ -63,7 +63,9 @@ Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
 methods, and never ask which groupoid they hold.  A new groupoid provides:
 
 * ``spec(degree)``, ``bounds_error(degree)`` and ``sample_spaces()`` for
-  the harness configuration;
+  the harness configuration.  A groupoid built with a size that is not an
+  ``int`` raises ``TypeError``; the ranges that ``bounds_error`` reports
+  are what ``verify`` and ``bracket`` accept, not what the groupoid needs;
 * ``fiber_product`` and ``arrow_at`` for arrows;
 * ``section_data`` (validate and normalise), ``check_bisection``,
   ``identity_data``, ``star_data``, ``inverse_data``, ``flow_data``,
@@ -104,7 +106,6 @@ from typing import Sequence
 from .matrices import Matrix, _adjugate, _determinant
 from .oracles import PolyVectorField, classical_vf_bracket, matrix_table_bracket
 from .poly import (
-    Exponents,
     Poly,
     _linear_combination,
     _monomial_text,
@@ -228,14 +229,14 @@ def _not_int(**values: object) -> str | None:
     return None
 
 
-def _format_terms(terms: Mapping[Exponents, WeilElement]) -> str:
-    """A polynomial with Weil coefficients, written ``c*x0^2 + ...`` by degree, then exponents."""
+def _format_terms(terms: Mapping[int, WeilElement], nvars: int) -> str:
+    """A polynomial with Weil coefficients by packed key, written ``c*x0^2 + ...`` by degree, then exponents."""
     if not terms:
         return "0"
     parts = []
-    for e in sorted(terms, key=lambda t: (sum(t), t)):
-        c = terms[e]
-        body = _monomial_text(e)
+    for key in sorted(terms):
+        c = terms[key]
+        body = _monomial_text(key, nvars)
         cs = str(c)
         needs_parens = " " in cs or not c.is_scalar
         if not body:
@@ -263,12 +264,14 @@ class PairGroupoid:
 
     dim: int
 
+    def __post_init__(self) -> None:
+        if problem := _not_int(dim=self.dim):
+            raise TypeError(problem)
+
     def spec(self, degree: int) -> str:
         return f"pair:dim={self.dim}:deg={degree}"
 
     def bounds_error(self, degree: int) -> str | None:
-        if problem := _not_int(dim=self.dim):
-            return problem
         if not 1 <= self.dim <= 3:
             return "pair groupoid dimension must be between 1 and 3"
         if not 0 <= degree <= MAX_FIELD_DEGREE:
@@ -328,13 +331,13 @@ class PairGroupoid:
         return change(data)
 
     def section_repr(self, data) -> str:
-        comps: list[dict[Exponents, dict[int, Fraction]]] = [{} for _ in range(self.dim)]
-        _, view, den = self.slots(data)
-        for b, cs in view.items():
-            for (i, e), n in cs.items():
-                comps[i].setdefault(e, {})[b] = Fraction(n, den)
-        terms = ({e: WeilElement.from_masks(data.domain, cs) for e, cs in comp.items()} for comp in comps)
-        return f"x -> ({'; '.join(map(_format_terms, terms))})"
+        comps: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(self.dim)]
+        for b, part in data.items():
+            for comp, p in zip(comps, part):
+                for key, n in p._num.items():
+                    comp.setdefault(key, {})[b] = Fraction(n, p._den)
+        terms = ({key: WeilElement.from_masks(data.domain, cs) for key, cs in comp.items()} for comp in comps)
+        return f"x -> ({'; '.join(_format_terms(t, self.dim) for t in terms)})"
 
     # -- coefficient view: one slot per (component, exponent tuple) term; no shape --------
 
@@ -421,12 +424,14 @@ class TrivialGaugeGroupoid:
     base_size: int
     matrix_size: int
 
+    def __post_init__(self) -> None:
+        if problem := _not_int(base_size=self.base_size, matrix_size=self.matrix_size):
+            raise TypeError(problem)
+
     def spec(self, degree: int) -> str:
         return f"gauge:base={self.base_size}:k={self.matrix_size}"
 
     def bounds_error(self, degree: int) -> str | None:
-        if problem := _not_int(base_size=self.base_size, matrix_size=self.matrix_size):
-            return problem
         if not 1 <= self.base_size <= 4:
             return "gauge base size must be between 1 and 4"
         if not 1 <= self.matrix_size <= 3:

@@ -16,28 +16,31 @@ degree, then exponents.  Every digit is at most the total degree, so a
 degree at most :data:`MAX_DEGREE` never carries; a product above it raises
 ``OverflowError``.  Exponent tuples appear only at the API edges: the
 constructor, ``coefficient``, the read-only ``coeffs`` mapping,
-``derivative``'s variable, ``degree`` and ``str``, which speak
-``Fraction`` for coefficients, and :func:`numerators` and
-:func:`from_numerators`, which give and take the integer numerators by
-exponent tuple; :func:`format_poly` writes the input
-grammar of :mod:`microlie.vfexpr` straight from the numerators.  The
-numerators are the only stored form: ``coeffs``, and ``terms`` (``coeffs``
-with each coefficient as a scalar Weil element over the point
+``derivative``'s variable and ``degree``, which speak ``Fraction`` for
+coefficients, and :func:`numerators` and :func:`from_numerators`, which
+give and take the integer numerators by exponent tuple.  The numerators
+are the only stored form: ``coeffs``, and ``terms`` (``coeffs`` with each
+coefficient as a scalar Weil element over the point
 :data:`~microlie.weil.D0`, read only by the benchmark's tracer), are built
-on each read, and ``str`` prints from the numerators.
+on each read.  ``str`` and :func:`format_poly` (the input grammar of
+:mod:`microlie.vfexpr`) print from the numerators, and write each
+monomial straight from the digits of its key.
 
 A Weil-parametrised family of polynomial maps is not a polynomial with
 Weil coefficients here: the pair groupoid stores it as a jet, one rational
 polynomial map per Weil monomial (see :mod:`microlie.groupoids`).
 
 Two loops accumulate numerators over one denominator, reduced once:
-:func:`sum_of_products` sums products (every product and power, and the
-pair groupoid's Taylor sums), and the private ``_linear_combination`` sums
-integer multiples over an integer (``+``, ``-``, scaling by a rational, the
-parser's sums, ``Jet.image`` on a pair section, :func:`compose_map` and
-``formal_inverse``).  A polynomial is immutable, so one product with the
-polynomial 1 (frequent: a flow's scalar part is the identity) is the other
-factor itself; so is one term ``1 * p`` over 1, and so ``p * 1``.
+:func:`sum_of_products` sums products (every product and power of
+polynomials, and the pair groupoid's Taylor sums), and the private
+``_linear_combination`` sums integer multiples over an integer (``+``,
+``-``, scaling by a rational, the parser's sums, ``Jet.image`` on a pair
+section, :func:`compose_map` and ``formal_inverse``).  The parser
+multiplies the numbers and variables of a term as monomials, by adding
+keys, and calls :func:`sum_of_products` only for a parenthesised factor.
+A polynomial is immutable, so one product with the polynomial 1
+(frequent: a flow's scalar part is the identity) is the other factor
+itself; so is one term ``1 * p`` over 1, and so ``p * 1``.
 """
 
 from __future__ import annotations
@@ -242,7 +245,7 @@ class Poly(Immutable):
         nvars, den = self.nvars, self._den
         parts = []
         for key in sorted(self._num):
-            c, body = _frac(self._num[key], den), _monomial_text(_exponents(key, nvars))
+            c, body = _frac(self._num[key], den), _monomial_text(key, nvars)
             parts.append(str(c) if not body else body if c == 1 else f"{c}*{body}")
         return " + ".join(parts)
 
@@ -338,9 +341,16 @@ def from_numerators(nvars: int, num: Mapping[Exponents, int], den: int) -> Poly:
     return _reduced(nvars, {_key(e, nvars): n for e, n in num.items()}, den)
 
 
-def _monomial_text(e: Exponents) -> str:
-    """The monomial with exponents ``e``, written ``x0^2*x1``; empty for the constant one."""
-    return "*".join(f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k)
+def _monomial_text(key: int, nvars: int) -> str:
+    """The monomial with packed key ``key``, written ``x0^2*x1``; empty for the constant one."""
+    text = []
+    shift = _W * nvars
+    for i in range(nvars):
+        shift -= _W
+        k = key >> shift & MAX_DEGREE
+        if k:
+            text.append(f"x{i}^{k}" if k > 1 else f"x{i}")
+    return "*".join(text)
 
 
 def format_poly(p: Poly) -> str:
@@ -359,7 +369,7 @@ def format_poly(p: Poly) -> str:
         a = abs(n)
         g = gcd(a, den)
         c = str(a // g) if g == den else f"{a // g}/{den // g}"
-        body = _monomial_text(_exponents(key, nvars))
+        body = _monomial_text(key, nvars)
         body = c if not body else body if a == den else f"{c}*{body}"
         if parts:
             body = ("+ " if n > 0 else "- ") + body

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -93,24 +94,25 @@ class TestConfig:
     @pytest.mark.parametrize(
         ("groupoid", "options", "message"),
         [
-            (PairGroupoid(2.0), {}, "dim must be an integer, got 2.0"),
-            (PairGroupoid(True), {}, "dim must be an integer, got True"),
-            (PairGroupoid(2), {"degree": 1.5}, "degree must be an integer, got 1.5"),
-            (PairGroupoid(2), {"degree": True}, "degree must be an integer, got True"),
-            (TrivialGaugeGroupoid(2.0, 2), {}, "base_size must be an integer, got 2.0"),
-            (TrivialGaugeGroupoid(2, 2.0), {}, "matrix_size must be an integer, got 2.0"),
-            (TrivialGaugeGroupoid(2, 2), {"degree": 0.0}, "degree must be an integer, got 0.0"),
-            (PairGroupoid(2), {"trials": 2.5}, "trials must be an integer, got 2.5"),
-            (PairGroupoid(2), {"trials": True}, "trials must be an integer, got True"),
-            (PairGroupoid(2), {"trials": "3"}, "trials must be an integer, got '3'"),
-            (PairGroupoid(2), {"seed": 1.0}, "seed must be an integer, got 1.0"),
-            (PairGroupoid(2), {"seed": False}, "seed must be an integer, got False"),
+            (partial(PairGroupoid, 2.0), {}, "dim must be an integer, got 2.0"),
+            (partial(PairGroupoid, True), {}, "dim must be an integer, got True"),
+            (partial(PairGroupoid, 2), {"degree": 1.5}, "degree must be an integer, got 1.5"),
+            (partial(PairGroupoid, 2), {"degree": True}, "degree must be an integer, got True"),
+            (partial(TrivialGaugeGroupoid, 2.0, 2), {}, "base_size must be an integer, got 2.0"),
+            (partial(TrivialGaugeGroupoid, 2, 2.0), {}, "matrix_size must be an integer, got 2.0"),
+            (partial(TrivialGaugeGroupoid, 2, 2), {"degree": 0.0}, "degree must be an integer, got 0.0"),
+            (partial(PairGroupoid, 2), {"trials": 2.5}, "trials must be an integer, got 2.5"),
+            (partial(PairGroupoid, 2), {"trials": True}, "trials must be an integer, got True"),
+            (partial(PairGroupoid, 2), {"trials": "3"}, "trials must be an integer, got '3'"),
+            (partial(PairGroupoid, 2), {"seed": 1.0}, "seed must be an integer, got 1.0"),
+            (partial(PairGroupoid, 2), {"seed": False}, "seed must be an integer, got False"),
         ],
     )
     def test_sizes_counts_and_seeds_are_integers(self, groupoid, options, message):
-        # configs are only built: a bad value is a ConfigError before any law runs, never a law failure
-        with pytest.raises(ConfigError, match=f"^{message}$"):
-            SuiteConfig(suite="all", groupoid=groupoid, **options)
+        # configs are only built: a bad count or seed is a ConfigError before any law runs, never a law
+        # failure, and a bad size is the groupoid's TypeError, raised when it is built
+        with pytest.raises(ConfigError if options else TypeError, match=f"^{message}$"):
+            SuiteConfig(suite="all", groupoid=groupoid(), **options)
 
 
 def triple(cfg, trial, law="generate"):
@@ -317,8 +319,9 @@ class TestCli:
             # a dense degree-3 field in dimension 6 takes over a minute when it is computed
             ("pair:dim=6", DENSE_CUBIC_6, "dimension must be between 1 and 3"),
             ("pair:dim=2:deg=9", "x0^3; x1^3", "field degree must be between 0 and 3"),
+            ("gauge:base=9:k=2", "1", "error: the bracket command works on the pair groupoid (pair:dim=N)\n"),
         ],
-        ids=["dense-dim-6", "deg-9"],
+        ids=["dense-dim-6", "deg-9", "gauge"],
     )
     def test_bracket_rejects_groupoids_outside_bounds(self, spec, field, message):
         proc = run_bracket_subprocess(spec, field, field)

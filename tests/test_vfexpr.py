@@ -72,6 +72,19 @@ def test_format_round_trip():
     for text in texts:
         fields = parse_vector_field(text, 2)
         assert parse_vector_field(format_vector_field(fields), 2) == fields
+    # monomials are printed from their packed keys: x2, two-digit exponents, a negative rational lead
+    texts = [
+        "-3/7*x0^12*x2^10 + x1^11 - 2; x2^13 - 5/2*x0*x1^10*x2; 1/3 - x0^10*x1^10*x2^10",
+        "-1/2*x2^10; x0^99*x2 + x1^27; -12/5",
+    ]
+    for text in texts:
+        fields = parse_vector_field(text, 3)
+        assert parse_vector_field(format_vector_field(fields), 3) == fields
+    fields = parse_vector_field(texts[0], 3)
+    assert str(fields[1]) == "-5/2*x0*x1^10*x2 + x2^13"
+    assert format_vector_field(fields) == (
+        "-2 + x1^11 - 3/7*x0^12*x2^10; -5/2*x0*x1^10*x2 + x2^13; 1/3 - x0^10*x1^10*x2^10"
+    )
 
 
 def test_degree_limit_checked_before_expansion():
@@ -85,6 +98,11 @@ def test_degree_limit_checked_before_expansion():
         parse_vector_field("2^4*x0", 1, max_degree=3)
     with pytest.raises(VectorFieldSyntaxError, match="position 3: number of 5000 digits is too long"):
         parse_vector_field("x0^" + "1" * 5000, 1, max_degree=3)
+    # each check reads the degree of the product so far, whatever the factors before it
+    with pytest.raises(VectorFieldSyntaxError, match="^position 2: degree 4 is above the degree limit 3$"):
+        parse_vector_field("x0*x1^3; 0; 0", 3, max_degree=3)
+    with pytest.raises(VectorFieldSyntaxError, match="^position 8: degree 4 is above the degree limit 3$"):
+        parse_vector_field("0^0*x0^3*x1; 0; 0", 3, max_degree=3)
 
 
 def test_degree_limit_allows_degree_three_and_no_limit_by_default():
@@ -92,6 +110,9 @@ def test_degree_limit_allows_degree_three_and_no_limit_by_default():
     assert parse_vector_field("(x0+1)^3 - x0^3", 1, max_degree=3) == expanded
     (p,) = parse_vector_field("x0^5 + x0^2*x0^3", 1)
     assert p == Poly(1, {(5,): 2})
+    # a zero factor makes the product so far zero, of degree 0, so the factors after it stay in the limit
+    for text in ("0*x0*x1^3", "x0*0*x1^3", "(x0 - x0)*x1^3"):
+        assert parse_vector_field(f"{text}; 0; 0", 3, max_degree=3) == (Poly.zero(3),) * 3, text
 
 
 @pytest.mark.parametrize(
