@@ -20,9 +20,10 @@ Every constructed section is checked, derived ones included: ``WSection``
 runs the groupoid's ``section_data`` and ``WBisection`` also its
 ``check_bisection``, whether the data comes from a caller or from ``star``,
 ``invert_bisection``, ``substitute``, ``restrict``, ``permute_generators``,
-``section_at`` or a chart.  The checks read integer numerators and build no
-``Fraction``; the jet constructor has already checked the masks, the scalar
-part and the denominator.  Pair
+``section_at`` or a chart.  A memo hit (see :func:`_memoised`) returns a
+section built, and so checked, earlier in the same trial.  The checks read
+integer numerators and build no ``Fraction``; the jet constructor has
+already checked the masks, the scalar part and the denominator.  Pair
 ``section_data`` checks the component shapes; pair ``check_bisection``
 rejects a scalar part with a term of degree above 1 and takes the Bareiss
 determinant of the linear part's numerator rows (clearing each row's
@@ -95,9 +96,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from itertools import chain, product
 from math import gcd, lcm
 from operator import add, itemgetter, mul
@@ -754,6 +756,34 @@ def _check_affine(jet: "Jet") -> list[tuple[tuple[int, ...], int, int]]:
 # -- the section product -------------------------------------------------------------
 
 
+_MEMO: dict | None = None  # the open _memoised() block's values by call, of functions pure on normal forms
+
+
+@contextmanager
+def _memoised():
+    """In the block, equal calls of a ``_memo`` function share one value; a call that raises keeps none."""
+    global _MEMO
+    outer, _MEMO = _MEMO, {}
+    try:
+        yield
+    finally:
+        _MEMO = outer
+
+
+def _memo(fn):
+    @wraps(fn)
+    def cached(*args):
+        if _MEMO is None:
+            return fn(*args)
+        key = (fn, *((type(a), a) for a in args))  # a WSection equals a WBisection of equal data
+        if (value := _MEMO.get(key)) is None:
+            value = _MEMO[key] = fn(*args)
+        return value
+
+    return cached
+
+
+@_memo
 def star(sigma: WSection, rho: WSection) -> WSection:
     """(sigma * rho)(x) = sigma(beta(rho(x))) . rho(x), computed on the data."""
     if sigma.groupoid != rho.groupoid:
@@ -978,6 +1008,7 @@ def formal_inverse(f: Jet) -> Jet:
     raise AssertionError("nilpotent Newton iteration failed to terminate")
 
 
+@_memo
 def invert_bisection(sigma: WSection) -> WBisection:
     """The group inverse: x -> sigma(inverse-target(x)) inverted arrowwise."""
     if not isinstance(sigma, WBisection):
@@ -1038,6 +1069,7 @@ class AGSection(Immutable):
         return f"AGSection({self.groupoid}; {self.groupoid.ag_repr(self.data)})"
 
 
+@_memo
 def section_at(x_section: AGSection, e: WeilElement) -> WBisection:
     """The flow of a Lie algebroid section at a square-zero element.
 

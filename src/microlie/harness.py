@@ -5,7 +5,8 @@ generated from a pinned PRNG (CPython's Mersenne Twister seeded with the
 string ``"{seed}|{suite}|{law}|{trial}"``), so a given build reproduces
 its own runs bit for bit.  Every comparison is exact rational equality;
 a precondition failure inside a law counts as a suite failure and is
-reported with a serialized counterexample.
+reported with a serialized counterexample.  Each trial runs in a memo of its
+own (``groupoids._memoised``), which the trial's end drops.
 
 To add a law, define a function ``(env, trial) -> None`` and decorate it
 with ``@law(suite, name, anchor)``.  A report lists a suite's laws in the
@@ -35,6 +36,7 @@ from .groupoids import (
     TrivialGaugeGroupoid,
     WBisection,
     WSection,
+    _memoised,
     _not_int,
     _rand_element,
     _rand_int,
@@ -792,7 +794,8 @@ def run_suite(config: SuiteConfig, mutation: str = "none") -> Report:
 def _first_counterexample(run: LawFn, env: LawEnv, trials: int) -> dict | None:
     for trial in range(trials):
         try:
-            run(env, trial)
+            with _memoised():
+                run(env, trial)
         except LawViolation as violation:
             return {"trial": trial, **violation.details}
         except Exception as exc:  # precondition failures are suite failures

@@ -30,6 +30,7 @@ from .groupoids import (
     SectionChart,
     WBisection,
     WSection,
+    _memo,
     invert_bisection,
     section_at,
     ag_from_flow,
@@ -75,6 +76,7 @@ def _extract_top_coefficient(section: WSection) -> AGSection:
     return AGSection(section.groupoid, section.groupoid.read_coefficient(section.data, {1, 2}))
 
 
+@_memo
 def bracket(x: AGSection, y: AGSection) -> AGSection:
     """The Lie bracket, read off the commutator microsquare."""
     return _extract_top_coefficient(commutator_square(x, y))

@@ -38,6 +38,9 @@ class PolyVectorField(Immutable):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolyVectorField) and self.components == other.components
 
+    def __hash__(self) -> int:
+        return hash(self.components)
+
     def __repr__(self) -> str:
         return f"PolyVectorField({'; '.join(str(c) for c in self.components)})"
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from microlie import groupoids, liealg, matrices, poly
+from microlie import groupoids, harness, liealg, matrices, poly
 from microlie.groupoids import (
     AGSection,
     Arrow,
@@ -1451,3 +1451,63 @@ def test_the_identity_on_d2_is_the_identity_on_each_axis(groupoid, seed, identit
     ident = WSection.identity(groupoid, D)
     on_each_axis = section.substitute(D, [d, zero]) == ident and section.substitute(D, [zero, d]) == ident
     assert (section.restrict(AXES2) == WSection.identity(groupoid, AXES2)) is on_each_axis
+
+
+# -- the per-trial memo -------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("groupoid", [P2, GG], ids=["pair", "gauge"])
+def test_equal_calls_share_one_value_inside_a_memo_block_only(groupoid):
+    d = WeilElement.generator(D, 1)
+
+    def calls():
+        x, y = (groupoid.random_ag(random.Random(seed), 1) for seed in (4, 5))  # equal each time, built apart
+        sigma, rho = section_at(x, d), WSection(groupoid, D, section_at(y, -d).data)
+        return [section_at(x, d), star(sigma, rho), invert_bisection(sigma), liealg.bracket(x, y)]
+
+    assert groupoids._MEMO is None
+    first, again = calls(), calls()
+    assert first == again and all(a is not b for a, b in zip(first, again))
+    with groupoids._memoised():
+        first, again = calls(), calls()
+        assert first == again and all(a is b for a, b in zip(first, again))
+    assert groupoids._MEMO is None
+
+
+@pytest.mark.parametrize("groupoid", [P2, GG], ids=["pair", "gauge"])
+def test_memo_keys_tell_a_section_from_a_bisection_of_equal_data(groupoid):
+    ident = WSection.identity(groupoid, D)
+    sigma = section_at(groupoid.random_ag(random.Random(4), 1), WeilElement.generator(D, 1))
+    plain = WSection(groupoid, D, sigma.data)
+    with groupoids._memoised():
+        for first, then in ((plain, sigma), (sigma, plain)):
+            assert type(star(ident, first)) is type(first)
+            assert type(star(ident, then)) is type(then)
+
+
+def test_a_call_that_raises_is_not_memoised():
+    x = P2.random_ag(random.Random(4), 1)
+    d1, d2 = generators(D2)
+    not_a_bisection = pair_section(P2, D, {(1, 0): 1}, {(1, 0): 1})  # a singular linear part
+    with groupoids._memoised():
+        for _ in range(2):
+            with pytest.raises(NotDPointError):
+                section_at(x, d1 + d2)
+            with pytest.raises(InvertibilityError):
+                invert_bisection(not_a_bisection)
+        assert groupoids._MEMO == {}
+
+
+def test_leaving_a_memo_block_by_an_exception_restores_the_outer_memo():
+    with groupoids._memoised():
+        outer = groupoids._MEMO
+        with pytest.raises(ZeroDivisionError):
+            with groupoids._memoised():
+                assert groupoids._MEMO is not outer
+                1 / 0
+        assert groupoids._MEMO is outer
+    assert groupoids._MEMO is None
+    groupoid, degree = harness.parse_groupoid_spec("pair:dim=2:deg=2")
+    config = harness.SuiteConfig(suite="bracket", groupoid=groupoid, degree=degree, trials=3, seed=0)
+    assert not harness.run_suite(config, mutation="flip-bracket-sign").ok
+    assert groupoids._MEMO is None

@@ -223,6 +223,20 @@ def test_golden_report(spec, mutation):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[spec, mutation]
 
 
+@pytest.mark.parametrize("mutation", ["none", "flip-bracket-sign"])
+@pytest.mark.parametrize("spec", ["pair:dim=2:deg=2", "gauge:base=2:k=2"])
+def test_each_suite_reports_its_slice_of_all(spec, mutation):
+    # a case depends on (seed, suite, law, trial) alone, so nothing a trial leaves behind reaches another
+    def cases(suite):
+        return [c.to_dict() for c in run_suite(config(spec=spec, suite=suite, trials=3), mutation).cases]
+
+    everything = iter(cases("all"))
+    for suite in SUITE_IDS:
+        alone = cases(suite)
+        assert alone == [next(everything) for _ in alone] and len(alone) == len(SUITES[suite]), suite
+    assert next(everything, None) is None
+
+
 DENSE_CUBIC_6 = "; ".join(["(x0+x1+x2+x3+x4+x5+1)^3"] * 6)
 
 

@@ -443,6 +443,24 @@ def test_read_only_types_refuse_to_set_or_delete_an_attribute(name):
     assert getattr(obj, field) is value
 
 
+def _rebuilt(obj):
+    """A copy of ``obj`` set slot by slot from its fields (a domain, being interned, from its constructor)."""
+    if isinstance(obj, InfinitesimalDomain):
+        return InfinitesimalDomain(obj.generator_count, obj.zero_monomials)
+    copy = object.__new__(type(obj))
+    for cls in type(obj).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            object.__setattr__(copy, slot, getattr(obj, slot))
+    return copy
+
+
+@pytest.mark.parametrize("name", READ_ONLY_TYPES)
+def test_read_only_types_hash_consistently_with_equality(name):
+    (obj, _), (apart, _) = _read_only_instance(name), _read_only_instance(name)
+    copy = _rebuilt(obj)
+    assert obj == apart == copy and hash(obj) == hash(apart) == hash(copy)
+
+
 def test_monomial_images_maps_each_surviving_mask_to_its_image():
     d = WeilElement.generator(D, 1)
     table = monomial_images(D2, D, [d, WeilElement.zero(D)])
