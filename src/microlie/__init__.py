@@ -44,7 +44,6 @@ from .groupoids import (
     InvertibilityError,
     NotDPointError,
     PairGroupoid,
-    SectionChart,
     TrivialGaugeGroupoid,
     WBisection,
     WSection,

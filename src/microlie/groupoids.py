@@ -20,10 +20,11 @@ Every constructed section is checked, derived ones included: ``WSection``
 runs the groupoid's ``section_data`` and ``WBisection`` also its
 ``check_bisection``, whether the data comes from a caller or from ``star``,
 ``invert_bisection``, ``substitute``, ``restrict``, ``permute_generators``,
-``section_at`` or a chart.  A memo hit (see :func:`_memoised`) returns a
-section built, and so checked, earlier in the same trial.  The checks read
-integer numerators and build no ``Fraction``; the jet constructor has
-already checked the masks, the scalar part and the denominator.  Pair
+``section_at`` or a strong difference.  A memo hit (see :func:`_memoised`)
+returns a section built, and so checked, earlier in the same trial.  The
+checks read integer numerators and build no ``Fraction``; the jet
+constructor has already checked the masks, the scalar part and the
+denominator.  Pair
 ``section_data`` checks the component shapes; pair ``check_bisection``
 rejects a scalar part with a term of degree above 1 and takes the Bareiss
 determinant of the linear part's numerator rows (clearing each row's
@@ -60,8 +61,9 @@ jet over the point ``D0`` with one part laid out like a section's, so
 flows, coefficient reads and module operations are integer.
 
 Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
-``SectionChart``, ``star``, ``section_at`` and the harness only call its
-methods, and never ask which groupoid they hold.  A new groupoid provides:
+``star``, ``section_at``, the strong differences and the harness only call
+its methods, and never ask which groupoid they hold.  A new groupoid
+provides:
 
 * ``spec(degree)``, ``bounds_error(degree)`` and ``sample_spaces()`` for
   the harness configuration.  A groupoid built with a size that is not an
@@ -71,19 +73,15 @@ methods, and never ask which groupoid they hold.  A new groupoid provides:
 * ``section_data`` (validate and normalise), ``check_bisection``,
   ``identity_data``, ``star_data``, ``inverse_data``, ``flow_data``,
   ``read_coefficient`` and ``section_repr`` for section data;
-* ``map_jet(data, change)``, which applies a map of jets to the data's jet
-  and keeps the rest: :meth:`WSection.substitute`, :meth:`WSection.restrict`
-  and :meth:`WSection.permute_generators` pass
+* ``map_jet(change, *data)``, which applies a map of jets to the jets of
+  one or more data and keeps the rest, which they must share (the gauge
+  base map): :meth:`WSection.substitute`, :meth:`WSection.restrict` and
+  :meth:`WSection.permute_generators` pass one datum and
   :meth:`~microlie.weil.Jet.image`, :meth:`~microlie.weil.Jet.restrict` and
-  :meth:`~microlie.weil.Jet.relabel`, the reparametrisations of a jet;
-* ``slots`` and ``from_slots``, the one coefficient view of section data,
-  mask-major like the jet: ``slots(data)`` returns
-  ``(shape, {mask: {slot: int}}, den)``, integer numerators over one
-  denominator, and ``from_slots(shape, view, den, domain)`` rebuilds the
-  data.  Charts, coefficient tests and random pair sections go through
-  these two alone; :meth:`SectionChart.of` fills a point's numerators on
-  each mask from that mask's slots, and builds no Weil element, and for a
-  gauge section no ``Fraction`` either;
+  :meth:`~microlie.weil.Jet.relabel`, the reparametrisations of a jet; the
+  strong differences of :mod:`microlie.spaces` pass two, and a combination
+  of their parts.  Sections are points of a microlinear space, so those
+  act on a section's jet as on a point's;
 * ``ag_data``, ``ag_zero``, ``ag_add``, ``ag_scale``, ``ag_repr`` and
   ``oracle_bracket`` for Lie algebroid data; ``oracle_bracket`` returns the
   classical oracle's own value, which ``ag_data`` accepts;
@@ -100,7 +98,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, wraps
-from itertools import chain, product
+from itertools import chain
 from math import gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Sequence
@@ -115,10 +113,9 @@ from .poly import (
     compose_map,
     from_numerators,
     identity_map,
-    numerators,
     sum_of_products,
 )
-from .spaces import AffineSpace, MatrixGroup, WPoint, _point
+from .spaces import AffineSpace, CompatibilityError, MatrixGroup, WPoint
 from .weil import (
     D0,
     DomainMismatchError,
@@ -193,15 +190,21 @@ def _rand_terms(rng: random.Random, nvars: int, degree: int, density: float, dra
     return {e: draw() for e in _exponents(nvars, degree) if rng.random() < density}
 
 
-def _rand_view(rng: random.Random, domain, n: int, degree: int, density: float, nilpotent_only: bool) -> dict:
-    """Random Weil coefficients for the terms of ``n`` components, as a pair section's mask-major view."""
+def _rand_map(
+    rng: random.Random, domain, n: int, degree: int, density: float, nilpotent_only: bool, scalar=None
+) -> Jet:
+    """The jet of ``n`` random polynomial components: each term's Weil coefficient is drawn by ``_rand_element``.
+
+    ``scalar`` gives the scalar part's terms, one ``{exponents: int}`` per
+    component, when every drawn coefficient is nilpotent.
+    """
     draw = lambda: _rand_element(rng, domain, nilpotent_only)
-    view: dict[int, dict] = {}
+    parts = {0: scalar or [{} for _ in range(n)]}
     for i in range(n):
         for e, cs in _rand_terms(rng, n, degree, density, draw).items():
             for b, c in cs.items():
-                view.setdefault(b, {})[i, e] = c
-    return view
+                parts.setdefault(b, [{} for _ in range(n)])[i][e] = c
+    return Jet(domain, {b: tuple(from_numerators(n, terms, 1) for terms in comps) for b, comps in parts.items()})
 
 
 def _rand_invertible(rng: random.Random, k: int) -> tuple[tuple[int, ...], ...]:
@@ -329,8 +332,8 @@ class PairGroupoid:
     def read_coefficient(self, data, monomial) -> tuple[Poly, ...]:
         return data.coefficient(monomial, self.ag_zero())
 
-    def map_jet(self, data, change: Callable[[Jet], Jet]) -> "Jet":
-        return change(data)
+    def map_jet(self, change: Callable[..., Jet], *data) -> "Jet":
+        return change(*data)
 
     def section_repr(self, data) -> str:
         comps: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(self.dim)]
@@ -340,20 +343,6 @@ class PairGroupoid:
                     comp.setdefault(key, {})[b] = Fraction(n, p._den)
         terms = ({key: WeilElement.from_masks(data.domain, cs) for key, cs in comp.items()} for comp in comps)
         return f"x -> ({'; '.join(_format_terms(t, self.dim) for t in terms)})"
-
-    # -- coefficient view: one slot per (component, exponent tuple) term; no shape --------
-
-    def slots(self, data) -> tuple[None, dict, int]:
-        rows = {b: [numerators(comp) for comp in comps] for b, comps in data.items()}
-        den = lcm(1, *(d for row in rows.values() for _, d in row))
-        terms = lambda row: {(i, e): n * (den // d) for i, (num, d) in enumerate(row) for e, n in num.items()}
-        return None, {b: terms(row) for b, row in rows.items()}, den
-
-    def from_slots(self, shape: None, coeffs, den: int, domain: InfinitesimalDomain) -> "Jet":
-        comps = lambda cs: tuple(
-            from_numerators(self.dim, {e: n for (j, e), n in cs.items() if j == i}, den) for i in range(self.dim)
-        )
-        return Jet(domain, {b: comps(cs) for b, cs in {0: {}, **coeffs}.items()})
 
     # -- Lie algebroid data -------------------------------------------------------------
 
@@ -390,17 +379,15 @@ class PairGroupoid:
 
     def random_section(self, rng: random.Random, domain, degree: int) -> "WSection":
         """An arbitrary section (not necessarily a bisection)."""
-        view = _rand_view(rng, domain, self.dim, degree, 0.5, False)
-        return WSection(self, domain, self.from_slots(None, view, 1, domain))
+        return WSection(self, domain, _rand_map(rng, domain, self.dim, degree, 0.5, False))
 
     def random_bisection(self, rng: random.Random, domain, degree: int) -> "WBisection":
         n = self.dim
         a = _rand_invertible(rng, n)
-        scalar = {(i, (0,) * n): _rand_int(rng) for i in range(n)}
-        scalar.update(((i, tuple(int(t == j) for t in range(n))), a[i][j]) for i in range(n) for j in range(n))
-        # the nilpotent terms lie on the other masks, so the two views merge with nothing to add
-        view = _rand_view(rng, domain, n, degree, 0.4, True)
-        return WBisection(self, domain, self.from_slots(None, {**view, 0: scalar}, 1, domain))
+        shifts = [_rand_int(rng) for _ in range(n)]
+        units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
+        scalar = [{(0,) * n: c, **dict(zip(units, row))} for c, row in zip(shifts, a)]
+        return WBisection(self, domain, _rand_map(rng, domain, n, degree, 0.4, True, scalar))
 
     def base_points(self, rng: random.Random, domain) -> list[WPoint]:
         """The points a pointwise law checks: three random ones."""
@@ -416,11 +403,12 @@ class TrivialGaugeGroupoid:
     :class:`~microlie.weil.Jet` whose part on each Weil mask is one flat
     tuple of ``m * k * k`` integer numerators over the jet's denominator:
     the row-major fiber matrix of every source point, base point by base
-    point, which is also the ``(x, i, j)`` slot order.  An arrow's fiber is
-    the jet of one such block, over the same denominator; a base point is an
-    index.  Lie algebroid data, a table of rational k x k matrices, one per
-    base point, is the jet over the point ``D0`` whose one part is laid out
-    the same way; a caller may pass the rational tables instead.
+    point, so entry ``(x, i, j)`` is numerator ``(x * k + i) * k + j``.  An
+    arrow's fiber is the jet of one such block, over the same denominator; a
+    base point is an index.  Lie algebroid data, a table of rational k x k
+    matrices, one per base point, is the jet over the point ``D0`` whose one
+    part is laid out the same way; a caller may pass the rational tables
+    instead.
     """
 
     base_size: int
@@ -540,33 +528,14 @@ class TrivialGaugeGroupoid:
         part = jet.coefficient(monomial)
         return self.ag_zero() if part is None else Jet(D0, {0: part}, jet.den)
 
-    def map_jet(self, data, change: Callable[[Jet], Jet]) -> tuple:
-        return data[0], change(data[1])
+    def map_jet(self, change: Callable[..., Jet], *data) -> tuple:
+        base_map = data[0][0]
+        if any(d[0] != base_map for d in data):
+            raise CompatibilityError("sections have different base maps")
+        return base_map, change(*(d[1] for d in data))
 
     def section_repr(self, data) -> str:
         return f"base {data[0]}"
-
-    # -- coefficient view: one slot per (base point, row, column); the shape is the base map
-
-    def slots(self, data) -> tuple[tuple[int, ...], dict, int]:
-        # the scalar part names every slot, so the identity's view charts them all
-        base_map, jet = data
-        slots = self._slots()
-        part = lambda b, p: {s: n for s, n in zip(slots, p) if n or not b}
-        return base_map, {b: part(b, p) for b, p in jet.items()}, jet.den
-
-    def from_slots(self, shape: tuple[int, ...], coeffs, den: int, domain: InfinitesimalDomain) -> tuple:
-        index = {slot: s for s, slot in enumerate(self._slots())}
-        parts: dict[int, list[int]] = {0: [0] * len(index)}
-        for b, cs in coeffs.items():
-            part = parts.setdefault(b, [0] * len(index))
-            for slot, n in cs.items():
-                part[index[slot]] = n
-        return shape, Jet(domain, parts, den)
-
-    def _slots(self) -> list[tuple[int, int, int]]:
-        """The slots ``(x, i, j)`` in the order of a part's numerators."""
-        return list(product(range(self.base_size), range(self.matrix_size), range(self.matrix_size)))
 
     # -- Lie algebroid data -------------------------------------------------------------
 
@@ -706,8 +675,12 @@ class WSection(Immutable):
         """Relabel generator i as perm[i-1]; the domain's relations follow."""
         return self._mapped(self.domain.permuted(perm), lambda jet: jet.relabel(perm))
 
-    def _mapped(self, domain: InfinitesimalDomain, change: Callable[[Jet], Jet]) -> "WSection":
-        return type(self)(self.groupoid, domain, self.groupoid.map_jet(self.data, change))
+    def _mapped(self, domain: InfinitesimalDomain, change: Callable[..., Jet], *others: "WSection") -> "WSection":
+        """The section whose jet is ``change`` of this section's and ``others``' jets, over ``domain``, checked."""
+        if not all(isinstance(o, WSection) and o.groupoid == self.groupoid for o in others):
+            raise GroupoidMismatchError("sections of different groupoids")
+        data = self.groupoid.map_jet(change, self.data, *(o.data for o in others))
+        return type(self)(self.groupoid, domain, data)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -1101,61 +1074,3 @@ def ag_from_flow(section: WSection) -> AGSection:
     if section_at(x, *generators(domain)) != section:
         raise ValueError("flow's scalar part is not the identity section")
     return x
-
-
-# -- flattening sections into ambient points ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class SectionChart:
-    """A common coordinate system for a family of sections.
-
-    One coordinate per slot (see ``slots``) of any charted section or of
-    the identity section, in sorted order.  The charted sections must share
-    a shape (the gauge base map), which is stored so points can be turned
-    back into sections.  :meth:`of` builds a chart together with the points
-    of the sections it charts; :meth:`to_section` reads a point back.
-    """
-
-    groupoid: GroupoidInstance
-    slots: tuple
-    shape: tuple | None = None
-
-    @classmethod
-    def of(cls, *sections: WSection) -> tuple["SectionChart", tuple[WPoint, ...]]:
-        """The chart of ``sections`` and their points in it, in argument order."""
-        if not sections:
-            raise ValueError("chart needs at least one section")
-        groupoid = sections[0].groupoid
-        if any(s.groupoid != groupoid for s in sections):
-            raise GroupoidMismatchError("sections of different groupoids")
-        views = [groupoid.slots(s.data) for s in sections]
-        shape = views[0][0]
-        if any(v[0] != shape for v in views):
-            raise ValueError("charted sections must share a shape")
-        slots = {slot for _, view, _ in views for cs in view.values() for slot in cs}
-        # always include the identity section's slots so it is chartable
-        slots.update(groupoid.slots(groupoid.identity_data(sections[0].domain))[1][0])
-        chart = cls(groupoid, tuple(sorted(slots)), shape)
-        index = {slot: s for s, slot in enumerate(chart.slots)}
-        points = []
-        for section, (_, view, den) in zip(sections, views):
-            parts = {}
-            for b, cs in view.items():
-                vector = parts[b] = [0] * len(index)
-                for slot, n in cs.items():
-                    vector[index[slot]] = n
-            points.append(_point(chart.space, Jet(section.domain, parts, den)))  # an affine space checks nothing
-        return chart, tuple(points)
-
-    @property
-    def space(self) -> AffineSpace:
-        return AffineSpace(len(self.slots))
-
-    def to_section(self, point: WPoint) -> WSection:
-        if point.space != self.space:
-            raise ValueError("point does not live in the chart's space")
-        jet = point.parts
-        coeffs = {b: {slot: n for slot, n in zip(self.slots, vector) if n} for b, vector in jet.items()}
-        data = self.groupoid.from_slots(self.shape, coeffs, jet.den, point.domain)
-        return WSection(self.groupoid, point.domain, data)

@@ -11,7 +11,9 @@ extraction pattern yields the Lie derivative and the pushforward, the
 adjoint action of a bisection over the point ``D0`` (no infinitesimal
 part).  A second, independent route to the bracket goes through microcubes
 built from flow products and the strong-difference calculus of
-:mod:`microlie.spaces`.
+:mod:`microlie.spaces`, which acts on the flow sections themselves: the
+strong difference of two flow microsquares is a flow over ``D``, read back
+by :func:`~microlie.groupoids.ag_from_flow`.
 
 Sign conventions follow the commutator word above: on the pair groupoid
 the bracket agrees with the classical vector-field bracket
@@ -27,7 +29,6 @@ from typing import Sequence
 from .groupoids import (
     AGSection,
     GroupoidMismatchError,
-    SectionChart,
     WBisection,
     WSection,
     _memo,
@@ -163,9 +164,7 @@ def bracket_via_strong_difference(x: AGSection, y: AGSection) -> AGSection:
         raise GroupoidMismatchError("sections of different groupoids")
     plus = circledast([x, y])  # (d1, d2) -> Y_{d2} * X_{d1}
     minus = circledast([y, x]).permute_generators((2, 1))  # (d1, d2) -> X_{d1} * Y_{d2}
-    chart, (plus_point, minus_point) = SectionChart.of(plus, minus)
-    t = strong_difference(plus_point, minus_point)
-    return ag_from_flow(chart.to_section(t.point))
+    return ag_from_flow(strong_difference(plus, minus))
 
 
 def lambda_witness(x: AGSection, y: AGSection) -> WBisection:

@@ -34,8 +34,9 @@ Two loops accumulate numerators over one denominator, reduced once:
 :func:`sum_of_products` sums products (every product and power of
 polynomials, and the pair groupoid's Taylor sums), and the private
 ``_linear_combination`` sums integer multiples over an integer (``+``,
-``-``, scaling by a rational, the parser's sums, ``Jet.image`` on a pair
-section, :func:`compose_map` and ``formal_inverse``).  The parser
+``-``, scaling by a rational, the parser's sums, ``Jet.image`` and the
+strong differences on a pair section, :func:`compose_map` and
+``formal_inverse``).  The parser
 multiplies the numbers and variables of a term as monomials, by adding
 keys, and calls :func:`sum_of_products` only for a parenthesised factor.
 A polynomial is immutable, so one product with the polynomial 1
@@ -109,7 +110,7 @@ class Poly(Immutable):
     """
 
     __slots__ = ("nvars", "_num", "_den")
-    _linear_combination = staticmethod(_linear_combination)  # Jet.image reads it from a polynomial part's type
+    _linear_combination = staticmethod(_linear_combination)  # weil._sum_parts reads it from a polynomial part's type
 
     def __init__(self, nvars: int, terms: Mapping[Iterable[int], Rational] | None = None) -> None:
         table: dict[int, Fraction] = {}

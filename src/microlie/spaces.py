@@ -15,11 +15,23 @@ point is a tangent vector; over ``D^2`` a microsquare; over ``D^3`` a
 microcube.  A point built from given coordinates is checked in full.
 :func:`restrict_point` (the jet's ``restrict``) and :func:`sigma_perm` (its
 ``relabel``) keep the scalar part of a checked point, so they check nothing
-again.  The strong differences and :func:`tangent_combine` bring their two
-points over the lcm of their denominators and subtract or add numerators;
-their result keeps a checked scalar part too.  Only the edges build a
-``Fraction`` or a Weil element: :meth:`WPoint.coefficient`,
-:attr:`Tangent.base`, :attr:`Tangent.direction` and both ``repr`` s.
+again.  Only the edges build a ``Fraction`` or a Weil element:
+:meth:`WPoint.coefficient`, :attr:`Tangent.base`, :attr:`Tangent.direction`
+and both ``repr`` s.
+
+The strong differences, :func:`sigma_perm`, :func:`psi` and
+:func:`tangent_combine` act on a value through its jet, so they take
+sections as well as points: the bisections of a microlinear groupoid form a
+microlinear space (Kock and Lavendhomme, *Strong infinitesimal linearity*,
+Cahiers 25, 1984).  For a section the space is its groupoid, and the
+groupoid's ``section_data``, which the section constructor runs, is the
+membership test.  They sum the operands' parts, brought over the lcm of
+their denominators, through the one dispatch on the part type that
+:meth:`~microlie.weil.Jet.image` uses, so a point's result keeps its
+checked scalar part and a section's is checked again.  A strong difference
+of points is a :class:`Tangent`; of sections, the section over the
+one-generator domain.  :func:`relative_strong_difference_curried` takes
+points only.
 
 Conventions, pinned once and enforced by the law suites:
 
@@ -40,10 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import matrices
-from .weil import AXES2, D2, D3, LINE, SCALAR, Immutable, InfinitesimalDomain, Jet, Rational, _element, _frac
+from .weil import AXES2, D0, D2, D3, LINE, SCALAR, Immutable, InfinitesimalDomain, Jet, Rational
+from .weil import _element, _frac, _sum_parts
 
 
 class MembershipError(ValueError):
@@ -135,6 +148,12 @@ class WPoint(Immutable):
         jet = self.parts
         return tuple(_frac(n, jet.den) for n in jet.coefficient(monomial, (0,) * self.space.flat_dim))
 
+    def _mapped(self, domain: InfinitesimalDomain, change: Callable[..., Jet], *others: "WPoint") -> "WPoint":
+        """The point of this space whose jet is ``change`` of this point's and ``others``' jets, over ``domain``."""
+        if not all(isinstance(o, WPoint) and o.space == self.space for o in others):
+            raise CompatibilityError("points live in different spaces")
+        return _point(self.space, change(self.parts, *(o.parts for o in others)))
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WPoint) and self.space == other.space and self.parts == other.parts
 
@@ -201,49 +220,65 @@ def restrict_point(p: WPoint, sub: InfinitesimalDomain) -> WPoint:
     return _point(p.space, p.parts.restrict(sub))
 
 
+# -- the jet core: points and sections alike ---------------------------------------
+#
+# A point and a section both offer ``_mapped(domain, change, *others)``: the
+# value of its own kind whose jet is ``change`` of the operands' jets.  A
+# point checks that the others lie in its space; a section, that they are
+# sections of its groupoid, and its constructor checks the result.
+
+
+def _combination(domain: InfinitesimalDomain, rows: Mapping[int, Sequence[tuple[int, Jet, int]]]) -> Jet:
+    """The jet over ``domain`` whose part M sums ``c * jet[b]`` over the ``(c, jet, b)`` of ``rows[M]``.
+
+    The parts are brought over the lcm of the jets' denominators, and an
+    absent part is zero; ``rows[0]`` starts with a scalar part.
+    """
+    q = lcm(*(jet.den for ts in rows.values() for _, jet, _ in ts))
+    terms = {M: [(c * (q // jet.den), jet[b]) for c, jet, b in ts if b in jet] for M, ts in rows.items()}
+    return _sum_parts(domain, terms, q)
+
+
+def _tangent(value):
+    """A point over the one-generator domain as a :class:`Tangent`; a section is its own tangent."""
+    return Tangent(value) if isinstance(value, WPoint) else value
+
+
 # -- strong difference of microsquares ---------------------------------------------
 
 
-def _over_lcm(a: WPoint, b: WPoint):
-    """A reader of each point's vector on a mask, as numerators over the lcm ``q`` of their denominators, and ``q``."""
-    q = lcm(a.parts.den, b.parts.den)
-    zero = (0,) * a.space.flat_dim
-
-    def vectors(jet: Jet):
-        f = q // jet.den
-        return lambda mask: [n * f for n in jet.get(mask, zero)]
-
-    return vectors(a.parts), vectors(b.parts), q
-
-
-def strong_difference(plus: WPoint, minus: WPoint) -> Tangent:
+def strong_difference(plus, minus):
     """Tangent measuring the top-coefficient discrepancy of two microsquares.
 
-    Defined exactly when both points agree after killing ``d1*d2``.
+    The operands are points of one space, which give a :class:`Tangent`,
+    or sections of one groupoid, which give a section over the
+    one-generator domain.  Defined exactly when both agree after killing
+    ``d1*d2``.
     """
-    if plus.space != minus.space:
-        raise CompatibilityError("points live in different spaces")
     if plus.domain is not D2 or minus.domain is not D2:
         raise ValueError("strong difference expects microsquares over D^2")
-    if restrict_point(plus, AXES2) != restrict_point(minus, AXES2):
-        raise CompatibilityError("not D(2)-compatible")
-    p, m, q = _over_lcm(plus, minus)
-    direction = [x - y for x, y in zip(p(3), m(3))]  # mask 3 is d1*d2
-    return Tangent(_point(plus.space, Jet(LINE, {0: p(0), 1: direction}, q)))
+
+    def difference(p: Jet, m: Jet) -> Jet:
+        if p.restrict(AXES2) != m.restrict(AXES2):
+            raise CompatibilityError("not D(2)-compatible")
+        return _combination(LINE, {0: [(1, p, 0)], 1: [(1, p, 3), (-1, m, 3)]})  # mask 3 is d1*d2
+
+    return _tangent(plus._mapped(LINE, difference, minus))
 
 
 # -- permutation action and axis relabelings ---------------------------------------
 
 
-def sigma_perm(gamma: WPoint, eps: Sequence[int]) -> WPoint:
-    """Permute the cube's arguments: result(d1..dn) = gamma(d_eps(1), ..., d_eps(n))."""
-    return _point(gamma.space, gamma.parts.relabel(eps))  # the vector on monomial S moves to eps(S)
+def sigma_perm(gamma, eps: Sequence[int]):
+    """Permute the cube's arguments: result(d1..dn) = gamma(d_eps(1), ..., d_eps(n)), for a point or a section."""
+    # the part on monomial S moves to eps(S)
+    return gamma._mapped(gamma.domain.permuted(eps), lambda jet: jet.relabel(eps))
 
 
 _PSI_PERM = {1: (3, 1, 2), 2: (1, 3, 2), 3: (1, 2, 3)}
 
 
-def psi(i: int, cube: WPoint) -> WPoint:
+def psi(i: int, cube):
     """Relabel a microcube so axis i becomes the inner tangent direction.
 
     The inner direction is generator 3 of the result; the remaining two
@@ -259,8 +294,8 @@ def psi(i: int, cube: WPoint) -> WPoint:
 # -- relativized strong differences -------------------------------------------------
 
 
-def relative_strong_difference(i: int, plus: WPoint, minus: WPoint) -> WPoint:
-    """Strong difference of microcubes along axis i; the result is a microsquare.
+def relative_strong_difference(i: int, plus, minus):
+    """Strong difference of microcubes along axis i; the result is a microsquare of the operands' kind.
 
     Defined exactly when plus and minus agree after killing the product of
     the two non-i generators.  Coefficients of the result over fresh
@@ -277,18 +312,20 @@ def relative_strong_difference(i: int, plus: WPoint, minus: WPoint) -> WPoint:
     """
     if i not in (1, 2, 3):
         raise ValueError("axis must be 1, 2 or 3")
-    if plus.space != minus.space:
-        raise CompatibilityError("points live in different spaces")
     if plus.domain is not D3 or minus.domain is not D3:
         raise ValueError("relative strong difference expects microcubes over D^3")
     j, k = sorted({1, 2, 3} - {i})
     agreement = InfinitesimalDomain(3, [(j, k)])
-    if restrict_point(plus, agreement) != restrict_point(minus, agreement):
-        raise CompatibilityError(f"not D(2)xD-compatible along axis {i}")
-    p, m, q = _over_lcm(plus, minus)
-    difference = lambda mask: [x - y for x, y in zip(p(mask), m(mask))]
     side = 1 << j - 1 | 1 << k - 1  # d_j*d_k; mask 7 is d1*d2*d3
-    return _point(plus.space, Jet(D2, {0: p(0), 1: difference(side), 2: p(1 << i - 1), 3: difference(7)}, q))
+
+    def difference(p: Jet, m: Jet) -> Jet:
+        if p.restrict(agreement) != m.restrict(agreement):
+            raise CompatibilityError(f"not D(2)xD-compatible along axis {i}")
+        rows = {0: [(1, p, 0)], 2: [(1, p, 1 << i - 1)]}
+        rows.update({M: [(1, p, b), (-1, m, b)] for M, b in ((1, side), (3, 7))})
+        return _combination(D2, rows)
+
+    return plus._mapped(D2, difference, minus)
 
 
 def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> WPoint:
@@ -320,11 +357,15 @@ def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> W
     return _point(plus.space, Jet(D2, {0: base[:m], 1: direction[:m], 2: base[m:], 3: direction[m:]}, t.den))
 
 
-def tangent_combine(a: Tangent, b: Tangent) -> Tangent:
-    """Sum in a common tangent space (same space, same base)."""
-    if a.space != b.space:
-        raise ValueError("tangents live in different spaces")
-    p, m, q = _over_lcm(a.point, b.point)
-    if p(0) != m(0):
-        raise ValueError("tangents have different base points")
-    return Tangent(_point(a.space, Jet(LINE, {0: p(0), 1: [x + y for x, y in zip(p(1), m(1))]}, q)))
+def tangent_combine(a, b):
+    """Sum in a common tangent space (same space, same base): of two tangents, or of two sections over D."""
+    a, b = (t.point if isinstance(t, Tangent) else t for t in (a, b))
+    if a.domain is not LINE or b.domain is not LINE:
+        raise ValueError("tangents live over the one-generator domain")
+
+    def total(p: Jet, m: Jet) -> Jet:
+        if Jet(D0, {0: p[0]}, p.den) != Jet(D0, {0: m[0]}, m.den):
+            raise ValueError("tangents have different base points")
+        return _combination(LINE, {0: [(1, p, 0)], 1: [(1, p, 1), (1, m, 1)]})
+
+    return _tangent(a._mapped(LINE, total, b))

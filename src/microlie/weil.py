@@ -42,6 +42,8 @@ bits: a generator permutation) and ``image``, the general reparametrisation,
 by a table of monomial images that :func:`monomial_images` checks and
 builds.  Points and sections are restricted and relabelled through the
 first two, so only a substitution that is neither builds a table.
+``image`` and the strong differences of :mod:`microlie.spaces` sum parts
+through one dispatch on the part type (:func:`_sum_parts`).
 
 A Weil element speaks ``frozenset`` monomials and ``Fraction`` coefficients
 at its edges, and takes ``int`` or ``Fraction`` coefficients only
@@ -49,7 +51,7 @@ at its edges, and takes ``int`` or ``Fraction`` coefficients only
 read-only ``coeffs`` mapping and ``str``; ``from_masks`` and
 ``mask_coeffs`` convert to and from coefficients keyed by mask.  Weil
 elements are the scalars of the ring laws and of reparametrisation: no
-arrow, chart or random section is built from them.
+arrow, strong difference or random section is built from them.
 """
 
 from __future__ import annotations
@@ -347,10 +349,7 @@ class Jet(Mapping, Immutable):
         """Reparametrise by a :func:`monomial_images` table: part M sums ``c * part b`` over the terms ``c d^M`` of ``table[b]``.
 
         The coefficients ``c`` are brought over the lcm ``q`` of the images'
-        denominators.  Integer parts are summed as numerators over ``den * q``;
-        polynomial parts (a pair section, over 1) keep their own denominators,
-        so each component is one linear combination of the parts' components
-        with the integers ``c``, over ``q``, by the part type's ``_linear_combination``.
+        denominators, and :func:`_sum_parts` sums the parts over ``den * q``.
         """
         images = [(part, table[b].jet) for b, part in self._parts.items()]
         q = lcm(1, *(w.den for _, w in images))
@@ -360,18 +359,7 @@ class Jet(Mapping, Immutable):
             for M, (n,) in w._parts.items():
                 if n:
                     terms.setdefault(M, []).append((n * f, part))
-        target, width = table[0].domain, range(len(self._parts[0]))
-        if width and type(self._parts[0][0]) is not int:
-            nvars, combination = self._parts[0][0].nvars, type(self._parts[0][0])._linear_combination
-            sums = lambda ts: tuple(combination(nvars, q, [(c, part[i]) for c, part in ts]) for i in width)
-            return Jet(target, {M: sums(ts) for M, ts in terms.items()})
-        parts = {}
-        for M, ts in terms.items():
-            acc = [0] * len(width)
-            for c, part in ts:
-                acc = [a + c * x for a, x in zip(acc, part)]
-            parts[M] = acc
-        return Jet(target, parts, self.den * q)
+        return _sum_parts(table[0].domain, terms, self.den * q)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -386,6 +374,30 @@ class Jet(Mapping, Immutable):
 
     def __repr__(self) -> str:
         return f"Jet({self.domain!r}; {self._parts} / {self.den})"
+
+
+def _sum_parts(domain: InfinitesimalDomain, terms: Mapping[int, Sequence[tuple[int, tuple]]], den: int) -> Jet:
+    """The jet over ``domain`` whose part M is ``sum(c * part for c, part in terms[M]) / den``, for integers ``c``.
+
+    This is the one dispatch on the part type, and ``terms[0]`` names a part
+    of it.  Integer parts are summed as numerators over ``den``; polynomial
+    parts (a pair section's, whose jet is over 1) keep their own
+    denominators, so each component is one linear combination over ``den``,
+    by the part type's ``_linear_combination``.
+    """
+    sample = terms[0][0][1]
+    width = range(len(sample))
+    if width and type(sample[0]) is not int:
+        nvars, combination = sample[0].nvars, type(sample[0])._linear_combination
+        sums = lambda ts: tuple(combination(nvars, den, [(c, part[i]) for c, part in ts]) for i in width)
+        return Jet(domain, {M: sums(ts) for M, ts in terms.items()})
+    parts = {}
+    for M, ts in terms.items():
+        acc = [0] * len(width)
+        for c, part in ts:
+            acc = [a + c * x for a, x in zip(acc, part)]
+        parts[M] = acc
+    return Jet(domain, parts, den)
 
 
 def _require_same(a: InfinitesimalDomain, b: InfinitesimalDomain) -> None:

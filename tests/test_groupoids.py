@@ -21,7 +21,6 @@ from microlie.groupoids import (
     InvertibilityError,
     NotDPointError,
     PairGroupoid,
-    SectionChart,
     TrivialGaugeGroupoid,
     WBisection,
     WSection,
@@ -33,8 +32,8 @@ from microlie.groupoids import (
     star,
 )
 from microlie.liealg import WITNESS_DOMAIN
-from microlie.poly import Poly, identity_map
-from microlie.spaces import AffineSpace, WPoint
+from microlie.poly import Poly, identity_map, numerators
+from microlie.spaces import AffineSpace, CompatibilityError, WPoint, strong_difference
 from microlie.vfexpr import parse_vector_field
 from microlie.weil import (
     AXES2,
@@ -60,27 +59,28 @@ P2 = PairGroupoid(2)
 GG = TrivialGaugeGroupoid(2, 2)
 
 
-def mask_major(elements):
-    """The mask-major view ``{mask: {slot: numerator}}`` of one Weil element per slot, and its one denominator."""
-    view = {}
-    for slot, w in elements.items():
+def pair_elements(jet):
+    """The Weil coefficient of every term of a pair section's jet, keyed ``(component, exponents)``."""
+    by_term = {}
+    for b, comps in jet.items():
+        for i, p in enumerate(comps):
+            for e, c in p.coeffs.items():
+                by_term.setdefault((i, e), {})[b] = c
+    return {term: WeilElement.from_masks(jet.domain, cs) for term, cs in by_term.items()}
+
+
+def pair_data_of(groupoid, domain, elements):
+    """The jet of a pair section from the Weil coefficient of each of its terms, keyed ``(component, exponents)``."""
+    n = groupoid.dim
+    parts = {0: [{} for _ in range(n)]}
+    for (i, e), w in elements.items():
         for b, c in w.mask_coeffs().items():
-            view.setdefault(b, {})[slot] = c
-    den = lcm(1, *(c.denominator for cs in view.values() for c in cs.values()))
-    return {b: {slot: int(c * den) for slot, c in cs.items()} for b, cs in view.items()}, den
-
-
-def slot_elements(view, den, domain):
-    """One Weil element per slot that a mask-major view of numerators over ``den`` names."""
-    by_slot = {}
-    for b, cs in view.items():
-        for slot, n in cs.items():
-            by_slot.setdefault(slot, {})[b] = Fraction(n, den)
-    return {slot: WeilElement.from_masks(domain, cs) for slot, cs in by_slot.items()}
+            parts.setdefault(b, [{} for _ in range(n)])[i][e] = c
+    return Jet(domain, {b: tuple(Poly(n, terms) for terms in comps) for b, comps in parts.items()})
 
 
 def pair_data(groupoid, domain, *term_dicts):
-    """Pair section data with one ``{exponents: coefficient}`` dict per component, through ``from_slots``.
+    """Pair section data with one ``{exponents: coefficient}`` dict per component.
 
     A coefficient is a Weil element or a rational scalar.
     """
@@ -89,7 +89,7 @@ def pair_data(groupoid, domain, *term_dicts):
         for i, terms in enumerate(term_dicts)
         for e, c in terms.items()
     }
-    return groupoid.from_slots(None, *mask_major(elements), domain)
+    return pair_data_of(groupoid, domain, elements)
 
 
 def pair_section(groupoid, domain, *term_dicts):
@@ -107,9 +107,10 @@ def weil_identity(k, domain):
 
 
 def gauge_data(groupoid, domain, base_map, tables):
-    """Gauge section data from one matrix of Weil elements per base point, through ``from_slots``."""
-    elements = {(x, i, j): w for x, t in enumerate(tables) for i, row in enumerate(t) for j, w in enumerate(row)}
-    return groupoid.from_slots(tuple(base_map), *mask_major(elements), domain)
+    """Gauge section data from one matrix of Weil elements per base point: the flat tables of each mask."""
+    entries = [w for t in tables for row in t for w in row]
+    parts = {b: [w.mask_coeffs().get(b, 0) for w in entries] for b in domain.masks}
+    return tuple(base_map), Jet.of_rationals(domain, parts)
 
 
 def gauge_section(groupoid, domain, base_map, tables, cls=WSection):
@@ -117,12 +118,11 @@ def gauge_section(groupoid, domain, base_map, tables, cls=WSection):
 
 
 def weil_tables(groupoid, data):
-    """The fiber matrices of gauge section data, one matrix of Weil elements per base point, read from ``slots``."""
-    elements = slot_elements(*groupoid.slots(data)[1:], data[1].domain)  # the scalar part names every slot
-    k = groupoid.matrix_size
-    return tuple(
-        tuple(tuple(elements[x, i, j] for j in range(k)) for i in range(k)) for x in range(groupoid.base_size)
-    )
+    """The fiber matrices of gauge section data, one matrix of Weil elements per base point."""
+    jet, k = data[1], groupoid.matrix_size
+    kk = k * k
+    fiber = lambda at: Jet(jet.domain, {b: p[at : at + kk] for b, p in jet.items()}, jet.den)
+    return tuple(weil_matrix(fiber(x * kk), k) for x in range(groupoid.base_size))
 
 
 def weil_matrix(fiber, k):
@@ -134,15 +134,6 @@ def weil_matrix(fiber, k):
 def base_point(domain, *coords):
     """A scalar base point of the pair groupoid's affine space over ``domain``."""
     return WPoint.from_masks(AffineSpace(len(coords)), domain, {0: coords})
-
-
-def weil_coords(point):
-    """A point's coordinates as Weil elements, built from its coefficient vectors."""
-    monomials = point.domain.monomials()
-    columns = [point.coefficient(m) for m in monomials]
-    return tuple(
-        WeilElement(point.domain, dict(zip(monomials, (v[i] for v in columns)))) for i in range(point.space.flat_dim)
-    )
 
 
 def ag(groupoid, text):
@@ -379,72 +370,50 @@ class TestArrows:
             compose_arrows(a.arrow_at(h1.target), h1)
 
 
-def chart_sections():
-    d1, d2 = generators(D2)
-    pair = pair_section(P2, D2, {(1, 0): 1, (2, 1): d1}, {(0, 1): 1, (0, 0): d1 * d2})
-    one = weil_identity(2, D2)
-    table = ((WeilElement.one(D2) + d1, d1 * d2), (WeilElement.zero(D2), WeilElement.one(D2) - d2))
-    gauge = gauge_section(GG, D2, (1, 1), (table, one))
-    return {"pair": pair, "gauge": gauge}
+def without_top(section):
+    """The section with its ``d1*d2`` part dropped, so it agrees with ``section`` on both axes."""
+    g = section.groupoid
+    drop = lambda jet: Jet(jet.domain, {b: p for b, p in jet.items() if b != 3}, jet.den)
+    return type(section)(g, section.domain, g.map_jet(drop, section.data))
 
 
-class TestCharts:
-    @pytest.mark.parametrize("kind", ["pair", "gauge"])
-    def test_round_trip(self, kind):
-        sigma = chart_sections()[kind]
-        chart, (point,) = SectionChart.of(sigma)
-        assert chart.to_section(point) == sigma
-        g = sigma.groupoid
-        assert g.from_slots(*g.slots(sigma.data), sigma.domain) == sigma.data
+def numerator_rows(section):
+    """Each integer-numerator row of a section's data with its denominator: per polynomial, or the one gauge jet."""
+    data = section.data
+    if isinstance(section.groupoid, PairGroupoid):
+        return [tuple(num.values()) + (den,) for part in data.values() for num, den in map(numerators, part)]
+    return [tuple(n for part in data[1].values() for n in part) + (data[1].den,)]
 
+
+class TestSectionStrongDifferences:
     @pytest.mark.parametrize("groupoid, seed", [(P2, 1), (GG, 0)], ids=["pair", "gauge"])
-    def test_round_trip_over_a_denominator(self, groupoid, seed):
-        # an inverse has rational coefficients, so its points are numerators over a denominator other than 1
-        sigma = invert_bisection(groupoid.random_bisection(random.Random(seed), D2, 1))
-        family = (sigma, sigma.permute_generators((2, 1)))
-        chart, points = SectionChart.of(*family)
-        assert points[0].parts.den != 1
-        for section, point in zip(family, points):
-            assert chart.to_section(point) == section
-            jet = point.parts  # int numerators in lowest terms, like every non-polynomial jet
-            assert all(type(n) is int for part in jet.values() for n in part) and type(jet.den) is int
-            assert gcd(jet.den, *(n for part in jet.values() for n in part)) == 1
+    def test_over_a_denominator(self, groupoid, seed):
+        # an inverse has rational coefficients, so the difference is over a denominator other than 1
+        sigma = groupoid.random_bisection(random.Random(seed), D2, 1)
+        plus, minus = invert_bisection(sigma), invert_bisection(without_top(sigma))
+        t = strong_difference(plus, minus)
+        assert type(t) is WBisection and t.domain is D
+        read = lambda section, monomial: AGSection(groupoid, groupoid.read_coefficient(section.data, monomial))
+        assert read(t, ()) == read(plus, ()) and read(t, {1}) == read(plus, {1, 2}) - read(minus, {1, 2})
+        rows = numerator_rows(t)  # int numerators in lowest terms, like every jet and polynomial
+        assert any(row[-1] != 1 for row in rows)
+        assert all(type(n) is int for row in rows for n in row) and all(gcd(*row) == 1 for row in rows)
 
-    def test_gauge_over_point_is_the_matrix(self):
-        gg1 = TrivialGaugeGroupoid(1, 2)
-        d = WeilElement.generator(D, 1)
-        table = ((WeilElement.one(D), d), (WeilElement.zero(D), WeilElement.one(D)))
-        sigma = gauge_section(gg1, D, (0,), (table,))
-        _, (point,) = SectionChart.of(sigma)
-        assert weil_coords(point) == tuple(w for row in table for w in row)
-
-    def test_gauge_charts_need_shared_base_map(self):
-        one = weil_identity(2, D)
-        sigma = gauge_section(GG, D, (0, 1), (one, one))
-        rho = gauge_section(GG, D, (1, 0), (one, one))
-        with pytest.raises(ValueError):
-            SectionChart.of(sigma, rho)
-
-    @pytest.mark.parametrize("kind", ["pair", "gauge"])
-    def test_points_follow_their_sections(self, kind):
-        sigma = chart_sections()[kind]
-        family = (sigma, sigma.permute_generators((2, 1)), star(sigma, sigma))
-        chart, points = SectionChart.of(*family)
-        assert chart.slots == tuple(sorted(chart.slots))
-        for section, point in zip(family, points):
-            assert chart.to_section(point) == section
-            elements = slot_elements(*sigma.groupoid.slots(section.data)[1:], D2)
-            assert weil_coords(point) == tuple(elements.get(slot, WeilElement.zero(D2)) for slot in chart.slots)
-
-    def test_identity_slots_are_always_charted(self):
-        sigma = pair_section(P1, D, {(2,): 1})  # x -> x^2 has no identity term
-        assert SectionChart.of(sigma)[0] == SectionChart.of(sigma, WSection.identity(P1, D))[0]
+    def test_gauge_needs_a_shared_base_map(self):
+        one = weil_identity(2, D2)
+        sigma = gauge_section(GG, D2, (0, 1), (one, one))
+        rho = gauge_section(GG, D2, (1, 0), (one, one))
+        with pytest.raises(CompatibilityError, match="different base maps"):
+            strong_difference(sigma, rho)
 
     def test_needs_sections_of_one_groupoid(self):
-        with pytest.raises(ValueError, match="at least one section"):
-            SectionChart.of()
         with pytest.raises(GroupoidMismatchError):
-            SectionChart.of(WSection.identity(P1, D), WSection.identity(P2, D))
+            strong_difference(WSection.identity(P1, D2), WSection.identity(P2, D2))
+        point = WPoint.from_masks(AffineSpace(1), D2, {0: [0]})
+        with pytest.raises(GroupoidMismatchError):
+            strong_difference(WSection.identity(P1, D2), point)
+        with pytest.raises(CompatibilityError, match="different spaces"):
+            strong_difference(point, WSection.identity(P1, D2))
 
 
 def test_monoid_associativity_with_nonbisections():
@@ -460,7 +429,6 @@ GROUPOID_METHODS = {
     "fiber_product", "arrow_at",
     "section_data", "check_bisection", "identity_data", "star_data", "inverse_data", "flow_data",
     "read_coefficient", "section_repr", "map_jet",
-    "slots", "from_slots",
     "ag_data", "ag_zero", "ag_add", "ag_scale", "ag_repr", "oracle_bracket",
     "random_ag", "random_section", "random_bisection", "base_points",
 }
@@ -472,7 +440,7 @@ def test_groupoid_classes_share_one_interface():
     def methods(cls):
         return {name for name, value in vars(cls).items() if callable(value) and not name.startswith("_")}
 
-    assert len(GROUPOID_METHODS) == 26
+    assert len(GROUPOID_METHODS) == 24
     assert methods(PairGroupoid) == GROUPOID_METHODS
     assert methods(TrivialGaugeGroupoid) == GROUPOID_METHODS
 
@@ -533,7 +501,7 @@ def _both_kernels(groupoid, domain, comps):
         for e, table in terms.items():
             elements[i, e] = WeilElement(domain, table)
         ref.append(REF_POLY.Poly(n, twin, {e: REF_WEIL.WeilElement(twin, table) for e, table in terms.items()}))
-    return groupoid.from_slots(None, *mask_major(elements), domain), tuple(ref)
+    return pair_data_of(groupoid, domain, elements), tuple(ref)
 
 
 def _merge(scalar, nilpotent):
@@ -565,7 +533,7 @@ def _check_taylor_sum(draw, domain, n, outer_kind, inner_kind, outer_degree, eve
     g, ref_g = _both_kernels(groupoid, domain, inner)
     expected = REF_POLY.compose_map(ref_f, ref_g)
     got = {}
-    for (i, e), w in slot_elements(*groupoid.slots(groupoid.star_data(f, g))[1:], domain).items():
+    for (i, e), w in pair_elements(groupoid.star_data(f, g)).items():
         got.setdefault(i, {})[e] = dict(w.coeffs)
     for i, comp in enumerate(expected):
         assert got.get(i, {}) == {e: c.coeffs for e, c in comp.terms.items()}
@@ -713,11 +681,13 @@ def test_compositions_leave_no_reference_cycles(operation):
 
 
 def _substitute_each_coefficient(section, target, images):
-    """Substitution as it was done before sections had their own: slot by slot, then rebuilt."""
-    groupoid = section.groupoid
-    shape, view, den = groupoid.slots(section.data)
-    images_of = {slot: w.substitute(target, images) for slot, w in slot_elements(view, den, section.domain).items()}
-    data = groupoid.from_slots(shape, *mask_major(images_of), target)
+    """Substitution as it was done before sections had their own: coefficient by coefficient, then rebuilt."""
+    groupoid, image = section.groupoid, lambda w: w.substitute(target, images)
+    if isinstance(groupoid, PairGroupoid):
+        data = pair_data_of(groupoid, target, {term: image(w) for term, w in pair_elements(section.data).items()})
+    else:
+        tables = tuple(tuple(tuple(map(image, row)) for row in t) for t in weil_tables(groupoid, section.data))
+        data = gauge_data(groupoid, target, section.data[0], tables)
     return WSection(groupoid, target, data)
 
 
@@ -792,7 +762,7 @@ def test_broken_images_raise_the_element_error_on_every_section(groupoid, case):
         WSection.identity(groupoid, source),  # no nonzero part off the scalar one
     ]
     if isinstance(groupoid, PairGroupoid):
-        sections.append(WSection(groupoid, source, groupoid.from_slots(None, {}, 1, source)))  # no coefficient at all
+        sections.append(WSection(groupoid, source, Jet(source, {0: groupoid.ag_zero()})))  # no coefficient at all
     for section in sections:
         with pytest.raises(SubstitutionError) as caught:
             section.substitute(target, images)
@@ -823,24 +793,6 @@ def test_gauge_base_map_entries_must_be_int(bad):
             WSection(GG, D, (base_map, jet))
 
 
-@pytest.mark.parametrize(
-    "coefficient, error, message",
-    [
-        ({0: 1.0}, TypeError, "must hold int numerators"),
-        ({0: Fraction(1, 2)}, TypeError, "must hold int numerators"),
-        ({2: 1}, ZeroMonomialError, "masks \\[2\\]"),
-    ],
-    ids=["float", "Fraction", "vanishing-mask"],
-)
-def test_gauge_from_slots_checks_each_coefficient(coefficient, error, message):
-    shape, view, den = GG.slots(GG.identity_data(D))
-    assert GG.from_slots(shape, view, den, D) == GG.identity_data(D)
-    for b, c in coefficient.items():  # the numerators of slot (0, 0, 0), by mask
-        view.setdefault(b, {})[0, 0, 0] = c
-    with pytest.raises(error, match=message):  # the section check reads every numerator
-        WSection(GG, D, GG.from_slots(shape, view, den, D))
-
-
 @pytest.mark.parametrize("table", [((1, 2, 5), (3, 4)), ((1, 2), (3,))], ids=["long-row", "short-row"])
 def test_ragged_gauge_tables_are_rejected(table):
     with pytest.raises(ValueError, match="tables must be k x k"):
@@ -858,14 +810,10 @@ def test_one_stray_mask_check_serves_every_mask_keyed_constructor():
     with pytest.raises(ZeroMonomialError) as expected:
         D.check_masks({0, 2})
     assert str(expected.value) == "masks [2] do not survive in D"
-    shape, view, den = GG.slots(GG.identity_data(D))
-    view[2] = {(0, 0, 0): 1}
     builds = [
         lambda: WeilElement.from_masks(D, {2: 1}),
         lambda: WPoint.from_masks(AffineSpace(1), D, {2: [1]}),
         lambda: Jet(D, {0: (1,), 2: (1,)}),
-        lambda: P1.from_slots(None, {0: {(0, (1,)): 1}, 2: {(0, (1,)): 1}}, 1, D),
-        lambda: GG.from_slots(shape, view, den, D),
     ]
     for build in builds:
         with pytest.raises(ZeroMonomialError) as caught:
@@ -1247,19 +1195,14 @@ def test_a_commutator_square_builds_eight_product_tables(monkeypatch):
     assert (len(builds), sum(builds)) == (22, 8)
 
 
-def test_charting_back_a_zero_scalar_part_is_caught():
-    chart, (point,) = SectionChart.of(WSection.identity(GG, D))
-    zero = WPoint.from_masks(point.space, D, {0: [0] * point.space.flat_dim, 1: point.parts[0]})
-    with pytest.raises(InvertibilityError, match="fiber matrix has singular scalar part"):
-        chart.to_section(zero)
-
-
 @pytest.mark.parametrize("groupoid", [P2, GG], ids=["pair", "gauge"])
 def test_every_construction_path_runs_the_checks(groupoid, monkeypatch):
     d = WeilElement.generator(D, 1)
     x = groupoid.random_ag(random.Random(0), 1)
     sigma = section_at(x, d)
-    chart, (point,) = SectionChart.of(sigma)
+    d1, d2 = generators(D2)
+    square, flat = section_at(x, d1 * d2), WSection.identity(groupoid, D2)  # they agree on both axes
+    plain = WSection(groupoid, D2, square.data)  # a section, not a bisection
     seen = []
     for name in ("section_data", "check_bisection"):
         check = getattr(type(groupoid), name)
@@ -1272,8 +1215,8 @@ def test_every_construction_path_runs_the_checks(groupoid, monkeypatch):
         "restrict": (lambda: sigma.restrict(D), True),
         "permute_generators": (lambda: sigma.permute_generators((1,)), True),
         "section_at": (lambda: section_at(x, -d), True),
-        "to_section": (lambda: chart.to_section(point), False),
-        "from_slots": (lambda: WSection(groupoid, D, groupoid.from_slots(*groupoid.slots(sigma.data), D)), False),
+        "strong_difference": (lambda: strong_difference(square, flat), True),
+        "strong_difference of sections": (lambda: strong_difference(plain, flat), False),
     }
     for path, (build, bisection) in paths.items():
         seen.clear()
@@ -1445,7 +1388,7 @@ def test_the_identity_on_d2_is_the_identity_on_each_axis(groupoid, seed, identit
     drawn = groupoid.random_section(random.Random(seed), D2, 2).data
     parts = jet(drawn)
     base = groupoid.identity_data(D2) if identity_scalar else drawn
-    data = groupoid.map_jet(base, lambda j: Jet(D2, {0: j[0], **{b: parts[b] for b in masks if b in parts}}))
+    data = groupoid.map_jet(lambda j: Jet(D2, {0: j[0], **{b: parts[b] for b in masks if b in parts}}), base)
     section = WSection(groupoid, D2, data)
     d, zero = WeilElement.generator(D, 1), WeilElement.zero(D)
     ident = WSection.identity(groupoid, D)

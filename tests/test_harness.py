@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import microlie
-from microlie import cli, harness
+from microlie import cli, harness, liealg, spaces
 from microlie.cli import main
 from microlie.harness import (
     MAX_TRIALS,
@@ -235,6 +236,31 @@ def test_each_suite_reports_its_slice_of_all(spec, mutation):
         alone = cases(suite)
         assert alone == [next(everything) for _ in alone] and len(alone) == len(SUITES[suite]), suite
     assert next(everything, None) is None
+
+
+@pytest.mark.parametrize("spec", ["pair:dim=2:deg=2", "gauge:base=2:k=2"])
+def test_a_swapped_strong_difference_fails_exactly_its_laws(spec, monkeypatch):
+    # every module that binds strong_difference gets the defect, so the point and section routes both see it
+    strong_difference = spaces.strong_difference
+    swapped = lambda plus, minus: strong_difference(minus, plus)
+    for module in (spaces, liealg, harness):
+        monkeypatch.setattr(module, "strong_difference", swapped)
+    report = run_suite(config(spec=spec, suite="all", trials=3, seed=0))
+    failing = {c.law for c in report.cases if c.status == "fail"}
+    assert failing == {
+        "axis-recovery",
+        "relative-difference-equivalence",
+        "bracket-strong-difference",
+        "six-cube-identities",
+    }
+
+
+@pytest.mark.parametrize("mutation", ["none", "flip-bracket-sign"])
+@pytest.mark.parametrize("spec", ["pair:dim=2:deg=2", "gauge:base=2:k=2"])
+def test_the_trial_memo_changes_no_report(spec, mutation, monkeypatch):
+    memoised = run_suite(config(spec=spec, suite="all", trials=3), mutation).to_dict()
+    monkeypatch.setattr(harness, "_memoised", contextlib.nullcontext)  # every call computes its value
+    assert run_suite(config(spec=spec, suite="all", trials=3), mutation).to_dict() == memoised
 
 
 DENSE_CUBIC_6 = "; ".join(["(x0+x1+x2+x3+x4+x5+1)^3"] * 6)

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import lcm
 from operator import add, sub
 
 import pytest
@@ -18,26 +17,25 @@ from microlie.poly import (
 )
 from microlie.spaces import AffineSpace, WPoint
 from microlie.vfexpr import VectorFieldSyntaxError, parse_vector_field
-from microlie.weil import D0, InfinitesimalDomain, WeilElement
+from microlie.weil import D0, InfinitesimalDomain, Jet, WeilElement
 
 D = InfinitesimalDomain(1)
 P1 = PairGroupoid(1)
 
 
 def pair_data(groupoid, domain, *term_dicts):
-    """Pair section data with one ``{exponents: coefficient}`` dict per component, through ``from_slots``.
+    """Pair section data with one ``{exponents: coefficient}`` dict per component, as the jet of its target map.
 
     A coefficient is a Weil element or a rational scalar.
     """
-    view = {}
+    n = groupoid.dim
+    parts = {0: [{} for _ in range(n)]}
     for i, terms in enumerate(term_dicts):
         for e, c in terms.items():
             w = c if isinstance(c, WeilElement) else WeilElement.scalar(domain, c)
             for b, x in w.mask_coeffs().items():
-                view.setdefault(b, {})[i, e] = x
-    den = lcm(1, *(x.denominator for cs in view.values() for x in cs.values()))
-    view = {b: {slot: int(x * den) for slot, x in cs.items()} for b, cs in view.items()}  # numerators over den
-    return groupoid.from_slots(None, view, den, domain)
+                parts.setdefault(b, [{} for _ in range(n)])[i][e] = x
+    return Jet(domain, {b: tuple(Poly(n, t) for t in comps) for b, comps in parts.items()})
 
 
 def test_mul_and_pow():

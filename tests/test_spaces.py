@@ -5,7 +5,9 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from microlie import matrices
+from microlie import matrices, spaces, weil
+from microlie.groupoids import PairGroupoid, TrivialGaugeGroupoid, WSection, section_at, star
+from microlie.liealg import six_microcubes
 from microlie.spaces import (
     AffineSpace,
     CompatibilityError,
@@ -21,7 +23,7 @@ from microlie.spaces import (
     strong_difference,
     tangent_combine,
 )
-from microlie.weil import LINE, InfinitesimalDomain, RestrictionError, WeilElement, generators, monomial_images
+from microlie.weil import D0, LINE, InfinitesimalDomain, RestrictionError, WeilElement, generators, monomial_images
 
 D = InfinitesimalDomain(1)
 D2 = InfinitesimalDomain(2)
@@ -497,3 +499,66 @@ def test_relative_strong_differences_act_on_every_coordinate(data):
     for difference in (relative_strong_difference, relative_strong_difference_curried):
         assert difference(axis, plus, minus) == expected
         assert_integer_jet(difference(axis, plus, minus))
+
+
+# -- sections: the same calculus through their jets ----------------------------------------------
+
+SECTION_GROUPOIDS = [PairGroupoid(2), TrivialGaugeGroupoid(2, 2)]
+
+
+def flat_point(section):
+    """A gauge section's flat tables as a point of the affine space of their entries."""
+    jet = section.data[1]
+    vectors = {b: [Fraction(n, jet.den) for n in part] for b, part in jet.items()}
+    return WPoint.from_masks(AffineSpace(len(jet[0])), jet.domain, vectors)
+
+
+class TestSections:
+    @pytest.mark.parametrize("groupoid", SECTION_GROUPOIDS, ids=["pair", "gauge"])
+    def test_sigma_perm_and_psi_permute_the_generators(self, groupoid):
+        cube = groupoid.random_section(random.Random(0), D3, 2)
+        for eps in ((2, 3, 1), (1, 3, 2)):
+            assert sigma_perm(cube, eps) == cube.permute_generators(eps)
+        assert psi(1, cube) == cube.permute_generators((3, 1, 2))
+
+    @pytest.mark.parametrize("groupoid", SECTION_GROUPOIDS, ids=["pair", "gauge"])
+    def test_flows_add_as_tangents(self, groupoid):
+        rng = random.Random(1)
+        x, y = groupoid.random_ag(rng, 2), groupoid.random_ag(rng, 2)
+        d = WeilElement.generator(D, 1)
+        assert tangent_combine(section_at(x, d), section_at(y, d)) == section_at(x + y, d)
+        moved = star(section_at(x, d), groupoid.random_bisection(rng, D0, 1).substitute(D, []))
+        with pytest.raises(ValueError, match="different base"):  # base points, or a gauge section's base map
+            tangent_combine(section_at(x, d), moved)
+        with pytest.raises(ValueError, match="one-generator domain"):
+            tangent_combine(WSection.identity(groupoid, D2), WSection.identity(groupoid, D2))
+
+    def test_gauge_differences_are_those_of_the_flat_tables(self):
+        g = TrivialGaugeGroupoid(2, 2)
+        rng = random.Random(2)
+        cubes = six_microcubes(*(g.random_ag(rng, 1) for _ in range(3)))
+        plus, minus = (relative_strong_difference(1, cubes[a], cubes[b]) for a, b in (("123", "132"), ("231", "321")))
+        assert flat_point(plus) == relative_strong_difference(1, flat_point(cubes["123"]), flat_point(cubes["132"]))
+        t = strong_difference(plus, minus)
+        assert flat_point(t) == strong_difference(flat_point(plus), flat_point(minus)).point
+        tangent = Tangent(flat_point(t))
+        assert flat_point(tangent_combine(t, t)) == tangent_combine(tangent, tangent).point
+
+
+def test_image_and_the_strong_differences_share_one_part_dispatch(monkeypatch):
+    sum_parts, kinds = weil._sum_parts, []
+
+    def spy(domain, terms, den):
+        kinds.append(type(terms[0][0][1][0]).__name__)
+        return sum_parts(domain, terms, den)
+
+    monkeypatch.setattr(weil, "_sum_parts", spy)
+    monkeypatch.setattr(spaces, "_sum_parts", spy)
+    square = affine_square({(): 1, (1, 2): 2}, {(1,): 1}, {})
+    strong_difference(square, square)
+    pair, gauge = (WSection.identity(g, D2) for g in SECTION_GROUPOIDS)
+    strong_difference(pair, pair)
+    strong_difference(gauge, gauge)
+    d = WeilElement.generator(D, 1)
+    pair.substitute(D, [d, d * 0])
+    assert kinds == ["int", "Poly", "int", "Poly"]
