@@ -26,7 +26,6 @@ from .spaces import (
     InternalInvariantError,
     MatrixGroup,
     MembershipError,
-    Tangent,
     WPoint,
     psi,
     relative_strong_difference,

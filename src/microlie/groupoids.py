@@ -19,8 +19,8 @@ exactly, by nilpotent Newton iteration (pair) or a finite nilpotent series
 Every constructed section is checked, derived ones included: ``WSection``
 runs the groupoid's ``section_data`` and ``WBisection`` also its
 ``check_bisection``, whether the data comes from a caller or from ``star``,
-``invert_bisection``, ``substitute``, ``restrict``, ``permute_generators``,
-``section_at`` or a strong difference.  A memo hit (see :func:`_memoised`)
+``invert_bisection``, ``substitute``, ``section_at`` or the jet operations of
+:mod:`microlie.spaces`.  A memo hit (see :func:`_memoised`)
 returns a section built, and so checked, earlier in the same trial.  The
 checks read integer numerators and build no ``Fraction``; the jet
 constructor has already checked the masks, the scalar part and the
@@ -75,13 +75,12 @@ provides:
   ``read_coefficient`` and ``section_repr`` for section data;
 * ``map_jet(change, *data)``, which applies a map of jets to the jets of
   one or more data and keeps the rest, which they must share (the gauge
-  base map): :meth:`WSection.substitute`, :meth:`WSection.restrict` and
-  :meth:`WSection.permute_generators` pass one datum and
-  :meth:`~microlie.weil.Jet.image`, :meth:`~microlie.weil.Jet.restrict` and
-  :meth:`~microlie.weil.Jet.relabel`, the reparametrisations of a jet; the
-  strong differences of :mod:`microlie.spaces` pass two, and a combination
-  of their parts.  Sections are points of a microlinear space, so those
-  act on a section's jet as on a point's;
+  base map).  Sections are points of a microlinear space, so
+  :meth:`WSection.substitute` (:meth:`~microlie.weil.Jet.image`) and the
+  jet operations of :mod:`microlie.spaces` act on a section's jet as on a
+  point's: ``restrict_point`` and ``sigma_perm`` pass one datum and
+  :meth:`~microlie.weil.Jet.restrict` or :meth:`~microlie.weil.Jet.relabel`,
+  the strong differences two, and a combination of their parts;
 * ``ag_data``, ``ag_zero``, ``ag_add``, ``ag_scale``, ``ag_repr`` and
   ``oracle_bracket`` for Lie algebroid data; ``oracle_bracket`` returns the
   classical oracle's own value, which ``ag_data`` accepts;
@@ -666,14 +665,6 @@ class WSection(Immutable):
         """Reparametrise the family by the Weil homomorphism sending generator i to images[i-1]."""
         table = monomial_images(self.domain, target, images)
         return self._mapped(target, lambda jet: jet.image(table))
-
-    def restrict(self, sub: InfinitesimalDomain) -> "WSection":
-        """The family over a coarser domain: the parts of newly vanishing monomials drop."""
-        return self._mapped(sub, lambda jet: jet.restrict(sub))
-
-    def permute_generators(self, perm: Sequence[int]) -> "WSection":
-        """Relabel generator i as perm[i-1]; the domain's relations follow."""
-        return self._mapped(self.domain.permuted(perm), lambda jet: jet.relabel(perm))
 
     def _mapped(self, domain: InfinitesimalDomain, change: Callable[..., Jet], *others: "WSection") -> "WSection":
         """The section whose jet is ``change`` of this section's and ``others``' jets, over ``domain``, checked."""

@@ -38,7 +38,7 @@ from .groupoids import (
     star,
     star_word,
 )
-from .spaces import InternalInvariantError, strong_difference
+from .spaces import InternalInvariantError, restrict_point, sigma_perm, strong_difference
 from .weil import AXES2, D0, D2, LINE, InfinitesimalDomain, WeilElement, generators
 
 WITNESS_DOMAIN = InfinitesimalDomain(3, [(1, 3), (2, 3)])
@@ -53,7 +53,7 @@ class AxisCheckError(InternalInvariantError):
 
 def _check_axes(section: WSection, label: str) -> None:
     """Verify a D^2-parametrized section restricts to the identity on D(2), the union of both axes."""
-    if section.restrict(AXES2) != WSection.identity(section.groupoid, AXES2):
+    if restrict_point(section, AXES2) != WSection.identity(section.groupoid, AXES2):
         raise AxisCheckError(f"{label} does not restrict to the identity on {AXES2!r}")
 
 
@@ -151,7 +151,7 @@ def six_microcubes(x: AGSection, y: AGSection, z: AGSection) -> dict[str, WBisec
     cubes = {}
     for key in SIX_KEYS:
         cube = circledast([v[a] for a in key])
-        cubes[key] = cube if key == "123" else cube.permute_generators(tuple(int(a) for a in key))
+        cubes[key] = cube if key == "123" else sigma_perm(cube, tuple(int(a) for a in key))
     return cubes
 
 
@@ -163,7 +163,7 @@ def bracket_via_strong_difference(x: AGSection, y: AGSection) -> AGSection:
     if x.groupoid != y.groupoid:
         raise GroupoidMismatchError("sections of different groupoids")
     plus = circledast([x, y])  # (d1, d2) -> Y_{d2} * X_{d1}
-    minus = circledast([y, x]).permute_generators((2, 1))  # (d1, d2) -> X_{d1} * Y_{d2}
+    minus = sigma_perm(circledast([y, x]), (2, 1))  # (d1, d2) -> X_{d1} * Y_{d2}
     return ag_from_flow(strong_difference(plus, minus))
 
 

@@ -17,8 +17,8 @@ degree at most :data:`MAX_DEGREE` never carries; a product above it raises
 ``OverflowError``.  Exponent tuples appear only at the API edges: the
 constructor, ``coefficient``, the read-only ``coeffs`` mapping,
 ``derivative``'s variable and ``degree``, which speak ``Fraction`` for
-coefficients, and :func:`numerators` and :func:`from_numerators`, which
-give and take the integer numerators by exponent tuple.  The numerators
+coefficients, and :func:`from_numerators`, which takes integer numerators
+by exponent tuple.  The numerators
 are the only stored form: ``coeffs``, and ``terms`` (``coeffs`` with each
 coefficient as a scalar Weil element over the point
 :data:`~microlie.weil.D0`, read only by the benchmark's tracer), are built
@@ -324,13 +324,8 @@ def affine_row(p: Poly) -> tuple[tuple[int, ...], int, int] | None:
     return tuple(num.get(_unit(p.nvars, i), 0) for i in range(p.nvars)), num.get(0, 0), p._den
 
 
-def numerators(p: Poly) -> tuple[dict[Exponents, int], int]:
-    """The nonzero numerators of ``p`` by exponent tuple, and their denominator."""
-    return {_exponents(key, p.nvars): n for key, n in p._num.items()}, p._den
-
-
 def from_numerators(nvars: int, num: Mapping[Exponents, int], den: int) -> Poly:
-    """The polynomial with integer numerators ``num`` by exponent tuple over ``den > 0``; inverse of :func:`numerators`.
+    """The polynomial with integer numerators ``num`` by exponent tuple over ``den > 0``.
 
     Exponent tuples are checked as the constructor checks them, and the
     result is reduced once.

@@ -10,28 +10,28 @@ change), so no code here asks which kind of space it holds.
 By the Kock-Lawvere axiom a point of a space over an InfinitesimalDomain
 is its family of coefficient vectors, one per surviving monomial, and a
 :class:`WPoint` stores just that as a :class:`~microlie.weil.Jet` of
-integer numerators over one denominator.  Over the one-generator domain a
-point is a tangent vector; over ``D^2`` a microsquare; over ``D^3`` a
+integer numerators over one denominator.  Over the one-generator domain
+``D`` a point is a tangent vector, a map ``D -> M`` (Kock, *Synthetic
+Differential Geometry*, 1981); over ``D^2`` a microsquare; over ``D^3`` a
 microcube.  A point built from given coordinates is checked in full.
 :func:`restrict_point` (the jet's ``restrict``) and :func:`sigma_perm` (its
 ``relabel``) keep the scalar part of a checked point, so they check nothing
 again.  Only the edges build a ``Fraction`` or a Weil element:
-:meth:`WPoint.coefficient`, :attr:`Tangent.base`, :attr:`Tangent.direction`
-and both ``repr`` s.
+:meth:`WPoint.coefficient` and ``repr``.
 
-The strong differences, :func:`sigma_perm`, :func:`psi` and
-:func:`tangent_combine` act on a value through its jet, so they take
-sections as well as points: the bisections of a microlinear groupoid form a
-microlinear space (Kock and Lavendhomme, *Strong infinitesimal linearity*,
-Cahiers 25, 1984).  For a section the space is its groupoid, and the
-groupoid's ``section_data``, which the section constructor runs, is the
-membership test.  They sum the operands' parts, brought over the lcm of
-their denominators, through the one dispatch on the part type that
-:meth:`~microlie.weil.Jet.image` uses, so a point's result keeps its
-checked scalar part and a section's is checked again.  A strong difference
-of points is a :class:`Tangent`; of sections, the section over the
-one-generator domain.  :func:`relative_strong_difference_curried` takes
-points only.
+:func:`restrict_point`, :func:`sigma_perm`, :func:`psi`, the strong
+differences and :func:`tangent_combine` act on a value through its jet, so
+they take sections as well as points: the bisections of a microlinear
+groupoid form a microlinear space (Kock and Lavendhomme, *Strong
+infinitesimal linearity*, Cahiers 25, 1984).  For a section the space is
+its groupoid, and the groupoid's ``section_data``, which the section
+constructor runs, is the membership test.  They sum the operands' parts,
+brought over the lcm of their denominators, through the one dispatch on the
+part type that :meth:`~microlie.weil.Jet.image` uses, so a point's result
+keeps its checked scalar part and a section's is checked again.  Each
+returns a value of its operands' kind: a strong difference of points is a
+point over ``D``, of sections a section over ``D``.
+:func:`relative_strong_difference_curried` takes points only.
 
 Conventions, pinned once and enforced by the law suites:
 
@@ -55,7 +55,7 @@ from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import matrices
-from .weil import AXES2, D0, D2, D3, LINE, SCALAR, Immutable, InfinitesimalDomain, Jet, Rational
+from .weil import AXES2, D0, D2, D3, LINE, Immutable, InfinitesimalDomain, Jet, Rational
 from .weil import _element, _frac, _sum_parts
 
 
@@ -176,50 +176,6 @@ def _point(space: Space, jet: Jet) -> WPoint:
     return point
 
 
-class Tangent(Immutable):
-    """A point over the one-generator domain, with base/direction accessors."""
-
-    __slots__ = ("point",)
-
-    def __init__(self, point: WPoint) -> None:
-        if point.domain is not LINE:
-            raise ValueError("a tangent is a point over the one-generator domain")
-        object.__setattr__(self, "point", point)
-
-    @property
-    def space(self) -> Space:
-        return self.point.space
-
-    @property
-    def base(self) -> tuple[Fraction, ...]:
-        return self.point.coefficient(SCALAR)
-
-    @property
-    def direction(self) -> tuple[Fraction, ...]:
-        return self.point.coefficient({1})
-
-    @property
-    def is_zero(self) -> bool:
-        return 1 not in self.point.parts
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Tangent) and self.point == other.point
-
-    def __hash__(self) -> int:
-        return hash(self.point)
-
-    def __repr__(self) -> str:
-        return f"Tangent(base={self.base}, direction={self.direction})"
-
-
-# -- restriction -----------------------------------------------------------------
-
-
-def restrict_point(p: WPoint, sub: InfinitesimalDomain) -> WPoint:
-    """Push a point into a coarser domain: the vectors of newly vanishing monomials drop."""
-    return _point(p.space, p.parts.restrict(sub))
-
-
 # -- the jet core: points and sections alike ---------------------------------------
 #
 # A point and a section both offer ``_mapped(domain, change, *others)``: the
@@ -239,20 +195,16 @@ def _combination(domain: InfinitesimalDomain, rows: Mapping[int, Sequence[tuple[
     return _sum_parts(domain, terms, q)
 
 
-def _tangent(value):
-    """A point over the one-generator domain as a :class:`Tangent`; a section is its own tangent."""
-    return Tangent(value) if isinstance(value, WPoint) else value
-
-
 # -- strong difference of microsquares ---------------------------------------------
 
 
 def strong_difference(plus, minus):
-    """Tangent measuring the top-coefficient discrepancy of two microsquares.
+    """The tangent over ``D`` measuring the top-coefficient discrepancy of two microsquares.
 
-    The operands are points of one space, which give a :class:`Tangent`,
-    or sections of one groupoid, which give a section over the
-    one-generator domain.  Defined exactly when both agree after killing
+    The operands are points of one space or sections of one groupoid, and
+    the result is a value of their kind over the one-generator domain:
+    based at ``plus``'s scalar part, with direction the difference of the
+    ``d1*d2`` coefficients.  Defined exactly when both agree after killing
     ``d1*d2``.
     """
     if plus.domain is not D2 or minus.domain is not D2:
@@ -263,10 +215,15 @@ def strong_difference(plus, minus):
             raise CompatibilityError("not D(2)-compatible")
         return _combination(LINE, {0: [(1, p, 0)], 1: [(1, p, 3), (-1, m, 3)]})  # mask 3 is d1*d2
 
-    return _tangent(plus._mapped(LINE, difference, minus))
+    return plus._mapped(LINE, difference, minus)
 
 
-# -- permutation action and axis relabelings ---------------------------------------
+# -- restriction, permutation action and axis relabelings --------------------------
+
+
+def restrict_point(p, sub: InfinitesimalDomain):
+    """Push a point or a section into a coarser domain: the parts of newly vanishing monomials drop."""
+    return p._mapped(sub, lambda jet: jet.restrict(sub))
 
 
 def sigma_perm(gamma, eps: Sequence[int]):
@@ -352,14 +309,13 @@ def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> W
         parts = cube.parts
         return _point(doubled, Jet(D2, {b: parts.get(b, zero) + parts.get(b | 4, zero) for b in D2.masks}, parts.den))
 
-    t = strong_difference(curry(relabeled_plus), curry(relabeled_minus)).point.parts
+    t = strong_difference(curry(relabeled_plus), curry(relabeled_minus)).parts
     base, direction = t[0], t.get(1, zero + zero)
     return _point(plus.space, Jet(D2, {0: base[:m], 1: direction[:m], 2: base[m:], 3: direction[m:]}, t.den))
 
 
 def tangent_combine(a, b):
-    """Sum in a common tangent space (same space, same base): of two tangents, or of two sections over D."""
-    a, b = (t.point if isinstance(t, Tangent) else t for t in (a, b))
+    """The sum of two tangents at one base: points of one space, or sections of one groupoid, over ``D``."""
     if a.domain is not LINE or b.domain is not LINE:
         raise ValueError("tangents live over the one-generator domain")
 
@@ -368,4 +324,4 @@ def tangent_combine(a, b):
             raise ValueError("tangents have different base points")
         return _combination(LINE, {0: [(1, p, 0)], 1: [(1, p, 1), (1, m, 1)]})
 
-    return _tangent(a._mapped(LINE, total, b))
+    return a._mapped(LINE, total, b)

@@ -32,8 +32,17 @@ from microlie.groupoids import (
     star,
 )
 from microlie.liealg import WITNESS_DOMAIN
-from microlie.poly import Poly, identity_map, numerators
-from microlie.spaces import AffineSpace, CompatibilityError, WPoint, strong_difference
+from microlie.poly import Poly, identity_map
+from microlie.spaces import (
+    AffineSpace,
+    CompatibilityError,
+    WPoint,
+    relative_strong_difference,
+    restrict_point,
+    sigma_perm,
+    strong_difference,
+    tangent_combine,
+)
 from microlie.vfexpr import parse_vector_field
 from microlie.weil import (
     AXES2,
@@ -381,7 +390,7 @@ def numerator_rows(section):
     """Each integer-numerator row of a section's data with its denominator: per polynomial, or the one gauge jet."""
     data = section.data
     if isinstance(section.groupoid, PairGroupoid):
-        return [tuple(num.values()) + (den,) for part in data.values() for num, den in map(numerators, part)]
+        return [tuple(p._num.values()) + (p._den,) for part in data.values() for p in part]
     return [tuple(n for part in data[1].values() for n in part) + (data[1].den,)]
 
 
@@ -414,6 +423,16 @@ class TestSectionStrongDifferences:
             strong_difference(WSection.identity(P1, D2), point)
         with pytest.raises(CompatibilityError, match="different spaces"):
             strong_difference(point, WSection.identity(P1, D2))
+        tangent, flow = WPoint.from_masks(AffineSpace(1), D, {0: [0]}), WSection.identity(P1, D)
+        with pytest.raises(GroupoidMismatchError):
+            tangent_combine(flow, tangent)
+        with pytest.raises(CompatibilityError, match="different spaces"):
+            tangent_combine(tangent, flow)
+        cube, section_cube = WPoint.from_masks(AffineSpace(1), D3, {0: [0]}), WSection.identity(P1, D3)
+        with pytest.raises(GroupoidMismatchError):
+            relative_strong_difference(1, section_cube, cube)
+        with pytest.raises(CompatibilityError, match="different spaces"):
+            relative_strong_difference(1, cube, section_cube)
 
 
 def test_monoid_associativity_with_nonbisections():
@@ -1212,8 +1231,8 @@ def test_every_construction_path_runs_the_checks(groupoid, monkeypatch):
         "star": (lambda: star(sigma, sigma), True),
         "invert_bisection": (lambda: invert_bisection(sigma), True),
         "substitute": (lambda: sigma.substitute(D, [-d]), True),
-        "restrict": (lambda: sigma.restrict(D), True),
-        "permute_generators": (lambda: sigma.permute_generators((1,)), True),
+        "restrict_point": (lambda: restrict_point(sigma, D), True),
+        "sigma_perm": (lambda: sigma_perm(sigma, (1,)), True),
         "section_at": (lambda: section_at(x, -d), True),
         "strong_difference": (lambda: strong_difference(square, flat), True),
         "strong_difference of sections": (lambda: strong_difference(plain, flat), False),
@@ -1343,7 +1362,7 @@ def test_relabelling_a_jet_is_permuting_the_generators(groupoid):
     rng = random.Random(11)
     for perm in [(1, 2, 3), (2, 1, 3), (3, 1, 2), (2, 3, 1), (1, 3, 2), (3, 2, 1)]:
         sigma = groupoid.random_section(rng, domain, 2)
-        permuted = sigma.permute_generators(perm)
+        permuted = sigma_perm(sigma, perm)
         relabelled = jet(sigma.data).relabel(perm)
         assert relabelled == jet(permuted.data)
         target = domain.permuted(perm)
@@ -1365,13 +1384,13 @@ def test_restricting_a_section_is_substituting_the_generators(groupoid):
     for source, sub in coarsenings:
         for build in (groupoid.random_section, groupoid.random_bisection):
             sigma = build(rng, source, 2)
-            restricted = sigma.restrict(sub)
+            restricted = restrict_point(sigma, sub)
             assert type(restricted) is type(sigma) and restricted.domain is sub
             assert restricted == sigma.substitute(sub, generators(sub))
     sigma = groupoid.random_section(rng, AXES2, 2)
     for other in (D2, D3, D):
         with pytest.raises(RestrictionError) as caught:
-            sigma.restrict(other)
+            restrict_point(sigma, other)
         assert str(caught.value) == f"{other!r} is not a coarsening of D(2)"
 
 
@@ -1393,7 +1412,7 @@ def test_the_identity_on_d2_is_the_identity_on_each_axis(groupoid, seed, identit
     d, zero = WeilElement.generator(D, 1), WeilElement.zero(D)
     ident = WSection.identity(groupoid, D)
     on_each_axis = section.substitute(D, [d, zero]) == ident and section.substitute(D, [zero, d]) == ident
-    assert (section.restrict(AXES2) == WSection.identity(groupoid, AXES2)) is on_each_axis
+    assert (restrict_point(section, AXES2) == WSection.identity(groupoid, AXES2)) is on_each_axis
 
 
 # -- the per-trial memo -------------------------------------------------------------------------------

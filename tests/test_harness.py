@@ -255,6 +255,17 @@ def test_a_swapped_strong_difference_fails_exactly_its_laws(spec, monkeypatch):
     }
 
 
+def test_a_swapped_strong_difference_prints_points_over_d(monkeypatch):
+    # a strong difference of points is a point over D, and a counterexample prints it as one
+    strong_difference = spaces.strong_difference
+    swapped = lambda plus, minus: strong_difference(minus, plus)
+    for module in (spaces, liealg, harness):
+        monkeypatch.setattr(module, "strong_difference", swapped)
+    report = run_suite(config(spec="pair:dim=1:deg=1", suite="strongdiff", trials=3, seed=0))
+    (case,) = (c for c in report.cases if c.law == "axis-recovery")
+    assert case.counterexample["tangent"] == "WPoint(AffineSpace(dim=1), D; 1 - 2*d1)"
+
+
 @pytest.mark.parametrize("mutation", ["none", "flip-bracket-sign"])
 @pytest.mark.parametrize("spec", ["pair:dim=2:deg=2", "gauge:base=2:k=2"])
 def test_the_trial_memo_changes_no_report(spec, mutation, monkeypatch):

@@ -12,7 +12,7 @@ from microlie.groupoids import AGSection, PairGroupoid, WSection, section_at
 from microlie.harness import _RING_DOMAINS
 from microlie.oracles import PolyVectorField
 from microlie.poly import Poly
-from microlie.spaces import AffineSpace, Tangent, WPoint
+from microlie.spaces import AffineSpace, WPoint
 from microlie.weil import (
     AXES2,
     D0,
@@ -403,7 +403,7 @@ class TestImmutability:
 
 
 READ_ONLY_TYPES = (
-    "InfinitesimalDomain", "Jet", "WeilElement", "Poly", "WPoint", "Tangent",
+    "InfinitesimalDomain", "Jet", "WeilElement", "Poly", "WPoint",
     "WSection", "WBisection", "AGSection", "PolyVectorField",
 )
 
@@ -420,7 +420,6 @@ def _read_only_instance(name):
         "WeilElement": lambda: (d, "jet"),
         "Poly": lambda: (Poly.variable(2, 0), "nvars"),
         "WPoint": lambda: (point, "parts"),
-        "Tangent": lambda: (Tangent(point), "point"),
         "WSection": lambda: (WSection(pair, D, pair.identity_data(D)), "data"),
         "WBisection": lambda: (section_at(x, d), "data"),
         "AGSection": lambda: (x, "data"),
