@@ -166,11 +166,16 @@ def _rand_int(rng: random.Random) -> int:
     return n - COEFF_BOUND
 
 
-def _exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
+@cache
+def _exponents(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent tuples of total degree <= ``degree`` in ``nvars`` variables, sorted; cached.
+
+    Not :func:`microlie.poly._exponents`, which unpacks one packed key.
+    """
     out: list[tuple[int, ...]] = [()]
     for _ in range(nvars):
         out = [e + (k,) for e in out for k in range(degree + 1)]
-    return sorted(e for e in out if sum(e) <= degree)
+    return tuple(sorted(e for e in out if sum(e) <= degree))
 
 
 def _rand_element(rng: random.Random, domain: InfinitesimalDomain, nilpotent_only: bool = False) -> dict[int, int]:
@@ -373,7 +378,7 @@ class PairGroupoid:
 
     def random_ag(self, rng: random.Random, degree: int) -> "AGSection":
         draw = lambda: _rand_int(rng)
-        fields = [Poly(self.dim, _rand_terms(rng, self.dim, degree, 0.6, draw)) for _ in range(self.dim)]
+        fields = [from_numerators(self.dim, _rand_terms(rng, self.dim, degree, 0.6, draw), 1) for _ in range(self.dim)]
         return AGSection(self, fields)
 
     def random_section(self, rng: random.Random, domain, degree: int) -> "WSection":

@@ -19,7 +19,8 @@ constructor, ``coefficient``, the read-only ``coeffs`` mapping,
 ``derivative``'s variable and ``degree``, which speak ``Fraction`` for
 coefficients, and :func:`from_numerators`, which takes integer numerators
 by exponent tuple.  The numerators
-are the only stored form: ``coeffs``, and ``terms`` (``coeffs`` with each
+are the only stored form (beside them a polynomial keeps only its hash,
+computed on first use): ``coeffs``, and ``terms`` (``coeffs`` with each
 coefficient as a scalar Weil element over the point
 :data:`~microlie.weil.D0`, read only by the benchmark's tracer), are built
 on each read.  ``str`` and :func:`format_poly` (the input grammar of
@@ -106,10 +107,11 @@ class Poly(Immutable):
     """Exact rational polynomial in ``nvars`` variables.
 
     Stored as integer numerators keyed by packed exponent key over one
-    denominator, in lowest terms (see the module docstring).
+    denominator, in lowest terms (see the module docstring).  The hash is
+    computed once, on first use, and kept in the ``_hash`` slot.
     """
 
-    __slots__ = ("nvars", "_num", "_den")
+    __slots__ = ("nvars", "_num", "_den", "_hash")
     _linear_combination = staticmethod(_linear_combination)  # weil._sum_parts reads it from a polynomial part's type
 
     def __init__(self, nvars: int, terms: Mapping[Iterable[int], Rational] | None = None) -> None:
@@ -237,7 +239,12 @@ class Poly(Immutable):
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self._den, frozenset(self._num.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.nvars, self._den, frozenset(self._num.items())))
+            _set_hash(self, h)
+            return h
 
     def __str__(self) -> str:
         """``c*x0^2 + ...`` by degree, then exponents: the order of the packed keys."""
@@ -257,6 +264,7 @@ class Poly(Immutable):
 _set_nvars = Poly.nvars.__set__
 _set_num = Poly._num.__set__
 _set_den = Poly._den.__set__
+_set_hash = Poly._hash.__set__
 _new = object.__new__
 
 

@@ -291,8 +291,11 @@ def relative_strong_difference_curried(i: int, plus: WPoint, minus: WPoint) -> W
     Curry each cube along axis i into a microsquare valued in tangents
     (doubled ambient coordinates), take the microsquare strong difference
     there, and un-curry the resulting tangent-of-tangents back into a
-    microsquare on the original space.
+    microsquare on the original space.  Points only: anything else is
+    refused with ``CompatibilityError``.
     """
+    if not (isinstance(plus, WPoint) and isinstance(minus, WPoint)):
+        raise CompatibilityError("the curried relative strong difference takes two points")
     if plus.space != minus.space:
         raise CompatibilityError("points live in different spaces")
     if plus.domain is not D3 or minus.domain is not D3:

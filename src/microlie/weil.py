@@ -282,10 +282,11 @@ class Jet(Mapping, Immutable):
     Every mask survives and mask 0, the scalar part, is present; any other
     all-zero part is left out, and when ``den`` is not 1 the integer parts
     are in lowest terms with it, so equal families are equal jets.  Jets are
-    read-only and hash consistently with ``==``.
+    read-only and hash consistently with ``==``; the hash is computed once,
+    on first use, and kept in the ``_hash`` slot.
     """
 
-    __slots__ = ("domain", "den", "_parts")
+    __slots__ = ("domain", "den", "_parts", "_hash")
 
     def __init__(self, domain: InfinitesimalDomain, parts: Mapping[int, Sequence], den: int = 1) -> None:
         domain.check_masks(parts)
@@ -305,8 +306,11 @@ class Jet(Mapping, Immutable):
 
     @classmethod
     def of_rationals(cls, domain: InfinitesimalDomain, parts: Mapping[int, Sequence[Rational]]) -> "Jet":
-        """The jet of parts of ``int`` or ``Fraction`` coefficients, as numerators over their common denominator."""
-        parts = {b: [_rational(c) for c in part] for b, part in parts.items()}
+        """The jet of parts of ``int`` or ``Fraction`` coefficients, as numerators over their common denominator.
+
+        An ``int`` is its own numerator over 1 and stays as it is.
+        """
+        parts = {b: [c if type(c) is int else _rational(c) for c in part] for b, part in parts.items()}
         den = lcm(1, *(c.denominator for part in parts.values() for c in part))
         return cls(domain, {b: [c.numerator * (den // c.denominator) for c in part] for b, part in parts.items()}, den)
 
@@ -370,7 +374,12 @@ class Jet(Mapping, Immutable):
         )
 
     def __hash__(self) -> int:
-        return hash((self.domain, self.den, frozenset(self._parts.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.domain, self.den, frozenset(self._parts.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return f"Jet({self.domain!r}; {self._parts} / {self.den})"

@@ -38,6 +38,7 @@ from microlie.spaces import (
     CompatibilityError,
     WPoint,
     relative_strong_difference,
+    relative_strong_difference_curried,
     restrict_point,
     sigma_perm,
     strong_difference,
@@ -329,6 +330,18 @@ class TestSectionAt:
         assert flow.data == pair_data(P1, D2, {(1,): 1, (3,): d1 * d2})
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_random_pair_fields_are_the_rational_polynomials_of_their_draws(dim, degree):
+    # built from integer numerators, each field equals the constructor's polynomial of the same draws
+    for seed in range(10):
+        rng, replay = random.Random(seed), random.Random(seed)
+        x = PairGroupoid(dim).random_ag(rng, degree)
+        draw = lambda: groupoids._rand_int(replay)
+        fields = tuple(Poly(dim, groupoids._rand_terms(replay, dim, degree, 0.6, draw)) for _ in range(dim))
+        assert x.data == fields and rng.getstate() == replay.getstate()
+
+
 @pytest.mark.parametrize("groupoid", [P2, GG], ids=["pair", "gauge"])
 def test_ag_from_flow_reads_only_first_order_flows(groupoid):
     rng = random.Random(0)
@@ -433,6 +446,9 @@ class TestSectionStrongDifferences:
             relative_strong_difference(1, section_cube, cube)
         with pytest.raises(CompatibilityError, match="different spaces"):
             relative_strong_difference(1, cube, section_cube)
+        for plus, minus in ((section_cube, cube), (cube, section_cube), (section_cube, section_cube)):
+            with pytest.raises(CompatibilityError, match="takes two points"):
+                relative_strong_difference_curried(1, plus, minus)
 
 
 def test_monoid_associativity_with_nonbisections():

@@ -443,21 +443,56 @@ def test_read_only_types_refuse_to_set_or_delete_an_attribute(name):
 
 
 def _rebuilt(obj):
-    """A copy of ``obj`` set slot by slot from its fields (a domain, being interned, from its constructor)."""
+    """A copy of ``obj`` set field by field (a domain, being interned, from its constructor).
+
+    ``_hash``, the slot where a ``Poly`` or a ``Jet`` keeps its hash once
+    computed, is not a field and is the one slot skipped.
+    """
     if isinstance(obj, InfinitesimalDomain):
         return InfinitesimalDomain(obj.generator_count, obj.zero_monomials)
     copy = object.__new__(type(obj))
     for cls in type(obj).__mro__:
         for slot in getattr(cls, "__slots__", ()):
-            object.__setattr__(copy, slot, getattr(obj, slot))
+            if slot != "_hash":
+                object.__setattr__(copy, slot, getattr(obj, slot))
     return copy
 
 
 @pytest.mark.parametrize("name", READ_ONLY_TYPES)
 def test_read_only_types_hash_consistently_with_equality(name):
     (obj, _), (apart, _) = _read_only_instance(name), _read_only_instance(name)
-    copy = _rebuilt(obj)
-    assert obj == apart == copy and hash(obj) == hash(apart) == hash(copy)
+    before = _rebuilt(obj)  # made before the original's first hash
+    first = hash(obj)
+    after = _rebuilt(obj)
+    assert obj == apart == before == after
+    assert first == hash(apart) == hash(before) == hash(after) == hash(obj)
+
+
+@pytest.mark.parametrize("name", ["Poly", "Jet", "WeilElement", "WSection"])
+def test_a_value_hashes_once_and_keeps_its_hash(name):
+    obj, _ = _read_only_instance(name)
+    holder = obj.jet if name == "WeilElement" else obj.data if name == "WSection" else obj
+    assert isinstance(holder, (Poly, Jet)) and not hasattr(holder, "_hash")
+    first = hash(obj)
+    assert hasattr(holder, "_hash") and hash(obj) == first
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(obj, "_hash", 0)
+    assert hash(obj) == first
+
+
+def test_integer_rationals_stay_integers():
+    jet = Jet.of_rationals(D2, {0: (1, -2), 3: (0, 5)})
+    assert jet == Jet(D2, {0: (1, -2), 3: (0, 5)})
+    assert all(type(n) is int for part in jet.values() for n in part)
+    # a bool or a Fraction still goes through Fraction, to the same jet as before
+    mixed = Jet.of_rationals(D2, {0: (True, Fraction(1, 2)), 1: (False, Fraction(-3))})
+    assert mixed == Jet(D2, {0: (2, 1), 1: (0, -6)}, 2)
+    assert all(type(n) is int for part in mixed.values() for n in part)
+    for bad in (1.0, "1", None):
+        message = f"coefficients must be int or Fraction, not {type(bad).__name__}: {bad!r}"
+        with pytest.raises(TypeError) as caught:
+            Jet.of_rationals(D, {0: (1, bad)})
+        assert str(caught.value) == message
 
 
 def test_monomial_images_maps_each_surviving_mask_to_its_image():
