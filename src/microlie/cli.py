@@ -83,7 +83,7 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
         raise ConfigError(problem)
     x = AGSection(groupoid, parse_vector_field(args.x, groupoid.dim, MAX_FIELD_DEGREE))
     y = AGSection(groupoid, parse_vector_field(args.y, groupoid.dim, MAX_FIELD_DEGREE))
-    print(format_vector_field(bracket(x, y).data))
+    print(format_vector_field(bracket(x, y).data[0]))
     return 0
 
 

@@ -56,9 +56,10 @@ multiply-and-sum over all of its pairs (:func:`_product`); the inverse
 inverts the scalar part once per table, as its integer adjugate over its
 determinant, and sums the finite nilpotent series.  An arrow's fiber is the
 jet of one base point's block; arrows over one Weil domain compose by the
-same product.  Gauge Lie algebroid data, a table of rational matrices, is a
-jet over the point ``D0`` with one part laid out like a section's, so
-flows, coefficient reads and module operations are integer.
+same product.  Lie algebroid data is a jet over the point ``D0`` on both
+groupoids, whose one part is laid out like a section's, so gauge flows and
+coefficient reads are integer; :class:`AGSection` sums and scales it by
+:func:`~microlie.weil._combination`, asking its groupoid nothing.
 
 Each groupoid class owns its data layout; ``WSection``, ``AGSection``,
 ``star``, ``section_at``, the strong differences and the harness only call
@@ -81,9 +82,9 @@ provides:
   point's: ``restrict_point`` and ``sigma_perm`` pass one datum and
   :meth:`~microlie.weil.Jet.restrict` or :meth:`~microlie.weil.Jet.relabel`,
   the strong differences two, and a combination of their parts;
-* ``ag_data``, ``ag_zero``, ``ag_add``, ``ag_scale``, ``ag_repr`` and
-  ``oracle_bracket`` for Lie algebroid data; ``oracle_bracket`` returns the
-  classical oracle's own value, which ``ag_data`` accepts;
+* ``ag_data``, ``ag_zero``, ``ag_repr`` and ``oracle_bracket`` for Lie
+  algebroid data; ``oracle_bracket`` returns the classical oracle's own
+  value, which ``ag_data`` accepts;
 * ``random_ag``, ``random_section``, ``random_bisection(rng, domain,
   degree)`` (a constant one is drawn over ``D0``) and ``base_points`` for
   seeded trial data, with coefficients in ``[-COEFF_BOUND, COEFF_BOUND]``.
@@ -123,9 +124,11 @@ from .weil import (
     Jet,
     Rational,
     WeilElement,
+    _combination,
     _mask,
     _rational,
     _require_same,
+    _sum_parts,
     generators,
     monomial_images,
 )
@@ -265,9 +268,10 @@ class PairGroupoid:
     """Arrows are pairs (target point, source point) of an affine base.
 
     Section data is the :class:`Jet` of the target map: one tuple of
-    rational polynomial components per Weil monomial.  Lie algebroid data
-    is a polynomial vector field with rational coefficients; a base point,
-    like either end of an arrow, is a :class:`~microlie.spaces.WPoint` of
+    rational polynomial components per Weil monomial.  Lie algebroid data, a
+    polynomial vector field, is the jet over the point ``D0`` whose one part
+    is its components, which a caller may pass instead; a base point, like
+    either end of an arrow, is a :class:`~microlie.spaces.WPoint` of
     ``AffineSpace(dim)`` over the section's domain.
     """
 
@@ -297,6 +301,8 @@ class PairGroupoid:
 
     def arrow_at(self, data, domain: InfinitesimalDomain, x: WPoint) -> "Arrow":
         # a point is a jet of constant maps, so evaluating is composing with it
+        if not isinstance(x, WPoint):
+            raise TypeError(f"a pair base point must be a WPoint, got {x!r}")
         if x.domain is not domain:
             raise DomainMismatchError(f"point over {x.domain!r}, section over {domain!r}")
         den = x.parts.den
@@ -328,13 +334,13 @@ class PairGroupoid:
     def inverse_data(self, data, domain: InfinitesimalDomain) -> "Jet":
         return formal_inverse(data)
 
-    def flow_data(self, fields, e: WeilElement) -> "Jet":
+    def flow_data(self, fields: Jet, e: WeilElement) -> "Jet":
         # X_e = id + e X, for a square-zero e with no scalar part (section_at checks)
-        parts = {b: tuple(field * c for field in fields) for b, c in e.mask_coeffs().items()}
+        parts = {b: tuple(field * c for field in fields[0]) for b, c in e.mask_coeffs().items()}
         return Jet(e.domain, {**parts, 0: identity_map(self.dim)})
 
-    def read_coefficient(self, data, monomial) -> tuple[Poly, ...]:
-        return data.coefficient(monomial, self.ag_zero())
+    def read_coefficient(self, data, monomial) -> Jet:
+        return Jet(D0, {0: data.coefficient(monomial, self.ag_zero()[0])})
 
     def map_jet(self, change: Callable[..., Jet], *data) -> "Jet":
         return change(*data)
@@ -350,29 +356,27 @@ class PairGroupoid:
 
     # -- Lie algebroid data -------------------------------------------------------------
 
-    def ag_data(self, data) -> tuple[Poly, ...]:
-        comps = tuple(data)
+    def ag_data(self, data) -> Jet:
+        """A field jet, checked, or the jet of a sequence of polynomial components."""
+        if not isinstance(data, Jet):
+            data = Jet(D0, {0: data})
+        if data.domain is not D0:  # whose only mask is 0, so the jet has one part
+            raise ValueError("a field jet must be over the domain with no generators")
+        comps = data[0]
         if len(comps) != self.dim:
             raise ValueError(f"expected {self.dim} field components")
-        for c in comps:
-            if not isinstance(c, Poly) or c.nvars != self.dim:
-                raise ValueError("field components must be polynomials in the base variables")
-        return comps
+        if any(not isinstance(c, Poly) or c.nvars != self.dim for c in comps):
+            raise ValueError("field components must be polynomials in the base variables")
+        return data
 
-    def ag_zero(self) -> tuple[Poly, ...]:
-        return tuple(Poly.zero(self.dim) for _ in range(self.dim))
+    def ag_zero(self) -> Jet:
+        return Jet(D0, {0: (Poly.zero(self.dim),) * self.dim})
 
-    def ag_add(self, a, b) -> tuple[Poly, ...]:
-        return tuple(x + y for x, y in zip(a, b))
+    def ag_repr(self, data: Jet) -> str:
+        return "; ".join(str(c) for c in data[0])
 
-    def ag_scale(self, a, c: Fraction) -> tuple[Poly, ...]:
-        return tuple(comp * c for comp in a)
-
-    def ag_repr(self, data) -> str:
-        return "; ".join(str(c) for c in data)
-
-    def oracle_bracket(self, x, y) -> tuple[Poly, ...]:
-        return classical_vf_bracket(PolyVectorField(x), PolyVectorField(y)).components
+    def oracle_bracket(self, x: Jet, y: Jet) -> tuple[Poly, ...]:
+        return classical_vf_bracket(PolyVectorField(x[0]), PolyVectorField(y[0])).components
 
     # -- random trial data -------------------------------------------------------------------
 
@@ -442,6 +446,10 @@ class TrivialGaugeGroupoid:
         return Jet(h1.domain, _product(h1.domain._products, h2, h1, self.matrix_size), h2.den * h1.den)
 
     def arrow_at(self, data, domain: InfinitesimalDomain, x: int) -> "Arrow":
+        if problem := _not_int(base_point=x):
+            raise TypeError(problem)
+        if not 0 <= x < self.base_size:
+            raise ValueError(f"base point {x} is not in range({self.base_size})")
         base_map, jet = data
         at = x * self.matrix_size**2
         fiber = Jet(domain, {b: p[at : at + self.matrix_size**2] for b, p in jet.items()}, jet.den)
@@ -528,9 +536,7 @@ class TrivialGaugeGroupoid:
         return tuple(range(m)), Jet(e.domain, parts, jet.den * q)
 
     def read_coefficient(self, data, monomial) -> Jet:
-        jet = data[1]
-        part = jet.coefficient(monomial)
-        return self.ag_zero() if part is None else Jet(D0, {0: part}, jet.den)
+        return Jet(D0, {0: data[1].coefficient(monomial, self.ag_zero()[0])}, data[1].den)
 
     def map_jet(self, change: Callable[..., Jet], *data) -> tuple:
         base_map = data[0][0]
@@ -566,13 +572,6 @@ class TrivialGaugeGroupoid:
 
     def ag_zero(self) -> Jet:
         return Jet(D0, {0: (0,) * (self.base_size * self.matrix_size**2)})
-
-    def ag_add(self, a: Jet, b: Jet) -> Jet:
-        q = lcm(a.den, b.den)
-        return Jet(D0, {0: [q // a.den * x + q // b.den * y for x, y in zip(a[0], b[0])]}, q)
-
-    def ag_scale(self, a: Jet, c: Fraction) -> Jet:
-        return Jet(D0, {0: [c.numerator * n for n in a[0]]}, a.den * c.denominator)
 
     def ag_repr(self, data: Jet) -> str:
         return str(self._tables(data))
@@ -1010,7 +1009,7 @@ class AGSection(Immutable):
             return NotImplemented
         if self.groupoid != other.groupoid:
             raise GroupoidMismatchError("sections of different groupoids")
-        return AGSection(self.groupoid, self.groupoid.ag_add(self.data, other.data))
+        return AGSection(self.groupoid, _combination(D0, {0: [(1, self.data, 0), (1, other.data, 0)]}))
 
     def __neg__(self) -> "AGSection":
         return self.scaled(-1)
@@ -1019,7 +1018,8 @@ class AGSection(Immutable):
         return self + (-other)
 
     def scaled(self, a: Rational) -> "AGSection":
-        return AGSection(self.groupoid, self.groupoid.ag_scale(self.data, _rational(a)))
+        c, data = _rational(a), self.data
+        return AGSection(self.groupoid, _sum_parts(D0, {0: [(c.numerator, data[0])]}, data.den * c.denominator))
 
     def __rmul__(self, a: Rational) -> "AGSection":
         return self.scaled(a)

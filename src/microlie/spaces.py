@@ -25,9 +25,9 @@ they take sections as well as points: the bisections of a microlinear
 groupoid form a microlinear space (Kock and Lavendhomme, *Strong
 infinitesimal linearity*, Cahiers 25, 1984).  For a section the space is
 its groupoid, and the groupoid's ``section_data``, which the section
-constructor runs, is the membership test.  They sum the operands' parts,
-brought over the lcm of their denominators, through the one dispatch on the
-part type that :meth:`~microlie.weil.Jet.image` uses, so a point's result
+constructor runs, is the membership test.  They sum the operands' parts by
+:func:`~microlie.weil._combination`, the one linear combination of jets,
+through :func:`~microlie.weil._sum_parts`, so a point's result
 keeps its checked scalar part and a section's is checked again.  Each
 returns a value of its operands' kind: a strong difference of points is a
 point over ``D``, of sections a section over ``D``.
@@ -51,12 +51,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import matrices
 from .weil import AXES2, D0, D2, D3, LINE, Immutable, InfinitesimalDomain, Jet, Rational
-from .weil import _element, _frac, _sum_parts
+from .weil import _combination, _element, _frac
 
 
 class MembershipError(ValueError):
@@ -182,17 +181,6 @@ def _point(space: Space, jet: Jet) -> WPoint:
 # value of its own kind whose jet is ``change`` of the operands' jets.  A
 # point checks that the others lie in its space; a section, that they are
 # sections of its groupoid, and its constructor checks the result.
-
-
-def _combination(domain: InfinitesimalDomain, rows: Mapping[int, Sequence[tuple[int, Jet, int]]]) -> Jet:
-    """The jet over ``domain`` whose part M sums ``c * jet[b]`` over the ``(c, jet, b)`` of ``rows[M]``.
-
-    The parts are brought over the lcm of the jets' denominators, and an
-    absent part is zero; ``rows[0]`` starts with a scalar part.
-    """
-    q = lcm(*(jet.den for ts in rows.values() for _, jet, _ in ts))
-    terms = {M: [(c * (q // jet.den), jet[b]) for c, jet, b in ts if b in jet] for M, ts in rows.items()}
-    return _sum_parts(domain, terms, q)
 
 
 # -- strong difference of microsquares ---------------------------------------------

@@ -28,7 +28,7 @@ By the Kock-Lawvere axiom a map out of a Weil domain into ``R^n`` is an
 coefficients, and one :class:`Jet` stores every such family: pair and gauge
 sections, points, and so the ends and fibers of arrows, and a
 :class:`WeilElement`, the ``n = 1`` case.  A part is either a tuple of
-rational polynomials (a pair section) or a tuple of integer numerators over
+rational polynomials (a pair jet) or a tuple of integer numerators over
 the jet's one positive denominator (everything else).  The jet constructor
 is the one normal form: every mask survives
 (:meth:`InfinitesimalDomain.check_masks`), the scalar part is present, any
@@ -42,8 +42,8 @@ bits: a generator permutation) and ``image``, the general reparametrisation,
 by a table of monomial images that :func:`monomial_images` checks and
 builds.  Points and sections are restricted and relabelled through the
 first two, so only a substitution that is neither builds a table.
-``image`` and the strong differences of :mod:`microlie.spaces` sum parts
-through one dispatch on the part type (:func:`_sum_parts`).
+``image`` and :func:`_combination`, the one linear combination of jets,
+sum parts through one dispatch on the part type (:func:`_sum_parts`).
 
 A Weil element speaks ``frozenset`` monomials and ``Fraction`` coefficients
 at its edges, and takes ``int`` or ``Fraction`` coefficients only
@@ -277,8 +277,8 @@ class Jet(Mapping, Immutable):
     ``jet[b]`` is the part on the monomial of ``domain`` with mask ``b``: a
     tuple of the family's coefficients over the positive denominator
     ``den``.  There are two kinds of part: rational polynomials, for a pair
-    section (``den`` is 1), and integer numerators, for everything else:
-    Weil elements, gauge sections and tables, arrow fibers and points.
+    section or field (``den`` is 1), and integer numerators, for everything
+    else: Weil elements, gauge sections and tables, arrow fibers and points.
     Every mask survives and mask 0, the scalar part, is present; any other
     all-zero part is left out, and when ``den`` is not 1 the integer parts
     are in lowest terms with it, so equal families are equal jets.  Jets are
@@ -390,7 +390,7 @@ def _sum_parts(domain: InfinitesimalDomain, terms: Mapping[int, Sequence[tuple[i
 
     This is the one dispatch on the part type, and ``terms[0]`` names a part
     of it.  Integer parts are summed as numerators over ``den``; polynomial
-    parts (a pair section's, whose jet is over 1) keep their own
+    parts (a pair section's or field's, whose jet is over 1) keep their own
     denominators, so each component is one linear combination over ``den``,
     by the part type's ``_linear_combination``.
     """
@@ -407,6 +407,17 @@ def _sum_parts(domain: InfinitesimalDomain, terms: Mapping[int, Sequence[tuple[i
             acc = [a + c * x for a, x in zip(acc, part)]
         parts[M] = acc
     return Jet(domain, parts, den)
+
+
+def _combination(domain: InfinitesimalDomain, rows: Mapping[int, Sequence[tuple[int, Jet, int]]]) -> Jet:
+    """The jet over ``domain`` whose part M sums ``c * jet[b]`` over the ``(c, jet, b)`` of ``rows[M]``.
+
+    The parts are brought over the lcm of the jets' denominators, and an
+    absent part is zero; ``rows[0]`` starts with a scalar part.
+    """
+    q = lcm(*(jet.den for ts in rows.values() for _, jet, _ in ts))
+    terms = {M: [(c * (q // jet.den), jet[b]) for c, jet, b in ts if b in jet] for M, ts in rows.items()}
+    return _sum_parts(domain, terms, q)
 
 
 def _require_same(a: InfinitesimalDomain, b: InfinitesimalDomain) -> None:

@@ -339,7 +339,7 @@ def test_random_pair_fields_are_the_rational_polynomials_of_their_draws(dim, deg
         x = PairGroupoid(dim).random_ag(rng, degree)
         draw = lambda: groupoids._rand_int(replay)
         fields = tuple(Poly(dim, groupoids._rand_terms(replay, dim, degree, 0.6, draw)) for _ in range(dim))
-        assert x.data == fields and rng.getstate() == replay.getstate()
+        assert x.data[0] == fields and rng.getstate() == replay.getstate()
 
 
 @pytest.mark.parametrize("groupoid", [P2, GG], ids=["pair", "gauge"])
@@ -369,6 +369,8 @@ class TestArrows:
             compose_arrows(a, b)
         with pytest.raises(DomainMismatchError, match="point over D\\^2, section over D"):
             pair_section(P1, D, {(1,): 1}).arrow_at(base_point(D2, 0))
+        with pytest.raises(TypeError, match="a pair base point must be a WPoint, got 0"):
+            pair_section(P1, D, {(1,): 1}).arrow_at(0)
         half = base_point(D, Fraction(1, 2))  # one numerator over the denominator 2
         assert pair_section(P1, D, {(1,): 2, (2,): 2}).arrow_at(half).target == base_point(D, Fraction(3, 2))
 
@@ -382,6 +384,15 @@ class TestArrows:
         assert hash(compose_arrows(back, a)) == hash(Arrow(GG, 0, 0, Jet(D, {0: I2})))
         with pytest.raises(ValueError, match="arrows do not match: 1 vs 0"):
             compose_arrows(back, back)
+        # a base point is an int in range(base_size): no empty fiber, no IndexError, no bool as 1
+        identity = WSection.identity(GG, D2)
+        assert identity.arrow_at(1) == Arrow(GG, 1, 1, Jet(D2, {0: I2}))
+        for x in (-1, 2):
+            with pytest.raises(ValueError, match=f"base point {x} is not in range\\(2\\)"):
+                identity.arrow_at(x)
+        for x in (True, 1.0, base_point(D2, 1)):
+            with pytest.raises(TypeError, match="base_point must be an integer"):
+                identity.arrow_at(x)
 
     def test_gauge_fibers_over_different_domains_do_not_compose(self):
         # a fiber over D^2 must not be read as one over D: its d1 part is not D's d part
@@ -464,7 +475,7 @@ GROUPOID_METHODS = {
     "fiber_product", "arrow_at",
     "section_data", "check_bisection", "identity_data", "star_data", "inverse_data", "flow_data",
     "read_coefficient", "section_repr", "map_jet",
-    "ag_data", "ag_zero", "ag_add", "ag_scale", "ag_repr", "oracle_bracket",
+    "ag_data", "ag_zero", "ag_repr", "oracle_bracket",
     "random_ag", "random_section", "random_bisection", "base_points",
 }
 
@@ -475,7 +486,7 @@ def test_groupoid_classes_share_one_interface():
     def methods(cls):
         return {name for name, value in vars(cls).items() if callable(value) and not name.startswith("_")}
 
-    assert len(GROUPOID_METHODS) == 24
+    assert len(GROUPOID_METHODS) == 22
     assert methods(PairGroupoid) == GROUPOID_METHODS
     assert methods(TrivialGaugeGroupoid) == GROUPOID_METHODS
 
@@ -797,7 +808,7 @@ def test_broken_images_raise_the_element_error_on_every_section(groupoid, case):
         WSection.identity(groupoid, source),  # no nonzero part off the scalar one
     ]
     if isinstance(groupoid, PairGroupoid):
-        sections.append(WSection(groupoid, source, Jet(source, {0: groupoid.ag_zero()})))  # no coefficient at all
+        sections.append(WSection(groupoid, source, Jet(source, {0: groupoid.ag_zero()[0]})))  # no coefficient at all
     for section in sections:
         with pytest.raises(SubstitutionError) as caught:
             section.substitute(target, images)
@@ -1086,6 +1097,46 @@ def test_gauge_table_repr_prints_every_entry_as_a_fraction():
 def test_gauge_table_jets_are_checked(jet, error, message):
     with pytest.raises(error, match=message):
         AGSection(GG, jet)
+
+
+# -- pair Lie algebroid data: one-part jets of polynomial components, as on the gauge groupoid --------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_field_jets_agree_with_componentwise_polynomials(data):
+    draw = data.draw
+    n = draw(st.integers(1, 3))
+    g = PairGroupoid(n)
+    field = lambda: tuple(Poly(n, {e: draw(SMALL) for e in _exponents(n, 2) if draw(st.booleans())}) for _ in range(n))
+    a, b = field(), field()
+    c = draw(RATIONAL.filter(lambda f: f.denominator > 1))
+    x, y = AGSection(g, a), AGSection(g, b)
+    assert x.data.domain is D0 and x.data[0] == a
+    assert x + y == AGSection(g, tuple(p + q for p, q in zip(a, b)))
+    assert x - y == AGSection(g, tuple(p - q for p, q in zip(a, b)))
+    assert x.scaled(c) == AGSection(g, tuple(p * c for p in a))
+    assert AGSection(g, x.data) == x
+    from_jet = AGSection(g, Jet(D0, {0: a}))
+    assert from_jet == x and hash(from_jet) == hash(x)
+
+
+X0, X1 = Poly.variable(2, 0), Poly.variable(2, 1)
+
+
+@pytest.mark.parametrize(
+    "jet, message",
+    [
+        (Jet(D, {0: (X0, X1)}), "must be over the domain with no generators"),
+        (Jet(D0, {0: (X0, X1, X0)}), "expected 2 field components"),
+        (Jet(D0, {0: (1, 2)}, 3), "must be polynomials in the base variables"),
+        (Jet(D0, {0: (X0, Poly.variable(1, 0))}), "must be polynomials in the base variables"),
+    ],
+    ids=["domain", "length", "int", "nvars"],
+)
+def test_pair_field_jets_are_checked(jet, message):
+    with pytest.raises(ValueError, match=message):
+        AGSection(P2, jet)
 
 
 @pytest.mark.parametrize("groupoid", [P2, GG], ids=["pair", "gauge"])

@@ -5,8 +5,8 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from microlie import matrices, spaces, weil
-from microlie.groupoids import PairGroupoid, TrivialGaugeGroupoid, WSection, section_at, star
+from microlie import groupoids, matrices, weil
+from microlie.groupoids import AGSection, PairGroupoid, TrivialGaugeGroupoid, WSection, section_at, star
 from microlie.liealg import six_microcubes
 from microlie.spaces import (
     AffineSpace,
@@ -547,8 +547,8 @@ def test_image_and_the_strong_differences_share_one_part_dispatch(monkeypatch):
         kinds.append(type(terms[0][0][1][0]).__name__)
         return sum_parts(domain, terms, den)
 
-    monkeypatch.setattr(weil, "_sum_parts", spy)
-    monkeypatch.setattr(spaces, "_sum_parts", spy)
+    monkeypatch.setattr(weil, "_sum_parts", spy)  # read at call time by weil._combination too
+    monkeypatch.setattr(groupoids, "_sum_parts", spy)
     square = affine_square({(): 1, (1, 2): 2}, {(1,): 1}, {})
     strong_difference(square, square)
     pair, gauge = (WSection.identity(g, D2) for g in SECTION_GROUPOIDS)
@@ -556,4 +556,7 @@ def test_image_and_the_strong_differences_share_one_part_dispatch(monkeypatch):
     strong_difference(gauge, gauge)
     d = WeilElement.generator(D, 1)
     pair.substitute(D, [d, d * 0])
-    assert kinds == ["int", "Poly", "int", "Poly"]
+    for g in SECTION_GROUPOIDS:  # Lie algebroid data is a jet over D0 on both groupoids
+        x = AGSection.zero(g)
+        assert x + x == x.scaled(Fraction(1, 2)) == x
+    assert kinds == ["int", "Poly", "int", "Poly"] + ["Poly"] * 2 + ["int"] * 2

@@ -423,7 +423,7 @@ def _read_only_instance(name):
         "WSection": lambda: (WSection(pair, D, pair.identity_data(D)), "data"),
         "WBisection": lambda: (section_at(x, d), "data"),
         "AGSection": lambda: (x, "data"),
-        "PolyVectorField": lambda: (PolyVectorField(x.data), "components"),
+        "PolyVectorField": lambda: (PolyVectorField(x.data[0]), "components"),
     }[name]()
 
 
